@@ -1,0 +1,8 @@
+"""Run with ``python3 -m pytest perfbench/tests`` from the repository root."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
