@@ -13,16 +13,10 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   what remains amortizable across samples is im2col and per-layer call
   overhead, not elementwise traffic — the original 5x was vs einsum).
 - ``pool`` — the hybrid workers x stacked-S point: pool workers running
-  the vectorized chunked kernels over their shards
+  the vectorized stacked kernels over each chunk
   (``plan.worker_vectorized``) vs the same pool running legacy per-draw
   loop workers. The hybrid must not be slower than the legacy pool it
   replaced.
-- ``pool_vs_vectorized`` — the shm-transport pool vs the single-process
-  vectorized engine on the same plan. With zero-copy transport the pool's
-  per-run tax is fork + attach, not pickling the dataset and stacked
-  planes, so on a multi-core machine two workers must beat one process
-  by >= 1.3x. Recorded on every machine; the speedup gate only asserts
-  with >= 2 cores (a single-core box cannot exhibit parallel speedup).
 - ``dtype`` — the float32 eval-dtype policy vs the float64 default on the
   vectorized engine, at its GEMM-bound scale point: a dense MLP over a
   large eval split, where single-precision GEMMs (2.2-2.5x dgemm on this
@@ -55,7 +49,6 @@ average out scheduler noise.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -79,15 +72,11 @@ TARGET_POOL_SPEEDUP = 1.0  # hybrid workers must not lose to legacy workers
 POOL_WORKERS = 2
 # The pool is the large-S scale point, so it is benched in that regime:
 # each fresh worker pays a one-time allocator/first-touch warm-up on its
-# stacked buffers (~0.2s here) that only a large enough shard amortizes.
-# 144 samples = 72 per worker = 6 full 12-sample chunks — chunk-aligned
-# shards keep every stacked pass full-width.
+# stacked buffers (~0.2s here) that only enough draws per worker amortize.
+# 144 samples = 12 full 12-sample chunks, 6 per worker — every stacked
+# pass is full-width.
 N_POOL_SAMPLES = 144
 POOL_CHUNK = 12
-# Zero-copy pool vs one vectorized process: the tentpole claim of the shm
-# transport. Only a multi-core machine can parallelize, so the assertion
-# is conditional on the core count; the record is written regardless.
-TARGET_POOL_VS_VECTORIZED = 1.3
 # float32 halves stacked-plane/activation traffic and swaps dgemm for
 # sgemm; anything below this means the dtype policy is not paying.
 # Scale point: a dense MLP over a large split — draws are generated in
@@ -189,11 +178,11 @@ def test_mc_vectorized_speedup(workbench, pairs):
 def test_mc_hybrid_pool_speedup(workbench, pairs):
     """The hybrid workers x stacked-S scale point.
 
-    Pool workers run the vectorized chunked kernels over their shard
+    Pool workers run the vectorized stacked kernels over each chunk
     whenever the plan says the model supports them; the legacy behaviour
     (per-draw loop in every worker) is still reachable through
     ``build_plan(worker_vectorized=False)`` precisely so this bench can
-    price the hybrid against what it replaced, on identical shards and
+    price the hybrid against what it replaced, on identical chunks and
     streams.
     """
     spec = pairs["lenet5-mnist"]
@@ -260,77 +249,6 @@ def test_mc_hybrid_pool_speedup(workbench, pairs):
         f"legacy per-draw pool it replaced "
         f"(rounds: {[round(r['speedup'], 2) for r in rounds]})"
     )
-
-
-def test_mc_pool_vs_vectorized(workbench, pairs):
-    """Shm-transport pool workers vs one vectorized process.
-
-    The zero-copy transport exists so that a pool run's fixed cost is
-    fork + attach instead of serializing dataset and stacked planes into
-    every worker; with that tax gone, two workers over chunk-aligned
-    shards should beat the single-process stacked engine on any machine
-    that actually has two cores. The record lands in ``BENCH_mc.json``
-    either way; the >= 1.3x gate asserts only with >= 2 cores.
-    """
-    spec = pairs["lenet5-mnist"]
-    train, test = workbench.data("lenet5-mnist")
-    model = build_model(spec.model_name, train, width=spec.width, seed=0)
-    model.eval()
-    variation = LogNormalVariation(0.5)
-
-    pool = build_plan(
-        model, test, variation, n_samples=N_POOL_SAMPLES, seed=SEED,
-        n_workers=POOL_WORKERS, chunk_samples=POOL_CHUNK,
-    )
-    vec = build_plan(
-        model, test, variation, n_samples=N_POOL_SAMPLES, seed=SEED,
-        vectorized=True, chunk_samples=POOL_CHUNK,
-    )
-    assert pool.backend == "pool" and pool.transport == "shm"
-    assert vec.backend == "vectorized"
-
-    # Correctness gate (also warms both paths): seed-paired results.
-    ref = execute(vec, model, test)
-    pool_result = execute(pool, model, test)
-    assert pool_result.accuracies == ref.accuracies, (
-        "shm pool is not seed-paired with the vectorized engine"
-    )
-
-    cores = os.cpu_count() or 1
-    rounds = []
-    speedup = 0.0
-    for _ in range(MAX_ROUNDS):
-        t_pool = _best_time(lambda: execute(pool, model, test), 3)
-        t_vec = _best_time(lambda: execute(vec, model, test), 3)
-        rounds.append({"vectorized_s": t_vec, "pool_s": t_pool,
-                       "speedup": t_vec / t_pool})
-        speedup = max(speedup, t_vec / t_pool)
-        if cores < 2 or speedup >= TARGET_POOL_VS_VECTORIZED:
-            break
-
-    _merge_record("pool_vs_vectorized", {
-        "pair": spec.paper_name,
-        "n_samples": N_POOL_SAMPLES,
-        "n_workers": POOL_WORKERS,
-        "chunk_samples": pool.chunk_samples,
-        "transport": pool.transport,
-        "shm_planes": pool.shm_planes,
-        "cpu_count": cores,
-        "vectorized_s": min(r["vectorized_s"] for r in rounds),
-        "pool_s": min(r["pool_s"] for r in rounds),
-        "speedup": speedup,
-        "target_speedup": TARGET_POOL_VS_VECTORIZED,
-        "gated": cores >= 2,
-        "rounds": rounds,
-    })
-
-    if cores >= 2:
-        assert speedup >= TARGET_POOL_VS_VECTORIZED, (
-            f"shm pool at {speedup:.2f}x over the vectorized engine is "
-            f"below the {TARGET_POOL_VS_VECTORIZED}x target on a "
-            f"{cores}-core machine "
-            f"(rounds: {[round(r['speedup'], 2) for r in rounds]})"
-        )
 
 
 def test_mc_float32_speedup():

@@ -39,10 +39,9 @@ class ArrayDataset(Dataset):
         """Wrap arrays as-is, skipping the float64/int64 coercion copy.
 
         The evaluation engines use this to carry float32 images (the eval
-        dtype policy) and zero-copy views into shared-memory segments —
-        both of which ``__init__``'s coercion would silently copy back to
-        float64. Shapes are still validated; dtypes are the caller's
-        contract.
+        dtype policy), which ``__init__``'s coercion would silently copy
+        back to float64. Shapes are still validated; dtypes are the
+        caller's contract.
         """
         dataset = cls.__new__(cls)
         if images.ndim != 4:

@@ -18,8 +18,6 @@ from repro.evaluation.executor import (
     execute,
     IncrementalEvaluation,
     make_adapter,
-    reassemble_shards,
-    ShmArena,
 )
 from repro.evaluation.autotune import autotune_plan
 from repro.evaluation.plan import build_plan, estimate_sample_bytes, EvalPlan
@@ -63,8 +61,6 @@ __all__ = [
     "execute",
     "make_adapter",
     "IncrementalEvaluation",
-    "reassemble_shards",
-    "ShmArena",
     "StoppingRule",
     "FixedSamples",
     "HalfWidthRule",

@@ -124,7 +124,7 @@ def _measure(
 
     Loop and vectorized costs are linear in ``draws x images``, so one
     per-image-per-draw rate each suffices. The pool adds a fixed startup
-    (worker spin-up + transport build); probing it at two draw counts
+    (worker spin-up); probing it at two draw counts
     separates the slope from the intercept.
     """
     probe = dataset.subset(np.arange(min(len(dataset), PROBE_DATA)))

@@ -23,31 +23,20 @@ the plan's seed schedule, in the same order — that single fact is the
 entire cross-backend bitwise contract, and it is now stated (and tested)
 once instead of per engine.
 
-The pool backend ships its inputs once per worker through the executor
-initializer and rebuilds the adapter in the worker; task payloads carry
-only ``(start, stop)`` sample spans (workers re-derive their rng streams
-from the plan's seed schedule — ``spawn_rngs`` is deterministic), so IPC
-is O(workers). Under the default ``"shm"`` transport the initializer
-ships a :class:`ShmArena` manifest plus a model pickle whose parameter
-arrays were swapped for empty stubs: the dataset, the nominal parameter
-planes and — when ``plan.shm_planes`` — every chunk's pre-drawn stacked
-perturbation planes live in one POSIX shared-memory segment that workers
-attach zero-copy instead of deserializing. The parent owns the segment
-and unlinks it in a ``finally`` around the pool, so normal exit, worker
-crash and adaptive cancellation all leave ``/dev/shm`` clean. The
-legacy ``"pickle"`` transport (everything through initializer pickles)
-remains for plans carrying live ``layers`` references and for
-benchmarking. Workers run the **vectorized stacked kernels over their
-shard's chunks** when the plan says the model supports it
-(``plan.worker_vectorized`` — the hybrid workers × stacked-S scale point
-recorded in ``BENCH_mc.json``), falling back to the per-draw reference
-loop otherwise; shards are aligned with the chunk schedule
-(``plan.worker_shards``), so a worker's stacked passes — and its
-pre-drawn plane regions — are exactly whole chunks. Shards may complete
-in any order; :func:`reassemble_shards` puts every draw back at its
-seed-schedule position, so ``MCResult.accuracies[i]`` is stream ``i``'s
-draw on every backend — the property downstream CI computation relies
-on.
+The pool backend hands ``(model, dataset, plan)`` to each worker once,
+through the executor initializer, and rebuilds the adapter there. Under
+Linux ``fork`` those arguments are inherited, not copied: workers share
+the parent's pages, and a live ``layers`` subset keeps its identity with
+the modules inside the worker's model. Task payloads carry only one
+chunk's ``(start, stop)`` span, because workers re-derive their rng
+streams from the plan's seed schedule (``spawn_rngs`` is deterministic).
+Workers run the **vectorized stacked kernels over the chunk** when the
+plan says the model supports it (``plan.worker_vectorized`` — the hybrid
+workers × stacked-S scale point recorded in ``BENCH_mc.json``), and the
+per-draw reference loop otherwise. The parent keeps a bounded window of
+chunk tasks in flight and lands their results strictly in schedule
+order, so ``MCResult.accuracies[i]`` is stream ``i``'s draw on every
+backend — the property downstream CI computation relies on.
 
 Eval dtype: a ``dtype="float32"`` plan evaluates a float32 *rounding* of
 the model — every parameter, buffer and image cast exactly once at run
@@ -58,32 +47,32 @@ from the float32-rounded nominal and cast once
 shapes, so the seed schedule is dtype-invariant and the bitwise pairing
 contract holds *per dtype* across all three backends.
 
-Sequential (adaptive) stopping: when the plan carries a
-``stopping`` rule, every backend evaluates chunk-by-chunk, re-checks the
-rule on the prefix of draws after each chunk — at chunk boundaries only,
-in seed-schedule order — and halts once it is satisfied. The in-process
-backends drive this through :class:`IncrementalEvaluation` (also the
-unit the sweep-level draw allocator schedules); the pool dispatches
-chunk tasks through a bounded submission window and consumes results in
-schedule order, discarding any chunks already in flight when the rule
-fires. The decision points and the per-draw state are identical
-everywhere, so the stop point is engine-invariant and an adaptive run's
-draws are a bitwise prefix of the fixed-S run on the same seed.
+Chunk landing and sequential (adaptive) stopping: every backend
+evaluates chunk by chunk and lands each chunk through
+:meth:`IncrementalEvaluation.land_chunk` — append the draws, stream them
+through ``on_chunk``, then re-check the plan's ``stopping`` rule on the
+prefix — at chunk boundaries only, in seed-schedule order. The
+in-process backends land the chunks they evaluate (the same unit the
+sweep-level draw allocator schedules); the pool lands its workers'
+chunks and discards any still in flight when the rule fires. A fixed-S
+run is a run whose rule never fires. The decision points and the
+per-draw state are identical everywhere, so the stop point is
+engine-invariant and an adaptive run's draws are a bitwise prefix of the
+fixed-S run on the same seed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import pickle
-from concurrent.futures import as_completed, Future, ProcessPoolExecutor
-from multiprocessing import shared_memory
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     ContextManager,
+    Deque,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -319,316 +308,8 @@ def _stacked_accuracies(
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport
+# Results and incremental evaluation
 # ---------------------------------------------------------------------------
-class ShmArena:
-    """Many named numpy arrays in one POSIX shared-memory segment.
-
-    The parent :meth:`create`\\ s the arena from ``{key: (dtype, shape)}``
-    specs, fills the arrays through :meth:`array` views, and ships the
-    picklable :attr:`manifest` (segment name + per-key offset/dtype/shape)
-    to workers, which :meth:`attach` and map the same physical pages —
-    transport cost is O(1) in the array sizes. Ownership is explicit: only
-    the creating side :meth:`unlink`\\ s (always, in a ``finally``), so a
-    worker that crashes mid-task can never strand a segment; attachers
-    just :meth:`close`. Offsets are 64-byte aligned so every view is
-    cache-line (and SIMD) aligned.
-    """
-
-    ALIGN = 64
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        manifest: Dict[str, Any],
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self.manifest = manifest
-        self._owner = owner
-
-    @classmethod
-    def create(cls, specs: Dict[str, Tuple[str, Tuple[int, ...]]]) -> "ShmArena":
-        """Allocate a segment laid out for ``specs``; contents start zeroed."""
-        entries: Dict[str, Tuple[int, str, Tuple[int, ...]]] = {}
-        offset = 0
-        for key, (dtype, shape) in specs.items():
-            offset = -(-offset // cls.ALIGN) * cls.ALIGN
-            entries[key] = (offset, dtype, tuple(shape))
-            offset += int(np.dtype(dtype).itemsize * int(np.prod(shape or (1,))))
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        return cls(shm, {"name": shm.name, "entries": entries}, owner=True)
-
-    @classmethod
-    def attach(cls, manifest: Dict[str, Any]) -> "ShmArena":
-        """Map an existing arena from its manifest (worker side)."""
-        return cls(
-            shared_memory.SharedMemory(name=manifest["name"]), manifest, owner=False
-        )
-
-    @property
-    def name(self) -> str:
-        return cast(str, self.manifest["name"])
-
-    def keys(self) -> List[str]:
-        return list(self.manifest["entries"])
-
-    def array(self, key: str) -> npt.NDArray[Any]:
-        """A zero-copy view of entry ``key``; valid until :meth:`close`."""
-        offset, dtype, shape = self.manifest["entries"][key]
-        return np.ndarray(shape, dtype=dtype, buffer=self._shm.buf, offset=offset)
-
-    def close(self) -> None:
-        """Drop this process's mapping (views must be dead)."""
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the segment system-wide; owner-only, idempotent."""
-        if not self._owner:
-            return
-        self._owner = False
-        self._shm.unlink()
-
-    def __enter__(self) -> "ShmArena":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-        self.unlink()
-
-
-def _stripped_payload(model: Module, plan: EvalPlan) -> bytes:
-    """The shm transport's pickle: ``(model, plan)`` with every parameter
-    array swapped for an empty stub (weight domain — workers re-point the
-    parameters at the arena's nominal planes by name). Analog models are
-    pickled whole: workers *program* their crossbar state per draw, so each
-    needs a private mutable copy; only the dataset rides the arena.
-    """
-    if plan.domain == "analog":
-        return pickle.dumps((model, plan))
-    saved: List[Tuple[Any, npt.NDArray[Any]]] = []
-    try:
-        for _, param in model.named_parameters():
-            saved.append((param, param.data))
-            param.data = np.empty((0,), dtype=np.float64)
-        return pickle.dumps((model, plan))
-    finally:
-        for param, data in saved:
-            param.data = data
-
-
-@contextlib.contextmanager
-def _shm_transport(
-    plan: EvalPlan, model: Module, dataset: ArrayDataset
-) -> Iterator[Tuple[bytes, Dict[str, Any]]]:
-    """Build the arena + stripped payload for one pool run; always unlink.
-
-    Arena contents (all in the plan's eval dtype where floating):
-
-    - ``images`` / ``labels`` — the dataset, cast once by the parent;
-    - ``param:<name>`` — every parameter's nominal plane (weight domain);
-    - ``plane:<name>`` — all ``n_samples`` pre-drawn perturbation stacks
-      (``plan.shm_planes`` — the parent consumes the seed schedule through
-      the same :meth:`VariationInjector._draw` the workers would, so the
-      planes are bitwise what each worker would have drawn).
-
-    The ``finally`` is the crash-safety story: the parent created the
-    segment, so whether the pool exits cleanly, a worker SIGKILLs, or an
-    adaptive rule cancels in-flight chunks, leaving this context unlinks
-    the one and only segment.
-    """
-    specs: Dict[str, Tuple[str, Tuple[int, ...]]] = {
-        "images": (plan.dtype, tuple(dataset.images.shape)),
-        "labels": (str(dataset.labels.dtype), tuple(dataset.labels.shape)),
-    }
-    params = list(model.named_parameters()) if plan.domain == "weight" else []
-    for name, param in params:
-        specs[f"param:{name}"] = (plan.dtype, tuple(param.data.shape))
-    injector: Optional[VariationInjector] = None
-    if plan.shm_planes:
-        injector = VariationInjector(
-            model, plan.variation, plan.layers, plan.protection_masks, plan.dtype
-        )
-        for target_name, target, _ in injector._targets():
-            specs[f"plane:{target_name}"] = (
-                plan.dtype,
-                (plan.n_samples,) + tuple(target.data.shape),
-            )
-    arena = ShmArena.create(specs)
-    try:
-        arena.array("images")[...] = dataset.images
-        arena.array("labels")[...] = dataset.labels
-        for name, param in params:
-            arena.array(f"param:{name}")[...] = param.data
-        if injector is not None:
-            injector.stack_into(
-                plan.draw_rngs(),
-                {
-                    key[len("plane:") :]: arena.array(key)
-                    for key in arena.keys()
-                    if key.startswith("plane:")
-                },
-            )
-        yield _stripped_payload(model, plan), arena.manifest
-    finally:
-        arena.close()
-        arena.unlink()
-
-
-#: Per-worker state installed by the pool initializers — the initializer
-#: runs once per worker process, so the model/dataset (or the arena
-#: mapping) cross the IPC boundary once per worker instead of per task.
-_POOL_STATE: Dict[str, Any] = {}
-
-
-def _install_pool_state(
-    model: Module,
-    dataset: ArrayDataset,
-    plan: EvalPlan,
-    planes: Optional[Dict[str, npt.NDArray[Any]]],
-) -> None:
-    _POOL_STATE["model"] = model
-    _POOL_STATE["dataset"] = dataset
-    _POOL_STATE["plan"] = plan
-    _POOL_STATE["adapter"] = make_adapter(model, plan)
-    _POOL_STATE["planes"] = planes
-    # Workers re-derive rng streams from the plan instead of receiving
-    # them in task payloads: spawn_rngs is deterministic, so stream i here
-    # is bitwise stream i everywhere.
-    _POOL_STATE["rngs"] = [] if plan.deterministic else plan.draw_rngs()
-
-
-def _pool_init(model: Module, dataset: ArrayDataset, plan: EvalPlan) -> None:
-    """Pickle-transport initializer: rebuild adapter and context.
-
-    The model, layer subset and masks travel inside one pickle (the plan
-    carries layers/masks) so object identity between ``plan.layers``
-    entries and modules inside ``model`` survives the round-trip. Analog
-    adapters resolve their per-layer specs here, against this worker's
-    copy of the module tree.
-    """
-    if plan.dtype != "float64":
-        _cast_model(model, plan.dtype)
-        dataset = _cast_dataset(dataset, plan.dtype)
-    _install_pool_state(model, dataset, plan, planes=None)
-
-
-def _pool_init_shm(payload: bytes, manifest: Dict[str, Any]) -> None:
-    """Shm-transport initializer: attach the arena, re-point state at it.
-
-    The worker's dataset images, nominal parameter planes and (when
-    pre-drawn) perturbation stacks are views of the parent's segment —
-    nothing is copied. All of those are read-only by contract: the
-    injector *replaces* ``Parameter.data`` references (never writes in
-    place) and restores them, so many workers safely share one mapping.
-    Buffers arrive through the pickle in float64 and are cast here for
-    float32 plans (tiny: batch-norm statistics). The arena mapping is
-    kept alive in the worker for its whole life; worker exit releases it,
-    and the parent owns the unlink.
-    """
-    arena = ShmArena.attach(manifest)
-    _POOL_STATE["arena"] = arena
-    model, plan = cast(
-        Tuple[Module, EvalPlan], pickle.loads(payload)  # noqa: S301 - own bytes
-    )
-    if plan.dtype != "float64":
-        _cast_model(model, plan.dtype)
-    dataset = ArrayDataset.from_views(arena.array("images"), arena.array("labels"))
-    if plan.domain == "weight":
-        named = dict(model.named_parameters())
-        for key in arena.keys():
-            if key.startswith("param:"):
-                named[key[len("param:") :]].data = arena.array(key)
-    planes: Optional[Dict[str, npt.NDArray[Any]]] = None
-    if plan.shm_planes:
-        planes = {
-            key[len("plane:") :]: arena.array(key)
-            for key in arena.keys()
-            if key.startswith("plane:")
-        }
-    _install_pool_state(model, dataset, plan, planes)
-
-
-def _pool_span(start: int, stop: int) -> List[float]:
-    """Evaluate the draws of one chunk-aligned ``[start, stop)`` span.
-
-    The task payload is just the span; model, dataset, plan, adapter and
-    seed schedule live in :data:`_POOL_STATE` since the initializer. Runs
-    the stacked kernels chunk by chunk when the plan allows (hybrid pool x
-    vectorized) — reading pre-drawn planes straight out of the arena when
-    the parent provided them, drawing from the span's own streams
-    otherwise — else the per-draw reference loop. Either way draw ``i``
-    is stream ``i``'s, bitwise.
-    """
-    model = cast(Module, _POOL_STATE["model"])
-    dataset = cast(ArrayDataset, _POOL_STATE["dataset"])
-    plan = cast(EvalPlan, _POOL_STATE["plan"])
-    adapter = cast(ModelAdapter, _POOL_STATE["adapter"])
-    planes = cast(
-        Optional[Dict[str, npt.NDArray[Any]]], _POOL_STATE.get("planes")
-    )
-    rngs = cast(List[np.random.Generator], _POOL_STATE["rngs"])[start:stop]
-    with adapter.run_context():
-        if plan.worker_vectorized and adapter.has_targets:
-            if planes is not None:
-                injector = cast(WeightAdapter, adapter).injector
-                accs: List[float] = []
-                for chunk_start in range(start, stop, plan.chunk_samples):
-                    chunk_stop = min(chunk_start + plan.chunk_samples, stop)
-                    stacked = {
-                        name: plane[chunk_start:chunk_stop]
-                        for name, plane in planes.items()
-                    }
-                    with injector.applied_stack(stacked):
-                        chunk_accs = stacked_accuracies(
-                            model, dataset, chunk_stop - chunk_start, plan.data_block
-                        )
-                    accs.extend(float(a) for a in chunk_accs)
-                return accs
-            return _stacked_accuracies(model, dataset, adapter, plan, rngs)
-        return _loop_accuracies(model, dataset, adapter, plan, rngs)
-
-
-@contextlib.contextmanager
-def _pool(
-    plan: EvalPlan, model: Module, dataset: ArrayDataset, max_workers: int
-) -> Iterator[ProcessPoolExecutor]:
-    """A worker pool initialized per the plan's transport, cleaned up
-    (shutdown, then arena unlink) however the body exits."""
-    if plan.transport == "pickle":
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_pool_init,
-            initargs=(model, dataset, plan),
-        ) as pool:
-            yield pool
-        return
-    with _shm_transport(plan, model, dataset) as (payload, manifest):
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_pool_init_shm,
-            initargs=(payload, manifest),
-        ) as pool:
-            yield pool
-
-
-def reassemble_shards(parts: Iterable[Tuple[int, List[float]]]) -> List[float]:
-    """Shard results back into seed-schedule order.
-
-    Pool shards may complete in any order; each carries its shard index,
-    and concatenating by index restores ``accuracies[i] == stream i``
-    exactly — the ordering downstream statistics (mean, std, confidence
-    intervals) rely on being backend-invariant. Raises if the indices are
-    not exactly ``0..n-1``, since a missing or duplicated shard would
-    silently misalign every later draw.
-    """
-    ordered = sorted(parts, key=lambda pair: pair[0])
-    indices = [index for index, _ in ordered]
-    if indices != list(range(len(indices))):
-        raise ValueError(f"shard indices must be 0..n-1, got {indices}")
-    return [acc for _, accs in ordered for acc in accs]
-
-
 def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
     """Wrap raw per-draw accuracies in an ``MCResult`` for this plan.
 
@@ -652,20 +333,23 @@ def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
 
 
 #: Per-chunk emit hook: called with ``(chunk_index, start, stop, chunk_accs)``
-#: right after a chunk's draws land (before the stopping rule is consulted).
-#: The result-store runner persists chunks through this seam; anything else
-#: that wants streaming progress (progress bars, live dashboards) can too.
+#: right after a chunk's draws land (before the stopping rule is consulted),
+#: in schedule order on every backend. The result-store runner persists
+#: chunks through this seam; anything else that wants streaming progress
+#: (progress bars, live dashboards) can too.
 ChunkHook = Callable[[int, int, int, Sequence[float]], None]
 
 
 class IncrementalEvaluation:
-    """Resumable chunk-by-chunk in-process execution of one plan.
+    """Resumable chunk-by-chunk execution of one plan.
 
     The unit of sequential evaluation: holds the plan's seed schedule and
     chunk bounds, evaluates one chunk per :meth:`run_chunk` call (stacked
-    when the plan is vectorized, per-draw otherwise), and consults the
-    plan's stopping rule on the accumulated prefix after every chunk.
-    Satisfies the :class:`~repro.evaluation.sequential.SequentialPoint`
+    when the plan is vectorized, per-draw otherwise), and lands every
+    chunk through :meth:`land_chunk`, which consults the plan's stopping
+    rule on the accumulated prefix; the pool backend lands its workers'
+    chunks through the same step. Satisfies the
+    :class:`~repro.evaluation.sequential.SequentialPoint`
     protocol, so the sweep-level allocator can interleave chunks across
     many of these against one shared budget — each instance's draws stay a
     contiguous prefix of its own schedule regardless of interleaving.
@@ -727,7 +411,7 @@ class IncrementalEvaluation:
             raise RuntimeError("resume() must precede any run_chunk()")
         consumed = 0
         while consumed < len(prefix):
-            if self._next >= len(self._bounds) or self._stopped:
+            if self.done:
                 raise ValueError(
                     f"stored prefix of {len(prefix)} draws extends past "
                     "the plan's schedule or its stop point"
@@ -739,14 +423,10 @@ class IncrementalEvaluation:
                     f"to the plan's chunk schedule (chunk {self._next} "
                     f"covers draws [{start}, {stop}))"
                 )
-            self.accuracies.extend(
-                float(a) for a in prefix[consumed : consumed + (stop - start)]
+            consumed += self.land_chunk(
+                [float(a) for a in prefix[consumed : consumed + (stop - start)]],
+                emit=False,
             )
-            consumed += stop - start
-            self._next += 1
-            rule = self.plan.stopping
-            if rule is not None and rule.satisfied(self.accuracies):
-                self._stopped = True
 
     def __enter__(self) -> "IncrementalEvaluation":
         stack = contextlib.ExitStack()
@@ -761,21 +441,15 @@ class IncrementalEvaluation:
             ctx.__exit__(None, None, None)
 
     def run_chunk(self) -> int:
-        """Evaluate the next chunk; returns the number of draws consumed.
+        """Evaluate and land the next chunk; returns the draws consumed.
 
-        A no-op returning 0 when :attr:`done`. Stopping is re-checked on
-        the full prefix after the chunk lands — the same decision points
-        as every other backend, so the stop draw count is engine-invariant.
+        A no-op returning 0 when :attr:`done`.
         """
         if self.done:
             return 0
         start, stop = self._bounds[self._next]
-        index = self._next
-        self._next += 1
         if self.plan.deterministic:
-            self.accuracies.append(
-                accuracy(self.model, self.dataset, self.plan.batch_size)
-            )
+            accs = [accuracy(self.model, self.dataset, self.plan.batch_size)]
         elif self.plan.backend == "vectorized" and not self.adapter.has_targets:
             # No target parameters (e.g. empty layer subset): every sample
             # sees nominal weights, matching what the loop would measure.
@@ -783,22 +457,34 @@ class IncrementalEvaluation:
                 self._nominal = accuracy(
                     self.model, self.dataset, self.plan.batch_size
                 )
-            self.accuracies.extend([self._nominal] * (stop - start))
+            accs = [self._nominal] * (stop - start)
         else:
-            chunk = self._rngs[start:stop]
-            if self.plan.backend == "vectorized":
-                self.accuracies.extend(
-                    _stacked_accuracies(
-                        self.model, self.dataset, self.adapter, self.plan, chunk
-                    )
-                )
-            else:
-                self.accuracies.extend(
-                    _loop_accuracies(
-                        self.model, self.dataset, self.adapter, self.plan, chunk
-                    )
-                )
-        if self.on_chunk is not None:
+            run = (
+                _stacked_accuracies
+                if self.plan.backend == "vectorized"
+                else _loop_accuracies
+            )
+            accs = run(
+                self.model, self.dataset, self.adapter, self.plan,
+                self._rngs[start:stop],
+            )
+        return self.land_chunk(accs)
+
+    def land_chunk(self, accs: Sequence[float], emit: bool = True) -> int:
+        """Land the next chunk's draws; returns how many landed.
+
+        Appends ``accs``, streams them through ``on_chunk`` (unless
+        ``emit`` is off, as when :meth:`resume` replays a stored prefix),
+        then re-checks the stopping rule on the full prefix. Every backend
+        takes this one step — :meth:`run_chunk` for in-process chunks, the
+        pool for its workers' chunks in schedule order — so the decision
+        points, and hence the stop draw count, are engine-invariant.
+        """
+        index = self._next
+        start, stop = self._bounds[index]
+        self._next += 1
+        self.accuracies.extend(accs)
+        if emit and self.on_chunk is not None:
             self.on_chunk(index, start, stop, self.accuracies[start - stop :])
         rule = self.plan.stopping
         if rule is not None and rule.satisfied(self.accuracies):
@@ -810,62 +496,86 @@ class IncrementalEvaluation:
         return _result(self.plan, self.accuracies)
 
 
-def _run_pool(plan: EvalPlan, model: Module, dataset: ArrayDataset) -> "MCResult":
-    """Fan the plan's shards out over worker processes.
+# ---------------------------------------------------------------------------
+# Pool
+# ---------------------------------------------------------------------------
+#: Per-worker state installed by :func:`_pool_init`. The initializer runs
+#: once per worker process, so the model and dataset reach a worker once
+#: instead of with every task.
+_POOL_STATE: Dict[str, Any] = {}
 
-    Shards are submitted all at once and collected as they complete;
-    :func:`reassemble_shards` restores seed-schedule order afterwards, so
-    completion order — which depends on OS scheduling — never leaks into
-    the result.
+
+def _pool_init(model: Module, dataset: ArrayDataset, plan: EvalPlan) -> None:
+    """Worker initializer: cast to the eval dtype and rebuild the adapter.
+
+    ``(model, dataset, plan)`` travel together — inherited under ``fork``,
+    one pickle under other start methods — so object identity between
+    ``plan.layers`` entries and modules inside ``model`` survives. The
+    dataset arrives already in the eval dtype; the model cast is permanent
+    on this worker's private copy. Analog adapters resolve their per-layer
+    specs here, against this worker's copy of the module tree.
     """
-    shards = plan.worker_shards()
-    with _pool(plan, model, dataset, max_workers=len(shards)) as pool:
-        futures = {
-            pool.submit(_pool_span, start, stop): index
-            for index, (start, stop) in enumerate(shards)
-        }
-        parts = [(futures[f], f.result()) for f in as_completed(futures)]
-    return _result(plan, reassemble_shards(parts))
+    if plan.dtype != "float64":
+        _cast_model(model, plan.dtype)
+    _POOL_STATE.update(
+        model=model,
+        dataset=dataset,
+        plan=plan,
+        adapter=make_adapter(model, plan),
+        # Workers re-derive rng streams from the plan instead of receiving
+        # them in task payloads: spawn_rngs is deterministic, so stream i
+        # here is bitwise stream i everywhere.
+        rngs=plan.draw_rngs(),
+    )
 
 
-def _run_pool_adaptive(
-    plan: EvalPlan, model: Module, dataset: ArrayDataset
-) -> "MCResult":
-    """Sequential stopping over the pool backend.
+def _pool_chunk(start: int, stop: int) -> List[float]:
+    """Evaluate the draws of chunk ``[start, stop)`` in a worker.
 
-    Chunk tasks (not worker shards — decisions happen at chunk
-    boundaries) are dispatched in schedule order through a bounded
-    submission window and their results consumed strictly in order, so
-    the stopping rule sees exactly the same prefixes at the same draw
-    counts as the in-process backends. Chunks still in flight when the
-    rule fires are discarded, never appended — completion order cannot
-    change the result, only how much speculative work is thrown away.
+    The task payload is just the span. Runs the stacked kernels when the
+    plan allows (hybrid pool x vectorized), else the per-draw reference
+    loop; either way draw ``i`` is stream ``i``'s, bitwise.
     """
-    rule = plan.stopping
-    assert rule is not None  # caller dispatches on this
+    model = cast(Module, _POOL_STATE["model"])
+    dataset = cast(ArrayDataset, _POOL_STATE["dataset"])
+    plan = cast(EvalPlan, _POOL_STATE["plan"])
+    adapter = cast(ModelAdapter, _POOL_STATE["adapter"])
+    rngs = cast(List[np.random.Generator], _POOL_STATE["rngs"])[start:stop]
+    stacked = plan.worker_vectorized and adapter.has_targets
+    run = _stacked_accuracies if stacked else _loop_accuracies
+    with adapter.run_context():
+        return run(model, dataset, adapter, plan, rngs)
+
+
+def _run_pool(evaluation: IncrementalEvaluation) -> None:
+    """Land every chunk of ``evaluation``'s plan from worker processes.
+
+    Up to two chunk tasks per worker are kept in flight, so no worker
+    idles while the parent lands a result. Results are consumed strictly
+    in schedule order through :meth:`IncrementalEvaluation.land_chunk`:
+    completion order never reaches the result, ``on_chunk`` streams in
+    order, and the stopping rule sees the same prefixes as in-process
+    runs. Once the evaluation is done (or anything raises — a killed
+    worker surfaces as ``BrokenProcessPool``), queued chunks are cancelled
+    and the pool is shut down; chunks already running are discarded.
+    """
+    plan = evaluation.plan
     bounds = plan.chunks()
-    accs: List[float] = []
-    max_workers = min(plan.n_workers, len(bounds))
-    window = 2 * max_workers
-    with _pool(plan, model, dataset, max_workers=max_workers) as pool:
-        pending: Dict[int, "Future[List[float]]"] = {}
-        next_submit = 0
-
-        def submit_until(limit: int) -> None:
-            nonlocal next_submit
-            while next_submit < min(limit, len(bounds)):
-                start, stop = bounds[next_submit]
-                pending[next_submit] = pool.submit(_pool_span, start, stop)
-                next_submit += 1
-
-        for index in range(len(bounds)):
-            submit_until(index + window)
-            accs.extend(pending.pop(index).result())
-            if rule.satisfied(accs):
-                for future in pending.values():
-                    future.cancel()
-                break
-    return _result(plan, accs)
+    window: Deque[Future[List[float]]] = deque()
+    submitted = 0
+    pool = ProcessPoolExecutor(
+        max_workers=plan.n_workers,
+        initializer=_pool_init,
+        initargs=(evaluation.model, evaluation.dataset, plan),
+    )
+    try:
+        while not evaluation.done:
+            while submitted < len(bounds) and len(window) < 2 * plan.n_workers:
+                window.append(pool.submit(_pool_chunk, *bounds[submitted]))
+                submitted += 1
+            evaluation.land_chunk(window.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -885,18 +595,10 @@ def execute(
     nominal evaluation. Plans carrying a stopping rule run chunk-by-chunk
     and may halt before the ``n_samples`` cap (``MCResult.stopped_early``).
 
-    ``on_chunk`` streams each chunk's draws to the caller as it lands (the
-    result store persists restart points through it). Only the in-process
-    backends evaluate chunks in schedule order in this process, so the
-    hook is rejected on the pool backend rather than delivering shards
-    out of order or from worker processes.
+    ``on_chunk`` streams each chunk's draws to the caller as it lands, in
+    schedule order on every backend (the result store persists restart
+    points through it).
     """
-    if on_chunk is not None and plan.backend == "pool" and not plan.deterministic:
-        raise ValueError(
-            "on_chunk streams chunks in schedule order from this process; "
-            "the pool backend completes shards out of order in workers — "
-            "use an in-process backend (loop/vectorized) for streaming"
-        )
     if plan.deterministic and on_chunk is None:
         with _dtype_scope(model, plan.dtype):
             return _result(
@@ -907,11 +609,10 @@ def execute(
                     )
                 ],
             )
-    if plan.backend == "pool" and not plan.deterministic:
-        if plan.stopping is not None:
-            return _run_pool_adaptive(plan, model, dataset)
-        return _run_pool(plan, model, dataset)
     evaluation = IncrementalEvaluation(plan, model, dataset, on_chunk=on_chunk)
+    if plan.backend == "pool" and not plan.deterministic:
+        _run_pool(evaluation)
+        return evaluation.result()
     with evaluation:
         while not evaluation.done:
             evaluation.run_chunk()

@@ -16,8 +16,8 @@ sample-chunk schedule, data blocking) and hands it to
   semantic ground truth;
 - **vectorized** (``vectorized=True``): all samples of a chunk evaluated
   per data batch through the sample-stacked kernels;
-- **pool** (``n_workers > 1``): samples sharded over worker processes,
-  each worker running the stacked kernels over its shard's chunks when
+- **pool** (``n_workers > 1``): sample chunks dispatched to worker
+  processes, each worker running the stacked kernels over its chunk when
   the model supports them (hybrid pool x vectorized), else the loop —
 
 share one paired-seed contract, stated once in ``plan``/``executor``: a
@@ -89,7 +89,7 @@ class MCResult:
 
     ``accuracies`` is always in seed-schedule order — entry ``i`` is the
     draw from spawned stream ``i`` — regardless of backend, chunking, or
-    the order pool shards completed in, so every downstream statistic
+    the order pool chunks completed in, so every downstream statistic
     (mean, std, confidence interval) is backend-invariant. Adaptive runs
     set ``stopped_early`` and carry the CI settings their stopping rule
     decided with; fixed runs default to a 95% CLT interval.
@@ -218,9 +218,9 @@ class MonteCarloEvaluator:
         when the model supports it (see module docstring). Falls back to
         the pool/loop backends otherwise.
     n_workers:
-        When > 1 (and the vectorized path is off or unsupported), shard
-        the samples over a process pool of this size; workers run stacked
-        chunks when the model supports them.
+        When > 1 (and the vectorized path is off or unsupported), dispatch
+        the sample chunks to a process pool of this size; workers run
+        stacked chunks when the model supports them.
     sample_chunk:
         Locality default for the stacked chunk size (samples evaluated
         per stacked pass) when neither ``chunk_samples`` nor

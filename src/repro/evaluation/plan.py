@@ -22,18 +22,18 @@ Plan axes
   analog evaluation is no longer a separate engine family.
 - **Backend.** ``loop`` (reference, one full sweep per draw),
   ``vectorized`` (sample-stacked kernels, all draws of a chunk per data
-  batch) and ``pool`` (draws sharded over worker processes). Resolution
+  batch) and ``pool`` (chunks dispatched to worker processes). Resolution
   keeps the historical semantics: ``vectorized=True`` wins when the model
   has sample-aware kernels throughout, else ``n_workers > 1`` selects the
   pool, else the loop. Pool workers themselves run the **vectorized
-  stacked kernels over their shard's chunks** whenever the model supports
-  it (``worker_vectorized``) — the hybrid workers × stacked-S scale point
-  — and fall back to the per-draw loop otherwise.
+  stacked kernels over each chunk** whenever the model supports it
+  (``worker_vectorized``) — the hybrid workers × stacked-S scale point —
+  and fall back to the per-draw loop otherwise.
 - **Seed schedule.** Draw ``i`` always consumes the ``i``-th stream of
   ``spawn_rngs(seed, n_samples)`` regardless of backend, chunking or
-  worker sharding; chunks and shards are contiguous *slices* of that one
-  stream list, which is what makes every run bitwise-reproducible and
-  engine choice a pure performance knob.
+  worker count; chunks are contiguous *slices* of that one stream list,
+  which is what makes every run bitwise-reproducible and engine choice a
+  pure performance knob.
 - **Sample chunking.** Stacked execution materializes per-draw state
   (weight stacks or conductance planes) for a whole chunk at once;
   ``chunk_samples`` bounds that, so arbitrarily large ``n_samples`` stream
@@ -65,16 +65,6 @@ Plan axes
   of the store fingerprint (unlike backend/workers/chunking). The analog
   simulator models physical conductances in float64 only; ``float32``
   with an analog model is rejected at plan time.
-- **Worker transport.** How the pool ships its inputs: ``"shm"`` (the
-  default) places the dataset arrays, the nominal weight planes and —
-  when they fit — the pre-drawn stacked perturbation planes of every
-  chunk into one POSIX shared-memory arena that workers attach instead
-  of unpickling (task payloads shrink to ``(index, start, stop)`` spans),
-  or ``"pickle"``, the legacy everything-through-the-initializer path
-  kept reachable for benchmarking. Transport never changes results —
-  it is an execution knob, excluded from fingerprints. Plans carrying
-  live ``layers`` module references fall back to pickle (object identity
-  between the subset and the model must survive one pickle round-trip).
 """
 
 from __future__ import annotations
@@ -109,23 +99,6 @@ _BACKENDS = ("loop", "vectorized", "pool")
 #: docstring). Draws are generated in float64 under both.
 EVAL_DTYPES = ("float64", "float32")
 
-#: Pool worker transports. ``shm`` is zero-copy shared memory (default);
-#: ``pickle`` is the legacy initializer path, kept for benchmarking.
-TRANSPORTS = ("shm", "pickle")
-
-#: Ceiling on the pre-drawn stacked-plane block the shm transport will
-#: materialize in the arena (all chunks' perturbed planes at once) when a
-#: caller opts in with ``shm_planes=True``. Pre-drawing is *opt-in*
-#: because it is a measured wall-clock loss on the default path: the
-#: parent draws every sample's planes serially before the pool starts,
-#: whereas workers draw only their own shard's chunks — in parallel on
-#: multi-core machines, and never past an adaptive stop point (the
-#: ``pool`` entry in ``BENCH_mc.json`` priced the difference). Either
-#: way the planes come from the same streams through the same sampling
-#: site, so the choice is bitwise-invisible: purely a transport/latency
-#: decision.
-SHM_PLANE_BUDGET_MB = 256.0
-
 
 @dataclass(frozen=True)
 class EvalPlan:
@@ -151,18 +124,9 @@ class EvalPlan:
     worker_vectorized: bool = False
     #: Arithmetic precision of the evaluation ("float64" | "float32").
     #: Part of the *logical* evaluation — float32 results are not float64
-    #: results — so unlike every other knob below it enters the store
+    #: results — so unlike the execution knobs above it enters the store
     #: fingerprint.
     dtype: str = "float64"
-    #: How the pool ships model/dataset state to workers ("shm" |
-    #: "pickle"). Execution-only: never changes results.
-    transport: str = "shm"
-    #: Opt-in: the shm transport pre-draws every chunk's stacked
-    #: perturbation planes into the arena (workers read, never draw).
-    #: Off by default — the parent's serial pre-draw loses wall-clock to
-    #: parallel per-shard worker draws (see ``SHM_PLANE_BUDGET_MB``);
-    #: bitwise-invisible either way.
-    shm_planes: bool = False
     #: Sequential early stopping, consulted at chunk boundaries only;
     #: ``None`` (and ``FixedSamples``) runs the full ``n_samples`` cap.
     stopping: Optional[StoppingRule] = None
@@ -187,72 +151,12 @@ class EvalPlan:
         return spawn_rngs(self.seed, self.n_samples)
 
     def chunks(self) -> Tuple[Tuple[int, int], ...]:
-        """Contiguous ``[start, stop)`` sample chunks for stacked passes."""
+        """Contiguous ``[start, stop)`` sample chunks: one stacked pass,
+        one pool task and one stopping decision each."""
         return tuple(
             (start, min(start + self.chunk_samples, self.n_samples))
             for start in range(0, self.n_samples, self.chunk_samples)
         )
-
-    def worker_shards(self) -> Tuple[Tuple[int, int], ...]:
-        """Contiguous ``[start, stop)`` sample shards, one per pool task.
-
-        Shards are aligned with the chunk schedule — each is a contiguous
-        run of whole chunks — so a worker's stacked passes are exactly the
-        chunk sizes the plan promised (no ragged mid-shard chunk except
-        the schedule's own final one) and, under the shm transport, a
-        worker touches only its own chunks' pre-drawn plane regions.
-        Shards remain contiguous sample spans, so results reassemble into
-        seed-schedule order exactly as before.
-        """
-        bounds = self.chunks()
-        n_workers = max(1, min(self.n_workers, len(bounds)))
-        base, extra = divmod(len(bounds), n_workers)
-        shards: List[Tuple[int, int]] = []
-        next_chunk = 0
-        for worker in range(n_workers):
-            take = base + (1 if worker < extra else 0)
-            group = bounds[next_chunk : next_chunk + take]
-            shards.append((group[0][0], group[-1][1]))
-            next_chunk += take
-        return tuple(shards)
-
-    def chunk_span(self, start: int, stop: int) -> Tuple[int, int]:
-        """Indices ``[first, last)`` of the chunks covering sample span
-        ``[start, stop)``. The span must be chunk-aligned (shards are by
-        construction); a misaligned span would silently shear draws off a
-        stacked pass, so it raises instead."""
-        if start % self.chunk_samples or not (
-            stop == self.n_samples or stop % self.chunk_samples == 0
-        ):
-            raise ValueError(
-                f"span [{start}, {stop}) is not aligned to the "
-                f"{self.chunk_samples}-sample chunk schedule"
-            )
-        first = start // self.chunk_samples
-        last = -(-stop // self.chunk_samples)
-        return first, last
-
-
-def target_param_elems(
-    model: Module,
-    variation: VariationModel,
-    layers: Optional[Sequence[Module]] = None,
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
-) -> int:
-    """Scalar elements one draw's per-parameter state costs.
-
-    Weight-domain models count the injector's target parameters; analog
-    models count three conductance planes per array (``g_pos``, ``g_neg``
-    and the effective-difference cache). Shared by the chunk sizer and the
-    shm transport's plane-block budget check.
-    """
-    analog = analog_layers(model)
-    if analog:
-        return sum(
-            3 * int(np.prod(layer.array.weights_shape)) for _, layer in analog
-        )
-    injector = VariationInjector(model, variation, layers, protection_masks)
-    return sum(p.data.size for p in injector.target_parameters())
 
 
 def estimate_sample_bytes(
@@ -279,7 +183,14 @@ def estimate_sample_bytes(
     costs chunk granularity, never correctness (chunking is bitwise).
     A ``float32`` evaluation halves the per-element cost.
     """
-    param_elems = target_param_elems(model, variation, layers, protection_masks)
+    analog = analog_layers(model)
+    if analog:
+        param_elems = sum(
+            3 * int(np.prod(layer.array.weights_shape)) for _, layer in analog
+        )
+    else:
+        injector = VariationInjector(model, variation, layers, protection_masks)
+        param_elems = sum(p.data.size for p in injector.target_parameters())
     image_elems = int(np.prod(dataset.images.shape[1:]))
     act_elems = int(data_block * image_elems * STACKED_ACTIVATION_FACTOR)
     return np.dtype(dtype).itemsize * (param_elems + act_elems)
@@ -328,8 +239,6 @@ def build_plan(
     protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
     worker_vectorized: Optional[bool] = None,
     dtype: str = "float64",
-    transport: Optional[str] = None,
-    shm_planes: bool = False,
     tolerance: Optional[float] = None,
     min_samples: Optional[int] = None,
     ci_confidence: float = 0.95,
@@ -345,18 +254,13 @@ def build_plan(
     eligibility; benchmarks pass ``False`` to time legacy per-draw pool
     workers against the hybrid.
 
-    ``dtype`` picks the evaluation precision (see module docstring);
-    ``transport`` picks the pool's shipping mechanism (``None`` resolves
-    to shared memory whenever the plan can use it); ``shm_planes=True``
-    additionally pre-draws every sample's perturbation planes into the
-    arena (opt-in — see ``SHM_PLANE_BUDGET_MB`` for why workers drawing
-    their own shards is the default). Worker shards are
-    chunk-aligned, so a *defaulted* chunk size first shrinks until every
-    requested worker has a whole chunk (chunking is bitwise-neutral);
-    when chunks are pinned (explicit ``chunk_samples`` or a memory
-    budget), ``n_workers`` is instead clamped to the number of chunks —
-    extra workers would pay the initializer cost and then receive no
-    shard — with the clamp recorded in ``backend_reason``.
+    ``dtype`` picks the evaluation precision (see module docstring). Pool
+    tasks are whole chunks, so a *defaulted* chunk size first shrinks
+    until every requested worker has a chunk (chunking is
+    bitwise-neutral); when chunks are pinned (explicit ``chunk_samples``
+    or a memory budget), ``n_workers`` is instead clamped to the number of
+    chunks — extra workers would pay the start-up cost and then receive
+    no chunk — with the clamp recorded in ``backend_reason``.
 
     Sequential stopping: an explicit ``stopping`` rule wins; otherwise a
     ``tolerance`` builds a
@@ -369,10 +273,6 @@ def build_plan(
     if dtype not in EVAL_DTYPES:
         raise ValueError(
             f"dtype must be one of {EVAL_DTYPES}, got {dtype!r}"
-        )
-    if transport is not None and transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {TRANSPORTS}, got {transport!r}"
         )
     if stopping is None and tolerance is not None:
         if min_samples is None:
@@ -434,12 +334,11 @@ def build_plan(
             n_chunks = -(-n_samples // chunk)
         if n_workers > n_chunks:
             # Extra workers would start, pay the initializer cost and
-            # receive no shard: the pool dispatches at most one
-            # chunk-aligned shard per worker.
+            # receive no chunk: every pool task is one whole chunk.
             reasons.append(
                 f"n_workers clamped from {n_workers} to {n_chunks}: the "
                 f"schedule has only {n_chunks} chunk(s) of "
-                f"{chunk} sample(s) to shard"
+                f"{chunk} sample(s) to dispatch"
             )
             n_workers = n_chunks
         backend = "pool" if n_workers > 1 else "loop"
@@ -452,48 +351,6 @@ def build_plan(
             )
     if worker_vectorized is None:
         worker_vectorized = sample_aware
-
-    if transport is None:
-        # Live module references in ``layers`` must keep object identity
-        # with the model inside workers, which only one shared pickle
-        # round-trip guarantees.
-        transport = "pickle" if layers is not None else "shm"
-    elif transport == "shm" and layers is not None:
-        raise ValueError(
-            "transport='shm' cannot carry a live layers subset (module "
-            "identity survives only the pickle transport); drop the "
-            "explicit transport or express the scenario as a LayerMap spec"
-        )
-    if shm_planes:
-        # Opt-in only (see SHM_PLANE_BUDGET_MB): pre-drawn planes are read
-        # by stacked workers out of the arena, so the request only makes
-        # sense on a vectorized weight-domain shm pool.
-        if not (
-            backend == "pool"
-            and transport == "shm"
-            and domain == "weight"
-            and worker_vectorized
-        ):
-            raise ValueError(
-                "shm_planes=True requires a vectorized weight-domain pool "
-                "over the shm transport (got backend="
-                f"{backend!r}, transport={transport!r}, domain={domain!r}, "
-                f"worker_vectorized={bool(worker_vectorized)})"
-            )
-        plane_mb = (
-            n_samples
-            * target_param_elems(model, resolved, layers, protection_masks)
-            * np.dtype(dtype).itemsize
-            / (1024.0 * 1024.0)
-        )
-        if memory_budget_mb is not None or plane_mb > SHM_PLANE_BUDGET_MB:
-            raise ValueError(
-                f"shm_planes=True would materialize {plane_mb:.0f} MB of "
-                f"pre-drawn planes (budget {SHM_PLANE_BUDGET_MB:.0f} MB, "
-                "memory-budgeted streaming "
-                f"{'on' if memory_budget_mb is not None else 'off'}); let "
-                "workers draw their own shards instead"
-            )
 
     return EvalPlan(
         variation=resolved,
@@ -508,8 +365,6 @@ def build_plan(
         n_workers=n_workers,
         worker_vectorized=bool(worker_vectorized),
         dtype=dtype,
-        transport=transport,
-        shm_planes=shm_planes,
         stopping=stopping,
         layers=None if layers is None else list(layers),
         protection_masks=protection_masks,

@@ -183,9 +183,9 @@ def fingerprint_payload(
     not a float64 result), the analog conversion parameters when the
     model was crossbar-deployed, and the stopping/CI params. Out: every
     execution knob — ``backend``, ``n_workers``, ``worker_vectorized``,
-    ``chunk_samples``, ``batch_size``, ``data_block``, ``transport``,
-    ``shm_planes`` — because none of them may change the result (the
-    repo-wide paired-seed contract), so none may split the cache.
+    ``chunk_samples``, ``batch_size``, ``data_block`` — because none of
+    them may change the result (the repo-wide paired-seed contract), so
+    none may split the cache.
     """
     if plan.layers is not None or plan.protection_masks:
         raise ValueError(

@@ -173,9 +173,9 @@ class VariationInjector:
     ) -> np.ndarray:
         """One draw for one parameter — the *only* sampling site.
 
-        Every consumer (loop, stacked, pool workers, pre-drawn shm planes)
-        goes through here, which is what makes the per-dtype pairing
-        contract a single-point invariant: float64 perturbs the nominal
+        Every consumer (loop, stacked, pool workers) goes through here,
+        which is what makes the per-dtype pairing contract a
+        single-point invariant: float64 perturbs the nominal
         directly (bit-identical to every historical run); float32 perturbs
         the float32-rounded nominal in float64 and casts the result once.
         """
@@ -235,24 +235,6 @@ class VariationInjector:
             for name, param, variation in targets:
                 stacks[name][i] = self._draw(name, param, variation, rng)
         return stacks
-
-    def stack_into(
-        self,
-        rngs: Sequence[np.random.Generator],
-        stacks: Dict[str, np.ndarray],
-    ) -> None:
-        """Like :meth:`stack_for` but filling caller-owned arrays.
-
-        ``stacks`` maps qualified parameter names to pre-allocated
-        ``(len(rngs), *param.shape)`` arrays — typically views into a
-        shared-memory arena, so the draws land in place with no extra
-        copy. Same streams, same order, same :meth:`_draw` per slot as
-        :meth:`stack_for`: the results are bitwise equal.
-        """
-        targets = self._targets()
-        for i, rng in enumerate(rngs):
-            for name, param, variation in targets:
-                stacks[name][i] = self._draw(name, param, variation, rng)
 
     @contextlib.contextmanager
     def applied_stack(

@@ -37,44 +37,12 @@ class TestPerDtypePairing:
         _, vec = _accuracies(
             mlp, blob_dataset, variation, dtype=dtype, vectorized=True
         )
-        shm_plan, pool_shm = _accuracies(
+        pool_plan, pool = _accuracies(
             mlp, blob_dataset, variation, dtype=dtype,
             n_workers=2, chunk_samples=3,
         )
-        assert shm_plan.transport == "shm"
-        pickle_plan = build_plan(
-            mlp, blob_dataset, variation, n_samples=6, seed=11, dtype=dtype,
-            n_workers=2, chunk_samples=3, transport="pickle",
-        )
-        pool_pickle = execute(pickle_plan, mlp, blob_dataset)
-        assert loop == vec == pool_shm == pool_pickle
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_predrawn_planes_are_bitwise_invisible(
-        self, mlp, blob_dataset, dtype
-    ):
-        """Opt-in ``shm_planes=True``: the parent pre-draws every sample's
-        planes into the arena and workers only read — through the same
-        sampling site, so the result is bitwise the loop's at any dtype."""
-        variation = LogNormalVariation(0.5)
-        _, loop = _accuracies(
-            mlp, blob_dataset, variation, dtype=dtype, vectorized=False
-        )
-        plan, pool = _accuracies(
-            mlp, blob_dataset, variation, dtype=dtype,
-            n_workers=2, chunk_samples=3, shm_planes=True,
-        )
-        assert plan.shm_planes and plan.transport == "shm"
-        assert pool == loop
-
-    def test_predrawn_planes_need_a_vectorized_shm_pool(
-        self, mlp, blob_dataset
-    ):
-        with pytest.raises(ValueError, match="shm_planes"):
-            build_plan(
-                mlp, blob_dataset, LogNormalVariation(0.5),
-                n_samples=6, seed=11, shm_planes=True,  # no pool requested
-            )
+        assert pool_plan.backend == "pool"
+        assert loop == vec == pool
 
     def test_seed_schedule_is_dtype_invariant(self, mlp):
         """Both dtypes consume the streams identically: draws are generated
@@ -131,7 +99,7 @@ class TestPerDtypePairing:
         )
         pooled = build_plan(
             mlp, blob_dataset, variation, n_samples=6, seed=11, dtype="float32",
-            n_workers=2, chunk_samples=3, transport="pickle",
+            n_workers=2, chunk_samples=3,
         )
         assert base.backend != pooled.backend
         assert plan_fingerprint(base, mlp, blob_dataset) == plan_fingerprint(

@@ -212,10 +212,6 @@ class TestPlanBuilding:
         plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                           n_samples=7, seed=0, chunk_samples=3, n_workers=2)
         assert plan.chunks() == ((0, 3), (3, 6), (6, 7))
-        # Shards are chunk-aligned: contiguous runs of whole chunks, so a
-        # worker's stacked passes (and its shm plane regions) are exactly
-        # the chunk sizes the plan promised.
-        assert plan.worker_shards() == ((0, 6), (6, 7))
         # chunk never exceeds n_samples
         big = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                          n_samples=4, seed=0, chunk_samples=100)
@@ -247,7 +243,7 @@ class TestPlanBuilding:
 
     def test_workers_clamped_to_pinned_chunk_count(self, mlp, blob_dataset):
         """Regression: more workers than chunks used to spin up idle
-        processes (each paying fork + transport cost for zero tasks). A
+        processes (each paying fork + initializer cost for zero tasks). A
         *pinned* chunk schedule can't be reshaped, so the plan clamps the
         worker count instead — and says so."""
         mlp.eval()
@@ -274,8 +270,7 @@ class TestPlanBuilding:
                           n_samples=6, seed=0, n_workers=2)
         assert plan.backend == "pool"
         assert plan.n_workers == 2
-        assert len(plan.chunks()) >= 2
-        assert plan.worker_shards() == ((0, 3), (3, 6))
+        assert plan.chunks() == ((0, 3), (3, 6))
         # The reshape is schedule-only: results pair with the loop.
         loop = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                           n_samples=6, seed=0)
@@ -348,29 +343,9 @@ class TestPairedPrefix:
 
 
 class TestShardReassembly:
-    """Pool shard results reassemble in seed-schedule order (regression:
-    the accuracies list must be stable under pooling so downstream CI
+    """Pool chunk results land in seed-schedule order (regression: the
+    accuracies list must be stable under pooling so downstream CI
     computation is backend-invariant)."""
-
-    def test_shuffled_shards_reassemble_in_schedule_order(self):
-        from repro.evaluation import reassemble_shards
-
-        parts = [(0, [0.1, 0.2]), (1, [0.3, 0.4]), (2, [0.5])]
-        expected = [0.1, 0.2, 0.3, 0.4, 0.5]
-        # Every completion order — including fully reversed — reassembles
-        # identically.
-        import itertools
-
-        for order in itertools.permutations(parts):
-            assert reassemble_shards(list(order)) == expected
-
-    def test_missing_or_duplicate_shards_rejected(self):
-        from repro.evaluation import reassemble_shards
-
-        with pytest.raises(ValueError, match="shard indices"):
-            reassemble_shards([(0, [0.1]), (2, [0.2])])
-        with pytest.raises(ValueError, match="shard indices"):
-            reassemble_shards([(0, [0.1]), (0, [0.2])])
 
     def test_pool_accuracies_match_loop_order(self, lenet, tiny_test):
         variation = LogNormalVariation(0.4)

@@ -1,6 +1,10 @@
 """Evaluation: accuracy, Monte-Carlo protocol, layer sweeps, tracing."""
 
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -8,8 +12,8 @@ import pytest
 import repro.nn as nn
 from repro.data import ArrayDataset
 from repro.evaluation import (
-    ErrorPropagationTracer, MonteCarloEvaluator, accuracy, layer_sweep,
-    recovery_ratio, select_candidates,
+    ErrorPropagationTracer, MonteCarloEvaluator, accuracy, build_plan, execute,
+    layer_sweep, recovery_ratio, select_candidates,
 )
 from repro.models import MLP
 from repro.variation import LogNormalVariation, NoVariation, weighted_layers
@@ -380,6 +384,63 @@ class TestProcessPoolEngine:
     def test_invalid_workers_raise(self, blob_dataset):
         with pytest.raises(ValueError):
             MonteCarloEvaluator(blob_dataset, n_workers=-1)
+
+    def test_layer_subset_and_masks_match_loop(self, lenet, tiny_test):
+        """Live ``layers`` references and protection masks reach the
+        workers through the initializer with module identity intact."""
+        layers = [m for _, m in weighted_layers(lenet)][1:]
+        name = weighted_layers(lenet)[1][0]
+        mask = np.zeros_like(weighted_layers(lenet)[1][1].weight.data,
+                             dtype=bool)
+        mask[0] = True
+        masks = {f"{name}.weight": mask}
+        loop = MonteCarloEvaluator(tiny_test, n_samples=5, seed=5,
+                                   vectorized=False)
+        pool = MonteCarloEvaluator(tiny_test, n_samples=5, seed=5,
+                                   vectorized=False, n_workers=2,
+                                   chunk_samples=2)
+        assert pool.plan(lenet, LogNormalVariation(0.6), layers,
+                         masks).backend == "pool"
+        r_loop = loop.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
+                               protection_masks=masks)
+        r_pool = pool.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
+                               protection_masks=masks)
+        assert r_pool.accuracies == r_loop.accuracies
+        # Neither input is vacuous here: dropping the masks, or the
+        # subset, changes what the draws compute.
+        assert r_loop.accuracies != loop.evaluate(
+            lenet, LogNormalVariation(0.6), layers=layers).accuracies
+        assert r_loop.accuracies != loop.evaluate(
+            lenet, LogNormalVariation(0.6), protection_masks=masks).accuracies
+
+    def test_killed_worker_raises_instead_of_hanging(self, blob_dataset):
+        model = _KilledOnForward(4, [8], 3, flatten_input=True, seed=0)
+        plan = build_plan(model, blob_dataset, LogNormalVariation(0.5),
+                          n_samples=6, seed=3, n_workers=2, chunk_samples=3)
+        assert plan.backend == "pool"
+        with pytest.raises(BrokenProcessPool):
+            execute(plan, model, blob_dataset)
+        assert multiprocessing.active_children() == []
+
+    def test_adaptive_early_stop_leaves_no_live_child(self, mlp,
+                                                      blob_dataset):
+        # A huge tolerance stops after the minimum draws, cancelling the
+        # chunks still queued in the window.
+        ev = MonteCarloEvaluator(
+            blob_dataset, n_samples=64, seed=3, vectorized=False,
+            n_workers=2, chunk_samples=2, tolerance=0.49, min_samples=2,
+        )
+        result = ev.evaluate(mlp, LogNormalVariation(0.5))
+        assert result.n_samples_used < 64
+        assert multiprocessing.active_children() == []
+
+
+class _KilledOnForward(MLP):
+    """Dies with SIGKILL on first forward — only workers run forward in a
+    pool evaluation, so this simulates a hard worker crash mid-task."""
+
+    def forward(self, x):  # pragma: no cover - runs in the worker
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSweepSigmaThreading:

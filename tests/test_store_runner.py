@@ -235,19 +235,16 @@ class TestIncrementalResume:
         with pytest.raises(ValueError, match="extends past"):
             ev.resume([0.5] * 8)
 
-    def test_on_chunk_rejected_on_pool_backend(self, mlp, blob_dataset):
-        plan = self._plan(mlp, blob_dataset, vectorized=False, n_workers=2)
-        assert plan.backend == "pool"
-        with pytest.raises(ValueError, match="pool backend"):
-            execute(plan, mlp, blob_dataset, on_chunk=lambda *a: None)
-
     def test_streamed_chunks_reassemble_the_full_run(self, mlp, blob_dataset):
-        plan = self._plan(mlp, blob_dataset)
-        seen = []
-        result = execute(
-            plan, mlp, blob_dataset,
-            on_chunk=lambda i, s, t, a: seen.append((i, s, t, list(a))),
-        )
-        assert [i for i, *_ in seen] == [0, 1, 2]
-        streamed = [a for *_, accs in seen for a in accs]
-        assert streamed == result.accuracies
+        vectorized = self._plan(mlp, blob_dataset)
+        pool = self._plan(mlp, blob_dataset, vectorized=False, n_workers=2)
+        assert (vectorized.backend, pool.backend) == ("vectorized", "pool")
+        for plan in (vectorized, pool):
+            seen = []
+            result = execute(
+                plan, mlp, blob_dataset,
+                on_chunk=lambda i, s, t, a: seen.append((i, s, t, list(a))),
+            )
+            assert [i for i, *_ in seen] == [0, 1, 2], plan.backend
+            streamed = [a for *_, accs in seen for a in accs]
+            assert streamed == result.accuracies, plan.backend
