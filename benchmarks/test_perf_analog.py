@@ -77,7 +77,7 @@ def _run_scenario(name, model_name, tpc, n_samples, tile, noise, chunk, block):
     loop = MonteCarloEvaluator(test, n_samples=n_samples, seed=SEED,
                                vectorized=False, data_block=block)
     vec = MonteCarloEvaluator(test, n_samples=n_samples, seed=SEED,
-                              vectorized=True, sample_chunk=chunk,
+                              vectorized=True, chunk_samples=chunk,
                               data_block=block)
 
     # Correctness gate first: the analog engines must be seed-paired.

@@ -12,16 +12,21 @@ a grammar string like ``"lognormal:0.5+quant:4"``, or a spec dict — all
 normalized to a model at construction). ``None`` keeps the paper's default
 ``LogNormalVariation(sigma)``. :meth:`PipelineConfig.to_dict` /
 :meth:`PipelineConfig.from_dict` round-trip the whole config — spec
-included — through plain JSON-able dicts.
+included — through plain JSON-able dicts. :func:`make_evaluator` is the
+one place an :class:`EvalConfig` becomes a Monte-Carlo evaluator.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.variation.models import LogNormalVariation, VariationModel
+
+if TYPE_CHECKING:
+    from repro.data.dataset import ArrayDataset
+    from repro.evaluation.montecarlo import MonteCarloEvaluator
 
 
 @dataclass
@@ -83,9 +88,10 @@ class EvalConfig:
     n_workers: int = 0
     # Stacked-chunk size: draws evaluated per stacked pass. Bitwise-neutral
     # (chunking never changes results), purely a peak-memory/locality knob.
-    chunk_samples: int = 16
-    # When set, derive the chunk size from a peak-memory budget instead
-    # (see repro.evaluation.plan.estimate_sample_bytes).
+    # None leaves it to the planner (see repro.evaluation.plan).
+    chunk_samples: Optional[int] = None
+    # Without a chunk size, derive one from a peak-memory budget (see
+    # repro.evaluation.plan.estimate_sample_bytes).
     memory_budget_mb: Optional[float] = None
     # Sequential (adaptive) stopping: a CI half-width target turns
     # n_samples into a cap (see repro.evaluation.sequential). None keeps
@@ -168,18 +174,55 @@ class PipelineConfig:
         for key in ("ratio_choices", "overhead_limits"):
             if key in rl_kwargs:
                 rl_kwargs[key] = tuple(rl_kwargs[key])
-        eval_kwargs = dict(payload.get("eval", {}))
-        if "sample_chunk" in eval_kwargs:
-            # Pre-plan/executor records called the chunk knob sample_chunk.
-            eval_kwargs["chunk_samples"] = eval_kwargs.pop("sample_chunk")
         return cls(
             sigma=payload.get("sigma", 0.5),
             variation=payload.get("variation"),
             train=TrainConfig(**payload.get("train", {})),
             compensation=CompensationConfig(**payload.get("compensation", {})),
             rl=RLConfig(**rl_kwargs),
-            eval=EvalConfig(**eval_kwargs),
+            eval=EvalConfig(**payload.get("eval", {})),
         )
+
+
+def make_evaluator(
+    config: EvalConfig, dataset: "ArrayDataset", n_samples: int
+) -> "MonteCarloEvaluator":
+    """The Monte-Carlo evaluator ``config`` describes, over ``dataset``.
+
+    ``n_samples`` is the draw cap of the stage asking (the full protocol,
+    or the RL search's cheaper estimate). ``config.autotune`` swaps the
+    static backend flags for the measured cost model: the wall clock and
+    the cache path are resolved here, outside the deterministic engine
+    dirs, and injected.
+    """
+    from repro.evaluation.montecarlo import MonteCarloEvaluator
+
+    autotune_kwargs: Dict[str, Any] = {}
+    if config.autotune:
+        import time
+
+        from repro.utils.cache import default_autotune_cache
+
+        autotune_kwargs = dict(
+            autotune=True,
+            clock=time.perf_counter,
+            autotune_cache=default_autotune_cache(),
+        )
+    return MonteCarloEvaluator(
+        dataset,
+        n_samples=n_samples,
+        seed=config.seed,
+        vectorized=config.vectorized,
+        n_workers=config.n_workers,
+        chunk_samples=config.chunk_samples,
+        memory_budget_mb=config.memory_budget_mb,
+        tolerance=config.tolerance,
+        min_samples=config.min_samples,
+        ci_confidence=config.ci_confidence,
+        ci_method=config.ci_method,
+        dtype=config.dtype,
+        **autotune_kwargs,
+    )
 
 
 def fast_pipeline_config(

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.compensation.plan import CompensationPlan, plan_overhead
 from repro.compensation.trainer import CompensationTrainer
-from repro.core.config import PipelineConfig
+from repro.core.config import make_evaluator, PipelineConfig
 from repro.core.training import Trainer, TrainHistory
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.layer_sweep import select_candidates
@@ -156,42 +156,6 @@ class CorrectNet:
     # ------------------------------------------------------------------
     # Stage 2: candidate selection
     # ------------------------------------------------------------------
-    def _evaluator(self, n_samples: int) -> MonteCarloEvaluator:
-        """Monte-Carlo engine configured per ``config.eval`` (vectorized by
-        default, with automatic fallback for non-sample-aware models).
-        ``chunk_samples`` is the default stacked-chunk size; a configured
-        ``memory_budget_mb`` derives the chunk from a byte budget instead.
-        ``cfg.autotune`` swaps the static knobs for the measured cost model
-        — the wall clock and cache path are resolved here (core is outside
-        the deterministic engine dirs) and injected."""
-        cfg = self.config.eval
-        autotune_kwargs = {}
-        if cfg.autotune:
-            import time
-
-            from repro.utils.cache import default_autotune_cache
-
-            autotune_kwargs = dict(
-                autotune=True,
-                clock=time.perf_counter,
-                autotune_cache=default_autotune_cache(),
-            )
-        return MonteCarloEvaluator(
-            self.test_data,
-            n_samples=n_samples,
-            seed=cfg.seed,
-            vectorized=cfg.vectorized,
-            n_workers=cfg.n_workers,
-            sample_chunk=cfg.chunk_samples,
-            memory_budget_mb=cfg.memory_budget_mb,
-            tolerance=cfg.tolerance,
-            min_samples=cfg.min_samples,
-            ci_confidence=cfg.ci_confidence,
-            ci_method=cfg.ci_method,
-            dtype=cfg.dtype,
-            **autotune_kwargs,
-        )
-
     def _full_evaluate(self, evaluator: MonteCarloEvaluator, model: Module) -> MCResult:
         """Full-protocol Monte-Carlo evaluation of ``model``.
 
@@ -209,7 +173,9 @@ class CorrectNet:
         return cached_evaluate(store_path, evaluator, model, self.variation)
 
     def find_candidates(self, original_accuracy: float) -> List[int]:
-        evaluator = self._evaluator(self.config.eval.search_samples)
+        evaluator = make_evaluator(
+            self.config.eval, self.test_data, self.config.eval.search_samples
+        )
         candidates = select_candidates(
             self.model,
             self.variation,
@@ -284,7 +250,9 @@ class CorrectNet:
         history = None if skip_base_training else self.fit_base()
         original_accuracy = accuracy(self.model, self.test_data)
 
-        final_evaluator = self._evaluator(self.config.eval.n_samples)
+        final_evaluator = make_evaluator(
+            self.config.eval, self.test_data, self.config.eval.n_samples
+        )
         degraded = self._full_evaluate(final_evaluator, self.model)
         logger.info(
             "original %.4f | degraded %.4f±%.4f",

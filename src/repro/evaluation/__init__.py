@@ -4,9 +4,10 @@ The paper evaluates every configuration by sampling the weight-variation
 model 250 times and reporting mean and standard deviation of inference
 accuracy; :class:`MonteCarloEvaluator` reproduces that protocol.
 :func:`layer_sweep` reproduces Fig. 9's "variations from layer i to the
-last layer" experiment, from which :func:`select_candidates` derives the
-compensation-candidate prefix. :class:`ErrorPropagationTracer` measures the
-per-layer feature deviations that motivate error suppression (Fig. 4).
+last layer" experiment — each point a :func:`tail_spec` — from which
+:func:`select_candidates` derives the compensation-candidate prefix.
+:class:`ErrorPropagationTracer` measures the per-layer feature
+deviations that motivate error suppression (Fig. 4).
 Sequential stopping (``evaluate(tolerance=...)``) lives in
 ``repro.evaluation.sequential``: interval estimators, the
 :class:`StoppingRule` family and the sweep-level draw allocator.
@@ -32,7 +33,7 @@ from repro.evaluation.sequential import (
     wilson_interval,
 )
 from repro.evaluation.vectorized import stacked_accuracies, supports_sample_axis
-from repro.evaluation.layer_sweep import layer_sweep, select_candidates
+from repro.evaluation.layer_sweep import layer_sweep, select_candidates, tail_spec
 from repro.evaluation.tracer import ErrorPropagationTracer, LayerDeviation
 from repro.evaluation.margins import (
     MarginReport,
@@ -47,6 +48,7 @@ __all__ = [
     "MCResult",
     "layer_sweep",
     "select_candidates",
+    "tail_spec",
     "ErrorPropagationTracer",
     "LayerDeviation",
     "MarginReport",

@@ -26,10 +26,10 @@ once instead of per engine.
 The pool backend hands ``(model, dataset, plan)`` to each worker once,
 through the executor initializer, and rebuilds the adapter there. Under
 Linux ``fork`` those arguments are inherited, not copied: workers share
-the parent's pages, and a live ``layers`` subset keeps its identity with
-the modules inside the worker's model. Task payloads carry only one
-chunk's ``(start, stop)`` span, because workers re-derive their rng
-streams from the plan's seed schedule (``spawn_rngs`` is deterministic).
+the parent's pages. The plan is pure data, so any start method can ship
+it. Task payloads carry only one chunk's ``(start, stop)`` span, because
+workers re-derive their rng streams from the plan's seed schedule
+(``spawn_rngs`` is deterministic).
 Workers run the **vectorized stacked kernels over the chunk** when the
 plan says the model supports it (``plan.worker_vectorized`` — the hybrid
 workers × stacked-S scale point recorded in ``BENCH_mc.json``), and the
@@ -83,7 +83,6 @@ from typing import (
 )
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.metrics import accuracy
@@ -109,22 +108,15 @@ class WeightAdapter:
     """Apply draws by perturbing ``Parameter.data`` through the injector."""
 
     def __init__(
-        self,
-        model: Module,
-        variation: VariationModel,
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
-        dtype: str = "float64",
+        self, model: Module, variation: VariationModel, dtype: str = "float64"
     ) -> None:
         self.model = model
-        self.injector = VariationInjector(
-            model, variation, layers, protection_masks, dtype
-        )
+        self.injector = VariationInjector(model, variation, dtype=dtype)
 
     @property
     def has_targets(self) -> bool:
-        """False when nothing is subject to variation (e.g. an empty layer
-        subset): every draw then sees nominal weights."""
+        """False when nothing is subject to variation (every layer resolves
+        to ``none``): every draw then sees nominal weights."""
         return bool(self.injector.target_parameters())
 
     def run_context(self) -> ContextManager[None]:
@@ -196,9 +188,7 @@ def make_adapter(model: Module, plan: EvalPlan) -> ModelAdapter:
     """The adapter matching the plan's domain, bound to ``model``."""
     if plan.domain == "analog":
         return AnalogAdapter(model, plan.variation)
-    return WeightAdapter(
-        model, plan.variation, plan.layers, plan.protection_masks, plan.dtype
-    )
+    return WeightAdapter(model, plan.variation, plan.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +441,8 @@ class IncrementalEvaluation:
         if self.plan.deterministic:
             accs = [accuracy(self.model, self.dataset, self.plan.batch_size)]
         elif self.plan.backend == "vectorized" and not self.adapter.has_targets:
-            # No target parameters (e.g. empty layer subset): every sample
-            # sees nominal weights, matching what the loop would measure.
+            # No target parameters (every layer resolves to none): every
+            # sample sees nominal weights, matching what the loop measures.
             if self._nominal is None:
                 self._nominal = accuracy(
                     self.model, self.dataset, self.plan.batch_size
@@ -509,11 +499,10 @@ def _pool_init(model: Module, dataset: ArrayDataset, plan: EvalPlan) -> None:
     """Worker initializer: cast to the eval dtype and rebuild the adapter.
 
     ``(model, dataset, plan)`` travel together — inherited under ``fork``,
-    one pickle under other start methods — so object identity between
-    ``plan.layers`` entries and modules inside ``model`` survives. The
-    dataset arrives already in the eval dtype; the model cast is permanent
-    on this worker's private copy. Analog adapters resolve their per-layer
-    specs here, against this worker's copy of the module tree.
+    one pickle under other start methods. The dataset arrives already in
+    the eval dtype; the model cast is permanent on this worker's private
+    copy. Analog adapters resolve their per-layer specs here, against
+    this worker's copy of the module tree.
     """
     if plan.dtype != "float64":
         _cast_model(model, plan.dtype)

@@ -7,6 +7,12 @@ early layers are included — those early layers become the candidates for
 error compensation ("the first i layers when the variations in the i-th
 layer to the last layer lead to an inference accuracy lower than 95% of the
 original accuracy").
+
+A tail subset is a variation spec, not a list of modules:
+:func:`tail_spec` holds every layer before ``i`` at ``none``. So a sweep
+point is pure data like any other evaluation — it fingerprints, caches,
+runs as a store job, goes through the autotuner and runs on analog
+models.
 """
 
 from __future__ import annotations
@@ -14,9 +20,44 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.evaluation.montecarlo import MCResult, MonteCarloEvaluator
-from repro.nn.module import Module
+from repro.hardware.analog_layers import analog_layers
 from repro.nn.graph import weighted_layers
-from repro.variation.spec import parse_spec, VariationLike
+from repro.nn.module import Module
+from repro.variation.models import NoVariation, VariationModel
+from repro.variation.spec import LayerMap, parse_spec, VariationLike
+
+
+def _layer_names(model: Module) -> List[str]:
+    """The layers Fig. 9 sweeps, in the paper's order: the crossbar arrays
+    of an analogized model (the only layers its variation reaches), else
+    the weighted layers."""
+    return [name for name, _ in analog_layers(model) or weighted_layers(model)]
+
+
+def tail_spec(
+    model: Module, variation: "VariationLike", first: int
+) -> VariationModel:
+    """``variation`` injected only from layer ``first`` (0-based) to the last.
+
+    Every layer before ``first`` is overridden to ``none``, keyed by its
+    qualified name. Name keys beat index keys in ``LayerMap.model_for``,
+    so the caller's own overrides cannot reach the silenced layers. A
+    ``LayerMap`` input is merged flat rather than nested, so ``to_string``
+    can still print the result. ``first == 0`` returns the spec
+    unchanged: that point shares the plain evaluation's fingerprint.
+    """
+    spec = parse_spec(variation)
+    names = _layer_names(model)
+    if not 0 <= first <= len(names):
+        raise ValueError(
+            f"first must be in [0, {len(names)}] for this model, got {first}"
+        )
+    if first == 0:
+        return spec
+    silenced = {name: NoVariation() for name in names[:first]}
+    if isinstance(spec, LayerMap):
+        return LayerMap(spec.default, {**spec.overrides, **silenced})
+    return LayerMap(spec, silenced)
 
 
 def layer_sweep(
@@ -33,32 +74,28 @@ def layer_sweep(
     Returns ``[(i, MCResult), ...]`` for i = 1 .. L (1-indexed, matching the
     paper's x-axis; i = 1 means every layer is perturbed).
 
-    A ``tolerance`` or shared ``draw_budget`` makes the sweep adaptive:
-    all tail subsets are evaluated through
+    Point ``i`` evaluates ``tail_spec(model, variation, i - 1)``. A
+    ``tolerance`` or shared ``draw_budget`` makes the sweep adaptive: all
+    tail specs are evaluated through
     :meth:`~repro.evaluation.montecarlo.MonteCarloEvaluator.evaluate_grid`,
     which round-robins chunks to the subsets with the widest confidence
     intervals — the absorbed late-layer tails stop early, the collapsing
     early-layer tails keep drawing.
     """
-    variation = parse_spec(variation)
-    layers = weighted_layers(model)
-    subsets = [
-        [module for _, module in layers[i - 1 :]]
-        for i in range(1, len(layers) + 1)
+    specs = [
+        tail_spec(model, variation, first)
+        for first in range(len(_layer_names(model)))
     ]
     if tolerance is not None or draw_budget is not None:
         results = evaluator.evaluate_grid(
             model,
-            [(variation, subset, None) for subset in subsets],
+            specs,
             tolerance=tolerance,
             draw_budget=draw_budget,
             min_samples=min_samples,
         )
     else:
-        results = [
-            evaluator.evaluate(model, variation, layers=subset)
-            for subset in subsets
-        ]
+        results = [evaluator.evaluate(model, spec) for spec in specs]
     return list(enumerate(results, start=1))
 
 
@@ -79,13 +116,11 @@ def select_candidates(
     the last layer alone violates the threshold, every layer is a
     candidate.
     """
-    variation = parse_spec(variation)
-    layers = weighted_layers(model)
+    n_layers = len(_layer_names(model))
     target = threshold * original_accuracy
-    candidate_count = len(layers)  # worst case: all layers
-    for i in range(len(layers), 0, -1):
-        subset = [module for _, module in layers[i - 1 :]]
-        result = evaluator.evaluate(model, variation, layers=subset)
+    candidate_count = n_layers  # worst case: all layers
+    for i in range(n_layers, 0, -1):
+        result = evaluator.evaluate(model, tail_spec(model, variation, i - 1))
         if result.mean >= target:
             # Tail starting at layer i is fine; layers 0..i-2 remain suspect.
             candidate_count = i - 1

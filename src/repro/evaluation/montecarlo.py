@@ -32,13 +32,13 @@ Memory-bounded streaming: stacked execution materializes per-draw state
 time, so arbitrarily large sample counts stream through fixed memory with
 results bitwise identical to the unchunked run. The chunk size may be set
 explicitly (``chunk_samples``), derived from a byte budget
-(``memory_budget_mb``), or left at the locality default (``sample_chunk``).
+(``memory_budget_mb``), or left at the plan's default.
 
 Every ``variation`` argument accepts a full spec — a ``VariationModel``, a
 grammar string (``"lognormal:0.5+quant:4"``), or a spec dict (see
-``repro.variation.spec``). For analog models ``layers`` /
-``protection_masks`` are rejected (weight-domain controls) — express
-per-layer analog scenarios with a ``LayerMap`` spec instead.
+``repro.variation.spec``). Per-layer scenarios, Fig. 9's layer subsets
+included (``repro.evaluation.layer_sweep.tail_spec``), are ``LayerMap``
+specs, so they run on weight-domain and analog models alike.
 
 Sequential (adaptive) evaluation: a ``tolerance`` — on the evaluator or
 per :meth:`~MonteCarloEvaluator.evaluate` call — turns ``n_samples`` into
@@ -56,16 +56,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,13 +212,12 @@ class MonteCarloEvaluator:
         When > 1 (and the vectorized path is off or unsupported), dispatch
         the sample chunks to a process pool of this size; workers run
         stacked chunks when the model supports them.
-    sample_chunk:
-        Locality default for the stacked chunk size (samples evaluated
-        per stacked pass) when neither ``chunk_samples`` nor
-        ``memory_budget_mb`` is given.
     chunk_samples:
-        Explicit stacked chunk size; wins over ``memory_budget_mb`` and
-        ``sample_chunk``. Results are bitwise independent of this knob.
+        Samples evaluated per stacked pass; wins over
+        ``memory_budget_mb``. ``None`` uses
+        :data:`~repro.evaluation.plan.DEFAULT_CHUNK_SAMPLES`, which a pool
+        plan may shrink so every worker gets a chunk. Results are bitwise
+        independent of this knob.
     memory_budget_mb:
         Derive the chunk size from a peak-memory budget for stacked state
         (see :func:`repro.evaluation.plan.estimate_sample_bytes`).
@@ -257,7 +247,6 @@ class MonteCarloEvaluator:
         batch_size: int = 256,
         vectorized: bool = False,
         n_workers: int = 0,
-        sample_chunk: int = 16,
         data_block: int = 64,
         chunk_samples: Optional[int] = None,
         memory_budget_mb: Optional[float] = None,
@@ -274,8 +263,6 @@ class MonteCarloEvaluator:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
         if n_workers < 0:
             raise ValueError(f"n_workers must be non-negative, got {n_workers}")
-        if sample_chunk <= 0:
-            raise ValueError(f"sample_chunk must be positive, got {sample_chunk}")
         if data_block <= 0:
             raise ValueError(f"data_block must be positive, got {data_block}")
         if chunk_samples is not None and chunk_samples <= 0:
@@ -306,7 +293,6 @@ class MonteCarloEvaluator:
         self.batch_size = batch_size
         self.vectorized = vectorized
         self.n_workers = n_workers
-        self.sample_chunk = sample_chunk
         self.data_block = data_block
         self.chunk_samples = chunk_samples
         self.memory_budget_mb = memory_budget_mb
@@ -323,8 +309,6 @@ class MonteCarloEvaluator:
         self,
         model: Module,
         variation: "VariationLike",
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         *,
         tolerance: Optional[float] = None,
         max_samples: Optional[int] = None,
@@ -337,12 +321,11 @@ class MonteCarloEvaluator:
         ``tolerance``/``max_samples``/``min_samples`` override the
         evaluator defaults for this plan only.
 
-        With ``autotune=True`` (and no live ``layers``/``protection_masks``
-        — layer subsets have no cost-model key) the execution knobs come
-        from :func:`~repro.evaluation.autotune.autotune_plan` instead of
-        the evaluator's flags: a persisted per-machine cost model, probed
+        With ``autotune=True`` the execution knobs come from
+        :func:`~repro.evaluation.autotune.autotune_plan` instead of the
+        evaluator's flags: a persisted per-machine cost model, probed
         through the injected ``clock`` when one is available."""
-        if self.autotune and layers is None and not protection_masks:
+        if self.autotune:
             from repro.evaluation.autotune import autotune_plan
 
             return autotune_plan(
@@ -372,7 +355,6 @@ class MonteCarloEvaluator:
             vectorized=self.vectorized,
             n_workers=self.n_workers,
             data_block=self.data_block,
-            default_chunk=self.sample_chunk,
             chunk_samples=self.chunk_samples,
             memory_budget_mb=self.memory_budget_mb,
             tolerance=self.tolerance if tolerance is None else tolerance,
@@ -380,16 +362,12 @@ class MonteCarloEvaluator:
             ci_confidence=self.ci_confidence,
             ci_method=self.ci_method,
             dtype=self.dtype,
-            layers=layers,
-            protection_masks=protection_masks,
         )
 
     def evaluate(
         self,
         model: Module,
         variation: "VariationLike",
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         *,
         tolerance: Optional[float] = None,
         max_samples: Optional[int] = None,
@@ -397,9 +375,8 @@ class MonteCarloEvaluator:
     ) -> MCResult:
         """Accuracy over up to ``n_samples`` draws of ``variation``.
 
-        ``variation`` is any spec form (model / grammar string / dict).
-        ``layers`` restricts injection to a layer subset (Fig. 9);
-        ``protection_masks`` holds protected weights at nominal (baselines).
+        ``variation`` is any spec form (model / grammar string / dict);
+        a ``LayerMap`` restricts injection to a layer subset (Fig. 9).
         A ``NoVariation`` model short-circuits to a single deterministic
         evaluation. Backend choice (vectorized / pool / loop) follows the
         module docstring; all backends return paired results for a seed.
@@ -423,8 +400,6 @@ class MonteCarloEvaluator:
             plan = self.plan(
                 model,
                 variation,
-                layers,
-                protection_masks,
                 tolerance=tolerance,
                 max_samples=max_samples,
                 min_samples=min_samples,
@@ -437,20 +412,14 @@ class MonteCarloEvaluator:
     def evaluate_grid(
         self,
         model: Module,
-        points: Sequence[
-            Tuple[
-                "VariationLike",
-                Optional[Sequence[Module]],
-                Optional[Dict[str, np.ndarray]],
-            ]
-        ],
+        points: Sequence["VariationLike"],
         *,
         tolerance: Optional[float] = None,
         draw_budget: Optional[int] = None,
         min_samples: Optional[int] = None,
     ) -> List[MCResult]:
-        """Adaptive evaluation of many ``(variation, layers, masks)`` points
-        against one shared draw budget.
+        """Adaptive evaluation of many variation specs against one shared
+        draw budget.
 
         Each point gets its own plan (same seed — results are paired) and
         an :class:`~repro.evaluation.executor.IncrementalEvaluation`; the
@@ -480,8 +449,6 @@ class MonteCarloEvaluator:
                             self.plan(
                                 model,
                                 variation,
-                                layers,
-                                masks,
                                 tolerance=tolerance,
                                 min_samples=min_samples,
                             ),
@@ -489,7 +456,7 @@ class MonteCarloEvaluator:
                             self.dataset,
                         )
                     )
-                    for variation, layers, masks in points
+                    for variation in points
                 ]
                 allocate_draws(
                     evaluations,
@@ -507,8 +474,6 @@ class MonteCarloEvaluator:
         model: Module,
         variation: "VariationLike",
         sigmas: Sequence[float],
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         *,
         tolerance: Optional[float] = None,
         draw_budget: Optional[int] = None,
@@ -520,9 +485,8 @@ class MonteCarloEvaluator:
         rescaled so its reported magnitude equals the grid value — composed
         specs scale every component, per-layer maps scale every override.
         The base spec's magnitude must be non-zero so scaling is well
-        defined. ``layers`` and ``protection_masks`` are forwarded to every
-        point, so layer subsets (Fig. 9) and protection baselines can be
-        swept.
+        defined. A layer-subset spec (Fig. 9) keeps its silenced layers at
+        ``none`` at every point.
 
         A ``tolerance`` (here or on the evaluator) or a ``draw_budget``
         routes the sweep through :meth:`evaluate_grid`: one shared budget,
@@ -534,20 +498,9 @@ class MonteCarloEvaluator:
         if tolerance is not None or draw_budget is not None:
             return self.evaluate_grid(
                 model,
-                [
-                    (scale_to(variation, sigma), layers, protection_masks)
-                    for sigma in sigmas
-                ],
+                [scale_to(variation, sigma) for sigma in sigmas],
                 tolerance=tolerance,
                 draw_budget=draw_budget,
                 min_samples=min_samples,
             )
-        return [
-            self.evaluate(
-                model,
-                scale_to(variation, sigma),
-                layers=layers,
-                protection_masks=protection_masks,
-            )
-            for sigma in sigmas
-        ]
+        return [self.evaluate(model, scale_to(variation, sigma)) for sigma in sigmas]

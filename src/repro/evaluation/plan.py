@@ -40,7 +40,8 @@ Plan axes
   through fixed memory with results bitwise identical to the unchunked
   run (per-draw results never depend on chunk boundaries). The chunk size
   may be given explicitly, derived from ``memory_budget_mb`` via
-  :func:`estimate_sample_bytes`, or defaulted.
+  :func:`estimate_sample_bytes`, or left at
+  :data:`DEFAULT_CHUNK_SAMPLES`.
 - **Data blocking.** Unstacked full sweeps use ``batch_size`` in the
   weight domain and ``data_block`` for analog models (read-noise streams
   advance per MVM call, so all analog execution must share one blocking);
@@ -70,10 +71,9 @@ Plan axes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.sequential import HalfWidthRule, StoppingRule
@@ -94,6 +94,11 @@ STACKED_ACTIVATION_FACTOR = 8.0
 
 _BACKENDS = ("loop", "vectorized", "pool")
 
+#: Stacked-chunk size when the caller sets neither ``chunk_samples`` nor
+#: ``memory_budget_mb``. Only a default: a pool plan shrinks it so every
+#: worker gets a chunk.
+DEFAULT_CHUNK_SAMPLES = 16
+
 #: Evaluation dtypes the plan may request. float64 is the historical
 #: bit-exact protocol; float32 is the throughput policy (see module
 #: docstring). Draws are generated in float64 under both.
@@ -104,9 +109,11 @@ EVAL_DTYPES = ("float64", "float32")
 class EvalPlan:
     """Everything an executor needs to run one Monte-Carlo evaluation.
 
-    Immutable and model-free: the plan holds decisions (backend, schedule,
-    blocking), not state — executors build the model adapter themselves so
-    a plan can be executed in worker processes. ``deterministic`` plans
+    Immutable, model-free, pure data: the plan holds decisions (spec,
+    backend, schedule, blocking), never live objects — executors build the
+    model adapter themselves, so a plan pickles to any worker and every
+    plan can be fingerprinted. Layer subsets are specs too (a ``LayerMap``
+    holding the other layers at ``none``). ``deterministic`` plans
     short-circuit to a single nominal evaluation (no variation to sample).
     """
 
@@ -130,8 +137,6 @@ class EvalPlan:
     #: Sequential early stopping, consulted at chunk boundaries only;
     #: ``None`` (and ``FixedSamples``) runs the full ``n_samples`` cap.
     stopping: Optional[StoppingRule] = None
-    layers: Optional[Sequence[Module]] = None
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None
     #: Why the resolved backend differs from the requested one — set when a
     #: ``vectorized=True`` request fell back because the model is not
     #: sample-aware, naming the blocking module(s). Purely diagnostic: it
@@ -163,8 +168,6 @@ def estimate_sample_bytes(
     model: Module,
     dataset: ArrayDataset,
     variation: VariationModel,
-    layers: Optional[Sequence[Module]] = None,
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
     data_block: int = 64,
     dtype: str = "float64",
 ) -> int:
@@ -189,7 +192,7 @@ def estimate_sample_bytes(
             3 * int(np.prod(layer.array.weights_shape)) for _, layer in analog
         )
     else:
-        injector = VariationInjector(model, variation, layers, protection_masks)
+        injector = VariationInjector(model, variation)
         param_elems = sum(p.data.size for p in injector.target_parameters())
     image_elems = int(np.prod(dataset.images.shape[1:]))
     act_elems = int(data_block * image_elems * STACKED_ACTIVATION_FACTOR)
@@ -198,7 +201,6 @@ def estimate_sample_bytes(
 
 def resolve_chunk_samples(
     n_samples: int,
-    default_chunk: int,
     chunk_samples: Optional[int],
     memory_budget_mb: Optional[float],
     sample_bytes: int,
@@ -206,7 +208,8 @@ def resolve_chunk_samples(
     """The effective stacked-chunk size.
 
     Priority: an explicit ``chunk_samples`` wins, else ``memory_budget_mb``
-    divided by the per-sample estimate, else ``default_chunk``. Always at
+    divided by the per-sample estimate, else
+    :data:`DEFAULT_CHUNK_SAMPLES`. Always at
     least 1 (a budget below one sample's footprint degrades to
     sample-by-sample streaming rather than failing) and never more than
     ``n_samples``.
@@ -217,7 +220,7 @@ def resolve_chunk_samples(
         budget = int(memory_budget_mb * 1024 * 1024)
         chunk = budget // max(sample_bytes, 1)
     else:
-        chunk = default_chunk
+        chunk = DEFAULT_CHUNK_SAMPLES
     return max(1, min(int(chunk), n_samples))
 
 
@@ -232,11 +235,8 @@ def build_plan(
     vectorized: bool = False,
     n_workers: int = 0,
     data_block: int = 64,
-    default_chunk: int = 16,
     chunk_samples: Optional[int] = None,
     memory_budget_mb: Optional[float] = None,
-    layers: Optional[Sequence[Module]] = None,
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
     worker_vectorized: Optional[bool] = None,
     dtype: str = "float64",
     tolerance: Optional[float] = None,
@@ -286,13 +286,6 @@ def build_plan(
             )
     resolved = parse_spec(variation)
     analog = bool(analog_layers(model))
-    if analog and (layers is not None or protection_masks):
-        raise ValueError(
-            "layers/protection_masks are weight-domain controls; an "
-            "analogized model applies variation at crossbar programming "
-            "time — express per-layer analog scenarios with a LayerMap "
-            "spec instead"
-        )
     domain = "analog" if analog else "weight"
     if analog and dtype != "float64":
         raise ValueError(
@@ -306,13 +299,9 @@ def build_plan(
 
     chunk = resolve_chunk_samples(
         n_samples,
-        default_chunk,
         chunk_samples,
         memory_budget_mb,
-        estimate_sample_bytes(
-            model, dataset, resolved, layers, protection_masks, data_block,
-            dtype,
-        ),
+        estimate_sample_bytes(model, dataset, resolved, data_block, dtype),
     )
     n_chunks = -(-n_samples // chunk)  # ceil division
 
@@ -366,7 +355,5 @@ def build_plan(
         worker_vectorized=bool(worker_vectorized),
         dtype=dtype,
         stopping=stopping,
-        layers=None if layers is None else list(layers),
-        protection_masks=protection_masks,
         backend_reason="; ".join(reasons) if reasons else None,
     )

@@ -7,9 +7,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.compensation.plan import CompensationPlan, plan_overhead
 from repro.compensation.trainer import CompensationTrainer
-from repro.core.config import CompensationConfig, EvalConfig
+from repro.core.config import CompensationConfig, EvalConfig, make_evaluator
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.nn.module import Module
 from repro.utils.logging import get_logger
 from repro.variation.spec import parse_spec, VariationLike
@@ -75,19 +74,8 @@ class CompensationEnv:
         # Monte-Carlo estimate rides the vectorized engine. All engines
         # are seed-paired (see repro.evaluation.montecarlo), so rewards —
         # and therefore the whole search trajectory — are engine-invariant.
-        self._evaluator = MonteCarloEvaluator(
-            eval_data,
-            n_samples=eval_config.search_samples,
-            seed=eval_config.seed,
-            vectorized=eval_config.vectorized,
-            n_workers=eval_config.n_workers,
-            sample_chunk=eval_config.chunk_samples,
-            memory_budget_mb=eval_config.memory_budget_mb,
-            tolerance=eval_config.tolerance,
-            min_samples=eval_config.min_samples,
-            ci_confidence=eval_config.ci_confidence,
-            ci_method=eval_config.ci_method,
-            dtype=eval_config.dtype,
+        self._evaluator = make_evaluator(
+            eval_config, eval_data, eval_config.search_samples
         )
         self._cache: Dict[Tuple[float, ...], EnvOutcome] = {}
 

@@ -22,10 +22,8 @@ Canonicalization rules (the invariant ``docs/CONTRACTS.md`` records):
   dtypes, bytes), not a file path; dataset identity likewise digests the
   arrays. Content addressing is what lets fingerprints agree across
   machines with different checkout layouts;
-- plans carrying ``layers`` / ``protection_masks`` are rejected: those
-  hold live module references with no canonical serialization — express
-  per-layer scenarios as a ``LayerMap`` spec, which fingerprints cleanly
-  through ``to_dict``.
+- per-layer scenarios, Fig. 9's layer subsets included, are ``LayerMap``
+  specs and fingerprint through ``to_dict`` like any other spec.
 
 No wall clock, no environment, no randomness may enter this module: a
 fingerprint computed today, on any machine, must equal one computed from
@@ -187,12 +185,6 @@ def fingerprint_payload(
     them may change the result (the repo-wide paired-seed contract), so
     none may split the cache.
     """
-    if plan.layers is not None or plan.protection_masks:
-        raise ValueError(
-            "plans with layers/protection_masks are not fingerprintable "
-            "(live module references); express per-layer scenarios as a "
-            "LayerMap spec"
-        )
     return {
         "fingerprint_version": FINGERPRINT_VERSION,
         "model": model_digest,

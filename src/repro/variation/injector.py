@@ -5,8 +5,9 @@ graph topology, optimizers and crossbar mappings keep their references) and
 restores the nominal values on exit. Three orthogonal controls mirror the
 paper's experiments:
 
-- *which layers*: an explicit layer subset (Fig. 9 injects variations only
-  from layer i to the last layer);
+- *which layers*: the variation spec itself — a layer whose spec resolves
+  to ``none`` is not a target (Fig. 9 injects variations only from layer
+  i to the last layer: ``repro.evaluation.layer_sweep.tail_spec``);
 - *digital immunity*: modules flagged ``digital = True`` (compensation
   generators/compensators, eq.-(12) overhead weights) are skipped —
   the paper assumes they run on variation-free digital circuits;
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 from repro.nn.graph import weighted_layers
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import new_rng, spawn_rngs, SeedLike
-from repro.variation.models import VariationModel
+from repro.variation.models import NoVariation, VariationModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports models)
     from repro.variation.spec import VariationLike
@@ -58,17 +59,13 @@ WEIGHT_ATTR_NAMES = ("weight",)
 
 
 def _iter_target_params(
-    module: Module, layers: Optional[Sequence[Module]]
+    module: Module,
 ) -> Iterator[Tuple[str, Parameter, Module]]:
-    """Yield (qualified-name, parameter, owning module) triples subject to
-    variation."""
-    if layers is None:
-        targets = [m for _, m in weighted_layers(module)]
-    else:
-        targets = list(layers)
+    """Yield (qualified-name, parameter, owning module) triples of every
+    non-digital weighted layer."""
     seen = set()
     name_of = {id(sub): name for name, sub in module.named_modules()}
-    for sub in targets:
+    for _, sub in weighted_layers(module):
         if id(sub) in seen:
             continue
         seen.add(id(sub))
@@ -90,10 +87,8 @@ class VariationInjector:
         (``"lognormal:0.5+quant:4"``), or a spec dict — anything
         :func:`repro.variation.spec.parse_spec` accepts. A
         :class:`repro.variation.spec.LayerMap` resolves per weighted
-        layer (name and paper layer index) before perturbing.
-    layers:
-        Optional explicit subset of layer modules to perturb (default: all
-        non-digital weighted layers).
+        layer (name and paper layer index) before perturbing; layers that
+        resolve to ``none`` are left at their nominal weights.
     protection_masks:
         Optional ``{qualified-param-name: bool array}``; entries that are
         ``True`` are held at their nominal value (digitally protected).
@@ -112,7 +107,6 @@ class VariationInjector:
         self,
         model: Module,
         variation: "VariationLike",
-        layers: Optional[Sequence[Module]] = None,
         protection_masks: Optional[Dict[str, np.ndarray]] = None,
         dtype: str = "float64",
     ) -> None:
@@ -120,7 +114,6 @@ class VariationInjector:
 
         self.model = model
         self.variation = parse_spec(variation)
-        self.layers = layers
         self.protection_masks = protection_masks or {}
         self.dtype = str(np.dtype(dtype))
         self._target_cache: Optional[
@@ -138,6 +131,11 @@ class VariationInjector:
         contract is untouched: stream consumption per parameter depends
         only on the resolved model, identically in every engine.
 
+        Layers resolving to :class:`NoVariation` are dropped: they draw
+        nothing and keep their nominal weights, so dropping them is
+        bitwise-neutral — and stacked execution then runs them once on
+        the nominal weights instead of once per sample.
+
         Computed once per injector: an injector binds to the module tree
         as constructed (the Monte-Carlo loop calls :meth:`applied` per
         sample against a fixed model — build a fresh injector after
@@ -148,12 +146,13 @@ class VariationInjector:
             index_of = {id(sub): i for i, (_, sub) in enumerate(all_layers)}
             n_layers = len(all_layers)
             out = []
-            for name, param, sub in _iter_target_params(self.model, self.layers):
+            for name, param, sub in _iter_target_params(self.model):
                 layer_name = name.rsplit(".", 1)[0]
                 model = self.variation.model_for(
                     layer_name, index_of.get(id(sub)), n_layers
                 )
-                out.append((name, param, model))
+                if not isinstance(model, NoVariation):
+                    out.append((name, param, model))
             self._target_cache = out
         return self._target_cache
 
@@ -286,7 +285,6 @@ def perturbed(
     model: Module,
     variation: "VariationLike",
     seed: SeedLike = None,
-    layers: Optional[Sequence[Module]] = None,
     protection_masks: Optional[Dict[str, np.ndarray]] = None,
 ) -> Iterator[Module]:
     """One-shot convenience wrapper around :class:`VariationInjector`.
@@ -295,6 +293,6 @@ def perturbed(
     ...     logits = model(x)            # runs with deviated weights
     >>> # weights restored here
     """
-    injector = VariationInjector(model, variation, layers, protection_masks)
+    injector = VariationInjector(model, variation, protection_masks)
     with injector.applied(seed):
         yield model

@@ -190,9 +190,11 @@ class LayerMap(VariationModel):
     Keys of ``overrides`` are either weighted-layer indices (the paper's
     layer ordering, ``repro.variation.injector.weighted_layers``; negative
     indices count from the last layer) or qualified module names
-    (``"net.0"``). Name matches take precedence over index matches.
-    Without layer context (:meth:`perturb` on a bare array, e.g. a lone
-    crossbar), the default applies.
+    (``"net.0"``). Name matches take precedence over index matches. A
+    layer without an override resolves through the default, so a nested
+    ``LayerMap`` default keeps its own overrides. Without layer context
+    (:meth:`perturb` on a bare array, e.g. a lone crossbar), the default
+    applies.
     """
 
     def __init__(
@@ -223,7 +225,7 @@ class LayerMap(VariationModel):
                 return self.overrides[layer_index]
             if n_layers is not None and (layer_index - n_layers) in self.overrides:
                 return self.overrides[layer_index - n_layers]
-        return self.default
+        return self.default.model_for(layer_name, layer_index, n_layers)
 
     def perturb(self, weights: FloatArray, rng: np.random.Generator) -> FloatArray:
         return self.default.perturb(weights, rng)

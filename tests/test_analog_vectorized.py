@@ -12,7 +12,12 @@ import copy
 import numpy as np
 import pytest
 
-from repro.evaluation import accuracy, MonteCarloEvaluator, supports_sample_axis
+from repro.evaluation import (
+    accuracy,
+    layer_sweep,
+    MonteCarloEvaluator,
+    supports_sample_axis,
+)
 from repro.hardware import (
     ADC,
     analog_layers,
@@ -47,7 +52,7 @@ class TestEngineEquivalence:
         loop = MonteCarloEvaluator(tiny_test, n_samples=5, seed=3,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=5, seed=3,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         r_loop = loop.evaluate(analog_lenet, composed_spec)
         r_vec = vec.evaluate(analog_lenet, composed_spec)
         assert r_vec.accuracies == r_loop.accuracies
@@ -70,7 +75,7 @@ class TestEngineEquivalence:
         loop = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=9,
                                    vectorized=False)
         vec = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=9,
-                                  vectorized=True, sample_chunk=3)
+                                  vectorized=True, chunk_samples=3)
         r_loop = loop.evaluate(model, spec)
         r_vec = vec.evaluate(model, spec)
         assert r_vec.accuracies == r_loop.accuracies
@@ -84,7 +89,7 @@ class TestEngineEquivalence:
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=1,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=1,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         r_loop = loop.evaluate(model, NoVariation())
         r_vec = vec.evaluate(model, NoVariation())
         assert len(r_loop.accuracies) == 4
@@ -105,13 +110,18 @@ class TestAnalogDispatch:
         assert len(result.accuracies) == 1
         assert result.accuracies[0] == accuracy(model, tiny_test)
 
-    def test_weight_domain_controls_rejected(self, analog_lenet, tiny_test):
-        ev = MonteCarloEvaluator(tiny_test, n_samples=2, seed=0)
-        with pytest.raises(ValueError, match="LayerMap"):
-            ev.evaluate(analog_lenet, LogNormalVariation(0.5), layers=[])
-        with pytest.raises(ValueError, match="LayerMap"):
-            ev.evaluate(analog_lenet, LogNormalVariation(0.5),
-                        protection_masks={"x": np.ones(1, dtype=bool)})
+    def test_layer_sweep_vectorized_matches_loop(self, analog_lenet,
+                                                 tiny_test):
+        """Fig. 9's tail specs run analog: every sweep point pairs."""
+        loop = MonteCarloEvaluator(tiny_test, n_samples=3, seed=2,
+                                   vectorized=False)
+        vec = MonteCarloEvaluator(tiny_test, n_samples=3, seed=2,
+                                  vectorized=True, chunk_samples=2)
+        swept_loop = layer_sweep(analog_lenet, LogNormalVariation(0.5), loop)
+        swept_vec = layer_sweep(analog_lenet, LogNormalVariation(0.5), vec)
+        assert [i for i, _ in swept_vec] == [1, 2, 3, 4, 5]
+        for (_, r_loop), (_, r_vec) in zip(swept_loop, swept_vec):
+            assert r_vec.accuracies == r_loop.accuracies
 
     def test_programmed_state_restored(self, analog_lenet, tiny_test,
                                        composed_spec):
@@ -161,7 +171,7 @@ class TestAnalogDispatch:
         loop = MonteCarloEvaluator(tiny_test, n_samples=3, seed=8,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=3, seed=8,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         spec = LogNormalVariation(0.4)
         r_loop = loop.evaluate(model, spec)
         r_vec = vec.evaluate(model, spec)

@@ -14,7 +14,7 @@ from repro.compensation import CompensationPlan, CompensationTrainer
 from repro.core.config import CompensationConfig, EvalConfig
 from repro.evaluation import MonteCarloEvaluator, supports_sample_axis
 from repro.rl.env import CompensationEnv
-from repro.variation import LogNormalVariation, weighted_layers
+from repro.variation import LogNormalVariation
 
 
 def _compensated_lenet(lenet, seed=1):
@@ -58,7 +58,7 @@ class TestCompensatedEngineEquivalence:
         loop = MonteCarloEvaluator(tiny_test, n_samples=5, seed=3,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=5, seed=3,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         variation = LogNormalVariation(0.4)
         assert (vec.evaluate(comp, variation).accuracies
                 == loop.evaluate(comp, variation).accuracies)
@@ -68,7 +68,7 @@ class TestCompensatedEngineEquivalence:
         loop = MonteCarloEvaluator(blob_dataset, n_samples=7, seed=11,
                                    vectorized=False)
         vec = MonteCarloEvaluator(blob_dataset, n_samples=7, seed=11,
-                                  vectorized=True, sample_chunk=3)
+                                  vectorized=True, chunk_samples=3)
         variation = LogNormalVariation(0.5)
         assert (vec.evaluate(comp, variation).accuracies
                 == loop.evaluate(comp, variation).accuracies)
@@ -92,30 +92,13 @@ class TestCompensatedEngineEquivalence:
         """Only the first (compensated) conv varied: stacked activations
         flow through later unstacked compensated/plain layers."""
         comp = _compensated_lenet(lenet)
-        first = [weighted_layers(comp)[0][1]]
+        first = "none;@0=lognormal:0.5"
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                   vectorized=True)
-        variation = LogNormalVariation(0.5)
-        assert (vec.evaluate(comp, variation, layers=first).accuracies
-                == loop.evaluate(comp, variation, layers=first).accuracies)
-
-    def test_protection_masks_match_loop(self, lenet, tiny_test):
-        comp = _compensated_lenet(lenet)
-        name, layer = weighted_layers(comp)[1]
-        mask = np.zeros_like(layer.weight.data, dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
-        loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=9,
-                                   vectorized=False)
-        vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=9,
-                                  vectorized=True)
-        variation = LogNormalVariation(0.6)
-        assert (vec.evaluate(comp, variation,
-                             protection_masks=masks).accuracies
-                == loop.evaluate(comp, variation,
-                                 protection_masks=masks).accuracies)
+        assert (vec.evaluate(comp, first).accuracies
+                == loop.evaluate(comp, first).accuracies)
 
     def test_weights_restored_after_vectorized(self, lenet, tiny_test):
         comp = _compensated_lenet(lenet)
@@ -132,7 +115,7 @@ class TestRewardEngineInvariance:
     """rl/env.py rewards must not depend on the evaluation engine."""
 
     @staticmethod
-    def _env(lenet, tiny_mnist, vectorized, n_workers=0):
+    def _env(lenet, tiny_mnist, **eval_kwargs):
         train, test = tiny_mnist
         return CompensationEnv(
             lenet,
@@ -142,8 +125,7 @@ class TestRewardEngineInvariance:
             eval_data=test,
             comp_config=CompensationConfig(epochs=1, batch_size=16, seed=0),
             eval_config=EvalConfig(n_samples=4, search_samples=3, seed=7,
-                                   vectorized=vectorized,
-                                   n_workers=n_workers),
+                                   **eval_kwargs),
             overhead_limit=2.0,  # never skip: always train + evaluate
         )
 
@@ -162,6 +144,12 @@ class TestRewardEngineInvariance:
         assert env._evaluator.n_samples == 3
         env = self._env(lenet, tiny_mnist, vectorized=False)
         assert env._evaluator.vectorized is False
+
+    def test_env_evaluator_is_autotuned_like_the_pipeline(self, lenet,
+                                                           tiny_mnist):
+        env = self._env(lenet, tiny_mnist, autotune=True)
+        assert env._evaluator.autotune is True
+        assert env._evaluator.clock is not None
 
 
 class TestMultiDrawCompensationTraining:

@@ -18,9 +18,11 @@ from repro.evaluation import (
     build_plan,
     estimate_sample_bytes,
     execute,
+    make_adapter,
     MonteCarloEvaluator,
+    tail_spec,
 )
-from repro.evaluation.plan import resolve_chunk_samples
+from repro.evaluation.plan import DEFAULT_CHUNK_SAMPLES, resolve_chunk_samples
 from repro.hardware import ADC, analog_layers, analogize, DAC
 from repro.variation import (
     ColumnCorrelatedVariation,
@@ -196,16 +198,16 @@ class TestPlanBuilding:
         assert not build_plan(noisy, tiny_test, NoVariation(), n_samples=3,
                               seed=0).deterministic
 
-    def test_analog_rejects_weight_domain_controls(self, lenet, tiny_test):
+    def test_analog_plans_take_tail_specs(self, lenet, tiny_test):
+        """A tail spec silences the head arrays of an analog model: they
+        are programmed without variation."""
         analog = analogize(lenet, tile_size=32)
-        with pytest.raises(ValueError, match="LayerMap"):
-            build_plan(analog, tiny_test, LogNormalVariation(0.3),
-                       n_samples=2, seed=0, layers=[])
-        with pytest.raises(ValueError, match="LayerMap"):
-            MonteCarloEvaluator(tiny_test, n_samples=2).evaluate(
-                analog, LogNormalVariation(0.3),
-                protection_masks={"x": np.ones(1, dtype=bool)},
-            )
+        analog.eval()
+        spec = tail_spec(analog, LogNormalVariation(0.3), 2)
+        plan = build_plan(analog, tiny_test, spec, n_samples=2, seed=0)
+        assert plan.domain == "analog"
+        resolved = [model for _, model, _ in make_adapter(analog, plan).resolved]
+        assert resolved == [NoVariation()] * 2 + [LogNormalVariation(0.3)] * 3
 
     def test_chunk_and_shard_schedules(self, mlp, blob_dataset):
         mlp.eval()
@@ -219,21 +221,20 @@ class TestPlanBuilding:
 
     def test_resolve_chunk_priority(self):
         # explicit chunk wins over budget; budget wins over default
-        assert resolve_chunk_samples(100, 16, 8, 1.0, 2**20) == 8
-        assert resolve_chunk_samples(100, 16, None, 4.0, 2**20) == 4
-        assert resolve_chunk_samples(100, 16, None, None, 2**20) == 16
+        assert resolve_chunk_samples(100, 8, 1.0, 2**20) == 8
+        assert resolve_chunk_samples(100, None, 4.0, 2**20) == 4
+        assert resolve_chunk_samples(100, None, None, 2**20) == \
+            DEFAULT_CHUNK_SAMPLES
         # sub-sample budgets degrade to 1, never 0
-        assert resolve_chunk_samples(100, 16, None, 0.001, 2**20) == 1
+        assert resolve_chunk_samples(100, None, 0.001, 2**20) == 1
 
     def test_estimate_scales_with_targets(self, lenet, tiny_test):
         lenet.eval()
         all_bytes = estimate_sample_bytes(lenet, tiny_test,
                                           LogNormalVariation(0.3))
-        subset = [weighted_layers(lenet)[0][1]]
-        subset_bytes = estimate_sample_bytes(lenet, tiny_test,
-                                             LogNormalVariation(0.3),
-                                             layers=subset)
-        assert all_bytes > subset_bytes > 0
+        tail_bytes = estimate_sample_bytes(
+            lenet, tiny_test, tail_spec(lenet, LogNormalVariation(0.3), 1))
+        assert all_bytes > tail_bytes > 0
 
     def test_invalid_evaluator_knobs(self, blob_dataset):
         with pytest.raises(ValueError):
@@ -284,7 +285,9 @@ class TestPlanExecutionParity:
     def test_empty_layer_subset_replicates_nominal(self, mlp, blob_dataset):
         ev = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=0,
                                  vectorized=True, chunk_samples=2)
-        result = ev.evaluate(mlp, LogNormalVariation(0.5), layers=[])
+        silent = tail_spec(mlp, LogNormalVariation(0.5),
+                           len(weighted_layers(mlp)))
+        result = ev.evaluate(mlp, silent)
         clean = accuracy(mlp, blob_dataset)
         assert result.accuracies == [clean] * 4
 

@@ -8,15 +8,19 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.nn as nn
 from repro.data import ArrayDataset
 from repro.evaluation import (
     ErrorPropagationTracer, MonteCarloEvaluator, accuracy, build_plan, execute,
-    layer_sweep, recovery_ratio, select_candidates,
+    layer_sweep, recovery_ratio, select_candidates, tail_spec,
 )
-from repro.models import MLP
-from repro.variation import LogNormalVariation, NoVariation, weighted_layers
+from repro.models import LeNet5, MLP
+from repro.variation import (
+    GaussianVariation, LogNormalVariation, NoVariation, VariationInjector,
+    from_string, to_string, weighted_layers,
+)
 
 
 class _ConstantModel(nn.Module):
@@ -137,6 +141,64 @@ class TestLayerSweep:
         )
         assert candidates == [0]
 
+    def test_tail_spec_silences_the_head_by_name(self, lenet):
+        names = [name for name, _ in weighted_layers(lenet)]
+        base = LogNormalVariation(0.5)
+        assert tail_spec(lenet, base, 0) is base
+        spec = tail_spec(lenet, "lognormal:0.5;@0=quant:4;@-1=gaussian:0.3", 2)
+        resolved = [spec.model_for(name, i, len(names))
+                    for i, name in enumerate(names)]
+        # The caller's index override cannot reach a silenced layer.
+        assert resolved == [NoVariation(), NoVariation(), base, base,
+                            GaussianVariation(0.3)]
+        # Merged flat, so the grammar still prints it.
+        assert from_string(to_string(spec)) == spec
+        with pytest.raises(ValueError, match="first"):
+            tail_spec(lenet, base, len(names) + 1)
+
+
+def _family(name, tiny_test):
+    """A fresh model of ``name`` and an evaluation split it accepts."""
+    if name == "mlp":
+        return MLP(4, [8], 3, flatten_input=True, seed=0), _dataset(12, 3)
+    return LeNet5(num_classes=10, in_channels=1, input_size=16,
+                  width_multiplier=0.5, seed=0), tiny_test
+
+
+_BACKENDS = {
+    "loop": dict(vectorized=False),
+    "vectorized": dict(vectorized=True),
+    "pool": dict(vectorized=False, n_workers=2),
+}
+
+
+class TestTailSpecRefinesLoop:
+    """Tail specs preserve the reference loop's observable accuracies on
+    every backend and chunking — the loop is the abstract machine, the
+    others are refinements of it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tail_spec_matches_loop_everywhere(self, tiny_test, data):
+        family = data.draw(st.sampled_from(["mlp", "lenet5"]), label="family")
+        model, dataset = _family(family, tiny_test)
+        layers = weighted_layers(model)
+        first = data.draw(st.integers(0, len(layers)), label="first")
+        n_samples = data.draw(st.integers(1, 6), label="S")
+        chunk = data.draw(st.integers(1, n_samples), label="chunk")
+        backend = data.draw(st.sampled_from(sorted(_BACKENDS)), label="backend")
+        spec = tail_spec(model, LogNormalVariation(0.5), first)
+
+        targets = VariationInjector(model, spec).target_parameters()
+        assert [id(p) for p in targets] == \
+            [id(layer.weight) for _, layer in layers[first:]]
+        loop = MonteCarloEvaluator(dataset, n_samples=n_samples, seed=3)
+        engine = MonteCarloEvaluator(dataset, n_samples=n_samples, seed=3,
+                                     chunk_samples=chunk,
+                                     **_BACKENDS[backend])
+        assert engine.evaluate(model, spec).accuracies == \
+            loop.evaluate(model, spec).accuracies
+
 
 class TestTracer:
     def test_deviation_per_layer_count(self, mlp):
@@ -238,7 +300,7 @@ class TestVectorizedEngine:
         loop = MonteCarloEvaluator(blob_dataset, n_samples=9, seed=11,
                                    vectorized=False)
         vec = MonteCarloEvaluator(blob_dataset, n_samples=9, seed=11,
-                                  vectorized=True, sample_chunk=4)
+                                  vectorized=True, chunk_samples=4)
         r_loop = loop.evaluate(mlp, LogNormalVariation(0.5))
         r_vec = vec.evaluate(mlp, LogNormalVariation(0.5))
         assert r_vec.accuracies == r_loop.accuracies
@@ -247,26 +309,19 @@ class TestVectorizedEngine:
         loop = MonteCarloEvaluator(tiny_test, n_samples=5, seed=3,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=5, seed=3,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         r_loop = loop.evaluate(lenet, LogNormalVariation(0.4))
         r_vec = vec.evaluate(lenet, LogNormalVariation(0.4))
         assert r_vec.accuracies == r_loop.accuracies
 
-    def test_layer_subset_and_masks_match_loop(self, lenet, tiny_test):
-        layers = [m for _, m in weighted_layers(lenet)][2:]
-        name = weighted_layers(lenet)[2][0]
-        mask = np.zeros_like(weighted_layers(lenet)[2][1].weight.data,
-                             dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
+    def test_tail_spec_matches_loop(self, lenet, tiny_test):
+        spec = tail_spec(lenet, LogNormalVariation(0.6), 2)
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
                                   vectorized=True)
-        r_loop = loop.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
-                               protection_masks=masks)
-        r_vec = vec.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
-                             protection_masks=masks)
+        r_loop = loop.evaluate(lenet, spec)
+        r_vec = vec.evaluate(lenet, spec)
         assert r_vec.accuracies == r_loop.accuracies
 
     def test_weights_restored_after_vectorized(self, lenet, tiny_test):
@@ -280,7 +335,9 @@ class TestVectorizedEngine:
     def test_empty_layer_subset_replicates_nominal(self, mlp, blob_dataset):
         vec = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=0,
                                   vectorized=True)
-        result = vec.evaluate(mlp, LogNormalVariation(0.5), layers=[])
+        silent = tail_spec(mlp, LogNormalVariation(0.5),
+                           len(weighted_layers(mlp)))
+        result = vec.evaluate(mlp, silent)
         clean = accuracy(mlp, blob_dataset)
         assert result.accuracies == [clean] * 4
 
@@ -356,7 +413,7 @@ class TestVectorizedEngine:
         loop = MonteCarloEvaluator(tiny_test, n_samples=3, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=3, seed=6,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         from repro.variation import LevelQuantization
         spec = LogNormalVariation(0.5) | LevelQuantization(4)
         r_loop = loop.evaluate(model, spec)
@@ -385,33 +442,21 @@ class TestProcessPoolEngine:
         with pytest.raises(ValueError):
             MonteCarloEvaluator(blob_dataset, n_workers=-1)
 
-    def test_layer_subset_and_masks_match_loop(self, lenet, tiny_test):
-        """Live ``layers`` references and protection masks reach the
-        workers through the initializer with module identity intact."""
-        layers = [m for _, m in weighted_layers(lenet)][1:]
-        name = weighted_layers(lenet)[1][0]
-        mask = np.zeros_like(weighted_layers(lenet)[1][1].weight.data,
-                             dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
+    def test_tail_spec_matches_loop(self, lenet, tiny_test):
+        """A layer subset reaches the workers as plain spec data."""
+        spec = tail_spec(lenet, LogNormalVariation(0.6), 1)
         loop = MonteCarloEvaluator(tiny_test, n_samples=5, seed=5,
                                    vectorized=False)
         pool = MonteCarloEvaluator(tiny_test, n_samples=5, seed=5,
                                    vectorized=False, n_workers=2,
                                    chunk_samples=2)
-        assert pool.plan(lenet, LogNormalVariation(0.6), layers,
-                         masks).backend == "pool"
-        r_loop = loop.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
-                               protection_masks=masks)
-        r_pool = pool.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
-                               protection_masks=masks)
+        assert pool.plan(lenet, spec).backend == "pool"
+        r_loop = loop.evaluate(lenet, spec)
+        r_pool = pool.evaluate(lenet, spec)
         assert r_pool.accuracies == r_loop.accuracies
-        # Neither input is vacuous here: dropping the masks, or the
-        # subset, changes what the draws compute.
+        # The subset is not vacuous: varying every layer draws differently.
         assert r_loop.accuracies != loop.evaluate(
-            lenet, LogNormalVariation(0.6), layers=layers).accuracies
-        assert r_loop.accuracies != loop.evaluate(
-            lenet, LogNormalVariation(0.6), protection_masks=masks).accuracies
+            lenet, LogNormalVariation(0.6)).accuracies
 
     def test_killed_worker_raises_instead_of_hanging(self, blob_dataset):
         model = _KilledOnForward(4, [8], 3, flatten_input=True, seed=0)
@@ -444,42 +489,37 @@ class _KilledOnForward(MLP):
 
 
 class TestSweepSigmaThreading:
-    def test_sweep_forwards_layers_and_masks(self, lenet, tiny_test):
-        """sweep_sigma must produce the same results as calling evaluate
-        per sigma with the same layer subset and protection masks."""
-        layers = [m for _, m in weighted_layers(lenet)][1:]
-        name = weighted_layers(lenet)[1][0]
-        mask = np.zeros_like(weighted_layers(lenet)[1][1].weight.data,
-                             dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
+    def test_sweep_keeps_the_tail_subset(self, lenet, tiny_test):
+        """sweep_sigma over a tail spec must produce the same results as
+        evaluating the same tail subset at each sigma."""
         ev = MonteCarloEvaluator(tiny_test, n_samples=3, seed=4)
-        swept = ev.sweep_sigma(lenet, LogNormalVariation(0.5), [0.2, 0.4],
-                               layers=layers, protection_masks=masks)
+        swept = ev.sweep_sigma(lenet,
+                               tail_spec(lenet, LogNormalVariation(0.5), 1),
+                               [0.2, 0.4])
         for sigma, result in zip([0.2, 0.4], swept):
-            direct = ev.evaluate(lenet, LogNormalVariation(sigma),
-                                 layers=layers, protection_masks=masks)
+            direct = ev.evaluate(
+                lenet, tail_spec(lenet, LogNormalVariation(sigma), 1))
             assert result.accuracies == direct.accuracies
 
     def test_prefix_layer_subset_matches_loop(self, lenet, tiny_test):
         """Stacked activations flowing into later *unstacked* layers (a
         prefix subset: only conv1 varied) must work and pair with the
         loop — plain-weight kernels broadcast over the sample axis."""
-        first = [weighted_layers(lenet)[0][1]]
+        first = "none;@0=lognormal:0.5"
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                   vectorized=True)
-        r_loop = loop.evaluate(lenet, LogNormalVariation(0.5), layers=first)
-        r_vec = vec.evaluate(lenet, LogNormalVariation(0.5), layers=first)
+        r_loop = loop.evaluate(lenet, first)
+        r_vec = vec.evaluate(lenet, first)
         assert r_vec.accuracies == r_loop.accuracies
 
     def test_middle_layer_subset_matches_loop(self, mlp, blob_dataset):
-        middle = [weighted_layers(mlp)[0][1]]  # first linear only
+        middle = "none;@0=lognormal:0.5"  # first linear only
         loop = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=6,
                                   vectorized=True)
-        r_loop = loop.evaluate(mlp, LogNormalVariation(0.5), layers=middle)
-        r_vec = vec.evaluate(mlp, LogNormalVariation(0.5), layers=middle)
+        r_loop = loop.evaluate(mlp, middle)
+        r_vec = vec.evaluate(mlp, middle)
         assert r_vec.accuracies == r_loop.accuracies

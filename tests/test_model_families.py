@@ -183,7 +183,7 @@ class TestEnginePairing:
             MonteCarloEvaluator(dataset, n_samples=n_samples, seed=seed,
                                 **kwargs).evaluate(model, COMPOSED_SPEC)
             for kwargs in (dict(vectorized=False),
-                           dict(vectorized=True, sample_chunk=3),
+                           dict(vectorized=True, chunk_samples=3),
                            dict(vectorized=False, n_workers=2))
         ]
 
@@ -231,7 +231,7 @@ class TestResNet8Analog:
         loop = MonteCarloEvaluator(cifar_test, n_samples=3, seed=4,
                                    vectorized=False)
         vec = MonteCarloEvaluator(cifar_test, n_samples=3, seed=4,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         r_loop = loop.evaluate(analog, COMPOSED_SPEC)
         r_vec = vec.evaluate(analog, COMPOSED_SPEC)
         assert r_vec.accuracies == r_loop.accuracies

@@ -254,7 +254,7 @@ class TestAllocateDraws:
 class TestAdaptiveEvaluator:
     def test_loose_tolerance_stops_early(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=40, seed=9, vectorized=True,
-                                 sample_chunk=4)
+                                 chunk_samples=4)
         result = ev.evaluate(lenet, LogNormalVariation(0.3), tolerance=0.2)
         assert result.stopped_early
         assert result.n_samples_used < 40
@@ -263,21 +263,21 @@ class TestAdaptiveEvaluator:
 
     def test_unreachable_tolerance_runs_to_cap(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=12, seed=9, vectorized=True,
-                                 sample_chunk=4)
+                                 chunk_samples=4)
         result = ev.evaluate(lenet, LogNormalVariation(0.5), tolerance=1e-9)
         assert result.n_samples_used == 12  # max bound enforced
         assert not result.stopped_early
 
     def test_min_samples_floor(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=40, seed=9, vectorized=True,
-                                 sample_chunk=2)
+                                 chunk_samples=2)
         floored = ev.evaluate(lenet, LogNormalVariation(0.3),
                               tolerance=10.0, min_samples=10)
         assert floored.n_samples_used >= 10
 
     def test_tolerance_monotone_in_draws(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=64, seed=9, vectorized=True,
-                                 sample_chunk=4)
+                                 chunk_samples=4)
         used = [
             ev.evaluate(lenet, LogNormalVariation(0.4), tolerance=t).n_samples_used
             for t in (0.2, 0.05, 0.02)
@@ -302,7 +302,7 @@ class TestAdaptiveEvaluator:
 
     def test_grid_concentrates_draws_on_wide_points(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=48, seed=9, vectorized=True,
-                                 sample_chunk=4)
+                                 chunk_samples=4)
         results = ev.sweep_sigma(lenet, LogNormalVariation(0.3),
                                  [0.05, 0.8], tolerance=0.04)
         # sigma=0.05 is near-saturated (tight interval quickly); sigma=0.8
@@ -311,7 +311,7 @@ class TestAdaptiveEvaluator:
 
     def test_grid_budget_only_mode(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=16, seed=9, vectorized=True,
-                                 sample_chunk=4)
+                                 chunk_samples=4)
         results = ev.sweep_sigma(lenet, LogNormalVariation(0.3), [0.2, 0.6],
                                  draw_budget=16)
         total = sum(r.n_samples_used for r in results)
@@ -320,7 +320,7 @@ class TestAdaptiveEvaluator:
 
     def test_grid_results_are_paired_prefixes(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=32, seed=9, vectorized=True,
-                                 sample_chunk=4)
+                                 chunk_samples=4)
         sigmas = [0.1, 0.4, 0.7]
         adaptive = ev.sweep_sigma(lenet, LogNormalVariation(0.3), sigmas,
                                   tolerance=0.05)
@@ -329,7 +329,7 @@ class TestAdaptiveEvaluator:
             assert a.accuracies == f.accuracies[: a.n_samples_used]
 
     def test_cross_backend_stop_point_invariance(self, lenet, tiny_test):
-        kwargs = dict(n_samples=32, seed=9, sample_chunk=4)
+        kwargs = dict(n_samples=32, seed=9, chunk_samples=4)
         results = [
             MonteCarloEvaluator(tiny_test, vectorized=True, **kwargs),
             MonteCarloEvaluator(tiny_test, vectorized=False, **kwargs),

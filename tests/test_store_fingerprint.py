@@ -16,10 +16,14 @@ import sys
 import numpy as np
 import pytest
 
+from repro.data import synth_mnist
 from repro.data.dataset import ArrayDataset
+from repro.evaluation import layer_sweep, MonteCarloEvaluator, tail_spec
 from repro.evaluation.plan import build_plan
 from repro.evaluation.sequential import FixedSamples, HalfWidthRule
 from repro.models import MLP
+from repro.models.registry import build_model
+from repro.store import JobRequest, materialize, ResultStore
 from repro.store.fingerprint import (
     canonical_json,
     dataset_digest,
@@ -28,7 +32,9 @@ from repro.store.fingerprint import (
     stopping_payload,
     weights_digest,
 )
+from repro.store.runner import drain
 from repro.utils.rng import spawn_rngs
+from repro.variation.spec import to_dict
 
 
 def _model():
@@ -40,10 +46,10 @@ def _dataset():
     return ArrayDataset(images, np.array([0, 1]))
 
 
-def _plan(model, dataset, **overrides):
+def _plan(model, dataset, variation="lognormal:0.4", **overrides):
     kwargs = dict(n_samples=5, seed=9, vectorized=True)
     kwargs.update(overrides)
-    return build_plan(model, dataset, "lognormal:0.4", **kwargs)
+    return build_plan(model, dataset, variation, **kwargs)
 
 
 class TestCanonicalJson:
@@ -102,7 +108,6 @@ class TestFingerprintInvariant:
             dict(memory_budget_mb=1.0),
             dict(batch_size=7),
             dict(data_block=3),
-            dict(default_chunk=2),
             dict(worker_vectorized=False),
         ]
         for knobs in knob_variants:
@@ -142,17 +147,21 @@ class TestFingerprintInvariant:
                                   analog={"dac_bits": 6, "tile_size": 128})
         assert bare != analog
 
-    def test_layer_subsets_and_masks_are_rejected(self):
+    def test_tail_specs_fingerprint_by_first(self):
+        """Fig. 9's layer subsets are specs: the all-layers point is the
+        plain evaluation, and every other start layer is its own entry."""
         model, dataset = _model(), _dataset()
-        layered = _plan(model, dataset, layers=[model])
-        with pytest.raises(ValueError, match="not fingerprintable"):
-            fingerprint_payload(layered, "m", "d")
-        masked = _plan(
-            model, dataset,
-            protection_masks={"w": np.ones(2)},
-        )
-        with pytest.raises(ValueError, match="not fingerprintable"):
-            fingerprint_payload(masked, "m", "d")
+        prints = [
+            plan_fingerprint(
+                _plan(model, dataset, variation=tail_spec(model, "lognormal:0.4",
+                                                          first)),
+                model, dataset,
+            )
+            for first in range(3)
+        ]
+        assert prints[0] == plan_fingerprint(_plan(model, dataset), model,
+                                             dataset)
+        assert len(set(prints)) == 3
 
     def test_live_generator_seed_rejected(self):
         model, dataset = _model(), _dataset()
@@ -215,3 +224,34 @@ class TestCrossProcessStability:
             hexes.append(out.stdout.strip())
         assert set(hexes) == {local}
         assert len(local) == 64  # sha256 hex
+
+
+class TestTailSpecJobs:
+    def test_job_drains_to_the_layer_sweep_point(self, tmp_path, monkeypatch):
+        """A layer-sweep point is a portable job: it drains to the
+        accuracies ``layer_sweep`` measures, and a resubmit is a
+        zero-work cache hit."""
+        from repro.store import jobs as store_jobs
+
+        monkeypatch.setitem(
+            store_jobs.DATASET_FACTORIES, "synth_mnist",
+            lambda: synth_mnist(train_per_class=6, test_per_class=3),
+        )
+        train, test = store_jobs.DATASET_FACTORIES["synth_mnist"]()
+        model = build_model("mlp", train, seed=0)
+        request = JobRequest(
+            model="mlp", dataset="synth_mnist",
+            variation=to_dict(tail_spec(model, "lognormal:0.4", 1)),
+            n_samples=6, seed=7, chunk_samples=2,
+        )
+        evaluator = MonteCarloEvaluator(test, n_samples=6, seed=7)
+        point = layer_sweep(model, "lognormal:0.4", evaluator)[1][1]
+        with ResultStore(str(tmp_path / "store.sqlite")) as store:
+            m = materialize(request)
+            store.submit(m.fingerprint, m.request.to_dict())
+            assert [o.status for o in drain(store, owner="w1").outcomes] == \
+                ["done"]
+            assert store.result(m.fingerprint)["accuracies"] == \
+                point.accuracies
+            assert store.submit(m.fingerprint, m.request.to_dict()).cache_hit
+            assert drain(store, owner="w2").outcomes == []

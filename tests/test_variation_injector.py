@@ -65,10 +65,8 @@ class TestPerturbed:
             np.testing.assert_array_equal(before[name], after[name])
 
     def test_layer_subset_only(self, lenet):
-        layers = [m for _, m in weighted_layers(lenet)]
         before = _snapshot(lenet)
-        with perturbed(lenet, LogNormalVariation(0.8), seed=0,
-                       layers=layers[2:]):
+        with perturbed(lenet, "lognormal:0.8;@0=none;@1=none", seed=0):
             inside = _snapshot(lenet)
         # first two conv weights untouched
         np.testing.assert_array_equal(before["net.0.weight"],

@@ -347,20 +347,32 @@ class TestLayerMapSemantics:
         assert model.model_for("net.0", 0, 4) is model
 
     def test_injector_applies_per_layer(self, mlp):
-        """A LayerMap that silences all but layer 0 must equal restricting
-        a plain model to layer 0 via the injector's layer subset."""
-        layers = [m for _, m in weighted_layers(mlp)]
+        """A LayerMap that silences all but layer 0 draws layer 0 exactly
+        as the plain model does, and nothing else: ``none`` layers are
+        not variation targets."""
         base = LogNormalVariation(0.7)
-        spec = LayerMap(NoVariation(), {0: base})
-        mapped = VariationInjector(mlp, spec).sample(seed=3)
-        subset = VariationInjector(mlp, base, layers=layers[:1]).sample(seed=3)
-        nominal = dict(mlp.named_parameters())
-        names = list(mapped)
-        assert len(names) >= 2
-        np.testing.assert_array_equal(mapped[names[0]], subset[names[0]])
-        assert not np.array_equal(mapped[names[0]], nominal[names[0]].data)
-        for name in names[1:]:
-            np.testing.assert_array_equal(mapped[name], nominal[name].data)
+        name, layer = weighted_layers(mlp)[0]
+        injector = VariationInjector(mlp, LayerMap(NoVariation(), {0: base}))
+        assert [id(p) for p in injector.target_parameters()] == \
+            [id(layer.weight)]
+        mapped = injector.sample(seed=3)
+        plain = VariationInjector(mlp, base).sample(seed=3)
+        assert list(mapped) == [f"{name}.weight"]
+        np.testing.assert_array_equal(mapped[f"{name}.weight"],
+                                      plain[f"{name}.weight"])
+
+    def test_nested_layermap_keeps_inner_overrides(self, lenet):
+        """The outer map resolves unmatched layers through the inner map,
+        also after a dict round-trip."""
+        inner = LayerMap(LogNormalVariation(0.5), {0: NoVariation()})
+        spec = from_dict(to_dict(LayerMap(inner, {1: GaussianVariation(0.3)})))
+        assert spec.model_for("net.0", 0, 5) == NoVariation()
+        assert spec.model_for("net.3", 1, 5) == GaussianVariation(0.3)
+        assert spec.model_for("net.7", 2, 5) == LogNormalVariation(0.5)
+        name, layer = weighted_layers(lenet)[0]
+        nominal = layer.weight.data.copy()
+        with VariationInjector(lenet, spec).applied(seed=0):
+            np.testing.assert_array_equal(layer.weight.data, nominal)
 
 
 class TestEnginePairing:
@@ -373,7 +385,7 @@ class TestEnginePairing:
         loop = MonteCarloEvaluator(tiny_test, n_samples=6, seed=11,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=6, seed=11,
-                                  vectorized=True, sample_chunk=4)
+                                  vectorized=True, chunk_samples=4)
         r_loop = loop.evaluate(lenet, self.SPEC)
         r_vec = vec.evaluate(lenet, self.SPEC)
         assert r_loop.accuracies == r_vec.accuracies
@@ -392,7 +404,7 @@ class TestEnginePairing:
         loop = MonteCarloEvaluator(tiny_test, n_samples=5, seed=7,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=5, seed=7,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         r_loop = loop.evaluate(lenet, spec)
         r_vec = vec.evaluate(lenet, spec)
         assert r_loop.accuracies == r_vec.accuracies
@@ -424,7 +436,7 @@ class TestEnginePairing:
             MonteCarloEvaluator(tiny_test, n_samples=4, seed=17, **kwargs)
             .evaluate(lenet, spec).accuracies
             for kwargs in (dict(vectorized=False),
-                           dict(vectorized=True, sample_chunk=3),
+                           dict(vectorized=True, chunk_samples=3),
                            dict(vectorized=False, n_workers=2))
         ]
         assert results[0] == results[1] == results[2]
@@ -445,7 +457,7 @@ class TestEnginePairing:
         loop = MonteCarloEvaluator(blob_dataset, n_samples=3, seed=5,
                                    vectorized=False)
         vec = MonteCarloEvaluator(blob_dataset, n_samples=3, seed=5,
-                                  vectorized=True, sample_chunk=2)
+                                  vectorized=True, chunk_samples=2)
         assert loop.evaluate(model, spec).accuracies == \
             vec.evaluate(model, spec).accuracies
 
