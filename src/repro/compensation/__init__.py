@@ -11,6 +11,9 @@ the variation injector and the crossbar mapper skip them).
 Training: original weights stay frozen at their Lipschitz-regularized
 values; generators and compensators train with the task loss while
 variations are sampled onto the original weights every batch.
+``fit_plan`` splices a plan into a copy of a model and trains it,
+memoized by content; the RL search and the pipeline's ``finalize`` share
+one memo.
 """
 
 from repro.compensation.wrappers import (
@@ -20,7 +23,7 @@ from repro.compensation.wrappers import (
     is_compensated,
 )
 from repro.compensation.plan import CompensationPlan, plan_overhead
-from repro.compensation.trainer import CompensationTrainer
+from repro.compensation.trainer import CompensationTrainer, fit_plan
 
 __all__ = [
     "CompensatedConv2d",
@@ -30,4 +33,5 @@ __all__ = [
     "CompensationPlan",
     "plan_overhead",
     "CompensationTrainer",
+    "fit_plan",
 ]

@@ -5,19 +5,35 @@ weights in the original layers are fixed to the values after applying
 Lipschitz constant regularization and stay non-trainable ... variations are
 sampled statistically and applied to the corresponding weight values in the
 original layer during each training batch."
+
+A fit is a pure function of its inputs (base weights, plan, training spec,
+config, data), so :func:`fit_plan` memoizes it by content: the RL search
+scores the same plan under several overhead limits, and ``finalize``
+delivers the winner the search already trained.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import hashlib
+from typing import Dict, Optional
 
+import numpy as np
+
+from repro.core.config import CompensationConfig
 from repro.core.training import Trainer, TrainHistory
+from repro.compensation.plan import CompensationPlan
 from repro.compensation.wrappers import is_compensated
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module, Parameter
 from repro.optim.optimizers import Adam
+from repro.store.fingerprint import canonical_json, dataset_digest, weights_digest
 from repro.utils.rng import SeedLike
-from repro.variation.spec import VariationLike
+from repro.variation.models import VariationModel
+from repro.variation.spec import parse_spec, to_dict as spec_to_dict, VariationLike
+
+#: Fit memo: content key -> the state a fit changed (the trainable
+#: generator/compensator parameters and every buffer).
+FitMemo = Dict[str, Dict[str, np.ndarray]]
 
 
 class CompensationTrainer:
@@ -96,6 +112,84 @@ class CompensationTrainer:
         batch_size: int = 32,
         val_data: Optional[ArrayDataset] = None,
     ) -> TrainHistory:
+        """Train for ``epochs`` epochs.
+
+        The history has one loss per epoch but one accuracy sweep (train,
+        and ``val_data`` if given), after the last epoch: a sweep is a full
+        pass over the split, and nothing reads per-epoch compensation
+        curves.
+        """
         return self.trainer.fit(
-            train_data, epochs=epochs, batch_size=batch_size, val_data=val_data
+            train_data,
+            epochs=epochs,
+            batch_size=batch_size,
+            val_data=val_data,
+            eval_every=max(epochs, 1),
         )
+
+
+def _fit_key(
+    base_model: Module,
+    plan: CompensationPlan,
+    spec: VariationModel,
+    train_data: ArrayDataset,
+    config: CompensationConfig,
+) -> str:
+    """SHA-256 over every input a fit reads, by content."""
+    payload = {
+        "base": weights_digest(base_model),
+        "ratios": sorted([int(i), float(r)] for i, r in plan.ratios.items()),
+        "spec": spec_to_dict(spec),
+        "lr": config.lr,
+        "epochs": config.epochs,
+        "batch_size": config.batch_size,
+        "seed": config.seed,
+        "variation_samples": config.variation_samples,
+        "data": dataset_digest(train_data),
+    }
+    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+
+
+def fit_plan(
+    base_model: Module,
+    plan: CompensationPlan,
+    variation: "VariationLike",
+    train_data: ArrayDataset,
+    config: CompensationConfig,
+    memo: Optional[FitMemo] = None,
+) -> Module:
+    """Splice ``plan`` into a copy of ``base_model`` and train it.
+
+    Compensation trains under ``variation`` scaled by
+    ``config.train_sigma_scale``. A fit whose inputs ``memo`` already
+    holds is a lookup: the copy gets the stored state, the same
+    frozen/trainable split and train mode, which is bitwise what the fresh
+    fit would have left (``docs/CONTRACTS.md``, the fit memo invariant).
+    ``memo=None`` fits without remembering. A plan without compensated
+    layers trains nothing and returns the plain copy.
+    """
+    model = plan.apply(base_model, seed=config.seed)
+    if plan.num_compensated == 0:
+        return model
+    spec = parse_spec(variation)
+    if config.train_sigma_scale != 1.0:
+        spec = spec.scaled(config.train_sigma_scale)
+    memo = {} if memo is None else memo
+    key = _fit_key(base_model, plan, spec, train_data, config)
+    entry = memo.get(key)
+    if entry is not None:
+        CompensationTrainer._freeze_non_compensation(model)
+        model.load_state_dict({name: value.copy() for name, value in entry.items()})
+        return model.train()
+    CompensationTrainer(
+        model,
+        spec,
+        lr=config.lr,
+        seed=config.seed,
+        variation_samples=config.variation_samples,
+    ).fit(train_data, epochs=config.epochs, batch_size=config.batch_size)
+    frozen = {name for name, p in model.named_parameters() if p.frozen}
+    memo[key] = {
+        name: value for name, value in model.state_dict().items() if name not in frozen
+    }
+    return model

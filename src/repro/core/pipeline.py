@@ -11,7 +11,9 @@ Stage order follows the paper exactly:
    limit (1%, 2%, 3%), reward per eq. (12); the best-accuracy solution
    across limits is selected (paper Section III-B, last paragraph).
 4. **Compensation training** — generators/compensators trained with
-   variations sampled per batch, originals frozen.
+   variations sampled per batch, originals frozen. Fits are memoized by
+   content across the limits' searches and ``finalize``, so each distinct
+   plan trains once per run and the winner is a lookup.
 5. **Final evaluation** — full Monte-Carlo protocol.
 """
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.compensation.plan import CompensationPlan, plan_overhead
-from repro.compensation.trainer import CompensationTrainer
+from repro.compensation.trainer import FitMemo, fit_plan
 from repro.core.config import make_evaluator, PipelineConfig
 from repro.core.training import Trainer, TrainHistory
 from repro.data.dataset import ArrayDataset
@@ -126,6 +128,10 @@ class CorrectNet:
         self.regularizer = OrthogonalityRegularizer(
             self.lam, beta=config.train.beta
         )
+        # One compensation-fit memo for every limit's search and finalize;
+        # keyed by content (base weights included), so it stays valid when
+        # the base model is retrained.
+        self.fit_memo: FitMemo = {}
 
     # ------------------------------------------------------------------
     # Stage 1: error suppression
@@ -203,6 +209,7 @@ class CorrectNet:
                 self.config.compensation,
                 self.config.eval,
                 overhead_limit=limit,
+                memo=self.fit_memo,
             )
             search = RLSearch(env, self.config.rl)
             results[limit] = search.run()
@@ -228,22 +235,20 @@ class CorrectNet:
     # Stage 4 + 5: final compensation training and evaluation
     # ------------------------------------------------------------------
     def finalize(self, plan: CompensationPlan) -> Module:
-        """Re-train the chosen plan's compensation (fresh, full epochs)."""
-        compensated = plan.apply(self.model, seed=self.config.compensation.seed)
-        if plan.num_compensated > 0:
-            trainer = CompensationTrainer(
-                compensated,
-                self.variation,
-                lr=self.config.compensation.lr,
-                seed=self.config.compensation.seed,
-                variation_samples=self.config.compensation.variation_samples,
-            )
-            trainer.fit(
-                self.train_data,
-                epochs=self.config.compensation.epochs,
-                batch_size=self.config.compensation.batch_size,
-            )
-        return compensated
+        """The chosen plan's trained compensated model.
+
+        Trained exactly as the search trained it (same seed, data, epochs
+        and ``train_sigma_scale``), so a plan the search scored is a memo
+        lookup; an unscored plan trains here.
+        """
+        return fit_plan(
+            self.model,
+            plan,
+            self.variation,
+            self.train_data,
+            self.config.compensation,
+            memo=self.fit_memo,
+        )
 
     def run(self, skip_base_training: bool = False) -> CorrectNetResult:
         """Execute the full pipeline and return the Table-I artifacts."""

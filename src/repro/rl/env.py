@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compensation.plan import CompensationPlan, plan_overhead
-from repro.compensation.trainer import CompensationTrainer
+from repro.compensation.trainer import FitMemo, fit_plan
 from repro.core.config import CompensationConfig, EvalConfig, make_evaluator
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
@@ -26,7 +26,6 @@ class EnvOutcome:
     accuracy_std: float
     overhead: float
     skipped: bool  # True when over the overhead limit (no training done)
-    model: Optional[Module] = None
 
 
 class CompensationEnv:
@@ -42,8 +41,13 @@ class CompensationEnv:
     3. else: train generators/compensators under sampled variations and
        Monte-Carlo evaluate; reward = acc_mean - acc_std - overhead.
 
-    Results are cached by action tuple — REINFORCE revisits good plans
-    often, and compensation training is the expensive part.
+    Outcomes are cached by action tuple within one env — REINFORCE
+    revisits good plans often. Compensation fits are memoized by content
+    in ``memo`` (:func:`~repro.compensation.trainer.fit_plan`), which
+    several envs and the pipeline's ``finalize`` can share: a plan scored
+    under one overhead limit trains once for all of them. ``memo=None``
+    gives the env its own. A caller that wants a scored plan's trained
+    model calls ``fit_plan`` with ``env.memo`` and gets a lookup.
     """
 
     def __init__(
@@ -56,6 +60,7 @@ class CompensationEnv:
         comp_config: CompensationConfig,
         eval_config: EvalConfig,
         overhead_limit: float = 0.03,
+        memo: Optional[FitMemo] = None,
     ) -> None:
         if not candidate_layers:
             raise ValueError("need at least one candidate layer")
@@ -69,6 +74,7 @@ class CompensationEnv:
         self.comp_config = comp_config
         self.eval_config = eval_config
         self.overhead_limit = overhead_limit
+        self.memo: FitMemo = {} if memo is None else memo
         # Reward evaluation follows the EvalConfig engine routing: the
         # compensation wrappers are sample-aware, so the reward's
         # Monte-Carlo estimate rides the vectorized engine. All engines
@@ -96,16 +102,17 @@ class CompensationEnv:
         }
         return CompensationPlan(mapping)
 
-    def step(self, ratios: List[float], keep_model: bool = False) -> EnvOutcome:
+    def step(self, ratios: List[float]) -> EnvOutcome:
         """Evaluate one plan (cached by its ratio tuple)."""
         key = tuple(round(r, 6) for r in ratios)
         cached = self._cache.get(key)
-        if cached is not None and not (keep_model and cached.model is None):
+        if cached is not None:
             return cached
 
         plan = self.plan_from_ratios(list(ratios))
-        compensated = plan.apply(self.base_model, seed=self.comp_config.seed)
-        overhead = plan_overhead(self.base_model, compensated)
+        overhead = plan_overhead(
+            self.base_model, plan.apply(self.base_model, seed=self.comp_config.seed)
+        )
 
         if overhead > self.overhead_limit:
             outcome = EnvOutcome(
@@ -119,21 +126,14 @@ class CompensationEnv:
             self._cache[key] = outcome
             return outcome
 
-        if plan.num_compensated > 0:
-            trainer = CompensationTrainer(
-                compensated,
-                self.variation.scaled(
-                    self.comp_config.train_sigma_scale
-                ) if self.comp_config.train_sigma_scale != 1.0 else self.variation,
-                lr=self.comp_config.lr,
-                seed=self.comp_config.seed,
-                variation_samples=self.comp_config.variation_samples,
-            )
-            trainer.fit(
-                self.train_data,
-                epochs=self.comp_config.epochs,
-                batch_size=self.comp_config.batch_size,
-            )
+        compensated = fit_plan(
+            self.base_model,
+            plan,
+            self.variation,
+            self.train_data,
+            self.comp_config,
+            memo=self.memo,
+        )
         result = self._evaluator.evaluate(compensated, self.variation)
         reward = result.mean - result.std - overhead
         outcome = EnvOutcome(
@@ -143,7 +143,6 @@ class CompensationEnv:
             accuracy_std=result.std,
             overhead=overhead,
             skipped=False,
-            model=compensated if keep_model else None,
         )
         logger.debug(
             "env step %s -> reward %.4f (acc %.4f±%.4f, overhead %.4f)",

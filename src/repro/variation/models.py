@@ -139,8 +139,12 @@ class LogNormalVariation(VariationModel):
     def perturb(self, weights: FloatArray, rng: np.random.Generator) -> FloatArray:
         if self.sigma == 0.0:
             return weights
+        # In place on the fresh draw: bitwise ``weights * np.exp(theta)``
+        # (float64 for float32 weights too) without two temporaries.
         theta = rng.normal(0.0, self.sigma, size=weights.shape)
-        return np.asarray(weights * np.exp(theta), dtype=np.float64)
+        np.exp(theta, out=theta)
+        theta *= weights
+        return theta
 
     def multiplier_stats(self) -> Tuple[float, float]:
         """(mean, std) of the log-normal multiplier ``exp(theta)`` in closed
@@ -181,7 +185,8 @@ class GaussianVariation(VariationModel):
         if scale == 0.0:
             return weights
         noise = rng.normal(0.0, self.sigma * scale, size=weights.shape)
-        return np.asarray(weights + noise, dtype=np.float64)
+        noise += weights
+        return noise
 
     def scaled(self, factor: float) -> "GaussianVariation":
         return GaussianVariation(self.sigma * factor)
@@ -261,8 +266,11 @@ class StateDependentVariation(VariationModel):
             return weights
         level = np.abs(weights) / scale
         sigma = self.sigma_low + (self.sigma_high - self.sigma_low) * level
-        theta = rng.normal(0.0, 1.0, size=weights.shape) * sigma
-        return np.asarray(weights * np.exp(theta), dtype=np.float64)
+        theta = rng.normal(0.0, 1.0, size=weights.shape)
+        theta *= sigma
+        np.exp(theta, out=theta)
+        theta *= weights
+        return theta
 
     def scaled(self, factor: float) -> "StateDependentVariation":
         return StateDependentVariation(

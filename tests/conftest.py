@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compensation import CompensationTrainer
 from repro.data import ArrayDataset, synth_mnist
 from repro.models import LeNet5, MLP
 
@@ -57,3 +58,18 @@ def blob_dataset(rng):
         images.append(pts.reshape(n_per, 1, 2, 2))
         labels.extend([cls] * n_per)
     return ArrayDataset(np.concatenate(images), np.array(labels))
+
+
+@pytest.fixture()
+def fit_calls(monkeypatch):
+    """Every ``CompensationTrainer.fit`` call made during the test (the
+    trainer's model per call)."""
+    calls = []
+    original = CompensationTrainer.fit
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.model)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompensationTrainer, "fit", counted)
+    return calls

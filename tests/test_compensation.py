@@ -154,6 +154,16 @@ class TestCompensationTrainer:
         trainer.fit(self._tiny_data(), epochs=1, batch_size=8)
         assert not np.allclose(wrapper.generator.weight.data, before)
 
+    def test_one_accuracy_sweep_per_fit(self, lenet, tiny_train):
+        """E epochs record E losses but sweep accuracy once, at the end."""
+        comp = CompensationPlan({0: 0.5}).apply(lenet, seed=0)
+        trainer = CompensationTrainer(comp, LogNormalVariation(0.3), seed=0)
+        history = trainer.fit(tiny_train, epochs=3, batch_size=16,
+                              val_data=tiny_train)
+        assert len(history.loss) == 3
+        assert len(history.train_accuracy) == 1
+        assert len(history.val_accuracy) == 1
+
     def test_loss_decreases(self, tiny_train):
         model = LeNet5(num_classes=10, in_channels=1, input_size=16,
                        width_multiplier=0.5, seed=0)

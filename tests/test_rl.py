@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compensation import fit_plan
 from repro.core.config import CompensationConfig, EvalConfig, RLConfig
 from repro.data import ArrayDataset
 from repro.models import LeNet5
@@ -75,7 +76,7 @@ class TestAgentBandit:
         assert len(agent.reward_history) == 10
 
 
-def _tiny_env(overhead_limit=0.5, search_samples=2):
+def _tiny_env(overhead_limit=0.5, search_samples=2, memo=None):
     rng = np.random.default_rng(0)
     data = ArrayDataset(rng.normal(size=(30, 1, 16, 16)),
                         rng.integers(0, 10, size=30))
@@ -90,6 +91,7 @@ def _tiny_env(overhead_limit=0.5, search_samples=2):
         comp_config=CompensationConfig(epochs=1, batch_size=16),
         eval_config=EvalConfig(n_samples=2, search_samples=search_samples),
         overhead_limit=overhead_limit,
+        memo=memo,
     )
 
 
@@ -112,6 +114,27 @@ class TestEnv:
         a = env.step([0.5, 0.0])
         b = env.step([0.5, 0.0])
         assert a is b
+
+    def test_envs_sharing_a_memo_fit_a_plan_once(self, fit_calls):
+        memo = {}
+        tight = _tiny_env(overhead_limit=0.5, memo=memo)
+        loose = _tiny_env(overhead_limit=1.0, memo=memo)
+        assert tight.memo is loose.memo is memo
+        a = tight.step([0.5, 0.0])
+        b = loose.step([0.5, 0.0])
+        assert len(fit_calls) == 1
+        assert (a.accuracy_mean, a.accuracy_std) == (b.accuracy_mean,
+                                                     b.accuracy_std)
+        assert _tiny_env().memo is not _tiny_env().memo  # default: own memo
+
+    def test_scored_plan_model_is_a_memo_lookup(self, fit_calls):
+        env = _tiny_env()
+        outcome = env.step([0.5, 0.5])
+        model = fit_plan(env.base_model, outcome.plan, env.variation,
+                         env.train_data, env.comp_config, memo=env.memo)
+        assert len(fit_calls) == 1
+        result = env._evaluator.evaluate(model, env.variation)
+        assert result.mean == outcome.accuracy_mean
 
     def test_plan_mapping(self):
         env = _tiny_env()

@@ -158,6 +158,46 @@ class TestColumnCorrelated:
         assert ColumnCorrelatedVariation(0.2).magnitude == 0.2
 
 
+def _out_of_place(model, weights, rng):
+    """The draw expressions before the in-place rewrite, verbatim."""
+    if isinstance(model, LogNormalVariation):
+        theta = rng.normal(0.0, model.sigma, size=weights.shape)
+        return np.asarray(weights * np.exp(theta), dtype=np.float64)
+    scale = float(np.abs(weights).max())
+    if isinstance(model, GaussianVariation):
+        noise = rng.normal(0.0, model.sigma * scale, size=weights.shape)
+        return np.asarray(weights + noise, dtype=np.float64)
+    level = np.abs(weights) / scale
+    sigma = model.sigma_low + (model.sigma_high - model.sigma_low) * level
+    theta = rng.normal(0.0, 1.0, size=weights.shape) * sigma
+    return np.asarray(weights * np.exp(theta), dtype=np.float64)
+
+
+class TestInPlaceDraws:
+    """The draws compute in place on their fresh sample: byte-equal to the
+    out-of-place expressions, float64 for float32 weights too, and never
+    a view of (or a write to) the weights."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from([LogNormalVariation(0.5), GaussianVariation(0.2),
+                               StateDependentVariation(0.1, 0.6)]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        shape=st.lists(st.integers(1, 6), min_size=0, max_size=4).map(tuple),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_out_of_place_expression(self, model, dtype, shape, seed):
+        weights = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+        nominal = weights.copy()
+        out = model.perturb(weights, np.random.default_rng(seed + 1))
+        expected = _out_of_place(model, nominal, np.random.default_rng(seed + 1))
+        assert out.dtype == expected.dtype == np.float64
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, weights)
+        assert weights.tobytes() == nominal.tobytes()
+
+
 class TestNoVariation:
     def test_identity_and_magnitude(self):
         w = np.random.default_rng(0).normal(size=(3, 3))
