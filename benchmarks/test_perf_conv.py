@@ -8,7 +8,8 @@ Monte-Carlo *reference loop* engine both run through this op, so the
 lowering bounds everything the vectorized engine does not already cover.
 
 This bench reconstructs the pre-lowering einsum op (bitwise the old code,
-including its autograd closures) and times both against the shapes that
+including its autograd closures, which take the output gradient as their
+argument like every tape closure) and times both against the shapes that
 dominate the repo's workloads: the two LeNet-5 convolutions at the
 synthetic-MNIST size and a VGG-style 3x3 block. Recorded in
 ``BENCH_conv.json`` at the repo root; the acceptance gate is an aggregate
@@ -59,15 +60,9 @@ def _conv2d_einsum(x, weight, bias, stride=1, padding=0):
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(
-        out_data,
-        requires_grad=any(p.requires_grad for p in parents),
-        _parents=parents,
-        _op="conv2d_einsum",
-    )
 
-    def _backward():
-        grad = out.grad.reshape(n, f, oh * ow)
+    def _backward(gout):
+        grad = gout.reshape(n, f, oh * ow)
         if weight.requires_grad:
             weight._accumulate(
                 np.einsum("nfp,nkp->fk", grad, cols).reshape(weight.shape)
@@ -76,10 +71,9 @@ def _conv2d_einsum(x, weight, bias, stride=1, padding=0):
             gcols = np.einsum("fk,nfp->nkp", w2, grad)
             x._accumulate(col2im(gcols, (n, c, h, w), (kh, kw), stride, padding))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(out_data, parents, "conv2d_einsum", _backward)
 
 
 def _best_time(fn, repeats=REPEATS, inner=INNER):

@@ -18,7 +18,10 @@ def no_grad() -> Iterator[None]:
     """Context manager disabling tape recording.
 
     Used for inference-only passes (Monte-Carlo evaluation samples thousands
-    of forward passes; skipping the tape keeps them allocation-free).
+    of forward passes). Inside, no op keeps its parents or its backward
+    closure, and none computes state that only a backward would read: a
+    forward allocates what its own arithmetic needs, and each activation is
+    freed by reference count once the next layer has consumed it.
     """
     global _GRAD_ENABLED
     previous = _GRAD_ENABLED

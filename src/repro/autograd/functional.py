@@ -105,14 +105,8 @@ def conv2d(
         prod.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     )
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires, _parents=parents, _op="conv2d")
-
-    def _backward() -> None:
-        grad_rows = np.ascontiguousarray(
-            out.grad.transpose(0, 2, 3, 1)
-        ).reshape(n * p, f)
+    def _backward(gout: np.ndarray) -> None:
+        grad_rows = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * p, f)
         if weight.requires_grad:
             gw = grad_rows.T @ cols  # (F, K)
             weight._accumulate(gw.reshape(weight.shape))
@@ -126,10 +120,10 @@ def conv2d(
             )
             x._accumulate(col2im(gview, (n, c, h, w), (kh, kw), stride, padding))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
-    out._backward = _backward
-    return out
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make_child(out_data, parents, "conv2d", _backward)
 
 
 def _conv2d_small_k(
@@ -164,12 +158,8 @@ def _conv2d_small_k(
     if bias is not None:
         out_data += bias.data.reshape(1, f, 1, 1)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires, _parents=parents, _op="conv2d")
-
-    def _backward() -> None:
-        grad = out.grad.reshape(n, f, oh * ow)  # contiguous: no transpose
+    def _backward(gout: np.ndarray) -> None:
+        grad = gout.reshape(n, f, oh * ow)  # contiguous: no transpose
         if weight.requires_grad:
             # (N, F, P) @ (N, P, K) summed over the batch; the (N, F, K)
             # intermediate is small by construction (K is tiny here).
@@ -179,10 +169,10 @@ def _conv2d_small_k(
             gcols = np.matmul(w2.T, grad)  # (N, K, P)
             x._accumulate(col2im(gcols, (n, c, h, w), (kh, kw), stride, padding))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
-    out._backward = _backward
-    return out
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make_child(out_data, parents, "conv2d", _backward)
 
 
 def _conv2d_stacked(
@@ -273,12 +263,8 @@ def _conv2d_stacked(
             s, f, n, oh, ow
         )
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires, _parents=parents, _op="conv2d_stacked")
-
-    def _backward() -> None:
-        grad = out.grad.reshape(s, f, n, p)
+    def _backward(gout: np.ndarray) -> None:
+        grad = gout.reshape(s, f, n, p)
         if weight.requires_grad:
             if shared_input:
                 gw = np.einsum("sfnp,nkp->sfk", grad, cols, optimize=True)
@@ -314,12 +300,12 @@ def _conv2d_stacked(
                 )
         if bias is not None and bias.requires_grad:
             if bias.ndim == 2:
-                bias._accumulate(out.grad.sum(axis=(2, 3, 4)))
+                bias._accumulate(gout.sum(axis=(2, 3, 4)))
             else:
-                bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
+                bias._accumulate(gout.sum(axis=(0, 2, 3, 4)))
 
-    out._backward = _backward
-    return out
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make_child(out_data, parents, "conv2d_stacked", _backward)
 
 
 def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
@@ -347,19 +333,15 @@ def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
     ow = conv_output_size(w, kw, stride, 0)
     cols = im2col(x.data, (kh, kw), stride, 0).reshape(n, c, kh * kw, oh * ow)
     out_data = cols.mean(axis=2).reshape(n, c, oh, ow)
-    out = Tensor(
-        out_data, requires_grad=x.requires_grad, _parents=(x,), _op="avg_pool2d"
-    )
 
-    def _backward() -> None:
-        grad = out.grad.reshape(n, c, 1, oh * ow) / (kh * kw)
+    def _backward(gout: np.ndarray) -> None:
+        grad = gout.reshape(n, c, 1, oh * ow) / (kh * kw)
         gcols = np.broadcast_to(grad, (n, c, kh * kw, oh * ow)).reshape(
             n, c * kh * kw, oh * ow
         )
         x._accumulate(col2im(gcols, (n, c, h, w), (kh, kw), stride, 0))
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(out_data, (x,), "avg_pool2d", _backward)
 
 
 def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
@@ -388,15 +370,8 @@ def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
     for j in range(1, kw):
         combine(acc, cols_win[..., j], out=acc)
     out_data = acc * (1.0 / (kh * kw)) if mode == "avg" else acc
-    out = Tensor(
-        out_data,
-        requires_grad=x.requires_grad,
-        _parents=(x,),
-        _op=f"{mode}_pool2d_stacked",
-    )
 
-    def _backward() -> None:
-        g = out.grad
+    def _backward(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
         gwin = gx.reshape(s, a, b, oh, kh, ow, kw)
         if mode == "avg":
@@ -418,8 +393,7 @@ def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
                     )
         x._accumulate(gx)
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(out_data, (x,), f"{mode}_pool2d_stacked", _backward)
 
 
 def max_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
@@ -448,21 +422,17 @@ def max_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
     out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).reshape(
         n, c, oh, ow
     )
-    out = Tensor(
-        out_data, requires_grad=x.requires_grad, _parents=(x,), _op="max_pool2d"
-    )
 
-    def _backward() -> None:
+    def _backward(gout: np.ndarray) -> None:
         gcols = np.zeros((n, c, kh * kw, oh * ow), dtype=np.float64)
         np.put_along_axis(
-            gcols, argmax[:, :, None, :], out.grad.reshape(n, c, 1, oh * ow), axis=2
+            gcols, argmax[:, :, None, :], gout.reshape(n, c, 1, oh * ow), axis=2
         )
         x._accumulate(
             col2im(gcols.reshape(n, c * kh * kw, oh * ow), (n, c, h, w), (kh, kw), stride, 0)
         )
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(out_data, (x,), "max_pool2d", _backward)
 
 
 def _pool_matrix(in_size: int, out_size: int) -> np.ndarray:
@@ -509,17 +479,11 @@ def adaptive_avg_pool2d(x: Tensor, output_size: Tuple[int, int]) -> Tensor:
     # Rows first ((..., H, W) @ (W, OW) is a plain matmul; the row pass
     # contracts H via a transposed product), identical for any leading axes.
     out_data = np.einsum("ih,...hw,jw->...ij", ph, x.data, pw, optimize=True)
-    out = Tensor(
-        out_data, requires_grad=x.requires_grad, _parents=(x,), _op="adaptive_avg_pool"
-    )
 
-    def _backward() -> None:
-        x._accumulate(
-            np.einsum("ih,...ij,jw->...hw", ph, out.grad, pw, optimize=True)
-        )
+    def _backward(gout: np.ndarray) -> None:
+        x._accumulate(np.einsum("ih,...ij,jw->...hw", ph, gout, pw, optimize=True))
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(out_data, (x,), "adaptive_avg_pool", _backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -528,15 +492,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     prob = exp / exp.sum(axis=axis, keepdims=True)
-    out = Tensor(prob, requires_grad=x.requires_grad, _parents=(x,), _op="softmax")
 
-    def _backward() -> None:
-        g = out.grad
+    def _backward(g: np.ndarray) -> None:
         dot = (g * prob).sum(axis=axis, keepdims=True)
         x._accumulate(prob * (g - dot))
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(prob, (x,), "softmax", _backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -545,15 +506,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     logp = shifted - lse
-    out = Tensor(logp, requires_grad=x.requires_grad, _parents=(x,), _op="log_softmax")
-    prob = np.exp(logp)
 
-    def _backward() -> None:
-        g = out.grad
-        x._accumulate(g - prob * g.sum(axis=axis, keepdims=True))
+    def _backward(g: np.ndarray) -> None:
+        x._accumulate(g - np.exp(logp) * g.sum(axis=axis, keepdims=True))
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(logp, (x,), "log_softmax", _backward)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -595,17 +552,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
     nll = -logp[np.arange(n), labels].mean()
-    out = Tensor(
-        nll, requires_grad=logits.requires_grad, _parents=(logits,), _op="cross_entropy"
-    )
 
-    def _backward() -> None:
+    def _backward(gout: np.ndarray) -> None:
         grad = np.exp(logp)
         grad[np.arange(n), labels] -= 1.0
-        logits._accumulate(out.grad * grad / n)
+        logits._accumulate(gout * grad / n)
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(nll, (logits,), "cross_entropy", _backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

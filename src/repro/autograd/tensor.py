@@ -1,21 +1,40 @@
 """The :class:`Tensor` class: numpy data + reverse-mode gradient tape.
 
-Each differentiable operation returns a new ``Tensor`` holding references to
-its parents and a ``_backward`` closure that, given the output gradient
-already accumulated in ``out.grad``, adds the operand gradients into
-``parent.grad``. :meth:`Tensor.backward` runs the closures in reverse
-topological order.
+A differentiable operation computes its output array, defines a backward
+closure and hands both to :meth:`Tensor._make_child`, the one place a tape
+entry is made. The tape keeps two rules:
+
+1. An output is taped — it keeps its parents and its closure — only when
+   grad is enabled and some parent requires grad. Under :func:`no_grad`,
+   or when every operand is a constant or a frozen parameter, the output
+   is a plain untaped tensor.
+2. No closure references the tensor it is attached to.
+   :meth:`Tensor.backward` runs the closures in reverse topological order
+   as ``node._backward(node.grad)``: a closure receives its output
+   gradient as the argument, and one that needs the output's value
+   captures the array, not the tensor. A closure adds operand gradients
+   into ``parent.grad``, and computes an operand's gradient only when that
+   operand requires grad.
+
+So the tape only points from children to parents and never forms a
+reference cycle: a training graph is freed by reference count when its
+loss goes out of scope, and an eval forward's activations as soon as the
+next layer has consumed them, without waiting for Python's cyclic GC.
+reprolint's ``TAPE001`` rule keeps rule 2 (``docs/CONTRACTS.md``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd.context import is_grad_enabled
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
+
+#: A backward closure: receives the output gradient, accumulates into parents.
+Backward = Callable[[np.ndarray], None]
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -37,6 +56,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _grad_buffer(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A fresh float64 gradient buffer for ``like``, holding ``grad``.
+
+    One pass over the buffer, and bitwise ``np.zeros_like(like) + grad``:
+    ``-0.0 + 0.0`` is ``+0.0``, and the add broadcasts and casts to float64
+    exactly like ``+=`` into zeros. The buffer keeps ``like``'s memory
+    layout, as ``zeros_like`` does: a gradient's strides decide how BLAS
+    reads it downstream, and so the rounding of every product it feeds.
+    """
+    return np.add(grad, 0.0, out=np.empty_like(like, dtype=np.float64))
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff.
 
@@ -52,13 +83,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
-        _op: str = "",
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
@@ -67,9 +92,9 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
-        self._backward: Optional[Callable[[], None]] = None
-        self._parents: Tuple[Tensor, ...] = _parents if is_grad_enabled() else ()
-        self._op: str = _op
+        self._backward: Optional[Backward] = None
+        self._parents: Tuple[Tensor, ...] = ()
+        self._op: str = ""
 
     # ------------------------------------------------------------------
     # Introspection
@@ -114,11 +139,25 @@ class Tensor:
     # ------------------------------------------------------------------
     # Graph construction helpers
     # ------------------------------------------------------------------
+    @staticmethod
     def _make_child(
-        self, data: np.ndarray, parents: Tuple["Tensor", ...], op: str
+        data: np.ndarray,
+        parents: Tuple["Tensor", ...],
+        op: str,
+        backward: Backward,
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _parents=parents, _op=op)
+        """Wrap ``data`` as the output of ``op``: the one recording site.
+
+        The output keeps ``parents`` and ``backward`` only when grad is
+        enabled and some parent requires grad; otherwise it is untaped and
+        ``backward`` is dropped with the caller's frame.
+        """
+        out = Tensor(data)
+        if is_grad_enabled() and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            out._op = op
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -126,8 +165,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=np.float64)
-        self.grad += grad
+            self.grad = _grad_buffer(grad, self.data)
+        else:
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -171,69 +211,70 @@ class Tensor:
                     stack.append((parent, False))
 
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=np.float64)
-        self.grad += grad
+            self.grad = _grad_buffer(grad, self.data)
+        else:
+            self.grad += grad
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # Binary arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data + other.data, (self, other), "add")
 
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-            other._accumulate(_unbroadcast(out.grad, other.shape))
+        def _backward(gout: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(gout, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(gout, other.shape))
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data + other.data, (self, other), "add", _backward)
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return self.__add__(other)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data - other.data, (self, other), "sub")
 
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-            other._accumulate(_unbroadcast(-out.grad, other.shape))
+        def _backward(gout: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(gout, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-gout, other.shape))
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data - other.data, (self, other), "sub", _backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data * other.data, (self, other), "mul")
 
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+        def _backward(gout: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(gout * other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(gout * self.data, other.shape))
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data * other.data, (self, other), "mul", _backward)
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data / other.data, (self, other), "div")
 
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-out.grad * self.data / (other.data**2), other.shape)
-            )
+        def _backward(gout: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(gout / other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-gout * self.data / (other.data**2), other.shape)
+                )
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data / other.data, (self, other), "div", _backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -244,13 +285,11 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ supports scalar exponents only")
-        out = self._make_child(self.data**exponent, (self,), "pow")
 
-        def _backward() -> None:
-            self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * exponent * self.data ** (exponent - 1))
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data**exponent, (self,), "pow", _backward)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
@@ -258,68 +297,71 @@ class Tensor:
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product supporting 1-D and (optionally batched) 2-D operands."""
         other = as_tensor(other)
-        out = self._make_child(self.data @ other.data, (self, other), "matmul")
 
-        def _backward() -> None:
-            a, b, g = self.data, other.data, out.grad
+        def _backward(g: np.ndarray) -> None:
+            a, b = self.data, other.data
             if a.ndim == 1 and b.ndim == 1:  # inner product -> scalar grad
-                self._accumulate(g * b)
-                other._accumulate(g * a)
+                if self.requires_grad:
+                    self._accumulate(g * b)
+                if other.requires_grad:
+                    other._accumulate(g * a)
                 return
             if a.ndim == 1:  # (k,) @ (..., k, n)
-                ga = (np.expand_dims(g, -2) @ np.swapaxes(b, -1, -2)).reshape(
-                    b.shape[:-2] + a.shape
-                )
-                self._accumulate(_unbroadcast(ga, self.shape))
-                gb = np.expand_dims(a, -1) @ np.expand_dims(g, -2)
-                other._accumulate(_unbroadcast(gb, other.shape))
+                if self.requires_grad:
+                    ga = (np.expand_dims(g, -2) @ np.swapaxes(b, -1, -2)).reshape(
+                        b.shape[:-2] + a.shape
+                    )
+                    self._accumulate(_unbroadcast(ga, self.shape))
+                if other.requires_grad:
+                    gb = np.expand_dims(a, -1) @ np.expand_dims(g, -2)
+                    other._accumulate(_unbroadcast(gb, other.shape))
                 return
             if b.ndim == 1:  # (..., m, k) @ (k,)
-                ga = np.expand_dims(g, -1) @ np.expand_dims(b, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
-                gb = (np.swapaxes(a, -1, -2) @ np.expand_dims(g, -1)).reshape(
-                    a.shape[:-2] + b.shape
-                )
-                other._accumulate(_unbroadcast(gb.sum(axis=tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb, other.shape))
+                if self.requires_grad:
+                    ga = np.expand_dims(g, -1) @ np.expand_dims(b, -2)
+                    self._accumulate(_unbroadcast(ga, self.shape))
+                if other.requires_grad:
+                    gb = (np.swapaxes(a, -1, -2) @ np.expand_dims(g, -1)).reshape(
+                        a.shape[:-2] + b.shape
+                    )
+                    if gb.ndim > 1:
+                        gb = gb.sum(axis=tuple(range(gb.ndim - 1)))
+                    other._accumulate(_unbroadcast(gb, other.shape))
                 return
-            self._accumulate(_unbroadcast(g @ np.swapaxes(b, -1, -2), self.shape))
-            other._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ g, other.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g @ np.swapaxes(b, -1, -2), self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ g, other.shape))
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data @ other.data, (self, other), "matmul", _backward)
 
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out = self._make_child(np.exp(self.data), (self,), "exp")
+        val = np.exp(self.data)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * out.data)
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * val)
 
-        out._backward = _backward
-        return out
+        return self._make_child(val, (self,), "exp", _backward)
 
     def log(self) -> "Tensor":
-        out = self._make_child(np.log(self.data), (self,), "log")
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout / self.data)
 
-        def _backward() -> None:
-            self._accumulate(out.grad / self.data)
-
-        out._backward = _backward
-        return out
+        return self._make_child(np.log(self.data), (self,), "log", _backward)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
 
     def tanh(self) -> "Tensor":
-        out = self._make_child(np.tanh(self.data), (self,), "tanh")
+        val = np.tanh(self.data)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * (1.0 - out.data**2))
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * (1.0 - val**2))
 
-        out._backward = _backward
-        return out
+        return self._make_child(val, (self,), "tanh", _backward)
 
     def sigmoid(self) -> "Tensor":
         # Numerically stable logistic: evaluate each branch only where it
@@ -330,46 +372,37 @@ class Tensor:
         val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         exp_x = np.exp(x[~pos])
         val[~pos] = exp_x / (1.0 + exp_x)
-        out = self._make_child(val, (self,), "sigmoid")
 
-        def _backward() -> None:
-            self._accumulate(out.grad * out.data * (1.0 - out.data))
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * val * (1.0 - val))
 
-        out._backward = _backward
-        return out
+        return self._make_child(val, (self,), "sigmoid", _backward)
 
     def relu(self) -> "Tensor":
         # Single pass over the data; the backward mask (data > 0) is only
         # materialized if backward actually runs. np.maximum(x, 0) is
         # bitwise identical to x * (x > 0) for finite inputs.
-        out = self._make_child(np.maximum(self.data, 0.0), (self,), "relu")
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * (self.data > 0))
 
-        def _backward() -> None:
-            self._accumulate(out.grad * (self.data > 0))
-
-        out._backward = _backward
-        return out
+        return self._make_child(np.maximum(self.data, 0.0), (self,), "relu", _backward)
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out = self._make_child(np.abs(self.data), (self,), "abs")
+        x = self.data
 
-        def _backward() -> None:
-            self._accumulate(out.grad * sign)
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * np.sign(x))
 
-        out._backward = _backward
-        return out
+        return self._make_child(np.abs(x), (self,), "abs", _backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is passed only where not saturated."""
-        mask = (self.data > low) & (self.data < high)
-        out = self._make_child(np.clip(self.data, low, high), (self,), "clip")
+        x = self.data
 
-        def _backward() -> None:
-            self._accumulate(out.grad * mask)
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout * ((x > low) & (x < high)))
 
-        out._backward = _backward
-        return out
+        return self._make_child(np.clip(x, low, high), (self,), "clip", _backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -379,12 +412,8 @@ class Tensor:
         axis: Optional[Union[int, Tuple[int, ...]]] = None,
         keepdims: bool = False,
     ) -> "Tensor":
-        out = self._make_child(
-            self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum"
-        )
-
-        def _backward() -> None:
-            grad = out.grad
+        def _backward(gout: np.ndarray) -> None:
+            grad = gout
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 axes = tuple(a % self.ndim for a in axes)
@@ -392,8 +421,9 @@ class Tensor:
                 grad = grad.reshape(shape)
             self._accumulate(np.broadcast_to(grad, self.shape).copy())
 
-        out._backward = _backward
-        return out
+        return self._make_child(
+            self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", _backward
+        )
 
     def mean(
         self,
@@ -425,18 +455,16 @@ class Tensor:
         out_data = data_max if keepdims or axis is None else np.squeeze(data_max, axis)
         if axis is None and not keepdims:
             out_data = np.asarray(self.data.max())
-        out = self._make_child(out_data, (self,), "max")
 
-        def _backward() -> None:
+        def _backward(gout: np.ndarray) -> None:
             mask = (self.data == data_max).astype(np.float64)
             mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            grad = out.grad
+            grad = gout
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
             self._accumulate(mask * grad)
 
-        out._backward = _backward
-        return out
+        return self._make_child(out_data, (self,), "max", _backward)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -444,42 +472,36 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make_child(self.data.reshape(shape), (self,), "reshape")
 
-        def _backward() -> None:
-            self._accumulate(out.grad.reshape(self.shape))
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout.reshape(self.shape))
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data.reshape(shape), (self,), "reshape", _backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out = self._make_child(self.data.transpose(axes), (self,), "transpose")
-        inverse = np.argsort(axes)
 
-        def _backward() -> None:
-            self._accumulate(out.grad.transpose(inverse))
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(gout.transpose(np.argsort(axes)))
 
-        out._backward = _backward
-        return out
+        return self._make_child(
+            self.data.transpose(axes), (self,), "transpose", _backward
+        )
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make_child(self.data[index], (self,), "getitem")
-
-        def _backward() -> None:
+        def _backward(gout: np.ndarray) -> None:
             grad = np.zeros_like(self.data, dtype=np.float64)
-            np.add.at(grad, index, out.grad)
+            np.add.at(grad, index, gout)
             self._accumulate(grad)
 
-        out._backward = _backward
-        return out
+        return self._make_child(self.data[index], (self,), "getitem", _backward)
 
     def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
         """Broadcast to ``shape`` (numpy rules); gradient sums the
@@ -490,15 +512,13 @@ class Tensor:
         before :func:`concatenate` costs only the concatenation itself.
         """
         shape = tuple(int(s) for s in shape)
-        out = self._make_child(
-            np.broadcast_to(self.data, shape), (self,), "broadcast"
+
+        def _backward(gout: np.ndarray) -> None:
+            self._accumulate(_unbroadcast(gout, self.shape))
+
+        return self._make_child(
+            np.broadcast_to(self.data, shape), (self,), "broadcast", _backward
         )
-
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-
-        out._backward = _backward
-        return out
 
     def pad2d(self, padding: int) -> "Tensor":
         """Zero-pad the last two (spatial) axes symmetrically."""
@@ -507,17 +527,12 @@ class Tensor:
         if padding < 0:
             raise ValueError(f"padding must be non-negative, got {padding}")
         pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding)] * 2
-        out = self._make_child(np.pad(self.data, pad_width), (self,), "pad2d")
-        slicer = tuple(
-            [slice(None)] * (self.ndim - 2)
-            + [slice(padding, -padding), slice(padding, -padding)]
-        )
 
-        def _backward() -> None:
-            self._accumulate(out.grad[slicer])
+        def _backward(gout: np.ndarray) -> None:
+            inner = slice(padding, -padding)
+            self._accumulate(gout[(slice(None),) * (self.ndim - 2) + (inner, inner)])
 
-        out._backward = _backward
-        return out
+        return self._make_child(np.pad(self.data, pad_width), (self,), "pad2d", _backward)
 
 
 def as_tensor(value: ArrayLike) -> Tensor:
@@ -530,33 +545,31 @@ def as_tensor(value: ArrayLike) -> Tensor:
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors), _op="concat")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
-    def _backward() -> None:
+    def _backward(gout: np.ndarray) -> None:
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * data.ndim
+            slicer = [slice(None)] * gout.ndim
             slicer[axis] = slice(int(start), int(stop))
-            tensor._accumulate(out.grad[tuple(slicer)])
+            tensor._accumulate(gout[tuple(slicer)])
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(
+        np.concatenate([t.data for t in tensors], axis=axis),
+        tuple(tensors),
+        "concat",
+        _backward,
+    )
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stacking of equally-shaped tensors on a new axis."""
     tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors), _op="stack")
 
-    def _backward() -> None:
-        grads = np.moveaxis(out.grad, axis, 0)
+    def _backward(gout: np.ndarray) -> None:
+        grads = np.moveaxis(gout, axis, 0)
         for tensor, grad in zip(tensors, grads):
             tensor._accumulate(grad)
 
-    out._backward = _backward
-    return out
+    return Tensor._make_child(
+        np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack", _backward
+    )

@@ -57,16 +57,20 @@ def module_walk(
     """
     if not into_digital and _is_digital(root):
         return
+    yield from _walk("", root, into_digital)
 
-    def _walk(prefix: str, module: Module) -> Iterator[Tuple[str, Module]]:
-        yield prefix, module
-        for name, child in module._modules.items():
-            if not into_digital and _is_digital(child):
-                continue
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from _walk(child_prefix, child)
 
-    yield from _walk("", root)
+def _walk(
+    prefix: str, module: Module, into_digital: bool
+) -> Iterator[Tuple[str, Module]]:
+    # Module-level, not a closure: a self-recursive nested function is a
+    # reference cycle, left for the cyclic GC on every walk.
+    yield prefix, module
+    for name, child in module._modules.items():
+        if not into_digital and _is_digital(child):
+            continue
+        child_prefix = f"{prefix}.{name}" if prefix else name
+        yield from _walk(child_prefix, child, into_digital)
 
 
 def weighted_layers(module: Module) -> List[Tuple[str, Module]]:
@@ -96,16 +100,16 @@ def digital_subtrees(module: Module) -> List[Tuple[str, Module]]:
     once.
     """
     out: List[Tuple[str, Module]] = []
-
-    def _scan(prefix: str, sub: Module) -> None:
-        if _is_digital(sub):
-            out.append((prefix, sub))
-            return
-        for name, child in sub._modules.items():
-            _scan(f"{prefix}.{name}" if prefix else name, child)
-
-    _scan("", module)
+    _scan("", module, out)
     return out
+
+
+def _scan(prefix: str, sub: Module, out: List[Tuple[str, Module]]) -> None:
+    if _is_digital(sub):
+        out.append((prefix, sub))
+        return
+    for name, child in sub._modules.items():
+        _scan(f"{prefix}.{name}" if prefix else name, child, out)
 
 
 def weighted_layers_digital(module: Module) -> List[Tuple[str, Module]]:

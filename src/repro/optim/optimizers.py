@@ -107,25 +107,42 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
 
     def step(self) -> None:
+        # The moments update in place and the update is built in one reused
+        # buffer, each element seeing the same operations in the same order
+        # as ``lr * m_hat / (sqrt(v_hat) + eps)``. The moments start in the
+        # dtype the first step's textbook expression would promote them to.
+        # ``p.data`` is rebound, never written: an injector's saved nominal
+        # or a caller's snapshot may still hold the old array.
         for p in self._active_params():
             grad = p.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
-            state = self._state.setdefault(
-                id(p),
-                {
+            state = self._state.get(id(p))
+            if state is None:
+                dtype = np.result_type(p.data, grad)
+                state = {
                     "step": np.zeros(()),
-                    "m": np.zeros_like(p.data),
-                    "v": np.zeros_like(p.data),
-                },
-            )
+                    "m": np.zeros(p.data.shape, dtype=dtype),
+                    "v": np.zeros(p.data.shape, dtype=dtype),
+                }
+                self._state[id(p)] = state
             state["step"] += 1
             t = float(state["step"])
-            state["m"] = self.beta1 * state["m"] + (1 - self.beta1) * grad
-            state["v"] = self.beta2 * state["v"] + (1 - self.beta2) * grad**2
-            m_hat = state["m"] / (1 - self.beta1**t)
-            v_hat = state["v"] / (1 - self.beta2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = state["m"], state["v"]
+            scratch = np.multiply(grad, 1 - self.beta1, out=np.empty_like(grad))
+            m *= self.beta1
+            m += scratch
+            np.square(grad, out=scratch)
+            scratch *= 1 - self.beta2
+            v *= self.beta2
+            v += scratch
+            update = np.divide(m, 1 - self.beta1**t, out=np.empty_like(m))
+            update *= self.lr
+            denom = np.divide(v, 1 - self.beta2**t, out=np.empty_like(v))
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.data = p.data - update
 
 
 class RMSprop(Optimizer):

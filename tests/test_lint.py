@@ -28,6 +28,7 @@ from repro.lint.rules import (
     SpecRegistryRule,
     SpecSerializationPairRule,
     StackedBranchRule,
+    TapeClosureRule,
     WallClockRule,
 )
 
@@ -619,6 +620,110 @@ class TestSpecSerializationPair:
                 pass
             """,
             SpecSerializationPairRule,
+        )
+        assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# TAPE001 — backward closures must not reference their own output
+# ---------------------------------------------------------------------------
+class TestTapeClosure:
+    def test_flags_closure_reading_its_output(self, tmp_path):
+        # The def precedes the binding of ``out``: closures bind late.
+        report = lint_snippet(
+            tmp_path,
+            "autograd/tensor.py",
+            """
+            import numpy as np
+
+            class Tensor:
+                def exp(self):
+                    def _backward(gout):
+                        self._accumulate(gout * out.data)
+
+                    out = self._make_child(
+                        np.exp(self.data), (self,), "exp", _backward
+                    )
+                    return out
+            """,
+            TapeClosureRule,
+        )
+        assert rule_ids(report) == ["TAPE001"]
+
+    def test_flags_closure_assigned_to_its_output(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "autograd/functional.py",
+            """
+            def softmax(x, prob):
+                out = Tensor(prob)
+
+                def _backward():
+                    x._accumulate(prob * out.grad)
+
+                out._backward = _backward
+                return out
+            """,
+            TapeClosureRule,
+        )
+        assert rule_ids(report) == ["TAPE001"]
+
+    def test_flags_lambda_passed_as_backward(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "autograd/functional.py",
+            """
+            def tanh(x, val):
+                out = Tensor._make_child(
+                    val, (x,), "tanh", lambda g: x._accumulate(g * out.data)
+                )
+                return out
+            """,
+            TapeClosureRule,
+        )
+        assert rule_ids(report) == ["TAPE001"]
+
+    def test_passes_captured_array_form(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "autograd/tensor.py",
+            """
+            import numpy as np
+
+            class Tensor:
+                def exp(self):
+                    val = np.exp(self.data)
+
+                    def _backward(gout):
+                        self._accumulate(gout * val)
+
+                    out = self._make_child(val, (self,), "exp", _backward)
+                    return out
+
+                def shadowed(self):
+                    def _backward(out):
+                        self._accumulate(out)
+
+                    out = self._make_child(self.data, (self,), "id", _backward)
+                    return out
+            """,
+            TapeClosureRule,
+        )
+        assert report.ok
+
+    def test_skips_code_outside_autograd(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "nn/layers.py",
+            """
+            def exp(self):
+                def _backward(gout):
+                    self._accumulate(gout * out.data)
+
+                out = self._make_child(self.data, (self,), "exp", _backward)
+                return out
+            """,
+            TapeClosureRule,
         )
         assert report.ok
 

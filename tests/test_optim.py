@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn.module import Parameter
 from repro.optim import (
@@ -58,6 +59,41 @@ class TestAdam:
         p.grad = np.ones(1)
         opt.step()
         assert p.data[0] == pytest.approx(-0.1, rel=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple),
+        steps=st.integers(1, 6),
+        lr=st.floats(1e-4, 0.5),
+        beta1=st.floats(0.0, 0.99),
+        beta2=st.floats(0.5, 0.9999),
+        weight_decay=st.sampled_from([0.0, 1e-4, 0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trajectory_is_byte_equal_to_the_textbook_step(
+        self, shape, steps, lr, beta1, beta2, weight_decay, seed
+    ):
+        rng = np.random.default_rng(seed)
+        p = Parameter(rng.normal(size=shape))
+        opt = Adam([p], lr=lr, betas=(beta1, beta2), weight_decay=weight_decay)
+        # The pre-in-place step, kept verbatim on plain arrays.
+        data, m, v = p.data, np.zeros_like(p.data), np.zeros_like(p.data)
+        for t in range(1, steps + 1):
+            grad = rng.normal(size=shape)
+            before = p.data
+            snapshot = before.copy()
+            p.grad = grad
+            opt.step()
+            assert before.tobytes() == snapshot.tobytes()  # rebound, not written
+
+            if weight_decay:
+                grad = grad + weight_decay * data
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad**2
+            m_hat = m / (1 - beta1**t)
+            v_hat = v / (1 - beta2**t)
+            data = data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert p.data.tobytes() == data.tobytes()
 
 
 class TestRMSprop:
