@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 from repro.core.config import fast_pipeline_config
@@ -183,10 +184,10 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--autotune", action="store_true",
-        help="pick engine/workers/chunking from the persisted per-machine "
-        "cost model (measured micro-benchmarks, cached under the user "
-        "cache dir) instead of --engine/--workers/--chunk-samples; "
-        "bitwise-neutral — only execution knobs move",
+        help="race the per-draw and stacked forms of --engine vectorized "
+        "on the run's own first two chunks and run the rest in the faster "
+        "one (--verbose logs the choice); bitwise-neutral, --tolerance "
+        "included",
     )
     parser.add_argument(
         "--dump-accuracies", default=None, metavar="PATH",
@@ -271,19 +272,6 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         # Unset: size the pool to the machine. An explicit --workers 1
         # deliberately degenerates to the serial loop.
         n_workers = os.cpu_count() or 2
-    autotune_kwargs = {}
-    if args.autotune:
-        # Wall clock and cache-dir env reads belong to the CLI layer; the
-        # engine only ever sees the injected callable and resolved path.
-        import time
-
-        from repro.utils.cache import default_autotune_cache
-
-        autotune_kwargs = dict(
-            autotune=True,
-            clock=time.perf_counter,
-            autotune_cache=default_autotune_cache(),
-        )
     evaluator = MonteCarloEvaluator(
         test,
         n_samples=args.max_samples if args.max_samples else args.samples,
@@ -293,7 +281,9 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         memory_budget_mb=args.memory_budget,
         tolerance=args.tolerance,
         dtype=args.dtype,
-        **autotune_kwargs,
+        # Wall-clock reads belong to the CLI layer; the engine only ever
+        # sees the injected callable.
+        clock=time.perf_counter if args.autotune else None,
     )
     variation = _resolve_variation(args)
     result = evaluator.evaluate(model, variation)
@@ -347,8 +337,9 @@ def search_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--autotune", action="store_true",
-        help="pick evaluation backend/workers/chunking from the persisted "
-        "per-machine cost model instead of the defaults",
+        help="race the per-draw and stacked forms on each vectorized "
+        "evaluation's own first chunks (see correctnet-eval --autotune); "
+        "bitwise-neutral",
     )
     args = parser.parse_args(argv)
     if args.verbose:

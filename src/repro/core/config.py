@@ -19,8 +19,9 @@ one place an :class:`EvalConfig` becomes a Monte-Carlo evaluator.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.variation.models import LogNormalVariation, VariationModel
 
@@ -110,9 +111,10 @@ class EvalConfig:
     # backends, but float32 results are NOT float64 results — the store
     # fingerprint includes the dtype.
     dtype: str = "float64"
-    # Pick backend/workers/chunk/data-block from the persisted per-machine
-    # cost model (repro.evaluation.autotune) instead of the flags above.
-    # Bitwise-neutral: tuning only moves execution knobs.
+    # Inject time.perf_counter so a vectorized evaluation races the
+    # per-draw and stacked forms on its own first chunks and runs the rest
+    # in the faster one (repro.evaluation.executor). Bitwise-neutral; the
+    # flags above still pick the backend.
     autotune: bool = False
     # Opt-in result store (see repro.store): when set, the pipeline's
     # full-protocol evaluations go through the fingerprinted cache at this
@@ -190,24 +192,12 @@ def make_evaluator(
     """The Monte-Carlo evaluator ``config`` describes, over ``dataset``.
 
     ``n_samples`` is the draw cap of the stage asking (the full protocol,
-    or the RL search's cheaper estimate). ``config.autotune`` swaps the
-    static backend flags for the measured cost model: the wall clock and
-    the cache path are resolved here, outside the deterministic engine
-    dirs, and injected.
+    or the RL search's cheaper estimate). ``config.autotune`` injects the
+    wall clock the race times chunks with; it is resolved here, outside
+    the deterministic engine dirs.
     """
     from repro.evaluation.montecarlo import MonteCarloEvaluator
 
-    autotune_kwargs: Dict[str, Any] = {}
-    if config.autotune:
-        import time
-
-        from repro.utils.cache import default_autotune_cache
-
-        autotune_kwargs = dict(
-            autotune=True,
-            clock=time.perf_counter,
-            autotune_cache=default_autotune_cache(),
-        )
     return MonteCarloEvaluator(
         dataset,
         n_samples=n_samples,
@@ -221,7 +211,7 @@ def make_evaluator(
         ci_confidence=config.ci_confidence,
         ci_method=config.ci_method,
         dtype=config.dtype,
-        **autotune_kwargs,
+        clock=time.perf_counter if config.autotune else None,
     )
 
 

@@ -20,7 +20,6 @@ from repro.evaluation.executor import (
     IncrementalEvaluation,
     make_adapter,
 )
-from repro.evaluation.autotune import autotune_plan
 from repro.evaluation.plan import build_plan, estimate_sample_bytes, EvalPlan
 from repro.evaluation.sequential import (
     allocate_draws,
@@ -57,7 +56,6 @@ __all__ = [
     "stacked_accuracies",
     "supports_sample_axis",
     "EvalPlan",
-    "autotune_plan",
     "build_plan",
     "estimate_sample_bytes",
     "execute",

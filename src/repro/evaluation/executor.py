@@ -59,6 +59,18 @@ run is a run whose rule never fires. The decision points and the
 per-draw state are identical everywhere, so the stop point is
 engine-invariant and an adaptive run's draws are a bitwise prefix of the
 fixed-S run on the same seed.
+
+The race (``--autotune``): neither in-process form is fastest on every
+model, and a chunk's accuracies are identical in either, so a vectorized
+evaluation given an injected :data:`Clock` times its own chunks instead of
+a probe. The first chunk it runs goes per-draw, the second stacked; the
+form with the lower seconds per draw runs every later chunk. The per-draw
+form goes first, so it also pays the run's first-touch costs. The race
+starts only when at least three chunks remain, so the decision always has
+a chunk to pay for. It never touches the plan, the chunk bounds or the
+stopping rule, so a raced run returns the clockless run's draws bitwise,
+including where an adaptive rule stops it. Without a clock nothing is
+timed: the engine never reads wall time itself (reprolint DET001).
 """
 
 from __future__ import annotations
@@ -94,11 +106,22 @@ from repro.hardware.analog_layers import (
     preserved_programming,
 )
 from repro.nn.module import Module
+from repro.utils.logging import get_logger
 from repro.variation.injector import VariationInjector
 from repro.variation.models import VariationModel
 
 if TYPE_CHECKING:
     from repro.evaluation.montecarlo import MCResult
+
+logger = get_logger("evaluation.executor")
+
+#: Injected time source: a monotonic seconds counter (``time.perf_counter``
+#: under ``--autotune``). The engine reads wall time only through one.
+Clock = Callable[[], float]
+
+#: The race's running order: the first timed chunk runs per-draw, the
+#: second stacked.
+RACE_FORMS = ("per-draw", "stacked")
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +374,11 @@ class IncrementalEvaluation:
     bitwise-identical to an uninterrupted one, including where an adaptive
     rule would have stopped it.
 
+    ``clock`` turns on the race (module docstring) for a vectorized plan
+    with targets to draw; :attr:`race` then holds each timed form's
+    seconds per draw and :attr:`winner` the form that runs from the third
+    chunk on. Other plans never call the clock.
+
     Use as a context manager: entry opens the adapter's run context
     (weight restoration / analog chip-state snapshot), exit restores it.
     """
@@ -361,11 +389,15 @@ class IncrementalEvaluation:
         model: Module,
         dataset: ArrayDataset,
         on_chunk: Optional[ChunkHook] = None,
+        clock: Optional[Clock] = None,
     ) -> None:
         self.plan = plan
         self.model = model
         self.dataset = _cast_dataset(dataset, plan.dtype)
         self.on_chunk = on_chunk
+        self.clock = clock
+        self.race: Dict[str, float] = {}
+        self.winner: Optional[str] = None
         self.accuracies: List[float] = []
         self.adapter: ModelAdapter = make_adapter(model, plan)
         if plan.deterministic:
@@ -449,16 +481,50 @@ class IncrementalEvaluation:
                 )
             accs = [self._nominal] * (stop - start)
         else:
-            run = (
-                _stacked_accuracies
-                if self.plan.backend == "vectorized"
-                else _loop_accuracies
-            )
+            form, clock = self._next_form()
+            run = _stacked_accuracies if form == "stacked" else _loop_accuracies
+            began = clock() if clock is not None else 0.0
             accs = run(
                 self.model, self.dataset, self.adapter, self.plan,
                 self._rngs[start:stop],
             )
+            if clock is not None:
+                self._time(form, (clock() - began) / (stop - start))
         return self.land_chunk(accs)
+
+    def _next_form(self) -> Tuple[str, Optional[Clock]]:
+        """The next chunk's form, and the clock to time it with when it is
+        one of the race's two timed chunks (``None`` otherwise).
+
+        The race needs a clock and a vectorized plan (in-process, with
+        targets to draw); it starts only with at least three chunks left,
+        so the decision always has a chunk to pay for.
+        """
+        if self.plan.backend != "vectorized":
+            return "per-draw", None
+        if self.winner is not None:
+            return self.winner, None
+        if self.clock is None or (
+            not self.race and len(self._bounds) - self._next < 3
+        ):
+            return "stacked", None
+        return RACE_FORMS[len(self.race)], self.clock
+
+    def _time(self, form: str, seconds_per_draw: float) -> None:
+        """Record a timed chunk; the second one decides the race."""
+        self.race[form] = seconds_per_draw
+        if len(self.race) < len(RACE_FORMS):
+            return
+        self.winner = min(RACE_FORMS, key=lambda name: self.race[name])
+        logger.info(
+            "race: %s; later chunks run %s (%d left in the schedule)",
+            ", ".join(
+                f"{name} {1e3 * self.race[name]:.3g} ms/draw"
+                for name in RACE_FORMS
+            ),
+            self.winner,
+            len(self._bounds) - self._next - 1,
+        )
 
     def land_chunk(self, accs: Sequence[float], emit: bool = True) -> int:
         """Land the next chunk's draws; returns how many landed.
@@ -575,6 +641,7 @@ def execute(
     model: Module,
     dataset: ArrayDataset,
     on_chunk: Optional[ChunkHook] = None,
+    clock: Optional[Clock] = None,
 ) -> "MCResult":
     """Run ``plan`` against ``model``/``dataset``; returns an ``MCResult``.
 
@@ -586,7 +653,9 @@ def execute(
 
     ``on_chunk`` streams each chunk's draws to the caller as it lands, in
     schedule order on every backend (the result store persists restart
-    points through it).
+    points through it). ``clock`` races the in-process forms on a
+    vectorized plan's own chunks (module docstring); the result is the
+    clockless run's, bitwise.
     """
     if plan.deterministic and on_chunk is None:
         with _dtype_scope(model, plan.dtype):
@@ -598,7 +667,9 @@ def execute(
                     )
                 ],
             )
-    evaluation = IncrementalEvaluation(plan, model, dataset, on_chunk=on_chunk)
+    evaluation = IncrementalEvaluation(
+        plan, model, dataset, on_chunk=on_chunk, clock=clock
+    )
     if plan.backend == "pool" and not plan.deterministic:
         _run_pool(evaluation)
         return evaluation.result()

@@ -11,8 +11,8 @@ original accuracy").
 A tail subset is a variation spec, not a list of modules:
 :func:`tail_spec` holds every layer before ``i`` at ``none``. So a sweep
 point is pure data like any other evaluation — it fingerprints, caches,
-runs as a store job, goes through the autotuner and runs on analog
-models.
+runs as a store job, races its own chunks under ``--autotune`` and runs
+on analog models.
 """
 
 from __future__ import annotations

@@ -55,13 +55,12 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.executor import execute, IncrementalEvaluation
+from repro.evaluation.executor import Clock, execute, IncrementalEvaluation
 from repro.evaluation.plan import build_plan
 from repro.evaluation.sequential import (
     allocate_draws,
@@ -215,9 +214,10 @@ class MonteCarloEvaluator:
     chunk_samples:
         Samples evaluated per stacked pass; wins over
         ``memory_budget_mb``. ``None`` uses
-        :data:`~repro.evaluation.plan.DEFAULT_CHUNK_SAMPLES`, which a pool
-        plan may shrink so every worker gets a chunk. Results are bitwise
-        independent of this knob.
+        :data:`~repro.evaluation.plan.DEFAULT_CHUNK_SAMPLES`, which a
+        fixed-S pool plan may shrink so every worker gets a chunk. A
+        fixed-S run's results are bitwise independent of this knob; an
+        adaptive run decides whether to stop at chunk boundaries.
     memory_budget_mb:
         Derive the chunk size from a peak-memory budget for stacked state
         (see :func:`repro.evaluation.plan.estimate_sample_bytes`).
@@ -237,6 +237,12 @@ class MonteCarloEvaluator:
     ci_confidence / ci_method:
         Confidence level and interval estimator ("clt" or "wilson") used
         both for stop decisions and for reported ``ci_low``/``ci_high``.
+    clock:
+        An injected seconds counter (``time.perf_counter`` under
+        ``--autotune``). A vectorized evaluation then races the per-draw
+        and stacked forms on its own first two chunks and runs the rest
+        in the faster one (see :mod:`repro.evaluation.executor`). Results
+        are bitwise those of the clockless run, and plans never see it.
     """
 
     def __init__(
@@ -255,9 +261,7 @@ class MonteCarloEvaluator:
         ci_confidence: float = 0.95,
         ci_method: str = "clt",
         dtype: str = "float64",
-        autotune: bool = False,
-        clock: Optional[Callable[[], float]] = None,
-        autotune_cache: Optional[Path] = None,
+        clock: Optional[Clock] = None,
     ) -> None:
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -301,9 +305,7 @@ class MonteCarloEvaluator:
         self.ci_confidence = ci_confidence
         self.ci_method = ci_method
         self.dtype = dtype
-        self.autotune = autotune
         self.clock = clock
-        self.autotune_cache = autotune_cache
 
     def plan(
         self,
@@ -319,32 +321,8 @@ class MonteCarloEvaluator:
         form of :meth:`evaluate`'s dispatch. The model must be in the mode
         it will be evaluated in (``evaluate`` forces eval mode).
         ``tolerance``/``max_samples``/``min_samples`` override the
-        evaluator defaults for this plan only.
-
-        With ``autotune=True`` the execution knobs come from
-        :func:`~repro.evaluation.autotune.autotune_plan` instead of the
-        evaluator's flags: a persisted per-machine cost model, probed
-        through the injected ``clock`` when one is available."""
-        if self.autotune:
-            from repro.evaluation.autotune import autotune_plan
-
-            return autotune_plan(
-                model,
-                self.dataset,
-                variation,
-                n_samples=self.n_samples if max_samples is None else max_samples,
-                seed=self.seed,
-                dtype=self.dtype,
-                clock=self.clock,
-                cache_path=self.autotune_cache,
-                batch_size=self.batch_size,
-                tolerance=self.tolerance if tolerance is None else tolerance,
-                min_samples=(
-                    self.min_samples if min_samples is None else min_samples
-                ),
-                ci_confidence=self.ci_confidence,
-                ci_method=self.ci_method,
-            )
+        evaluator defaults for this plan only. A pure function of its
+        inputs: the ``clock`` never enters a plan."""
         return build_plan(
             model,
             self.dataset,
@@ -404,7 +382,7 @@ class MonteCarloEvaluator:
                 max_samples=max_samples,
                 min_samples=min_samples,
             )
-            return execute(plan, model, self.dataset)
+            return execute(plan, model, self.dataset, clock=self.clock)
         finally:
             model.train(was_training)
 
@@ -433,7 +411,9 @@ class MonteCarloEvaluator:
         is already tight"; without one, points only stop at their sample
         cap. Each point's draws remain a contiguous prefix of its own
         seed schedule, so the paired-prefix contract holds per point no
-        matter how the budget is interleaved.
+        matter how the budget is interleaved. With a ``clock`` each point
+        races on its own chunks, because points with different specs can
+        favour different forms.
         """
         tolerance = self.tolerance if tolerance is None else tolerance
         budget = (
@@ -454,6 +434,7 @@ class MonteCarloEvaluator:
                             ),
                             model,
                             self.dataset,
+                            clock=self.clock,
                         )
                     )
                     for variation in points

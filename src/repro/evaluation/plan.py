@@ -76,7 +76,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.sequential import HalfWidthRule, StoppingRule
+from repro.evaluation.sequential import FixedSamples, HalfWidthRule, StoppingRule
 from repro.evaluation.vectorized import sample_axis_blockers, supports_sample_axis
 from repro.hardware.analog_layers import analog_layers, has_read_noise
 from repro.nn.module import Module
@@ -95,8 +95,8 @@ STACKED_ACTIVATION_FACTOR = 8.0
 _BACKENDS = ("loop", "vectorized", "pool")
 
 #: Stacked-chunk size when the caller sets neither ``chunk_samples`` nor
-#: ``memory_budget_mb``. Only a default: a pool plan shrinks it so every
-#: worker gets a chunk.
+#: ``memory_budget_mb``. Only a default: a fixed-S pool plan shrinks it so
+#: every worker gets a chunk.
 DEFAULT_CHUNK_SAMPLES = 16
 
 #: Evaluation dtypes the plan may request. float64 is the historical
@@ -255,12 +255,15 @@ def build_plan(
     workers against the hybrid.
 
     ``dtype`` picks the evaluation precision (see module docstring). Pool
-    tasks are whole chunks, so a *defaulted* chunk size first shrinks
-    until every requested worker has a chunk (chunking is
-    bitwise-neutral); when chunks are pinned (explicit ``chunk_samples``
-    or a memory budget), ``n_workers`` is instead clamped to the number of
-    chunks — extra workers would pay the start-up cost and then receive
-    no chunk — with the clamp recorded in ``backend_reason``.
+    tasks are whole chunks, so in a fixed-S plan a *defaulted* chunk size
+    first shrinks until every requested worker has a chunk (chunking is
+    bitwise-neutral there). An adaptive plan keeps its chunk, because
+    the rule decides at chunk boundaries and a smaller chunk would move
+    the stop point. Otherwise — chunks pinned by an explicit
+    ``chunk_samples`` or a memory budget, or an adaptive plan —
+    ``n_workers`` is clamped to the number of chunks (extra workers would
+    pay the start-up cost and then receive no chunk), with the clamp
+    recorded in ``backend_reason``.
 
     Sequential stopping: an explicit ``stopping`` rule wins; otherwise a
     ``tolerance`` builds a
@@ -315,10 +318,12 @@ def build_plan(
             and n_chunks < n_workers
             and chunk_samples is None
             and memory_budget_mb is None
+            and (stopping is None or isinstance(stopping, FixedSamples))
         ):
             # The chunk size was only a default: shrink it so every
-            # requested worker gets a whole chunk (chunking is bitwise-
-            # neutral, so this is a pure scheduling adjustment).
+            # requested worker gets a whole chunk (without a rule that
+            # can fire, chunking is bitwise-neutral, so this is a pure
+            # scheduling adjustment).
             chunk = max(1, -(-n_samples // n_workers))
             n_chunks = -(-n_samples // chunk)
         if n_workers > n_chunks:

@@ -341,3 +341,21 @@ class TestAdaptiveEvaluator:
         ]
         assert len({o.n_samples_used for o in outs}) == 1
         assert outs[0].accuracies == outs[1].accuracies == outs[2].accuracies
+
+    def test_cross_backend_stop_point_invariance_defaulted_chunk(self):
+        """A pool keeps an adaptive plan's defaulted chunk: shrinking it to
+        feed both workers would move the rule's decision points."""
+        from repro.data import synth_mnist
+        from repro.models.registry import build_model
+
+        train, test = synth_mnist(train_per_class=8, test_per_class=8)
+        model = build_model("mlp", train, seed=0)
+        kwargs = dict(n_samples=12, seed=3, tolerance=0.05, min_samples=2)
+        outs = [
+            MonteCarloEvaluator(test, **backend, **kwargs).evaluate(
+                model, LogNormalVariation(0.5))
+            for backend in (dict(vectorized=False), dict(vectorized=True),
+                            dict(vectorized=False, n_workers=2))
+        ]
+        assert [o.n_samples_used for o in outs] == [12, 12, 12]
+        assert outs[0].accuracies == outs[1].accuracies == outs[2].accuracies
