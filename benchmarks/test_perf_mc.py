@@ -37,7 +37,7 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   fixed protocol, with the adaptive mean agreeing with the fixed mean
   within the adaptive run's reported CI. The acceptance bar: at least
   half the grid points finish within 40% of the fixed draw count.
-- ``race`` — ``--autotune``'s race (a clocked vectorized evaluation times
+- ``race`` — the front ends' race (a clocked vectorized evaluation times
   its first chunk per-draw and its second stacked, then runs the faster
   form) vs each fixed form, on untrained ``resnet8`` (80 synth-CIFAR-10
   images), where the per-draw loop is faster, and on the LeNet5-MNIST
@@ -506,7 +506,7 @@ def test_mc_compensation_samples(workbench, pairs):
 
 
 def test_mc_race_tracks_faster_form(workbench, pairs):
-    """The race (``--autotune``) vs both fixed in-process forms.
+    """The race (the front ends' default) vs both fixed in-process forms.
 
     Neither form is fastest everywhere: the per-draw loop wins on
     ``resnet8``, the stacked kernels on LeNet5. A clocked evaluation

@@ -85,11 +85,6 @@ def _add_chunk_args(parser: argparse.ArgumentParser) -> None:
         "memory of stacked weights/conductance planes without changing "
         "results (chunking is bitwise-neutral)",
     )
-    parser.add_argument(
-        "--memory-budget", type=float, default=None, metavar="MB",
-        help="derive --chunk-samples from a peak-memory budget in MiB for "
-        "stacked state (an explicit --chunk-samples wins)",
-    )
 
 
 def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
@@ -164,8 +159,11 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--samples", type=int, default=50)
     parser.add_argument(
         "--engine", choices=["vectorized", "loop", "pool"], default="vectorized",
-        help="MC engine: vectorized stacked-weight passes (seed-paired with "
-        "the reference loop), the reference loop itself, or a process pool",
+        help="MC engine: vectorized (stacked-weight passes; a run of at "
+        "least 3 chunks races them against per-draw passes on its first "
+        "two chunks and runs the rest in the faster form, which --verbose "
+        "logs), the reference loop, or a process pool. All three are "
+        "seed-paired: identical results",
     )
     parser.add_argument(
         "--workers", type=int, default=0,
@@ -181,13 +179,6 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         "protocol) or float32 (half the memory traffic, ~2x GEMM "
         "throughput; results are seed-paired across engines per dtype "
         "but differ from float64's). Weight-domain only",
-    )
-    parser.add_argument(
-        "--autotune", action="store_true",
-        help="race the per-draw and stacked forms of --engine vectorized "
-        "on the run's own first two chunks and run the rest in the faster "
-        "one (--verbose logs the choice); bitwise-neutral, --tolerance "
-        "included",
     )
     parser.add_argument(
         "--dump-accuracies", default=None, metavar="PATH",
@@ -278,12 +269,11 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         vectorized=args.engine == "vectorized",
         n_workers=n_workers,
         chunk_samples=args.chunk_samples,
-        memory_budget_mb=args.memory_budget,
         tolerance=args.tolerance,
         dtype=args.dtype,
         # Wall-clock reads belong to the CLI layer; the engine only ever
         # sees the injected callable.
-        clock=time.perf_counter if args.autotune else None,
+        clock=time.perf_counter,
     )
     variation = _resolve_variation(args)
     result = evaluator.evaluate(model, variation)
@@ -335,12 +325,6 @@ def search_main(argv: Optional[List[str]] = None) -> int:
         help="evaluation arithmetic for the pipeline's Monte-Carlo stages "
         "(float32 halves memory traffic; weight-domain only)",
     )
-    parser.add_argument(
-        "--autotune", action="store_true",
-        help="race the per-draw and stacked forms on each vectorized "
-        "evaluation's own first chunks (see correctnet-eval --autotune); "
-        "bitwise-neutral",
-    )
     args = parser.parse_args(argv)
     if args.verbose:
         set_verbosity()
@@ -353,14 +337,11 @@ def search_main(argv: Optional[List[str]] = None) -> int:
     )
     if args.chunk_samples is not None:
         config.eval.chunk_samples = args.chunk_samples
-    if args.memory_budget is not None:
-        config.eval.memory_budget_mb = args.memory_budget
     if args.tolerance is not None:
         config.eval.tolerance = args.tolerance
     if args.max_samples is not None:
         config.eval.n_samples = args.max_samples
     config.eval.dtype = args.dtype
-    config.eval.autotune = args.autotune
     result = CorrectNet(model, train, test, config).run()
     print(
         format_table(

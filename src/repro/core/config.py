@@ -91,9 +91,6 @@ class EvalConfig:
     # (chunking never changes results), purely a peak-memory/locality knob.
     # None leaves it to the planner (see repro.evaluation.plan).
     chunk_samples: Optional[int] = None
-    # Without a chunk size, derive one from a peak-memory budget (see
-    # repro.evaluation.plan.estimate_sample_bytes).
-    memory_budget_mb: Optional[float] = None
     # Sequential (adaptive) stopping: a CI half-width target turns
     # n_samples into a cap (see repro.evaluation.sequential). None keeps
     # the paper's fixed-S protocol.
@@ -111,11 +108,6 @@ class EvalConfig:
     # backends, but float32 results are NOT float64 results — the store
     # fingerprint includes the dtype.
     dtype: str = "float64"
-    # Inject time.perf_counter so a vectorized evaluation races the
-    # per-draw and stacked forms on its own first chunks and runs the rest
-    # in the faster one (repro.evaluation.executor). Bitwise-neutral; the
-    # flags above still pick the backend.
-    autotune: bool = False
     # Opt-in result store (see repro.store): when set, the pipeline's
     # full-protocol evaluations go through the fingerprinted cache at this
     # sqlite path — a repeated evaluation of identical logical inputs
@@ -192,9 +184,11 @@ def make_evaluator(
     """The Monte-Carlo evaluator ``config`` describes, over ``dataset``.
 
     ``n_samples`` is the draw cap of the stage asking (the full protocol,
-    or the RL search's cheaper estimate). ``config.autotune`` injects the
-    wall clock the race times chunks with; it is resolved here, outside
-    the deterministic engine dirs.
+    or the RL search's cheaper estimate). The evaluator gets the wall
+    clock its race times chunks with, so a vectorized evaluation runs
+    each later chunk in the faster of the per-draw and stacked forms
+    (``repro.evaluation.executor``; bitwise-neutral). The clock is
+    resolved here, outside the deterministic engine dirs.
     """
     from repro.evaluation.montecarlo import MonteCarloEvaluator
 
@@ -205,13 +199,12 @@ def make_evaluator(
         vectorized=config.vectorized,
         n_workers=config.n_workers,
         chunk_samples=config.chunk_samples,
-        memory_budget_mb=config.memory_budget_mb,
         tolerance=config.tolerance,
         min_samples=config.min_samples,
         ci_confidence=config.ci_confidence,
         ci_method=config.ci_method,
         dtype=config.dtype,
-        clock=time.perf_counter if config.autotune else None,
+        clock=time.perf_counter,
     )
 
 

@@ -10,7 +10,7 @@ last layer" experiment — each point a :func:`tail_spec` — from which
 deviations that motivate error suppression (Fig. 4).
 Sequential stopping (``evaluate(tolerance=...)``) lives in
 ``repro.evaluation.sequential``: interval estimators, the
-:class:`StoppingRule` family and the sweep-level draw allocator.
+:class:`HalfWidthRule` and the sweep-level draw allocator.
 """
 
 from repro.evaluation.metrics import accuracy, recovery_ratio
@@ -20,15 +20,13 @@ from repro.evaluation.executor import (
     IncrementalEvaluation,
     make_adapter,
 )
-from repro.evaluation.plan import build_plan, estimate_sample_bytes, EvalPlan
+from repro.evaluation.plan import build_plan, EvalPlan
 from repro.evaluation.sequential import (
     allocate_draws,
     clt_interval,
-    FixedSamples,
     half_width,
     HalfWidthRule,
     interval,
-    StoppingRule,
     wilson_interval,
 )
 from repro.evaluation.vectorized import stacked_accuracies, supports_sample_axis
@@ -57,12 +55,9 @@ __all__ = [
     "supports_sample_axis",
     "EvalPlan",
     "build_plan",
-    "estimate_sample_bytes",
     "execute",
     "make_adapter",
     "IncrementalEvaluation",
-    "StoppingRule",
-    "FixedSamples",
     "HalfWidthRule",
     "interval",
     "clt_interval",

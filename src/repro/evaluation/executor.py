@@ -60,17 +60,20 @@ per-draw state are identical everywhere, so the stop point is
 engine-invariant and an adaptive run's draws are a bitwise prefix of the
 fixed-S run on the same seed.
 
-The race (``--autotune``): neither in-process form is fastest on every
-model, and a chunk's accuracies are identical in either, so a vectorized
-evaluation given an injected :data:`Clock` times its own chunks instead of
-a probe. The first chunk it runs goes per-draw, the second stacked; the
-form with the lower seconds per draw runs every later chunk. The per-draw
-form goes first, so it also pays the run's first-touch costs. The race
-starts only when at least three chunks remain, so the decision always has
-a chunk to pay for. It never touches the plan, the chunk bounds or the
-stopping rule, so a raced run returns the clockless run's draws bitwise,
-including where an adaptive rule stops it. Without a clock nothing is
-timed: the engine never reads wall time itself (reprolint DET001).
+The race: neither in-process form is fastest on every model, and a
+chunk's accuracies are identical in either, so a vectorized evaluation
+given an injected :data:`Clock` times its own chunks instead of a probe.
+The first chunk it runs goes per-draw, the second stacked; the form with
+the lower seconds per draw runs every later chunk. The per-draw form goes
+first, so it also pays the run's first-touch costs. The race starts only
+when at least three chunks remain, so the decision always has a chunk to
+pay for. It never touches the plan, the chunk bounds or the stopping
+rule, so a raced run returns the clockless run's draws bitwise, including
+where an adaptive rule stops it. The front ends (``correctnet-eval``,
+``correctnet-search`` and ``repro.core.config.make_evaluator``) always
+inject a clock; library callers opt in by passing ``clock=``. Without one
+nothing is timed: the engine never reads wall time itself (reprolint
+DET001).
 """
 
 from __future__ import annotations
@@ -98,8 +101,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.metrics import accuracy
-from repro.evaluation.plan import EvalPlan
-from repro.evaluation.sequential import HalfWidthRule
+from repro.evaluation.plan import EvalPlan, LOOP_BATCH
 from repro.evaluation.vectorized import stacked_accuracies
 from repro.hardware.analog_layers import (
     analog_layers,
@@ -116,7 +118,7 @@ if TYPE_CHECKING:
 logger = get_logger("evaluation.executor")
 
 #: Injected time source: a monotonic seconds counter (``time.perf_counter``
-#: under ``--autotune``). The engine reads wall time only through one.
+#: in the front ends). The engine reads wall time only through one.
 Clock = Callable[[], float]
 
 #: The race's running order: the first timed chunk runs per-draw, the
@@ -330,18 +332,17 @@ def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
     (or a sweep budget) cut the schedule short. Deterministic plans report
     their single nominal draw without the flag, and the result carries the
     stopping rule's CI settings so ``ci_low``/``ci_high`` are computed the
-    same way the stop decision was made.
+    same way the stop decision was made (a fixed-S plan reports a 95% CLT
+    interval).
     """
     from repro.evaluation.montecarlo import MCResult
 
     rule = plan.stopping
-    confidence = rule.confidence if isinstance(rule, HalfWidthRule) else 0.95
-    method = rule.method if isinstance(rule, HalfWidthRule) else "clt"
     return MCResult(
         accuracies,
         stopped_early=not plan.deterministic and len(accuracies) < plan.n_samples,
-        confidence=confidence,
-        ci_method=method,
+        confidence=0.95 if rule is None else rule.confidence,
+        ci_method="clt" if rule is None else rule.method,
     )
 
 
@@ -471,14 +472,12 @@ class IncrementalEvaluation:
             return 0
         start, stop = self._bounds[self._next]
         if self.plan.deterministic:
-            accs = [accuracy(self.model, self.dataset, self.plan.batch_size)]
+            accs = [accuracy(self.model, self.dataset, LOOP_BATCH)]
         elif self.plan.backend == "vectorized" and not self.adapter.has_targets:
             # No target parameters (every layer resolves to none): every
             # sample sees nominal weights, matching what the loop measures.
             if self._nominal is None:
-                self._nominal = accuracy(
-                    self.model, self.dataset, self.plan.batch_size
-                )
+                self._nominal = accuracy(self.model, self.dataset, LOOP_BATCH)
             accs = [self._nominal] * (stop - start)
         else:
             form, clock = self._next_form()
@@ -647,9 +646,10 @@ def execute(
 
     The model must be in the mode the plan was built against (the
     evaluator forces eval mode around both calls). Deterministic plans —
-    no variation to sample, no read noise — short-circuit to a single
-    nominal evaluation. Plans carrying a stopping rule run chunk-by-chunk
-    and may halt before the ``n_samples`` cap (``MCResult.stopped_early``).
+    no variation to sample, no read noise — run as a one-draw schedule: a
+    single nominal evaluation. Plans carrying a stopping rule run
+    chunk-by-chunk and may halt before the ``n_samples`` cap
+    (``MCResult.stopped_early``).
 
     ``on_chunk`` streams each chunk's draws to the caller as it lands, in
     schedule order on every backend (the result store persists restart
@@ -657,16 +657,6 @@ def execute(
     vectorized plan's own chunks (module docstring); the result is the
     clockless run's, bitwise.
     """
-    if plan.deterministic and on_chunk is None:
-        with _dtype_scope(model, plan.dtype):
-            return _result(
-                plan,
-                [
-                    accuracy(
-                        model, _cast_dataset(dataset, plan.dtype), plan.batch_size
-                    )
-                ],
-            )
     evaluation = IncrementalEvaluation(
         plan, model, dataset, on_chunk=on_chunk, clock=clock
     )

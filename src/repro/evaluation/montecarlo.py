@@ -30,9 +30,8 @@ is applied — differs (see ``repro.evaluation.executor``).
 Memory-bounded streaming: stacked execution materializes per-draw state
 (weight stacks / conductance planes) for ``chunk_samples`` draws at a
 time, so arbitrarily large sample counts stream through fixed memory with
-results bitwise identical to the unchunked run. The chunk size may be set
-explicitly (``chunk_samples``), derived from a byte budget
-(``memory_budget_mb``), or left at the plan's default.
+results bitwise identical to the unchunked run. The chunk size is
+``chunk_samples``, or the plan's default when unset.
 
 Every ``variation`` argument accepts a full spec — a ``VariationModel``, a
 grammar string (``"lognormal:0.5+quant:4"``), or a spec dict (see
@@ -201,8 +200,6 @@ class MonteCarloEvaluator:
         Number of independent weight samples (paper: 250).
     seed:
         Root seed; sample ``i`` uses the i-th spawned stream.
-    batch_size:
-        Data batch size per unstacked forward pass.
     vectorized:
         Evaluate all samples per data batch in one stacked-weight pass
         when the model supports it (see module docstring). Falls back to
@@ -212,21 +209,17 @@ class MonteCarloEvaluator:
         the sample chunks to a process pool of this size; workers run
         stacked chunks when the model supports them.
     chunk_samples:
-        Samples evaluated per stacked pass; wins over
-        ``memory_budget_mb``. ``None`` uses
+        Samples evaluated per stacked pass. ``None`` uses
         :data:`~repro.evaluation.plan.DEFAULT_CHUNK_SAMPLES`, which a
         fixed-S pool plan may shrink so every worker gets a chunk. A
         fixed-S run's results are bitwise independent of this knob; an
         adaptive run decides whether to stop at chunk boundaries.
-    memory_budget_mb:
-        Derive the chunk size from a peak-memory budget for stacked state
-        (see :func:`repro.evaluation.plan.estimate_sample_bytes`).
     data_block:
-        Internal data-batch size for stacked passes (and for every analog
-        sweep — read-noise streams advance per MVM call, so all analog
-        execution shares one blocking). Stacked intermediates are S times
-        larger than ordinary activations, so blocks stay cache-sized
-        instead of using ``batch_size``.
+        Internal data-batch size for stacked passes and for every analog
+        sweep. Stacked intermediates are S times larger than ordinary
+        activations, so blocks stay cache-sized; analog sweeps use it for
+        speed. Results never depend on it, read noise included (see
+        :mod:`repro.evaluation.plan`).
     tolerance:
         Default CI half-width target for sequential stopping; ``None``
         (the default) runs the paper's fixed-S protocol. ``n_samples``
@@ -238,11 +231,12 @@ class MonteCarloEvaluator:
         Confidence level and interval estimator ("clt" or "wilson") used
         both for stop decisions and for reported ``ci_low``/``ci_high``.
     clock:
-        An injected seconds counter (``time.perf_counter`` under
-        ``--autotune``). A vectorized evaluation then races the per-draw
-        and stacked forms on its own first two chunks and runs the rest
-        in the faster one (see :mod:`repro.evaluation.executor`). Results
-        are bitwise those of the clockless run, and plans never see it.
+        An injected seconds counter (``time.perf_counter`` in the front
+        ends; ``None``, the default, reads no time). A vectorized
+        evaluation then races the per-draw and stacked forms on its own
+        first two chunks and runs the rest in the faster one (see
+        :mod:`repro.evaluation.executor`). Results are bitwise those of
+        the clockless run, and plans never see it.
     """
 
     def __init__(
@@ -250,12 +244,10 @@ class MonteCarloEvaluator:
         dataset: ArrayDataset,
         n_samples: int = 250,
         seed: SeedLike = 1234,
-        batch_size: int = 256,
         vectorized: bool = False,
         n_workers: int = 0,
         data_block: int = 64,
         chunk_samples: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
         tolerance: Optional[float] = None,
         min_samples: Optional[int] = None,
         ci_confidence: float = 0.95,
@@ -272,10 +264,6 @@ class MonteCarloEvaluator:
         if chunk_samples is not None and chunk_samples <= 0:
             raise ValueError(
                 f"chunk_samples must be positive, got {chunk_samples}"
-            )
-        if memory_budget_mb is not None and memory_budget_mb <= 0:
-            raise ValueError(
-                f"memory_budget_mb must be positive, got {memory_budget_mb}"
             )
         if tolerance is not None and tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -294,12 +282,10 @@ class MonteCarloEvaluator:
         self.dataset = dataset
         self.n_samples = n_samples
         self.seed = seed
-        self.batch_size = batch_size
         self.vectorized = vectorized
         self.n_workers = n_workers
         self.data_block = data_block
         self.chunk_samples = chunk_samples
-        self.memory_budget_mb = memory_budget_mb
         self.tolerance = tolerance
         self.min_samples = min_samples
         self.ci_confidence = ci_confidence
@@ -329,12 +315,10 @@ class MonteCarloEvaluator:
             variation,
             n_samples=self.n_samples if max_samples is None else max_samples,
             seed=self.seed,
-            batch_size=self.batch_size,
             vectorized=self.vectorized,
             n_workers=self.n_workers,
             data_block=self.data_block,
             chunk_samples=self.chunk_samples,
-            memory_budget_mb=self.memory_budget_mb,
             tolerance=self.tolerance if tolerance is None else tolerance,
             min_samples=self.min_samples if min_samples is None else min_samples,
             ci_confidence=self.ci_confidence,

@@ -5,9 +5,9 @@ Historically ``MonteCarloEvaluator`` grew six near-duplicate engine bodies
 re-implementing the paired-seed protocol, the sample chunking and the data
 blocking on its own. This module factors the *decisions* out of the
 *execution*: :func:`build_plan` resolves a variation spec, the model's
-domain (weight vs analog), the execution backend, the seed schedule and a
-memory-bounded sample-chunking schedule into one immutable :class:`EvalPlan`,
-and ``repro.evaluation.executor`` runs any plan through one generic driver
+domain (weight vs analog), the execution backend, the seed schedule and
+the sample-chunking schedule into one immutable :class:`EvalPlan`, and
+``repro.evaluation.executor`` runs any plan through one generic driver
 per backend. The paired-seed contract lives in exactly one place — the
 plan's ``draw_rngs`` schedule plus the model adapters' per-stream
 consumption — instead of six.
@@ -39,18 +39,18 @@ Plan axes
   ``chunk_samples`` bounds that, so arbitrarily large ``n_samples`` stream
   through fixed memory with results bitwise identical to the unchunked
   run (per-draw results never depend on chunk boundaries). The chunk size
-  may be given explicitly, derived from ``memory_budget_mb`` via
-  :func:`estimate_sample_bytes`, or left at
-  :data:`DEFAULT_CHUNK_SAMPLES`.
-- **Data blocking.** Unstacked full sweeps use ``batch_size`` in the
-  weight domain and ``data_block`` for analog models (read-noise streams
-  advance per MVM call, so all analog execution must share one blocking);
-  stacked sweeps always use ``data_block`` (stacked intermediates are S
-  times larger, so blocks stay cache-sized).
+  is the caller's ``chunk_samples``, else :data:`DEFAULT_CHUNK_SAMPLES`,
+  capped at ``n_samples``.
+- **Data blocking.** Unstacked weight-domain sweeps use the throughput
+  batch :data:`LOOP_BATCH`; stacked sweeps and every analog sweep use
+  ``data_block`` (stacked intermediates are S times larger, so blocks stay
+  cache-sized). Blocking never changes a result, read noise included: each
+  tile's noise stream is consumed in row-major order, one
+  ``(batch, out)`` draw per call, so the draws an image sees do not depend
+  on where block boundaries fall.
 - **Stopping rule.** ``n_samples`` is a cap, not necessarily the count: a
-  plan may carry a :class:`~repro.evaluation.sequential.StoppingRule`
-  (built from ``tolerance`` — see
-  :class:`~repro.evaluation.sequential.HalfWidthRule`) that the executor
+  plan built with a ``tolerance`` carries a
+  :class:`~repro.evaluation.sequential.HalfWidthRule` that the executor
   consults at chunk boundaries, in seed-schedule order, on every backend.
   Because chunks are slices of the one seed schedule and the decision
   points are the same everywhere, the stop point is engine-invariant and
@@ -76,28 +76,21 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.sequential import FixedSamples, HalfWidthRule, StoppingRule
+from repro.evaluation.sequential import HalfWidthRule
 from repro.evaluation.vectorized import sample_axis_blockers, supports_sample_axis
 from repro.hardware.analog_layers import analog_layers, has_read_noise
 from repro.nn.module import Module
 from repro.utils.rng import spawn_rngs, SeedLike
-from repro.variation.injector import VariationInjector
 from repro.variation.models import NoVariation, VariationModel
 from repro.variation.spec import parse_spec, VariationLike
 
-#: Conservative expansion factor from input elements to the largest stacked
-#: intermediate activation map of the supported models (LeNet/VGG-style
-#: first-conv maps expand the input by ~4-6x; 8 leaves headroom for the
-#: im2col gather of the widest layer). Used only to size memory-budgeted
-#: chunks — an overestimate just yields smaller chunks, never wrong results.
-STACKED_ACTIVATION_FACTOR = 8.0
-
-_BACKENDS = ("loop", "vectorized", "pool")
-
-#: Stacked-chunk size when the caller sets neither ``chunk_samples`` nor
-#: ``memory_budget_mb``. Only a default: a fixed-S pool plan shrinks it so
-#: every worker gets a chunk.
+#: Stacked-chunk size when the caller sets no ``chunk_samples``. Only a
+#: default: a fixed-S pool plan shrinks it so every worker gets a chunk.
 DEFAULT_CHUNK_SAMPLES = 16
+
+#: Data batch of an unstacked weight-domain sweep (and of every nominal,
+#: variation-free evaluation).
+LOOP_BATCH = 256
 
 #: Evaluation dtypes the plan may request. float64 is the historical
 #: bit-exact protocol; float32 is the throughput policy (see module
@@ -123,7 +116,6 @@ class EvalPlan:
     domain: str  # "weight" | "analog"
     backend: str  # "loop" | "vectorized" | "pool"
     deterministic: bool = False
-    batch_size: int = 256
     data_block: int = 64
     chunk_samples: int = 16
     n_workers: int = 0
@@ -135,8 +127,9 @@ class EvalPlan:
     #: fingerprint.
     dtype: str = "float64"
     #: Sequential early stopping, consulted at chunk boundaries only;
-    #: ``None`` (and ``FixedSamples``) runs the full ``n_samples`` cap.
-    stopping: Optional[StoppingRule] = None
+    #: ``None`` runs the full ``n_samples`` cap (the paper's fixed-S
+    #: protocol).
+    stopping: Optional[HalfWidthRule] = None
     #: Why the resolved backend differs from the requested one — set when a
     #: ``vectorized=True`` request fell back because the model is not
     #: sample-aware, naming the blocking module(s). Purely diagnostic: it
@@ -146,10 +139,11 @@ class EvalPlan:
 
     @property
     def loop_batch(self) -> int:
-        """Data batch for unstacked full sweeps: analog models must keep
-        the shared ``data_block`` blocking (read-noise streams advance per
-        MVM call), weight-domain sweeps use the throughput batch size."""
-        return self.data_block if self.domain == "analog" else self.batch_size
+        """Data batch for unstacked full sweeps: ``data_block`` for analog
+        models, :data:`LOOP_BATCH` in the weight domain. Either blocking
+        gives the same result (module docstring), so the split is a speed
+        choice, not a correctness one."""
+        return self.data_block if self.domain == "analog" else LOOP_BATCH
 
     def draw_rngs(self) -> List[np.random.Generator]:
         """The seed schedule: stream ``i`` feeds draw ``i``, everywhere."""
@@ -164,66 +158,6 @@ class EvalPlan:
         )
 
 
-def estimate_sample_bytes(
-    model: Module,
-    dataset: ArrayDataset,
-    variation: VariationModel,
-    data_block: int = 64,
-    dtype: str = "float64",
-) -> int:
-    """Estimated peak bytes one extra stacked sample costs.
-
-    Two terms, both float64:
-
-    - the per-draw parameter state a stacked chunk materializes — one
-      weight copy per target parameter (weight domain) or three
-      conductance planes per array (analog: ``g_pos``, ``g_neg`` and the
-      effective-difference cache);
-    - the stacked activations of one ``data_block``-sized data batch,
-      bounded by ``STACKED_ACTIVATION_FACTOR`` input-sized maps per image.
-
-    Deliberately conservative: sizing chunks from an overestimate only
-    costs chunk granularity, never correctness (chunking is bitwise).
-    A ``float32`` evaluation halves the per-element cost.
-    """
-    analog = analog_layers(model)
-    if analog:
-        param_elems = sum(
-            3 * int(np.prod(layer.array.weights_shape)) for _, layer in analog
-        )
-    else:
-        injector = VariationInjector(model, variation)
-        param_elems = sum(p.data.size for p in injector.target_parameters())
-    image_elems = int(np.prod(dataset.images.shape[1:]))
-    act_elems = int(data_block * image_elems * STACKED_ACTIVATION_FACTOR)
-    return np.dtype(dtype).itemsize * (param_elems + act_elems)
-
-
-def resolve_chunk_samples(
-    n_samples: int,
-    chunk_samples: Optional[int],
-    memory_budget_mb: Optional[float],
-    sample_bytes: int,
-) -> int:
-    """The effective stacked-chunk size.
-
-    Priority: an explicit ``chunk_samples`` wins, else ``memory_budget_mb``
-    divided by the per-sample estimate, else
-    :data:`DEFAULT_CHUNK_SAMPLES`. Always at
-    least 1 (a budget below one sample's footprint degrades to
-    sample-by-sample streaming rather than failing) and never more than
-    ``n_samples``.
-    """
-    if chunk_samples is not None:
-        chunk = chunk_samples
-    elif memory_budget_mb is not None:
-        budget = int(memory_budget_mb * 1024 * 1024)
-        chunk = budget // max(sample_bytes, 1)
-    else:
-        chunk = DEFAULT_CHUNK_SAMPLES
-    return max(1, min(int(chunk), n_samples))
-
-
 def build_plan(
     model: Module,
     dataset: ArrayDataset,
@@ -231,19 +165,16 @@ def build_plan(
     *,
     n_samples: int,
     seed: SeedLike,
-    batch_size: int = 256,
     vectorized: bool = False,
     n_workers: int = 0,
     data_block: int = 64,
     chunk_samples: Optional[int] = None,
-    memory_budget_mb: Optional[float] = None,
     worker_vectorized: Optional[bool] = None,
     dtype: str = "float64",
     tolerance: Optional[float] = None,
     min_samples: Optional[int] = None,
     ci_confidence: float = 0.95,
     ci_method: str = "clt",
-    stopping: Optional[StoppingRule] = None,
 ) -> EvalPlan:
     """Resolve one Monte-Carlo evaluation into an :class:`EvalPlan`.
 
@@ -260,24 +191,25 @@ def build_plan(
     bitwise-neutral there). An adaptive plan keeps its chunk, because
     the rule decides at chunk boundaries and a smaller chunk would move
     the stop point. Otherwise — chunks pinned by an explicit
-    ``chunk_samples`` or a memory budget, or an adaptive plan —
-    ``n_workers`` is clamped to the number of chunks (extra workers would
-    pay the start-up cost and then receive no chunk), with the clamp
-    recorded in ``backend_reason``.
+    ``chunk_samples``, or an adaptive plan — ``n_workers`` is clamped to
+    the number of chunks (extra workers would pay the start-up cost and
+    then receive no chunk), with the clamp recorded in ``backend_reason``.
 
-    Sequential stopping: an explicit ``stopping`` rule wins; otherwise a
-    ``tolerance`` builds a
+    Sequential stopping: a ``tolerance`` builds a
     :class:`~repro.evaluation.sequential.HalfWidthRule` from
     ``min_samples`` / ``ci_confidence`` / ``ci_method``, and ``n_samples``
     becomes the draw cap rather than the exact count.
     """
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    for name, value in (("n_samples", n_samples), ("data_block", data_block),
+                        ("chunk_samples", chunk_samples)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     if dtype not in EVAL_DTYPES:
         raise ValueError(
             f"dtype must be one of {EVAL_DTYPES}, got {dtype!r}"
         )
-    if stopping is None and tolerance is not None:
+    stopping: Optional[HalfWidthRule] = None
+    if tolerance is not None:
         if min_samples is None:
             stopping = HalfWidthRule(
                 tolerance=tolerance, confidence=ci_confidence, method=ci_method
@@ -300,11 +232,9 @@ def build_plan(
     no_variation = isinstance(resolved, NoVariation) or resolved.magnitude == 0.0
     deterministic = no_variation and (not analog or not has_read_noise(model))
 
-    chunk = resolve_chunk_samples(
+    chunk = min(
+        DEFAULT_CHUNK_SAMPLES if chunk_samples is None else chunk_samples,
         n_samples,
-        chunk_samples,
-        memory_budget_mb,
-        estimate_sample_bytes(model, dataset, resolved, data_block, dtype),
     )
     n_chunks = -(-n_samples // chunk)  # ceil division
 
@@ -317,14 +247,13 @@ def build_plan(
             1 < n_workers
             and n_chunks < n_workers
             and chunk_samples is None
-            and memory_budget_mb is None
-            and (stopping is None or isinstance(stopping, FixedSamples))
+            and stopping is None
         ):
             # The chunk size was only a default: shrink it so every
             # requested worker gets a whole chunk (without a rule that
             # can fire, chunking is bitwise-neutral, so this is a pure
             # scheduling adjustment).
-            chunk = max(1, -(-n_samples // n_workers))
+            chunk = -(-n_samples // n_workers)
             n_chunks = -(-n_samples // chunk)
         if n_workers > n_chunks:
             # Extra workers would start, pay the initializer cost and
@@ -353,7 +282,6 @@ def build_plan(
         domain=domain,
         backend=backend,
         deterministic=deterministic,
-        batch_size=batch_size,
         data_block=data_block,
         chunk_samples=chunk,
         n_workers=n_workers,

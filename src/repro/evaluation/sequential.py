@@ -22,10 +22,10 @@ so the stopping layer is trivially deterministic and strictly typed:
   proportion over ``n`` draws — conservative for draw means, since any
   ``[0, 1]``-valued variable with mean ``p`` has variance at most
   ``p (1 - p)``);
-- the :class:`StoppingRule` family: :class:`FixedSamples` (the paper's
-  protocol — never stop early; the sample cap is the plan's ``n_samples``)
-  and :class:`HalfWidthRule` (stop once the CI half-width is at most
-  ``tolerance``), both honouring a ``min_samples`` lower bound;
+- :class:`HalfWidthRule`, the one stopping rule: stop once the CI
+  half-width is at most ``tolerance``, never below ``min_samples`` draws.
+  A plan without a rule runs the paper's fixed-S protocol to its
+  ``n_samples`` cap;
 - :func:`allocate_draws`, the sweep-level scheduler: one shared draw
   budget round-robined chunk-by-chunk to the grid points with the widest
   current intervals, so saturated points stop early and the budget
@@ -123,50 +123,20 @@ def half_width(
 
 
 # ---------------------------------------------------------------------------
-# Stopping rules
+# Stopping rule
 # ---------------------------------------------------------------------------
-class StoppingRule:
-    """When may a sequential evaluation stop before the sample cap?
+@dataclass(frozen=True)
+class HalfWidthRule:
+    """Stop once the CI half-width on mean accuracy is ≤ ``tolerance``.
 
     The rule is consulted at chunk boundaries only, on the prefix of draws
     evaluated so far — never inside a chunk — so every backend (loop,
     vectorized, pool) asks the same questions at the same draw counts and
-    the stop point is engine-invariant. ``min_samples`` is the lower draw
-    bound (a rule never fires below it, and never below two draws — one
-    draw has no spread); the upper bound is the plan's ``n_samples`` cap,
-    enforced by the executor simply running out of schedule.
-    """
-
-    min_samples: int = 1
-
-    def satisfied(self, accuracies: Sequence[float]) -> bool:
-        """True when the evaluation may stop after these draws."""
-        if len(accuracies) < max(self.min_samples, 2):
-            return False
-        return self._decide(accuracies)
-
-    def _decide(self, accuracies: Sequence[float]) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FixedSamples(StoppingRule):
-    """The paper's fixed-S protocol: never stop before the sample cap."""
-
-    min_samples: int = 1
-
-    def _decide(self, accuracies: Sequence[float]) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class HalfWidthRule(StoppingRule):
-    """Stop once the CI half-width on mean accuracy is ≤ ``tolerance``.
-
-    ``method`` selects the interval estimator (:data:`CI_METHODS`);
-    ``confidence`` its level. With ``min_samples`` draws or more (at least
-    two), the rule fires at the first chunk boundary whose interval is
-    tight enough.
+    the stop point is engine-invariant. ``method`` selects the interval
+    estimator (:data:`CI_METHODS`), ``confidence`` its level. The rule
+    never fires below ``min_samples`` draws, nor below two (one draw has
+    no spread); the upper bound is the plan's ``n_samples`` cap, enforced
+    by the executor simply running out of schedule.
     """
 
     tolerance: float
@@ -190,7 +160,10 @@ class HalfWidthRule(StoppingRule):
                 f"min_samples must be at least 1, got {self.min_samples}"
             )
 
-    def _decide(self, accuracies: Sequence[float]) -> bool:
+    def satisfied(self, accuracies: Sequence[float]) -> bool:
+        """True when the evaluation may stop after these draws."""
+        if len(accuracies) < max(self.min_samples, 2):
+            return False
         return (
             half_width(accuracies, self.confidence, self.method)
             <= self.tolerance

@@ -4,10 +4,10 @@ A Monte-Carlo result is a pure function of (model weights, dataset,
 variation spec, seed schedule, domain, stopping rule). The fingerprint is
 SHA-256 over exactly those inputs, serialized canonically — and over
 nothing else. Execution-only knobs (backend, workers, chunk size, data
-blocking, memory budget) are **excluded by construction**: two machines
-evaluating the same logical plan through different backends produce the
-same fingerprint, which is what makes the result store a cross-machine
-dedup cache rather than a per-invocation log.
+blocking) are **excluded by construction**: two machines evaluating the
+same logical plan through different backends produce the same
+fingerprint, which is what makes the result store a cross-machine dedup
+cache rather than a per-invocation log.
 
 Canonicalization rules (the invariant ``docs/CONTRACTS.md`` records):
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import EvalPlan
-from repro.evaluation.sequential import FixedSamples, HalfWidthRule, StoppingRule
+from repro.evaluation.sequential import HalfWidthRule
 from repro.nn.module import Module
 from repro.variation.spec import to_dict as spec_to_dict
 
@@ -134,14 +134,14 @@ def dataset_digest(dataset: ArrayDataset) -> str:
     return _digest(parts)
 
 
-def stopping_payload(rule: Optional[StoppingRule]) -> Optional[Dict[str, Any]]:
+def stopping_payload(rule: object) -> Optional[Dict[str, Any]]:
     """Canonical form of a stopping rule (``None`` = fixed-S protocol).
 
-    ``FixedSamples`` and ``None`` both mean "run the full cap" and
-    fingerprint identically; a rule class outside the known family has no
-    canonical form and is rejected.
+    Anything other than ``None`` or a
+    :class:`~repro.evaluation.sequential.HalfWidthRule` has no canonical
+    form and is rejected.
     """
-    if rule is None or isinstance(rule, FixedSamples):
+    if rule is None:
         return None
     if isinstance(rule, HalfWidthRule):
         return {
@@ -153,7 +153,7 @@ def stopping_payload(rule: Optional[StoppingRule]) -> Optional[Dict[str, Any]]:
         }
     raise ValueError(
         f"stopping rule {type(rule).__name__} has no canonical fingerprint "
-        "form; only FixedSamples and HalfWidthRule are store-serializable"
+        "form; only HalfWidthRule is store-serializable"
     )
 
 
@@ -181,9 +181,9 @@ def fingerprint_payload(
     not a float64 result), the analog conversion parameters when the
     model was crossbar-deployed, and the stopping/CI params. Out: every
     execution knob — ``backend``, ``n_workers``, ``worker_vectorized``,
-    ``chunk_samples``, ``batch_size``, ``data_block`` — because none of
-    them may change the result (the repo-wide paired-seed contract), so
-    none may split the cache.
+    ``chunk_samples``, ``data_block`` — because none of them may change
+    the result (the repo-wide paired-seed contract), so none may split
+    the cache.
     """
     return {
         "fingerprint_version": FINGERPRINT_VERSION,

@@ -5,15 +5,15 @@ reconstruct one Monte-Carlo evaluation: registry names for model and
 dataset, the build seed, an optional checkpoint, the variation spec as a
 ``to_dict`` payload, the sample cap and eval seed, the stopping/CI
 params, and optional analog-deployment parameters. Execution knobs
-(``chunk_samples``, ``batch_size``, ``data_block``) travel with the
-request but never enter the fingerprint — with one wrinkle worth
-recording: for *adaptive* jobs the chunk schedule decides where the
-stopping rule is consulted, so :func:`materialize` pins the resolved
-``chunk_samples`` into the plan. Submitting resolves it once (the first
-submission's request is what the store keeps), which is what makes an
-interrupted-and-resumed adaptive job land on exactly the chunk
-boundaries — and therefore exactly the stop point — of an uninterrupted
-run.
+(``chunk_samples``, ``data_block``) travel with the request but never
+enter the fingerprint — with one wrinkle worth recording: for *adaptive*
+jobs the chunk schedule decides where the stopping rule is consulted, so
+:func:`materialize` pins the resolved ``chunk_samples`` into the plan.
+Submitting resolves it once (the first submission's request is what the
+store keeps), which is what makes an interrupted-and-resumed adaptive job
+land on exactly the chunk boundaries — and therefore exactly the stop
+point — of an uninterrupted run. A chunk or data block below one is
+rejected at materialization, so it never reaches the store.
 
 Fingerprint integrity: the fingerprint is computed from the
 *materialized* evaluation (weights digest after loading the checkpoint,
@@ -108,7 +108,6 @@ class JobRequest:
     # Execution knobs: recorded for reproducible scheduling, excluded
     # from the fingerprint.
     chunk_samples: Optional[int] = None
-    batch_size: int = 256
     data_block: int = 64
     # Sweep grouping metadata (what correctnet-query reconstructs curves
     # by); never fingerprinted.
@@ -131,7 +130,6 @@ class JobRequest:
             "dtype": self.dtype,
             "analog": None if self.analog is None else self.analog.to_dict(),
             "chunk_samples": self.chunk_samples,
-            "batch_size": self.batch_size,
             "data_block": self.data_block,
             "sweep_key": self.sweep_key,
             "sweep_param": self.sweep_param,
@@ -159,7 +157,6 @@ class JobRequest:
             dtype=str(payload.get("dtype", "float64")),
             analog=None if analog is None else AnalogParams.from_dict(analog),
             chunk_samples=payload.get("chunk_samples"),
-            batch_size=int(payload.get("batch_size", 256)),
             data_block=int(payload.get("data_block", 64)),
             sweep_key=payload.get("sweep_key"),
             sweep_param=payload.get("sweep_param"),
@@ -221,7 +218,6 @@ def materialize(request: JobRequest) -> Materialized:
         n_samples=request.n_samples,
         seed=request.seed,
         dtype=request.dtype,
-        batch_size=request.batch_size,
         vectorized=True,  # in-process backend; falls back to loop
         n_workers=0,
         data_block=request.data_block,

@@ -198,10 +198,11 @@ def cached_evaluate(
 
     The in-process complement of the job runner — same fingerprints, same
     store file, no lease (the evaluation runs right here, synchronously).
-    On a miss the result is executed through the evaluator's own plan and
-    recorded under a ``done`` job row, so pipeline runs, CLI jobs and
-    other machines all hit one cache. Layer subsets / protection masks
-    are not fingerprintable; callers needing them evaluate directly.
+    On a miss the result is executed through the evaluator's own plan —
+    racing its chunks on the evaluator's clock, exactly as
+    ``evaluator.evaluate`` would — and recorded under a ``done`` job row,
+    so pipeline runs, CLI jobs and other machines all hit one cache.
+    ``clock`` only stamps the store's rows and leases.
     """
     was_training = model.training
     model.eval()
@@ -212,7 +213,9 @@ def cached_evaluate(
             cached = store.result(fingerprint)
             if cached is not None:
                 return MCResult.from_dict(cached)
-            result = execute(plan, model, evaluator.dataset)
+            result = execute(
+                plan, model, evaluator.dataset, clock=evaluator.clock
+            )
             request = {
                 "origin": "inline",
                 "spec": spec_to_dict(plan.variation),

@@ -1,11 +1,12 @@
-"""``--autotune``: the race between the per-draw and stacked forms.
+"""The race between the per-draw and stacked forms.
 
 With an injected clock, a vectorized evaluation runs its first chunk
 per-draw and its second stacked, times both, and runs every later chunk in
 the form with the lower seconds per draw. Every chunk's accuracies are the
 same in either form, so a raced run must return the clockless run's
 ``MCResult`` bitwise, adaptive stop point included. Fake clocks steer the
-choice, so no test depends on real timings.
+choice, so no test depends on real timings. The front ends always inject
+``time.perf_counter``, so their default engine races.
 """
 
 import json
@@ -340,9 +341,10 @@ class TestAutotunePlan:
 
 class TestAutotuneCLI:
     def test_adaptive_autotune_matches_the_loop(self, tmp_path, monkeypatch,
-                                                capsys):
-        """``--autotune --tolerance`` returns the loop's draws: the race
-        leaves the chunk size, and so the stop point, alone."""
+                                                capsys, caplog):
+        """The default engine races, and with ``--tolerance`` returns the
+        loop's draws: the race leaves the chunk size, and so the stop
+        point, alone."""
         monkeypatch.setitem(
             cli._DATASETS, "synth_mnist",
             lambda: synth_mnist(train_per_class=20, test_per_class=1),
@@ -351,17 +353,23 @@ class TestAutotuneCLI:
         cli.train_main(["--model", "mlp", "--dataset", "synth_mnist",
                         "--epochs", "5", "--lr", "1e-2", "--save", checkpoint])
         dumps = {}
-        for name, flags in (("autotune", ["--autotune"]),
+        for name, flags in (("raced", []),
                             ("loop", ["--engine", "loop"])):
             dumps[name] = str(tmp_path / f"{name}.json")
-            assert cli.eval_main([
-                "--model", "mlp", "--dataset", "synth_mnist",
-                "--checkpoint", checkpoint, "--sigma", "0.7",
-                "--tolerance", "0.2", "--chunk-samples", "2",
-                "--dump-accuracies", dumps[name], *flags,
-            ]) == 0
+            with caplog.at_level(logging.INFO,
+                                 logger="repro.evaluation.executor"):
+                assert cli.eval_main([
+                    "--model", "mlp", "--dataset", "synth_mnist",
+                    "--checkpoint", checkpoint, "--sigma", "0.7",
+                    "--tolerance", "0.2", "--chunk-samples", "2",
+                    "--dump-accuracies", dumps[name], *flags,
+                ]) == 0
         capsys.readouterr()
         loop = json.load(open(dumps["loop"]))
         # Three chunks ran, so the race decided before the rule fired.
         assert len(loop) == 6
-        assert json.load(open(dumps["autotune"])) == loop
+        assert json.load(open(dumps["raced"])) == loop
+        # Only the default engine's run raced, and its log says so.
+        races = [r for r in caplog.records
+                 if r.getMessage().startswith("race:")]
+        assert len(races) == 1

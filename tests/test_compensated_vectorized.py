@@ -147,7 +147,7 @@ class TestRewardEngineInvariance:
 
     def test_env_evaluator_is_autotuned_like_the_pipeline(self, lenet,
                                                            tiny_mnist):
-        env = self._env(lenet, tiny_mnist, autotune=True)
+        env = self._env(lenet, tiny_mnist)
         assert env._evaluator.clock is not None
 
 

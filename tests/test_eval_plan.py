@@ -2,28 +2,31 @@
 
 The tentpole contract: an :class:`EvalPlan` fully determines one
 Monte-Carlo evaluation, every backend executes the same plan bitwise-
-identically, and the sample-chunking schedule (``chunk_samples`` /
-``memory_budget_mb``) is a pure peak-memory knob — a chunked run's
-``MCResult`` equals the unchunked run's exactly, on every backend and for
-every model family (plain / compensated / analog), including chunk sizes
-that do not divide the sample count.
+identically, and the sample-chunking schedule (``chunk_samples``) is a
+pure peak-memory knob — a chunked run's ``MCResult`` equals the unchunked
+run's exactly, on every backend and for every model family (plain /
+compensated / analog), including chunk sizes that do not divide the
+sample count. Data blocking (``data_block``) is neutral the same way,
+analog read noise included.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compensation import CompensationPlan
 from repro.evaluation import (
     accuracy,
     build_plan,
-    estimate_sample_bytes,
     execute,
     make_adapter,
     MonteCarloEvaluator,
     tail_spec,
 )
-from repro.evaluation.plan import DEFAULT_CHUNK_SAMPLES, resolve_chunk_samples
+from repro.evaluation.plan import DEFAULT_CHUNK_SAMPLES
 from repro.hardware import ADC, analog_layers, analogize, DAC
+from repro.models import LeNet5
+from repro.models.registry import build_model
 from repro.variation import (
     ColumnCorrelatedVariation,
     LogNormalVariation,
@@ -77,20 +80,6 @@ class TestChunkedEquivalence:
             assert chunked.accuracies == unchunked.accuracies, name
             assert len(chunked.accuracies) == self.N_SAMPLES
 
-    def test_memory_budget_matches_explicit_chunks(self, lenet, tiny_test):
-        """A budget-derived schedule changes chunk sizes, never results."""
-        variation = LogNormalVariation(0.4)
-        wide = MonteCarloEvaluator(tiny_test, n_samples=4, seed=3,
-                                   vectorized=True, chunk_samples=4)
-        # A tiny budget degrades to sample-by-sample streaming (chunk 1).
-        tight = MonteCarloEvaluator(tiny_test, n_samples=4, seed=3,
-                                    vectorized=True, memory_budget_mb=0.001)
-        model = lenet
-        model.eval()
-        assert tight.plan(model, variation).chunk_samples == 1
-        assert (tight.evaluate(model, variation).accuracies
-                == wide.evaluate(model, variation).accuracies)
-
     def test_cross_backend_pairing_with_chunking(self, lenet, tiny_test):
         """All three backends agree under a non-dividing chunk size."""
         for name, model, variation in _families(lenet):
@@ -103,6 +92,55 @@ class TestChunkedEquivalence:
                                dict(vectorized=False, n_workers=2))
             ]
             assert results[0] == results[1] == results[2], name
+
+
+@pytest.fixture(scope="module")
+def block_families(tiny_test):
+    """Eval-mode models shared across examples: analog ones with read
+    noise, and a weight-domain one. Every evaluation restores the
+    programmed state, so examples can share them."""
+    def lenet():
+        return LeNet5(num_classes=10, in_channels=1, input_size=16,
+                      width_multiplier=0.5, seed=0)
+
+    def noisy(model):
+        return analogize(model, tile_size=32, dac=DAC(6), adc=ADC(8),
+                         read_noise_sigma=0.02)
+
+    families = {
+        "analog-mlp": noisy(build_model("mlp", tiny_test, width=0.25,
+                                        seed=0)),
+        "analog-lenet5": noisy(lenet()),
+        "lenet5": lenet(),
+    }
+    for model in families.values():
+        model.eval()
+    return families
+
+
+class TestDataBlockingIsNeutral:
+    """``data_block`` never changes a draw, analog read noise included:
+    each tile's noise stream is consumed in row-major order, one
+    ``(batch, out)`` draw per MVM call, so block boundaries move no draw.
+    This is what lets the fingerprint leave ``data_block`` out."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(family=st.sampled_from(["analog-mlp", "analog-lenet5", "lenet5"]),
+           data_block=st.integers(1, 48), chunk=st.integers(1, 5),
+           vectorized=st.booleans())
+    def test_accuracies_equal_the_block_64_run(self, tiny_test,
+                                               block_families, family,
+                                               data_block, chunk,
+                                               vectorized):
+        model = block_families[family]
+
+        def run(block):
+            return MonteCarloEvaluator(
+                tiny_test, n_samples=5, seed=3, vectorized=vectorized,
+                chunk_samples=chunk, data_block=block,
+            ).evaluate(model, LogNormalVariation(0.3)).accuracies
+
+        assert run(data_block) == run(64)
 
 
 class TestPlanBuilding:
@@ -218,29 +256,16 @@ class TestPlanBuilding:
         big = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                          n_samples=4, seed=0, chunk_samples=100)
         assert big.chunk_samples == 4
-
-    def test_resolve_chunk_priority(self):
-        # explicit chunk wins over budget; budget wins over default
-        assert resolve_chunk_samples(100, 8, 1.0, 2**20) == 8
-        assert resolve_chunk_samples(100, None, 4.0, 2**20) == 4
-        assert resolve_chunk_samples(100, None, None, 2**20) == \
+        # an unset chunk is the default, capped the same way
+        assert build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+                          n_samples=100, seed=0).chunk_samples == \
             DEFAULT_CHUNK_SAMPLES
-        # sub-sample budgets degrade to 1, never 0
-        assert resolve_chunk_samples(100, None, 0.001, 2**20) == 1
-
-    def test_estimate_scales_with_targets(self, lenet, tiny_test):
-        lenet.eval()
-        all_bytes = estimate_sample_bytes(lenet, tiny_test,
-                                          LogNormalVariation(0.3))
-        tail_bytes = estimate_sample_bytes(
-            lenet, tiny_test, tail_spec(lenet, LogNormalVariation(0.3), 1))
-        assert all_bytes > tail_bytes > 0
+        assert build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+                          n_samples=3, seed=0).chunk_samples == 3
 
     def test_invalid_evaluator_knobs(self, blob_dataset):
         with pytest.raises(ValueError):
             MonteCarloEvaluator(blob_dataset, chunk_samples=0)
-        with pytest.raises(ValueError):
-            MonteCarloEvaluator(blob_dataset, memory_budget_mb=0.0)
 
     def test_workers_clamped_to_pinned_chunk_count(self, mlp, blob_dataset):
         """Regression: more workers than chunks used to spin up idle
@@ -263,9 +288,9 @@ class TestPlanBuilding:
         assert "n_workers clamped from 4 to 1" in serial.backend_reason
 
     def test_defaulted_chunk_shrinks_to_feed_workers(self, mlp, blob_dataset):
-        """When the chunk size was defaulted (not pinned by the caller or
-        a memory budget), the plan reshapes it instead of clamping —
-        chunking is bitwise-neutral, so the pool request survives."""
+        """When the chunk size was defaulted (not pinned by the caller),
+        the plan reshapes it instead of clamping — chunking is
+        bitwise-neutral, so the pool request survives."""
         mlp.eval()
         plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                           n_samples=6, seed=0, n_workers=2)

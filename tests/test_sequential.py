@@ -17,7 +17,6 @@ from repro.evaluation.sequential import (
     allocate_draws,
     CI_METHODS,
     clt_interval,
-    FixedSamples,
     half_width,
     HalfWidthRule,
     interval,
@@ -112,11 +111,6 @@ class TestIntervals:
 # Stopping rules
 # ---------------------------------------------------------------------------
 class TestStoppingRules:
-    def test_fixed_samples_never_stops(self):
-        rule = FixedSamples()
-        draws = bernoulli_stream(0.5, 500, seed=0)
-        assert not any(rule.satisfied(draws[:k]) for k in range(1, 501))
-
     def test_never_fires_below_two_draws(self):
         # Even a zero-width stream cannot stop on one draw.
         rule = HalfWidthRule(tolerance=0.5, min_samples=1)
@@ -161,13 +155,6 @@ class TestStoppingRules:
     def test_half_width_rule_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             HalfWidthRule(**kwargs)
-
-    def test_base_rule_decide_is_abstract(self):
-        class Incomplete(HalfWidthRule.__mro__[1]):  # StoppingRule
-            min_samples = 1
-
-        with pytest.raises(NotImplementedError):
-            Incomplete().satisfied([0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

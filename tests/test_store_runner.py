@@ -9,7 +9,10 @@ The acceptance properties of the evaluation service live here:
   an adaptive rule stops it;
 - resubmitting a finished evaluation is a cache hit and performs zero
   work;
-- ``cached_evaluate`` returns the stored payload without re-executing.
+- ``cached_evaluate`` returns the stored payload without re-executing,
+  and on a miss races its chunks on the evaluator's clock;
+- a job whose chunk or data block is below one is refused at
+  materialization, before it can reach the store.
 
 Evaluations run on a miniature dataset (the factory registry is patched)
 so the whole file stays unit-test sized.
@@ -162,7 +165,50 @@ class TestDrain:
             drain(store, owner="w", max_chunks_per_job=0)
 
 
+class TestMaterializeValidation:
+    @pytest.mark.parametrize("knob", [dict(chunk_samples=0),
+                                      dict(chunk_samples=-3),
+                                      dict(data_block=0)],
+                             ids=["chunk-0", "chunk-neg", "block-0"])
+    def test_non_positive_chunk_or_block_is_refused(self, knob):
+        (name,) = knob
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            materialize(_request(**knob))
+
+
+class CountingClock:
+    """A seconds counter that counts its reads."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return float(self.calls)
+
+
 class TestCachedEvaluate:
+    def test_miss_races_on_the_evaluator_clock(self, tmp_path):
+        """A miss times its chunks on ``evaluator.clock`` like
+        ``evaluate`` does, and stores the clockless result; a hit reads
+        no time at all."""
+        train, test = _tiny_factory()
+        model = build_model("mlp", train, seed=0)
+        clock = CountingClock()
+        evaluator = MonteCarloEvaluator(test, n_samples=8, seed=7,
+                                        vectorized=True, chunk_samples=2,
+                                        clock=clock)
+        path = str(tmp_path / "cache.sqlite")
+        result = cached_evaluate(path, evaluator, model, "lognormal:0.3")
+        assert clock.calls == 4  # two timed chunks, two reads each
+        model.eval()
+        clockless = execute(evaluator.plan(model, "lognormal:0.3"), model,
+                            test)
+        assert result == clockless
+        hit = cached_evaluate(path, evaluator, model, "lognormal:0.3")
+        assert clock.calls == 4
+        assert hit == clockless
+
     def test_miss_executes_and_matches_direct(self, tmp_path):
         train, test = _tiny_factory()
         model = build_model("mlp", train, seed=0)
