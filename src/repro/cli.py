@@ -33,7 +33,7 @@ from typing import List, Optional
 from repro.core.config import fast_pipeline_config
 from repro.core.pipeline import CorrectNet
 from repro.core.training import Trainer
-from repro.data import synth_cifar10, synth_cifar100, synth_mnist
+from repro.data import DATASET_FACTORIES
 from repro.evaluation.metrics import accuracy
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.lipschitz.bounds import lambda_bound
@@ -45,17 +45,12 @@ from repro.utils.tables import format_table
 from repro.variation.models import LogNormalVariation, VariationModel
 from repro.variation.spec import parse_spec, to_string
 
-_DATASETS = {
-    "synth_mnist": synth_mnist,
-    "synth_cifar10": synth_cifar10,
-    "synth_cifar100": synth_cifar100,
-}
-
-
 def _load_data(name: str):
-    if name not in _DATASETS:
-        raise SystemExit(f"unknown dataset {name!r}; choose from {list(_DATASETS)}")
-    return _DATASETS[name]()
+    if name not in DATASET_FACTORIES:
+        raise SystemExit(
+            f"unknown dataset {name!r}; choose from {list(DATASET_FACTORIES)}"
+        )
+    return DATASET_FACTORIES[name]()
 
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
@@ -64,7 +59,9 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         default="lenet5",
         help="lenet5|vgg16|vgg11|vgg16bn|vgg11bn|resnet8|resnet8bn|attnmlp|mlp",
     )
-    parser.add_argument("--dataset", default="synth_mnist", help=f"{list(_DATASETS)}")
+    parser.add_argument(
+        "--dataset", default="synth_mnist", help=f"{list(DATASET_FACTORIES)}"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true")
 
@@ -83,7 +80,8 @@ def _add_chunk_args(parser: argparse.ArgumentParser) -> None:
         "--chunk-samples", type=int, default=None, metavar="S",
         help="Monte-Carlo draws evaluated per stacked pass; bounds the peak "
         "memory of stacked weights/conductance planes without changing "
-        "results (chunking is bitwise-neutral)",
+        "results (chunking is bitwise-neutral, --tolerance runs included: "
+        "the stopping rule keeps its own look schedule)",
     )
 
 

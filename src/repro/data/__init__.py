@@ -22,6 +22,7 @@ substitution.
 from repro.data.dataset import ArrayDataset, Dataset, train_test_split
 from repro.data.loader import DataLoader
 from repro.data.synthetic import (
+    DATASET_FACTORIES,
     SyntheticSpec,
     make_synthetic,
     synth_cifar10,
@@ -40,6 +41,7 @@ __all__ = [
     "synth_mnist",
     "synth_cifar10",
     "synth_cifar100",
+    "DATASET_FACTORIES",
     "random_shift",
     "random_flip",
     "add_noise",

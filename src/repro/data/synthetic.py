@@ -20,7 +20,7 @@ brightness jitter and additive Gaussian noise. Difficulty is controlled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -265,3 +265,12 @@ def synth_cifar100(
         seed=seed,
     )
     return make_synthetic(spec)
+
+
+#: The dataset registry (name -> ``(train, test)`` factory): the one
+#: table the CLIs and the job store resolve a ``--dataset`` name through.
+DATASET_FACTORIES: Dict[str, Callable[[], Tuple[ArrayDataset, ArrayDataset]]] = {
+    "synth_mnist": synth_mnist,
+    "synth_cifar10": synth_cifar10,
+    "synth_cifar100": synth_cifar100,
+}

@@ -49,16 +49,17 @@ contract holds *per dtype* across all three backends.
 
 Chunk landing and sequential (adaptive) stopping: every backend
 evaluates chunk by chunk and lands each chunk through
-:meth:`IncrementalEvaluation.land_chunk` — append the draws, stream them
-through ``on_chunk``, then re-check the plan's ``stopping`` rule on the
-prefix — at chunk boundaries only, in seed-schedule order. The
+:meth:`IncrementalEvaluation.land_chunk` — append the draws, cut the
+chunk at the first look of the plan's ``stopping`` rule that the prefix
+satisfies (:data:`~repro.evaluation.sequential.LOOK_EVERY`), then stream
+the kept draws through ``on_chunk`` — in seed-schedule order. The
 in-process backends land the chunks they evaluate (the same unit the
 sweep-level draw allocator schedules); the pool lands its workers'
 chunks and discards any still in flight when the rule fires. A fixed-S
-run is a run whose rule never fires. The decision points and the
-per-draw state are identical everywhere, so the stop point is
-engine-invariant and an adaptive run's draws are a bitwise prefix of the
-fixed-S run on the same seed.
+run is a run whose rule never fires. The looks belong to the rule, not
+to the chunking, so the stop point is engine- and chunk-invariant and an
+adaptive run's draws are a bitwise prefix of the fixed-S run on the same
+seed.
 
 The race: neither in-process form is fastest on every model, and a
 chunk's accuracies are identical in either, so a vectorized evaluation
@@ -347,10 +348,10 @@ def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
 
 
 #: Per-chunk emit hook: called with ``(chunk_index, start, stop, chunk_accs)``
-#: right after a chunk's draws land (before the stopping rule is consulted),
-#: in schedule order on every backend. The result-store runner persists
-#: chunks through this seam; anything else that wants streaming progress
-#: (progress bars, live dashboards) can too.
+#: once a chunk's draws land, in schedule order on every backend. ``stop``
+#: is the chunk's end, or the look where the stopping rule cut it. The
+#: result-store runner persists chunks through this seam; anything else
+#: that wants streaming progress (progress bars, live dashboards) can too.
 ChunkHook = Callable[[int, int, int, Sequence[float]], None]
 
 
@@ -360,8 +361,8 @@ class IncrementalEvaluation:
     The unit of sequential evaluation: holds the plan's seed schedule and
     chunk bounds, evaluates one chunk per :meth:`run_chunk` call (stacked
     when the plan is vectorized, per-draw otherwise), and lands every
-    chunk through :meth:`land_chunk`, which consults the plan's stopping
-    rule on the accumulated prefix; the pool backend lands its workers'
+    chunk through :meth:`land_chunk`, which cuts it at the stopping
+    rule's first satisfied look; the pool backend lands its workers'
     chunks through the same step. Satisfies the
     :class:`~repro.evaluation.sequential.SequentialPoint`
     protocol, so the sweep-level allocator can interleave chunks across
@@ -422,34 +423,35 @@ class IncrementalEvaluation:
         """Install a previously-evaluated draw prefix and skip its chunks.
 
         ``prefix`` must be the accuracies an earlier run of the *same*
-        plan emitted, chunk-aligned (an interrupted run only ever persists
-        whole chunks through ``on_chunk``). The stopping rule is replayed
-        at every stored chunk boundary — the identical decision points the
-        original run used — so a prefix that already satisfies the rule
-        marks the evaluation done, and a prefix extending past where the
-        rule fires is rejected as corrupt rather than silently truncated.
-        Must be called before any :meth:`run_chunk`.
+        plan emitted through ``on_chunk``: whole chunks, except that the
+        last may end early at the look where the rule stopped the run.
+        Each stored chunk is replayed through :meth:`land_chunk`, so the
+        rule sees the looks the original run saw. A prefix that reaches
+        the stop point marks the evaluation done; one that runs past the
+        stop point or the schedule is rejected as corrupt rather than
+        silently truncated, and so is a short last chunk that does not
+        end at a satisfied look. Must be called before any
+        :meth:`run_chunk`.
         """
         if self._next or self.accuracies:
             raise RuntimeError("resume() must precede any run_chunk()")
-        consumed = 0
-        while consumed < len(prefix):
+        while len(self.accuracies) < len(prefix):
             if self.done:
                 raise ValueError(
                     f"stored prefix of {len(prefix)} draws extends past "
                     "the plan's schedule or its stop point"
                 )
-            start, stop = self._bounds[self._next]
-            if len(prefix) - consumed < stop - start:
+            index = self._next
+            start, stop = self._bounds[index]
+            row = [float(a) for a in prefix[start:stop]]
+            self.land_chunk(row, emit=False)
+            if len(row) < stop - start and not self._stopped:
                 raise ValueError(
                     f"stored prefix of {len(prefix)} draws is not aligned "
-                    f"to the plan's chunk schedule (chunk {self._next} "
-                    f"covers draws [{start}, {stop}))"
+                    f"to the plan's chunk schedule (chunk {index} covers "
+                    f"draws [{start}, {stop}) and the rule does not stop "
+                    f"at draw {len(prefix)})"
                 )
-            consumed += self.land_chunk(
-                [float(a) for a in prefix[consumed : consumed + (stop - start)]],
-                emit=False,
-            )
 
     def __enter__(self) -> "IncrementalEvaluation":
         stack = contextlib.ExitStack()
@@ -464,7 +466,7 @@ class IncrementalEvaluation:
             ctx.__exit__(None, None, None)
 
     def run_chunk(self) -> int:
-        """Evaluate and land the next chunk; returns the draws consumed.
+        """Evaluate and land the next chunk; returns the draws it kept.
 
         A no-op returning 0 when :attr:`done`.
         """
@@ -526,25 +528,30 @@ class IncrementalEvaluation:
         )
 
     def land_chunk(self, accs: Sequence[float], emit: bool = True) -> int:
-        """Land the next chunk's draws; returns how many landed.
+        """Land the next chunk's draws; returns how many were kept.
 
-        Appends ``accs``, streams them through ``on_chunk`` (unless
-        ``emit`` is off, as when :meth:`resume` replays a stored prefix),
-        then re-checks the stopping rule on the full prefix. Every backend
+        Appends ``accs``, cuts them at the plan's stopping rule's first
+        satisfied look inside the chunk (the run then stops there), and
+        streams the kept draws through ``on_chunk`` (unless ``emit`` is
+        off, as when :meth:`resume` replays a stored prefix). Every backend
         takes this one step — :meth:`run_chunk` for in-process chunks, the
-        pool for its workers' chunks in schedule order — so the decision
-        points, and hence the stop draw count, are engine-invariant.
+        pool for its workers' chunks in schedule order — and the looks are
+        the rule's, so the stop draw count is engine- and chunk-invariant.
         """
         index = self._next
-        start, stop = self._bounds[index]
+        start = self._bounds[index][0]
         self._next += 1
         self.accuracies.extend(accs)
-        if emit and self.on_chunk is not None:
-            self.on_chunk(index, start, stop, self.accuracies[start - stop :])
         rule = self.plan.stopping
-        if rule is not None and rule.satisfied(self.accuracies):
+        look = None if rule is None else rule.stop_point(self.accuracies, start)
+        if look is not None:
+            del self.accuracies[look:]
             self._stopped = True
-        return stop - start
+        if emit and self.on_chunk is not None:
+            self.on_chunk(
+                index, start, len(self.accuracies), self.accuracies[start:]
+            )
+        return len(self.accuracies) - start
 
     def result(self) -> "MCResult":
         """The draws evaluated so far, wrapped for this plan."""

@@ -211,9 +211,11 @@ class MonteCarloEvaluator:
     chunk_samples:
         Samples evaluated per stacked pass. ``None`` uses
         :data:`~repro.evaluation.plan.DEFAULT_CHUNK_SAMPLES`, which a
-        fixed-S pool plan may shrink so every worker gets a chunk. A
-        fixed-S run's results are bitwise independent of this knob; an
-        adaptive run decides whether to stop at chunk boundaries.
+        pool plan may shrink so every worker gets a chunk. Results are
+        bitwise independent of this knob, adaptive runs included: the
+        stopping rule looks every
+        :data:`~repro.evaluation.sequential.LOOK_EVERY` draws whatever
+        the chunking.
     data_block:
         Internal data-batch size for stacked passes and for every analog
         sweep. Stacked intermediates are S times larger than ordinary
@@ -344,11 +346,11 @@ class MonteCarloEvaluator:
         module docstring; all backends return paired results for a seed.
 
         ``tolerance`` (here or on the evaluator) enables sequential
-        stopping: draws run chunk-by-chunk until the confidence interval
-        on mean accuracy has half-width at most ``tolerance``, or the
-        ``max_samples`` cap (default: the evaluator's ``n_samples``) is
-        reached. The draws evaluated are a bitwise prefix of the fixed-S
-        run on the same seed.
+        stopping: draws run until, at one of the rule's looks, the
+        confidence interval on mean accuracy has half-width at most
+        ``tolerance``, or until the ``max_samples`` cap (default: the
+        evaluator's ``n_samples``) is reached. The draws evaluated are a
+        bitwise prefix of the fixed-S run on the same seed.
 
         Monte-Carlo evaluation is an eval-mode protocol, so the model is
         switched to eval mode up front (and restored afterwards) — this is

@@ -50,11 +50,12 @@ Plan axes
   on where block boundaries fall.
 - **Stopping rule.** ``n_samples`` is a cap, not necessarily the count: a
   plan built with a ``tolerance`` carries a
-  :class:`~repro.evaluation.sequential.HalfWidthRule` that the executor
-  consults at chunk boundaries, in seed-schedule order, on every backend.
-  Because chunks are slices of the one seed schedule and the decision
-  points are the same everywhere, the stop point is engine-invariant and
-  an adaptive run's draws are a bitwise prefix of the fixed-S run.
+  :class:`~repro.evaluation.sequential.HalfWidthRule` that looks at the
+  draw prefix every :data:`~repro.evaluation.sequential.LOOK_EVERY` draws
+  of the seed schedule; the executor cuts the chunk holding the first
+  satisfied look there. The looks belong to the rule, so the stop point
+  is backend- and chunk-invariant and an adaptive run's draws are a
+  bitwise prefix of the fixed-S run.
 - **Eval dtype.** ``dtype`` selects the arithmetic precision of the
   evaluation itself: ``"float64"`` (the default, bit-identical to every
   historical run) or ``"float32"`` (half the memory traffic, roughly
@@ -85,7 +86,7 @@ from repro.variation.models import NoVariation, VariationModel
 from repro.variation.spec import parse_spec, VariationLike
 
 #: Stacked-chunk size when the caller sets no ``chunk_samples``. Only a
-#: default: a fixed-S pool plan shrinks it so every worker gets a chunk.
+#: default: a pool plan shrinks it so every worker gets a chunk.
 DEFAULT_CHUNK_SAMPLES = 16
 
 #: Data batch of an unstacked weight-domain sweep (and of every nominal,
@@ -126,9 +127,9 @@ class EvalPlan:
     #: results — so unlike the execution knobs above it enters the store
     #: fingerprint.
     dtype: str = "float64"
-    #: Sequential early stopping, consulted at chunk boundaries only;
-    #: ``None`` runs the full ``n_samples`` cap (the paper's fixed-S
-    #: protocol).
+    #: Sequential early stopping, consulted at the rule's own looks
+    #: (every ``LOOK_EVERY`` draws, whatever the chunking); ``None`` runs
+    #: the full ``n_samples`` cap (the paper's fixed-S protocol).
     stopping: Optional[HalfWidthRule] = None
     #: Why the resolved backend differs from the requested one — set when a
     #: ``vectorized=True`` request fell back because the model is not
@@ -150,8 +151,9 @@ class EvalPlan:
         return spawn_rngs(self.seed, self.n_samples)
 
     def chunks(self) -> Tuple[Tuple[int, int], ...]:
-        """Contiguous ``[start, stop)`` sample chunks: one stacked pass,
-        one pool task and one stopping decision each."""
+        """Contiguous ``[start, stop)`` sample chunks: one stacked pass
+        and one pool task each. The stopping rule may cut a chunk short at
+        one of its looks; the chunking never moves a look."""
         return tuple(
             (start, min(start + self.chunk_samples, self.n_samples))
             for start in range(0, self.n_samples, self.chunk_samples)
@@ -186,14 +188,12 @@ def build_plan(
     workers against the hybrid.
 
     ``dtype`` picks the evaluation precision (see module docstring). Pool
-    tasks are whole chunks, so in a fixed-S plan a *defaulted* chunk size
-    first shrinks until every requested worker has a chunk (chunking is
-    bitwise-neutral there). An adaptive plan keeps its chunk, because
-    the rule decides at chunk boundaries and a smaller chunk would move
-    the stop point. Otherwise — chunks pinned by an explicit
-    ``chunk_samples``, or an adaptive plan — ``n_workers`` is clamped to
-    the number of chunks (extra workers would pay the start-up cost and
-    then receive no chunk), with the clamp recorded in ``backend_reason``.
+    tasks are whole chunks, so a *defaulted* chunk size first shrinks
+    until every requested worker has a chunk (chunking is bitwise-neutral,
+    adaptive plans included). When an explicit ``chunk_samples`` pins the
+    chunks, ``n_workers`` is clamped to the number of chunks instead
+    (extra workers would pay the start-up cost and then receive no
+    chunk), with the clamp recorded in ``backend_reason``.
 
     Sequential stopping: a ``tolerance`` builds a
     :class:`~repro.evaluation.sequential.HalfWidthRule` from
@@ -243,16 +243,10 @@ def build_plan(
     if vectorized and sample_aware:
         backend = "vectorized"
     else:
-        if (
-            1 < n_workers
-            and n_chunks < n_workers
-            and chunk_samples is None
-            and stopping is None
-        ):
+        if 1 < n_workers and n_chunks < n_workers and chunk_samples is None:
             # The chunk size was only a default: shrink it so every
-            # requested worker gets a whole chunk (without a rule that
-            # can fire, chunking is bitwise-neutral, so this is a pure
-            # scheduling adjustment).
+            # requested worker gets a whole chunk (chunking is
+            # bitwise-neutral, so this is a pure scheduling adjustment).
             chunk = -(-n_samples // n_workers)
             n_chunks = -(-n_samples // chunk)
         if n_workers > n_chunks:

@@ -3,15 +3,17 @@
 The paper's protocol fixes 250 variation draws per configuration, but most
 configurations in a sweep are either saturated (every draw near the clean
 accuracy) or collapsed (every draw near chance) long before draw 250.
-Sequential evaluation runs draws chunk-by-chunk, maintains a confidence
-interval on the *mean accuracy over draws*, and stops once the interval is
-tighter than a requested tolerance — the executor already streams draws in
-bitwise-stable chunks, so stopping is purely a scheduling decision made at
-chunk boundaries of the one seed schedule. That is what preserves the
-**paired-prefix contract**: an adaptive run's first ``k`` draws are bitwise
-identical to the first ``k`` draws of the fixed-S run on the same seed,
-because both consume streams ``0..k-1`` of ``spawn_rngs(seed, S)`` in
-order and the stop decision never changes what any draw computes.
+Sequential evaluation maintains a confidence interval on the *mean
+accuracy over draws* and stops once the interval is tighter than a
+requested tolerance. The rule owns its decision points: it looks at the
+draw prefix after every :data:`LOOK_EVERY` draws of the one seed
+schedule, and nowhere else, so chunking, pooling and resuming only
+decide how the draws are computed, never where a run stops. That is what
+preserves the **paired-prefix contract**: an adaptive run's first ``k``
+draws are bitwise identical to the first ``k`` draws of the fixed-S run
+on the same seed, because both consume streams ``0..k-1`` of
+``spawn_rngs(seed, S)`` in order and the stop decision never changes
+what any draw computes.
 
 This module is pure statistics — no numpy, no model or executor imports —
 so the stopping layer is trivially deterministic and strictly typed:
@@ -22,10 +24,10 @@ so the stopping layer is trivially deterministic and strictly typed:
   proportion over ``n`` draws — conservative for draw means, since any
   ``[0, 1]``-valued variable with mean ``p`` has variance at most
   ``p (1 - p)``);
-- :class:`HalfWidthRule`, the one stopping rule: stop once the CI
-  half-width is at most ``tolerance``, never below ``min_samples`` draws.
-  A plan without a rule runs the paper's fixed-S protocol to its
-  ``n_samples`` cap;
+- :class:`HalfWidthRule`, the one stopping rule: stop at the first look
+  where the CI half-width is at most ``tolerance``, never below
+  ``min_samples`` draws. A plan without a rule runs the paper's fixed-S
+  protocol to its ``n_samples`` cap;
 - :func:`allocate_draws`, the sweep-level scheduler: one shared draw
   budget round-robined chunk-by-chunk to the grid points with the widest
   current intervals, so saturated points stop early and the budget
@@ -37,10 +39,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, List, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 #: Supported confidence-interval estimators (see the module docstring).
 CI_METHODS = ("clt", "wilson")
+
+#: The rule's look schedule: it reads the draw prefix after every
+#: ``LOOK_EVERY`` draws, whatever the chunk size. A different schedule
+#: stops adaptive runs elsewhere, so changing it needs a store
+#: ``FINGERPRINT_VERSION`` bump. It equals the default chunk, so a
+#: default-chunk run looks exactly at its chunk boundaries.
+LOOK_EVERY = 16
 
 
 def z_score(confidence: float) -> float:
@@ -129,10 +138,11 @@ def half_width(
 class HalfWidthRule:
     """Stop once the CI half-width on mean accuracy is ≤ ``tolerance``.
 
-    The rule is consulted at chunk boundaries only, on the prefix of draws
-    evaluated so far — never inside a chunk — so every backend (loop,
-    vectorized, pool) asks the same questions at the same draw counts and
-    the stop point is engine-invariant. ``method`` selects the interval
+    The rule is consulted at its looks only — every :data:`LOOK_EVERY`
+    draws of the seed schedule, on the prefix of draws evaluated so far —
+    so every backend (loop, vectorized, pool) and every chunking asks the
+    same questions at the same draw counts, and the stop point is
+    engine- and chunk-invariant. ``method`` selects the interval
     estimator (:data:`CI_METHODS`), ``confidence`` its level. The rule
     never fires below ``min_samples`` draws, nor below two (one draw has
     no spread); the upper bound is the plan's ``n_samples`` cap, enforced
@@ -169,6 +179,21 @@ class HalfWidthRule:
             <= self.tolerance
         )
 
+    def stop_point(
+        self, accuracies: Sequence[float], after: int
+    ) -> Optional[int]:
+        """The first look past draw ``after`` at which the prefix of
+        ``accuracies`` satisfies the rule, or ``None``.
+
+        The executor asks this once per landed chunk, with ``after`` the
+        chunk's start, and cuts the chunk at the answer.
+        """
+        first = (after // LOOK_EVERY + 1) * LOOK_EVERY
+        for look in range(first, len(accuracies) + 1, LOOK_EVERY):
+            if self.satisfied(accuracies[:look]):
+                return look
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Sweep-level draw allocation
@@ -187,7 +212,7 @@ class SequentialPoint(Protocol):
         ...
 
     def run_chunk(self) -> int:
-        """Evaluate the next chunk; returns the number of draws consumed."""
+        """Evaluate the next chunk; returns the number of draws it kept."""
         ...
 
 

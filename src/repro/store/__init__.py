@@ -9,7 +9,7 @@ package is the serving tier on top of those two facts:
 - :mod:`repro.store.fingerprint` — the canonical **plan fingerprint**:
   SHA-256 over a normalized payload of model weights digest, dataset
   digest, variation spec, sample cap, seed, domain and stopping params.
-  Execution knobs (backend, workers, chunk size, memory budget) are
+  Execution knobs (backend, workers, chunk size, data block) are
   explicitly excluded, so the same logical evaluation dedups across
   machines and backends.
 - :mod:`repro.store.schema` / :mod:`repro.store.db` — a sqlite results

@@ -29,8 +29,9 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.cli import _add_adaptive_args, _add_variation_arg, _resolve_variation
+from repro.data import DATASET_FACTORIES
 from repro.store.db import ResultStore, SubmitOutcome
-from repro.store.jobs import AnalogParams, DATASET_FACTORIES, JobRequest, materialize
+from repro.store.jobs import AnalogParams, JobRequest, materialize
 from repro.store.query import job_point, sweep_points, sweep_table, SweepPoint
 from repro.store.runner import drain
 from repro.utils.tables import format_table
@@ -66,8 +67,9 @@ def _submit_parser(sub: "argparse._SubParsersAction[argparse.ArgumentParser]") -
     _add_variation_arg(p)
     _add_adaptive_args(p)
     p.add_argument("--chunk-samples", type=int, default=None, metavar="S",
-                   help="pin the chunk schedule (execution knob: recorded "
-                   "with the job, excluded from the fingerprint)")
+                   help="draws per stacked pass (execution knob: recorded "
+                   "with the job, excluded from the fingerprint, never "
+                   "changes the result)")
     p.add_argument("--dtype", choices=["float64", "float32"],
                    default="float64",
                    help="evaluation arithmetic; part of the fingerprint "

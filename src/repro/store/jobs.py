@@ -6,14 +6,12 @@ dataset, the build seed, an optional checkpoint, the variation spec as a
 ``to_dict`` payload, the sample cap and eval seed, the stopping/CI
 params, and optional analog-deployment parameters. Execution knobs
 (``chunk_samples``, ``data_block``) travel with the request but never
-enter the fingerprint — with one wrinkle worth recording: for *adaptive*
-jobs the chunk schedule decides where the stopping rule is consulted, so
-:func:`materialize` pins the resolved ``chunk_samples`` into the plan.
-Submitting resolves it once (the first submission's request is what the
-store keeps), which is what makes an interrupted-and-resumed adaptive job
-land on exactly the chunk boundaries — and therefore exactly the stop
-point — of an uninterrupted run. A chunk or data block below one is
-rejected at materialization, so it never reaches the store.
+enter the fingerprint: they cannot change a result, adaptive ones
+included, because the stopping rule looks at its own draw counts
+whatever the chunking. A resumed job re-derives its chunks from the
+stored request (an unset chunk is the planner's constant default). A
+chunk or data block below one is rejected at materialization, so it
+never reaches the store.
 
 Fingerprint integrity: the fingerprint is computed from the
 *materialized* evaluation (weights digest after loading the checkpoint,
@@ -26,10 +24,10 @@ poisoning the cache under the old fingerprint.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.data import synth_cifar10, synth_cifar100, synth_mnist
+from repro.data import DATASET_FACTORIES
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import build_plan, EvalPlan
 from repro.models.registry import build_model
@@ -41,13 +39,6 @@ from repro.store.fingerprint import (
     weights_digest,
 )
 from repro.variation.spec import from_dict as spec_from_dict
-
-#: Dataset registry shared with the CLIs (name -> (train, test) factory).
-DATASET_FACTORIES: Dict[str, Callable[[], Tuple[ArrayDataset, ArrayDataset]]] = {
-    "synth_mnist": synth_mnist,
-    "synth_cifar10": synth_cifar10,
-    "synth_cifar100": synth_cifar100,
-}
 
 
 @dataclass(frozen=True)
@@ -180,9 +171,7 @@ def materialize(request: JobRequest) -> Materialized:
     The weights digest is taken *before* any analog conversion — the
     logical model identity is the trained weights plus the deployment
     parameters, not the programmed conductance state (which variation
-    draws rewrite anyway). The returned request has ``chunk_samples``
-    pinned to the plan's resolved value, so persisting it (submit does)
-    freezes the chunk schedule every later runner must follow.
+    draws rewrite anyway).
     """
     try:
         factory = DATASET_FACTORIES[request.dataset]
@@ -231,9 +220,8 @@ def materialize(request: JobRequest) -> Materialized:
         plan, model_digest, dataset_digest(test), analog_payload
     )
     digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
-    pinned = replace(request, chunk_samples=plan.chunk_samples)
     return Materialized(
-        request=pinned,
+        request=request,
         model=model,
         dataset=test,
         plan=plan,

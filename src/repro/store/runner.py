@@ -9,12 +9,11 @@ each chunk and renewing the lease as it lands), and finalize the
 
 Why resumption is bitwise-exact: chunk content is a pure function of
 (plan, seed schedule) — stream ``i`` always feeds draw ``i`` — and the
-chunk schedule itself is pinned into the stored request at submit time.
-A resumed run therefore evaluates exactly the chunks the interrupted run
-never got to, consults the stopping rule at exactly the same boundaries,
-and assembles exactly the accuracies an uninterrupted run would have —
-the property the tests and the CI kill-and-resume smoke scenario diff
-for.
+stopping rule looks at its own draw counts, not at chunk boundaries. A
+resumed run re-derives the chunks from the stored request, evaluates
+exactly the ones the interrupted run never got to, and assembles exactly
+the accuracies an uninterrupted run would have, at any chunk size — the
+property the tests and the CI kill-and-resume smoke scenario diff for.
 
 Exactly-once under N runners: the claim transaction is the only entry
 point to a job, leases fence crashed owners, and every mutation

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG management, logging, timing, result records.
+"""Shared utilities: seeded RNG management, logging, text tables.
 
 These helpers are deliberately small and dependency-free so that every other
 subpackage (autograd, hardware, evaluation, ...) can use them without import
@@ -7,8 +7,6 @@ cycles.
 
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.timing import Timer
-from repro.utils.records import ResultRecord, ResultStore
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -17,8 +15,5 @@ __all__ = [
     "spawn_rngs",
     "get_logger",
     "set_verbosity",
-    "Timer",
-    "ResultRecord",
-    "ResultStore",
     "format_table",
 ]

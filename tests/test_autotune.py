@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import cli
 from repro.compensation.plan import CompensationPlan
-from repro.data import ArrayDataset, synth_mnist
+from repro.data import ArrayDataset, DATASET_FACTORIES, synth_mnist
 from repro.evaluation import (
     build_plan,
     execute,
@@ -178,18 +178,22 @@ class TestFakeClocksSteerTheRace:
 
     def test_adaptive_stop_before_the_decision(self, forms, mlp,
                                                blob_dataset):
-        """A rule that fires on a timed chunk ends the race undecided."""
+        """A rule that fires on a timed chunk ends the race undecided. The
+        look at draw 16 cuts the first 20-draw chunk, which is still
+        timed per draw evaluated."""
         log, charge = forms
         clock = StepClock(1.0, 2.0)
         charge(clock)
         plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
-                          n_samples=12, seed=4, vectorized=True,
-                          chunk_samples=2, tolerance=0.5, min_samples=2)
+                          n_samples=60, seed=4, vectorized=True,
+                          chunk_samples=20, tolerance=0.5, min_samples=2)
         evaluation = _race(plan, mlp, blob_dataset, clock)
-        assert log == [("per-draw", 2)]
+        assert log == [("per-draw", 20)]
         assert evaluation.race == {"per-draw": 1.0}
         assert evaluation.winner is None
-        assert evaluation.result() == execute(plan, mlp, blob_dataset)
+        result = evaluation.result()
+        assert result.n_samples_used == 16 and result.stopped_early
+        assert result == execute(plan, mlp, blob_dataset)
 
 
 class TestRaceIsBitwiseNeutral:
@@ -202,7 +206,7 @@ class TestRaceIsBitwiseNeutral:
             ["mlp", "lenet5", "compensated-lenet5", "analog-mlp"]),
             label="family")
         model, dataset = _family(family, tiny_test)
-        n_samples = data.draw(st.integers(1, 10), label="S")
+        n_samples = data.draw(st.integers(1, 20), label="S")
         chunk = data.draw(st.integers(1, 4), label="chunk")
         tolerance = data.draw(
             st.one_of(st.none(), st.sampled_from([0.05, 0.1, 0.2])),
@@ -324,8 +328,8 @@ class TestAutotunePlan:
         assert mlp.training
 
     def test_adaptive_knobs_survive_tuning(self, mlp, blob_dataset):
-        """Chunk size and data block are part of an adaptive run's logical
-        result, so the clock must leave them (and the rule) alone."""
+        """The clock leaves an adaptive plan's chunk size, data block and
+        rule as the caller set them."""
         kwargs = dict(n_samples=32, seed=11, vectorized=True,
                       chunk_samples=2, data_block=16, tolerance=0.02,
                       min_samples=4)
@@ -343,32 +347,37 @@ class TestAutotuneCLI:
     def test_adaptive_autotune_matches_the_loop(self, tmp_path, monkeypatch,
                                                 capsys, caplog):
         """The default engine races, and with ``--tolerance`` returns the
-        loop's draws: the race leaves the chunk size, and so the stop
-        point, alone."""
+        loop's draws: neither the race nor the chunk size moves the stop
+        point, which is the rule's first satisfied look."""
         monkeypatch.setitem(
-            cli._DATASETS, "synth_mnist",
+            DATASET_FACTORIES, "synth_mnist",
             lambda: synth_mnist(train_per_class=20, test_per_class=1),
         )
         checkpoint = str(tmp_path / "mlp.npz")
         cli.train_main(["--model", "mlp", "--dataset", "synth_mnist",
                         "--epochs", "5", "--lr", "1e-2", "--save", checkpoint])
         dumps = {}
-        for name, flags in (("raced", []),
-                            ("loop", ["--engine", "loop"])):
+        for name, flags in (
+            ("raced", ["--chunk-samples", "2"]),
+            ("loop", ["--chunk-samples", "2", "--engine", "loop"]),
+            ("chunk16", ["--chunk-samples", "16", "--engine", "loop"]),
+        ):
             dumps[name] = str(tmp_path / f"{name}.json")
             with caplog.at_level(logging.INFO,
                                  logger="repro.evaluation.executor"):
                 assert cli.eval_main([
                     "--model", "mlp", "--dataset", "synth_mnist",
                     "--checkpoint", checkpoint, "--sigma", "0.7",
-                    "--tolerance", "0.2", "--chunk-samples", "2",
+                    "--tolerance", "0.2", "--samples", "48",
                     "--dump-accuracies", dumps[name], *flags,
                 ]) == 0
         capsys.readouterr()
         loop = json.load(open(dumps["loop"]))
-        # Three chunks ran, so the race decided before the rule fired.
-        assert len(loop) == 6
+        # The first look stopped the run: eight 2-draw chunks ran, so the
+        # race decided after the second, long before the rule fired.
+        assert len(loop) == 16
         assert json.load(open(dumps["raced"])) == loop
+        assert json.load(open(dumps["chunk16"])) == loop
         # Only the default engine's run raced, and its log says so.
         races = [r for r in caplog.records
                  if r.getMessage().startswith("race:")]

@@ -11,13 +11,13 @@ from repro.evaluation.montecarlo import MCResult
 
 @pytest.fixture(autouse=True)
 def small_datasets(monkeypatch):
-    """Swap the CLI's dataset factories for miniature versions."""
-    from repro.data import synth_mnist
+    """Swap the dataset registry's factories for miniature versions."""
+    from repro.data import DATASET_FACTORIES, synth_mnist
 
     def tiny_mnist():
         return synth_mnist(train_per_class=6, test_per_class=3)
 
-    monkeypatch.setitem(cli._DATASETS, "synth_mnist", tiny_mnist)
+    monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", tiny_mnist)
 
 
 class TestTrainCLI:

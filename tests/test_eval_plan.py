@@ -303,6 +303,22 @@ class TestPlanBuilding:
         assert execute(plan, mlp, blob_dataset) == execute(
             loop, mlp, blob_dataset)
 
+    def test_adaptive_pool_shrinks_a_defaulted_chunk(self, mlp, blob_dataset):
+        """An adaptive pool plan feeds every worker like a fixed-S one:
+        the chunk never moves the rule's looks, so it can shrink."""
+        mlp.eval()
+        kwargs = dict(n_samples=32, seed=0, tolerance=0.5, min_samples=2)
+        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+                          n_workers=4, **kwargs)
+        assert (plan.backend, plan.n_workers, plan.chunk_samples) == \
+            ("pool", 4, 8)
+        assert plan.backend_reason is None
+        loop = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+                          **kwargs)
+        result = execute(plan, mlp, blob_dataset)
+        assert result.stopped_early
+        assert result == execute(loop, mlp, blob_dataset)
+
 
 class TestPlanExecutionParity:
     """The evaluator's public results still flow through plan/executor."""
@@ -328,11 +344,13 @@ class TestPairedPrefix:
     """Adaptive draws are a bitwise prefix of fixed-S, per backend x family.
 
     The sequential layer's whole contract: because stopping decisions only
-    happen at chunk boundaries of the one seed schedule, an adaptive run
+    happen at the rule's looks on the one seed schedule, an adaptive run
     can never change *what* a draw computes — only how many draws run.
+    The cap leaves one look (draw 16) before it, and every run stops
+    there.
     """
 
-    N_SAMPLES = 12
+    N_SAMPLES = 24
 
     @pytest.mark.parametrize("backend_kwargs", [
         dict(vectorized=False),                 # loop
@@ -352,9 +370,8 @@ class TestPairedPrefix:
                 **backend_kwargs,
             ).evaluate(model, variation)
             k = adaptive.n_samples_used
-            assert 0 < k <= self.N_SAMPLES, name
+            assert 0 < k < self.N_SAMPLES and adaptive.stopped_early, name
             assert adaptive.accuracies == fixed.accuracies[:k], name
-            assert adaptive.stopped_early == (k < self.N_SAMPLES), name
 
     def test_stop_point_agrees_across_backends(self, lenet, tiny_test):
         for name, model, variation in _families(lenet):
@@ -367,7 +384,7 @@ class TestPairedPrefix:
                                dict(vectorized=True),
                                dict(vectorized=False, n_workers=2))
             }
-            assert len(used) == 1, name
+            assert len(used) == 1 and max(used) < self.N_SAMPLES, name
 
 
 class TestShardReassembly:

@@ -291,9 +291,10 @@ class TestAdaptiveEvaluator:
         ev = MonteCarloEvaluator(tiny_test, n_samples=48, seed=9, vectorized=True,
                                  chunk_samples=4)
         results = ev.sweep_sigma(lenet, LogNormalVariation(0.3),
-                                 [0.05, 0.8], tolerance=0.04)
-        # sigma=0.05 is near-saturated (tight interval quickly); sigma=0.8
-        # is noisy and keeps drawing.
+                                 [0.05, 0.8], tolerance=0.015)
+        # sigma=0.05 is near-saturated (tight interval at the first look);
+        # sigma=0.8 is noisy and keeps drawing.
+        assert results[0].stopped_early
         assert results[0].n_samples_used < results[1].n_samples_used
 
     def test_grid_budget_only_mode(self, lenet, tiny_test):
@@ -330,19 +331,25 @@ class TestAdaptiveEvaluator:
         assert outs[0].accuracies == outs[1].accuracies == outs[2].accuracies
 
     def test_cross_backend_stop_point_invariance_defaulted_chunk(self):
-        """A pool keeps an adaptive plan's defaulted chunk: shrinking it to
-        feed both workers would move the rule's decision points."""
+        """A pool shrinks an adaptive plan's defaulted chunk to feed every
+        worker (32 draws in chunks of 11 for 3 workers), and still stops
+        where the loop does: the look at draw 16 falls inside a chunk and
+        cuts it there."""
         from repro.data import synth_mnist
         from repro.models.registry import build_model
 
         train, test = synth_mnist(train_per_class=8, test_per_class=8)
         model = build_model("mlp", train, seed=0)
-        kwargs = dict(n_samples=12, seed=3, tolerance=0.05, min_samples=2)
-        outs = [
-            MonteCarloEvaluator(test, **backend, **kwargs).evaluate(
-                model, LogNormalVariation(0.5))
+        kwargs = dict(n_samples=32, seed=3, tolerance=0.05, min_samples=2)
+        evaluators = [
+            MonteCarloEvaluator(test, **backend, **kwargs)
             for backend in (dict(vectorized=False), dict(vectorized=True),
-                            dict(vectorized=False, n_workers=2))
+                            dict(vectorized=False, n_workers=3))
         ]
-        assert [o.n_samples_used for o in outs] == [12, 12, 12]
+        pool = evaluators[2].plan(model.eval(), LogNormalVariation(0.5))
+        assert (pool.backend, pool.n_workers, pool.chunk_samples) == \
+            ("pool", 3, 11)
+        outs = [ev.evaluate(model, LogNormalVariation(0.5))
+                for ev in evaluators]
+        assert [o.n_samples_used for o in outs] == [16, 16, 16]
         assert outs[0].accuracies == outs[1].accuracies == outs[2].accuracies

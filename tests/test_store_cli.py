@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.data import synth_mnist
+from repro.data import DATASET_FACTORIES, synth_mnist
 from repro.store.cli import jobs_main, query_main
 
 
@@ -22,10 +22,7 @@ def _tiny_factory():
 
 @pytest.fixture(autouse=True)
 def tiny_datasets(monkeypatch):
-    from repro.store import jobs as store_jobs
-
-    monkeypatch.setitem(store_jobs.DATASET_FACTORIES, "synth_mnist",
-                        _tiny_factory)
+    monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", _tiny_factory)
 
 
 @pytest.fixture()

@@ -23,7 +23,7 @@ import sys
 
 import pytest
 
-from repro.data import synth_mnist
+from repro.data import DATASET_FACTORIES, synth_mnist
 from repro.evaluation.executor import execute
 from repro.store import JobRequest, materialize, ResultStore
 
@@ -34,10 +34,7 @@ def _tiny_factory():
 
 @pytest.fixture(autouse=True)
 def tiny_datasets(monkeypatch):
-    from repro.store import jobs as store_jobs
-
-    monkeypatch.setitem(store_jobs.DATASET_FACTORIES, "synth_mnist",
-                        _tiny_factory)
+    monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", _tiny_factory)
 
 
 # Run inside each worker subprocess. Installs the identical tiny-dataset
@@ -46,12 +43,11 @@ def tiny_datasets(monkeypatch):
 _WORKER_SCRIPT = """
 import sys
 
-from repro.data import synth_mnist
+from repro.data import DATASET_FACTORIES, synth_mnist
 from repro.store import ResultStore
-from repro.store import jobs as store_jobs
 from repro.store.runner import drain
 
-store_jobs.DATASET_FACTORIES["synth_mnist"] = (
+DATASET_FACTORIES["synth_mnist"] = (
     lambda: synth_mnist(train_per_class=6, test_per_class=3)
 )
 path, owner = sys.argv[1], sys.argv[2]

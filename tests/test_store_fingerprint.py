@@ -15,11 +15,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.data import synth_mnist
+from repro.data import DATASET_FACTORIES, synth_mnist
 from repro.data.dataset import ArrayDataset
-from repro.evaluation import layer_sweep, MonteCarloEvaluator, tail_spec
+from repro.evaluation import (
+    execute,
+    layer_sweep,
+    MonteCarloEvaluator,
+    tail_spec,
+)
 from repro.evaluation.plan import build_plan
 from repro.evaluation.sequential import HalfWidthRule
 from repro.models import MLP
@@ -45,6 +50,20 @@ def _model():
 def _dataset():
     images = np.arange(2 * 1 * 2 * 2, dtype=np.float64).reshape(2, 1, 2, 2) / 7.0
     return ArrayDataset(images, np.array([0, 1]))
+
+
+def _blobs(n_per=10):
+    """Three noisy classes as (N, 1, 2, 2) images: under ``lognormal:0.8``
+    on seed 9 the untrained MLP's draws spread enough that tolerances in
+    [0.02, 0.2] stop at draw 16, 32, 48 or not at all."""
+    local = np.random.default_rng(7)
+    centers = np.array([[2.0, 0.0, 0.0, -2.0], [-2.0, 0.0, 0.0, 2.0],
+                        [0.0, 2.0, -2.0, 0.0]])
+    images = np.concatenate(
+        [c + local.normal(0, 0.6, size=(n_per, 4)) for c in centers]
+    )
+    return ArrayDataset(images.reshape(-1, 1, 2, 2),
+                        np.repeat(np.arange(3), n_per))
 
 
 def _plan(model, dataset, variation="lognormal:0.4", **overrides):
@@ -118,6 +137,66 @@ class TestFingerprintInvariant:
         )
         plan = _plan(model, dataset, tolerance=tolerance, **knobs)
         assert plan_fingerprint(plan, model, dataset) == reference
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        chunk=st.integers(1, 40),
+        backend=st.sampled_from(["loop", "vectorized", "pool"]),
+        tolerance=st.one_of(st.none(), st.floats(0.02, 0.2)),
+        min_samples=st.one_of(st.none(), st.integers(1, 40)),
+        n_samples=st.integers(1, 64),
+    )
+    @example(chunk=2, backend="loop", tolerance=0.1, min_samples=None,
+             n_samples=64)
+    @example(chunk=6, backend="pool", tolerance=0.06, min_samples=None,
+             n_samples=64)
+    @example(chunk=40, backend="vectorized", tolerance=0.045,
+             min_samples=20, n_samples=64)
+    def test_execution_knobs_never_move_the_result(
+        self, chunk, backend, tolerance, min_samples, n_samples
+    ):
+        """The result-level form of the exclusion above: any chunk, on any
+        backend, returns the default-chunk loop run's ``MCResult``, fixed-S
+        or adaptive, because the rule's looks do not move with the
+        chunking."""
+        model, dataset = _model(), _blobs()
+        model.eval()
+        common = dict(n_samples=n_samples, seed=9, tolerance=tolerance,
+                      min_samples=min_samples)
+        reference = execute(
+            build_plan(model, dataset, "lognormal:0.8", **common),
+            model, dataset,
+        )
+        knobs = {"loop": {}, "vectorized": dict(vectorized=True),
+                 "pool": dict(n_workers=2)}[backend]
+        plan = build_plan(model, dataset, "lognormal:0.8",
+                          chunk_samples=chunk, **knobs, **common)
+        assert execute(plan, model, dataset).to_dict() == reference.to_dict()
+
+    def test_chunk_2_and_16_jobs_drain_to_one_result(self, tmp_path):
+        """Two jobs that differ only in ``chunk_samples`` share a
+        fingerprint, so the store serves one result to both: it must be
+        the one either would compute. On ``mlp``, ``synth_mnist``,
+        ``lognormal:0.3``, S=64, tolerance 0.05 and seed 3, both stop at
+        the rule's first look, 16 draws (a chunk-2 job used to stop
+        after 4)."""
+        prints, results = set(), []
+        for chunk in (2, 16):
+            request = JobRequest(
+                model="mlp", dataset="synth_mnist",
+                variation={"kind": "lognormal", "sigma": 0.3},
+                n_samples=64, seed=3, tolerance=0.05, chunk_samples=chunk,
+            )
+            m = materialize(request)
+            prints.add(m.fingerprint)
+            with ResultStore(str(tmp_path / f"chunk{chunk}.sqlite")) as store:
+                store.submit(m.fingerprint, m.request.to_dict())
+                assert drain(store, owner="w").done == 1
+                results.append(store.result(m.fingerprint))
+        assert len(prints) == 1
+        assert results[0] == results[1]
+        assert len(results[0]["accuracies"]) == 16
+        assert results[0]["stopped_early"]
 
     def test_logical_inputs_all_enter_the_hash(self):
         model, dataset = _model(), _dataset()
@@ -235,13 +314,11 @@ class TestTailSpecJobs:
         """A layer-sweep point is a portable job: it drains to the
         accuracies ``layer_sweep`` measures, and a resubmit is a
         zero-work cache hit."""
-        from repro.store import jobs as store_jobs
-
         monkeypatch.setitem(
-            store_jobs.DATASET_FACTORIES, "synth_mnist",
+            DATASET_FACTORIES, "synth_mnist",
             lambda: synth_mnist(train_per_class=6, test_per_class=3),
         )
-        train, test = store_jobs.DATASET_FACTORIES["synth_mnist"]()
+        train, test = DATASET_FACTORIES["synth_mnist"]()
         model = build_model("mlp", train, seed=0)
         request = JobRequest(
             model="mlp", dataset="synth_mnist",

@@ -6,7 +6,7 @@ The acceptance properties of the evaluation service live here:
   ``execute()`` of the same plan;
 - an interrupted-then-resumed job (cooperative preemption or crashed
   lease) is bitwise-identical to an uninterrupted run — including where
-  an adaptive rule stops it;
+  an adaptive rule stops it, inside a chunk or at its end;
 - resubmitting a finished evaluation is a cache hit and performs zero
   work;
 - ``cached_evaluate`` returns the stored payload without re-executing,
@@ -20,9 +20,11 @@ so the whole file stays unit-test sized.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.data import synth_mnist
+from repro.data import DATASET_FACTORIES, synth_mnist
 from repro.evaluation.executor import execute, IncrementalEvaluation
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.evaluation.plan import build_plan
@@ -37,10 +39,7 @@ def _tiny_factory():
 
 @pytest.fixture(autouse=True)
 def tiny_datasets(monkeypatch):
-    from repro.store import jobs as store_jobs
-
-    monkeypatch.setitem(store_jobs.DATASET_FACTORIES, "synth_mnist",
-                        _tiny_factory)
+    monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", _tiny_factory)
 
 
 def _request(**overrides):
@@ -133,9 +132,10 @@ class TestDrain:
             store.put_chunk(row.fingerprint, "crasher", 1, 2, 4, [0.0, 0.0])
 
     def test_adaptive_job_resumes_to_the_same_stop_point(self, store):
-        request = _request(tolerance=0.06, min_samples=4, n_samples=12)
+        request = _request(tolerance=0.06, min_samples=4, n_samples=24)
         m = materialize(request)
         direct = execute(m.plan, m.model, m.dataset)
+        assert direct.stopped_early
         store.submit(m.fingerprint, m.request.to_dict())
         first = drain(store, owner="w1", max_jobs=1, max_chunks_per_job=1)
         assert first.outcomes[0].status == "preempted"
@@ -143,6 +143,43 @@ class TestDrain:
         stored = store.result(m.fingerprint)
         assert stored["accuracies"] == [float(a) for a in direct.accuracies]
         assert stored["stopped_early"] == direct.stopped_early
+
+    def test_job_killed_after_a_cut_chunk_finalizes_the_direct_result(
+        self, store
+    ):
+        """At chunk 6 the rule's look at draw 16 cuts the third chunk:
+        the runner persists [0, 6), [6, 12) and [12, 16). A runner killed
+        before finalize leaves exactly that prefix, and a fresh drain
+        finalizes the default-chunk run's result without evaluating
+        another chunk."""
+        request = _request(tolerance=0.06, min_samples=4, n_samples=32,
+                           chunk_samples=6)
+        m = materialize(request)
+        default = materialize(replace(request, chunk_samples=None))
+        assert default.fingerprint == m.fingerprint
+        direct = execute(default.plan, default.model, default.dataset)
+        assert direct.n_samples_used == 16
+        store.submit(m.fingerprint, m.request.to_dict())
+        row = store.claim("crasher", lease_seconds=0.0)
+        persisted = []
+
+        def emit(index, start, stop, accs):
+            persisted.append((index, start, stop))
+            store.put_chunk(row.fingerprint, "crasher", index, start, stop,
+                            list(accs))
+
+        with IncrementalEvaluation(m.plan, m.model, m.dataset,
+                                   on_chunk=emit) as ev:
+            while not ev.done:
+                ev.run_chunk()
+        # Killed here: the lease is held and nothing was finalized.
+        assert persisted == [(0, 0, 6), (1, 6, 12), (2, 12, 16)]
+        assert store.job(m.fingerprint).state != "done"
+        stats = drain(store, owner="rescuer")
+        (outcome,) = stats.outcomes
+        assert outcome.status == "done"
+        assert (outcome.resumed_draws, outcome.chunks_run) == (16, 0)
+        assert store.result(m.fingerprint) == direct.to_dict()
 
     def test_fingerprint_mismatch_fails_the_job(self, store, tmp_path):
         train, _ = _tiny_factory()
@@ -280,6 +317,40 @@ class TestIncrementalResume:
         ev = IncrementalEvaluation(plan, mlp, blob_dataset)
         with pytest.raises(ValueError, match="extends past"):
             ev.resume([0.5] * 8)
+
+    def _cut_plan(self, mlp, blob_dataset):
+        """32 draws in chunks of 6: the look at draw 16 falls inside
+        chunk [12, 18), and constant draws satisfy the rule there."""
+        return self._plan(mlp, blob_dataset, n_samples=32, chunk_samples=6,
+                          tolerance=0.1)
+
+    def test_resume_accepts_a_last_row_cut_at_a_satisfied_look(
+        self, mlp, blob_dataset
+    ):
+        ev = IncrementalEvaluation(self._cut_plan(mlp, blob_dataset), mlp,
+                                   blob_dataset)
+        ev.resume([0.5] * 16)
+        assert ev.done and ev.result().n_samples_used == 16
+
+    def test_resume_rejects_a_prefix_past_a_satisfied_look(
+        self, mlp, blob_dataset
+    ):
+        ev = IncrementalEvaluation(self._cut_plan(mlp, blob_dataset), mlp,
+                                   blob_dataset)
+        with pytest.raises(ValueError, match="extends past"):
+            ev.resume([0.5] * 18)  # the whole chunk, past the look at 16
+
+    @pytest.mark.parametrize("prefix", [
+        [0.5] * 15,        # short row that ends before any look
+        [0.0, 1.0] * 8,    # short row at a look the rule does not accept
+    ], ids=["off-look", "unsatisfied-look"])
+    def test_resume_rejects_a_short_row_off_a_satisfied_look(
+        self, mlp, blob_dataset, prefix
+    ):
+        ev = IncrementalEvaluation(self._cut_plan(mlp, blob_dataset), mlp,
+                                   blob_dataset)
+        with pytest.raises(ValueError, match="not aligned"):
+            ev.resume(prefix)
 
     def test_streamed_chunks_reassemble_the_full_run(self, mlp, blob_dataset):
         vectorized = self._plan(mlp, blob_dataset)

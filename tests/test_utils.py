@@ -1,4 +1,4 @@
-"""Utilities: rng discipline, records, tables, timing, logging."""
+"""Utilities: rng discipline, tables, logging."""
 
 import logging
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    ResultStore, Timer, format_table, get_logger, new_rng, set_verbosity,
-    spawn_rngs,
+    format_table, get_logger, new_rng, set_verbosity, spawn_rngs,
 )
 from repro.utils.rng import RngMixin
 
@@ -46,31 +45,6 @@ class TestRng:
         assert t.rng.random() == first
 
 
-class TestRecords:
-    def test_add_and_find(self):
-        store = ResultStore()
-        store.add("exp1", accuracy=0.9)
-        assert store.find("exp1")["accuracy"] == 0.9
-        assert store.find("nope") is None
-        assert len(store) == 1
-
-    def test_json_roundtrip(self, tmp_path):
-        store = ResultStore()
-        store.add("a", x=1.5, label="foo")
-        store.add("b", x=2.5)
-        path = tmp_path / "results.json"
-        store.to_json(path)
-        loaded = ResultStore.from_json(path)
-        assert len(loaded) == 2
-        assert loaded.find("a")["label"] == "foo"
-
-    def test_record_setitem(self):
-        store = ResultStore()
-        rec = store.add("r")
-        rec["k"] = 3
-        assert rec.as_dict() == {"name": "r", "k": 3}
-
-
 class TestTables:
     def test_alignment_and_separator(self):
         text = format_table(["name", "value"], [["a", 1.5], ["bb", 20.0]])
@@ -82,17 +56,6 @@ class TestTables:
     def test_row_width_mismatch_raises(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-
-class TestTimer:
-    def test_elapsed_positive(self):
-        with Timer() as t:
-            sum(range(10000))
-        assert t.elapsed > 0
-
-    def test_lap_while_running(self):
-        with Timer() as t:
-            assert t.lap() >= 0
 
 
 class TestLogging:
