@@ -12,11 +12,11 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   (>= 1.2x; the loop itself is GEMM-lowered since ``BENCH_conv.json``, so
   what remains amortizable across samples is im2col and per-layer call
   overhead, not elementwise traffic — the original 5x was vs einsum).
-- ``pool`` — the hybrid workers x stacked-S point: pool workers running
-  the vectorized stacked kernels over each chunk
-  (``plan.worker_vectorized``) vs the same pool running legacy per-draw
-  loop workers. The hybrid must not be slower than the legacy pool it
-  replaced.
+- ``pool`` — the hybrid workers x stacked-S point: a vectorized plan's
+  pool workers running the stacked kernels over each chunk
+  (``vectorized=True, n_workers=2``) vs the same pool running per-draw
+  loop workers (``vectorized=False, n_workers=2``). The hybrid must not
+  be slower than the per-draw pool.
 - ``dtype`` — the float32 eval-dtype policy vs the float64 default on the
   vectorized engine, at its GEMM-bound scale point: a dense MLP over a
   large eval split, where single-precision GEMMs (2.2-2.5x dgemm on this
@@ -75,7 +75,7 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_mc.json"
 N_SAMPLES = 48
 SEED = 7
 TARGET_SPEEDUP = 1.2  # vectorized vs the GEMM-lowered loop; see docstring
-TARGET_POOL_SPEEDUP = 1.0  # hybrid workers must not lose to legacy workers
+TARGET_POOL_SPEEDUP = 1.0  # hybrid workers must not lose to per-draw workers
 POOL_WORKERS = 2
 # The pool is the large-S scale point, so it is benched in that regime:
 # each fresh worker pays a one-time allocator/first-touch warm-up on its
@@ -191,11 +191,10 @@ def test_mc_vectorized_speedup(workbench, pairs):
 def test_mc_hybrid_pool_speedup(workbench, pairs):
     """The hybrid workers x stacked-S scale point.
 
-    Pool workers run the vectorized stacked kernels over each chunk
-    whenever the plan says the model supports them; the legacy behaviour
-    (per-draw loop in every worker) is still reachable through
-    ``build_plan(worker_vectorized=False)`` precisely so this bench can
-    price the hybrid against what it replaced, on identical chunks and
+    Every pool worker runs the plan's form: a vectorized plan's workers
+    run the stacked kernels over each chunk, a loop plan's the per-draw
+    loop. The two plans differ only in ``vectorized``, so this bench
+    prices the hybrid against per-draw workers on identical chunks and
     streams.
     """
     spec = pairs["lenet5-mnist"]
@@ -204,43 +203,43 @@ def test_mc_hybrid_pool_speedup(workbench, pairs):
     model.eval()  # plans are built against eval-mode models
     variation = LogNormalVariation(0.5)
 
-    def pool_plan(worker_vectorized):
+    def pool_plan(vectorized):
         return build_plan(
-            model, test, variation,
+            model, variation,
             n_samples=N_POOL_SAMPLES, seed=SEED,
+            vectorized=vectorized,
             n_workers=POOL_WORKERS,
             chunk_samples=POOL_CHUNK,
-            worker_vectorized=worker_vectorized,
         )
 
     hybrid = pool_plan(True)
-    legacy = pool_plan(False)
-    assert hybrid.backend == legacy.backend == "pool"
-    assert hybrid.worker_vectorized and not legacy.worker_vectorized
+    per_draw = pool_plan(False)
+    assert (hybrid.backend, per_draw.backend) == ("vectorized", "loop")
+    assert hybrid.n_workers == per_draw.n_workers == POOL_WORKERS
 
     # Correctness gates: both pool flavours are seed-paired with the
     # serial reference loop (this also warms the worker-spawn path).
     loop_plan = build_plan(
-        model, test, variation, n_samples=N_POOL_SAMPLES, seed=SEED
+        model, variation, n_samples=N_POOL_SAMPLES, seed=SEED
     )
     ref = execute(loop_plan, model, test)
     hybrid_result = execute(hybrid, model, test)
-    legacy_result = execute(legacy, model, test)
+    per_draw_result = execute(per_draw, model, test)
     assert hybrid_result.accuracies == ref.accuracies, (
         "hybrid pool workers are not seed-paired with the reference loop"
     )
-    assert legacy_result.accuracies == ref.accuracies, (
-        "legacy pool workers are not seed-paired with the reference loop"
+    assert per_draw_result.accuracies == ref.accuracies, (
+        "per-draw pool workers are not seed-paired with the reference loop"
     )
 
     rounds = []
     speedup = 0.0
     for _ in range(MAX_ROUNDS):
         t_hybrid = _best_time(lambda: execute(hybrid, model, test), 3)
-        t_legacy = _best_time(lambda: execute(legacy, model, test), 3)
-        rounds.append({"pool_loop_s": t_legacy, "pool_hybrid_s": t_hybrid,
-                       "speedup": t_legacy / t_hybrid})
-        speedup = max(speedup, t_legacy / t_hybrid)
+        t_per_draw = _best_time(lambda: execute(per_draw, model, test), 3)
+        rounds.append({"pool_loop_s": t_per_draw, "pool_hybrid_s": t_hybrid,
+                       "speedup": t_per_draw / t_hybrid})
+        speedup = max(speedup, t_per_draw / t_hybrid)
         if speedup >= max(TARGET_POOL_SPEEDUP, 1.05):
             break  # comfortably ahead; stop burning benchmark time
 
@@ -259,7 +258,7 @@ def test_mc_hybrid_pool_speedup(workbench, pairs):
 
     assert speedup >= TARGET_POOL_SPEEDUP, (
         f"hybrid pool x vectorized at {speedup:.2f}x is slower than the "
-        f"legacy per-draw pool it replaced "
+        f"per-draw pool "
         f"(rounds: {[round(r['speedup'], 2) for r in rounds]})"
     )
 
@@ -291,7 +290,7 @@ def test_mc_float32_speedup():
 
     def plan(dtype, **kwargs):
         return build_plan(
-            model, test, variation, n_samples=F32_SAMPLES, seed=SEED,
+            model, variation, n_samples=F32_SAMPLES, seed=SEED,
             vectorized=True, dtype=dtype, **kwargs,
         )
 
@@ -299,12 +298,12 @@ def test_mc_float32_speedup():
     f32 = plan("float32")
     # Per-dtype pairing gate: f32 vectorized == f32 loop (cheap S).
     pairing = execute(
-        build_plan(model, test, variation, n_samples=8, seed=SEED,
+        build_plan(model, variation, n_samples=8, seed=SEED,
                    vectorized=True, dtype="float32"),
         model, test,
     )
     pairing_loop = execute(
-        build_plan(model, test, variation, n_samples=8, seed=SEED,
+        build_plan(model, variation, n_samples=8, seed=SEED,
                    dtype="float32"),
         model, test,
     )
@@ -539,7 +538,7 @@ def test_mc_race_tracks_faster_form(workbench, pairs):
         model.eval()  # plans are built against eval-mode models
         loop_plan, stacked_plan = (
             build_plan(
-                model, test, variation, n_samples=RACE_SAMPLES, seed=SEED,
+                model, variation, n_samples=RACE_SAMPLES, seed=SEED,
                 vectorized=vectorized, chunk_samples=RACE_CHUNK,
             )
             for vectorized in (False, True)

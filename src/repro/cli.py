@@ -17,15 +17,17 @@ composes the paper's log-normal model with 4-bit level quantization;
 ``correctnet-eval --analog`` deploys the checkpoint onto the crossbar
 simulator first (optionally with ``--dac-bits/--adc-bits/--read-noise``),
 so the same scenarios evaluate through the full analog chain — on any
-engine, seed-paired. ``--tolerance`` (eval and search) switches the
-Monte-Carlo protocol to sequential stopping: draw until the confidence
-interval on mean accuracy is tight enough, up to ``--max-samples``.
+engine, seed-paired. ``correctnet-eval --engine {vectorized,loop}``
+picks the Monte-Carlo form and ``--workers N`` runs it in an N-process
+pool; the two choices are independent. ``--tolerance`` (eval and
+search) switches the Monte-Carlo protocol to sequential stopping: draw
+until the confidence interval on mean accuracy is tight enough, up to
+``--max-samples``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -156,18 +158,18 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
     _add_variation_arg(parser)
     parser.add_argument("--samples", type=int, default=50)
     parser.add_argument(
-        "--engine", choices=["vectorized", "loop", "pool"], default="vectorized",
-        help="MC engine: vectorized (stacked-weight passes; a run of at "
-        "least 3 chunks races them against per-draw passes on its first "
-        "two chunks and runs the rest in the faster form, which --verbose "
-        "logs), the reference loop, or a process pool. All three are "
+        "--engine", choices=["vectorized", "loop"], default="vectorized",
+        help="MC form: vectorized (stacked-weight passes; an in-process "
+        "run of at least 3 chunks races them against per-draw passes on "
+        "its first two chunks and runs the rest in the faster form, which "
+        "--verbose logs) or the per-draw reference loop. Both are "
         "seed-paired: identical results",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for --engine pool (and the fallback when a "
-        "model lacks vectorized kernels); pool workers run stacked chunks "
-        "when the model supports them",
+        "--workers", type=int, default=0, metavar="N",
+        help="run the chosen --engine form in a pool of N worker "
+        "processes, one chunk per task (N <= 1: in-process; workers do "
+        "not race). Seed-paired with the in-process run",
     )
     _add_chunk_args(parser)
     _add_adaptive_args(parser)
@@ -256,16 +258,11 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         for i, (_, layer) in enumerate(analog_layers(model)):
             layer.seed_read_noise(args.seed + i)
     clean = accuracy(model, test)
-    n_workers = 0 if args.engine == "loop" else args.workers
-    if args.engine == "pool" and n_workers == 0:
-        # Unset: size the pool to the machine. An explicit --workers 1
-        # deliberately degenerates to the serial loop.
-        n_workers = os.cpu_count() or 2
     evaluator = MonteCarloEvaluator(
         test,
         n_samples=args.max_samples if args.max_samples else args.samples,
         vectorized=args.engine == "vectorized",
-        n_workers=n_workers,
+        n_workers=args.workers,
         chunk_samples=args.chunk_samples,
         tolerance=args.tolerance,
         dtype=args.dtype,

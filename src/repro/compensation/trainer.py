@@ -26,7 +26,7 @@ from repro.compensation.wrappers import is_compensated
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module, Parameter
 from repro.optim.optimizers import Adam
-from repro.store.fingerprint import canonical_json, dataset_digest, weights_digest
+from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 from repro.utils.rng import SeedLike
 from repro.variation.models import VariationModel
 from repro.variation.spec import parse_spec, to_dict as spec_to_dict, VariationLike

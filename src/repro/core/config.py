@@ -82,11 +82,6 @@ class EvalConfig:
     seed: int = 1234
     candidate_threshold: float = 0.95
     max_candidates: Optional[int] = None
-    # Backend selection (see repro.evaluation.montecarlo): the vectorized
-    # path is seed-paired with the reference loop, so it is on by default;
-    # models it cannot handle fall back automatically.
-    vectorized: bool = True
-    n_workers: int = 0
     # Stacked-chunk size: draws evaluated per stacked pass. Bitwise-neutral
     # (chunking never changes results), purely a peak-memory/locality knob.
     # None leaves it to the planner (see repro.evaluation.plan).
@@ -98,14 +93,10 @@ class EvalConfig:
     # Lower draw bound before the rule may fire; None uses the
     # HalfWidthRule default.
     min_samples: Optional[int] = None
-    # Confidence level and interval estimator ("clt" | "wilson") used for
-    # both stop decisions and reported ci_low/ci_high.
-    ci_confidence: float = 0.95
-    ci_method: str = "clt"
     # Eval dtype policy ("float64" | "float32"): float32 halves memory
     # traffic and roughly doubles GEMM throughput for weight-domain
-    # evaluation. Paired-seed bitwise equality holds per dtype across all
-    # backends, but float32 results are NOT float64 results — the store
+    # evaluation. Paired-seed bitwise equality holds per dtype in every
+    # form, but float32 results are NOT float64 results — the store
     # fingerprint includes the dtype.
     dtype: str = "float64"
     # Opt-in result store (see repro.store): when set, the pipeline's
@@ -184,11 +175,13 @@ def make_evaluator(
     """The Monte-Carlo evaluator ``config`` describes, over ``dataset``.
 
     ``n_samples`` is the draw cap of the stage asking (the full protocol,
-    or the RL search's cheaper estimate). The evaluator gets the wall
-    clock its race times chunks with, so a vectorized evaluation runs
-    each later chunk in the faster of the per-draw and stacked forms
-    (``repro.evaluation.executor``; bitwise-neutral). The clock is
-    resolved here, outside the deterministic engine dirs.
+    or the RL search's cheaper estimate). The evaluator is always the
+    in-process vectorized one (models without sample-aware kernels fall
+    back to the per-draw loop), and it gets the wall clock its race
+    times chunks with, so each later chunk runs in the faster of the
+    per-draw and stacked forms (``repro.evaluation.executor``;
+    bitwise-neutral). The clock is resolved here, outside the
+    deterministic engine dirs.
     """
     from repro.evaluation.montecarlo import MonteCarloEvaluator
 
@@ -196,13 +189,10 @@ def make_evaluator(
         dataset,
         n_samples=n_samples,
         seed=config.seed,
-        vectorized=config.vectorized,
-        n_workers=config.n_workers,
+        vectorized=True,
         chunk_samples=config.chunk_samples,
         tolerance=config.tolerance,
         min_samples=config.min_samples,
-        ci_confidence=config.ci_confidence,
-        ci_method=config.ci_method,
         dtype=config.dtype,
         clock=time.perf_counter,
     )

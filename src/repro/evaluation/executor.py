@@ -1,10 +1,11 @@
 """Executing an :class:`~repro.evaluation.plan.EvalPlan`.
 
-One generic driver per backend — loop, vectorized, pool — runs any plan;
-what used to distinguish the six Monte-Carlo engine bodies (plain vs
-analog, each times three backends) is now a **model adapter**: the one
-object that knows how to apply a draw (or a stacked chunk of draws) to the
-model and how to restore the model afterwards.
+One driver runs any plan in the plan's form (per-draw loop or stacked
+chunks), in-process or from a process pool. What used to distinguish
+the six Monte-Carlo engine bodies (plain vs analog, each times three
+backends) is now a **model adapter**: the one object that knows how to
+apply a draw (or a stacked chunk of draws) to the model and how to
+restore the model afterwards.
 
 - :class:`WeightAdapter` — weight-domain models (plain, compensated). A
   draw is :meth:`VariationInjector.applied`; a chunk is ``stack_for`` +
@@ -23,20 +24,20 @@ the plan's seed schedule, in the same order — that single fact is the
 entire cross-backend bitwise contract, and it is now stated (and tested)
 once instead of per engine.
 
-The pool backend hands ``(model, dataset, plan)`` to each worker once,
-through the executor initializer, and rebuilds the adapter there. Under
-Linux ``fork`` those arguments are inherited, not copied: workers share
-the parent's pages. The plan is pure data, so any start method can ship
-it. Task payloads carry only one chunk's ``(start, stop)`` span, because
-workers re-derive their rng streams from the plan's seed schedule
-(``spawn_rngs`` is deterministic).
-Workers run the **vectorized stacked kernels over the chunk** when the
-plan says the model supports it (``plan.worker_vectorized`` — the hybrid
-workers × stacked-S scale point recorded in ``BENCH_mc.json``), and the
-per-draw reference loop otherwise. The parent keeps a bounded window of
+A pool (``plan.n_workers > 1``) hands ``(model, dataset, plan)`` to
+each worker once, through the executor initializer, and rebuilds the
+adapter there. Under Linux ``fork`` those arguments are inherited, not
+copied: workers share the parent's pages. The plan is pure data, so any
+start method can ship it. Task payloads carry only one chunk's
+``(start, stop)`` span, because workers re-derive their rng streams
+from the plan's seed schedule (``spawn_rngs`` is deterministic). Every
+worker runs its chunks in the plan's form: the stacked kernels when the
+plan is vectorized and has targets to draw, the per-draw reference loop
+otherwise (workers do not race). The parent keeps a bounded window of
 chunk tasks in flight and lands their results strictly in schedule
-order, so ``MCResult.accuracies[i]`` is stream ``i``'s draw on every
-backend — the property downstream CI computation relies on.
+order, so ``MCResult.accuracies[i]`` is stream ``i``'s draw in every
+form and at every worker count — the property downstream CI
+computation relies on.
 
 Eval dtype: a ``dtype="float32"`` plan evaluates a float32 *rounding* of
 the model — every parameter, buffer and image cast exactly once at run
@@ -45,7 +46,7 @@ private copy in the pool) — while draws keep being generated in float64
 from the float32-rounded nominal and cast once
 (:meth:`VariationInjector._draw`). Stream consumption depends only on
 shapes, so the seed schedule is dtype-invariant and the bitwise pairing
-contract holds *per dtype* across all three backends.
+contract holds *per dtype* across every form and worker count.
 
 Chunk landing and sequential (adaptive) stopping: every backend
 evaluates chunk by chunk and lands each chunk through
@@ -62,19 +63,19 @@ adaptive run's draws are a bitwise prefix of the fixed-S run on the same
 seed.
 
 The race: neither in-process form is fastest on every model, and a
-chunk's accuracies are identical in either, so a vectorized evaluation
-given an injected :data:`Clock` times its own chunks instead of a probe.
-The first chunk it runs goes per-draw, the second stacked; the form with
-the lower seconds per draw runs every later chunk. The per-draw form goes
-first, so it also pays the run's first-touch costs. The race starts only
-when at least three chunks remain, so the decision always has a chunk to
-pay for. It never touches the plan, the chunk bounds or the stopping
-rule, so a raced run returns the clockless run's draws bitwise, including
-where an adaptive rule stops it. The front ends (``correctnet-eval``,
-``correctnet-search`` and ``repro.core.config.make_evaluator``) always
-inject a clock; library callers opt in by passing ``clock=``. Without one
-nothing is timed: the engine never reads wall time itself (reprolint
-DET001).
+chunk's accuracies are identical in either, so an in-process vectorized
+evaluation given an injected :data:`Clock` times its own chunks instead
+of a probe. The first chunk it runs goes per-draw, the second stacked;
+the form with the lower seconds per draw runs every later chunk. The
+per-draw form goes first, so it also pays the run's first-touch costs.
+The race starts only when at least three chunks remain, so the decision
+always has a chunk to pay for. It never touches the plan, the chunk
+bounds or the stopping rule, so a raced run returns the clockless run's
+draws bitwise, including where an adaptive rule stops it. The front
+ends (``correctnet-eval``, ``correctnet-search`` and
+``repro.core.config.make_evaluator``) always inject a clock; library
+callers opt in by passing ``clock=``. Without one nothing is timed: the
+engine never reads wall time itself (reprolint DET001).
 """
 
 from __future__ import annotations
@@ -359,11 +360,12 @@ class IncrementalEvaluation:
     """Resumable chunk-by-chunk execution of one plan.
 
     The unit of sequential evaluation: holds the plan's seed schedule and
-    chunk bounds, evaluates one chunk per :meth:`run_chunk` call (stacked
-    when the plan is vectorized, per-draw otherwise), and lands every
-    chunk through :meth:`land_chunk`, which cuts it at the stopping
-    rule's first satisfied look; the pool backend lands its workers'
-    chunks through the same step. Satisfies the
+    chunk bounds, evaluates one chunk per :meth:`run_chunk` call
+    in-process (stacked when the plan is vectorized, per-draw otherwise,
+    whatever its ``n_workers``), and lands every chunk through
+    :meth:`land_chunk`, which cuts it at the stopping rule's first
+    satisfied look; a pool lands its workers' chunks through the same
+    step. Satisfies the
     :class:`~repro.evaluation.sequential.SequentialPoint`
     protocol, so the sweep-level allocator can interleave chunks across
     many of these against one shared budget — each instance's draws stay a
@@ -593,16 +595,17 @@ def _pool_init(model: Module, dataset: ArrayDataset, plan: EvalPlan) -> None:
 def _pool_chunk(start: int, stop: int) -> List[float]:
     """Evaluate the draws of chunk ``[start, stop)`` in a worker.
 
-    The task payload is just the span. Runs the stacked kernels when the
-    plan allows (hybrid pool x vectorized), else the per-draw reference
-    loop; either way draw ``i`` is stream ``i``'s, bitwise.
+    The task payload is just the span. Runs the plan's form — the
+    stacked kernels when the plan is vectorized and has targets, else the
+    per-draw reference loop; either way draw ``i`` is stream ``i``'s,
+    bitwise.
     """
     model = cast(Module, _POOL_STATE["model"])
     dataset = cast(ArrayDataset, _POOL_STATE["dataset"])
     plan = cast(EvalPlan, _POOL_STATE["plan"])
     adapter = cast(ModelAdapter, _POOL_STATE["adapter"])
     rngs = cast(List[np.random.Generator], _POOL_STATE["rngs"])[start:stop]
-    stacked = plan.worker_vectorized and adapter.has_targets
+    stacked = plan.backend == "vectorized" and adapter.has_targets
     run = _stacked_accuracies if stacked else _loop_accuracies
     with adapter.run_context():
         return run(model, dataset, adapter, plan, rngs)
@@ -659,15 +662,16 @@ def execute(
     (``MCResult.stopped_early``).
 
     ``on_chunk`` streams each chunk's draws to the caller as it lands, in
-    schedule order on every backend (the result store persists restart
-    points through it). ``clock`` races the in-process forms on a
-    vectorized plan's own chunks (module docstring); the result is the
-    clockless run's, bitwise.
+    schedule order in every form and at every worker count (the result
+    store persists restart points through it). A plan with
+    ``n_workers > 1`` runs its chunks from a process pool. ``clock``
+    races the two forms on an in-process vectorized plan's own chunks
+    (module docstring); the result is the clockless run's, bitwise.
     """
     evaluation = IncrementalEvaluation(
         plan, model, dataset, on_chunk=on_chunk, clock=clock
     )
-    if plan.backend == "pool" and not plan.deterministic:
+    if plan.n_workers > 1 and not plan.deterministic:
         _run_pool(evaluation)
         return evaluation.result()
     with evaluation:

@@ -8,24 +8,26 @@ reproducible and paired across configurations sharing a seed.
 
 Since the plan/executor refactor the evaluator itself is thin: it
 normalizes the variation spec, forces eval mode, builds an
-:class:`~repro.evaluation.plan.EvalPlan` (domain, backend, seed schedule,
-sample-chunk schedule, data blocking) and hands it to
-:func:`repro.evaluation.executor.execute`. The three backends —
+:class:`~repro.evaluation.plan.EvalPlan` (domain, form, workers, seed
+schedule, sample-chunk schedule, data blocking) and hands it to
+:func:`repro.evaluation.executor.execute`. Two independent knobs choose
+the execution:
 
-- **loop** (default): one full-dataset forward pass per sample, the
-  semantic ground truth;
-- **vectorized** (``vectorized=True``): all samples of a chunk evaluated
-  per data batch through the sample-stacked kernels;
-- **pool** (``n_workers > 1``): sample chunks dispatched to worker
-  processes, each worker running the stacked kernels over its chunk when
-  the model supports them (hybrid pool x vectorized), else the loop —
+- ``vectorized`` picks the **form** a chunk runs in: the per-draw
+  **loop** (default; one full-dataset forward pass per sample, the
+  semantic ground truth) or the **vectorized** stacked kernels (all
+  samples of a chunk per data batch), falling back to the loop when the
+  model is not sample-aware;
+- ``n_workers > 1`` runs that same form in every worker of a process
+  **pool**, one chunk per task; otherwise the chunks run in-process.
 
-share one paired-seed contract, stated once in ``plan``/``executor``: a
-given seed produces bitwise-identical per-draw state in every backend, so
-engine choice, ``chunk_samples`` and ``n_workers`` are pure performance
-knobs. Weight-domain and analog (crossbar-deployed) models run through the
-same backends; only the *model adapter* — how a draw or a chunk of draws
-is applied — differs (see ``repro.evaluation.executor``).
+Every (form, workers) cell shares one paired-seed contract, stated once
+in ``plan``/``executor``: a given seed produces bitwise-identical
+per-draw state everywhere, so ``vectorized``, ``n_workers`` and
+``chunk_samples`` are pure performance knobs. Weight-domain and analog
+(crossbar-deployed) models run through the same forms; only the *model
+adapter* — how a draw or a chunk of draws is applied — differs (see
+``repro.evaluation.executor``).
 
 Memory-bounded streaming: stacked execution materializes per-draw state
 (weight stacks / conductance planes) for ``chunk_samples`` draws at a
@@ -61,12 +63,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.executor import Clock, execute, IncrementalEvaluation
 from repro.evaluation.plan import build_plan
-from repro.evaluation.sequential import (
-    allocate_draws,
-    CI_METHODS,
-    half_width,
-    interval,
-)
+from repro.evaluation.sequential import allocate_draws, half_width, interval
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike
 from repro.variation.spec import parse_spec, scale_to, VariationLike
@@ -201,13 +198,12 @@ class MonteCarloEvaluator:
     seed:
         Root seed; sample ``i`` uses the i-th spawned stream.
     vectorized:
-        Evaluate all samples per data batch in one stacked-weight pass
-        when the model supports it (see module docstring). Falls back to
-        the pool/loop backends otherwise.
+        Evaluate all samples of a chunk per data batch in one
+        stacked-weight pass when the model supports it (see module
+        docstring); the per-draw loop otherwise.
     n_workers:
-        When > 1 (and the vectorized path is off or unsupported), dispatch
-        the sample chunks to a process pool of this size; workers run
-        stacked chunks when the model supports them.
+        When > 1, dispatch the sample chunks to a process pool of this
+        size; every worker runs the form ``vectorized`` picked.
     chunk_samples:
         Samples evaluated per stacked pass. ``None`` uses
         :data:`~repro.evaluation.plan.DEFAULT_CHUNK_SAMPLES`, which a
@@ -229,16 +225,16 @@ class MonteCarloEvaluator:
     min_samples:
         Lower draw bound before a stopping rule may fire; ``None`` uses
         the :class:`~repro.evaluation.sequential.HalfWidthRule` default.
-    ci_confidence / ci_method:
-        Confidence level and interval estimator ("clt" or "wilson") used
-        both for stop decisions and for reported ``ci_low``/``ci_high``.
+        The rule's interval is a 95% CLT interval, the one results
+        report by default.
     clock:
         An injected seconds counter (``time.perf_counter`` in the front
-        ends; ``None``, the default, reads no time). A vectorized
-        evaluation then races the per-draw and stacked forms on its own
-        first two chunks and runs the rest in the faster one (see
-        :mod:`repro.evaluation.executor`). Results are bitwise those of
-        the clockless run, and plans never see it.
+        ends; ``None``, the default, reads no time). An in-process
+        vectorized evaluation then races the per-draw and stacked forms
+        on its own first two chunks and runs the rest in the faster one
+        (see :mod:`repro.evaluation.executor`); pool workers do not race.
+        Results are bitwise those of the clockless run, and plans never
+        see it.
     """
 
     def __init__(
@@ -252,8 +248,6 @@ class MonteCarloEvaluator:
         chunk_samples: Optional[int] = None,
         tolerance: Optional[float] = None,
         min_samples: Optional[int] = None,
-        ci_confidence: float = 0.95,
-        ci_method: str = "clt",
         dtype: str = "float64",
         clock: Optional[Clock] = None,
     ) -> None:
@@ -273,14 +267,6 @@ class MonteCarloEvaluator:
             raise ValueError(
                 f"min_samples must be at least 1, got {min_samples}"
             )
-        if not 0.0 < ci_confidence < 1.0:
-            raise ValueError(
-                f"ci_confidence must be in (0, 1), got {ci_confidence}"
-            )
-        if ci_method not in CI_METHODS:
-            raise ValueError(
-                f"unknown CI method {ci_method!r}; choose from {CI_METHODS}"
-            )
         self.dataset = dataset
         self.n_samples = n_samples
         self.seed = seed
@@ -290,8 +276,6 @@ class MonteCarloEvaluator:
         self.chunk_samples = chunk_samples
         self.tolerance = tolerance
         self.min_samples = min_samples
-        self.ci_confidence = ci_confidence
-        self.ci_method = ci_method
         self.dtype = dtype
         self.clock = clock
 
@@ -313,7 +297,6 @@ class MonteCarloEvaluator:
         inputs: the ``clock`` never enters a plan."""
         return build_plan(
             model,
-            self.dataset,
             variation,
             n_samples=self.n_samples if max_samples is None else max_samples,
             seed=self.seed,
@@ -323,8 +306,6 @@ class MonteCarloEvaluator:
             chunk_samples=self.chunk_samples,
             tolerance=self.tolerance if tolerance is None else tolerance,
             min_samples=self.min_samples if min_samples is None else min_samples,
-            ci_confidence=self.ci_confidence,
-            ci_method=self.ci_method,
             dtype=self.dtype,
         )
 
@@ -342,8 +323,8 @@ class MonteCarloEvaluator:
         ``variation`` is any spec form (model / grammar string / dict);
         a ``LayerMap`` restricts injection to a layer subset (Fig. 9).
         A ``NoVariation`` model short-circuits to a single deterministic
-        evaluation. Backend choice (vectorized / pool / loop) follows the
-        module docstring; all backends return paired results for a seed.
+        evaluation. The form and the worker count follow the module
+        docstring; every choice returns paired results for a seed.
 
         ``tolerance`` (here or on the evaluator) enables sequential
         stopping: draws run until, at one of the rule's looks, the
@@ -397,9 +378,10 @@ class MonteCarloEvaluator:
         is already tight"; without one, points only stop at their sample
         cap. Each point's draws remain a contiguous prefix of its own
         seed schedule, so the paired-prefix contract holds per point no
-        matter how the budget is interleaved. With a ``clock`` each point
-        races on its own chunks, because points with different specs can
-        favour different forms.
+        matter how the budget is interleaved. Points run their chunks
+        in-process whatever ``n_workers`` says. With a ``clock`` each
+        point races on its own chunks, because points with different
+        specs can favour different forms.
         """
         tolerance = self.tolerance if tolerance is None else tolerance
         budget = (
@@ -425,13 +407,7 @@ class MonteCarloEvaluator:
                     )
                     for variation in points
                 ]
-                allocate_draws(
-                    evaluations,
-                    budget,
-                    lambda accs: half_width(
-                        accs, self.ci_confidence, self.ci_method
-                    ),
-                )
+                allocate_draws(evaluations, budget, half_width)
             return [evaluation.result() for evaluation in evaluations]
         finally:
             model.train(was_training)

@@ -5,12 +5,12 @@ Historically ``MonteCarloEvaluator`` grew six near-duplicate engine bodies
 re-implementing the paired-seed protocol, the sample chunking and the data
 blocking on its own. This module factors the *decisions* out of the
 *execution*: :func:`build_plan` resolves a variation spec, the model's
-domain (weight vs analog), the execution backend, the seed schedule and
-the sample-chunking schedule into one immutable :class:`EvalPlan`, and
-``repro.evaluation.executor`` runs any plan through one generic driver
-per backend. The paired-seed contract lives in exactly one place — the
-plan's ``draw_rngs`` schedule plus the model adapters' per-stream
-consumption — instead of six.
+domain (weight vs analog), the execution form and worker count, the seed
+schedule and the sample-chunking schedule into one immutable
+:class:`EvalPlan`, and ``repro.evaluation.executor`` runs any plan
+through one generic driver. The paired-seed contract lives in exactly
+one place — the plan's ``draw_rngs`` schedule plus the model adapters'
+per-stream consumption — instead of six.
 
 Plan axes
 ---------
@@ -20,15 +20,14 @@ Plan axes
   *analog* (variation applies at crossbar programming time). The adapter —
   *how a chunk of draws is applied* — is the only thing that differs, so
   analog evaluation is no longer a separate engine family.
-- **Backend.** ``loop`` (reference, one full sweep per draw),
-  ``vectorized`` (sample-stacked kernels, all draws of a chunk per data
-  batch) and ``pool`` (chunks dispatched to worker processes). Resolution
-  keeps the historical semantics: ``vectorized=True`` wins when the model
-  has sample-aware kernels throughout, else ``n_workers > 1`` selects the
-  pool, else the loop. Pool workers themselves run the **vectorized
-  stacked kernels over each chunk** whenever the model supports it
-  (``worker_vectorized``) — the hybrid workers × stacked-S scale point —
-  and fall back to the per-draw loop otherwise.
+- **Backend and workers: two independent decisions.** ``backend`` is
+  the form a chunk runs in: ``loop`` (reference, one full sweep per
+  draw) or ``vectorized`` (sample-stacked kernels, all draws of a chunk
+  per data batch), granted when ``vectorized=True`` and the model has
+  sample-aware kernels throughout. ``n_workers > 1`` runs that same form
+  in every worker of a process pool, one chunk per task; otherwise the
+  chunks run in-process. A pool is fed, shrunk and clamped by the same
+  rules whatever the form (:func:`build_plan`).
 - **Seed schedule.** Draw ``i`` always consumes the ``i``-th stream of
   ``spawn_rngs(seed, n_samples)`` regardless of backend, chunking or
   worker count; chunks are contiguous *slices* of that one stream list,
@@ -76,7 +75,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import ArrayDataset
 from repro.evaluation.sequential import HalfWidthRule
 from repro.evaluation.vectorized import sample_axis_blockers, supports_sample_axis
 from repro.hardware.analog_layers import analog_layers, has_read_noise
@@ -115,13 +113,14 @@ class EvalPlan:
     n_samples: int
     seed: SeedLike
     domain: str  # "weight" | "analog"
-    backend: str  # "loop" | "vectorized" | "pool"
+    backend: str  # "loop" | "vectorized": the form every chunk runs in
     deterministic: bool = False
     data_block: int = 64
     chunk_samples: int = 16
+    #: Above one, a process pool of this size runs the chunks, each
+    #: worker in the plan's ``backend`` form; otherwise they run
+    #: in-process.
     n_workers: int = 0
-    #: Pool workers run stacked chunks instead of the per-draw loop.
-    worker_vectorized: bool = False
     #: Arithmetic precision of the evaluation ("float64" | "float32").
     #: Part of the *logical* evaluation — float32 results are not float64
     #: results — so unlike the execution knobs above it enters the store
@@ -131,11 +130,12 @@ class EvalPlan:
     #: (every ``LOOK_EVERY`` draws, whatever the chunking); ``None`` runs
     #: the full ``n_samples`` cap (the paper's fixed-S protocol).
     stopping: Optional[HalfWidthRule] = None
-    #: Why the resolved backend differs from the requested one — set when a
+    #: Why the plan differs from the request — set when a
     #: ``vectorized=True`` request fell back because the model is not
-    #: sample-aware, naming the blocking module(s). Purely diagnostic: it
-    #: never changes execution and is excluded from store fingerprints
-    #: (which hash only the logical evaluation).
+    #: sample-aware (naming the blocking modules), or when ``n_workers``
+    #: was clamped to the chunk count. Purely diagnostic: it never
+    #: changes execution and is excluded from store fingerprints (which
+    #: hash only the logical evaluation).
     backend_reason: Optional[str] = None
 
     @property
@@ -162,7 +162,6 @@ class EvalPlan:
 
 def build_plan(
     model: Module,
-    dataset: ArrayDataset,
     variation: "VariationLike",
     *,
     n_samples: int,
@@ -171,34 +170,30 @@ def build_plan(
     n_workers: int = 0,
     data_block: int = 64,
     chunk_samples: Optional[int] = None,
-    worker_vectorized: Optional[bool] = None,
     dtype: str = "float64",
     tolerance: Optional[float] = None,
     min_samples: Optional[int] = None,
-    ci_confidence: float = 0.95,
-    ci_method: str = "clt",
 ) -> EvalPlan:
     """Resolve one Monte-Carlo evaluation into an :class:`EvalPlan`.
 
     ``model`` must already be in the mode it will be evaluated in (the
-    evaluator forces eval mode first): backend eligibility via
+    evaluator forces eval mode first): stacked-form eligibility via
     ``supports_sample_axis`` is mode-dependent for batch norm.
-    ``worker_vectorized`` defaults to the model's stacked-kernel
-    eligibility; benchmarks pass ``False`` to time legacy per-draw pool
-    workers against the hybrid.
 
-    ``dtype`` picks the evaluation precision (see module docstring). Pool
-    tasks are whole chunks, so a *defaulted* chunk size first shrinks
-    until every requested worker has a chunk (chunking is bitwise-neutral,
-    adaptive plans included). When an explicit ``chunk_samples`` pins the
-    chunks, ``n_workers`` is clamped to the number of chunks instead
-    (extra workers would pay the start-up cost and then receive no
-    chunk), with the clamp recorded in ``backend_reason``.
+    ``vectorized`` and ``n_workers`` are independent: the first picks the
+    form, the second how many processes run it. Pool tasks are whole
+    chunks, so a *defaulted* chunk size first shrinks until every
+    requested worker has a chunk (chunking is bitwise-neutral, adaptive
+    plans included). When an explicit ``chunk_samples`` pins the chunks,
+    ``n_workers`` is clamped to the number of chunks instead (extra
+    workers would pay the start-up cost and then receive no chunk), with
+    the clamp recorded in ``backend_reason``. ``dtype`` picks the
+    evaluation precision (see module docstring).
 
     Sequential stopping: a ``tolerance`` builds a
-    :class:`~repro.evaluation.sequential.HalfWidthRule` from
-    ``min_samples`` / ``ci_confidence`` / ``ci_method``, and ``n_samples``
-    becomes the draw cap rather than the exact count.
+    :class:`~repro.evaluation.sequential.HalfWidthRule` (95% CLT
+    interval) with ``min_samples``, and ``n_samples`` becomes the draw
+    cap rather than the exact count.
     """
     for name, value in (("n_samples", n_samples), ("data_block", data_block),
                         ("chunk_samples", chunk_samples)):
@@ -211,14 +206,9 @@ def build_plan(
     stopping: Optional[HalfWidthRule] = None
     if tolerance is not None:
         if min_samples is None:
-            stopping = HalfWidthRule(
-                tolerance=tolerance, confidence=ci_confidence, method=ci_method
-            )
+            stopping = HalfWidthRule(tolerance=tolerance)
         else:
-            stopping = HalfWidthRule(
-                tolerance=tolerance, confidence=ci_confidence,
-                method=ci_method, min_samples=min_samples,
-            )
+            stopping = HalfWidthRule(tolerance=tolerance, min_samples=min_samples)
     resolved = parse_spec(variation)
     analog = bool(analog_layers(model))
     domain = "analog" if analog else "weight"
@@ -238,36 +228,31 @@ def build_plan(
     )
     n_chunks = -(-n_samples // chunk)  # ceil division
 
-    sample_aware = supports_sample_axis(model)
     reasons: List[str] = []
-    if vectorized and sample_aware:
+    backend = "loop"
+    if vectorized and supports_sample_axis(model):
         backend = "vectorized"
-    else:
-        if 1 < n_workers and n_chunks < n_workers and chunk_samples is None:
-            # The chunk size was only a default: shrink it so every
-            # requested worker gets a whole chunk (chunking is
-            # bitwise-neutral, so this is a pure scheduling adjustment).
-            chunk = -(-n_samples // n_workers)
-            n_chunks = -(-n_samples // chunk)
-        if n_workers > n_chunks:
-            # Extra workers would start, pay the initializer cost and
-            # receive no chunk: every pool task is one whole chunk.
-            reasons.append(
-                f"n_workers clamped from {n_workers} to {n_chunks}: the "
-                f"schedule has only {n_chunks} chunk(s) of "
-                f"{chunk} sample(s) to dispatch"
-            )
-            n_workers = n_chunks
-        backend = "pool" if n_workers > 1 else "loop"
-        if vectorized and not sample_aware:
-            blockers = sample_axis_blockers(model)
-            reasons.append(
-                f"vectorized execution requested but fell back to the "
-                f"{backend} backend: module(s) without a truthy "
-                f"sample_aware declaration: " + ", ".join(blockers)
-            )
-    if worker_vectorized is None:
-        worker_vectorized = sample_aware
+    elif vectorized:
+        reasons.append(
+            "vectorized execution requested but fell back to the loop "
+            "backend: module(s) without a truthy sample_aware declaration: "
+            + ", ".join(sample_axis_blockers(model))
+        )
+    if 1 < n_workers and n_chunks < n_workers and chunk_samples is None:
+        # The chunk size was only a default: shrink it so every requested
+        # worker gets a whole chunk (chunking is bitwise-neutral, so this
+        # is a pure scheduling adjustment).
+        chunk = -(-n_samples // n_workers)
+        n_chunks = -(-n_samples // chunk)
+    if n_workers > n_chunks:
+        # Extra workers would start, pay the initializer cost and receive
+        # no chunk: every pool task is one whole chunk.
+        reasons.append(
+            f"n_workers clamped from {n_workers} to {n_chunks}: the "
+            f"schedule has only {n_chunks} chunk(s) of "
+            f"{chunk} sample(s) to dispatch"
+        )
+        n_workers = n_chunks
 
     return EvalPlan(
         variation=resolved,
@@ -279,7 +264,6 @@ def build_plan(
         data_block=data_block,
         chunk_samples=chunk,
         n_workers=n_workers,
-        worker_vectorized=bool(worker_vectorized),
         dtype=dtype,
         stopping=stopping,
         backend_reason="; ".join(reasons) if reasons else None,

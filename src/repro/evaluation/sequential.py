@@ -140,9 +140,9 @@ class HalfWidthRule:
 
     The rule is consulted at its looks only — every :data:`LOOK_EVERY`
     draws of the seed schedule, on the prefix of draws evaluated so far —
-    so every backend (loop, vectorized, pool) and every chunking asks the
-    same questions at the same draw counts, and the stop point is
-    engine- and chunk-invariant. ``method`` selects the interval
+    so every form, worker count and chunking asks the same questions at
+    the same draw counts, and the stop point is engine- and
+    chunk-invariant. ``method`` selects the interval
     estimator (:data:`CI_METHODS`), ``confidence`` its level. The rule
     never fires below ``min_samples`` draws, nor below two (one draw has
     no spread); the upper bound is the plan's ``n_samples`` cap, enforced

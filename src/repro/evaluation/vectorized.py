@@ -83,8 +83,8 @@ def sample_axis_blockers(module: Module) -> List[str]:
     is missing or falsy — the modules :func:`supports_sample_axis` rejects.
     Empty iff the tree is eligible. ``build_plan`` surfaces this as the
     plan's ``backend_reason`` when a requested vectorized run falls back
-    to the loop/pool, so the silent-slowdown cause is named instead of
-    guessed at.
+    to the per-draw loop form, so the silent-slowdown cause is named
+    instead of guessed at.
     """
     blockers: List[str] = []
     for name, sub in module.named_modules():

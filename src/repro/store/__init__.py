@@ -40,15 +40,13 @@ from repro.store.db import (
 )
 from repro.store.fingerprint import (
     FINGERPRINT_VERSION,
-    canonical_json,
-    dataset_digest,
     fingerprint_payload,
     plan_fingerprint,
-    weights_digest,
 )
 from repro.store.jobs import JobRequest, materialize
 from repro.store.query import sweep_points, SweepPoint
 from repro.store.runner import cached_evaluate, drain, DrainStats, run_job
+from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 
 __all__ = [
     "FINGERPRINT_VERSION",

@@ -33,16 +33,13 @@ the same inputs anywhere else.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
-from typing import Any, Dict, List, Optional, Union
-
-import numpy as np
+from typing import Any, Dict, Optional, Union
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import EvalPlan
 from repro.evaluation.sequential import HalfWidthRule
 from repro.nn.module import Module
+from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 from repro.variation.spec import to_dict as spec_to_dict
 
 #: Bump when the payload layout changes; part of the hashed payload, so
@@ -51,87 +48,6 @@ from repro.variation.spec import to_dict as spec_to_dict
 #: logical result than a float64 one (unlike backend/workers/chunking,
 #: which remain excluded).
 FINGERPRINT_VERSION = 2
-
-_JSONScalar = Union[None, bool, int, float, str]
-
-
-def _normalize(value: Any) -> Any:
-    """Recursively coerce ``value`` to canonical JSON-able primitives."""
-    if isinstance(value, (np.integer, np.bool_)):
-        value = value.item()
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite float {value!r} has no canonical form")
-        return value
-    if isinstance(value, dict):
-        normalized: Dict[str, Any] = {}
-        for key in value:
-            if not isinstance(key, str):
-                raise ValueError(f"payload keys must be str, got {key!r}")
-            normalized[key] = _normalize(value[key])
-        return normalized
-    if isinstance(value, (list, tuple)):
-        return [_normalize(item) for item in value]
-    raise ValueError(
-        f"{type(value).__name__} is not canonically serializable in a "
-        "fingerprint payload"
-    )
-
-
-def canonical_json(payload: Any) -> str:
-    """The one serialization a payload fingerprints through.
-
-    Sorted keys, fixed separators, ASCII-only, NaN rejected — byte-equal
-    output for semantically equal payloads regardless of construction
-    order or numpy scalar types.
-    """
-    return json.dumps(
-        _normalize(payload),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-    )
-
-
-def _digest(parts: List[bytes]) -> str:
-    sha = hashlib.sha256()
-    for part in parts:
-        sha.update(part)
-    return sha.hexdigest()
-
-
-def weights_digest(model: Module) -> str:
-    """Content digest of a model's parameters and buffers.
-
-    Hashes names, shapes, dtypes and raw bytes in sorted-name order, so
-    the digest identifies the deployed function — not the checkpoint path
-    it was loaded from, and not the dict order ``state_dict`` happened to
-    produce.
-    """
-    parts: List[bytes] = []
-    state = model.state_dict()
-    for name in sorted(state):
-        array = np.ascontiguousarray(state[name])
-        parts.append(
-            f"{name}|{array.dtype.str}|{array.shape}|".encode("ascii")
-        )
-        parts.append(array.tobytes())
-    return _digest(parts)
-
-
-def dataset_digest(dataset: ArrayDataset) -> str:
-    """Content digest of an evaluation split (images + labels)."""
-    parts: List[bytes] = []
-    for label, array in (("images", dataset.images), ("labels", dataset.labels)):
-        array = np.ascontiguousarray(array)
-        parts.append(f"{label}|{array.dtype.str}|{array.shape}|".encode("ascii"))
-        parts.append(array.tobytes())
-    return _digest(parts)
 
 
 def stopping_payload(rule: object) -> Optional[Dict[str, Any]]:
@@ -180,7 +96,7 @@ def fingerprint_payload(
     dtype** (bitwise pairing holds only per dtype — a float32 result is
     not a float64 result), the analog conversion parameters when the
     model was crossbar-deployed, and the stopping/CI params. Out: every
-    execution knob — ``backend``, ``n_workers``, ``worker_vectorized``,
+    execution knob — ``backend`` (the form), ``n_workers``,
     ``chunk_samples``, ``data_block`` — because none of them may change
     the result (the repo-wide paired-seed contract), so none may split
     the cache.

@@ -3,8 +3,9 @@
 A :class:`JobRequest` is everything a runner on *any* machine needs to
 reconstruct one Monte-Carlo evaluation: registry names for model and
 dataset, the build seed, an optional checkpoint, the variation spec as a
-``to_dict`` payload, the sample cap and eval seed, the stopping/CI
-params, and optional analog-deployment parameters. Execution knobs
+``to_dict`` payload, the sample cap and eval seed, the stopping params
+(``tolerance`` and ``min_samples``; the interval is the rule's default
+95% CLT), and optional analog-deployment parameters. Execution knobs
 (``chunk_samples``, ``data_block``) travel with the request but never
 enter the fingerprint: they cannot change a result, adaptive ones
 included, because the stopping rule looks at its own draw counts
@@ -18,7 +19,11 @@ Fingerprint integrity: the fingerprint is computed from the
 dataset digest, resolved spec), not from the request text. The runner
 re-materializes and recomputes it before executing, so a checkpoint file
 that changed between submit and run fails the job loudly instead of
-poisoning the cache under the old fingerprint.
+poisoning the cache under the old fingerprint. The same check covers
+requests stored before the CI level and method left the request:
+:meth:`JobRequest.from_dict` ignores keys it does not read, so they
+load, and one whose interval settings were not the defaults fails at
+the re-check instead of running under another fingerprint.
 """
 
 from __future__ import annotations
@@ -32,12 +37,8 @@ from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import build_plan, EvalPlan
 from repro.models.registry import build_model
 from repro.nn.module import Module
-from repro.store.fingerprint import (
-    canonical_json,
-    dataset_digest,
-    fingerprint_payload,
-    weights_digest,
-)
+from repro.store.fingerprint import fingerprint_payload
+from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 from repro.variation.spec import from_dict as spec_from_dict
 
 
@@ -90,8 +91,6 @@ class JobRequest:
     checkpoint: Optional[str] = None
     tolerance: Optional[float] = None
     min_samples: Optional[int] = None
-    ci_confidence: float = 0.95
-    ci_method: str = "clt"
     # Eval dtype: part of the logical result (and so of the fingerprint)
     # — a float32 evaluation is a different cache row than a float64 one.
     dtype: str = "float64"
@@ -116,8 +115,6 @@ class JobRequest:
             "checkpoint": self.checkpoint,
             "tolerance": self.tolerance,
             "min_samples": self.min_samples,
-            "ci_confidence": self.ci_confidence,
-            "ci_method": self.ci_method,
             "dtype": self.dtype,
             "analog": None if self.analog is None else self.analog.to_dict(),
             "chunk_samples": self.chunk_samples,
@@ -143,8 +140,6 @@ class JobRequest:
             checkpoint=payload.get("checkpoint"),
             tolerance=payload.get("tolerance"),
             min_samples=payload.get("min_samples"),
-            ci_confidence=float(payload.get("ci_confidence", 0.95)),
-            ci_method=str(payload.get("ci_method", "clt")),
             dtype=str(payload.get("dtype", "float64")),
             analog=None if analog is None else AnalogParams.from_dict(analog),
             chunk_samples=payload.get("chunk_samples"),
@@ -202,19 +197,15 @@ def materialize(request: JobRequest) -> Materialized:
     spec = spec_from_dict(request.variation)
     plan = build_plan(
         model,
-        test,
         spec,
         n_samples=request.n_samples,
         seed=request.seed,
         dtype=request.dtype,
-        vectorized=True,  # in-process backend; falls back to loop
-        n_workers=0,
+        vectorized=True,  # in-process stacked form; falls back to per-draw
         data_block=request.data_block,
         chunk_samples=request.chunk_samples,
         tolerance=request.tolerance,
         min_samples=request.min_samples,
-        ci_confidence=request.ci_confidence,
-        ci_method=request.ci_method,
     )
     payload = fingerprint_payload(
         plan, model_digest, dataset_digest(test), analog_payload

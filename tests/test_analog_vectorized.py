@@ -59,13 +59,16 @@ class TestEngineEquivalence:
         assert len(r_vec.accuracies) == 5
 
     def test_pool_matches_loop(self, analog_lenet, tiny_test, composed_spec):
+        """Per-draw and stacked pool workers both program the loop's
+        conductances."""
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
                                    vectorized=False)
-        pool = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
-                                   vectorized=False, n_workers=2)
         r_loop = loop.evaluate(analog_lenet, composed_spec)
-        r_pool = pool.evaluate(analog_lenet, composed_spec)
-        assert r_pool.accuracies == r_loop.accuracies
+        for vectorized in (False, True):
+            pool = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
+                                       vectorized=vectorized, n_workers=2)
+            r_pool = pool.evaluate(analog_lenet, composed_spec)
+            assert r_pool.accuracies == r_loop.accuracies, vectorized
 
     def test_mlp_with_layermap_spec(self, mlp, blob_dataset):
         """Per-layer analog scenarios resolve through the same LayerMap

@@ -128,7 +128,7 @@ class TestFakeClocksSteerTheRace:
         log, charge = forms
         clock = StepClock(per_draw, stacked)
         charge(clock)
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(mlp, LogNormalVariation(0.5),
                           n_samples=11, seed=4, vectorized=True,
                           chunk_samples=3)
         evaluation = _race(plan, mlp, blob_dataset, clock)
@@ -143,7 +143,7 @@ class TestFakeClocksSteerTheRace:
         assert evaluation.result() == execute(plan, mlp, blob_dataset)
 
     def test_the_decision_is_logged(self, mlp, blob_dataset, caplog):
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(mlp, LogNormalVariation(0.5),
                           n_samples=8, seed=4, vectorized=True,
                           chunk_samples=2)
         times = iter([0.0, 2e-3, 1.0, 1.0 + 8e-3])
@@ -158,7 +158,7 @@ class TestFakeClocksSteerTheRace:
     def test_resumed_run_races_the_next_two_chunks(self, forms, mlp,
                                                    blob_dataset):
         log, charge = forms
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(mlp, LogNormalVariation(0.5),
                           n_samples=12, seed=4, vectorized=True,
                           chunk_samples=2)
         reference = execute(plan, mlp, blob_dataset)
@@ -184,7 +184,7 @@ class TestFakeClocksSteerTheRace:
         log, charge = forms
         clock = StepClock(1.0, 2.0)
         charge(clock)
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(mlp, LogNormalVariation(0.5),
                           n_samples=60, seed=4, vectorized=True,
                           chunk_samples=20, tolerance=0.5, min_samples=2)
         evaluation = _race(plan, mlp, blob_dataset, clock)
@@ -213,7 +213,7 @@ class TestRaceIsBitwiseNeutral:
             label="tolerance")
         favour = data.draw(st.sampled_from(["per-draw", "stacked"]),
                            label="favour")
-        plan = build_plan(model, dataset, LogNormalVariation(0.4),
+        plan = build_plan(model, LogNormalVariation(0.4),
                           n_samples=n_samples, seed=5, vectorized=True,
                           chunk_samples=chunk, tolerance=tolerance,
                           min_samples=2)
@@ -258,7 +258,8 @@ class TestClockNeverCalled:
     @pytest.mark.parametrize("kwargs", [
         dict(vectorized=False),
         dict(vectorized=False, n_workers=2),
-    ], ids=["loop", "pool"])
+        dict(vectorized=True, n_workers=2),
+    ], ids=["loop", "pool", "vectorized-pool"])
     def test_loop_and_pool_plans(self, mlp, blob_dataset, kwargs):
         ev = MonteCarloEvaluator(blob_dataset, n_samples=8, seed=1,
                                  chunk_samples=2, clock=_never, **kwargs)
@@ -268,7 +269,7 @@ class TestClockNeverCalled:
         assert ev.evaluate(mlp, spec) == plain.evaluate(mlp, spec)
 
     def test_deterministic_plan(self, mlp, blob_dataset):
-        plan = build_plan(mlp, blob_dataset, NoVariation(), n_samples=8,
+        plan = build_plan(mlp, NoVariation(), n_samples=8,
                           seed=1, vectorized=True, chunk_samples=2)
         assert plan.deterministic
         assert execute(plan, mlp, blob_dataset, clock=_never).accuracies \
@@ -278,7 +279,7 @@ class TestClockNeverCalled:
     def test_nominal_shortcut(self, mlp, blob_dataset):
         silent = tail_spec(mlp, LogNormalVariation(0.5),
                            len(weighted_layers(mlp)))
-        plan = build_plan(mlp, blob_dataset, silent, n_samples=8, seed=1,
+        plan = build_plan(mlp, silent, n_samples=8, seed=1,
                           vectorized=True, chunk_samples=2)
         assert _race(plan, mlp, blob_dataset, _never).result() \
             == execute(plan, mlp, blob_dataset)
@@ -286,7 +287,7 @@ class TestClockNeverCalled:
     @pytest.mark.parametrize("chunk", [8, 4], ids=["one-chunk", "two-chunk"])
     def test_too_few_chunks_to_use_a_decision(self, mlp, blob_dataset,
                                               chunk):
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(mlp, LogNormalVariation(0.5),
                           n_samples=8, seed=1, vectorized=True,
                           chunk_samples=chunk)
         evaluation = _race(plan, mlp, blob_dataset, _never)
@@ -296,7 +297,7 @@ class TestClockNeverCalled:
     def test_no_clock_reads_no_time(self, monkeypatch, forms, mlp,
                                     blob_dataset):
         log, _ = forms
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(mlp, LogNormalVariation(0.5),
                           n_samples=8, seed=1, vectorized=True,
                           chunk_samples=2)
         with monkeypatch.context() as patched:
@@ -347,8 +348,9 @@ class TestAutotuneCLI:
     def test_adaptive_autotune_matches_the_loop(self, tmp_path, monkeypatch,
                                                 capsys, caplog):
         """The default engine races, and with ``--tolerance`` returns the
-        loop's draws: neither the race nor the chunk size moves the stop
-        point, which is the rule's first satisfied look."""
+        loop's draws: neither the race, the chunk size nor a pool of
+        either form moves the stop point, which is the rule's first
+        satisfied look."""
         monkeypatch.setitem(
             DATASET_FACTORIES, "synth_mnist",
             lambda: synth_mnist(train_per_class=20, test_per_class=1),
@@ -361,6 +363,9 @@ class TestAutotuneCLI:
             ("raced", ["--chunk-samples", "2"]),
             ("loop", ["--chunk-samples", "2", "--engine", "loop"]),
             ("chunk16", ["--chunk-samples", "16", "--engine", "loop"]),
+            ("pool", ["--chunk-samples", "2", "--engine", "loop",
+                      "--workers", "2"]),
+            ("vectorized-pool", ["--chunk-samples", "2", "--workers", "2"]),
         ):
             dumps[name] = str(tmp_path / f"{name}.json")
             with caplog.at_level(logging.INFO,
@@ -378,7 +383,10 @@ class TestAutotuneCLI:
         assert len(loop) == 16
         assert json.load(open(dumps["raced"])) == loop
         assert json.load(open(dumps["chunk16"])) == loop
-        # Only the default engine's run raced, and its log says so.
+        assert json.load(open(dumps["pool"])) == loop
+        assert json.load(open(dumps["vectorized-pool"])) == loop
+        # Only the default engine's in-process run raced (pool workers
+        # do not), and its log says so.
         races = [r for r in caplog.records
                  if r.getMessage().startswith("race:")]
         assert len(races) == 1

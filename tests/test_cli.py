@@ -78,6 +78,14 @@ class TestEvalCLI:
         assert payload["ci95"] == result.ci_half_width
         assert 0.0 <= payload["clean_accuracy"] <= 1.0
 
+    def test_pool_is_not_an_engine(self, capsys):
+        """``--workers`` makes a pool of either form; ``pool`` is no
+        ``--engine`` choice."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.eval_main(["--checkpoint", "unused.npz", "--engine", "pool"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'pool'" in capsys.readouterr().err
+
 
 class TestVariationSpecCLI:
     def test_eval_with_spec_string(self, tmp_path, capsys):

@@ -130,20 +130,27 @@ class TestRewardEngineInvariance:
         )
 
     def test_rewards_vectorized_vs_loop(self, lenet, tiny_mnist):
+        """The env's own (vectorized) evaluator and a swapped-in per-draw
+        loop evaluator give the same reward."""
         ratios = [0.5, 0.25]
-        out_loop = self._env(lenet, tiny_mnist, vectorized=False).step(ratios)
-        out_vec = self._env(lenet, tiny_mnist, vectorized=True).step(ratios)
+        out_vec = self._env(lenet, tiny_mnist).step(ratios)
+        looped = self._env(lenet, tiny_mnist)
+        looped._evaluator = MonteCarloEvaluator(
+            tiny_mnist[1], n_samples=3, seed=7, vectorized=False
+        )
+        out_loop = looped.step(ratios)
         assert out_vec.reward == out_loop.reward
         assert out_vec.accuracy_mean == out_loop.accuracy_mean
         assert out_vec.accuracy_std == out_loop.accuracy_std
 
     def test_env_evaluator_follows_eval_config(self, lenet, tiny_mnist):
-        env = self._env(lenet, tiny_mnist, vectorized=True, n_workers=3)
-        assert env._evaluator.vectorized is True
-        assert env._evaluator.n_workers == 3
-        assert env._evaluator.n_samples == 3
-        env = self._env(lenet, tiny_mnist, vectorized=False)
-        assert env._evaluator.vectorized is False
+        env = self._env(lenet, tiny_mnist, chunk_samples=2, tolerance=0.1)
+        evaluator = env._evaluator
+        assert evaluator.vectorized is True
+        assert evaluator.n_workers == 0
+        assert evaluator.n_samples == 3
+        assert evaluator.seed == 7
+        assert (evaluator.chunk_samples, evaluator.tolerance) == (2, 0.1)
 
     def test_env_evaluator_is_autotuned_like_the_pipeline(self, lenet,
                                                            tiny_mnist):

@@ -21,7 +21,7 @@ from repro.variation.injector import VariationInjector
 
 def _accuracies(model, data, variation, *, dtype, **knobs):
     plan = build_plan(
-        model, data, variation, n_samples=6, seed=11, dtype=dtype, **knobs
+        model, variation, n_samples=6, seed=11, dtype=dtype, **knobs
     )
     return plan, execute(plan, model, data)
 
@@ -37,12 +37,14 @@ class TestPerDtypePairing:
         _, vec = _accuracies(
             mlp, blob_dataset, variation, dtype=dtype, vectorized=True
         )
-        pool_plan, pool = _accuracies(
-            mlp, blob_dataset, variation, dtype=dtype,
-            n_workers=2, chunk_samples=3,
-        )
-        assert pool_plan.backend == "pool"
-        assert loop == vec == pool
+        pools = {}
+        for vectorized in (False, True):
+            pool_plan, pools[vectorized] = _accuracies(
+                mlp, blob_dataset, variation, dtype=dtype,
+                vectorized=vectorized, n_workers=2, chunk_samples=3,
+            )
+            assert pool_plan.n_workers == 2
+        assert loop == vec == pools[False] == pools[True]
 
     def test_seed_schedule_is_dtype_invariant(self, mlp):
         """Both dtypes consume the streams identically: draws are generated
@@ -83,7 +85,7 @@ class TestPerDtypePairing:
         fp = {
             dtype: plan_fingerprint(
                 build_plan(
-                    mlp, blob_dataset, variation,
+                    mlp, variation,
                     n_samples=6, seed=11, dtype=dtype,
                 ),
                 mlp, blob_dataset,
@@ -95,31 +97,32 @@ class TestPerDtypePairing:
     def test_fingerprint_still_excludes_execution_knobs(self, mlp, blob_dataset):
         variation = LogNormalVariation(0.5)
         base = build_plan(
-            mlp, blob_dataset, variation, n_samples=6, seed=11, dtype="float32"
+            mlp, variation, n_samples=6, seed=11, dtype="float32"
         )
         pooled = build_plan(
-            mlp, blob_dataset, variation, n_samples=6, seed=11, dtype="float32",
-            n_workers=2, chunk_samples=3,
+            mlp, variation, n_samples=6, seed=11, dtype="float32",
+            vectorized=True, n_workers=2, chunk_samples=3,
         )
-        assert base.backend != pooled.backend
+        assert (base.backend, base.n_workers) == ("loop", 0)
+        assert (pooled.backend, pooled.n_workers) == ("vectorized", 2)
         assert plan_fingerprint(base, mlp, blob_dataset) == plan_fingerprint(
             pooled, mlp, blob_dataset
         )
 
-    def test_analog_rejects_float32(self, blob_dataset):
+    def test_analog_rejects_float32(self):
         train, _ = synth_mnist(train_per_class=2, test_per_class=2)
         model = MLP(4, [8], 3, flatten_input=True, seed=0)
         analogize(model)
         with pytest.raises(ValueError, match="float64"):
             build_plan(
-                model, blob_dataset, LogNormalVariation(0.5),
+                model, LogNormalVariation(0.5),
                 n_samples=4, seed=1, dtype="float32",
             )
 
-    def test_unknown_dtype_rejected(self, mlp, blob_dataset):
+    def test_unknown_dtype_rejected(self, mlp):
         with pytest.raises(ValueError, match="dtype"):
             build_plan(
-                mlp, blob_dataset, LogNormalVariation(0.5),
+                mlp, LogNormalVariation(0.5),
                 n_samples=4, seed=1, dtype="float16",
             )
 

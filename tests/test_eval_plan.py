@@ -65,8 +65,9 @@ class TestChunkedEquivalence:
     @pytest.mark.parametrize("backend_kwargs", [
         dict(vectorized=False),                 # loop
         dict(vectorized=True),                  # vectorized
-        dict(vectorized=False, n_workers=2),    # pool (hybrid workers)
-    ], ids=["loop", "vectorized", "pool"])
+        dict(vectorized=False, n_workers=2),    # pool, per-draw workers
+        dict(vectorized=True, n_workers=2),     # pool, stacked workers
+    ], ids=["loop", "vectorized", "pool", "vectorized-pool"])
     def test_chunked_matches_unchunked(self, lenet, tiny_test, backend_kwargs):
         for name, model, variation in _families(lenet):
             unchunked = MonteCarloEvaluator(
@@ -81,7 +82,8 @@ class TestChunkedEquivalence:
             assert len(chunked.accuracies) == self.N_SAMPLES
 
     def test_cross_backend_pairing_with_chunking(self, lenet, tiny_test):
-        """All three backends agree under a non-dividing chunk size."""
+        """Every (form, workers) cell agrees under a non-dividing chunk
+        size."""
         for name, model, variation in _families(lenet):
             results = [
                 MonteCarloEvaluator(tiny_test, n_samples=5, seed=21,
@@ -89,9 +91,10 @@ class TestChunkedEquivalence:
                 .evaluate(model, variation).accuracies
                 for kwargs in (dict(vectorized=False),
                                dict(vectorized=True),
-                               dict(vectorized=False, n_workers=2))
+                               dict(vectorized=False, n_workers=2),
+                               dict(vectorized=True, n_workers=2))
             ]
-            assert results[0] == results[1] == results[2], name
+            assert all(result == results[0] for result in results), name
 
 
 @pytest.fixture(scope="module")
@@ -144,38 +147,43 @@ class TestDataBlockingIsNeutral:
 
 
 class TestPlanBuilding:
-    def test_backend_resolution(self, lenet, tiny_test):
+    def test_backend_resolution(self, lenet):
+        """The form and the worker count are independent decisions: each
+        (vectorized, n_workers) cell plans the form it asks for, and both
+        pool cells get the defaulted chunk shrunk to feed two workers."""
         lenet.eval()
         variation = LogNormalVariation(0.4)
 
         def plan(**kwargs):
-            return build_plan(lenet, tiny_test, variation, n_samples=4,
-                              seed=0, **kwargs)
+            resolved = build_plan(lenet, variation, n_samples=4, seed=0,
+                                  **kwargs)
+            return (resolved.backend, resolved.n_workers,
+                    resolved.chunks(), resolved.backend_reason)
 
-        assert plan().backend == "loop"
-        assert plan(vectorized=True).backend == "vectorized"
-        assert plan(n_workers=2).backend == "pool"
-        # vectorized wins over the pool when both are requested
-        assert plan(vectorized=True, n_workers=2).backend == "vectorized"
-        # sample-aware model: pool workers run stacked chunks
-        assert plan(n_workers=2).worker_vectorized
+        in_process, pooled = ((0, 4),), ((0, 2), (2, 4))
+        assert plan() == ("loop", 0, in_process, None)
+        assert plan(vectorized=True) == ("vectorized", 0, in_process, None)
+        assert plan(n_workers=2) == ("loop", 2, pooled, None)
+        # A stacked 2-worker pool: vectorized no longer drops n_workers.
+        assert plan(vectorized=True, n_workers=2) == \
+            ("vectorized", 2, pooled, None)
 
-    def test_unsupported_model_falls_back(self, blob_dataset):
+    def test_unsupported_model_falls_back(self):
         import repro.nn as nn
 
         model = nn.Sequential(nn.Flatten(), nn.Linear(4, 3, seed=0),
                               nn.Softmax(axis=1))
         model.eval()
-        plan = build_plan(model, blob_dataset, LogNormalVariation(0.3),
+        plan = build_plan(model, LogNormalVariation(0.3),
                           n_samples=3, seed=0, vectorized=True)
         assert plan.backend == "loop"
-        pool_plan = build_plan(model, blob_dataset, LogNormalVariation(0.3),
+        pool_plan = build_plan(model, LogNormalVariation(0.3),
                                n_samples=3, seed=0, vectorized=True,
                                n_workers=2)
-        assert pool_plan.backend == "pool"
-        assert not pool_plan.worker_vectorized
+        # The pool survives the fallback; its workers run per-draw.
+        assert (pool_plan.backend, pool_plan.n_workers) == ("loop", 2)
 
-    def test_fallback_reason_names_blocking_modules(self, blob_dataset):
+    def test_fallback_reason_names_blocking_modules(self):
         """A denied vectorized request must say *which* modules blocked it
         (axis-1 Softmax here), not just silently pick a slower backend."""
         import repro.nn as nn
@@ -183,33 +191,34 @@ class TestPlanBuilding:
         model = nn.Sequential(nn.Flatten(), nn.Linear(4, 3, seed=0),
                               nn.Softmax(axis=1))
         model.eval()
-        plan = build_plan(model, blob_dataset, LogNormalVariation(0.3),
+        plan = build_plan(model, LogNormalVariation(0.3),
                           n_samples=3, seed=0, vectorized=True)
         assert plan.backend_reason is not None
         assert "fell back to the loop backend" in plan.backend_reason
         assert "2 (Softmax)" in plan.backend_reason
-        pool_plan = build_plan(model, blob_dataset, LogNormalVariation(0.3),
+        pool_plan = build_plan(model, LogNormalVariation(0.3),
                                n_samples=3, seed=0, vectorized=True,
                                n_workers=2)
-        assert "fell back to the pool backend" in pool_plan.backend_reason
+        assert pool_plan.backend_reason == plan.backend_reason
 
-    def test_no_reason_when_request_honored(self, mlp, blob_dataset, lenet,
-                                            tiny_test):
+    def test_no_reason_when_request_honored(self, mlp, lenet, tiny_test):
         mlp.eval()
         # vectorized granted: nothing to explain
-        granted = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        granted = build_plan(mlp, LogNormalVariation(0.3),
                              n_samples=3, seed=0, vectorized=True)
         assert granted.backend == "vectorized"
         assert granted.backend_reason is None
         # loop/pool *chosen* (not a fallback): also nothing to explain
-        assert build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
-                          n_samples=3, seed=0).backend_reason is None
+        for kwargs in (dict(), dict(n_workers=2),
+                       dict(vectorized=True, n_workers=2)):
+            assert build_plan(mlp, LogNormalVariation(0.3), n_samples=3,
+                              seed=0, **kwargs).backend_reason is None
         # evaluator surface carries the field through plan()
         lenet.eval()
         ev = MonteCarloEvaluator(tiny_test, n_samples=2, vectorized=True)
         assert ev.plan(lenet, LogNormalVariation(0.3)).backend_reason is None
 
-    def test_reason_excluded_from_fingerprint(self, mlp, blob_dataset):
+    def test_reason_excluded_from_fingerprint(self, mlp):
         """backend_reason is a diagnostic: two plans differing only in it
         must fingerprint identically (results are backend-invariant)."""
         from repro.store.fingerprint import fingerprint_payload
@@ -217,103 +226,103 @@ class TestPlanBuilding:
         import dataclasses
 
         mlp.eval()
-        a = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        a = build_plan(mlp, LogNormalVariation(0.3),
                        n_samples=3, seed=0, vectorized=True)
         b = dataclasses.replace(a, backend_reason="synthetic diagnostic")
         assert fingerprint_payload(a, "m", "d") == fingerprint_payload(b, "m", "d")
 
-    def test_deterministic_short_circuit(self, mlp, blob_dataset, lenet,
-                                         tiny_test):
+    def test_deterministic_short_circuit(self, mlp, lenet):
         mlp.eval()
-        assert build_plan(mlp, blob_dataset, NoVariation(), n_samples=9,
+        assert build_plan(mlp, NoVariation(), n_samples=9,
                           seed=0).deterministic
-        assert build_plan(mlp, blob_dataset, LogNormalVariation(0.0),
+        assert build_plan(mlp, LogNormalVariation(0.0),
                           n_samples=9, seed=0).deterministic
         # Analog with read noise: every draw differs even without
         # programming variation, so the full protocol applies.
         noisy = analogize(lenet, tile_size=32, read_noise_sigma=0.05)
         noisy.eval()
-        assert not build_plan(noisy, tiny_test, NoVariation(), n_samples=3,
+        assert not build_plan(noisy, NoVariation(), n_samples=3,
                               seed=0).deterministic
 
-    def test_analog_plans_take_tail_specs(self, lenet, tiny_test):
+    def test_analog_plans_take_tail_specs(self, lenet):
         """A tail spec silences the head arrays of an analog model: they
         are programmed without variation."""
         analog = analogize(lenet, tile_size=32)
         analog.eval()
         spec = tail_spec(analog, LogNormalVariation(0.3), 2)
-        plan = build_plan(analog, tiny_test, spec, n_samples=2, seed=0)
+        plan = build_plan(analog, spec, n_samples=2, seed=0)
         assert plan.domain == "analog"
         resolved = [model for _, model, _ in make_adapter(analog, plan).resolved]
         assert resolved == [NoVariation()] * 2 + [LogNormalVariation(0.3)] * 3
 
-    def test_chunk_and_shard_schedules(self, mlp, blob_dataset):
+    def test_chunk_and_shard_schedules(self, mlp):
         mlp.eval()
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        plan = build_plan(mlp, LogNormalVariation(0.3),
                           n_samples=7, seed=0, chunk_samples=3, n_workers=2)
         assert plan.chunks() == ((0, 3), (3, 6), (6, 7))
         # chunk never exceeds n_samples
-        big = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        big = build_plan(mlp, LogNormalVariation(0.3),
                          n_samples=4, seed=0, chunk_samples=100)
         assert big.chunk_samples == 4
         # an unset chunk is the default, capped the same way
-        assert build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        assert build_plan(mlp, LogNormalVariation(0.3),
                           n_samples=100, seed=0).chunk_samples == \
             DEFAULT_CHUNK_SAMPLES
-        assert build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        assert build_plan(mlp, LogNormalVariation(0.3),
                           n_samples=3, seed=0).chunk_samples == 3
 
     def test_invalid_evaluator_knobs(self, blob_dataset):
         with pytest.raises(ValueError):
             MonteCarloEvaluator(blob_dataset, chunk_samples=0)
 
-    def test_workers_clamped_to_pinned_chunk_count(self, mlp, blob_dataset):
+    def test_workers_clamped_to_pinned_chunk_count(self, mlp):
         """Regression: more workers than chunks used to spin up idle
         processes (each paying fork + initializer cost for zero tasks). A
         *pinned* chunk schedule can't be reshaped, so the plan clamps the
         worker count instead — and says so."""
         mlp.eval()
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
-                          n_samples=6, seed=0, n_workers=4, chunk_samples=3)
-        assert plan.chunks() == ((0, 3), (3, 6))
-        assert plan.n_workers == 2
-        assert plan.backend == "pool"
-        assert plan.backend_reason is not None
-        assert "n_workers clamped from 4 to 2" in plan.backend_reason
-        # Degenerate pin: one chunk leaves nothing to parallelize.
-        serial = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
-                            n_samples=6, seed=0, n_workers=4,
-                            chunk_samples=6)
-        assert serial.backend == "loop"
-        assert "n_workers clamped from 4 to 1" in serial.backend_reason
+        for vectorized, form in ((False, "loop"), (True, "vectorized")):
+            plan = build_plan(mlp, LogNormalVariation(0.3), n_samples=6,
+                              seed=0, vectorized=vectorized, n_workers=4,
+                              chunk_samples=3)
+            assert plan.chunks() == ((0, 3), (3, 6))
+            assert (plan.backend, plan.n_workers) == (form, 2)
+            assert plan.backend_reason is not None
+            assert "n_workers clamped from 4 to 2" in plan.backend_reason
+            # Degenerate pin: one chunk leaves nothing to parallelize.
+            serial = build_plan(mlp, LogNormalVariation(0.3), n_samples=6,
+                                seed=0, vectorized=vectorized, n_workers=4,
+                                chunk_samples=6)
+            assert (serial.backend, serial.n_workers) == (form, 1)
+            assert "n_workers clamped from 4 to 1" in serial.backend_reason
 
     def test_defaulted_chunk_shrinks_to_feed_workers(self, mlp, blob_dataset):
         """When the chunk size was defaulted (not pinned by the caller),
         the plan reshapes it instead of clamping — chunking is
         bitwise-neutral, so the pool request survives."""
         mlp.eval()
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
-                          n_samples=6, seed=0, n_workers=2)
-        assert plan.backend == "pool"
-        assert plan.n_workers == 2
-        assert plan.chunks() == ((0, 3), (3, 6))
-        # The reshape is schedule-only: results pair with the loop.
-        loop = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        loop = build_plan(mlp, LogNormalVariation(0.3),
                           n_samples=6, seed=0)
-        assert execute(plan, mlp, blob_dataset) == execute(
-            loop, mlp, blob_dataset)
+        for vectorized in (False, True):
+            plan = build_plan(mlp, LogNormalVariation(0.3), n_samples=6,
+                              seed=0, vectorized=vectorized, n_workers=2)
+            assert plan.n_workers == 2
+            assert plan.chunks() == ((0, 3), (3, 6))
+            # The reshape is schedule-only: results pair with the loop.
+            assert execute(plan, mlp, blob_dataset) == execute(
+                loop, mlp, blob_dataset)
 
     def test_adaptive_pool_shrinks_a_defaulted_chunk(self, mlp, blob_dataset):
         """An adaptive pool plan feeds every worker like a fixed-S one:
         the chunk never moves the rule's looks, so it can shrink."""
         mlp.eval()
         kwargs = dict(n_samples=32, seed=0, tolerance=0.5, min_samples=2)
-        plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        plan = build_plan(mlp, LogNormalVariation(0.3),
                           n_workers=4, **kwargs)
         assert (plan.backend, plan.n_workers, plan.chunk_samples) == \
-            ("pool", 4, 8)
+            ("loop", 4, 8)
         assert plan.backend_reason is None
-        loop = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+        loop = build_plan(mlp, LogNormalVariation(0.3),
                           **kwargs)
         result = execute(plan, mlp, blob_dataset)
         assert result.stopped_early
@@ -355,8 +364,9 @@ class TestPairedPrefix:
     @pytest.mark.parametrize("backend_kwargs", [
         dict(vectorized=False),                 # loop
         dict(vectorized=True),                  # vectorized
-        dict(vectorized=False, n_workers=2),    # pool (chunk tasks)
-    ], ids=["loop", "vectorized", "pool"])
+        dict(vectorized=False, n_workers=2),    # pool, per-draw workers
+        dict(vectorized=True, n_workers=2),     # pool, stacked workers
+    ], ids=["loop", "vectorized", "pool", "vectorized-pool"])
     def test_adaptive_is_bitwise_prefix_of_fixed(self, lenet, tiny_test,
                                                  backend_kwargs):
         for name, model, variation in _families(lenet):
@@ -382,7 +392,8 @@ class TestPairedPrefix:
                 ).evaluate(model, variation).n_samples_used
                 for kwargs in (dict(vectorized=False),
                                dict(vectorized=True),
-                               dict(vectorized=False, n_workers=2))
+                               dict(vectorized=False, n_workers=2),
+                               dict(vectorized=True, n_workers=2))
             }
             assert len(used) == 1 and max(used) < self.N_SAMPLES, name
 

@@ -169,6 +169,7 @@ _BACKENDS = {
     "loop": dict(vectorized=False),
     "vectorized": dict(vectorized=True),
     "pool": dict(vectorized=False, n_workers=2),
+    "vectorized-pool": dict(vectorized=True, n_workers=2),
 }
 
 
@@ -450,7 +451,7 @@ class TestProcessPoolEngine:
         pool = MonteCarloEvaluator(tiny_test, n_samples=5, seed=5,
                                    vectorized=False, n_workers=2,
                                    chunk_samples=2)
-        assert pool.plan(lenet, spec).backend == "pool"
+        assert pool.plan(lenet, spec).n_workers == 2
         r_loop = loop.evaluate(lenet, spec)
         r_pool = pool.evaluate(lenet, spec)
         assert r_pool.accuracies == r_loop.accuracies
@@ -458,11 +459,41 @@ class TestProcessPoolEngine:
         assert r_loop.accuracies != loop.evaluate(
             lenet, LogNormalVariation(0.6)).accuracies
 
+    def test_workers_run_the_plans_form(self, mlp, blob_dataset,
+                                        monkeypatch):
+        """A worker stacks exactly when the plan is vectorized and has
+        targets to draw (the worker entry points, run in this process)."""
+        from repro.evaluation import executor
+
+        forms = []
+        for name, form in (("_loop_accuracies", "per-draw"),
+                           ("_stacked_accuracies", "stacked")):
+            def spy(*args, _run=getattr(executor, name), _form=form):
+                forms.append(_form)
+                return _run(*args)
+
+            monkeypatch.setattr(executor, name, spy)
+        mlp.eval()
+        varied = LogNormalVariation(0.5)
+        silent = tail_spec(mlp, varied, len(weighted_layers(mlp)))
+        for vectorized, spec, form in ((False, varied, "per-draw"),
+                                       (True, varied, "stacked"),
+                                       (True, silent, "per-draw")):
+            plan = build_plan(mlp, spec, n_samples=4, seed=1,
+                              vectorized=vectorized, n_workers=2)
+            forms.clear()
+            executor._pool_init(mlp, blob_dataset, plan)
+            try:
+                executor._pool_chunk(0, 2)
+            finally:
+                executor._POOL_STATE.clear()
+            assert forms == [form], (vectorized, spec)
+
     def test_killed_worker_raises_instead_of_hanging(self, blob_dataset):
         model = _KilledOnForward(4, [8], 3, flatten_input=True, seed=0)
-        plan = build_plan(model, blob_dataset, LogNormalVariation(0.5),
+        plan = build_plan(model, LogNormalVariation(0.5),
                           n_samples=6, seed=3, n_workers=2, chunk_samples=3)
-        assert plan.backend == "pool"
+        assert plan.n_workers == 2
         with pytest.raises(BrokenProcessPool):
             execute(plan, model, blob_dataset)
         assert multiprocessing.active_children() == []

@@ -184,15 +184,17 @@ class TestEnginePairing:
                                 **kwargs).evaluate(model, COMPOSED_SPEC)
             for kwargs in (dict(vectorized=False),
                            dict(vectorized=True, chunk_samples=3),
-                           dict(vectorized=False, n_workers=2))
+                           dict(vectorized=False, n_workers=2),
+                           dict(vectorized=True, n_workers=2))
         ]
 
     @pytest.mark.parametrize("name", ["resnet8", "resnet8bn", "attnmlp"])
     def test_all_engines_agree(self, cifar, cifar_test, name):
         model = build_model(name, cifar[0], width=0.25, seed=0)
-        loop, vec, pool = self._results(model, cifar_test)
+        loop, vec, pool, vec_pool = self._results(model, cifar_test)
         assert vec.accuracies == loop.accuracies
         assert pool.accuracies == loop.accuracies
+        assert vec_pool.accuracies == loop.accuracies
         assert len(loop.accuracies) == 4
 
     def test_vectorized_plan_granted(self, cifar, cifar_test):

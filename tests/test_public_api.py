@@ -1,6 +1,9 @@
 """Public API surface: every documented name imports and __all__ is honest."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +64,24 @@ class TestPublicAPI:
         assert OrthogonalityRegularizer(lam).lam == lam
         assert LogNormalVariation(0.5).sigma == 0.5
         assert CompensationEnv is not None
+
+    def test_cli_import_loads_no_store(self):
+        """Train, eval and search never pay for the result store:
+        ``import repro.cli`` loads neither ``repro.store`` nor ``sqlite3``
+        (the fit memo keys on ``repro.utils.digest``)."""
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        script = (
+            "import sys, repro.cli; print(sorted(name for name in "
+            "sys.modules if name == 'sqlite3' or name == 'repro.store' "
+            "or name.startswith('repro.store.')))"
+        )
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, env=env,
+                             check=True)
+        assert out.stdout.strip() == "[]"

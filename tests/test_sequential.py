@@ -276,10 +276,6 @@ class TestAdaptiveEvaluator:
             MonteCarloEvaluator(tiny_test, tolerance=-0.1)
         with pytest.raises(ValueError, match="min_samples"):
             MonteCarloEvaluator(tiny_test, min_samples=0)
-        with pytest.raises(ValueError, match="ci_confidence"):
-            MonteCarloEvaluator(tiny_test, ci_confidence=2.0)
-        with pytest.raises(ValueError, match="CI method"):
-            MonteCarloEvaluator(tiny_test, ci_method="bogus")
 
     def test_deterministic_variation_not_marked_early(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=20, seed=9, tolerance=0.1)
@@ -322,19 +318,20 @@ class TestAdaptiveEvaluator:
             MonteCarloEvaluator(tiny_test, vectorized=True, **kwargs),
             MonteCarloEvaluator(tiny_test, vectorized=False, **kwargs),
             MonteCarloEvaluator(tiny_test, vectorized=False, n_workers=2, **kwargs),
+            MonteCarloEvaluator(tiny_test, vectorized=True, n_workers=2, **kwargs),
         ]
         outs = [
             ev.evaluate(lenet, LogNormalVariation(0.35), tolerance=0.06)
             for ev in results
         ]
         assert len({o.n_samples_used for o in outs}) == 1
-        assert outs[0].accuracies == outs[1].accuracies == outs[2].accuracies
+        assert all(o.accuracies == outs[0].accuracies for o in outs)
 
     def test_cross_backend_stop_point_invariance_defaulted_chunk(self):
-        """A pool shrinks an adaptive plan's defaulted chunk to feed every
-        worker (32 draws in chunks of 11 for 3 workers), and still stops
-        where the loop does: the look at draw 16 falls inside a chunk and
-        cuts it there."""
+        """A pool of either form shrinks an adaptive plan's defaulted
+        chunk to feed every worker (32 draws in chunks of 11 for 3
+        workers), and still stops where the loop does: the look at draw
+        16 falls inside a chunk and cuts it there."""
         from repro.data import synth_mnist
         from repro.models.registry import build_model
 
@@ -344,12 +341,14 @@ class TestAdaptiveEvaluator:
         evaluators = [
             MonteCarloEvaluator(test, **backend, **kwargs)
             for backend in (dict(vectorized=False), dict(vectorized=True),
-                            dict(vectorized=False, n_workers=3))
+                            dict(vectorized=False, n_workers=3),
+                            dict(vectorized=True, n_workers=3))
         ]
-        pool = evaluators[2].plan(model.eval(), LogNormalVariation(0.5))
-        assert (pool.backend, pool.n_workers, pool.chunk_samples) == \
-            ("pool", 3, 11)
+        pools = [ev.plan(model.eval(), LogNormalVariation(0.5))
+                 for ev in evaluators[2:]]
+        assert [(p.backend, p.n_workers, p.chunk_samples) for p in pools] \
+            == [("loop", 3, 11), ("vectorized", 3, 11)]
         outs = [ev.evaluate(model, LogNormalVariation(0.5))
                 for ev in evaluators]
-        assert [o.n_samples_used for o in outs] == [16, 16, 16]
-        assert outs[0].accuracies == outs[1].accuracies == outs[2].accuracies
+        assert [o.n_samples_used for o in outs] == [16, 16, 16, 16]
+        assert all(o.accuracies == outs[0].accuracies for o in outs)

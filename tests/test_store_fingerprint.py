@@ -66,10 +66,10 @@ def _blobs(n_per=10):
                         np.repeat(np.arange(3), n_per))
 
 
-def _plan(model, dataset, variation="lognormal:0.4", **overrides):
+def _plan(model, variation="lognormal:0.4", **overrides):
     kwargs = dict(n_samples=5, seed=9, vectorized=True)
     kwargs.update(overrides)
-    return build_plan(model, dataset, variation, **kwargs)
+    return build_plan(model, variation, **kwargs)
 
 
 class TestCanonicalJson:
@@ -124,7 +124,6 @@ class TestFingerprintInvariant:
             "n_workers": st.integers(0, 3),
             "chunk_samples": st.one_of(st.none(), st.integers(1, 7)),
             "data_block": st.integers(1, 128),
-            "worker_vectorized": st.one_of(st.none(), st.booleans()),
         }),
         tolerance=st.one_of(st.none(), st.sampled_from([0.02, 0.1])),
     )
@@ -133,44 +132,47 @@ class TestFingerprintInvariant:
         fingerprints like its reference, fixed-S or adaptive."""
         model, dataset = _model(), _dataset()
         reference = plan_fingerprint(
-            _plan(model, dataset, tolerance=tolerance), model, dataset
+            _plan(model, tolerance=tolerance), model, dataset
         )
-        plan = _plan(model, dataset, tolerance=tolerance, **knobs)
+        plan = _plan(model, tolerance=tolerance, **knobs)
         assert plan_fingerprint(plan, model, dataset) == reference
 
     @settings(max_examples=50, deadline=None)
     @given(
         chunk=st.integers(1, 40),
-        backend=st.sampled_from(["loop", "vectorized", "pool"]),
+        vectorized=st.booleans(),
+        n_workers=st.sampled_from([0, 2]),
         tolerance=st.one_of(st.none(), st.floats(0.02, 0.2)),
         min_samples=st.one_of(st.none(), st.integers(1, 40)),
         n_samples=st.integers(1, 64),
     )
-    @example(chunk=2, backend="loop", tolerance=0.1, min_samples=None,
-             n_samples=64)
-    @example(chunk=6, backend="pool", tolerance=0.06, min_samples=None,
-             n_samples=64)
-    @example(chunk=40, backend="vectorized", tolerance=0.045,
+    @example(chunk=2, vectorized=False, n_workers=0, tolerance=0.1,
+             min_samples=None, n_samples=64)
+    @example(chunk=6, vectorized=False, n_workers=2, tolerance=0.06,
+             min_samples=None, n_samples=64)
+    @example(chunk=6, vectorized=True, n_workers=2, tolerance=0.06,
+             min_samples=None, n_samples=64)
+    @example(chunk=40, vectorized=True, n_workers=0, tolerance=0.045,
              min_samples=20, n_samples=64)
     def test_execution_knobs_never_move_the_result(
-        self, chunk, backend, tolerance, min_samples, n_samples
+        self, chunk, vectorized, n_workers, tolerance, min_samples, n_samples
     ):
-        """The result-level form of the exclusion above: any chunk, on any
-        backend, returns the default-chunk loop run's ``MCResult``, fixed-S
-        or adaptive, because the rule's looks do not move with the
-        chunking."""
+        """The result-level form of the exclusion above: any chunk, in
+        either form, in-process or from a 2-worker pool, returns the
+        default-chunk loop run's ``MCResult``, fixed-S or adaptive,
+        because the rule's looks do not move with the chunking."""
         model, dataset = _model(), _blobs()
         model.eval()
         common = dict(n_samples=n_samples, seed=9, tolerance=tolerance,
                       min_samples=min_samples)
         reference = execute(
-            build_plan(model, dataset, "lognormal:0.8", **common),
+            build_plan(model, "lognormal:0.8", **common),
             model, dataset,
         )
-        knobs = {"loop": {}, "vectorized": dict(vectorized=True),
-                 "pool": dict(n_workers=2)}[backend]
-        plan = build_plan(model, dataset, "lognormal:0.8",
-                          chunk_samples=chunk, **knobs, **common)
+        plan = build_plan(model, "lognormal:0.8", chunk_samples=chunk,
+                          vectorized=vectorized, n_workers=n_workers,
+                          **common)
+        assert plan.backend == ("vectorized" if vectorized else "loop")
         assert execute(plan, model, dataset).to_dict() == reference.to_dict()
 
     def test_chunk_2_and_16_jobs_drain_to_one_result(self, tmp_path):
@@ -198,15 +200,26 @@ class TestFingerprintInvariant:
         assert len(results[0]["accuracies"]) == 16
         assert results[0]["stopped_early"]
 
+    def test_request_with_a_dropped_key_still_loads(self):
+        """Requests stored before the CI method left ``JobRequest`` carry
+        its key; ``from_dict`` ignores it and rebuilds the same request."""
+        request = JobRequest(
+            model="mlp", dataset="synth_mnist",
+            variation={"kind": "lognormal", "sigma": 0.3},
+            n_samples=4, seed=3, tolerance=0.05,
+        )
+        stored = dict(request.to_dict(), ci_method="clt")
+        assert JobRequest.from_dict(stored) == request
+
     def test_logical_inputs_all_enter_the_hash(self):
         model, dataset = _model(), _dataset()
-        reference = plan_fingerprint(_plan(model, dataset), model, dataset)
+        reference = plan_fingerprint(_plan(model), model, dataset)
         distinct = [
-            _plan(model, dataset, n_samples=6),
-            _plan(model, dataset, seed=10),
-            build_plan(model, dataset, "lognormal:0.5",
+            _plan(model, n_samples=6),
+            _plan(model, seed=10),
+            build_plan(model, "lognormal:0.5",
                        n_samples=5, seed=9, vectorized=True),
-            _plan(model, dataset, tolerance=0.05),
+            _plan(model, tolerance=0.05),
         ]
         prints = {plan_fingerprint(p, model, dataset) for p in distinct}
         assert reference not in prints
@@ -214,7 +227,7 @@ class TestFingerprintInvariant:
 
     def test_model_and_dataset_content_enter_the_hash(self):
         model, dataset = _model(), _dataset()
-        plan = _plan(model, dataset)
+        plan = _plan(model)
         reference = plan_fingerprint(plan, model, dataset)
         perturbed = _model()
         params = dict(perturbed.named_parameters())
@@ -225,7 +238,7 @@ class TestFingerprintInvariant:
 
     def test_analog_params_enter_the_hash(self):
         model, dataset = _model(), _dataset()
-        plan = _plan(model, dataset)
+        plan = _plan(model)
         bare = plan_fingerprint(plan, model, dataset)
         analog = plan_fingerprint(plan, model, dataset,
                                   analog={"dac_bits": 6, "tile_size": 128})
@@ -237,19 +250,18 @@ class TestFingerprintInvariant:
         model, dataset = _model(), _dataset()
         prints = [
             plan_fingerprint(
-                _plan(model, dataset, variation=tail_spec(model, "lognormal:0.4",
+                _plan(model, variation=tail_spec(model, "lognormal:0.4",
                                                           first)),
                 model, dataset,
             )
             for first in range(3)
         ]
-        assert prints[0] == plan_fingerprint(_plan(model, dataset), model,
+        assert prints[0] == plan_fingerprint(_plan(model), model,
                                              dataset)
         assert len(set(prints)) == 3
 
     def test_live_generator_seed_rejected(self):
-        model, dataset = _model(), _dataset()
-        plan = _plan(model, dataset, seed=spawn_rngs(0, 1)[0])
+        plan = _plan(_model(), seed=spawn_rngs(0, 1)[0])
         with pytest.raises(ValueError, match="portable seed"):
             fingerprint_payload(plan, "m", "d")
 
@@ -278,7 +290,7 @@ from repro.store.fingerprint import plan_fingerprint
 model = MLP(4, [8], 3, flatten_input=True, seed=0)
 images = np.arange(2 * 1 * 2 * 2, dtype=np.float64).reshape(2, 1, 2, 2) / 7.0
 dataset = ArrayDataset(images, np.array([0, 1]))
-plan = build_plan(model, dataset, "lognormal:0.4",
+plan = build_plan(model, "lognormal:0.4",
                   n_samples=5, seed=9, vectorized=True)
 print(plan_fingerprint(plan, model, dataset))
 """
@@ -289,7 +301,7 @@ class TestCrossProcessStability:
         """PYTHONHASHSEED must not leak into the fingerprint: the same
         inputs hash to the same hex in any interpreter."""
         model, dataset = _model(), _dataset()
-        local = plan_fingerprint(_plan(model, dataset), model, dataset)
+        local = plan_fingerprint(_plan(model), model, dataset)
         hexes = []
         import repro
 

@@ -292,14 +292,14 @@ class TestCachedEvaluate:
 class TestIncrementalResume:
     """The executor-side resume contract the runner builds on."""
 
-    def _plan(self, mlp, blob_dataset, **overrides):
+    def _plan(self, mlp, **overrides):
         kwargs = dict(n_samples=6, seed=5, vectorized=True, chunk_samples=2)
         kwargs.update(overrides)
         mlp.eval()
-        return build_plan(mlp, blob_dataset, "lognormal:0.4", **kwargs)
+        return build_plan(mlp, "lognormal:0.4", **kwargs)
 
     def test_resume_must_precede_run_chunk(self, mlp, blob_dataset):
-        plan = self._plan(mlp, blob_dataset)
+        plan = self._plan(mlp)
         ev = IncrementalEvaluation(plan, mlp, blob_dataset)
         with ev:
             ev.run_chunk()
@@ -307,36 +307,33 @@ class TestIncrementalResume:
             ev.resume([0.5, 0.5])
 
     def test_resume_rejects_misaligned_prefix(self, mlp, blob_dataset):
-        plan = self._plan(mlp, blob_dataset)
+        plan = self._plan(mlp)
         ev = IncrementalEvaluation(plan, mlp, blob_dataset)
         with pytest.raises(ValueError, match="not aligned"):
             ev.resume([0.5])  # one draw into a 2-draw chunk
 
     def test_resume_rejects_prefix_past_schedule(self, mlp, blob_dataset):
-        plan = self._plan(mlp, blob_dataset)
+        plan = self._plan(mlp)
         ev = IncrementalEvaluation(plan, mlp, blob_dataset)
         with pytest.raises(ValueError, match="extends past"):
             ev.resume([0.5] * 8)
 
-    def _cut_plan(self, mlp, blob_dataset):
+    def _cut_plan(self, mlp):
         """32 draws in chunks of 6: the look at draw 16 falls inside
         chunk [12, 18), and constant draws satisfy the rule there."""
-        return self._plan(mlp, blob_dataset, n_samples=32, chunk_samples=6,
-                          tolerance=0.1)
+        return self._plan(mlp, n_samples=32, chunk_samples=6, tolerance=0.1)
 
     def test_resume_accepts_a_last_row_cut_at_a_satisfied_look(
         self, mlp, blob_dataset
     ):
-        ev = IncrementalEvaluation(self._cut_plan(mlp, blob_dataset), mlp,
-                                   blob_dataset)
+        ev = IncrementalEvaluation(self._cut_plan(mlp), mlp, blob_dataset)
         ev.resume([0.5] * 16)
         assert ev.done and ev.result().n_samples_used == 16
 
     def test_resume_rejects_a_prefix_past_a_satisfied_look(
         self, mlp, blob_dataset
     ):
-        ev = IncrementalEvaluation(self._cut_plan(mlp, blob_dataset), mlp,
-                                   blob_dataset)
+        ev = IncrementalEvaluation(self._cut_plan(mlp), mlp, blob_dataset)
         with pytest.raises(ValueError, match="extends past"):
             ev.resume([0.5] * 18)  # the whole chunk, past the look at 16
 
@@ -347,21 +344,22 @@ class TestIncrementalResume:
     def test_resume_rejects_a_short_row_off_a_satisfied_look(
         self, mlp, blob_dataset, prefix
     ):
-        ev = IncrementalEvaluation(self._cut_plan(mlp, blob_dataset), mlp,
-                                   blob_dataset)
+        ev = IncrementalEvaluation(self._cut_plan(mlp), mlp, blob_dataset)
         with pytest.raises(ValueError, match="not aligned"):
             ev.resume(prefix)
 
     def test_streamed_chunks_reassemble_the_full_run(self, mlp, blob_dataset):
-        vectorized = self._plan(mlp, blob_dataset)
-        pool = self._plan(mlp, blob_dataset, vectorized=False, n_workers=2)
-        assert (vectorized.backend, pool.backend) == ("vectorized", "pool")
-        for plan in (vectorized, pool):
+        plans = [
+            self._plan(mlp, vectorized=vectorized, n_workers=n_workers)
+            for vectorized in (True, False) for n_workers in (0, 2)
+        ]
+        for plan in plans:
+            cell = (plan.backend, plan.n_workers)
             seen = []
             result = execute(
                 plan, mlp, blob_dataset,
                 on_chunk=lambda i, s, t, a: seen.append((i, s, t, list(a))),
             )
-            assert [i for i, *_ in seen] == [0, 1, 2], plan.backend
+            assert [i for i, *_ in seen] == [0, 1, 2], cell
             streamed = [a for *_, accs in seen for a in accs]
-            assert streamed == result.accuracies, plan.backend
+            assert streamed == result.accuracies, cell

@@ -437,9 +437,10 @@ class TestEnginePairing:
             .evaluate(lenet, spec).accuracies
             for kwargs in (dict(vectorized=False),
                            dict(vectorized=True, chunk_samples=3),
-                           dict(vectorized=False, n_workers=2))
+                           dict(vectorized=False, n_workers=2),
+                           dict(vectorized=True, n_workers=2))
         ]
-        assert results[0] == results[1] == results[2]
+        assert all(result == results[0] for result in results)
 
     def test_colcorr_grammar_round_trip(self):
         spec = parse_spec("colcorr:0.25")
