@@ -36,8 +36,9 @@ setup(
     extras_require={
         # `pytest.ini` sets a per-test timeout that activates when
         # pytest-timeout is present; the plugin is optional so the bare
-        # environment can still run the suite.
-        "test": ["pytest", "pytest-timeout"],
+        # environment can still run the suite. The property tests import
+        # hypothesis at module level, so the suite cannot collect without it.
+        "test": ["pytest", "pytest-timeout", "hypothesis"],
         # The strict-typing gate (CI's lint job); not needed at runtime.
         "typecheck": ["mypy"],
     },

@@ -7,7 +7,7 @@ stateful modules.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,28 @@ def _pair(value: KernelLike) -> Tuple[int, int]:
         return (value, value)
     kh, kw = value
     return (int(kh), int(kw))
+
+
+#: Contraction paths found by :func:`_einsum`, keyed by the subscripts and
+#: the operand shapes.
+_EINSUM_PATHS: Dict[Tuple[Any, ...], List[Any]] = {}
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)``, path cached.
+
+    ``optimize=True`` reruns numpy's greedy path search on every call, and
+    the path depends only on the subscripts and the operand shapes. The
+    first call per key searches it; later calls pass it as ``optimize=``,
+    so numpy runs the same contraction list and the result is bitwise the
+    uncached one.
+    """
+    key = (subscripts,) + tuple(op.shape for op in operands)
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = np.einsum_path(subscripts, *operands, optimize=True)[0]
+        _EINSUM_PATHS[key] = path
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 #: Receptive-field sizes (K = C*KH*KW) routed through the batched
@@ -107,9 +129,11 @@ def conv2d(
 
     def _backward(gout: np.ndarray) -> None:
         grad_rows = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * p, f)
+        # The GEMM product and the col2im scatter are fresh arrays without
+        # -0.0, so each first write adopts them (Tensor._accumulate).
         if weight.requires_grad:
             gw = grad_rows.T @ cols  # (F, K)
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(gw.reshape(weight.shape), fresh=True)
         if x.requires_grad:
             gcols = grad_rows @ w2  # (N*P, K)
             # col2im consumes any (N, C, KH, KW, OH, OW) view (the scatter
@@ -118,7 +142,8 @@ def conv2d(
             gview = gcols.reshape(n, oh, ow, c, kh, kw).transpose(
                 0, 3, 4, 5, 1, 2
             )
-            x._accumulate(col2im(gview, (n, c, h, w), (kh, kw), stride, padding))
+            gx = col2im(gview, (n, c, h, w), (kh, kw), stride, padding)
+            x._accumulate(gx, fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
@@ -164,10 +189,11 @@ def _conv2d_small_k(
             # (N, F, P) @ (N, P, K) summed over the batch; the (N, F, K)
             # intermediate is small by construction (K is tiny here).
             gw = np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(gw.reshape(weight.shape), fresh=True)
         if x.requires_grad:
             gcols = np.matmul(w2.T, grad)  # (N, K, P)
-            x._accumulate(col2im(gcols, (n, c, h, w), (kh, kw), stride, padding))
+            gx = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
+            x._accumulate(gx, fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
@@ -267,7 +293,7 @@ def _conv2d_stacked(
         grad = gout.reshape(s, f, n, p)
         if weight.requires_grad:
             if shared_input:
-                gw = np.einsum("sfnp,nkp->sfk", grad, cols, optimize=True)
+                gw = _einsum("sfnp,nkp->sfk", grad, cols)
             else:
                 # cols is (S, Q, K) with Q = N*P.
                 gw = np.matmul(grad.reshape(s, f, n * p), cols)
@@ -276,8 +302,9 @@ def _conv2d_stacked(
             weight._accumulate(gw.reshape(weight.shape))
         if x.requires_grad:
             if shared_input:
-                gcols = np.einsum("sfk,sfnp->nkp", w2, grad, optimize=True)
-                x._accumulate(col2im(gcols, (n, c, h, w), (kh, kw), stride, padding))
+                gcols = _einsum("sfk,sfnp->nkp", w2, grad)
+                gx = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
+                x._accumulate(gx, fresh=True)
             else:
                 # (S, Q, F) @ (S, F, K) -> per-window gradients (S, Q, K).
                 gq = np.matmul(
@@ -311,6 +338,8 @@ def _conv2d_stacked(
 def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
     """Average pooling over non-overlapping (or strided) windows.
 
+    A 4-D input whose windows tile the map takes the gather-free
+    :func:`_avg_pool2d_tiled`; other windows gather through ``im2col``.
     A 5-D input (S, C, N, H, W) — the channel-major stacked-activation
     convention of the vectorized Monte-Carlo engine — is pooled on a
     reshape fast path when windows tile exactly, else by folding the two
@@ -331,6 +360,14 @@ def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, 0)
     ow = conv_output_size(w, kw, stride, 0)
+    tiles = kh == kw == stride and h % kh == 0 and w % kw == 0
+    if tiles and x.data.flags.c_contiguous:
+        # The gather below copies a contiguous map's columns unless the map
+        # is one window wide and has one channel or one window row; numpy
+        # then sums those contiguous taps pairwise once there are 8 or more.
+        pairwise = kh * kw >= 8 and ow == 1 and (c == 1 or oh == 1)
+        if not pairwise:
+            return _avg_pool2d_tiled(x, kh, kw)
     cols = im2col(x.data, (kh, kw), stride, 0).reshape(n, c, kh * kw, oh * ow)
     out_data = cols.mean(axis=2).reshape(n, c, oh, ow)
 
@@ -339,9 +376,44 @@ def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
         gcols = np.broadcast_to(grad, (n, c, kh * kw, oh * ow)).reshape(
             n, c * kh * kw, oh * ow
         )
-        x._accumulate(col2im(gcols, (n, c, h, w), (kh, kw), stride, 0))
+        gx = col2im(gcols, (n, c, h, w), (kh, kw), stride, 0)
+        x._accumulate(gx, fresh=True)
 
     return Tensor._make_child(out_data, (x,), "avg_pool2d", _backward)
+
+
+def _avg_pool2d_tiled(x: Tensor, kh: int, kw: int) -> Tensor:
+    """Average pooling of (N, C, H, W) over windows that tile the map.
+
+    Gather-free and byte-equal to the ``im2col`` + ``mean`` path: that
+    mean sums each window's taps in row-major order onto a zero and
+    divides by the tap count, and so does this, reading the taps as
+    strided views of one window-shaped reshape. The equality needs numpy
+    to reduce the gathered taps one after another; where it sums them
+    pairwise instead, :func:`avg_pool2d` keeps the gather path. The
+    backward writes ``0.0 + gout / (kh*kw)``, which is what ``col2im``'s
+    scatter into zeros wrote, into the taps of one fresh buffer.
+    """
+    n, c, h, w = x.shape
+    oh, ow = h // kh, w // kw
+    win = x.data.reshape(n, c, oh, kh, ow, kw)
+    acc = np.add(win[:, :, :, 0, :, 0], 0.0)
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                acc += win[:, :, :, i, :, j]
+    acc /= kh * kw
+
+    def _backward(gout: np.ndarray) -> None:
+        share = gout / (kh * kw)
+        gx = np.empty((n, c, h, w), dtype=share.dtype)
+        gwin = gx.reshape(n, c, oh, kh, ow, kw)
+        for i in range(kh):
+            for j in range(kw):
+                np.add(share, 0.0, out=gwin[:, :, :, i, :, j])
+        x._accumulate(gx, fresh=True)
+
+    return Tensor._make_child(acc, (x,), "avg_pool2d", _backward)
 
 
 def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
@@ -428,9 +500,10 @@ def max_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
         np.put_along_axis(
             gcols, argmax[:, :, None, :], gout.reshape(n, c, 1, oh * ow), axis=2
         )
-        x._accumulate(
-            col2im(gcols.reshape(n, c * kh * kw, oh * ow), (n, c, h, w), (kh, kw), stride, 0)
+        gx = col2im(
+            gcols.reshape(n, c * kh * kw, oh * ow), (n, c, h, w), (kh, kw), stride, 0
         )
+        x._accumulate(gx, fresh=True)
 
     return Tensor._make_child(out_data, (x,), "max_pool2d", _backward)
 
@@ -478,10 +551,10 @@ def adaptive_avg_pool2d(x: Tensor, output_size: Tuple[int, int]) -> Tensor:
     pw = _pool_matrix(w, ow)  # (OW, W)
     # Rows first ((..., H, W) @ (W, OW) is a plain matmul; the row pass
     # contracts H via a transposed product), identical for any leading axes.
-    out_data = np.einsum("ih,...hw,jw->...ij", ph, x.data, pw, optimize=True)
+    out_data = _einsum("ih,...hw,jw->...ij", ph, x.data, pw)
 
     def _backward(gout: np.ndarray) -> None:
-        x._accumulate(np.einsum("ih,...ij,jw->...hw", ph, gout, pw, optimize=True))
+        x._accumulate(_einsum("ih,...ij,jw->...hw", ph, gout, pw))
 
     return Tensor._make_child(out_data, (x,), "adaptive_avg_pool", _backward)
 

@@ -110,6 +110,14 @@ def col2im(
     (N, C, KH, KW, OH, OW) — e.g. a transposed view of
     :func:`im2col_windows` gradients — since the scatter indexes per-tap
     slices and never needs contiguity.
+
+    The scatter takes whichever is fewer: one strided add per kernel tap,
+    or one (N, C, KH, KW) block add per output position. Both hand every
+    input pixel its contributions in the same order — taps in row-major
+    order, which is output positions in reverse row-major order — so the
+    two loops are byte-equal, and a map with fewer output positions than
+    taps (a 5x5 kernel over a 6x6 map: 4 positions, 25 taps) takes the
+    short one. The output is a sum into zeros, so it never holds -0.0.
     """
     n, c, h, w = input_shape
     kh, kw = kernel
@@ -118,11 +126,18 @@ def col2im(
     hp, wp = h + 2 * padding, w + 2 * padding
     out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            out[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
+    if oh * ow < kh * kw:
+        for y in reversed(range(oh)):
+            top = y * stride
+            for x in reversed(range(ow)):
+                left = x * stride
+                out[:, :, top:top + kh, left:left + kw] += cols[..., y, x]
+    else:
+        for i in range(kh):
+            i_max = i + stride * oh
+            for j in range(kw):
+                j_max = j + stride * ow
+                out[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
     if padding:
         return out[:, :, padding:-padding, padding:-padding]
     return out

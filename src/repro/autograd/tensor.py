@@ -68,6 +68,20 @@ def _grad_buffer(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     return np.add(grad, 0.0, out=np.empty_like(like, dtype=np.float64))
 
 
+def _c_strides(shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The strides ``_grad_buffer`` gives a C-contiguous float64 buffer.
+
+    ``flags.c_contiguous`` ignores the stride of a length-1 axis, so an
+    adopted gradient must match these exactly to keep the buffer's layout.
+    """
+    strides = []
+    step = 8
+    for size in reversed(shape):
+        strides.append(step)
+        step *= size
+    return tuple(reversed(strides))
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff.
 
@@ -160,12 +174,31 @@ class Tensor:
             out._op = op
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad`` (allocating on first use)."""
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad`` (allocating on first use).
+
+        ``fresh=True`` says that ``grad`` is a new array no one else reads
+        and that it holds no -0.0: a scatter into zeros or a GEMM product.
+        A first write then adopts it when it already has the buffer's
+        form — float64, ``data``'s shape, C-contiguous like ``data`` — and
+        is byte-equal to the copy, because ``0.0 + g`` only changes -0.0.
+        Anything else, and every other producer, takes the copy.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = _grad_buffer(grad, self.data)
+            data = self.data
+            if (
+                fresh
+                and grad.dtype == np.float64
+                and grad.shape == data.shape
+                and grad.flags.c_contiguous
+                and data.flags.c_contiguous
+                and grad.strides == _c_strides(grad.shape)
+            ):
+                self.grad = grad
+            else:
+                self.grad = _grad_buffer(grad, data)
         else:
             self.grad += grad
 
@@ -298,6 +331,9 @@ class Tensor:
         """Matrix product supporting 1-D and (optionally batched) 2-D operands."""
         other = as_tensor(other)
 
+        # Every operand gradient but the inner product's is a GEMM product
+        # (or its broadcast sum): a fresh array with no -0.0, which a first
+        # write adopts.
         def _backward(g: np.ndarray) -> None:
             a, b = self.data, other.data
             if a.ndim == 1 and b.ndim == 1:  # inner product -> scalar grad
@@ -311,27 +347,29 @@ class Tensor:
                     ga = (np.expand_dims(g, -2) @ np.swapaxes(b, -1, -2)).reshape(
                         b.shape[:-2] + a.shape
                     )
-                    self._accumulate(_unbroadcast(ga, self.shape))
+                    self._accumulate(_unbroadcast(ga, self.shape), fresh=True)
                 if other.requires_grad:
                     gb = np.expand_dims(a, -1) @ np.expand_dims(g, -2)
-                    other._accumulate(_unbroadcast(gb, other.shape))
+                    other._accumulate(_unbroadcast(gb, other.shape), fresh=True)
                 return
             if b.ndim == 1:  # (..., m, k) @ (k,)
                 if self.requires_grad:
                     ga = np.expand_dims(g, -1) @ np.expand_dims(b, -2)
-                    self._accumulate(_unbroadcast(ga, self.shape))
+                    self._accumulate(_unbroadcast(ga, self.shape), fresh=True)
                 if other.requires_grad:
                     gb = (np.swapaxes(a, -1, -2) @ np.expand_dims(g, -1)).reshape(
                         a.shape[:-2] + b.shape
                     )
                     if gb.ndim > 1:
                         gb = gb.sum(axis=tuple(range(gb.ndim - 1)))
-                    other._accumulate(_unbroadcast(gb, other.shape))
+                    other._accumulate(_unbroadcast(gb, other.shape), fresh=True)
                 return
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g @ np.swapaxes(b, -1, -2), self.shape))
+                ga = g @ np.swapaxes(b, -1, -2)
+                self._accumulate(_unbroadcast(ga, self.shape), fresh=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ g, other.shape))
+                gb = np.swapaxes(a, -1, -2) @ g
+                other._accumulate(_unbroadcast(gb, other.shape), fresh=True)
 
         return self._make_child(self.data @ other.data, (self, other), "matmul", _backward)
 

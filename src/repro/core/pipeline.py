@@ -137,7 +137,12 @@ class CorrectNet:
     # Stage 1: error suppression
     # ------------------------------------------------------------------
     def fit_base(self) -> TrainHistory:
-        """Train ``model`` with the Lipschitz regularization of eq. (11)."""
+        """Train ``model`` with the Lipschitz regularization of eq. (11).
+
+        The history has one loss and one regularizer value per epoch but
+        one accuracy sweep (train and test), after the last epoch: only
+        the final test accuracy is read.
+        """
         cfg = self.config.train
         trainer = Trainer(
             self.model,
@@ -151,6 +156,7 @@ class CorrectNet:
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             val_data=self.test_data,
+            eval_every=max(cfg.epochs, 1),
         )
         logger.info(
             "base training done: val accuracy %.4f, lambda %.4f",

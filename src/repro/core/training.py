@@ -96,6 +96,14 @@ class Trainer:
         self.loss_fn = loss_fn or CrossEntropyLoss()
         self.regularizer = regularizer
         self.variation = None if variation is None else parse_spec(variation)
+        # One injector for every batch: it binds to the module tree as
+        # constructed, and draws from ``param.data`` at draw time, so the
+        # optimizer's updates reach it without a rebuild.
+        self._injector = (
+            None
+            if self.variation is None
+            else VariationInjector(model, self.variation)
+        )
         self.variation_samples = variation_samples
         self.grad_clip = grad_clip
         self._rng = new_rng(seed)
@@ -138,8 +146,8 @@ class Trainer:
             (loss * scale if scale != 1.0 else loss).backward()
             return task_loss.item(), reg_value
 
-        if self.variation is not None:
-            injector = VariationInjector(self.model, self.variation)
+        injector = self._injector
+        if injector is not None:
             s = self.variation_samples
             if s == 1:
                 with injector.applied(self._rng):

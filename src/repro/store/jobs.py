@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.data import DATASET_FACTORIES
 from repro.data.dataset import ArrayDataset
@@ -160,13 +160,41 @@ class Materialized:
     fingerprint: str
 
 
+_Factory = Callable[[], Tuple[ArrayDataset, ArrayDataset]]
+
+#: A dataset factory's split and the test split's digest, made on first
+#: use and kept for the process. Keyed by the factory object, not its
+#: registry name, so a factory swapped into ``DATASET_FACTORIES`` gets its
+#: own split.
+_SPLITS: Dict[_Factory, Tuple[ArrayDataset, ArrayDataset, str]] = {}
+
+
+def _read_only(dataset: ArrayDataset) -> ArrayDataset:
+    """Read-only views of ``dataset``'s arrays: every job that reuses a
+    cached split reads the same memory, so none may write to it."""
+    images, labels = dataset.images.view(), dataset.labels.view()
+    images.flags.writeable = False
+    labels.flags.writeable = False
+    return ArrayDataset.from_views(images, labels)
+
+
+def _split(factory: _Factory) -> Tuple[ArrayDataset, ArrayDataset, str]:
+    """``factory()``'s (train, test) split, read-only, and ``test``'s digest."""
+    cached = _SPLITS.get(factory)
+    if cached is None:
+        train, test = (_read_only(half) for half in factory())
+        cached = _SPLITS[factory] = (train, test, dataset_digest(test))
+    return cached
+
+
 def materialize(request: JobRequest) -> Materialized:
     """Rebuild (model, dataset, plan) from a request and fingerprint it.
 
     The weights digest is taken *before* any analog conversion — the
     logical model identity is the trained weights plus the deployment
     parameters, not the programmed conductance state (which variation
-    draws rewrite anyway).
+    draws rewrite anyway). The dataset split and its digest are made once
+    per factory (:func:`_split`), with read-only arrays.
     """
     try:
         factory = DATASET_FACTORIES[request.dataset]
@@ -175,7 +203,7 @@ def materialize(request: JobRequest) -> Materialized:
             f"unknown dataset {request.dataset!r}; choose from "
             f"{sorted(DATASET_FACTORIES)}"
         ) from None
-    train, test = factory()
+    train, test, test_digest = _split(factory)
     model = build_model(request.model, train, seed=request.model_seed)
     if request.checkpoint is not None:
         model.load(request.checkpoint)
@@ -208,7 +236,7 @@ def materialize(request: JobRequest) -> Materialized:
         min_samples=request.min_samples,
     )
     payload = fingerprint_payload(
-        plan, model_digest, dataset_digest(test), analog_payload
+        plan, model_digest, test_digest, analog_payload
     )
     digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
     return Materialized(

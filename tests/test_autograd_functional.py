@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F
 
@@ -440,3 +441,50 @@ class TestCrossEntropyStacked:
     def test_label_count_mismatch_raises(self):
         with pytest.raises(ValueError):
             F.cross_entropy(Tensor(np.zeros((2, 4, 3))), np.zeros(3, dtype=int))
+
+
+class TestEinsumPathCache:
+    """``_einsum`` searches a contraction path once per subscripts and
+    shapes, and must then compute exactly what ``optimize=True`` does."""
+
+    #: The contractions the kernels run: adaptive pooling (forward and
+    #: backward, on plain and stacked maps) and the stacked conv backward.
+    CASES = {
+        "ih,...hw,jw->...ij": lambda d: [(d[0], d[2]), d[4:] + (d[2], d[3]), (d[1], d[3])],
+        "ih,...ij,jw->...hw": lambda d: [(d[0], d[2]), d[4:] + (d[0], d[1]), (d[1], d[3])],
+        "sfnp,nkp->sfk": lambda d: [(d[0], d[1], d[2], d[3]), (d[2], d[4], d[3])],
+        "sfk,sfnp->nkp": lambda d: [(d[0], d[1], d[4]), (d[0], d[1], d[2], d[3])],
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        subscripts=st.sampled_from(sorted(CASES)),
+        dims=st.tuples(*[st.integers(1, 5)] * 4, *[st.integers(1, 3)] * 2),
+        data=st.data(),
+    )
+    def test_cached_path_is_bitwise_optimize_true(self, subscripts, dims, data):
+        shapes = self.CASES[subscripts](dims)
+        operands = [
+            data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+            for shape in shapes
+        ]
+        want = np.einsum(subscripts, *operands, optimize=True)
+        for _ in range(2):  # the searching call, then the cached one
+            got = F._einsum(subscripts, *operands)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_path_is_searched_once_per_shape(self, monkeypatch):
+        searches = []
+        search = np.einsum_path
+        monkeypatch.setattr(F, "_EINSUM_PATHS", {})
+        monkeypatch.setattr(
+            np, "einsum_path", lambda *a, **k: searches.append(a[0]) or search(*a, **k)
+        )
+        x = Tensor(np.ones((2, 3, 6, 6)), requires_grad=True)
+        for _ in range(3):
+            F.adaptive_avg_pool2d(x, (3, 2)).backward(np.ones((2, 3, 3, 2)))
+        F.adaptive_avg_pool2d(Tensor(np.ones((4, 3, 6, 6))), (3, 2))
+        assert searches == [
+            "ih,...hw,jw->...ij", "ih,...ij,jw->...hw", "ih,...hw,jw->...ij"
+        ]

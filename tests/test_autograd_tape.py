@@ -10,6 +10,7 @@ GC disabled and require ``gc.collect()`` to find nothing afterwards.
 """
 
 import gc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F, no_grad
+from repro.autograd import tensor as tensor_module
 from repro.autograd.tensor import concatenate, stack
 from repro.compensation import CompensationPlan, CompensationTrainer
 from repro.core.training import Trainer
@@ -227,6 +229,52 @@ def _old_first_write(data, grad):
 _SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf])
 
 
+def _signed(rng, shape, dtype=np.float64):
+    """Normal entries with about a quarter of them -0.0."""
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.25] = -0.0
+    return a.astype(dtype)
+
+
+def _conv_case(draw, rng, dtype, c, k, padding):
+    n, f = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, k - 2 * padding), 6))
+    x = _signed(rng, (n, c, h, h), dtype)
+    w = _signed(rng, (f, c, k, k), dtype)
+    return [x, w], lambda x, w: F.conv2d(x, w, padding=padding)
+
+
+def _pool_case(draw, rng, dtype, pool, kernel, stride=None):
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h = kernel * draw(st.integers(1, 3))
+    x = _signed(rng, (n, c, h, h + kernel), dtype)
+    return [x], lambda x: pool(x, kernel, stride)
+
+
+def _matmul_case(draw, rng, dtype, a_shape, b_shape):
+    return [_signed(rng, a_shape, dtype), _signed(rng, b_shape, dtype)], Tensor.matmul
+
+
+#: Each producer that hands a first gradient write a fresh array: a case
+#: maker ``(draw, rng, dtype) -> (operand arrays, op)``, and the operands
+#: (by position) whose first write adopts it.
+_PRODUCERS = {
+    # K = 18*3*3 = 162 > BATCHED_CONV_MAX_K: the receptive-field-row GEMM.
+    "conv2d": (partial(_conv_case, c=18, k=3, padding=0), (0, 1)),
+    "conv2d-small-k": (partial(_conv_case, c=2, k=3, padding=0), (0, 1)),
+    # Padding crops the scatter to a view, which the write copies.
+    "conv2d-padded": (partial(_conv_case, c=2, k=3, padding=1), (1,)),
+    "avg_pool2d-tiled": (partial(_pool_case, pool=F.avg_pool2d, kernel=2), (0,)),
+    "avg_pool2d-strided": (
+        partial(_pool_case, pool=F.avg_pool2d, kernel=3, stride=1), (0,)),
+    "max_pool2d": (partial(_pool_case, pool=F.max_pool2d, kernel=2), (0,)),
+    "matmul": (partial(_matmul_case, a_shape=(3, 4), b_shape=(4, 5)), (0, 1)),
+    "matmul-broadcast": (partial(_matmul_case, a_shape=(2, 3, 4), b_shape=(4, 5)), (0, 1)),
+    "matmul-vector-left": (partial(_matmul_case, a_shape=(4,), b_shape=(4, 5)), (0, 1)),
+    "matmul-vector-right": (partial(_matmul_case, a_shape=(3, 4), b_shape=(4,)), (0, 1)),
+}
+
+
 @st.composite
 def _layout_and_grad(draw):
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
@@ -268,3 +316,83 @@ class TestFirstGradientWrite:
         (x * 1.0).backward(seed)
         assert x.grad.tobytes() == _old_first_write(x.data, seed).tobytes()
         assert x.grad is not seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_PRODUCERS)), st.sampled_from([np.float32, np.float64]),
+           st.data())
+    def test_adopted_first_writes_are_byte_equal_to_the_copy(self, name, dtype, data):
+        """A fresh producer's first write adopts its array, and is byte-equal
+        — values, dtype and strides — to the copying write, for an output
+        gradient with -0.0 entries; later writes accumulate in place."""
+        make, adopters = _PRODUCERS[name]
+        seed = data.draw(st.integers(0, 2**16))
+        operands, op = make(data.draw, np.random.default_rng(seed), dtype)
+        rng = np.random.default_rng(seed + 1)
+
+        def run(copying):
+            buffers = []
+            with pytest.MonkeyPatch.context() as mp:
+                grad_buffer = tensor_module._grad_buffer
+                accumulate = Tensor._accumulate
+
+                def spy(grad, like):
+                    buffers.append(grad_buffer(grad, like))
+                    return buffers[-1]
+
+                mp.setattr(tensor_module, "_grad_buffer", spy)
+                if copying:
+                    mp.setattr(Tensor, "_accumulate",
+                               lambda t, grad, fresh=False: accumulate(t, grad))
+                leaves = [Tensor(a, requires_grad=True) for a in operands]
+                out = op(*leaves)
+                # The closure itself, so -0.0 reaches the producer.
+                out._backward(_signed(np.random.default_rng(seed + 2), out.shape))
+            return leaves, buffers
+
+        adopted, buffers = run(copying=False)
+        copied, _ = run(copying=True)
+        for i, (a, b) in enumerate(zip(adopted, copied)):
+            assert a.grad.dtype == b.grad.dtype == np.float64
+            assert a.grad.strides == b.grad.strides
+            assert a.grad.tobytes() == b.grad.tobytes()
+            assert any(a.grad is buf for buf in buffers) == (i not in adopters)
+            first = a.grad
+            for _ in range(2):  # a later write adds in place, fresh or not
+                extra = _signed(rng, a.shape)
+                a._accumulate(extra, fresh=True)
+                b._accumulate(extra)
+                assert a.grad is first
+                assert a.grad.tobytes() == b.grad.tobytes()
+
+    @pytest.mark.parametrize("op", ["relu", "mul", "clip"])
+    def test_mask_products_keep_the_copy(self, op):
+        """A product with a 0/1 mask can hold -0.0, which the first write
+        turns into +0.0, so these producers never adopt."""
+        x = Tensor(np.array([-2.0, -1.0, 0.5, 3.0]), requires_grad=True)
+        out = {"relu": x.relu, "mul": lambda: x * np.array([0.0, 1.0, 0.0, 1.0]),
+               "clip": lambda: x.clip(0.0, 1.0)}[op]()
+        gout = np.array([-1.0, -2.0, -3.0, -4.0])
+        out._backward(gout)
+        assert not (np.signbit(x.grad) & (x.grad == 0)).any()
+
+    def test_a_non_contiguous_operand_takes_the_copy(self):
+        """An adoptable array whose operand is laid out differently is
+        copied into the operand's layout, as before."""
+        data = np.zeros((4, 3)).T  # F-ordered (3, 4)
+        t = Tensor(data, requires_grad=True)
+        grad = np.arange(12.0).reshape(3, 4)
+        t._accumulate(grad, fresh=True)
+        assert t.grad is not grad
+        assert t.grad.strides == _old_first_write(data, grad).strides
+        assert t.grad.tobytes() == _old_first_write(data, grad).tobytes()
+
+    def test_a_length_one_axis_must_keep_its_stride(self):
+        """``flags.c_contiguous`` ignores a length-1 axis's stride; the
+        buffer's layout does not, so such an array is copied."""
+        data = np.zeros((1, 4))
+        grad = np.ones((2, 4))[::2]  # C-contiguous, but axis-0 stride 64
+        assert grad.flags.c_contiguous and grad.strides == (64, 8)
+        t = Tensor(data, requires_grad=True)
+        t._accumulate(grad, fresh=True)
+        assert t.grad is not grad
+        assert t.grad.strides == _old_first_write(data, grad).strides

@@ -70,6 +70,16 @@ class TestPipeline:
         if result.candidates:
             assert result.candidates[0] == 0
 
+    def test_base_history_sweeps_accuracy_once(self, pipeline_result):
+        """Base training keeps its per-epoch loss and regularizer curves but
+        sweeps each split's accuracy once, after the last epoch: the final
+        test accuracy is the only one read."""
+        _, result = pipeline_result
+        history = result.base_history
+        assert len(history.loss) == len(history.regularizer) == 10
+        assert len(history.train_accuracy) == len(history.val_accuracy) == 1
+        assert history.final_val_accuracy == result.original_accuracy
+
     def test_search_results_per_limit(self, pipeline_result):
         pipeline, result = pipeline_result
         if result.candidates:

@@ -114,6 +114,45 @@ class TestNoiseAwareTraining:
         model.eval()
         np.testing.assert_array_equal(model(x).data, model(x).data)
 
+    def test_a_fit_builds_one_injector(self, blob_dataset, monkeypatch):
+        """The injector binds once per trainer, not once per batch."""
+        import repro.core.training as training
+
+        built = []
+
+        class CountingInjector(VariationInjector):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(training, "VariationInjector", CountingInjector)
+        model = _fresh_mlp()
+        Trainer(
+            model, Adam(list(model.parameters()), lr=0.01),
+            variation=LogNormalVariation(0.3), seed=0,
+        ).fit(blob_dataset, epochs=2, batch_size=16)
+        assert len(built) == 1
+
+    def test_one_injector_trains_what_one_per_batch_trained(self, blob_dataset):
+        """Adam rebinds ``Parameter.data`` but never the ``Parameter``, and
+        a draw reads ``param.data`` when it is made: the shared injector
+        perturbs the updated weights, bitwise as a per-batch one did."""
+
+        class PerBatchInjector(Trainer):
+            def _train_batch(self, images, labels):
+                self._injector = VariationInjector(self.model, self.variation)
+                return super()._train_batch(images, labels)
+
+        weights = []
+        for cls in (Trainer, PerBatchInjector):
+            model = _fresh_mlp()
+            cls(
+                model, Adam(list(model.parameters()), lr=0.01),
+                variation=LogNormalVariation(0.3), seed=0,
+            ).fit(blob_dataset, epochs=2, batch_size=16)
+            weights.append([p.data.tobytes() for p in model.parameters()])
+        assert weights[0] == weights[1]
+
     def test_noise_aware_still_learns(self, blob_dataset):
         model = _fresh_mlp()
         trainer = Trainer(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.data import DATASET_FACTORIES, synth_mnist
@@ -211,6 +212,51 @@ class TestMaterializeValidation:
         (name,) = knob
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             materialize(_request(**knob))
+
+
+class TestMaterializeSplit:
+    def test_a_second_materialize_reuses_the_read_only_split(self, monkeypatch):
+        """One split per factory: later jobs on the dataset reuse it and its
+        digest, and cannot write to it."""
+        calls = []
+
+        def counting_factory():
+            calls.append(1)
+            return _tiny_factory()
+
+        monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", counting_factory)
+        first = materialize(_request())
+        second = materialize(_request(variation={"kind": "lognormal", "sigma": 0.2}))
+        assert len(calls) == 1
+        assert second.dataset is first.dataset
+        for array in (first.dataset.images, first.dataset.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # The cached split fingerprints as the fresh one does.
+        _, test = _tiny_factory()
+        assert np.array_equal(first.dataset.images, test.images)
+        assert first.fingerprint == materialize(_request()).fingerprint
+
+    def test_a_swapped_factory_gets_its_own_split(self, monkeypatch):
+        """The memo keys on the factory object, not the registry name."""
+        before = materialize(_request())
+
+        def smaller():
+            return synth_mnist(train_per_class=6, test_per_class=2)
+
+        monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", smaller)
+        after = materialize(_request())
+        assert len(after.dataset) == 20 and len(before.dataset) == 30
+        assert after.fingerprint != before.fingerprint
+
+    def test_the_factory_output_stays_writable(self, monkeypatch):
+        """Only the cached views are read-only: arrays the factory hands
+        out elsewhere keep their flags."""
+        train, test = _tiny_factory()
+        monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", lambda: (train, test))
+        materialize(_request())
+        assert test.images.flags.writeable and train.labels.flags.writeable
 
 
 class CountingClock:
