@@ -102,6 +102,60 @@ def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_analog_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--analog", action="store_true",
+        help="deploy the model onto simulated RRAM crossbars "
+        "(repro.hardware.analogize) before evaluating; --variation then "
+        "applies at programming time, in the conductance domain, and all "
+        "engines run the full DAC/MAC/read-noise/ADC chain (seed-paired)",
+    )
+    parser.add_argument(
+        "--dac-bits", type=int, default=None,
+        help="analog input DAC resolution (default: ideal converter)",
+    )
+    parser.add_argument(
+        "--adc-bits", type=int, default=None,
+        help="analog output ADC resolution (default: ideal converter)",
+    )
+    parser.add_argument(
+        "--read-noise", type=float, default=0.0,
+        help="relative sigma of per-read cycle noise on bitline currents",
+    )
+    parser.add_argument(
+        "--tile-size", type=int, default=128,
+        help="physical crossbar tile size for --analog",
+    )
+
+
+def _check_analog_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject what :func:`_add_analog_args`' flags cannot mean: crossbar
+    flags without ``--analog``, and ``--analog`` with ``--dtype float32``."""
+    if not args.analog:
+        ignored = [
+            flag
+            for flag, given in [
+                ("--dac-bits", args.dac_bits is not None),
+                ("--adc-bits", args.adc_bits is not None),
+                ("--read-noise", args.read_noise != 0.0),
+                ("--tile-size", args.tile_size != 128),
+            ]
+            if given
+        ]
+        if ignored:
+            parser.error(
+                f"{', '.join(ignored)} only take effect with --analog "
+                "(without it the evaluation is purely weight-domain)"
+            )
+    elif args.dtype != "float64":
+        parser.error(
+            "--dtype float32 is weight-domain only: the crossbar simulator "
+            "is float64 physics (see repro.evaluation.plan)"
+        )
+
+
 def _resolve_variation(args) -> VariationModel:
     """The scenario a command should run: --variation spec, else the
     paper's log-normal model at --sigma."""
@@ -191,54 +245,11 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         help="emit the result as JSON on stdout (same numbers as the "
         "table, plus the serialized MCResult) instead of the table",
     )
-    parser.add_argument(
-        "--analog", action="store_true",
-        help="deploy the checkpoint onto simulated RRAM crossbars "
-        "(repro.hardware.analogize) before evaluating; --variation then "
-        "applies at programming time, in the conductance domain, and all "
-        "engines run the full DAC/MAC/read-noise/ADC chain (seed-paired)",
-    )
-    parser.add_argument(
-        "--dac-bits", type=int, default=None,
-        help="analog input DAC resolution (default: ideal converter)",
-    )
-    parser.add_argument(
-        "--adc-bits", type=int, default=None,
-        help="analog output ADC resolution (default: ideal converter)",
-    )
-    parser.add_argument(
-        "--read-noise", type=float, default=0.0,
-        help="relative sigma of per-read cycle noise on bitline currents",
-    )
-    parser.add_argument(
-        "--tile-size", type=int, default=128,
-        help="physical crossbar tile size for --analog",
-    )
+    _add_analog_args(parser)
     args = parser.parse_args(argv)
     if args.verbose:
         set_verbosity()
-    if not args.analog:
-        ignored = [
-            flag
-            for flag, given in [
-                ("--dac-bits", args.dac_bits is not None),
-                ("--adc-bits", args.adc_bits is not None),
-                ("--read-noise", args.read_noise != 0.0),
-                ("--tile-size", args.tile_size != 128),
-            ]
-            if given
-        ]
-        if ignored:
-            parser.error(
-                f"{', '.join(ignored)} only take effect with --analog "
-                "(without it the evaluation is purely weight-domain)"
-            )
-
-    if args.analog and args.dtype != "float64":
-        parser.error(
-            "--dtype float32 is weight-domain only: the crossbar simulator "
-            "is float64 physics (see repro.evaluation.plan)"
-        )
+    _check_analog_args(parser, args)
 
     train, test = _load_data(args.dataset)
     model = build_model(args.model, train, seed=args.seed)

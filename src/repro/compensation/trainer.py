@@ -114,17 +114,12 @@ class CompensationTrainer:
     ) -> TrainHistory:
         """Train for ``epochs`` epochs.
 
-        The history has one loss per epoch but one accuracy sweep (train,
-        and ``val_data`` if given), after the last epoch: a sweep is a full
-        pass over the split, and nothing reads per-epoch compensation
-        curves.
+        The history has one loss per epoch and, when ``val_data`` is
+        given, one accuracy sweep of it after the last epoch (see
+        :meth:`~repro.core.training.Trainer.fit`).
         """
         return self.trainer.fit(
-            train_data,
-            epochs=epochs,
-            batch_size=batch_size,
-            val_data=val_data,
-            eval_every=max(epochs, 1),
+            train_data, epochs=epochs, batch_size=batch_size, val_data=val_data
         )
 
 

@@ -139,9 +139,8 @@ class CorrectNet:
     def fit_base(self) -> TrainHistory:
         """Train ``model`` with the Lipschitz regularization of eq. (11).
 
-        The history has one loss and one regularizer value per epoch but
-        one accuracy sweep (train and test), after the last epoch: only
-        the final test accuracy is read.
+        The history has one loss and one regularizer value per epoch and
+        no accuracy: :meth:`run` sweeps the test split once, after this.
         """
         cfg = self.config.train
         trainer = Trainer(
@@ -152,17 +151,9 @@ class CorrectNet:
             seed=cfg.seed,
         )
         history = trainer.fit(
-            self.train_data,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            val_data=self.test_data,
-            eval_every=max(cfg.epochs, 1),
+            self.train_data, epochs=cfg.epochs, batch_size=cfg.batch_size
         )
-        logger.info(
-            "base training done: val accuracy %.4f, lambda %.4f",
-            history.final_val_accuracy,
-            self.lam,
-        )
+        logger.info("base training done: lambda %.4f", self.lam)
         return history
 
     # ------------------------------------------------------------------

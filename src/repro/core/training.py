@@ -34,10 +34,10 @@ logger = get_logger("core.training")
 
 @dataclass
 class TrainHistory:
-    """Per-epoch curves collected during :meth:`Trainer.fit`."""
+    """What :meth:`Trainer.fit` records: per-epoch loss and regularizer
+    curves, and the validation accuracy after the last epoch."""
 
     loss: List[float] = field(default_factory=list)
-    train_accuracy: List[float] = field(default_factory=list)
     val_accuracy: List[float] = field(default_factory=list)
     regularizer: List[float] = field(default_factory=list)
 
@@ -186,9 +186,13 @@ class Trainer:
         val_data: Optional[ArrayDataset] = None,
         scheduler=None,
         callback: Optional[Callable[[int, TrainHistory], None]] = None,
-        eval_every: int = 1,
     ) -> TrainHistory:
-        """Train for ``epochs`` epochs; returns the collected history."""
+        """Train for ``epochs`` epochs; returns the collected history.
+
+        ``val_data`` is swept once, after the last epoch: a sweep is a full
+        pass over the split, and only the final accuracy is read. The
+        train split is never swept.
+        """
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
         history = TrainHistory()
@@ -209,20 +213,17 @@ class Trainer:
                 n_batches += 1
             history.loss.append(epoch_loss / max(n_batches, 1))
             history.regularizer.append(epoch_reg / max(n_batches, 1))
-            if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-                history.train_accuracy.append(accuracy(self.model, train_data))
-                if val_data is not None:
-                    history.val_accuracy.append(accuracy(self.model, val_data))
             if scheduler is not None:
                 scheduler.step()
             if callback is not None:
                 callback(epoch, history)
             logger.debug(
-                "epoch %d: loss=%.4f reg=%.4f val=%.4f",
+                "epoch %d: loss=%.4f reg=%.4f",
                 epoch,
                 history.loss[-1],
                 history.regularizer[-1],
-                history.val_accuracy[-1] if history.val_accuracy else float("nan"),
             )
             self.model.train()
+        if val_data is not None:
+            history.val_accuracy.append(accuracy(self.model, val_data))
         return history

@@ -9,8 +9,8 @@ last layer" experiment — each point a :func:`tail_spec` — from which
 :class:`ErrorPropagationTracer` measures the per-layer feature
 deviations that motivate error suppression (Fig. 4).
 Sequential stopping (``evaluate(tolerance=...)``) lives in
-``repro.evaluation.sequential``: interval estimators, the
-:class:`HalfWidthRule` and the sweep-level draw allocator.
+``repro.evaluation.sequential``: the one 95% CLT interval and the
+:class:`HalfWidthRule`. A sweep is one evaluation per point.
 """
 
 from repro.evaluation.metrics import accuracy, recovery_ratio
@@ -21,14 +21,7 @@ from repro.evaluation.executor import (
     make_adapter,
 )
 from repro.evaluation.plan import build_plan, EvalPlan
-from repro.evaluation.sequential import (
-    allocate_draws,
-    clt_interval,
-    half_width,
-    HalfWidthRule,
-    interval,
-    wilson_interval,
-)
+from repro.evaluation.sequential import clt_interval, half_width, HalfWidthRule
 from repro.evaluation.vectorized import stacked_accuracies, supports_sample_axis
 from repro.evaluation.layer_sweep import layer_sweep, select_candidates, tail_spec
 from repro.evaluation.tracer import ErrorPropagationTracer, LayerDeviation
@@ -59,9 +52,6 @@ __all__ = [
     "make_adapter",
     "IncrementalEvaluation",
     "HalfWidthRule",
-    "interval",
     "clt_interval",
-    "wilson_interval",
     "half_width",
-    "allocate_draws",
 ]

@@ -54,13 +54,13 @@ evaluates chunk by chunk and lands each chunk through
 chunk at the first look of the plan's ``stopping`` rule that the prefix
 satisfies (:data:`~repro.evaluation.sequential.LOOK_EVERY`), then stream
 the kept draws through ``on_chunk`` — in seed-schedule order. The
-in-process backends land the chunks they evaluate (the same unit the
-sweep-level draw allocator schedules); the pool lands its workers'
-chunks and discards any still in flight when the rule fires. A fixed-S
-run is a run whose rule never fires. The looks belong to the rule, not
-to the chunking, so the stop point is engine- and chunk-invariant and an
-adaptive run's draws are a bitwise prefix of the fixed-S run on the same
-seed.
+in-process backends land the chunks they evaluate; the pool lands its
+workers' chunks and discards any still in flight when the rule fires. A
+fixed-S run is a run whose rule never fires. The looks belong to the
+rule, not to the chunking, so the stop point is engine- and
+chunk-invariant and an adaptive run's draws are a bitwise prefix of the
+fixed-S run on the same seed. A sweep is one :func:`execute` per point,
+so every point runs in its plan's form and workers.
 
 The race: neither in-process form is fastest on every model, and a
 chunk's accuracies are identical in either, so an in-process vectorized
@@ -254,10 +254,7 @@ def _cast_model(model: Module, dtype: str) -> List[Tuple[Any, ...]]:
 @contextlib.contextmanager
 def _dtype_scope(model: Module, dtype: str) -> Iterator[None]:
     """Run scope of the eval dtype policy: cast the model once, restore on
-    exit. ``float64`` is a no-op (the model already is). Nesting is safe
-    (inner scopes re-cast already-cast arrays; restore unwinds in reverse),
-    which is what lets ``evaluate_grid`` hold many incremental evaluations
-    of one model open at once."""
+    exit (in reverse). ``float64`` is a no-op (the model already is)."""
     if dtype == "float64":
         yield
         return
@@ -330,21 +327,15 @@ def _stacked_accuracies(
 def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
     """Wrap raw per-draw accuracies in an ``MCResult`` for this plan.
 
-    ``stopped_early`` is structural: fewer draws than the cap means a rule
-    (or a sweep budget) cut the schedule short. Deterministic plans report
-    their single nominal draw without the flag, and the result carries the
-    stopping rule's CI settings so ``ci_low``/``ci_high`` are computed the
-    same way the stop decision was made (a fixed-S plan reports a 95% CLT
-    interval).
+    ``stopped_early`` is structural: fewer draws than the cap means the
+    rule cut the schedule short. Deterministic plans report their single
+    nominal draw without the flag.
     """
     from repro.evaluation.montecarlo import MCResult
 
-    rule = plan.stopping
     return MCResult(
         accuracies,
         stopped_early=not plan.deterministic and len(accuracies) < plan.n_samples,
-        confidence=0.95 if rule is None else rule.confidence,
-        ci_method="clt" if rule is None else rule.method,
     )
 
 
@@ -365,11 +356,8 @@ class IncrementalEvaluation:
     whatever its ``n_workers``), and lands every chunk through
     :meth:`land_chunk`, which cuts it at the stopping rule's first
     satisfied look; a pool lands its workers' chunks through the same
-    step. Satisfies the
-    :class:`~repro.evaluation.sequential.SequentialPoint`
-    protocol, so the sweep-level allocator can interleave chunks across
-    many of these against one shared budget — each instance's draws stay a
-    contiguous prefix of its own schedule regardless of interleaving.
+    step. :meth:`run_chunk` returns the draws it kept, so a caller can
+    count the draws one chunk at a time.
 
     ``on_chunk`` is the per-chunk emit hook (see :data:`ChunkHook`);
     :meth:`resume` replays a previously-emitted prefix so an interrupted

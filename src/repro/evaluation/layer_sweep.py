@@ -12,7 +12,7 @@ A tail subset is a variation spec, not a list of modules:
 :func:`tail_spec` holds every layer before ``i`` at ``none``. So a sweep
 point is pure data like any other evaluation — it fingerprints, caches,
 runs as a store job, races its own chunks when given a clock and runs
-on analog models.
+on analog models. A sweep is one evaluation per point.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def layer_sweep(
     evaluator: MonteCarloEvaluator,
     *,
     tolerance: Optional[float] = None,
-    draw_budget: Optional[int] = None,
     min_samples: Optional[int] = None,
 ) -> List[Tuple[int, MCResult]]:
     """Accuracy with variations injected from layer ``i`` to the last layer.
@@ -74,29 +73,25 @@ def layer_sweep(
     Returns ``[(i, MCResult), ...]`` for i = 1 .. L (1-indexed, matching the
     paper's x-axis; i = 1 means every layer is perturbed).
 
-    Point ``i`` evaluates ``tail_spec(model, variation, i - 1)``. A
-    ``tolerance`` or shared ``draw_budget`` makes the sweep adaptive: all
-    tail specs are evaluated through
-    :meth:`~repro.evaluation.montecarlo.MonteCarloEvaluator.evaluate_grid`,
-    which round-robins chunks to the subsets with the widest confidence
-    intervals — the absorbed late-layer tails stop early, the collapsing
+    Point ``i`` is one
+    :meth:`~repro.evaluation.montecarlo.MonteCarloEvaluator.evaluate` of
+    ``tail_spec(model, variation, i - 1)``, with ``tolerance`` and
+    ``min_samples`` passed through. Adaptive points stop on their own
+    rule: the absorbed late-layer tails stop early, the collapsing
     early-layer tails keep drawing.
     """
-    specs = [
-        tail_spec(model, variation, first)
+    return [
+        (
+            first + 1,
+            evaluator.evaluate(
+                model,
+                tail_spec(model, variation, first),
+                tolerance=tolerance,
+                min_samples=min_samples,
+            ),
+        )
         for first in range(len(_layer_names(model)))
     ]
-    if tolerance is not None or draw_budget is not None:
-        results = evaluator.evaluate_grid(
-            model,
-            specs,
-            tolerance=tolerance,
-            draw_budget=draw_budget,
-            min_samples=min_samples,
-        )
-    else:
-        results = [evaluator.evaluate(model, spec) for spec in specs]
-    return list(enumerate(results, start=1))
 
 
 def select_candidates(

@@ -43,27 +43,26 @@ specs, so they run on weight-domain and analog models alike.
 
 Sequential (adaptive) evaluation: a ``tolerance`` — on the evaluator or
 per :meth:`~MonteCarloEvaluator.evaluate` call — turns ``n_samples`` into
-a cap and stops once the confidence interval on mean accuracy is tighter
-than requested (see ``repro.evaluation.sequential``). The adaptive run's
-draws are a bitwise prefix of the fixed-S run on the same seed, on every
-backend. Sweeps (:meth:`~MonteCarloEvaluator.sweep_sigma`,
-:meth:`~MonteCarloEvaluator.evaluate_grid`) additionally accept a shared
-``draw_budget`` that is round-robined chunk-by-chunk to the grid points
-with the widest intervals.
+a cap and stops once the 95% confidence interval on mean accuracy is
+tighter than requested (see ``repro.evaluation.sequential``). The adaptive
+run's draws are a bitwise prefix of the fixed-S run on the same seed, on
+every backend. A sweep (:meth:`~MonteCarloEvaluator.sweep_sigma`,
+``repro.evaluation.layer_sweep.layer_sweep``) is one :meth:`evaluate`
+call per point, so each point stops on its own rule and runs on the
+evaluator's form and workers.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.executor import Clock, execute, IncrementalEvaluation
+from repro.evaluation.executor import Clock, execute
 from repro.evaluation.plan import build_plan
-from repro.evaluation.sequential import allocate_draws, half_width, interval
+from repro.evaluation.sequential import clt_interval, CONFIDENCE
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike
 from repro.variation.spec import parse_spec, scale_to, VariationLike
@@ -76,19 +75,16 @@ class MCResult:
     ``accuracies`` is always in seed-schedule order — entry ``i`` is the
     draw from spawned stream ``i`` — regardless of backend, chunking, or
     the order pool chunks completed in, so every downstream statistic
-    (mean, std, confidence interval) is backend-invariant. Adaptive runs
-    set ``stopped_early`` and carry the CI settings their stopping rule
-    decided with; fixed runs default to a 95% CLT interval.
+    (mean, std, confidence interval) is backend-invariant. The interval
+    is the 95% CLT one the stopping rule decides on
+    (``repro.evaluation.sequential.clt_interval``); adaptive runs that
+    stop before their cap set ``stopped_early``.
     """
 
     accuracies: List[float] = field(default_factory=list)
-    #: True when a stopping rule (or a sweep draw budget) cut the run
-    #: short of its ``n_samples`` cap.
+    #: True when a stopping rule cut the run short of its ``n_samples``
+    #: cap.
     stopped_early: bool = False
-    #: Confidence level for ``ci_low``/``ci_high``.
-    confidence: float = 0.95
-    #: Interval estimator (see ``repro.evaluation.sequential.CI_METHODS``).
-    ci_method: str = "clt"
 
     def _require_samples(self) -> None:
         if not self.accuracies:
@@ -124,7 +120,7 @@ class MCResult:
 
     def _interval(self) -> Tuple[float, float]:
         self._require_samples()
-        return interval(self.accuracies, self.confidence, self.ci_method)
+        return clt_interval(self.accuracies)
 
     @property
     def ci_low(self) -> float:
@@ -149,31 +145,40 @@ class MCResult:
         (numpy scalars and arrays become lists), so the payload survives
         ``json.dumps`` and the round-trip restores the exact per-draw
         values — the property the result store's bitwise resume/diff
-        guarantees rest on. All PR-7 CI fields (``stopped_early``,
-        ``confidence``, ``ci_method``) travel with the draws, so a
-        deserialized result reports the same ``ci_low``/``ci_high`` the
-        original stop decision was made with.
+        guarantees rest on. ``confidence`` and ``ci_method`` are the
+        constant 95% CLT interval, kept so stored payloads keep their
+        keys and bytes.
         """
         return {
             "accuracies": [float(a) for a in np.asarray(self.accuracies).ravel()],
             "stopped_early": bool(self.stopped_early),
-            "confidence": float(self.confidence),
-            "ci_method": str(self.ci_method),
+            "confidence": CONFIDENCE,
+            "ci_method": "clt",
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "MCResult":
-        """Rebuild a result from a :meth:`to_dict` payload."""
+        """Rebuild a result from a :meth:`to_dict` payload.
+
+        A payload that asks for any interval but the 95% CLT one is
+        rejected: no result could report it.
+        """
         unknown = sorted(
             set(payload) - {"accuracies", "stopped_early", "confidence", "ci_method"}
         )
         if unknown:
             raise ValueError(f"unknown MCResult fields: {unknown}")
+        interval = (
+            payload.get("confidence", CONFIDENCE),
+            payload.get("ci_method", "clt"),
+        )
+        if interval != (CONFIDENCE, "clt"):
+            raise ValueError(
+                f"MCResult reports a 95% CLT interval, not {interval}"
+            )
         return cls(
             accuracies=[float(a) for a in payload.get("accuracies", [])],
             stopped_early=bool(payload.get("stopped_early", False)),
-            confidence=float(payload.get("confidence", 0.95)),
-            ci_method=str(payload.get("ci_method", "clt")),
         )
 
     def __repr__(self) -> str:
@@ -225,8 +230,7 @@ class MonteCarloEvaluator:
     min_samples:
         Lower draw bound before a stopping rule may fire; ``None`` uses
         the :class:`~repro.evaluation.sequential.HalfWidthRule` default.
-        The rule's interval is a 95% CLT interval, the one results
-        report by default.
+        The rule's interval is the 95% CLT interval results report.
     clock:
         An injected seconds counter (``time.perf_counter`` in the front
         ends; ``None``, the default, reads no time). An in-process
@@ -353,65 +357,6 @@ class MonteCarloEvaluator:
         finally:
             model.train(was_training)
 
-    # ------------------------------------------------------------------
-    def evaluate_grid(
-        self,
-        model: Module,
-        points: Sequence["VariationLike"],
-        *,
-        tolerance: Optional[float] = None,
-        draw_budget: Optional[int] = None,
-        min_samples: Optional[int] = None,
-    ) -> List[MCResult]:
-        """Adaptive evaluation of many variation specs against one shared
-        draw budget.
-
-        Each point gets its own plan (same seed — results are paired) and
-        an :class:`~repro.evaluation.executor.IncrementalEvaluation`; the
-        budget is round-robined chunk-by-chunk to the points with the
-        widest current confidence intervals
-        (:func:`~repro.evaluation.sequential.allocate_draws`), so
-        saturated or collapsed points stop early and draws concentrate
-        where the answer is still unknown. ``draw_budget`` defaults to
-        ``len(points) * n_samples`` — with a ``tolerance`` that means
-        "spend at most what fixed-S would, stopping wherever the interval
-        is already tight"; without one, points only stop at their sample
-        cap. Each point's draws remain a contiguous prefix of its own
-        seed schedule, so the paired-prefix contract holds per point no
-        matter how the budget is interleaved. Points run their chunks
-        in-process whatever ``n_workers`` says. With a ``clock`` each
-        point races on its own chunks, because points with different
-        specs can favour different forms.
-        """
-        tolerance = self.tolerance if tolerance is None else tolerance
-        budget = (
-            len(points) * self.n_samples if draw_budget is None else draw_budget
-        )
-        was_training = model.training
-        model.eval()
-        try:
-            with ExitStack() as stack:
-                evaluations = [
-                    stack.enter_context(
-                        IncrementalEvaluation(
-                            self.plan(
-                                model,
-                                variation,
-                                tolerance=tolerance,
-                                min_samples=min_samples,
-                            ),
-                            model,
-                            self.dataset,
-                            clock=self.clock,
-                        )
-                    )
-                    for variation in points
-                ]
-                allocate_draws(evaluations, budget, half_width)
-            return [evaluation.result() for evaluation in evaluations]
-        finally:
-            model.train(was_training)
-
     def sweep_sigma(
         self,
         model: Module,
@@ -419,7 +364,6 @@ class MonteCarloEvaluator:
         sigmas: Sequence[float],
         *,
         tolerance: Optional[float] = None,
-        draw_budget: Optional[int] = None,
         min_samples: Optional[int] = None,
     ) -> List[MCResult]:
         """Evaluate across a magnitude grid by rescaling ``variation``
@@ -431,19 +375,18 @@ class MonteCarloEvaluator:
         defined. A layer-subset spec (Fig. 9) keeps its silenced layers at
         ``none`` at every point.
 
-        A ``tolerance`` (here or on the evaluator) or a ``draw_budget``
-        routes the sweep through :meth:`evaluate_grid`: one shared budget,
-        chunks allocated to the widest-interval sigma points first."""
+        Each point is one :meth:`evaluate` call, with ``tolerance`` and
+        ``min_samples`` passed through: an adaptive point stops on its own
+        rule, and every point runs in the evaluator's form and workers."""
         variation = parse_spec(variation)
         if variation.magnitude <= 0:
             raise ValueError("sweep requires a variation with positive magnitude")
-        tolerance = self.tolerance if tolerance is None else tolerance
-        if tolerance is not None or draw_budget is not None:
-            return self.evaluate_grid(
+        return [
+            self.evaluate(
                 model,
-                [scale_to(variation, sigma) for sigma in sigmas],
+                scale_to(variation, sigma),
                 tolerance=tolerance,
-                draw_budget=draw_budget,
                 min_samples=min_samples,
             )
-        return [self.evaluate(model, scale_to(variation, sigma)) for sigma in sigmas]
+            for sigma in sigmas
+        ]

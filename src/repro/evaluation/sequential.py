@@ -18,20 +18,16 @@ what any draw computes.
 This module is pure statistics — no numpy, no model or executor imports —
 so the stopping layer is trivially deterministic and strictly typed:
 
-- interval estimators on a list of per-draw accuracies:
-  :func:`clt_interval` (normal interval on the draw means, sample std) and
-  :func:`wilson_interval` (Wilson score interval treating the mean as a
-  proportion over ``n`` draws — conservative for draw means, since any
-  ``[0, 1]``-valued variable with mean ``p`` has variance at most
-  ``p (1 - p)``);
+- :func:`clt_interval`, the one interval: a 95% normal (CLT) interval on
+  the mean of the per-draw accuracies, with their sample std. Results
+  report it and the rule decides on it;
 - :class:`HalfWidthRule`, the one stopping rule: stop at the first look
-  where the CI half-width is at most ``tolerance``, never below
+  where the interval's half-width is at most ``tolerance``, never below
   ``min_samples`` draws. A plan without a rule runs the paper's fixed-S
-  protocol to its ``n_samples`` cap;
-- :func:`allocate_draws`, the sweep-level scheduler: one shared draw
-  budget round-robined chunk-by-chunk to the grid points with the widest
-  current intervals, so saturated points stop early and the budget
-  concentrates where the answer is still unknown.
+  protocol to its ``n_samples`` cap.
+
+A sweep needs nothing more: each of its points is one adaptive
+evaluation with its own rule.
 """
 
 from __future__ import annotations
@@ -39,10 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
-
-#: Supported confidence-interval estimators (see the module docstring).
-CI_METHODS = ("clt", "wilson")
+from typing import Optional, Sequence, Tuple
 
 #: The rule's look schedule: it reads the draw prefix after every
 #: ``LOOK_EVERY`` draws, whatever the chunk size. A different schedule
@@ -51,89 +44,41 @@ CI_METHODS = ("clt", "wilson")
 #: default-chunk run looks exactly at its chunk boundaries.
 LOOK_EVERY = 16
 
+#: The level of every interval. Stored results and stopping payloads
+#: write it, and the ``"clt"`` method, as constants, so their keys and
+#: bytes stay stable.
+CONFIDENCE = 0.95
 
-def z_score(confidence: float) -> float:
-    """Two-sided standard-normal quantile for a confidence level."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
-
-
-def _mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("cannot compute an interval over zero draws")
-    return math.fsum(values) / len(values)
+#: The two-sided standard-normal quantile at :data:`CONFIDENCE`.
+Z_SCORE = NormalDist().inv_cdf(0.5 + CONFIDENCE / 2.0)
 
 
-def clt_interval(
-    accuracies: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Normal (CLT) interval on the mean of the per-draw accuracies.
+def clt_interval(accuracies: Sequence[float]) -> Tuple[float, float]:
+    """95% normal (CLT) interval on the mean of the per-draw accuracies.
 
     Uses the sample standard deviation (``ddof=1``) of the draw means. A
     single draw carries no spread information, so ``n == 1`` returns the
     degenerate interval ``(mean, mean)`` — correct for deterministic
-    evaluations and harmless for stopping rules, which never fire below
-    two draws.
+    evaluations and harmless for the stopping rule, which never fires
+    below two draws.
     """
-    mean = _mean(accuracies)
+    if not accuracies:
+        raise ValueError("cannot compute an interval over zero draws")
     n = len(accuracies)
+    mean = math.fsum(accuracies) / n
     if n == 1:
         return (mean, mean)
     variance = math.fsum((a - mean) ** 2 for a in accuracies) / (n - 1)
-    half = z_score(confidence) * math.sqrt(variance / n)
+    half = Z_SCORE * math.sqrt(variance / n)
     return (mean - half, mean + half)
 
 
-def wilson_interval(
-    accuracies: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Wilson score interval treating mean accuracy as a proportion.
-
-    Models the ``n`` draw means as ``n`` trials with success probability
-    ``p``; because a ``[0, 1]``-valued draw mean has variance at most
-    ``p (1 - p)``, the Wilson interval is a conservative (never
-    anti-conservative in width) envelope for the true sampling spread.
-    Unlike the CLT interval it is well-behaved at the boundaries: it never
-    collapses to zero width at ``p ∈ {0, 1}`` for finite ``n``, so a
-    saturated configuration still needs a few draws before it can stop.
-    """
-    p = _mean(accuracies)
-    n = len(accuracies)
-    z = z_score(confidence)
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    center = (p + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def interval(
-    accuracies: Sequence[float],
-    confidence: float = 0.95,
-    method: str = "clt",
-) -> Tuple[float, float]:
-    """Dispatch to the named interval estimator (see :data:`CI_METHODS`)."""
-    if method == "clt":
-        return clt_interval(accuracies, confidence)
-    if method == "wilson":
-        return wilson_interval(accuracies, confidence)
-    raise ValueError(f"unknown CI method {method!r}; choose from {CI_METHODS}")
-
-
-def half_width(
-    accuracies: Sequence[float],
-    confidence: float = 0.95,
-    method: str = "clt",
-) -> float:
-    """Half the width of the chosen confidence interval."""
-    low, high = interval(accuracies, confidence, method)
+def half_width(accuracies: Sequence[float]) -> float:
+    """Half the width of :func:`clt_interval`."""
+    low, high = clt_interval(accuracies)
     return (high - low) / 2.0
 
 
-# ---------------------------------------------------------------------------
-# Stopping rule
-# ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class HalfWidthRule:
     """Stop once the CI half-width on mean accuracy is ≤ ``tolerance``.
@@ -142,29 +87,18 @@ class HalfWidthRule:
     draws of the seed schedule, on the prefix of draws evaluated so far —
     so every form, worker count and chunking asks the same questions at
     the same draw counts, and the stop point is engine- and
-    chunk-invariant. ``method`` selects the interval
-    estimator (:data:`CI_METHODS`), ``confidence`` its level. The rule
-    never fires below ``min_samples`` draws, nor below two (one draw has
-    no spread); the upper bound is the plan's ``n_samples`` cap, enforced
-    by the executor simply running out of schedule.
+    chunk-invariant. The interval is :func:`clt_interval`. The rule never
+    fires below ``min_samples`` draws, nor below two (one draw has no
+    spread); the upper bound is the plan's ``n_samples`` cap, enforced by
+    the executor simply running out of schedule.
     """
 
     tolerance: float
-    confidence: float = 0.95
-    method: str = "clt"
     min_samples: int = 4
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.method not in CI_METHODS:
-            raise ValueError(
-                f"unknown CI method {self.method!r}; choose from {CI_METHODS}"
-            )
         if self.min_samples < 1:
             raise ValueError(
                 f"min_samples must be at least 1, got {self.min_samples}"
@@ -174,10 +108,7 @@ class HalfWidthRule:
         """True when the evaluation may stop after these draws."""
         if len(accuracies) < max(self.min_samples, 2):
             return False
-        return (
-            half_width(accuracies, self.confidence, self.method)
-            <= self.tolerance
-        )
+        return half_width(accuracies) <= self.tolerance
 
     def stop_point(
         self, accuracies: Sequence[float], after: int
@@ -193,65 +124,3 @@ class HalfWidthRule:
             if self.satisfied(accuracies[:look]):
                 return look
         return None
-
-
-# ---------------------------------------------------------------------------
-# Sweep-level draw allocation
-# ---------------------------------------------------------------------------
-class SequentialPoint(Protocol):
-    """What :func:`allocate_draws` needs from one grid point's evaluation."""
-
-    @property
-    def accuracies(self) -> List[float]:
-        """Per-draw accuracies evaluated so far (seed-schedule order)."""
-        ...
-
-    @property
-    def done(self) -> bool:
-        """True when the point stopped or ran out of schedule."""
-        ...
-
-    def run_chunk(self) -> int:
-        """Evaluate the next chunk; returns the number of draws it kept."""
-        ...
-
-
-def allocate_draws(
-    points: Sequence[SequentialPoint],
-    budget: int,
-    width: Callable[[Sequence[float]], float],
-    min_prime: int = 2,
-) -> int:
-    """Round-robin a shared draw budget to the widest-interval points.
-
-    Two phases, both deterministic:
-
-    1. **Priming** — in index order, every point is run until it holds at
-       least ``min_prime`` draws (or is done), *regardless of budget*: a
-       point with fewer than two draws has no measurable interval, so it
-       could never compete for draws and would silently starve.
-    2. **Allocation** — while budget remains and any point is still
-       active, the point with the widest current interval (ties broken by
-       lowest index) receives one more chunk.
-
-    The budget is therefore a soft target: the total can exceed it by the
-    priming draws plus at most one chunk. Each point's draws are a
-    contiguous prefix of its own seed schedule, so per-point results keep
-    the paired-prefix contract no matter how the budget is interleaved.
-    Returns the total number of draws consumed.
-    """
-    if budget < 0:
-        raise ValueError(f"draw budget must be non-negative, got {budget}")
-    spent = 0
-    for point in points:
-        while not point.done and len(point.accuracies) < max(min_prime, 1):
-            spent += point.run_chunk()
-    while spent < budget:
-        active = [(i, p) for i, p in enumerate(points) if not p.done]
-        if not active:
-            break
-        _, widest = max(
-            active, key=lambda pair: (width(pair[1].accuracies), -pair[0])
-        )
-        spent += widest.run_chunk()
-    return spent

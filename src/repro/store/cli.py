@@ -28,7 +28,13 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.cli import _add_adaptive_args, _add_variation_arg, _resolve_variation
+from repro.cli import (
+    _add_adaptive_args,
+    _add_analog_args,
+    _add_variation_arg,
+    _check_analog_args,
+    _resolve_variation,
+)
 from repro.data import DATASET_FACTORIES
 from repro.store.db import ResultStore, SubmitOutcome
 from repro.store.jobs import AnalogParams, JobRequest, materialize
@@ -46,7 +52,9 @@ def _store_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _submit_parser(sub: "argparse._SubParsersAction[argparse.ArgumentParser]") -> None:
+def _submit_parser(
+    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
+) -> argparse.ArgumentParser:
     p = sub.add_parser(
         "submit", help="fingerprint evaluations and enqueue them as jobs"
     )
@@ -75,17 +83,13 @@ def _submit_parser(sub: "argparse._SubParsersAction[argparse.ArgumentParser]") -
                    help="evaluation arithmetic; part of the fingerprint "
                    "(a float32 result is a different cache row). "
                    "Weight-domain only")
-    p.add_argument("--analog", action="store_true",
-                   help="evaluate through the crossbar simulator")
-    p.add_argument("--dac-bits", type=int, default=None)
-    p.add_argument("--adc-bits", type=int, default=None)
-    p.add_argument("--read-noise", type=float, default=0.0)
-    p.add_argument("--tile-size", type=int, default=128)
+    _add_analog_args(p)
     p.add_argument("--sweep-sigmas", default=None, metavar="S1,S2,...",
                    help="submit one log-normal job per sigma (overrides "
                    "--sigma/--variation); requires --sweep-key")
     p.add_argument("--sweep-key", default=None, metavar="NAME",
                    help="group jobs into a named sweep for correctnet-query")
+    return p
 
 
 def _run_parser(sub: "argparse._SubParsersAction[argparse.ArgumentParser]") -> None:
@@ -265,11 +269,13 @@ def jobs_main(argv: Optional[List[str]] = None) -> int:
         description="Submit, run and inspect store-backed evaluation jobs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _submit_parser(sub)
+    submit = _submit_parser(sub)
     _run_parser(sub)
     _status_parser(sub)
     _gc_parser(sub)
     args = parser.parse_args(argv)
+    if args.command == "submit":
+        _check_analog_args(submit, args)
     handlers = {
         "submit": _cmd_submit,
         "run": _cmd_run,

@@ -37,7 +37,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import EvalPlan
-from repro.evaluation.sequential import HalfWidthRule
+from repro.evaluation.sequential import CONFIDENCE, HalfWidthRule
 from repro.nn.module import Module
 from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 from repro.variation.spec import to_dict as spec_to_dict
@@ -55,7 +55,9 @@ def stopping_payload(rule: object) -> Optional[Dict[str, Any]]:
 
     Anything other than ``None`` or a
     :class:`~repro.evaluation.sequential.HalfWidthRule` has no canonical
-    form and is rejected.
+    form and is rejected. ``confidence`` and ``method`` are constants
+    (every interval is the 95% CLT one); they stay in the payload so its
+    keys, and every stored fingerprint, stay stable.
     """
     if rule is None:
         return None
@@ -63,8 +65,8 @@ def stopping_payload(rule: object) -> Optional[Dict[str, Any]]:
         return {
             "kind": "half_width",
             "tolerance": rule.tolerance,
-            "confidence": rule.confidence,
-            "method": rule.method,
+            "confidence": CONFIDENCE,
+            "method": "clt",
             "min_samples": rule.min_samples,
         }
     raise ValueError(
@@ -95,7 +97,7 @@ def fingerprint_payload(
     cap and seed (together: the seed schedule), the domain, the **eval
     dtype** (bitwise pairing holds only per dtype — a float32 result is
     not a float64 result), the analog conversion parameters when the
-    model was crossbar-deployed, and the stopping/CI params. Out: every
+    model was crossbar-deployed, and the stopping rule. Out: every
     execution knob — ``backend`` (the form), ``n_workers``,
     ``chunk_samples``, ``data_block`` — because none of them may change
     the result (the repo-wide paired-seed contract), so none may split

@@ -232,16 +232,6 @@ class TestRaceIsBitwiseNeutral:
 
 
 class TestRaceOnGrids:
-    def test_evaluate_grid(self, lenet, tiny_test):
-        points = [LogNormalVariation(s) for s in (0.2, 0.5)]
-        kwargs = dict(n_samples=8, seed=2, vectorized=True, chunk_samples=2)
-        plain = MonteCarloEvaluator(tiny_test, **kwargs)
-        raced = MonteCarloEvaluator(tiny_test, clock=time.perf_counter,
-                                    **kwargs)
-        for tolerance in (None, 0.1):
-            assert raced.evaluate_grid(lenet, points, tolerance=tolerance) \
-                == plain.evaluate_grid(lenet, points, tolerance=tolerance)
-
     @pytest.mark.parametrize("tolerance", [None, 0.1])
     def test_sweep_sigma(self, lenet, tiny_test, tolerance):
         kwargs = dict(n_samples=8, seed=2, vectorized=True, chunk_samples=2,

@@ -154,15 +154,27 @@ class TestCompensationTrainer:
         trainer.fit(self._tiny_data(), epochs=1, batch_size=8)
         assert not np.allclose(wrapper.generator.weight.data, before)
 
-    def test_one_accuracy_sweep_per_fit(self, lenet, tiny_train):
-        """E epochs record E losses but sweep accuracy once, at the end."""
+    def test_one_accuracy_sweep_per_fit(self, lenet, tiny_train, tiny_test,
+                                        monkeypatch):
+        """E epochs record E losses but sweep only ``val_data``, once, at
+        the end."""
+        from repro.core import training
+
+        swept = []
+        real = training.accuracy
+
+        def spy(model, dataset, *args, **kwargs):
+            swept.append(dataset)
+            return real(model, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(training, "accuracy", spy)
         comp = CompensationPlan({0: 0.5}).apply(lenet, seed=0)
         trainer = CompensationTrainer(comp, LogNormalVariation(0.3), seed=0)
         history = trainer.fit(tiny_train, epochs=3, batch_size=16,
-                              val_data=tiny_train)
+                              val_data=tiny_test)
         assert len(history.loss) == 3
-        assert len(history.train_accuracy) == 1
         assert len(history.val_accuracy) == 1
+        assert len(swept) == 1 and swept[0] is tiny_test
 
     def test_loss_decreases(self, tiny_train):
         model = LeNet5(num_classes=10, in_channels=1, input_size=16,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CorrectNet, PipelineConfig, fast_pipeline_config
+from repro.core import pipeline as core_pipeline, training as core_training
 from repro.core.config import (
     CompensationConfig, EvalConfig, RLConfig, TrainConfig,
 )
@@ -12,7 +13,14 @@ from repro.models import LeNet5
 
 
 @pytest.fixture(scope="module")
-def pipeline_result():
+def accuracy_sweeps():
+    """Every split ``pipeline_result``'s run swept for accuracy, in order
+    (the pipeline's own sweep and the trainers')."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def pipeline_result(accuracy_sweeps):
     """One shared tiny pipeline run (the expensive fixture of this module)."""
     train, test = synth_mnist(train_per_class=16, test_per_class=8)
     model = LeNet5(num_classes=10, in_channels=1, input_size=16,
@@ -27,7 +35,16 @@ def pipeline_result():
                         max_candidates=2),
     )
     pipeline = CorrectNet(model, train, test, config)
-    return pipeline, pipeline.run()
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (core_pipeline, core_training):
+            real = module.accuracy
+
+            def spy(model, dataset, *args, _real=real, **kwargs):
+                accuracy_sweeps.append(dataset)
+                return _real(model, dataset, *args, **kwargs)
+
+            patch.setattr(module, "accuracy", spy)
+        return pipeline, pipeline.run()
 
 
 class TestPipeline:
@@ -70,15 +87,16 @@ class TestPipeline:
         if result.candidates:
             assert result.candidates[0] == 0
 
-    def test_base_history_sweeps_accuracy_once(self, pipeline_result):
-        """Base training keeps its per-epoch loss and regularizer curves but
-        sweeps each split's accuracy once, after the last epoch: the final
-        test accuracy is the only one read."""
-        _, result = pipeline_result
+    def test_base_history_sweeps_accuracy_once(self, pipeline_result,
+                                               accuracy_sweeps):
+        """Base training keeps its per-epoch loss and regularizer curves and
+        sweeps no split: the run sweeps the test split once, for the
+        original accuracy, and never sweeps the train split."""
+        pipeline, result = pipeline_result
         history = result.base_history
         assert len(history.loss) == len(history.regularizer) == 10
-        assert len(history.train_accuracy) == len(history.val_accuracy) == 1
-        assert history.final_val_accuracy == result.original_accuracy
+        assert history.val_accuracy == []
+        assert [d is pipeline.test_data for d in accuracy_sweeps] == [True]
 
     def test_search_results_per_limit(self, pipeline_result):
         pipeline, result = pipeline_result

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Trainer
+from repro.data import ArrayDataset
 from repro.evaluation import accuracy
 from repro.lipschitz import OrthogonalityRegularizer, layer_spectral_norms
 from repro.models import MLP
@@ -62,6 +63,32 @@ class TestBasicTraining:
             scheduler=StepSchedule(opt, step_size=1, gamma=0.5),
         )
         assert opt.lr == pytest.approx(0.01 * 0.5**4)
+
+
+class TestAccuracySweeps:
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_fit_sweeps_only_val_data_once(self, blob_dataset, monkeypatch,
+                                           with_val):
+        """``fit`` sweeps ``val_data`` once, after the last epoch, and
+        never sweeps the train split."""
+        from repro.core import training
+
+        swept = []
+        real = training.accuracy
+
+        def spy(model, dataset, *args, **kwargs):
+            swept.append(dataset)
+            return real(model, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(training, "accuracy", spy)
+        val = ArrayDataset(blob_dataset.images[::3], blob_dataset.labels[::3])
+        model = _fresh_mlp()
+        history = Trainer(model, Adam(list(model.parameters()), lr=0.01)).fit(
+            blob_dataset, epochs=3, batch_size=16,
+            val_data=val if with_val else None,
+        )
+        assert [d is val for d in swept] == ([True] if with_val else [])
+        assert len(history.val_accuracy) == len(swept)
 
 
 class TestRegularizedTraining:

@@ -269,15 +269,12 @@ class TestMCResultSerialization:
         original = MCResult(
             accuracies=[np.float64(0.625), 0.75, np.float32(0.5)],
             stopped_early=True,
-            confidence=0.99,
-            ci_method="clt",
         )
         payload = json.loads(json.dumps(original.to_dict()))
+        assert (payload["confidence"], payload["ci_method"]) == (0.95, "clt")
         restored = MCResult.from_dict(payload)
         assert restored.accuracies == [float(a) for a in original.accuracies]
         assert restored.stopped_early is True
-        assert restored.confidence == 0.99
-        assert restored.ci_method == "clt"
         assert restored.ci_half_width == original.ci_half_width
         # Idempotent: re-serializing the restored result is a fixpoint.
         assert restored.to_dict() == payload
@@ -292,6 +289,17 @@ class TestMCResultSerialization:
         from repro.evaluation.montecarlo import MCResult
         with pytest.raises(ValueError, match="unknown MCResult fields"):
             MCResult.from_dict({"accuracies": [], "surprise": 1})
+
+    @pytest.mark.parametrize("field,value", [
+        ("confidence", 0.99), ("confidence", 0.9), ("ci_method", "wilson"),
+    ])
+    def test_any_interval_but_95_clt_rejected(self, field, value):
+        """Every result reports the 95% CLT interval, so a payload asking
+        for another one cannot be restored faithfully."""
+        from repro.evaluation.montecarlo import MCResult
+        payload = dict(MCResult([0.5, 0.75]).to_dict(), **{field: value})
+        with pytest.raises(ValueError, match="95% CLT"):
+            MCResult.from_dict(payload)
 
 
 class TestVectorizedEngine:

@@ -6,24 +6,33 @@ the exact coverage counts those seeds produce (pinned to a band well below
 the nominal level, so the assertions are robust to which seeds were
 chosen while still catching a broken estimator); stopping-rule tests
 assert structural properties — monotonicity in the tolerance, bound
-enforcement, allocator determinism — that hold for every stream.
+enforcement — that hold for every stream; sweep tests check that a
+sweep is one evaluation per point.
 """
+
+import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.evaluation import MonteCarloEvaluator
+from repro.data import synth_mnist
+from repro.evaluation import (
+    executor,
+    layer_sweep,
+    MonteCarloEvaluator,
+    tail_spec,
+)
 from repro.evaluation.sequential import (
-    allocate_draws,
-    CI_METHODS,
     clt_interval,
     half_width,
     HalfWidthRule,
-    interval,
-    wilson_interval,
-    z_score,
+    Z_SCORE,
 )
+from repro.models.registry import build_model
 from repro.variation.models import LogNormalVariation
+from repro.variation.spec import scale_to
 
 
 def bernoulli_stream(p, n, seed):
@@ -36,21 +45,12 @@ def bernoulli_stream(p, n, seed):
 # ---------------------------------------------------------------------------
 class TestIntervals:
     def test_z_score_matches_known_quantiles(self):
-        assert z_score(0.95) == pytest.approx(1.959964, abs=1e-5)
-        assert z_score(0.99) == pytest.approx(2.575829, abs=1e-5)
-
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
-    def test_z_score_rejects_bad_confidence(self, confidence):
-        with pytest.raises(ValueError, match="confidence"):
-            z_score(confidence)
+        assert Z_SCORE == NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
+        assert Z_SCORE == pytest.approx(1.959964, abs=1e-5)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="zero draws"):
-            interval([])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown CI method"):
-            interval([0.5, 0.6], method="bogus")
+            clt_interval([])
 
     def test_single_draw_clt_is_degenerate(self):
         assert clt_interval([0.7]) == (0.7, 0.7)
@@ -66,45 +66,21 @@ class TestIntervals:
         draws = bernoulli_stream(0.5, 400, seed=5)
         assert half_width(draws[:400]) < half_width(draws[:100]) < half_width(draws[:25])
 
-    def test_wilson_stays_inside_unit_interval(self):
-        for draws in ([0.0] * 10, [1.0] * 10, bernoulli_stream(0.5, 20, seed=1)):
-            lo, hi = wilson_interval(draws)
-            assert 0.0 <= lo <= hi <= 1.0
-
-    def test_wilson_never_collapses_at_boundary(self):
-        # A saturated configuration (all draws identical at 0 or 1) still
-        # has nonzero Wilson width — it cannot stop with trivially few
-        # draws — while the CLT interval degenerates to zero width there.
-        assert half_width([1.0] * 5, method="wilson") > 0.0
-        assert half_width([1.0] * 5, method="clt") == 0.0
-
-    def test_higher_confidence_is_wider(self):
-        draws = bernoulli_stream(0.6, 40, seed=7)
-        for method in CI_METHODS:
-            assert half_width(draws, 0.99, method) > half_width(draws, 0.9, method)
-
     @pytest.mark.parametrize("p,n", [(0.3, 30), (0.9, 25)])
     def test_coverage_on_bernoulli_streams(self, p, n):
-        """Both estimators cover the true mean near the nominal 95% level.
+        """The CLT interval covers the true mean near the nominal 95% level.
 
         300 seeded streams; the exact counts for these seeds are ~93-96%.
-        The lower bound (85%) catches estimators that are anti-conservative
-        (e.g. a dropped sqrt(n) or a z/2 slip), the upper bound (100%)
-        is structural.
+        The lower bound (85%) catches an anti-conservative interval (e.g.
+        a dropped sqrt(n) or a z/2 slip), the upper bound (100%) is
+        structural.
         """
         n_seeds = 300
-        for method in CI_METHODS:
-            covered = 0
-            for seed in range(n_seeds):
-                lo, hi = interval(bernoulli_stream(p, n, seed), method=method)
-                covered += lo <= p <= hi
-            assert 0.85 * n_seeds <= covered <= n_seeds, (method, covered)
-
-    def test_wilson_wider_than_clt_for_bernoulli_extremes(self):
-        # Near-saturated streams: Wilson's boundary behaviour makes it the
-        # conservative choice.
-        draws = [1.0] * 18 + [0.0] * 2
-        assert half_width(draws, method="wilson") >= half_width(draws, method="clt") * 0.9
+        covered = 0
+        for seed in range(n_seeds):
+            lo, hi = clt_interval(bernoulli_stream(p, n, seed))
+            covered += lo <= p <= hi
+        assert 0.85 * n_seeds <= covered <= n_seeds, covered
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +123,6 @@ class TestStoppingRules:
         [
             (dict(tolerance=0.0), "tolerance"),
             (dict(tolerance=-0.1), "tolerance"),
-            (dict(tolerance=0.1, confidence=1.0), "confidence"),
-            (dict(tolerance=0.1, method="bogus"), "CI method"),
             (dict(tolerance=0.1, min_samples=0), "min_samples"),
         ],
     )
@@ -158,85 +132,7 @@ class TestStoppingRules:
 
 
 # ---------------------------------------------------------------------------
-# Sweep-level draw allocation
-# ---------------------------------------------------------------------------
-class FakePoint:
-    """A SequentialPoint over a pre-baked accuracy stream."""
-
-    def __init__(self, stream, chunk=4, rule=None):
-        self.stream = list(stream)
-        self.chunk = chunk
-        self.rule = rule
-        self.accuracies = []
-        self.chunks_run = 0
-        self._stopped = False
-
-    @property
-    def done(self):
-        return self._stopped or len(self.accuracies) >= len(self.stream)
-
-    def run_chunk(self):
-        start = len(self.accuracies)
-        stop = min(start + self.chunk, len(self.stream))
-        self.accuracies.extend(self.stream[start:stop])
-        self.chunks_run += 1
-        if self.rule is not None and self.rule.satisfied(self.accuracies):
-            self._stopped = True
-        return stop - start
-
-
-class TestAllocateDraws:
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            allocate_draws([], -1, lambda accs: 0.0)
-
-    def test_priming_ignores_budget(self):
-        # Budget 0, but every point still receives its two priming draws —
-        # otherwise a point with no draws could never compete for budget.
-        points = [FakePoint(bernoulli_stream(0.5, 20, s), chunk=2) for s in range(3)]
-        spent = allocate_draws(points, 0, lambda accs: half_width(accs))
-        assert spent == 6
-        assert all(len(p.accuracies) == 2 for p in points)
-
-    def test_budget_is_soft_by_at_most_one_chunk(self):
-        points = [FakePoint(bernoulli_stream(0.5, 100, s), chunk=8) for s in range(2)]
-        spent = allocate_draws(points, 20, lambda accs: half_width(accs))
-        assert 20 <= spent <= 20 + 8
-
-    def test_widest_point_drains_the_budget(self):
-        # A saturated (zero-spread) point competes with a noisy one: after
-        # priming, every budget chunk must go to the noisy point.
-        flat = FakePoint([0.8] * 50, chunk=5)
-        noisy = FakePoint(bernoulli_stream(0.5, 50, seed=2), chunk=5)
-        allocate_draws([flat, noisy], 30, lambda accs: half_width(accs))
-        assert len(flat.accuracies) == 5  # priming chunk only
-        assert len(noisy.accuracies) > len(flat.accuracies)
-
-    def test_ties_break_to_lowest_index_deterministically(self):
-        streams = [[0.5, 1.0] * 25] * 3  # identical streams -> identical widths
-        runs = []
-        for _ in range(2):
-            points = [FakePoint(s, chunk=2) for s in streams]
-            allocate_draws(points, 10, lambda accs: half_width(accs))
-            runs.append([len(p.accuracies) for p in points])
-        assert runs[0] == runs[1]
-        # Lowest index wins every tie, so counts are non-increasing.
-        assert runs[0] == sorted(runs[0], reverse=True)
-
-    def test_stopped_points_get_no_more_chunks(self):
-        rule = HalfWidthRule(tolerance=0.5, min_samples=2)
-        point = FakePoint([0.7] * 40, chunk=4, rule=rule)
-        allocate_draws([point], 40, lambda accs: half_width(accs))
-        assert point.done and len(point.accuracies) == 4
-
-    def test_exhausted_points_end_the_loop(self):
-        points = [FakePoint(bernoulli_stream(0.5, 8, s), chunk=4) for s in range(2)]
-        spent = allocate_draws(points, 10_000, lambda accs: half_width(accs))
-        assert spent == 16  # every stream fully drained, then no actives
-
-
-# ---------------------------------------------------------------------------
-# Evaluator integration: tolerance / bounds / grid behaviour
+# Evaluator integration: tolerance / bounds / sweeps
 # ---------------------------------------------------------------------------
 class TestAdaptiveEvaluator:
     def test_loose_tolerance_stops_early(self, lenet, tiny_test):
@@ -293,15 +189,6 @@ class TestAdaptiveEvaluator:
         assert results[0].stopped_early
         assert results[0].n_samples_used < results[1].n_samples_used
 
-    def test_grid_budget_only_mode(self, lenet, tiny_test):
-        ev = MonteCarloEvaluator(tiny_test, n_samples=16, seed=9, vectorized=True,
-                                 chunk_samples=4)
-        results = ev.sweep_sigma(lenet, LogNormalVariation(0.3), [0.2, 0.6],
-                                 draw_budget=16)
-        total = sum(r.n_samples_used for r in results)
-        assert total <= 16 + 4  # soft budget: at most one extra chunk
-        assert all(r.n_samples_used >= 2 for r in results)  # priming floor
-
     def test_grid_results_are_paired_prefixes(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=32, seed=9, vectorized=True,
                                  chunk_samples=4)
@@ -352,3 +239,75 @@ class TestAdaptiveEvaluator:
                 for ev in evaluators]
         assert [o.n_samples_used for o in outs] == [16, 16, 16, 16]
         assert all(o.accuracies == outs[0].accuracies for o in outs)
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: one evaluation per point
+# ---------------------------------------------------------------------------
+#: Under it the untrained MLP's points stop at draw 16, 32 or 48 (the cap)
+#: across the tolerances below.
+_SWEEP_SPEC = LogNormalVariation(1.0)
+
+
+@pytest.fixture(scope="module")
+def synth_mlp():
+    train, test = synth_mnist(train_per_class=8, test_per_class=8)
+    return build_model("mlp", train, seed=0), test
+
+
+class TestSweepsAreLoopsOfEvaluate:
+    def test_adaptive_sweep_runs_one_pool_per_point(self, synth_mlp,
+                                                   monkeypatch):
+        """A pooled evaluator pools every point of an adaptive sweep and
+        returns the in-process sweep's results."""
+        model, test = synth_mlp
+        pools = []
+        run_pool = executor._run_pool
+
+        def counted(evaluation):
+            pools.append(evaluation.plan.variation)
+            return run_pool(evaluation)
+
+        monkeypatch.setattr(executor, "_run_pool", counted)
+        kwargs = dict(n_samples=48, seed=3, chunk_samples=8)
+        sigmas = [0.1, 0.8]
+        pooled = MonteCarloEvaluator(test, n_workers=2, **kwargs).sweep_sigma(
+            model, _SWEEP_SPEC, sigmas, tolerance=0.05, min_samples=2)
+        in_process = MonteCarloEvaluator(test, **kwargs).sweep_sigma(
+            model, _SWEEP_SPEC, sigmas, tolerance=0.05, min_samples=2)
+        assert pools == [scale_to(_SWEEP_SPEC, s) for s in sigmas]
+        assert pooled == in_process
+        assert pooled[0].stopped_early
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_a_sweep_is_its_points_evaluations(self, synth_mlp, data):
+        """``sweep_sigma`` and ``layer_sweep`` return, point by point, what
+        one ``evaluate`` call per point returns: in every form, at every
+        chunk size and tolerance."""
+        model, test = synth_mlp
+        tolerance = data.draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]),
+                              label="tolerance")
+        chunk = data.draw(st.integers(1, 20), label="chunk")
+        form = data.draw(st.sampled_from(["loop", "stacked", "raced"]),
+                         label="form")
+        clock = time.perf_counter if form == "raced" else None
+        evaluator = MonteCarloEvaluator(
+            test, n_samples=48, seed=9, vectorized=form != "loop",
+            chunk_samples=chunk, clock=clock,
+        )
+        sigmas = [0.2, 1.0]
+        assert evaluator.sweep_sigma(
+            model, _SWEEP_SPEC, sigmas, tolerance=tolerance
+        ) == [
+            evaluator.evaluate(model, scale_to(_SWEEP_SPEC, s),
+                               tolerance=tolerance)
+            for s in sigmas
+        ]
+        swept = layer_sweep(model, _SWEEP_SPEC, evaluator, tolerance=tolerance)
+        assert swept == [
+            (first + 1, evaluator.evaluate(
+                model, tail_spec(model, _SWEEP_SPEC, first),
+                tolerance=tolerance))
+            for first in range(len(swept))
+        ]

@@ -74,6 +74,26 @@ class TestJobsCLI:
                 "--sweep-sigmas", "0.3,0.5",
             ])
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--adc-bits", "8", "--read-noise", "0.02"],
+         "--adc-bits, --read-noise only take effect with --analog"),
+        (["--analog", "--dtype", "float32"],
+         "--dtype float32 is weight-domain only"),
+    ])
+    def test_submit_rejects_what_eval_rejects(self, store_path, capsys,
+                                              flags, message):
+        """Crossbar flags without --analog, and --analog with float32, are
+        usage errors, as in correctnet-eval: nothing is queued."""
+        with pytest.raises(SystemExit) as exit_info:
+            jobs_main([
+                "submit", "--store", store_path,
+                "--model", "mlp", "--dataset", "synth_mnist", *flags,
+            ])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert jobs_main(["status", "--store", store_path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
     def test_gc_runs_clean(self, store_path, capsys):
         _submit_sweep(store_path)
         jobs_main(["run", "--store", store_path])

@@ -280,6 +280,42 @@ class TestFingerprintInvariant:
             stopping_payload(Exotic())
 
 
+class TestStoredBytes:
+    """Literal bytes the store has written — a stopping payload, an
+    adaptive plan's fingerprint, an adaptive result — stay what stored
+    rows and caches hold."""
+
+    def test_stopping_payload(self):
+        assert stopping_payload(HalfWidthRule(0.02)) == {
+            "kind": "half_width", "tolerance": 0.02, "confidence": 0.95,
+            "method": "clt", "min_samples": 4,
+        }
+
+    def test_adaptive_plan_fingerprint(self):
+        model, dataset = _model(), _dataset()
+        assert plan_fingerprint(_plan(model, tolerance=0.05), model,
+                                dataset) == (
+            "9922b91565490a7196ebc34533af3be4"
+            "9d242eba4dd017594506e49a7a8e403e"
+        )
+
+    def test_adaptive_result_payload(self):
+        result = MonteCarloEvaluator(_blobs(), n_samples=48, seed=9).evaluate(
+            _model(), "lognormal:0.8", tolerance=0.1)
+        assert result.to_dict() == {
+            "accuracies": [
+                0.3, 0.13333333333333333, 0.03333333333333333, 0.0,
+                0.4666666666666667, 0.3333333333333333, 0.3333333333333333,
+                0.1, 0.3333333333333333, 0.3, 0.23333333333333334,
+                0.3333333333333333, 0.3333333333333333, 0.4,
+                0.3333333333333333, 0.3333333333333333,
+            ],
+            "stopped_early": True,
+            "confidence": 0.95,
+            "ci_method": "clt",
+        }
+
+
 _SUBPROCESS_SCRIPT = """
 import numpy as np
 from repro.data.dataset import ArrayDataset
