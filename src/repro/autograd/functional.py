@@ -14,9 +14,11 @@ import numpy as np
 from repro.autograd.context import is_grad_enabled
 from repro.autograd.im2col import (
     col2im,
+    col2im_stacked_pixels,
     conv_output_size,
     im2col,
     im2col_stacked,
+    im2col_stacked_pixels,
     im2col_windows,
 )
 from repro.autograd.tensor import concatenate, Tensor, as_tensor
@@ -201,6 +203,20 @@ def _conv2d_small_k(
     return Tensor._make_child(out_data, parents, "conv2d", _backward)
 
 
+def _gathers_pixels(kw: int, ow: int) -> bool:
+    """Whether a stacked-input conv gathers output pixels innermost.
+
+    The gather copies runs along the innermost axis: OW output pixels, or
+    KW taps of a kernel row. The pixel layout also makes the GEMM product
+    the channel-major output, so it wins unless its runs are the shorter
+    ones. Forward, one BLAS thread, 2-core box: resnet8's 16x16 3x3 conv
+    at chunk 4 x data block 64 went from 63 to 40 ms (``BENCH_conv.json``,
+    ``stacked``), while gathering pixels for LeNet-5's conv2 at chunk 16
+    (2 output pixels under 5-tap rows) took 19 ms against the taps' 13.
+    """
+    return ow >= kw
+
+
 def _conv2d_stacked(
     x: Tensor,
     weight: Tensor,
@@ -214,13 +230,22 @@ def _conv2d_stacked(
 
     ``x`` is either a shared batch (N, C, H, W) — every sample convolves
     the same activations — or an already sample-stacked *channel-major*
-    map (S, C, N, H, W). The output is channel-major (S, F, N, OH, OW):
-    both the shared-input GEMM ``(S*F, K) @ (K, N*P)`` and the
-    sample-batched GEMM ``(S, F, K) @ (S, K, N*P)`` produce that layout as
-    a contiguous reshape, so no full-size transpose is ever materialized —
-    together with the amortized im2col this is what makes the vectorized
-    Monte-Carlo engine fast. The sample axis only returns to batch-major
-    (S, N, features) at the Flatten boundary, where maps are small.
+    map (S, C, N, H, W). The output is channel-major (S, F, N, OH, OW).
+    A shared input runs one GEMM ``(S*F, K) @ (K, N*P)``. A stacked input
+    runs the sample-batched GEMM in one of two layouts, picked from the
+    shapes (``_gathers_pixels``, for forward and backward alike):
+
+    - output pixels innermost, ``(S, F, K) @ (S, K, N*P)``, when an output
+      row is at least as long as a kernel row (``OW >= KW``): the gather
+      (:func:`im2col_stacked_pixels`) copies OW-long runs, a stride-1
+      unpadded 1x1 conv gathers nothing, and the product already is the
+      output;
+    - kernel taps innermost, ``(S, N*P, K) @ (S, K, F)``, otherwise
+      (:func:`im2col_stacked`): the gather copies the longer KW-long runs,
+      and the small ``(S, N*P, F)`` product is transposed.
+
+    The sample axis only returns to batch-major (S, N, features) at the
+    Flatten boundary, where maps are small.
     """
     shared_weight = weight.ndim == 4
     if shared_weight:
@@ -252,6 +277,7 @@ def _conv2d_stacked(
     p = oh * ow
     # (S, F, K); a shared weight broadcasts over the sample axis in the GEMM.
     w2 = weight.data.reshape(1 if shared_weight else s, f, k)
+    pixels = not shared_input and _gathers_pixels(kw, ow)
 
     if shared_input:
         # One GEMM for all samples: (S*F, K) @ (K, N*P).
@@ -275,6 +301,14 @@ def _conv2d_stacked(
                 out_data = out_data + b.reshape(s, f, 1, 1, 1)
             else:
                 out_data = out_data + b.reshape(1, f, 1, 1, 1)
+    elif pixels:
+        # (S, F, K) @ (S, K, N*P) -> (S, F, N*P), the channel-major output.
+        cols = im2col_stacked_pixels(x.data, (kh, kw), stride, padding)
+        out_data = np.matmul(w2, cols)
+        if bias is not None:
+            b = bias.data
+            out_data += b.reshape(s, f, 1) if b.ndim == 2 else b.reshape(f, 1)
+        out_data = out_data.reshape(s, f, n, oh, ow)
     else:
         # Sample-batched GEMM: (S, N*P, K) @ (S, K, F) -> (S, N*P, F); the
         # strided weight operand is consumed natively by BLAS (transB).
@@ -294,6 +328,9 @@ def _conv2d_stacked(
         if weight.requires_grad:
             if shared_input:
                 gw = _einsum("sfnp,nkp->sfk", grad, cols)
+            elif pixels:
+                # (S, F, Q) @ (S, Q, K), the columns read transposed (transB).
+                gw = np.matmul(grad.reshape(s, f, n * p), cols.transpose(0, 2, 1))
             else:
                 # cols is (S, Q, K) with Q = N*P.
                 gw = np.matmul(grad.reshape(s, f, n * p), cols)
@@ -304,6 +341,13 @@ def _conv2d_stacked(
             if shared_input:
                 gcols = _einsum("sfk,sfnp->nkp", w2, grad)
                 gx = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
+                x._accumulate(gx, fresh=True)
+            elif pixels:
+                # (S, K, F) @ (S, F, Q), scattered straight to channel-major.
+                gcols = np.matmul(w2.transpose(0, 2, 1), grad.reshape(s, f, n * p))
+                gx = col2im_stacked_pixels(
+                    gcols, (s, c, n, h, w), (kh, kw), stride, padding
+                )
                 x._accumulate(gx, fresh=True)
             else:
                 # (S, Q, F) @ (S, F, K) -> per-window gradients (S, Q, K).
@@ -430,18 +474,26 @@ def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
     s, a, b, h, w = x.shape
     oh, ow = h // kh, w // kw
     combine = np.add if mode == "avg" else np.maximum
+
+    def reduce(taps: List[np.ndarray]) -> np.ndarray:
+        # The first two taps combine straight into a fresh result; a single
+        # tap is copied, so the result never aliases ``x``.
+        if len(taps) == 1:
+            return taps[0].copy()
+        acc = combine(taps[0], taps[1])
+        for tap in taps[2:]:
+            combine(acc, tap, out=acc)
+        return acc
+
     # Two half-reductions, rows first: the row stage reads full contiguous
     # rows (stride-2 element reads would waste half of every cache line),
     # the column stage then runs on the halved intermediate.
     rows_win = x.data.reshape(s, a, b, oh, kh, w)
-    rows = rows_win[:, :, :, :, 0, :].copy()
-    for i in range(1, kh):
-        combine(rows, rows_win[:, :, :, :, i, :], out=rows)
+    rows = reduce([rows_win[:, :, :, :, i, :] for i in range(kh)])
     cols_win = rows.reshape(s, a, b, oh, ow, kw)
-    acc = cols_win[..., 0].copy()
-    for j in range(1, kw):
-        combine(acc, cols_win[..., j], out=acc)
-    out_data = acc * (1.0 / (kh * kw)) if mode == "avg" else acc
+    out_data = reduce([cols_win[..., j] for j in range(kw)])
+    if mode == "avg":
+        out_data *= 1.0 / (kh * kw)
 
     def _backward(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)

@@ -50,15 +50,47 @@ def im2col_stacked(
     x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
 ) -> np.ndarray:
     """Unfold channel-major stacked maps (S, C, N, H, W) into
-    (S, N*OH*OW, C*KH*KW).
+    (S, N*OH*OW, C*KH*KW): one receptive-field row per output pixel,
+    kernel taps innermost.
 
-    Used by the vectorized Monte-Carlo conv kernel: the output feeds the
-    sample-batched GEMM ``(S, N*OH*OW, K) @ (S, K, F)`` directly. The
-    window axis is innermost so the gather copy reads KW-long contiguous
-    runs per tap (a K-innermost layout reads single strided elements — 3×
-    slower measured); the small (S, Q, F) GEMM result is then transposed
-    into the channel-major (S, F, N, OH, OW) output.
+    Feeds the sample-batched GEMM ``(S, N*OH*OW, K) @ (S, K, F)``, whose
+    small (S, Q, F) product the caller transposes into channel-major
+    (S, F, N, OH, OW). The gather copies KW-long contiguous runs, one per
+    tap row. The stacked conv uses this layout only where an output row
+    is shorter than a kernel row (``OW < KW``, e.g. LeNet-5's conv2: 2
+    output pixels under 5-tap kernel rows); elsewhere
+    :func:`im2col_stacked_pixels` reads the longer OW-long runs. The
+    analog conv rows and :func:`im2col_windows` always use this layout.
     """
+    view = _stacked_windows(x, kernel, stride, padding)
+    s, c, kh, kw, n, oh, ow = view.shape
+    return view.transpose(0, 4, 5, 6, 1, 2, 3).reshape(s, n * oh * ow, c * kh * kw)
+
+
+def im2col_stacked_pixels(
+    x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
+) -> np.ndarray:
+    """Unfold channel-major stacked maps (S, C, N, H, W) into
+    (S, C*KH*KW, N*OH*OW): one receptive-field column per output pixel,
+    output pixels innermost.
+
+    Feeds the sample-batched GEMM ``(S, F, K) @ (S, K, N*OH*OW)``, whose
+    product already is the channel-major (S, F, N, OH, OW) output. The
+    gather copies OW-long runs (contiguous at stride 1), one per tap and
+    output row, and a stride-1 unpadded 1x1 kernel over a contiguous map
+    copies nothing: the columns are a view of ``x``.
+    :func:`col2im_stacked_pixels` is the adjoint.
+    """
+    view = _stacked_windows(x, kernel, stride, padding)
+    s, c, kh, kw, n, oh, ow = view.shape
+    return view.reshape(s, c * kh * kw, n * oh * ow)
+
+
+def _stacked_windows(
+    x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
+) -> np.ndarray:
+    """The read-only window view (S, C, KH, KW, N, OH, OW) of channel-major
+    stacked maps (S, C, N, H, W), zero-padded first when ``padding``."""
     s, c, n, h, w = x.shape
     kh, kw = kernel
     oh = conv_output_size(h, kh, stride, padding)
@@ -69,13 +101,12 @@ def im2col_stacked(
             ((0, 0), (0, 0), (0, 0), (padding, padding), (padding, padding)),
         )
     ss, sc, sn, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
-        shape=(s, n, oh, ow, c, kh, kw),
-        strides=(ss, sn, sh * stride, sw * stride, sc, sh, sw),
+        shape=(s, c, kh, kw, n, oh, ow),
+        strides=(ss, sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    return view.reshape(s, n * oh * ow, c * kh * kw)
 
 
 def im2col_windows(
@@ -110,34 +141,62 @@ def col2im(
     (N, C, KH, KW, OH, OW) — e.g. a transposed view of
     :func:`im2col_windows` gradients — since the scatter indexes per-tap
     slices and never needs contiguity.
+    """
+    n, c, h, w = input_shape
+    kh, kw = kernel
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    taps = cols.reshape(n, c, kh, kw, oh, ow)
+    return _scatter_windows(taps, input_shape, stride, padding)
+
+
+def col2im_stacked_pixels(
+    cols: np.ndarray,
+    input_shape: Tuple[int, int, int, int, int],
+    kernel: Tuple[int, int],
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Adjoint of :func:`im2col_stacked_pixels`: scatter-add
+    (S, C*KH*KW, N*OH*OW) columns straight back to channel-major
+    (S, C, N, H, W), reading OW-long runs per tap."""
+    s, c, n, h, w = input_shape
+    kh, kw = kernel
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    taps = cols.reshape(s, c, kh, kw, n, oh, ow).transpose(0, 1, 4, 2, 3, 5, 6)
+    return _scatter_windows(taps, input_shape, stride, padding)
+
+
+def _scatter_windows(
+    taps: np.ndarray, input_shape: Tuple[int, ...], stride: int, padding: int
+) -> np.ndarray:
+    """Scatter-add window taps (..., KH, KW, OH, OW) into zero maps
+    (..., H, W), the leading axes shared.
 
     The scatter takes whichever is fewer: one strided add per kernel tap,
-    or one (N, C, KH, KW) block add per output position. Both hand every
+    or one (..., KH, KW) block add per output position. Both hand every
     input pixel its contributions in the same order — taps in row-major
     order, which is output positions in reverse row-major order — so the
     two loops are byte-equal, and a map with fewer output positions than
     taps (a 5x5 kernel over a 6x6 map: 4 positions, 25 taps) takes the
     short one. The output is a sum into zeros, so it never holds -0.0.
     """
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    *lead, h, w = input_shape
+    kh, kw, oh, ow = taps.shape[-4:]
+    out = np.zeros((*lead, h + 2 * padding, w + 2 * padding), dtype=taps.dtype)
     if oh * ow < kh * kw:
         for y in reversed(range(oh)):
             top = y * stride
             for x in reversed(range(ow)):
                 left = x * stride
-                out[:, :, top:top + kh, left:left + kw] += cols[..., y, x]
+                out[..., top:top + kh, left:left + kw] += taps[..., y, x]
     else:
         for i in range(kh):
             i_max = i + stride * oh
             for j in range(kw):
                 j_max = j + stride * ow
-                out[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
+                out[..., i:i_max:stride, j:j_max:stride] += taps[..., i, j, :, :]
     if padding:
-        return out[:, :, padding:-padding, padding:-padding]
+        return out[..., padding:-padding, padding:-padding]
     return out

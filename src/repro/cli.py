@@ -197,7 +197,7 @@ def train_main(argv: Optional[List[str]] = None) -> int:
     history = trainer.fit(
         train, epochs=args.epochs, batch_size=args.batch_size, val_data=test
     )
-    print(f"final val accuracy: {history.final_val_accuracy:.4f}")
+    print(f"final val accuracy: {history.val_accuracy:.4f}")
     if args.save:
         model.save(args.save)
         print(f"saved checkpoint to {args.save}")

@@ -13,7 +13,7 @@ One loop covers all four training regimes in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.autograd import Tensor
 from repro.data.dataset import ArrayDataset
@@ -35,15 +35,12 @@ logger = get_logger("core.training")
 @dataclass
 class TrainHistory:
     """What :meth:`Trainer.fit` records: per-epoch loss and regularizer
-    curves, and the validation accuracy after the last epoch."""
+    curves, and the validation accuracy after the last epoch (``None``
+    without ``val_data``)."""
 
     loss: List[float] = field(default_factory=list)
-    val_accuracy: List[float] = field(default_factory=list)
+    val_accuracy: Optional[float] = None
     regularizer: List[float] = field(default_factory=list)
-
-    @property
-    def final_val_accuracy(self) -> float:
-        return self.val_accuracy[-1] if self.val_accuracy else float("nan")
 
 
 class Trainer:
@@ -185,7 +182,6 @@ class Trainer:
         batch_size: int = 32,
         val_data: Optional[ArrayDataset] = None,
         scheduler=None,
-        callback: Optional[Callable[[int, TrainHistory], None]] = None,
     ) -> TrainHistory:
         """Train for ``epochs`` epochs; returns the collected history.
 
@@ -215,8 +211,6 @@ class Trainer:
             history.regularizer.append(epoch_reg / max(n_batches, 1))
             if scheduler is not None:
                 scheduler.step()
-            if callback is not None:
-                callback(epoch, history)
             logger.debug(
                 "epoch %d: loss=%.4f reg=%.4f",
                 epoch,
@@ -225,5 +219,5 @@ class Trainer:
             )
             self.model.train()
         if val_data is not None:
-            history.val_accuracy.append(accuracy(self.model, val_data))
+            history.val_accuracy = accuracy(self.model, val_data)
         return history

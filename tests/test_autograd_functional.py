@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F
@@ -219,23 +219,6 @@ class TestStackedKernels:
             fused.data, ref.transpose(0, 2, 1, 3, 4), atol=1e-10
         )
 
-    def test_stacked_conv_stacked_input(self):
-        rng = np.random.default_rng(4)
-        s, n = 3, 2
-        x = rng.normal(size=(s, 4, n, 6, 6))  # channel-major (S, C, N, H, W)
-        w = rng.normal(size=(s, 5, 4, 3, 3))
-        b = rng.normal(size=(s, 5))  # stacked biases
-        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 0)
-        assert out.shape == (s, 5, n, 4, 4)
-        for i in range(s):
-            ref = F.conv2d(
-                Tensor(x[i].transpose(1, 0, 2, 3)), Tensor(w[i]), Tensor(b[i]),
-                1, 0,
-            ).data  # (N, F, OH, OW)
-            np.testing.assert_allclose(
-                out.data[i], ref.transpose(1, 0, 2, 3), atol=1e-10
-            )
-
     def test_stacked_conv_gradients_match_per_sample(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3, 6, 6))
@@ -263,24 +246,125 @@ class TestStackedKernels:
         np.testing.assert_allclose(bt.grad, gb, atol=1e-10)
         np.testing.assert_allclose(xt.grad, gx, atol=1e-10)
 
-    def test_stacked_input_conv_gradients(self):
-        rng = np.random.default_rng(6)
-        s, n = 2, 3
-        x = rng.normal(size=(s, 2, n, 5, 5))
-        w = rng.normal(size=(s, 3, 2, 3, 3))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(1, 3),
+        c=st.integers(1, 3),
+        n=st.integers(1, 3),
+        f=st.integers(1, 4),
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 2),
+        extra=st.integers(0, 4),
+        stacked_weight=st.booleans(),
+        with_bias=st.booleans(),
+        dtype=st.sampled_from(["float64", "float32"]),
+        seed=st.integers(0, 2**16),
+    )
+    # Both layouts: a 5x5 kernel over a 6x6 map (OW=2 < KW, LeNet-5's
+    # conv2) and a stride-1 unpadded 1x1 conv (OW >= KW, no gather).
+    @example(s=2, c=3, n=2, f=4, kernel=5, stride=1, padding=0, extra=1,
+             stacked_weight=True, with_bias=True, dtype="float64", seed=0)
+    @example(s=2, c=3, n=2, f=4, kernel=1, stride=1, padding=0, extra=3,
+             stacked_weight=False, with_bias=True, dtype="float64", seed=0)
+    def test_stacked_input_conv_matches_per_sample(
+        self, s, c, n, f, kernel, stride, padding, extra, stacked_weight,
+        with_bias, dtype, seed,
+    ):
+        """A stacked (S, C, N, H, W) input convolves like S plain conv2d
+        calls, in the output and in all three gradients, whichever layout
+        the shapes pick (``OW >= KW`` or not)."""
+        h = max(1, kernel - 2 * padding) + extra
+        oh = (h + 2 * padding - kernel) // stride + 1
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(s, c, n, h, h)).astype(dtype)
+        w = rng.normal(size=((s,) if stacked_weight else ()) + (f, c, kernel, kernel))
+        w = w.astype(dtype)
+        b = None
+        if with_bias:
+            b = rng.normal(size=((s,) if stacked_weight else ()) + (f,)).astype(dtype)
+        g = rng.normal(size=(s, f, n, oh, oh)).astype(dtype)
+
         xt = Tensor(x, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
-        out = F.conv2d(xt, wt, None, 1, 0)
-        out.backward(np.ones(out.shape))
+        bt = None if b is None else Tensor(b, requires_grad=True)
+        out = F.conv2d(xt, wt, bt, stride, padding)
+        assert out.shape == (s, f, n, oh, oh)
+        assert out.data.dtype == np.dtype(dtype)
+        out.backward(g)
+
+        want_out = np.empty(out.shape)
+        want_gx = np.empty(x.shape)
+        want_gw = np.zeros(w.shape)
+        want_gb = None if b is None else np.zeros(b.shape)
         for i in range(s):
-            xi = Tensor(x[i].transpose(1, 0, 2, 3), requires_grad=True)
-            wi = Tensor(w[i], requires_grad=True)
-            oi = F.conv2d(xi, wi, None, 1, 0)
-            oi.backward(np.ones(oi.shape))
-            np.testing.assert_allclose(wt.grad[i], wi.grad, atol=1e-10)
+            xi = Tensor(np.ascontiguousarray(x[i].transpose(1, 0, 2, 3)),
+                        requires_grad=True)
+            wi = Tensor(w[i] if stacked_weight else w, requires_grad=True)
+            bi = None
+            if b is not None:
+                bi = Tensor(b[i] if stacked_weight else b, requires_grad=True)
+            oi = F.conv2d(xi, wi, bi, stride, padding)
+            oi.backward(np.ascontiguousarray(g[i].transpose(1, 0, 2, 3)))
+            want_out[i] = oi.data.transpose(1, 0, 2, 3)
+            want_gx[i] = xi.grad.transpose(1, 0, 2, 3)
+            if stacked_weight:
+                want_gw[i] = wi.grad
+            else:
+                want_gw += wi.grad
+            if b is not None:
+                if stacked_weight:
+                    want_gb[i] = bi.grad
+                else:
+                    want_gb += bi.grad
+
+        rtol = 1e-10 if dtype == "float64" else 1e-4
+        pairs = [(out.data, want_out), (xt.grad, want_gx), (wt.grad, want_gw)]
+        if b is not None:
+            pairs.append((bt.grad, want_gb))
+        for got, want in pairs:
             np.testing.assert_allclose(
-                xt.grad[i], xi.grad.transpose(1, 0, 2, 3), atol=1e-10
+                got, want, rtol=rtol, atol=rtol * np.abs(want).max()
             )
+
+    @pytest.mark.parametrize(
+        "h,kernel,stride,padding",
+        [(5, 1, 1, 0), (6, 1, 2, 0), (4, 3, 1, 1), (6, 5, 1, 0), (5, 4, 1, 0)],
+    )
+    def test_stacked_input_gemm_layout(self, monkeypatch, h, kernel, stride, padding):
+        """Where an output row is at least as long as a kernel row, the
+        GEMM product is the channel-major output itself (no transpose
+        copy), and a stride-1 unpadded 1x1 conv multiplies a view of its
+        input (no gather). Shorter rows keep the transposed product."""
+        from repro.autograd import no_grad
+
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(2, 3, 4, h, h))
+        w = rng.normal(size=(2, 6, 3, kernel, kernel))
+        b = rng.normal(size=(2, 6))
+        operands, products = [], []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            operands.extend(args[:2])
+            products.append(matmul(*args, **kwargs))
+            return products[-1]
+
+        monkeypatch.setattr(np, "matmul", spy)
+        with no_grad():
+            out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+        monkeypatch.undo()
+        ow = (h + 2 * padding - kernel) // stride + 1
+        assert products, "the stacked conv ran no np.matmul"
+        assert any(np.shares_memory(out.data, p) for p in products) == (ow >= kernel)
+        if kernel == stride == 1 and padding == 0:
+            assert any(np.shares_memory(op, x) for op in operands)
+        want = np.stack([
+            F.conv2d(Tensor(x[i].transpose(1, 0, 2, 3)), Tensor(w[i]),
+                     Tensor(b[i]), stride, padding).data.transpose(1, 0, 2, 3)
+            for i in range(2)
+        ])
+        np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-12)
 
     def test_stacked_pools_match_folded_reference(self):
         rng = np.random.default_rng(7)
@@ -292,6 +376,48 @@ class TestStackedKernels:
                 3, 2, 4, 3, 3
             )
             np.testing.assert_allclose(out.data, ref, atol=1e-12)
+
+    @staticmethod
+    def _pool_copying_taps(x, kh, kw, mode):
+        """The stacked tiled-pool forward that copied tap 0 before
+        combining, and scaled the average into a new array."""
+        s, a, b, h, w = x.shape
+        oh, ow = h // kh, w // kw
+        combine = np.add if mode == "avg" else np.maximum
+        rows_win = x.reshape(s, a, b, oh, kh, w)
+        rows = rows_win[:, :, :, :, 0, :].copy()
+        for i in range(1, kh):
+            combine(rows, rows_win[:, :, :, :, i, :], out=rows)
+        cols_win = rows.reshape(s, a, b, oh, ow, kw)
+        acc = cols_win[..., 0].copy()
+        for j in range(1, kw):
+            combine(acc, cols_win[..., j], out=acc)
+        return acc * (1.0 / (kh * kw)) if mode == "avg" else acc
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lead=st.tuples(*[st.integers(1, 3)] * 3),
+        windows=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        mode=st.sampled_from(["avg", "max"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_fast_pool_bytes_match_copying_kernel(
+        self, lead, windows, kernel, mode, dtype, seed
+    ):
+        (oh, ow), (kh, kw) = windows, kernel
+        x = np.random.default_rng(seed).normal(
+            size=lead + (oh * kh, ow * kw)
+        ).astype(dtype)
+        before = x.copy()
+        got = F._pool2d_stacked_fast(Tensor(x), kh, kw, mode).data
+        want = self._pool_copying_taps(x, kh, kw, mode)
+        assert got.dtype == want.dtype
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)
+        assert x.tobytes() == before.tobytes()
 
     def test_stacked_pool_fallback_strided_windows(self):
         # kernel != stride forces the fold path instead of the fast path

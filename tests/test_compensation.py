@@ -173,7 +173,7 @@ class TestCompensationTrainer:
         history = trainer.fit(tiny_train, epochs=3, batch_size=16,
                               val_data=tiny_test)
         assert len(history.loss) == 3
-        assert len(history.val_accuracy) == 1
+        assert 0.0 <= history.val_accuracy <= 1.0
         assert len(swept) == 1 and swept[0] is tiny_test
 
     def test_loss_decreases(self, tiny_train):

@@ -95,7 +95,7 @@ class TestPipeline:
         pipeline, result = pipeline_result
         history = result.base_history
         assert len(history.loss) == len(history.regularizer) == 10
-        assert history.val_accuracy == []
+        assert history.val_accuracy is None
         assert [d is pipeline.test_data for d in accuracy_sweeps] == [True]
 
     def test_search_results_per_limit(self, pipeline_result):
