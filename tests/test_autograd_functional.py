@@ -246,6 +246,42 @@ class TestStackedKernels:
         np.testing.assert_allclose(bt.grad, gb, atol=1e-10)
         np.testing.assert_allclose(xt.grad, gx, atol=1e-10)
 
+    def test_stacked_conv_stacked_input(self):
+        rng = np.random.default_rng(4)
+        s, n = 3, 2
+        x = rng.normal(size=(s, 4, n, 6, 6))  # channel-major (S, C, N, H, W)
+        w = rng.normal(size=(s, 5, 4, 3, 3))
+        b = rng.normal(size=(s, 5))  # stacked biases
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 0)
+        assert out.shape == (s, 5, n, 4, 4)
+        for i in range(s):
+            ref = F.conv2d(
+                Tensor(x[i].transpose(1, 0, 2, 3)), Tensor(w[i]), Tensor(b[i]),
+                1, 0,
+            ).data  # (N, F, OH, OW)
+            np.testing.assert_allclose(
+                out.data[i], ref.transpose(1, 0, 2, 3), atol=1e-10
+            )
+
+    def test_stacked_input_conv_gradients(self):
+        rng = np.random.default_rng(6)
+        s, n = 2, 3
+        x = rng.normal(size=(s, 2, n, 5, 5))
+        w = rng.normal(size=(s, 3, 2, 3, 3))
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        out = F.conv2d(xt, wt, None, 1, 0)
+        out.backward(np.ones(out.shape))
+        for i in range(s):
+            xi = Tensor(x[i].transpose(1, 0, 2, 3), requires_grad=True)
+            wi = Tensor(w[i], requires_grad=True)
+            oi = F.conv2d(xi, wi, None, 1, 0)
+            oi.backward(np.ones(oi.shape))
+            np.testing.assert_allclose(wt.grad[i], wi.grad, atol=1e-10)
+            np.testing.assert_allclose(
+                xt.grad[i], xi.grad.transpose(1, 0, 2, 3), atol=1e-10
+            )
+
     @settings(max_examples=40, deadline=None)
     @given(
         s=st.integers(1, 3),
