@@ -1,13 +1,13 @@
 """Differentiable neural-network primitives built on :class:`Tensor`.
 
-Convolution, pooling, softmax/log-softmax, cross-entropy and one-hot
-helpers. These are the functional forms; ``repro.nn`` wraps them in
-stateful modules.
+Convolution, pooling, softmax/log-softmax, cross-entropy, the affine map
+and the residual fan-in. These are the functional forms; ``repro.nn``
+wraps them in stateful modules.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.autograd.im2col import (
     im2col_stacked_pixels,
     im2col_windows,
 )
-from repro.autograd.tensor import concatenate, Tensor, as_tensor
+from repro.autograd.tensor import Tensor, as_tensor
 
 KernelLike = Union[int, Tuple[int, int]]
 
@@ -638,18 +638,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make_child(logp, (x,), "log_softmax", _backward)
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer class labels -> one-hot float matrix (plain numpy, no grad)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
-        raise ValueError("labels out of range for num_classes")
-    out = np.zeros((labels.size, num_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between ``logits`` (N, K) and integer ``labels``.
 
@@ -710,18 +698,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-p) at train time."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
-
-
 # ----------------------------------------------------------------------
-# Fan-in combination for module graphs (residual adds, concatenation)
+# Fan-in combination for module graphs (residual adds)
 # ----------------------------------------------------------------------
 #
 # The stacked-activation conventions (docs/ARCHITECTURE.md): linear-style
@@ -777,49 +755,3 @@ def fanin_add(*tensors: Tensor) -> Tensor:
         out = out + t
     return out
 
-
-def fanin_concat(tensors: Sequence[Tensor], kind: str = "channel") -> Tensor:
-    """Concatenate fan-in branch outputs, layout-aware across stacked ranks.
-
-    ``kind`` names the semantic axis, because a raw axis index is
-    layout-dependent:
-
-    - ``"channel"``: conv feature maps, concatenated on the channel axis —
-      axis 1 in both the unstacked (N, C, H, W) and the stacked
-      channel-major (S, C, N, H, W) layout;
-    - ``"feature"``: batch-major features/tokens ((N, F), (S, N, F),
-      (N, T, D), (S, N, T, D)), concatenated on the trailing axis.
-
-    Unstacked members meeting stacked ones are expanded over the sample
-    axis with a stride-0 broadcast view before concatenation (conv maps
-    via the channel-major transpose first), so each stacked slice equals
-    the unstacked concatenation of the reference loop.
-    """
-    ops = [as_tensor(t) for t in tensors]
-    if len(ops) < 2:
-        raise ValueError(f"fan-in needs at least two operands, got {len(ops)}")
-    if kind not in ("channel", "feature"):
-        raise ValueError(f"unknown fan-in concat kind {kind!r}")
-    ranks = {t.ndim for t in ops}
-    allowed = {4, 5} if kind == "channel" else {2, 3, 4}
-    if not ranks <= allowed or len(ranks) > 2:
-        raise ValueError(
-            f"fan-in concat kind={kind!r} got incompatible operand shapes "
-            f"{[t.shape for t in ops]}"
-        )
-    if len(ranks) == 2:
-        lo, hi = min(ranks), max(ranks)
-        if hi - lo != 1:
-            raise ValueError(
-                "fan-in operands must differ by at most the sample axis; "
-                f"got shapes {[t.shape for t in ops]}"
-            )
-        if kind == "channel":
-            ops = _align_conv_fanin(ops)
-        stacked_shape = next(t.shape for t in ops if t.ndim == hi)
-        s = stacked_shape[0]
-        ops = [
-            t if t.ndim == hi else t.broadcast_to((s,) + t.shape) for t in ops
-        ]
-    axis = 1 if kind == "channel" else -1
-    return concatenate(ops, axis=axis)

@@ -401,21 +401,6 @@ class Tensor:
 
         return self._make_child(val, (self,), "tanh", _backward)
 
-    def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic: evaluate each branch only where it
-        # cannot overflow.
-        x = self.data
-        val = np.empty_like(np.asarray(x, dtype=np.float64))
-        pos = x >= 0
-        val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        exp_x = np.exp(x[~pos])
-        val[~pos] = exp_x / (1.0 + exp_x)
-
-        def _backward(gout: np.ndarray) -> None:
-            self._accumulate(gout * val * (1.0 - val))
-
-        return self._make_child(val, (self,), "sigmoid", _backward)
-
     def relu(self) -> "Tensor":
         # Single pass over the data; the backward mask (data > 0) is only
         # materialized if backward actually runs. np.maximum(x, 0) is
@@ -558,20 +543,6 @@ class Tensor:
             np.broadcast_to(self.data, shape), (self,), "broadcast", _backward
         )
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) axes symmetrically."""
-        if padding == 0:
-            return self
-        if padding < 0:
-            raise ValueError(f"padding must be non-negative, got {padding}")
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding)] * 2
-
-        def _backward(gout: np.ndarray) -> None:
-            inner = slice(padding, -padding)
-            self._accumulate(gout[(slice(None),) * (self.ndim - 2) + (inner, inner)])
-
-        return self._make_child(np.pad(self.data, pad_width), (self,), "pad2d", _backward)
-
 
 def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce ``value`` to a (non-differentiable) :class:`Tensor`."""
@@ -598,16 +569,3 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         _backward,
     )
 
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stacking of equally-shaped tensors on a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-
-    def _backward(gout: np.ndarray) -> None:
-        grads = np.moveaxis(gout, axis, 0)
-        for tensor, grad in zip(tensors, grads):
-            tensor._accumulate(grad)
-
-    return Tensor._make_child(
-        np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack", _backward
-    )

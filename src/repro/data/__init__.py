@@ -19,7 +19,7 @@ dynamics, not on natural-image statistics; DESIGN.md documents this
 substitution.
 """
 
-from repro.data.dataset import ArrayDataset, Dataset, train_test_split
+from repro.data.dataset import ArrayDataset, Dataset
 from repro.data.loader import DataLoader
 from repro.data.synthetic import (
     DATASET_FACTORIES,
@@ -29,13 +29,12 @@ from repro.data.synthetic import (
     synth_cifar100,
     synth_mnist,
 )
-from repro.data.augment import random_shift, random_flip, add_noise
+from repro.data.augment import random_shift, add_noise
 
 __all__ = [
     "Dataset",
     "ArrayDataset",
     "DataLoader",
-    "train_test_split",
     "SyntheticSpec",
     "make_synthetic",
     "synth_mnist",
@@ -43,6 +42,5 @@ __all__ = [
     "synth_cifar100",
     "DATASET_FACTORIES",
     "random_shift",
-    "random_flip",
     "add_noise",
 ]

@@ -26,15 +26,6 @@ def random_shift(
     return out
 
 
-def random_flip(
-    image: np.ndarray, rng: np.random.Generator, p: float = 0.5
-) -> np.ndarray:
-    """Horizontal flip with probability ``p`` (CIFAR-style augmentation)."""
-    if rng.random() < p:
-        return image[..., ::-1].copy()
-    return image
-
-
 def add_noise(
     image: np.ndarray, scale: float, rng: np.random.Generator
 ) -> np.ndarray:

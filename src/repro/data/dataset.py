@@ -1,12 +1,10 @@
-"""Dataset containers and splitting."""
+"""Dataset containers."""
 
 from __future__ import annotations
 
 from typing import Tuple
 
 import numpy as np
-
-from repro.utils.rng import new_rng, SeedLike
 
 
 class Dataset:
@@ -80,19 +78,3 @@ class ArrayDataset(Dataset):
             std = self.images.std(axis=(0, 2, 3), keepdims=True) + 1e-8
         return ArrayDataset((self.images - mean) / std, self.labels)
 
-
-def train_test_split(
-    dataset: ArrayDataset, test_fraction: float = 0.2, seed: SeedLike = 0
-) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Shuffled split preserving nothing but proportions.
-
-    With a fixed seed the split is deterministic, so train/test never leak
-    across calls within an experiment.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = new_rng(seed)
-    order = rng.permutation(len(dataset))
-    n_test = max(1, int(round(len(dataset) * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return dataset.subset(train_idx), dataset.subset(test_idx)

@@ -25,11 +25,6 @@ from repro.evaluation.sequential import clt_interval, half_width, HalfWidthRule
 from repro.evaluation.vectorized import stacked_accuracies, supports_sample_axis
 from repro.evaluation.layer_sweep import layer_sweep, select_candidates, tail_spec
 from repro.evaluation.tracer import ErrorPropagationTracer, LayerDeviation
-from repro.evaluation.margins import (
-    MarginReport,
-    logit_shift_under_variation,
-    margin_report,
-)
 
 __all__ = [
     "accuracy",
@@ -41,9 +36,6 @@ __all__ = [
     "tail_spec",
     "ErrorPropagationTracer",
     "LayerDeviation",
-    "MarginReport",
-    "margin_report",
-    "logit_shift_under_variation",
     "stacked_accuracies",
     "supports_sample_axis",
     "EvalPlan",

@@ -10,13 +10,12 @@ decided by explicit declaration rather than by trying and hoping:
 declaration takes three forms (``reprolint``'s AXS001 rule enforces that
 every layer-library ``Module`` subclass picks one):
 
-- leaves set a class attribute (``Linear``, ``Conv2d``, activations,
-  pooling, ``Flatten``, ``Identity``, ``Dropout``, the analog layers);
-- mode- or config-dependent modules compute it: ``Softmax`` sets an
-  instance attribute (only the trailing class axis is layout-safe) and
-  batch norm exposes a property that is true **in eval mode only** — its
-  eval forward is an affine per-channel fold that broadcasts over a
-  sample axis, while its training forward computes batch statistics
+- leaves set a class attribute (``Linear``, ``Conv2d``, ``ReLU``,
+  pooling, ``Flatten``, ``Identity``, the analog layers);
+- mode-dependent modules compute it: batch norm exposes a property that
+  is true **in eval mode only** — its eval forward is an affine
+  per-channel fold that broadcasts over a sample axis, while its
+  training forward computes batch statistics
   whose axes a stacked layout would corrupt. The Monte-Carlo evaluator
   forces eval mode before dispatching, so batch-norm models ride the
   vectorized engine; the stacked-training path of

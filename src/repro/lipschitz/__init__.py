@@ -16,25 +16,17 @@ later layers.
 
 from repro.lipschitz.bounds import lambda_bound, lognormal_bound
 from repro.lipschitz.spectral import (
-    power_iteration,
+    layer_spectral_norms,
     spectral_norm,
     weight_as_matrix,
 )
 from repro.lipschitz.regularizer import OrthogonalityRegularizer
-from repro.lipschitz.estimate import (
-    layer_spectral_norms,
-    network_lipschitz_bound,
-    empirical_lipschitz,
-)
 
 __all__ = [
     "lognormal_bound",
     "lambda_bound",
     "spectral_norm",
-    "power_iteration",
     "weight_as_matrix",
     "OrthogonalityRegularizer",
     "layer_spectral_norms",
-    "network_lipschitz_bound",
-    "empirical_lipschitz",
 ]

@@ -1,18 +1,18 @@
 """Spectral norms of layer weights.
 
 Conv kernels (F, C, KH, KW) are flattened to (F, C*KH*KW) — the matrix a
-crossbar actually stores and the one whose norm eq. (9) constrains. Exact
-SVD is used for verification; power iteration for cheap in-training
-monitoring.
+crossbar actually stores and the one whose norm eq. (9) constrains. The
+norm is the exact largest singular value, by SVD.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.utils.rng import new_rng, SeedLike
+from repro.nn.graph import weighted_layers
+from repro.nn.module import Module
 
 
 def weight_as_matrix(weight: np.ndarray) -> np.ndarray:
@@ -30,30 +30,9 @@ def spectral_norm(weight: np.ndarray) -> float:
     return float(np.linalg.svd(weight_as_matrix(weight), compute_uv=False)[0])
 
 
-def power_iteration(
-    weight: np.ndarray,
-    iters: int = 50,
-    tol: float = 1e-7,
-    seed: SeedLike = 0,
-) -> Tuple[float, np.ndarray]:
-    """Estimate (sigma_max, right singular vector) by power iteration on
-    ``W^T W``. Converges geometrically in the singular-value gap; 50 iters
-    is ample for the layer sizes here."""
-    mat = weight_as_matrix(weight)
-    rng = new_rng(seed)
-    v = rng.normal(size=mat.shape[1])
-    v /= np.linalg.norm(v) + 1e-12
-    sigma = 0.0
-    for _ in range(iters):
-        u = mat @ v
-        u_norm = np.linalg.norm(u)
-        if u_norm == 0.0:
-            return 0.0, v
-        v_new = mat.T @ (u / u_norm)
-        sigma_new = np.linalg.norm(v_new)
-        v = v_new / (sigma_new + 1e-12)
-        if abs(sigma_new - sigma) < tol * max(sigma, 1.0):
-            sigma = sigma_new
-            break
-        sigma = sigma_new
-    return float(sigma), v
+def layer_spectral_norms(model: Module) -> Dict[str, float]:
+    """Exact spectral norm of every weighted (crossbar-mapped) layer."""
+    return {
+        name: spectral_norm(layer._parameters["weight"].data)
+        for name, layer in weighted_layers(model)
+    }

@@ -3,7 +3,7 @@
 The first genuinely branch-carrying model family in the zoo: three
 residual stages on top of a 3x3 stem, global average pooling, and a
 linear classifier. It exists to exercise the module-graph sample-axis
-contract — residual ``Add`` fan-in, downsampling 1x1 shortcut
+contract — residual fan-in, downsampling 1x1 shortcut
 projections, optional batch norm — on every Monte-Carlo engine and in
 both the weight and the analog domain (``analogize`` preserves the
 residual topology because it replaces layers in place).

@@ -3,35 +3,29 @@
 Mirrors the familiar ``torch.nn`` surface at the scale this reproduction
 needs: ``Module``/``Parameter`` trees with named parameter traversal
 (the variation injector and crossbar mapper rely on it), convolution /
-linear / pooling / normalisation layers, activations, containers, and loss
-modules.
+linear / pooling / normalisation layers, ReLU, the residual and
+attention blocks, containers, and the cross-entropy loss.
 """
 
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     AvgPool2d,
     Conv2d,
-    Dropout,
     Flatten,
     Identity,
     Linear,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
 )
-from repro.nn.batchnorm import BatchNorm1d, BatchNorm2d
+from repro.nn.batchnorm import BatchNorm2d
 from repro.nn.structural import (
-    Add,
-    Concat,
     GlobalAvgPool2d,
     LayerNorm,
     Residual,
     SelfAttention,
 )
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn import graph, init
 
 __all__ = [
@@ -40,25 +34,17 @@ __all__ = [
     "Linear",
     "Conv2d",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
     "AvgPool2d",
     "MaxPool2d",
     "Flatten",
     "Identity",
-    "Dropout",
     "Sequential",
-    "Add",
-    "Concat",
     "Residual",
     "GlobalAvgPool2d",
     "LayerNorm",
     "SelfAttention",
-    "BatchNorm1d",
     "BatchNorm2d",
     "CrossEntropyLoss",
-    "MSELoss",
     "graph",
     "init",
 ]

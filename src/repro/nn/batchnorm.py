@@ -1,4 +1,4 @@
-"""Batch normalisation (1-D and 2-D).
+"""Batch normalisation over conv feature maps.
 
 Running statistics live in buffers so they serialize with the model and are
 excluded from variation injection (they are digital state, not crossbar
@@ -7,13 +7,12 @@ conductances).
 Eval mode is the affine fold ``y = x * (gamma / sqrt(var + eps)) + (beta -
 mean * gamma / sqrt(var + eps))`` against the running statistics — a
 per-channel scale and shift. Because it is elementwise per channel, it is
-also *sample-aware*: a stacked activation from the vectorized Monte-Carlo
-engine ((S, N, C) after a stacked Linear, channel-major (S, C, N, H, W)
-after a stacked Conv2d — see ``docs/ARCHITECTURE.md``) broadcasts against
-the same folded scale/shift with one extra axis. Training mode computes
-batch statistics and only accepts ordinary (N, C) / (N, C, H, W) layouts;
-``repro.evaluation.vectorized.supports_sample_axis`` therefore admits
-batch norm for stacked execution in eval mode only.
+also *sample-aware*: a channel-major stacked activation (S, C, N, H, W)
+from the vectorized Monte-Carlo engine (see ``docs/ARCHITECTURE.md``)
+broadcasts against the same folded scale/shift with one extra axis.
+Training mode computes batch statistics and only accepts the ordinary
+(N, C, H, W) layout; ``repro.evaluation.vectorized.supports_sample_axis``
+therefore admits batch norm for stacked execution in eval mode only.
 """
 
 from __future__ import annotations
@@ -24,7 +23,13 @@ from repro.autograd import Tensor
 from repro.nn.module import Module, Parameter
 
 
-class _BatchNorm(Module):
+class BatchNorm2d(Module):
+    """Normalise (N, C, H, W) activations per channel.
+
+    Eval mode also accepts channel-major sample-stacked (S, C, N, H, W)
+    activations (the vectorized Monte-Carlo layout).
+    """
+
     def __init__(
         self, num_features: int, eps: float = 1e-5, momentum: float = 0.1
     ) -> None:
@@ -41,24 +46,17 @@ class _BatchNorm(Module):
     def sample_aware(self) -> bool:
         # Eval mode is a per-channel affine fold that broadcasts over a
         # stacked sample axis; training mode computes batch statistics and
-        # only understands the ordinary layouts (see module docstring).
+        # only understands the ordinary layout (see module docstring).
         return not self.training
-
-    def _axes(self, x: Tensor):
-        raise NotImplementedError
-
-    def _shape(self, x: Tensor):
-        raise NotImplementedError
-
-    def _eval_shape(self, x: Tensor):
-        """Broadcast shape of the per-channel statistics for ``x``'s
-        layout, including the sample-stacked variants."""
-        raise NotImplementedError
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
-            axes = self._axes(x)
-            shape = self._shape(x)
+            if x.ndim != 4:
+                raise ValueError(
+                    f"BatchNorm2d expects (N, C, H, W), got shape {x.shape}"
+                )
+            axes = (0, 2, 3)
+            shape = (1, self.num_features, 1, 1)
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
             m = self.momentum
@@ -79,7 +77,15 @@ class _BatchNorm(Module):
         # (computed at feature size C, then broadcast over the activation
         # once — two broadcast ops instead of four). gamma/beta stay in the
         # graph, so fine-tuning through an eval-mode norm still works.
-        shape = self._eval_shape(x)
+        if x.ndim == 4:  # (N, C, H, W)
+            shape = (1, self.num_features, 1, 1)
+        elif x.ndim == 5:  # stacked channel-major (S, C, N, H, W)
+            shape = (1, self.num_features, 1, 1, 1)
+        else:
+            raise ValueError(
+                "BatchNorm2d expects (N, C, H, W) or stacked (S, C, N, H, W), "
+                f"got shape {x.shape}"
+            )
         inv_std = Tensor((self.running_var + self.eps) ** -0.5)
         scale = self.gamma * inv_std
         shift = self.beta - Tensor(self.running_mean) * scale
@@ -87,53 +93,3 @@ class _BatchNorm(Module):
 
     def extra_repr(self) -> str:
         return f"features={self.num_features}, eps={self.eps}"
-
-
-class BatchNorm1d(_BatchNorm):
-    """Normalise (N, C) activations per feature.
-
-    Eval mode also accepts sample-stacked (S, N, C) activations.
-    """
-
-    def _axes(self, x: Tensor):
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects (N, C), got shape {x.shape}")
-        return 0
-
-    def _shape(self, x: Tensor):
-        return (1, self.num_features)
-
-    def _eval_shape(self, x: Tensor):
-        if x.ndim == 2:  # (N, C)
-            return (1, self.num_features)
-        if x.ndim == 3:  # stacked (S, N, C)
-            return (1, 1, self.num_features)
-        raise ValueError(
-            f"BatchNorm1d expects (N, C) or stacked (S, N, C), got shape {x.shape}"
-        )
-
-
-class BatchNorm2d(_BatchNorm):
-    """Normalise (N, C, H, W) activations per channel.
-
-    Eval mode also accepts channel-major sample-stacked (S, C, N, H, W)
-    activations (the vectorized Monte-Carlo layout).
-    """
-
-    def _axes(self, x: Tensor):
-        if x.ndim != 4:
-            raise ValueError(f"BatchNorm2d expects (N, C, H, W), got shape {x.shape}")
-        return (0, 2, 3)
-
-    def _shape(self, x: Tensor):
-        return (1, self.num_features, 1, 1)
-
-    def _eval_shape(self, x: Tensor):
-        if x.ndim == 4:  # (N, C, H, W)
-            return (1, self.num_features, 1, 1)
-        if x.ndim == 5:  # stacked channel-major (S, C, N, H, W)
-            return (1, self.num_features, 1, 1, 1)
-        raise ValueError(
-            "BatchNorm2d expects (N, C, H, W) or stacked (S, C, N, H, W), "
-            f"got shape {x.shape}"
-        )

@@ -14,9 +14,9 @@ The contract:
 - :func:`module_walk` is a deterministic pre-order walk over the
   registration tree, yielding ``(qualified-name, module)`` pairs with the
   root first (name ``""``). Order is registration order — the order
-  ``__init__`` assigned submodules — which every structural fan-in module
-  (``Residual``, ``Add``, ``Concat``) keeps equal to forward execution
-  order by registering branches in evaluation order. That is what makes
+  ``__init__`` assigned submodules — which the structural fan-in module
+  ``Residual`` keeps equal to forward execution order by registering its
+  branches in evaluation order. That is what makes
   the ordering well defined on branch-carrying graphs, not just chains.
 - Subtrees rooted at a ``digital = True`` module are skipped *entirely*
   (not just the flagged module): the flag marks variation-free digital

@@ -1,10 +1,8 @@
-"""Core layers: linear, convolution, pooling, activations, containers."""
+"""Core layers: linear, convolution, pooling, ReLU, containers."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
-
-import numpy as np
 
 from repro.autograd import Tensor, functional as F
 from repro.nn import init
@@ -111,33 +109,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    sample_aware = True  # elementwise: rank-agnostic
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    sample_aware = True  # elementwise: rank-agnostic
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Softmax(Module):
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-        # Only the last-axis reduction is layout-independent: any other
-        # axis index means something different once a sample axis is
-        # stacked in front.
-        self.sample_aware = axis == -1
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, axis=self.axis)
-
-
 class AvgPool2d(Module):
     #: ``F.avg_pool2d`` handles the folded stacked batch like ``conv2d``.
     sample_aware = True
@@ -196,24 +167,6 @@ class Identity(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x
-
-
-class Dropout(Module):
-    #: Elementwise; inactive in eval mode, where the stacked path runs.
-    sample_aware = True
-
-    def __init__(self, p: float = 0.5, seed: SeedLike = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = new_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, self.training)
-
-    def extra_repr(self) -> str:
-        return f"p={self.p}"
 
 
 class Sequential(Module):

@@ -1,4 +1,4 @@
-"""Loss modules."""
+"""The cross-entropy loss module."""
 
 from __future__ import annotations
 
@@ -17,14 +17,3 @@ class CrossEntropyLoss(Module):
     def forward(self, logits: Tensor, labels: np.ndarray) -> Tensor:
         return F.cross_entropy(logits, labels)
 
-
-class MSELoss(Module):
-    """Mean squared error (used by unit tests and the RL value baseline)."""
-
-    #: Losses reduce over the batch; they never run on stacked activations.
-    sample_aware = False
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = prediction - target
-        return (diff * diff).mean()

@@ -1,28 +1,27 @@
-"""Structural modules: fan-out/fan-in graph nodes and attention blocks.
+"""Structural modules: the residual fan-in node and attention blocks.
 
 These are the modules that take the layer library beyond ``Sequential``
-chains: residual skips (``Add`` / ``Residual``), channel concatenation
-(``Concat``), the global-pool and layer-norm glue of modern CNN/attention
-models, and a small multi-head ``SelfAttention`` block. All of them honor
-the sample-axis contract of the vectorized Monte-Carlo engine (see
-``docs/ARCHITECTURE.md``): stacked activations are batch-major
-``(S, N, F)`` for features/tokens and channel-major ``(S, C, N, H, W)``
-for conv maps, and fan-in nodes must align *mixed* stacked-ness — only
-some branches may contain varied layers — which
-:func:`repro.autograd.functional.fanin_add` /
-:func:`~repro.autograd.functional.fanin_concat` handle layout-aware.
+chains: the residual skip (``Residual``), the global-pool and layer-norm
+glue of modern CNN/attention models, and a small multi-head
+``SelfAttention`` block. All of them honor the sample-axis contract of
+the vectorized Monte-Carlo engine (see ``docs/ARCHITECTURE.md``): stacked
+activations are batch-major ``(S, N, F)`` for features/tokens and
+channel-major ``(S, C, N, H, W)`` for conv maps, and the fan-in must
+align *mixed* stacked-ness — a branch without varied layers stays
+unstacked — which :func:`repro.autograd.functional.fanin_add` handles
+layout-aware.
 
-Traversal contract: fan-in containers register their branches in forward
-evaluation order (``Residual``: body before shortcut), so the canonical
-walk of :mod:`repro.nn.graph` — registration-order pre-order — equals
-execution order on these graphs, and every consumer (injector,
-``analogize``, sweeps, cost model) agrees on layer indexing.
+Traversal contract: ``Residual`` registers its branches in forward
+evaluation order (body before shortcut), so the canonical walk of
+:mod:`repro.nn.graph` — registration-order pre-order — equals execution
+order on these graphs, and every consumer (injector, ``analogize``,
+sweeps, cost model) agrees on layer indexing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional
+from typing import Optional
 
 from repro.autograd import Tensor, functional as F
 from repro.nn.layers import Identity, Linear
@@ -30,84 +29,15 @@ from repro.nn.module import Module, Parameter
 from repro.utils.rng import new_rng, SeedLike
 
 
-class _Branches(Module):
-    """Shared machinery for fan-out/fan-in containers.
-
-    Registers branches under their evaluation index (like ``Sequential``)
-    so the canonical graph walk visits them in execution order.
-    """
-
-    #: Fan-in is handled by the layout-aware autograd helpers; the
-    #: eligibility walk still requires every branch to be sample-aware.
-    sample_aware = True
-
-    def __init__(self, *branches: Module) -> None:
-        super().__init__()
-        if len(branches) < 2:
-            raise ValueError(
-                f"{type(self).__name__} needs at least two branches, "
-                f"got {len(branches)}"
-            )
-        self._order: List[str] = []
-        for i, branch in enumerate(branches):
-            setattr(self, str(i), branch)
-            self._order.append(str(i))
-
-    def branches(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-
-class Add(_Branches):
-    """Fan-out the input to every branch, fan the outputs back in by sum.
-
-    The general residual/skip node: ``Add(body, Identity())`` is a
-    classic skip connection. Branch outputs may disagree on stacked-ness
-    (a branch without varied weights returns unstacked activations);
-    :func:`repro.autograd.functional.fanin_add` aligns the layouts, so
-    each stacked slice equals the unstacked sum of the reference loop.
-    """
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.fanin_add(*[branch(x) for branch in self.branches()])
-
-
-class Concat(_Branches):
-    """Fan-out the input to every branch, concatenate the outputs.
-
-    ``kind`` names the semantic axis ("channel" for conv maps — axis 1 in
-    both the 4-D and the channel-major stacked 5-D layout — or "feature"
-    for batch-major features/tokens, trailing axis); see
-    :func:`repro.autograd.functional.fanin_concat`.
-    """
-
-    def __init__(self, *branches: Module, kind: str = "channel") -> None:
-        super().__init__(*branches)
-        if kind not in ("channel", "feature"):
-            raise ValueError(f"unknown fan-in concat kind {kind!r}")
-        self.kind = kind
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.fanin_concat(
-            [branch(x) for branch in self.branches()], kind=self.kind
-        )
-
-    def extra_repr(self) -> str:
-        return f"kind={self.kind}"
-
-
 class Residual(Module):
     """``body(x) + shortcut(x)`` with an identity default shortcut.
 
-    The named form of :class:`Add` for residual blocks: ``body`` and
-    ``shortcut`` are registered in evaluation order (body first), which is
-    the order the canonical graph walk — and therefore the paper's
-    layer-i indexing — sees their weighted layers in.
+    ``body`` and ``shortcut`` are registered in evaluation order (body
+    first), which is the order the canonical graph walk — and therefore
+    the paper's layer-i indexing — sees their weighted layers in. A branch
+    without varied weights returns unstacked activations;
+    :func:`repro.autograd.functional.fanin_add` aligns the layouts, so
+    each stacked slice equals the unstacked sum of the reference loop.
     """
 
     sample_aware = True  # combine is layout-aware fanin_add; delegates else

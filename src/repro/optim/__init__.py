@@ -1,15 +1,11 @@
-"""Optimizers and learning-rate schedules for the numpy NN substrate."""
+"""Adam, gradient clipping and the cosine learning-rate schedule."""
 
-from repro.optim.optimizers import SGD, Adam, RMSprop, Optimizer, clip_grad_norm
-from repro.optim.schedulers import CosineSchedule, StepSchedule, ConstantSchedule
+from repro.optim.optimizers import Adam, Optimizer, clip_grad_norm
+from repro.optim.schedulers import CosineSchedule
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
-    "RMSprop",
     "clip_grad_norm",
-    "StepSchedule",
     "CosineSchedule",
-    "ConstantSchedule",
 ]

@@ -55,41 +55,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum / Nesterov / weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if nesterov and momentum <= 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-
-    def step(self) -> None:
-        for p in self._active_params():
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                state = self._state.setdefault(id(p), {})
-                buf = state.get("momentum")
-                if buf is None:
-                    buf = np.zeros_like(p.data)
-                    state["momentum"] = buf
-                buf *= self.momentum
-                buf += grad
-                grad = grad + self.momentum * buf if self.nesterov else buf
-            p.data = p.data - self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) with bias correction."""
 
@@ -144,23 +109,3 @@ class Adam(Optimizer):
             update /= denom
             p.data = p.data - update
 
-
-class RMSprop(Optimizer):
-    """RMSprop; kept for the RL policy, where Adam's momentum can overshoot."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.alpha = alpha
-        self.eps = eps
-
-    def step(self) -> None:
-        for p in self._active_params():
-            state = self._state.setdefault(id(p), {"sq": np.zeros_like(p.data)})
-            state["sq"] = self.alpha * state["sq"] + (1 - self.alpha) * p.grad**2
-            p.data = p.data - self.lr * p.grad / (np.sqrt(state["sq"]) + self.eps)

@@ -1,7 +1,8 @@
-"""Learning-rate schedules.
+"""Learning-rate schedule.
 
-Schedules mutate ``optimizer.lr`` on :meth:`step`; epoch counting is the
-caller's job (one ``step()`` per epoch by convention).
+The schedule mutates ``optimizer.lr`` on :meth:`CosineSchedule.step`;
+epoch counting is the caller's job (one ``step()`` per epoch by
+convention).
 """
 
 from __future__ import annotations
@@ -11,52 +12,23 @@ import math
 from repro.optim.optimizers import Optimizer
 
 
-class _Schedule:
-    def __init__(self, optimizer: Optimizer) -> None:
+class CosineSchedule:
+    """Cosine annealing from the base LR to ``min_lr`` over ``total_epochs``."""
+
+    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0):
+        if total_epochs <= 0:
+            raise ValueError(f"total_epochs must be positive, got {total_epochs}")
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.epoch = 0
+        self.total_epochs = total_epochs
+        self.min_lr = min_lr
 
     def step(self) -> float:
         self.epoch += 1
         lr = self._lr_at(self.epoch)
         self.optimizer.lr = lr
         return lr
-
-    def _lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class ConstantSchedule(_Schedule):
-    """No-op schedule so trainers can treat 'no schedule' uniformly."""
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class StepSchedule(_Schedule):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineSchedule(_Schedule):
-    """Cosine annealing from the base LR to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if total_epochs <= 0:
-            raise ValueError(f"total_epochs must be positive, got {total_epochs}")
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
 
     def _lr_at(self, epoch: int) -> float:
         progress = min(epoch / self.total_epochs, 1.0)

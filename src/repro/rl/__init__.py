@@ -17,9 +17,7 @@ the paper's overhead limits (1%, 2%, 3%) and keeps the best solution;
 from repro.rl.policy import RNNPolicy, Episode
 from repro.rl.env import CompensationEnv, EnvOutcome
 from repro.rl.agent import ReinforceAgent
-from repro.rl.search import (
-    RLSearch, SearchResult, exhaustive_search, random_search,
-)
+from repro.rl.search import RLSearch, SearchResult, exhaustive_search
 
 __all__ = [
     "RNNPolicy",
@@ -30,5 +28,4 @@ __all__ = [
     "RLSearch",
     "SearchResult",
     "exhaustive_search",
-    "random_search",
 ]

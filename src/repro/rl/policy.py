@@ -16,7 +16,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.tensor import concatenate, stack
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import new_rng, SeedLike

@@ -8,7 +8,7 @@ compensating *all* candidate layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.config import RLConfig
 from repro.rl.agent import ReinforceAgent
@@ -80,40 +80,6 @@ class RLSearch:
             )
         assert best is not None
         return SearchResult(best=best, explored=explored, rewards=rewards)
-
-
-def random_search(
-    env: CompensationEnv,
-    episodes: int,
-    ratio_choices: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
-    seed: int = 0,
-) -> SearchResult:
-    """Uniform-random plan sampling — the control the RL agent must beat.
-
-    Same budget accounting as :class:`RLSearch` (one env step per episode,
-    cache shared through the env), no learning. Useful to quantify how much
-    the policy gradient actually contributes on a given workload.
-    """
-    from repro.utils.rng import new_rng
-
-    rng = new_rng(seed)
-    best: Optional[EnvOutcome] = None
-    explored: List[EnvOutcome] = []
-    rewards: List[float] = []
-    for _ in range(episodes):
-        ratios = [float(rng.choice(ratio_choices))
-                  for _ in range(env.n_actions_steps)]
-        outcome = env.step(ratios)
-        explored.append(outcome)
-        rewards.append(outcome.reward)
-        better = best is None or (
-            (not outcome.skipped and best.skipped)
-            or (outcome.skipped == best.skipped and outcome.reward > best.reward)
-        )
-        if better:
-            best = outcome
-    assert best is not None
-    return SearchResult(best=best, explored=explored, rewards=rewards)
 
 
 def exhaustive_search(

@@ -17,7 +17,7 @@ suffered from.)
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -64,20 +64,3 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     )
     return [np.random.default_rng(s) for s in root.spawn(n)]
 
-
-class RngMixin:
-    """Mixin giving a class a lazily-created, reseedable ``self.rng``."""
-
-    _rng: Optional[np.random.Generator] = None
-    _seed: SeedLike = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng(self._seed)
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Reset the internal generator; next use starts from ``seed``."""
-        self._seed = seed
-        self._rng = None

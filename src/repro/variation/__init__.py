@@ -33,11 +33,7 @@ from repro.variation.spec import (
     to_dict,
     to_string,
 )
-from repro.variation.injector import (
-    VariationInjector,
-    perturbed,
-    weighted_layers,
-)
+from repro.variation.injector import VariationInjector, weighted_layers
 
 __all__ = [
     "VariationModel",
@@ -61,6 +57,5 @@ __all__ = [
     "to_string",
     "from_string",
     "VariationInjector",
-    "perturbed",
     "weighted_layers",
 ]

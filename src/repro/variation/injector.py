@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports models)
     from repro.variation.spec import VariationLike
 
 __all__ = [
-    "perturbed",
     "VariationInjector",
     "WEIGHT_ATTR_NAMES",
     # Re-exported for backwards compatibility: the authoritative layer
@@ -279,20 +278,3 @@ class VariationInjector:
             for param, nominal in saved:
                 param.data = nominal
 
-
-@contextlib.contextmanager
-def perturbed(
-    model: Module,
-    variation: "VariationLike",
-    seed: SeedLike = None,
-    protection_masks: Optional[Dict[str, np.ndarray]] = None,
-) -> Iterator[Module]:
-    """One-shot convenience wrapper around :class:`VariationInjector`.
-
-    >>> with perturbed(model, LogNormalVariation(0.5), seed=0):
-    ...     logits = model(x)            # runs with deviated weights
-    >>> # weights restored here
-    """
-    injector = VariationInjector(model, variation, protection_masks)
-    with injector.applied(seed):
-        yield model

@@ -194,7 +194,8 @@ class LayerMap(VariationModel):
     layer without an override resolves through the default, so a nested
     ``LayerMap`` default keeps its own overrides. Without layer context
     (:meth:`perturb` on a bare array, e.g. a lone crossbar), the default
-    applies.
+    applies. At least one override is required: a map without any would
+    be a second spelling of its default, with a different fingerprint.
     """
 
     def __init__(
@@ -210,6 +211,11 @@ class LayerMap(VariationModel):
                     f"override keys are layer indices or names, got {key!r}"
                 )
             parsed[key] = parse_spec(value)
+        if not parsed:
+            raise ValueError(
+                "LayerMap needs at least one override; use the default "
+                f"spec {self.default!r} itself"
+            )
         self.overrides = parsed
 
     def model_for(

@@ -125,38 +125,6 @@ class TestCrossEntropy:
         assert loss.item() == pytest.approx(manual)
 
 
-class TestOneHot:
-    def test_basic(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_allclose(out, np.eye(3)[[0, 2, 1]])
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
-    def test_wrong_rank_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.zeros((2, 2), dtype=int), 3)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self):
-        x = Tensor(np.ones(100))
-        rng = np.random.default_rng(0)
-        out = F.dropout(x, 0.5, rng, training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_training_preserves_expectation(self):
-        x = Tensor(np.ones(20000))
-        rng = np.random.default_rng(0)
-        out = F.dropout(x, 0.3, rng, training=True)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.03)
-
-    def test_invalid_p_raises(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(2)), 1.0, np.random.default_rng(0), True)
-
-
 class TestStackedKernels:
     """Sample-stacked (vectorized Monte-Carlo) forward kernels match the
     per-sample reference ops, in values and in gradients."""

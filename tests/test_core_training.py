@@ -8,7 +8,7 @@ from repro.data import ArrayDataset
 from repro.evaluation import accuracy
 from repro.lipschitz import OrthogonalityRegularizer, layer_spectral_norms
 from repro.models import MLP
-from repro.optim import Adam, StepSchedule
+from repro.optim import Adam, CosineSchedule
 from repro.variation import LogNormalVariation, VariationInjector
 
 
@@ -52,9 +52,10 @@ class TestBasicTraining:
         opt = Adam(list(model.parameters()), lr=0.01)
         Trainer(model, opt).fit(
             blob_dataset, epochs=4,
-            scheduler=StepSchedule(opt, step_size=1, gamma=0.5),
+            scheduler=CosineSchedule(opt, total_epochs=8, min_lr=0.001),
         )
-        assert opt.lr == pytest.approx(0.01 * 0.5**4)
+        # Four of eight epochs: halfway down the cosine.
+        assert opt.lr == pytest.approx(0.001 + (0.01 - 0.001) * 0.5)
 
 
 class TestAccuracySweeps:

@@ -1,12 +1,12 @@
-"""Datasets, loaders, splits and augmentations."""
+"""Datasets, loaders and augmentations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import (
-    ArrayDataset, DataLoader, add_noise, random_flip, random_shift,
-    synth_cifar10, synth_cifar100, synth_mnist, train_test_split,
+    ArrayDataset, DataLoader, add_noise, random_shift,
+    synth_cifar10, synth_cifar100, synth_mnist,
 )
 
 
@@ -36,29 +36,6 @@ class TestArrayDataset:
         norm = ds.normalized()
         assert abs(norm.images.mean()) < 1e-9
         assert norm.images.std() == pytest.approx(1.0, abs=0.01)
-
-
-class TestSplit:
-    def test_partition_complete_and_disjoint(self):
-        ds = ArrayDataset(np.arange(40).reshape(10, 1, 2, 2).astype(float),
-                          np.arange(10) % 3)
-        train, test = train_test_split(ds, test_fraction=0.3, seed=1)
-        assert len(train) + len(test) == 10
-        train_set = {tuple(x.ravel()) for x in train.images}
-        test_set = {tuple(x.ravel()) for x in test.images}
-        assert not train_set & test_set
-
-    def test_deterministic_by_seed(self):
-        ds = ArrayDataset(np.random.default_rng(0).normal(size=(20, 1, 2, 2)),
-                          np.zeros(20, dtype=int))
-        a1, _ = train_test_split(ds, seed=7)
-        a2, _ = train_test_split(ds, seed=7)
-        np.testing.assert_allclose(a1.images, a2.images)
-
-    def test_invalid_fraction(self):
-        ds = ArrayDataset(np.zeros((4, 1, 1, 1)), np.zeros(4, dtype=int))
-        with pytest.raises(ValueError):
-            train_test_split(ds, test_fraction=0.0)
 
 
 class TestDataLoader:
@@ -152,17 +129,6 @@ class TestAugmentations:
         img = np.ones((3, 8, 8))
         out = random_shift(img, 2, np.random.default_rng(1))
         assert out.shape == img.shape
-
-    def test_flip_probability_one(self):
-        img = np.arange(8.0).reshape(1, 2, 4)
-        out = random_flip(img, np.random.default_rng(0), p=1.0)
-        np.testing.assert_allclose(out, img[..., ::-1])
-
-    def test_flip_probability_zero(self):
-        img = np.arange(8.0).reshape(1, 2, 4)
-        np.testing.assert_allclose(
-            random_flip(img, np.random.default_rng(0), p=0.0), img
-        )
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.01, 1.0))

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.nn as nn
+from repro.autograd import functional as F
 from repro.compensation import CompensationPlan
 from repro.evaluation import (
     accuracy,
@@ -33,6 +35,17 @@ from repro.variation import (
     NoVariation,
     weighted_layers,
 )
+
+
+class _ClassAxisSoftmax(nn.Module):
+    """Softmax over axis 1 of (N, K) logits. A stacked (S, N, K) input
+    would put the images on that axis, so the module is not sample-aware:
+    a model holding it runs the per-draw loop form."""
+
+    sample_aware = False
+
+    def forward(self, x):
+        return F.softmax(x, axis=1)
 
 
 def _families(lenet, seed=1):
@@ -169,10 +182,8 @@ class TestPlanBuilding:
             ("vectorized", 2, pooled, None)
 
     def test_unsupported_model_falls_back(self):
-        import repro.nn as nn
-
         model = nn.Sequential(nn.Flatten(), nn.Linear(4, 3, seed=0),
-                              nn.Softmax(axis=1))
+                              _ClassAxisSoftmax())
         model.eval()
         plan = build_plan(model, LogNormalVariation(0.3),
                           n_samples=3, seed=0, vectorized=True)
@@ -185,17 +196,16 @@ class TestPlanBuilding:
 
     def test_fallback_reason_names_blocking_modules(self):
         """A denied vectorized request must say *which* modules blocked it
-        (axis-1 Softmax here), not just silently pick a slower backend."""
-        import repro.nn as nn
-
+        (a module without ``sample_aware`` here), not just silently pick a
+        slower backend."""
         model = nn.Sequential(nn.Flatten(), nn.Linear(4, 3, seed=0),
-                              nn.Softmax(axis=1))
+                              _ClassAxisSoftmax())
         model.eval()
         plan = build_plan(model, LogNormalVariation(0.3),
                           n_samples=3, seed=0, vectorized=True)
         assert plan.backend_reason is not None
         assert "fell back to the loop backend" in plan.backend_reason
-        assert "2 (Softmax)" in plan.backend_reason
+        assert "2 (_ClassAxisSoftmax)" in plan.backend_reason
         pool_plan = build_plan(model, LogNormalVariation(0.3),
                                n_samples=3, seed=0, vectorized=True,
                                n_workers=2)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.nn as nn
+from repro.autograd import functional as F
 from repro.data import ArrayDataset
 from repro.evaluation import (
     ErrorPropagationTracer, MonteCarloEvaluator, accuracy, build_plan, execute,
@@ -21,6 +22,17 @@ from repro.variation import (
     GaussianVariation, LogNormalVariation, NoVariation, VariationInjector,
     from_string, to_string, weighted_layers,
 )
+
+
+class _ClassAxisSoftmax(nn.Module):
+    """Softmax over axis 1 of (N, K) logits. A stacked (S, N, K) input
+    would put the images on that axis, so the module is not sample-aware:
+    a model holding it runs the per-draw loop form."""
+
+    sample_aware = False
+
+    def forward(self, x):
+        return F.softmax(x, axis=1)
 
 
 class _ConstantModel(nn.Module):
@@ -351,13 +363,12 @@ class TestVectorizedEngine:
         assert result.accuracies == [clean] * 4
 
     def test_unsupported_model_falls_back_to_loop(self, blob_dataset):
-        """A model without sample-aware kernels (here: a batch-axis
-        softmax) silently uses the reference loop under vectorized=True."""
-        import repro.nn as nn
+        """A model holding a module that is not sample-aware silently
+        uses the reference loop under vectorized=True."""
         from repro.evaluation import supports_sample_axis
         model = nn.Sequential(nn.Flatten(), nn.Linear(4, 8, seed=0),
                               nn.ReLU(), nn.Linear(8, 3, seed=1),
-                              nn.Softmax(axis=1))
+                              _ClassAxisSoftmax())
         model.eval()
         assert not supports_sample_axis(model)
         loop = MonteCarloEvaluator(blob_dataset, n_samples=3, seed=2,
@@ -373,14 +384,12 @@ class TestVectorizedEngine:
         broadcasting, so BN models now qualify for the vectorized engine —
         and stay bitwise-paired with the reference loop. In training mode
         the batch statistics are not stacked-safe, so support is off."""
-        import repro.nn as nn
         from repro.evaluation import supports_sample_axis
-        from repro.nn.batchnorm import BatchNorm1d
-        model = nn.Sequential(nn.Flatten(), nn.Linear(4, 8, seed=0),
-                              BatchNorm1d(8), nn.ReLU(),
-                              nn.Linear(8, 3, seed=1))
+        model = nn.Sequential(nn.Conv2d(1, 8, 1, seed=0), nn.BatchNorm2d(8),
+                              nn.ReLU(), nn.Flatten(),
+                              nn.Linear(32, 3, seed=1))
         # Non-trivial running stats so the fold actually does something.
-        bn = model[2]
+        bn = model[1]
         rng = np.random.default_rng(0)
         bn.set_buffer("running_mean", rng.normal(size=8))
         bn.set_buffer("running_var", 0.5 + rng.random(8))

@@ -512,12 +512,10 @@ class TestAxisRulesCoverRepo:
         import repro.nn as nn
         from repro.models import AttnMLP, BasicBlock, ResNet8
 
-        for cls in (nn.Add, nn.Concat, nn.Residual, nn.GlobalAvgPool2d,
-                    nn.LayerNorm, nn.SelfAttention, BasicBlock, ResNet8,
-                    AttnMLP):
+        for cls in (nn.Residual, nn.GlobalAvgPool2d, nn.LayerNorm,
+                    nn.SelfAttention, BasicBlock, ResNet8, AttnMLP):
             # declared on the class or inherited from a project base other
-            # than Module itself (Add/Concat inherit from _Branches) —
-            # exactly what AXS001 accepts
+            # than Module itself — exactly what AXS001 accepts
             assert any(
                 "sample_aware" in vars(base)
                 for base in cls.__mro__

@@ -52,16 +52,6 @@ class TestActivations:
         out = nn.ReLU()(Tensor(np.array([-1.0, 1.0])))
         np.testing.assert_allclose(out.data, [0.0, 1.0])
 
-    def test_softmax_module_rows_sum_one(self):
-        out = nn.Softmax()(Tensor(np.random.default_rng(0).normal(size=(3, 5))))
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(3))
-
-    def test_tanh_sigmoid_ranges(self):
-        x = Tensor(np.linspace(-5, 5, 11))
-        assert (np.abs(nn.Tanh()(x).data) <= 1).all()
-        s = nn.Sigmoid()(x).data
-        assert ((s >= 0) & (s <= 1)).all()
-
 
 class TestContainers:
     def test_flatten(self):
@@ -99,23 +89,6 @@ class TestContainers:
         assert [type(m) for m in seq] == [nn.Linear, nn.ReLU]
 
 
-class TestDropoutLayer:
-    def test_eval_identity(self):
-        layer = nn.Dropout(0.9, seed=0)
-        layer.eval()
-        x = Tensor(np.ones(50))
-        np.testing.assert_allclose(layer(x).data, x.data)
-
-    def test_train_zeroes_some(self):
-        layer = nn.Dropout(0.5, seed=0)
-        out = layer(Tensor(np.ones(1000)))
-        assert (out.data == 0).sum() > 300
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.5)
-
-
 class TestBatchNorm:
     def test_normalizes_in_training(self):
         bn = nn.BatchNorm2d(3)
@@ -125,8 +98,8 @@ class TestBatchNorm:
         assert out.std() == pytest.approx(1.0, abs=0.01)
 
     def test_eval_uses_running_stats(self):
-        bn = nn.BatchNorm1d(2)
-        x = np.random.default_rng(0).normal(3.0, 2.0, size=(64, 2))
+        bn = nn.BatchNorm2d(2)
+        x = np.random.default_rng(0).normal(3.0, 2.0, size=(64, 2, 3, 3))
         for _ in range(50):
             bn(Tensor(x))
         bn.eval()
@@ -136,15 +109,13 @@ class TestBatchNorm:
     def test_wrong_rank_raises(self):
         with pytest.raises(ValueError):
             nn.BatchNorm2d(2)(Tensor(np.zeros((2, 2))))
+        bn = nn.BatchNorm2d(2)
+        bn.eval()
         with pytest.raises(ValueError):
-            nn.BatchNorm1d(2)(Tensor(np.zeros((2, 2, 2, 2))))
+            bn(Tensor(np.zeros((2, 2, 2))))
 
 
 class TestLosses:
-    def test_mse_value(self):
-        loss = nn.MSELoss()(Tensor(np.array([1.0, 2.0])), np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-
     def test_cross_entropy_module(self):
         loss = nn.CrossEntropyLoss()(
             Tensor(np.zeros((2, 4))), np.array([0, 1])

@@ -88,10 +88,10 @@ class TestStateDict:
             np.testing.assert_allclose(a.data, b.data)
 
     def test_batchnorm_buffers_roundtrip(self):
-        bn = nn.BatchNorm1d(3)
+        bn = nn.BatchNorm2d(3)
         bn.set_buffer("running_mean", np.array([1.0, 2.0, 3.0]))
         state = bn.state_dict()
-        bn2 = nn.BatchNorm1d(3)
+        bn2 = nn.BatchNorm2d(3)
         bn2.load_state_dict(state)
         np.testing.assert_allclose(bn2.running_mean, [1.0, 2.0, 3.0])
 

@@ -2,10 +2,10 @@
 
 Fan-in nodes must combine branch outputs that disagree on stacked-ness
 (only some branches contain varied layers). These tests pin the layout
-rules of ``fanin_add`` / ``fanin_concat`` — batch-major {2,3}/{3,4}
-broadcasts, the channel-major {4,5} conv alignment — slice-by-slice
-against the unstacked reference, plus gradient flow through the lifted
-operands, and the stacked/unstacked parity of the new structural layers.
+rules of ``fanin_add`` — batch-major {2,3}/{3,4} broadcasts, the
+channel-major {4,5} conv alignment — slice-by-slice against the unstacked
+reference, plus gradient flow through the lifted operands, and the
+stacked/unstacked parity of the structural layers.
 """
 
 import numpy as np
@@ -14,8 +14,6 @@ import pytest
 import repro.nn as nn
 from repro.autograd import functional as F, Tensor
 from repro.nn import (
-    Add,
-    Concat,
     GlobalAvgPool2d,
     LayerNorm,
     Residual,
@@ -101,60 +99,6 @@ class TestFaninAdd:
             F.fanin_add(_t((2, 2, 3, 4, 4), 0), _t((3, 4), 1))
 
 
-class TestFaninConcat:
-    def test_channel_equal_rank(self):
-        a, b = _t((2, 3, 4, 4), 0), _t((2, 5, 4, 4), 1)
-        out = F.fanin_concat([a, b], kind="channel")
-        np.testing.assert_array_equal(
-            out.data, np.concatenate([a.data, b.data], axis=1)
-        )
-
-    def test_channel_mixed_each_slice_matches_loop(self):
-        """Stacked (S, C1, N, H, W) ++ unstacked (N, C2, H, W): every
-        stacked slice, read back in batch-major, equals the unstacked
-        concatenation the reference loop computes."""
-        stacked, maps = _t((3, 4, 2, 5, 5), 0), _t((2, 6, 5, 5), 1)
-        out = F.fanin_concat([stacked, maps], kind="channel")
-        assert out.shape == (3, 10, 2, 5, 5)
-        for s in range(3):
-            np.testing.assert_array_equal(
-                out.data[s].transpose(1, 0, 2, 3),
-                np.concatenate(
-                    [stacked.data[s].transpose(1, 0, 2, 3), maps.data], axis=1
-                ),
-            )
-
-    def test_feature_mixed_each_slice_matches_loop(self):
-        stacked, flat = _t((4, 3, 5), 0), _t((3, 2), 1)
-        out = F.fanin_concat([stacked, flat], kind="feature")
-        assert out.shape == (4, 3, 7)
-        for s in range(4):
-            np.testing.assert_array_equal(
-                out.data[s], np.concatenate([stacked.data[s], flat.data], axis=-1)
-            )
-
-    def test_gradient_through_broadcast_lift(self):
-        stacked = _t((4, 3, 5), 0, requires_grad=True)
-        flat = _t((3, 2), 1, requires_grad=True)
-        F.fanin_concat([stacked, flat], kind="feature").sum().backward()
-        np.testing.assert_array_equal(stacked.grad, np.ones((4, 3, 5)))
-        np.testing.assert_array_equal(flat.grad, np.full((3, 2), 4.0))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            F.fanin_concat([_t((2, 3), 0), _t((2, 3), 1)], kind="spatial")
-
-    def test_rank_outside_kind_layouts_rejected(self):
-        # rank 5 is a stacked conv layout, not a feature layout
-        with pytest.raises(ValueError, match="incompatible"):
-            F.fanin_concat(
-                [_t((2, 3, 4, 4, 4), 0), _t((3, 4, 4, 4), 1)], kind="feature"
-            )
-        # rank 2/3 features are not channel layouts
-        with pytest.raises(ValueError, match="incompatible"):
-            F.fanin_concat([_t((2, 3), 0), _t((4, 2, 3), 1)], kind="channel")
-
-
 class TestCanonicalWalk:
     """The one traversal every layer-ordering consumer shares."""
 
@@ -214,32 +158,6 @@ class TestCanonicalWalk:
 
 
 class TestBranchContainers:
-    def test_add_matches_manual_sum(self):
-        add = Add(nn.Identity(), nn.Identity(), nn.Identity())
-        x = _t((2, 3), 0)
-        np.testing.assert_array_equal(add(x).data, 3.0 * x.data)
-
-    def test_needs_two_branches(self):
-        with pytest.raises(ValueError, match="at least two"):
-            Add(nn.Identity())
-
-    def test_branches_in_registration_order(self):
-        first, second = nn.Linear(3, 3, seed=0), nn.Identity()
-        add = Add(first, second)
-        assert list(add.branches()) == [first, second]
-        assert len(add) == 2 and add[0] is first and add[1] is second
-
-    def test_concat_kind_validated(self):
-        with pytest.raises(ValueError, match="kind"):
-            Concat(nn.Identity(), nn.Identity(), kind="spatial")
-
-    def test_concat_forward(self):
-        cat = Concat(nn.Identity(), nn.Identity(), kind="feature")
-        x = _t((2, 3), 0)
-        np.testing.assert_array_equal(
-            cat(x).data, np.concatenate([x.data, x.data], axis=-1)
-        )
-
     def test_residual_default_identity_shortcut(self):
         res = Residual(nn.Identity())
         x = _t((2, 3), 0)

@@ -1,11 +1,16 @@
-"""Public API surface: every documented name imports and __all__ is honest."""
+"""Public API surface: every documented name imports, __all__ is honest,
+and every exported name has a caller outside the tests."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SUBPACKAGES = [
     "repro.autograd",
@@ -85,3 +90,73 @@ class TestPublicAPI:
                              capture_output=True, text=True, env=env,
                              check=True)
         assert out.stdout.strip() == "[]"
+
+
+#: Exported names that nothing outside the tests calls, each with the
+#: reason it stays exported. A name here that gains a caller fails the
+#: guard too, so the map cannot go stale.
+KEPT = {
+    "gradcheck": "test tooling: checks an op's backward against central "
+                 "differences (tests/test_autograd_gradcheck.py)",
+    "ErrorPropagationTracer": "Fig. 4's per-layer error instrument, which "
+                              "tests/test_integration_suppression.py asserts",
+}
+
+
+def _caller_files():
+    """The program's own sources: the library, the paper benchmarks, the
+    examples and the benchmark harness (not its tests or its outputs)."""
+    yield from sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    yield from sorted((REPO_ROOT / "benchmarks").rglob("*.py"))
+    yield from sorted((REPO_ROOT / "examples").rglob("*.py"))
+    yield from sorted((REPO_ROOT / "perfbench").glob("*.py"))
+
+
+def _exports_and_uses():
+    """``({exported name: where it is exported}, {used names})``.
+
+    A use is a loaded name, an attribute, an imported name or a component
+    of an import's module path. An ``__init__.py`` import is a re-export,
+    not a use, and neither an ``__all__`` entry nor a definition counts.
+    """
+    exports, uses = {}, set()
+    for path in _caller_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reexports = path.name == "__init__.py"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                where = str(path.relative_to(REPO_ROOT))
+                for entry in node.value.elts:
+                    exports.setdefault(entry.value, where)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                uses.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexports:
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    uses.update(node.module.split("."))
+                for alias in node.names:
+                    uses.update(alias.name.split("."))
+    return exports, uses
+
+
+def test_every_export_has_a_caller():
+    """The library exports only what CorrectNet's flows call: every name
+    in an ``__all__`` is used by ``src/``, ``benchmarks/``, ``examples/``
+    or ``perfbench/``, or is in ``KEPT`` with a reason."""
+    exports, uses = _exports_and_uses()
+    uncalled = {name for name in exports if name not in uses}
+    dead = sorted(uncalled - set(KEPT))
+    assert not dead, (
+        "exported, but nothing outside the tests uses it: "
+        + ", ".join(f"{name} ({exports[name]})" for name in dead)
+        + ". Delete it, or add it to KEPT with the reason it stays."
+    )
+    stale = sorted(set(KEPT) - uncalled)
+    assert not stale, (
+        f"KEPT names that are no longer uncalled exports: {stale}. "
+        "Drop them from KEPT."
+    )

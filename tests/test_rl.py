@@ -9,7 +9,6 @@ from repro.data import ArrayDataset
 from repro.models import LeNet5
 from repro.rl import (
     CompensationEnv, ReinforceAgent, RLSearch, RNNPolicy, exhaustive_search,
-    random_search,
 )
 from repro.variation import LogNormalVariation
 
@@ -168,21 +167,3 @@ class TestSearch:
         outcome = exhaustive_search(env, ratio=0.5)
         assert not outcome.skipped
         assert env.overhead_limit == 1e-9  # restored
-
-    def test_random_search_control(self):
-        env = _tiny_env()
-        result = random_search(env, episodes=4, ratio_choices=(0.0, 0.5),
-                               seed=1)
-        assert len(result.explored) == 4
-        assert result.best.reward == max(
-            o.reward for o in result.explored
-            if o.skipped == result.best.skipped
-        )
-
-    def test_random_search_deterministic_by_seed(self):
-        env = _tiny_env()
-        a = random_search(env, episodes=3, seed=7)
-        b = random_search(env, episodes=3, seed=7)
-        assert [o.plan.ratios for o in a.explored] == [
-            o.plan.ratios for o in b.explored
-        ]

@@ -8,7 +8,6 @@ import pytest
 from repro.utils import (
     format_table, get_logger, new_rng, set_verbosity, spawn_rngs,
 )
-from repro.utils.rng import RngMixin
 
 
 class TestRng:
@@ -33,16 +32,6 @@ class TestRng:
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-    def test_mixin_reseed(self):
-        class Thing(RngMixin):
-            pass
-
-        t = Thing()
-        t.reseed(3)
-        first = t.rng.random()
-        t.reseed(3)
-        assert t.rng.random() == first
 
 
 class TestTables:

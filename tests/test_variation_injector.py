@@ -7,7 +7,7 @@ import repro.nn as nn
 from repro.autograd import Tensor
 from repro.compensation import CompensationPlan
 from repro.variation import (
-    LogNormalVariation, VariationInjector, perturbed, weighted_layers,
+    LogNormalVariation, VariationInjector, weighted_layers,
 )
 
 
@@ -29,9 +29,11 @@ class TestWeightedLayers:
 
 
 class TestPerturbed:
+    """``VariationInjector.applied``: perturb in place, restore on exit."""
+
     def test_weights_restored_after_context(self, lenet):
         before = _snapshot(lenet)
-        with perturbed(lenet, LogNormalVariation(0.5), seed=0):
+        with VariationInjector(lenet, LogNormalVariation(0.5)).applied(0):
             pass
         after = _snapshot(lenet)
         for name in before:
@@ -39,7 +41,7 @@ class TestPerturbed:
 
     def test_weights_changed_inside_context(self, lenet):
         before = _snapshot(lenet)
-        with perturbed(lenet, LogNormalVariation(0.5), seed=0):
+        with VariationInjector(lenet, LogNormalVariation(0.5)).applied(0):
             inside = _snapshot(lenet)
         changed = any(
             not np.allclose(before[n], inside[n])
@@ -49,7 +51,7 @@ class TestPerturbed:
 
     def test_biases_untouched(self, lenet):
         before = _snapshot(lenet)
-        with perturbed(lenet, LogNormalVariation(0.9), seed=0):
+        with VariationInjector(lenet, LogNormalVariation(0.9)).applied(0):
             inside = _snapshot(lenet)
         for name in before:
             if name.endswith("bias"):
@@ -58,7 +60,7 @@ class TestPerturbed:
     def test_restores_on_exception(self, lenet):
         before = _snapshot(lenet)
         with pytest.raises(RuntimeError):
-            with perturbed(lenet, LogNormalVariation(0.5), seed=0):
+            with VariationInjector(lenet, LogNormalVariation(0.5)).applied(0):
                 raise RuntimeError("boom")
         after = _snapshot(lenet)
         for name in before:
@@ -66,7 +68,7 @@ class TestPerturbed:
 
     def test_layer_subset_only(self, lenet):
         before = _snapshot(lenet)
-        with perturbed(lenet, "lognormal:0.8;@0=none;@1=none", seed=0):
+        with VariationInjector(lenet, "lognormal:0.8;@0=none;@1=none").applied(0):
             inside = _snapshot(lenet)
         # first two conv weights untouched
         np.testing.assert_array_equal(before["net.0.weight"],
@@ -76,9 +78,9 @@ class TestPerturbed:
         assert not np.allclose(before["net.7.weight"], inside["net.7.weight"])
 
     def test_seed_reproducible(self, lenet):
-        with perturbed(lenet, LogNormalVariation(0.5), seed=11):
+        with VariationInjector(lenet, LogNormalVariation(0.5)).applied(11):
             a = lenet._modules["net"][0].weight.data.copy()
-        with perturbed(lenet, LogNormalVariation(0.5), seed=11):
+        with VariationInjector(lenet, LogNormalVariation(0.5)).applied(11):
             b = lenet._modules["net"][0].weight.data.copy()
         np.testing.assert_array_equal(a, b)
 
@@ -107,7 +109,7 @@ class TestProtectionMasks:
                 gen_before = module.weight.data.copy()
                 gen_module = module
                 break
-        with perturbed(comp, LogNormalVariation(0.9), seed=0):
+        with VariationInjector(comp, LogNormalVariation(0.9)).applied(0):
             np.testing.assert_array_equal(gen_module.weight.data, gen_before)
 
 

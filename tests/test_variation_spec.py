@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.evaluation.montecarlo import MonteCarloEvaluator
+from repro.utils.digest import canonical_json
 from repro.variation import (
     ColumnCorrelatedVariation,
     Compose,
@@ -42,6 +44,44 @@ ALL_LEAVES = [
     ConductanceDrift(1e5, nu_median=0.03, nu_sigma=0.2),
 ]
 
+_LEAF_SPECS = st.one_of(
+    st.just(NoVariation()),
+    st.builds(LogNormalVariation, st.floats(0.0, 2.0)),
+    st.builds(GaussianVariation, st.floats(0.0, 1.0)),
+    st.builds(ColumnCorrelatedVariation, st.floats(0.0, 1.0)),
+    st.builds(StateDependentVariation, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(StuckAtFaults, st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    st.builds(LevelQuantization, st.integers(1, 8)),
+    st.builds(ConductanceDrift, st.floats(1.0, 1e17), st.floats(0.0, 0.1),
+              st.floats(0.0, 1.0)),
+)
+_CHAIN_SPECS = st.one_of(
+    _LEAF_SPECS, st.lists(_LEAF_SPECS, min_size=2, max_size=3).map(Compose)
+)
+#: Layer indices, module names, and digit-named modules (the children of a
+#: bare Sequential), which the string grammar cannot tell from indices.
+_LAYER_KEYS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["net.0", "head", "attn_block.body.1.q_proj", "3", "-1"]),
+)
+_MAP_PARTS = st.one_of(
+    _CHAIN_SPECS,
+    st.builds(LayerMap, _CHAIN_SPECS,
+              st.dictionaries(_LAYER_KEYS, _CHAIN_SPECS, min_size=1, max_size=2)),
+)
+
+
+def _grammar_expressible(spec):
+    """Chains under at most one top-level LayerMap, keyed by indices or by
+    names that are not digits: what ``to_string`` documents it can print."""
+    if not isinstance(spec, LayerMap):
+        return True
+    parts = [spec.default, *spec.overrides.values()]
+    return not any(isinstance(part, LayerMap) for part in parts) and not any(
+        isinstance(key, str) and key.lstrip("-").isdigit()
+        for key in spec.overrides
+    )
+
 
 class TestRegistryRoundTrips:
     @pytest.mark.parametrize("model", ALL_LEAVES, ids=lambda m: type(m).__name__)
@@ -70,6 +110,35 @@ class TestRegistryRoundTrips:
         )
         assert from_dict(json.loads(json.dumps(to_dict(spec)))) == spec
         assert from_string(to_string(spec)) == spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(default=_MAP_PARTS,
+           overrides=st.none() | st.dictionaries(_LAYER_KEYS, _MAP_PARTS,
+                                                  max_size=3))
+    def test_generated_specs_round_trip_to_one_fingerprint(self, default,
+                                                           overrides):
+        """Over leaves, chains and LayerMaps: the dict round trip is exact;
+        the string round trip is exact, or ``to_string`` refuses the spec
+        for one of its two documented reasons; and the fingerprint payload
+        is the same after either. A LayerMap without overrides would be a
+        second spelling of its default, so it cannot be built."""
+        if overrides == {}:
+            with pytest.raises(ValueError, match="at least one override"):
+                LayerMap(default, overrides)
+            return
+        spec = default if overrides is None else LayerMap(default, overrides)
+        fingerprint = canonical_json(to_dict(spec))
+        via_dict = from_dict(json.loads(json.dumps(to_dict(spec))))
+        assert via_dict == spec
+        assert canonical_json(to_dict(via_dict)) == fingerprint
+        if not _grammar_expressible(spec):
+            with pytest.raises(ValueError,
+                               match="to_dict instead|inside a chain"):
+                to_string(spec)
+            return
+        via_string = from_string(to_string(spec))
+        assert via_string == spec
+        assert canonical_json(to_dict(via_string)) == fingerprint
 
     def test_layermap_digit_named_module_keys_survive_json(self):
         """Bare Sequential models have digit-string qualified names ('3');
@@ -504,14 +573,12 @@ class TestBackCompatShims:
     def test_bare_model_still_works_everywhere(self, mlp, blob_dataset):
         """The pre-spec calling convention — a lone VariationModel threaded
         positionally — is untouched."""
-        from repro.variation import perturbed
-
         model = LogNormalVariation(0.5)
         ev = MonteCarloEvaluator(blob_dataset, n_samples=3, seed=1)
         assert len(ev.evaluate(mlp, model).accuracies) == 3
-        with perturbed(mlp, model, seed=0):
-            pass
         injector = VariationInjector(mlp, model)
+        with injector.applied(0):
+            pass
         assert injector.variation is model
 
     def test_trainer_accepts_spec_string(self, mlp, blob_dataset):
