@@ -143,10 +143,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """A tensor sharing data but cut from the tape."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 

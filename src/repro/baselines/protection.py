@@ -4,7 +4,7 @@ online.
 Charan et al. (DAC 2020) replicate statistically important weights into
 SRAM (variation-free) and optionally adapt them on-line per manufactured
 chip. Here importance is weight magnitude, protection is a mask holding
-those entries at nominal value during variation injection, and online
+those entries at nominal value on top of each variation draw, and online
 adaptation retrains exactly the protected entries for each variation sample
 (each "chip") before measuring accuracy.
 """
@@ -21,7 +21,7 @@ from repro.data.dataset import ArrayDataset
 from repro.data.loader import DataLoader
 from repro.evaluation.metrics import accuracy
 from repro.nn.loss import CrossEntropyLoss
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.utils.rng import spawn_rngs, SeedLike
 from repro.nn.graph import weighted_layers
 from repro.variation.injector import VariationInjector
@@ -51,6 +51,13 @@ class ImportantWeightProtection:
     def overhead(self) -> float:
         return masks_overhead(self.model, self.masks)
 
+    def _weights(self) -> Dict[str, Parameter]:
+        """``{qualified weight name: parameter}``, keyed like the masks."""
+        return {
+            f"{name}.weight": layer._parameters["weight"]
+            for name, layer in weighted_layers(self.model)
+        }
+
     def _adapt_protected(
         self,
         train_data: ArrayDataset,
@@ -62,10 +69,7 @@ class ImportantWeightProtection:
         """Online adaptation: masked SGD on the protected entries only,
         against the *currently programmed* (perturbed) network."""
         loss_fn = CrossEntropyLoss()
-        params = {
-            f"{name}.weight": layer._parameters["weight"]
-            for name, layer in weighted_layers(self.model)
-        }
+        params = self._weights()
         loader = DataLoader(train_data, batch_size=batch_size, seed=rng)
         done = 0
         while done < steps:
@@ -100,15 +104,23 @@ class ImportantWeightProtection:
         sample."""
         if online_retraining and train_data is None:
             raise ValueError("online retraining requires train_data")
-        injector = VariationInjector(
-            self.model, variation, protection_masks=self.masks
-        )
+        injector = VariationInjector(self.model, variation)
+        # Masked entries are held at nominal on top of each draw, on the
+        # injector's targets only, so its restore covers them.
+        targets = {id(param) for param in injector.target_parameters()}
+        protected = [
+            (param, param.data, self.masks[name])
+            for name, param in self._weights().items()
+            if name in self.masks and id(param) in targets
+        ]
         accuracies = []
         was_training = self.model.training
         self.model.eval()
         try:
             for rng in spawn_rngs(seed, n_samples):
                 with injector.applied(rng):
+                    for param, nominal, mask in protected:
+                        param.data = np.where(mask, nominal, param.data)
                     if online_retraining:
                         self._adapt_protected(
                             train_data, adapt_steps, adapt_lr, batch_size, rng

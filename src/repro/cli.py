@@ -40,7 +40,7 @@ from repro.evaluation.metrics import accuracy
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.lipschitz.bounds import lambda_bound
 from repro.lipschitz.regularizer import OrthogonalityRegularizer
-from repro.models.registry import build_model
+from repro.models.registry import available_models, build_model
 from repro.optim.optimizers import Adam
 from repro.utils.logging import set_verbosity
 from repro.utils.tables import format_table
@@ -59,7 +59,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
         default="lenet5",
-        help="lenet5|vgg16|vgg11|vgg16bn|vgg11bn|resnet8|resnet8bn|attnmlp|mlp",
+        help="|".join(available_models()),
     )
     parser.add_argument(
         "--dataset", default="synth_mnist", help=f"{list(DATASET_FACTORIES)}"

@@ -32,7 +32,7 @@ from repro.variation.models import VariationModel
 from repro.variation.spec import parse_spec, to_dict as spec_to_dict, VariationLike
 
 #: Fit memo: content key -> the state a fit changed (the trainable
-#: generator/compensator parameters and every buffer).
+#: generator/compensator parameters).
 FitMemo = Dict[str, Dict[str, np.ndarray]]
 
 

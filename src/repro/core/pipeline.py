@@ -72,21 +72,6 @@ class CorrectNetResult:
             len(self.compensated_layers),
         ]
 
-    def as_dict(self) -> Dict:
-        """JSON-serializable summary (for ResultStore / EXPERIMENTS.md)."""
-        return {
-            "original_accuracy": self.original_accuracy,
-            "degraded_mean": self.degraded.mean,
-            "degraded_std": self.degraded.std,
-            "corrected_mean": self.corrected.mean,
-            "corrected_std": self.corrected.std,
-            "overhead": self.overhead,
-            "compensated_layers": list(self.compensated_layers),
-            "candidates": list(self.candidates),
-            "plan": {int(k): float(v) for k, v in self.plan.ratios.items()},
-            "recovery": self.recovery,
-        }
-
 
 class CorrectNet:
     """Drive the full error-suppression + error-compensation flow.

@@ -66,9 +66,6 @@ class ArrayDataset(Dataset):
     def image_shape(self) -> Tuple[int, int, int]:
         return tuple(self.images.shape[1:])
 
-    def subset(self, indices: np.ndarray) -> "ArrayDataset":
-        return ArrayDataset(self.images[indices], self.labels[indices])
-
     def normalized(self, mean=None, std=None) -> "ArrayDataset":
         """Return a per-channel standardized copy (mean 0, std 1 by default
         from this dataset's own statistics)."""

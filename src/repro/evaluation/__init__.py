@@ -8,8 +8,8 @@ last layer" experiment — each point a :func:`tail_spec` — from which
 :func:`select_candidates` derives the compensation-candidate prefix.
 :class:`ErrorPropagationTracer` measures the per-layer feature
 deviations that motivate error suppression (Fig. 4).
-Sequential stopping (``evaluate(tolerance=...)``) lives in
-``repro.evaluation.sequential``: the one 95% CLT interval and the
+Sequential stopping (``MonteCarloEvaluator(..., tolerance=...)``) lives
+in ``repro.evaluation.sequential``: the one 95% CLT interval and the
 :class:`HalfWidthRule`. A sweep is one evaluation per point.
 """
 

@@ -40,7 +40,7 @@ form and at every worker count — the property downstream CI
 computation relies on.
 
 Eval dtype: a ``dtype="float32"`` plan evaluates a float32 *rounding* of
-the model — every parameter, buffer and image cast exactly once at run
+the model — every parameter and image cast exactly once at run
 scope (:func:`_dtype_scope` in-process, permanently on the worker's
 private copy in the pool) — while draws keep being generated in float64
 from the float32-rounded nominal and cast once
@@ -109,7 +109,7 @@ from repro.hardware.analog_layers import (
     analog_layers,
     preserved_programming,
 )
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.utils.logging import get_logger
 from repro.variation.injector import VariationInjector
 from repro.variation.models import VariationModel
@@ -221,33 +221,24 @@ def make_adapter(model: Module, plan: EvalPlan) -> ModelAdapter:
 # ---------------------------------------------------------------------------
 # Eval dtype
 # ---------------------------------------------------------------------------
-def _cast_model(model: Module, dtype: str) -> List[Tuple[Any, ...]]:
-    """Cast every parameter and buffer of ``model`` to ``dtype``, once.
+def _cast_model(model: Module, dtype: str) -> List[Tuple[Parameter, np.ndarray]]:
+    """Cast every parameter of ``model`` to ``dtype``, once.
 
-    Goes around the float64 coercion in ``Parameter``/``set_buffer`` by
-    assigning directly (the registration plumbing stays intact — only the
-    array contents change dtype). Returns the restore list
+    Goes around the float64 coercion in ``Parameter.__init__`` by
+    assigning ``data`` directly (the registration plumbing stays intact —
+    only the array contents change dtype). Returns the restore list
     :func:`_dtype_scope` unwinds; pool workers discard it (the cast is
-    permanent on their private copy). Shared parameters/modules are cast
-    exactly once.
+    permanent on their private copy). A shared parameter is cast exactly
+    once.
     """
-    saved: List[Tuple[Any, ...]] = []
+    saved: List[Tuple[Parameter, np.ndarray]] = []
     seen: set[int] = set()
-    for module in model.modules():
-        if id(module) in seen:
+    for param in model.parameters():
+        if id(param) in seen:
             continue
-        seen.add(id(module))
-        for param in module._parameters.values():
-            if id(param) in seen:
-                continue
-            seen.add(id(param))
-            saved.append(("param", param, param.data))
-            param.data = param.data.astype(dtype)
-        for name, buf in list(module._buffers.items()):
-            saved.append(("buffer", module, name, buf))
-            cast_buf = buf.astype(dtype)
-            module._buffers[name] = cast_buf
-            object.__setattr__(module, name, cast_buf)
+        seen.add(id(param))
+        saved.append((param, param.data))
+        param.data = param.data.astype(dtype)
     return saved
 
 
@@ -262,14 +253,8 @@ def _dtype_scope(model: Module, dtype: str) -> Iterator[None]:
     try:
         yield
     finally:
-        for entry in reversed(saved):
-            if entry[0] == "param":
-                _, param, data = entry
-                param.data = data
-            else:
-                _, module, name, buf = entry
-                module._buffers[name] = buf
-                object.__setattr__(module, name, buf)
+        for param, data in reversed(saved):
+            param.data = data
 
 
 def _cast_dataset(dataset: ArrayDataset, dtype: str) -> ArrayDataset:

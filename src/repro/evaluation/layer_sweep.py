@@ -64,9 +64,6 @@ def layer_sweep(
     model: Module,
     variation: "VariationLike",
     evaluator: MonteCarloEvaluator,
-    *,
-    tolerance: Optional[float] = None,
-    min_samples: Optional[int] = None,
 ) -> List[Tuple[int, MCResult]]:
     """Accuracy with variations injected from layer ``i`` to the last layer.
 
@@ -75,21 +72,13 @@ def layer_sweep(
 
     Point ``i`` is one
     :meth:`~repro.evaluation.montecarlo.MonteCarloEvaluator.evaluate` of
-    ``tail_spec(model, variation, i - 1)``, with ``tolerance`` and
-    ``min_samples`` passed through. Adaptive points stop on their own
+    ``tail_spec(model, variation, i - 1)``. An evaluator with a
+    ``tolerance`` makes every point adaptive, each stopping on its own
     rule: the absorbed late-layer tails stop early, the collapsing
     early-layer tails keep drawing.
     """
     return [
-        (
-            first + 1,
-            evaluator.evaluate(
-                model,
-                tail_spec(model, variation, first),
-                tolerance=tolerance,
-                min_samples=min_samples,
-            ),
-        )
+        (first + 1, evaluator.evaluate(model, tail_spec(model, variation, first)))
         for first in range(len(_layer_names(model)))
     ]
 

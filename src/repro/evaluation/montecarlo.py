@@ -41,13 +41,13 @@ grammar string (``"lognormal:0.5+quant:4"``), or a spec dict (see
 included (``repro.evaluation.layer_sweep.tail_spec``), are ``LayerMap``
 specs, so they run on weight-domain and analog models alike.
 
-Sequential (adaptive) evaluation: a ``tolerance`` — on the evaluator or
-per :meth:`~MonteCarloEvaluator.evaluate` call — turns ``n_samples`` into
-a cap and stops once the 95% confidence interval on mean accuracy is
-tighter than requested (see ``repro.evaluation.sequential``). The adaptive
-run's draws are a bitwise prefix of the fixed-S run on the same seed, on
-every backend. A sweep (:meth:`~MonteCarloEvaluator.sweep_sigma`,
-``repro.evaluation.layer_sweep.layer_sweep``) is one :meth:`evaluate`
+Sequential (adaptive) evaluation: the evaluator's ``tolerance`` turns
+``n_samples`` into a cap and stops once the 95% confidence interval on
+mean accuracy is tighter than requested (see
+``repro.evaluation.sequential``). The adaptive run's draws are a bitwise
+prefix of the fixed-S run on the same seed, on every backend. A sweep —
+a magnitude grid (Figs. 2 and 7: ``scale_to`` per point) or
+``repro.evaluation.layer_sweep.layer_sweep`` — is one :meth:`evaluate`
 call per point, so each point stops on its own rule and runs on the
 evaluator's form and workers.
 """
@@ -55,7 +55,7 @@ evaluator's form and workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from repro.evaluation.plan import build_plan
 from repro.evaluation.sequential import clt_interval, CONFIDENCE
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike
-from repro.variation.spec import parse_spec, scale_to, VariationLike
+from repro.variation.spec import VariationLike
 
 
 @dataclass
@@ -224,9 +224,9 @@ class MonteCarloEvaluator:
         speed. Results never depend on it, read noise included (see
         :mod:`repro.evaluation.plan`).
     tolerance:
-        Default CI half-width target for sequential stopping; ``None``
-        (the default) runs the paper's fixed-S protocol. ``n_samples``
-        becomes a cap when set. Overridable per :meth:`evaluate` call.
+        CI half-width target for sequential stopping; ``None`` (the
+        default) runs the paper's fixed-S protocol. ``n_samples`` becomes
+        a cap when set.
     min_samples:
         Lower draw bound before a stopping rule may fire; ``None`` uses
         the :class:`~repro.evaluation.sequential.HalfWidthRule` default.
@@ -283,45 +283,27 @@ class MonteCarloEvaluator:
         self.dtype = dtype
         self.clock = clock
 
-    def plan(
-        self,
-        model: Module,
-        variation: "VariationLike",
-        *,
-        tolerance: Optional[float] = None,
-        max_samples: Optional[int] = None,
-        min_samples: Optional[int] = None,
-    ):
+    def plan(self, model: Module, variation: "VariationLike"):
         """The :class:`~repro.evaluation.plan.EvalPlan` this evaluator
         would execute for ``model``/``variation`` — the introspectable
         form of :meth:`evaluate`'s dispatch. The model must be in the mode
-        it will be evaluated in (``evaluate`` forces eval mode).
-        ``tolerance``/``max_samples``/``min_samples`` override the
-        evaluator defaults for this plan only. A pure function of its
-        inputs: the ``clock`` never enters a plan."""
+        it will be evaluated in (``evaluate`` forces eval mode). A pure
+        function of its inputs: the ``clock`` never enters a plan."""
         return build_plan(
             model,
             variation,
-            n_samples=self.n_samples if max_samples is None else max_samples,
+            n_samples=self.n_samples,
             seed=self.seed,
             vectorized=self.vectorized,
             n_workers=self.n_workers,
             data_block=self.data_block,
             chunk_samples=self.chunk_samples,
-            tolerance=self.tolerance if tolerance is None else tolerance,
-            min_samples=self.min_samples if min_samples is None else min_samples,
+            tolerance=self.tolerance,
+            min_samples=self.min_samples,
             dtype=self.dtype,
         )
 
-    def evaluate(
-        self,
-        model: Module,
-        variation: "VariationLike",
-        *,
-        tolerance: Optional[float] = None,
-        max_samples: Optional[int] = None,
-        min_samples: Optional[int] = None,
-    ) -> MCResult:
+    def evaluate(self, model: Module, variation: "VariationLike") -> MCResult:
         """Accuracy over up to ``n_samples`` draws of ``variation``.
 
         ``variation`` is any spec form (model / grammar string / dict);
@@ -330,63 +312,20 @@ class MonteCarloEvaluator:
         evaluation. The form and the worker count follow the module
         docstring; every choice returns paired results for a seed.
 
-        ``tolerance`` (here or on the evaluator) enables sequential
-        stopping: draws run until, at one of the rule's looks, the
-        confidence interval on mean accuracy has half-width at most
-        ``tolerance``, or until the ``max_samples`` cap (default: the
-        evaluator's ``n_samples``) is reached. The draws evaluated are a
-        bitwise prefix of the fixed-S run on the same seed.
+        The evaluator's ``tolerance`` enables sequential stopping: draws
+        run until, at one of the rule's looks, the confidence interval on
+        mean accuracy has half-width at most ``tolerance``, or until the
+        ``n_samples`` cap is reached. The draws evaluated are a bitwise
+        prefix of the fixed-S run on the same seed.
 
         Monte-Carlo evaluation is an eval-mode protocol, so the model is
-        switched to eval mode up front (and restored afterwards) — this is
-        also what lets eval-only sample-aware kernels (batch norm's affine
-        fold) qualify for the stacked backends regardless of the mode the
-        caller left the model in.
+        switched to eval mode up front (and restored afterwards), whatever
+        mode the caller left it in.
         """
         was_training = model.training
         model.eval()
         try:
-            plan = self.plan(
-                model,
-                variation,
-                tolerance=tolerance,
-                max_samples=max_samples,
-                min_samples=min_samples,
-            )
+            plan = self.plan(model, variation)
             return execute(plan, model, self.dataset, clock=self.clock)
         finally:
             model.train(was_training)
-
-    def sweep_sigma(
-        self,
-        model: Module,
-        variation: "VariationLike",
-        sigmas: Sequence[float],
-        *,
-        tolerance: Optional[float] = None,
-        min_samples: Optional[int] = None,
-    ) -> List[MCResult]:
-        """Evaluate across a magnitude grid by rescaling ``variation``
-        (Fig. 2 / Fig. 7 x-axes). This is the grid form of
-        :func:`repro.variation.spec.scale_to`: each point is the same spec
-        rescaled so its reported magnitude equals the grid value — composed
-        specs scale every component, per-layer maps scale every override.
-        The base spec's magnitude must be non-zero so scaling is well
-        defined. A layer-subset spec (Fig. 9) keeps its silenced layers at
-        ``none`` at every point.
-
-        Each point is one :meth:`evaluate` call, with ``tolerance`` and
-        ``min_samples`` passed through: an adaptive point stops on its own
-        rule, and every point runs in the evaluator's form and workers."""
-        variation = parse_spec(variation)
-        if variation.magnitude <= 0:
-            raise ValueError("sweep requires a variation with positive magnitude")
-        return [
-            self.evaluate(
-                model,
-                scale_to(variation, sigma),
-                tolerance=tolerance,
-                min_samples=min_samples,
-            )
-            for sigma in sigmas
-        ]

@@ -177,8 +177,9 @@ def build_plan(
     """Resolve one Monte-Carlo evaluation into an :class:`EvalPlan`.
 
     ``model`` must already be in the mode it will be evaluated in (the
-    evaluator forces eval mode first): stacked-form eligibility via
-    ``supports_sample_axis`` is mode-dependent for batch norm.
+    evaluator forces eval mode first). Stacked-form eligibility is
+    ``supports_sample_axis``: every module's ``sample_aware`` class
+    constant.
 
     ``vectorized`` and ``n_workers`` are independent: the first picks the
     form, the second how many processes run it. Pool tasks are whole

@@ -7,27 +7,19 @@ the tree propagates the leading sample axis correctly, so eligibility is
 decided by explicit declaration rather than by trying and hoping:
 :func:`supports_sample_axis` admits a module when its class declares
 ``sample_aware`` truthy *and* all of its children do too. The
-declaration takes three forms (``reprolint``'s AXS001 rule enforces that
-every layer-library ``Module`` subclass picks one):
+declaration is one class constant (``reprolint``'s AXS001 rule enforces
+that every layer-library ``Module`` subclass declares it):
 
-- leaves set a class attribute (``Linear``, ``Conv2d``, ``ReLU``,
-  pooling, ``Flatten``, ``Identity``, the analog layers);
-- mode-dependent modules compute it: batch norm exposes a property that
-  is true **in eval mode only** — its eval forward is an affine
-  per-channel fold that broadcasts over a sample axis, while its
-  training forward computes batch statistics
-  whose axes a stacked layout would corrupt. The Monte-Carlo evaluator
-  forces eval mode before dispatching, so batch-norm models ride the
-  vectorized engine; the stacked-training path of
-  ``repro.core.training.Trainer`` sees ``training=True`` and correctly
-  falls back to the sequential loop;
-- containers and composite modules declare ``sample_aware = True`` when
-  their forward purely delegates (``Sequential``, ``MLP``, ``LeNet5``,
-  ``VGG``) or does its own stacked-layout-aware math on top of the
-  children — the compensation wrappers (``CompensatedConv2d`` /
-  ``CompensatedLinear``) handle stacked activations around their digital
-  generator/compensator, so compensated models ride this engine instead
-  of the loop (the RL search reward of ``repro.rl.env`` depends on this).
+- leaves set it when their forward broadcasts over a leading sample
+  axis (``Linear``, ``Conv2d``, ``ReLU``, pooling, ``Flatten``,
+  ``Identity``, ``LayerNorm``, the analog layers);
+- containers and composite modules set it when their forward purely
+  delegates (``Sequential``, ``MLP``, ``LeNet5``, ``VGG``, ``ResNet8``)
+  or does its own stacked-layout-aware math on top of the children — the
+  compensation wrappers (``CompensatedConv2d`` / ``CompensatedLinear``)
+  handle stacked activations around their digital generator/compensator,
+  so compensated models ride this engine instead of the loop (the RL
+  search reward of ``repro.rl.env`` depends on this).
 
 The analog crossbar layers (``AnalogLinear`` / ``AnalogConv2d``) are
 sample-aware leaves too: their forwards broadcast the whole DAC → MAC →
@@ -36,11 +28,11 @@ conductance planes (``TiledCrossbarArray.program_batch``), so analogized
 models ride the vectorized Monte-Carlo engine through its analog variant
 (see ``repro.evaluation.montecarlo``).
 
-Anything else — mode-sensitive custom modules — makes the evaluator fall
-back to the reference loop or the process pool. The ``sample_aware``
-attribute is a *promise* that the module's forward is covered by stacked
-kernel tests; see ``docs/ARCHITECTURE.md`` for the layout conventions a
-sample-aware forward must preserve.
+Anything else — a custom module without the declaration — makes the
+evaluator fall back to the reference loop or the process pool. The
+``sample_aware`` constant is a *promise* that the module's forward is
+covered by stacked kernel tests; see ``docs/ARCHITECTURE.md`` for the
+layout conventions a sample-aware forward must preserve.
 """
 
 from __future__ import annotations
@@ -64,10 +56,9 @@ def supports_sample_axis(module: Module) -> bool:
     """True when every module in the tree handles a leading sample axis.
 
     Entirely attribute-driven: a module is admitted when its
-    ``sample_aware`` declaration (class attribute, instance attribute, or
-    property — see the module docstring) is truthy and every child is
-    admitted too. No declaration means not admitted: falling back to the
-    loop engine is always correct, just slower.
+    ``sample_aware`` declaration (see the module docstring) is truthy and
+    every child is admitted too. No declaration means not admitted:
+    falling back to the loop engine is always correct, just slower.
     """
     if not getattr(module, "sample_aware", False):
         return False

@@ -18,12 +18,12 @@ Implementation notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 from repro.nn.graph import weighted_layers
 
 
@@ -37,36 +37,24 @@ class OrthogonalityRegularizer:
         :func:`repro.lipschitz.lambda_bound`).
     beta:
         Regularization weight (paper's hyperparameter beta).
-    include:
-        Optional predicate on (name, module) to select which weighted
-        layers are regularized (default: all non-digital ones).
+
+    Every non-digital weighted layer is regularized.
     """
 
-    def __init__(
-        self, lam: float, beta: float = 1e-2, include=None, normalize: bool = True
-    ) -> None:
+    def __init__(self, lam: float, beta: float = 1e-2) -> None:
         if lam <= 0:
             raise ValueError(f"lambda must be positive, got {lam}")
         if beta < 0:
             raise ValueError(f"beta must be non-negative, got {beta}")
         self.lam = float(lam)
         self.beta = float(beta)
-        self.include = include
-        self.normalize = normalize
-
-    def _regularized_params(self, model: Module) -> List[Tuple[str, Parameter]]:
-        out = []
-        for name, layer in weighted_layers(model):
-            if self.include is not None and not self.include(name, layer):
-                continue
-            out.append((name, layer._parameters["weight"]))
-        return out
 
     def penalty(self, model: Module) -> Tensor:
         """Differentiable penalty term to add to the task loss."""
         total: Optional[Tensor] = None
         lam2 = self.lam**2
-        for _, param in self._regularized_params(model):
+        for _, layer in weighted_layers(model):
+            param = layer._parameters["weight"]
             w = param if param.ndim == 2 else param.reshape(param.shape[0], -1)
             rows, cols = w.shape
             gram = w.matmul(w.T) if rows <= cols else w.T.matmul(w)
@@ -74,20 +62,11 @@ class OrthogonalityRegularizer:
             deviation = (gram - identity) ** 2
             # Normalizing by the Gram size equalises the pull across layers
             # of very different widths, so one beta serves the whole net.
-            term = deviation.mean() if self.normalize else deviation.sum()
+            term = deviation.mean()
             total = term if total is None else total + term
         if total is None:
             raise ValueError("model has no weighted layers to regularize")
         return total * self.beta
-
-    def violations(self, model: Module) -> Dict[str, float]:
-        """Per-layer ``max(0, sigma_max - lambda)`` for monitoring."""
-        from repro.lipschitz.spectral import spectral_norm
-
-        out = {}
-        for name, param in self._regularized_params(model):
-            out[name] = max(0.0, spectral_norm(param.data) - self.lam)
-        return out
 
     def __repr__(self) -> str:
         return f"OrthogonalityRegularizer(lambda={self.lam:.4f}, beta={self.beta})"

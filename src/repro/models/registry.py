@@ -18,10 +18,7 @@ def available_models() -> List[str]:
         "lenet5",
         "vgg16",
         "vgg11",
-        "vgg16bn",
-        "vgg11bn",
         "resnet8",
-        "resnet8bn",
         "attnmlp",
         "mlp",
     ]
@@ -57,26 +54,24 @@ def build_model(
             width_multiplier=3.0 * width,
             seed=seed,
         )
-    if name in ("vgg16", "vgg11", "vgg16bn", "vgg11bn"):
+    if name in ("vgg16", "vgg11"):
         # The classifier head scales with the class count: 100-way synthetic
         # classification needs a wider penultimate feature than 10-way.
         return VGG(
-            config=name[:5],
+            config=name,
             num_classes=num_classes,
             in_channels=channels,
             input_size=height,
             width=0.125 * width,
             classifier_width=max(int(64 * width), int(1.3 * num_classes)),
-            batch_norm=name.endswith("bn"),
             seed=seed,
         )
-    if name in ("resnet8", "resnet8bn"):
+    if name == "resnet8":
         # The branch-carrying family: residual fan-in on every engine.
         return ResNet8(
             num_classes=num_classes,
             in_channels=channels,
             base_width=max(int(16 * width), 4),
-            batch_norm=name.endswith("bn"),
             seed=seed,
         )
     if name == "attnmlp":

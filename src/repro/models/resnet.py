@@ -3,8 +3,8 @@
 The first genuinely branch-carrying model family in the zoo: three
 residual stages on top of a 3x3 stem, global average pooling, and a
 linear classifier. It exists to exercise the module-graph sample-axis
-contract — residual fan-in, downsampling 1x1 shortcut
-projections, optional batch norm — on every Monte-Carlo engine and in
+contract — residual fan-in and downsampling 1x1 shortcut
+projections — on every Monte-Carlo engine and in
 both the weight and the analog domain (``analogize`` preserves the
 residual topology because it replaces layers in place).
 
@@ -16,7 +16,7 @@ spliced per weighted layer.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import repro.nn as nn
 from repro.nn.module import Module
@@ -43,7 +43,6 @@ class BasicBlock(Module):
         in_channels: int,
         out_channels: int,
         stride: int = 1,
-        batch_norm: bool = False,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -52,35 +51,21 @@ class BasicBlock(Module):
         def _seed() -> int:
             return int(rng.integers(2**31))
 
-        bias = not batch_norm
-        body: List[Module] = [
+        body = nn.Sequential(
             nn.Conv2d(
                 in_channels, out_channels, 3,
-                stride=stride, padding=1, bias=bias, seed=_seed(),
-            )
-        ]
-        if batch_norm:
-            body.append(nn.BatchNorm2d(out_channels))
-        body.append(nn.ReLU())
-        body.append(
-            nn.Conv2d(out_channels, out_channels, 3, padding=1, bias=bias, seed=_seed())
+                stride=stride, padding=1, seed=_seed(),
+            ),
+            nn.ReLU(),
+            nn.Conv2d(out_channels, out_channels, 3, padding=1, seed=_seed()),
         )
-        if batch_norm:
-            body.append(nn.BatchNorm2d(out_channels))
-
         shortcut: Optional[Module] = None
         if stride != 1 or in_channels != out_channels:
-            projection: List[Module] = [
-                nn.Conv2d(
-                    in_channels, out_channels, 1,
-                    stride=stride, bias=bias, seed=_seed(),
-                )
-            ]
-            if batch_norm:
-                projection.append(nn.BatchNorm2d(out_channels))
-            shortcut = nn.Sequential(*projection)
+            shortcut = nn.Sequential(
+                nn.Conv2d(in_channels, out_channels, 1, stride=stride, seed=_seed())
+            )
 
-        self.residual = nn.Residual(nn.Sequential(*body), shortcut)
+        self.residual = nn.Residual(body, shortcut)
         self.relu = nn.ReLU()
 
     def forward(self, x):
@@ -105,7 +90,6 @@ class ResNet8(Module):
         num_classes: int,
         in_channels: int = 3,
         base_width: int = 16,
-        batch_norm: bool = False,
         seed: SeedLike = 0,
     ) -> None:
         super().__init__()
@@ -115,18 +99,13 @@ class ResNet8(Module):
             return int(rng.integers(2**31))
 
         w = base_width
-        stem: List[Module] = [
-            nn.Conv2d(in_channels, w, 3, padding=1, bias=not batch_norm, seed=_seed())
-        ]
-        if batch_norm:
-            stem.append(nn.BatchNorm2d(w))
-        stem.append(nn.ReLU())
         self.num_classes = num_classes
         self.net = nn.Sequential(
-            *stem,
-            BasicBlock(w, w, stride=1, batch_norm=batch_norm, seed=_seed()),
-            BasicBlock(w, 2 * w, stride=2, batch_norm=batch_norm, seed=_seed()),
-            BasicBlock(2 * w, 4 * w, stride=2, batch_norm=batch_norm, seed=_seed()),
+            nn.Conv2d(in_channels, w, 3, padding=1, seed=_seed()),
+            nn.ReLU(),
+            BasicBlock(w, w, stride=1, seed=_seed()),
+            BasicBlock(w, 2 * w, stride=2, seed=_seed()),
+            BasicBlock(2 * w, 4 * w, stride=2, seed=_seed()),
             nn.GlobalAvgPool2d(),
             nn.Linear(4 * w, num_classes, seed=_seed()),
         )

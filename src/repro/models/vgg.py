@@ -41,12 +41,6 @@ class VGG(Module):
         default 0.125 yields an 8..64-channel VGG-16 trainable on CPU.
     input_size:
         Square input resolution; must survive the config's pool count.
-    batch_norm:
-        Insert a ``BatchNorm2d`` after every convolution (the classic
-        VGG-BN variant). Batch-norm statistics are digital state — they
-        are never perturbed by variation injection — and the eval-mode
-        affine fold is sample-aware, so BN models still ride the
-        vectorized Monte-Carlo engine.
     """
 
     #: forward purely delegates to ``net``, so a leading sample axis passes
@@ -61,7 +55,6 @@ class VGG(Module):
         input_size: int = 16,
         width: float = 0.125,
         classifier_width: int = 64,
-        batch_norm: bool = False,
         seed: SeedLike = 0,
     ) -> None:
         super().__init__()
@@ -89,8 +82,6 @@ class VGG(Module):
                 layers.append(
                     nn.Conv2d(channels, out_channels, 3, padding=1, seed=_seed())
                 )
-                if batch_norm:
-                    layers.append(nn.BatchNorm2d(out_channels))
                 layers.append(nn.ReLU())
                 channels = out_channels
         layers.append(nn.Flatten())

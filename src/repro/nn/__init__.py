@@ -3,7 +3,7 @@
 Mirrors the familiar ``torch.nn`` surface at the scale this reproduction
 needs: ``Module``/``Parameter`` trees with named parameter traversal
 (the variation injector and crossbar mapper rely on it), convolution /
-linear / pooling / normalisation layers, ReLU, the residual and
+linear / pooling / layer-norm layers, ReLU, the residual and
 attention blocks, containers, and the cross-entropy loss.
 """
 
@@ -18,7 +18,6 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.batchnorm import BatchNorm2d
 from repro.nn.structural import (
     GlobalAvgPool2d,
     LayerNorm,
@@ -43,7 +42,6 @@ __all__ = [
     "GlobalAvgPool2d",
     "LayerNorm",
     "SelfAttention",
-    "BatchNorm2d",
     "CrossEntropyLoss",
     "graph",
     "init",

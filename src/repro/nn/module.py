@@ -10,7 +10,7 @@ than bare arrays.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -54,13 +54,11 @@ class Module:
     # the registration tree without casts).
     _parameters: "OrderedDict[str, Parameter]"
     _modules: "OrderedDict[str, Module]"
-    _buffers: "OrderedDict[str, np.ndarray]"
     training: bool
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------
@@ -72,18 +70,6 @@ class Module:
         elif isinstance(value, Module):
             self._modules[name] = value
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Non-trainable state saved with the model (e.g. batch-norm stats)."""
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
-        object.__setattr__(self, name, self._buffers[name])
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Replace a registered buffer's contents."""
-        if name not in self._buffers:
-            raise KeyError(f"no buffer named {name!r}")
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
-        object.__setattr__(self, name, self._buffers[name])
 
     # ------------------------------------------------------------------
     # Traversal
@@ -150,38 +136,22 @@ class Module:
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for prefix, module in self.named_modules():
-            for buf_name, buf in module._buffers.items():
-                key = f"{prefix}.{buf_name}" if prefix else buf_name
-                state[key] = np.asarray(buf).copy()
-        return state
+        return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         params = dict(self.named_parameters())
-        buffers: Dict[str, Tuple[Module, str]] = {}
-        for prefix, module in self.named_modules():
-            for buf_name in module._buffers:
-                key = f"{prefix}.{buf_name}" if prefix else buf_name
-                buffers[key] = (module, buf_name)
         for key, value in state.items():
-            if key in params:
-                if params[key].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {key}: model {params[key].shape}, "
-                        f"state {value.shape}"
-                    )
-                params[key].data = np.asarray(value, dtype=np.float64).copy()
-            elif key in buffers:
-                module, buf_name = buffers[key]
-                module.set_buffer(buf_name, value)
-            else:
+            if key not in params:
                 raise KeyError(f"unexpected key in state dict: {key}")
+            if params[key].shape != value.shape:
+                raise ValueError(
+                    f"shape mismatch for {key}: model {params[key].shape}, "
+                    f"state {value.shape}"
+                )
+            params[key].data = np.asarray(value, dtype=np.float64).copy()
 
     def save(self, path: str) -> None:
-        """Persist parameters and buffers to an ``.npz`` archive."""
+        """Persist the parameters to an ``.npz`` archive."""
         np.savez(path, **self.state_dict())
 
     def load(self, path: str) -> None:

@@ -119,6 +119,3 @@ class RNNPolicy(Module):
             onehot[0, action] = 1.0
             prev = Tensor(onehot)
         return episode
-
-    def reseed(self, seed: SeedLike) -> None:
-        self._rng = new_rng(seed)

@@ -27,10 +27,6 @@ class SearchResult:
     explored: List[EnvOutcome] = field(default_factory=list)
     rewards: List[float] = field(default_factory=list)
 
-    @property
-    def best_reward(self) -> float:
-        return self.best.reward
-
 
 class RLSearch:
     """REINFORCE-driven exploration of compensation plans."""

@@ -76,7 +76,7 @@ def _digest(parts: List[bytes]) -> str:
 
 
 def weights_digest(model: "Module") -> str:
-    """Content digest of a model's parameters and buffers.
+    """Content digest of a model's parameters.
 
     Hashes names, shapes, dtypes and raw bytes in sorted-name order, so
     the digest identifies the deployed function — not the checkpoint path

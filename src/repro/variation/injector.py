@@ -2,7 +2,7 @@
 
 The injector perturbs ``Parameter.data`` in place (so the existing autograd
 graph topology, optimizers and crossbar mappings keep their references) and
-restores the nominal values on exit. Three orthogonal controls mirror the
+restores the nominal values on exit. Two orthogonal controls mirror the
 paper's experiments:
 
 - *which layers*: the variation spec itself — a layer whose spec resolves
@@ -10,15 +10,12 @@ paper's experiments:
   i to the last layer: ``repro.evaluation.layer_sweep.tail_spec``);
 - *digital immunity*: modules flagged ``digital = True`` (compensation
   generators/compensators, eq.-(12) overhead weights) are skipped —
-  the paper assumes they run on variation-free digital circuits;
-- *protection masks*: per-parameter boolean masks holding selected weights
-  at nominal value (the SRAM-protected weights of the baseline methods
-  [8]/[9]).
+  the paper assumes they run on variation-free digital circuits.
 
 **The paired-seed contract.** Every consumer of variations — the
 Monte-Carlo reference loop (:meth:`VariationInjector.applied`), the
-vectorized engine (:meth:`VariationInjector.sample_batch` /
-:meth:`VariationInjector.stack_for` + :meth:`applied_stack`), the process
+vectorized engine (:meth:`VariationInjector.stack_for` +
+:meth:`applied_stack`), the process
 pool, and multi-draw compensation training — draws perturbations from
 the *same* spawned rng streams in the *same* per-parameter order. Sample
 ``i`` of a stack is therefore bitwise equal to what the sequential loop
@@ -37,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from repro.nn.graph import weighted_layers
 from repro.nn.module import Module, Parameter
-from repro.utils.rng import new_rng, spawn_rngs, SeedLike
+from repro.utils.rng import new_rng, SeedLike
 from repro.variation.models import NoVariation, VariationModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports models)
@@ -52,7 +49,7 @@ __all__ = [
 ]
 
 #: Parameter attribute names treated as crossbar-mapped weights. Biases and
-#: batch-norm affine parameters are digital/peripheral state in typical
+#: layer-norm affine parameters are digital/peripheral state in typical
 #: RRAM accelerators, matching the paper's weight-only variation model.
 WEIGHT_ATTR_NAMES = ("weight",)
 
@@ -88,9 +85,6 @@ class VariationInjector:
         :class:`repro.variation.spec.LayerMap` resolves per weighted
         layer (name and paper layer index) before perturbing; layers that
         resolve to ``none`` are left at their nominal weights.
-    protection_masks:
-        Optional ``{qualified-param-name: bool array}``; entries that are
-        ``True`` are held at their nominal value (digitally protected).
     dtype:
         Arithmetic dtype of the *installed* perturbations (``"float64"``,
         the historical bit-exact protocol, or ``"float32"``). Under either
@@ -106,14 +100,12 @@ class VariationInjector:
         self,
         model: Module,
         variation: "VariationLike",
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         dtype: str = "float64",
     ) -> None:
         from repro.variation.spec import parse_spec
 
         self.model = model
         self.variation = parse_spec(variation)
-        self.protection_masks = protection_masks or {}
         self.dtype = str(np.dtype(dtype))
         self._target_cache: Optional[
             List[Tuple[str, Parameter, VariationModel]]
@@ -157,17 +149,13 @@ class VariationInjector:
 
     def target_parameters(self) -> List[Parameter]:
         """The :class:`Parameter` objects subject to variation, in the
-        injection order shared by :meth:`sample`, :meth:`sample_batch` and
+        injection order shared by :meth:`sample`, :meth:`stack_for` and
         :meth:`applied` (callers use this to check e.g. frozen-ness before
         choosing a stacked execution path)."""
         return [param for _, param, _ in self._targets()]
 
     def _draw(
-        self,
-        name: str,
-        param: Parameter,
-        variation: VariationModel,
-        rng: np.random.Generator,
+        self, param: Parameter, variation: VariationModel, rng: np.random.Generator
     ) -> np.ndarray:
         """One draw for one parameter — the *only* sampling site.
 
@@ -177,52 +165,32 @@ class VariationInjector:
         directly (bit-identical to every historical run); float32 perturbs
         the float32-rounded nominal in float64 and casts the result once.
         """
-        nominal = param.data
         if self.dtype == "float64":
-            perturbed_data = variation.perturb(nominal, rng)
-            mask = self.protection_masks.get(name)
-            if mask is not None:
-                perturbed_data = np.where(mask, nominal, perturbed_data)
-            return perturbed_data
-        base = nominal.astype(np.float32).astype(np.float64)
-        perturbed_data = variation.perturb(base, rng)
-        mask = self.protection_masks.get(name)
-        if mask is not None:
-            perturbed_data = np.where(mask, base, perturbed_data)
-        return perturbed_data.astype(np.float32)
+            return variation.perturb(param.data, rng)
+        base = param.data.astype(np.float32).astype(np.float64)
+        return variation.perturb(base, rng).astype(np.float32)
 
     def sample(self, seed: SeedLike = None) -> Dict[str, np.ndarray]:
         """Return ``{param-name: perturbed array}`` without touching the model."""
         rng = new_rng(seed)
         out = {}
         for name, param, variation in self._targets():
-            out[name] = self._draw(name, param, variation, rng)
+            out[name] = self._draw(param, variation, rng)
         return out
-
-    def sample_batch(
-        self, n_samples: int, seed: SeedLike = None
-    ) -> Dict[str, np.ndarray]:
-        """Draw all ``n_samples`` perturbations up front, stacked per param.
-
-        Returns ``{param-name: (n_samples, *param.shape) array}``. Sample
-        ``i`` consumes the ``i``-th spawned stream of ``seed`` and perturbs
-        the target parameters in the same order as :meth:`applied` — so
-        slice ``i`` of each stack is bitwise equal to what the reference
-        per-sample loop would have installed with the same seed. This is
-        the pairing contract the vectorized Monte-Carlo engine relies on.
-        """
-        if n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        return self.stack_for(spawn_rngs(seed, n_samples))
 
     def stack_for(
         self, rngs: Sequence[np.random.Generator]
     ) -> Dict[str, np.ndarray]:
-        """Like :meth:`sample_batch` but for explicit rng streams.
+        """One perturbation per rng stream, stacked per parameter.
 
-        Lets callers draw sample chunks incrementally (slices of one
-        ``spawn_rngs`` list) without materializing every sample's weights
-        at once, while keeping the per-stream pairing contract.
+        Returns ``{param-name: (len(rngs), *param.shape) array}``. Sample
+        ``i`` consumes ``rngs[i]`` and perturbs the target parameters in
+        the same order as :meth:`applied` — so slice ``i`` of each stack
+        is bitwise equal to what the reference per-sample loop installs
+        from the same stream. This is the pairing contract the vectorized
+        Monte-Carlo engine relies on; callers draw sample chunks
+        incrementally (slices of one ``spawn_rngs`` list) without
+        materializing every sample's weights at once.
         """
         targets = self._targets()
         stacks: Dict[str, np.ndarray] = {
@@ -231,7 +199,7 @@ class VariationInjector:
         }
         for i, rng in enumerate(rngs):
             for name, param, variation in targets:
-                stacks[name][i] = self._draw(name, param, variation, rng)
+                stacks[name][i] = self._draw(param, variation, rng)
         return stacks
 
     @contextlib.contextmanager
@@ -241,7 +209,7 @@ class VariationInjector:
         """Context manager: install sample-stacked weights, restore on exit.
 
         ``stacked`` maps qualified parameter names (as produced by
-        :meth:`sample_batch`) to ``(S, *param.shape)`` arrays. Inside the
+        :meth:`stack_for`) to ``(S, *param.shape)`` arrays. Inside the
         context every target parameter's ``data`` carries a leading sample
         axis, which the sample-aware forward kernels broadcast over.
         """
@@ -269,8 +237,8 @@ class VariationInjector:
         saved: List[Tuple[Parameter, np.ndarray]] = []
         try:
             rng = new_rng(seed)
-            for name, param, variation in self._targets():
-                perturbed_data = self._draw(name, param, variation, rng)
+            for _, param, variation in self._targets():
+                perturbed_data = self._draw(param, variation, rng)
                 saved.append((param, param.data))
                 param.data = perturbed_data
             yield self

@@ -121,7 +121,9 @@ class Compose(VariationModel):
     ``Compose([a, b]).perturb(w, rng)`` is ``b.perturb(a.perturb(w, rng),
     rng)`` — the same rng stream feeds each stage sequentially, exactly as
     if the stages were programmed one after another. Nested composes
-    flatten, so ``a | b | c`` has three components, not two.
+    flatten, so ``a | b | c`` has three components, not two. At least two
+    components are required: a one-model chain would be a second spelling
+    of its model, with a different fingerprint.
     """
 
     def __init__(self, models: Sequence[VariationLike]) -> None:
@@ -132,8 +134,8 @@ class Compose(VariationModel):
                 flat.extend(m.models)
             else:
                 flat.append(m)
-        if not flat:
-            raise ValueError("Compose needs at least one model")
+        if len(flat) < 2:
+            raise ValueError(f"Compose needs at least two models, got {len(flat)}")
         self.models = flat
 
     def perturb(self, weights: FloatArray, rng: np.random.Generator) -> FloatArray:
@@ -144,7 +146,7 @@ class Compose(VariationModel):
     def scaled(self, factor: float) -> "Compose":
         """Scale the stochastic components; structural components (e.g.
         quantization bit-width — fixed hardware) pass through unchanged, so
-        ``scale_to``/``sweep_sigma`` over a composed spec sweep the effect
+        ``scale_to`` over a composed spec sweeps the effect
         strength on *the same hardware* and the reported magnitude scales
         linearly as documented."""
         return Compose(
@@ -528,8 +530,8 @@ def parse_spec(value: VariationLike) -> VariationModel:
 def scale_to(model: VariationModel, magnitude: float) -> VariationModel:
     """Rescale ``model`` so its reported magnitude equals ``magnitude``.
 
-    Sigma sweeps (``MonteCarloEvaluator.sweep_sigma``) are this applied
-    over a grid: each point is the same spec at a different magnitude.
+    Sigma sweeps (Figs. 2 and 7) are this applied over a grid: each point
+    is the same spec at a different magnitude.
     Inside composed and per-layer specs, *structural* components (fixed
     hardware properties like quantization bit-width) are held constant —
     only the stochastic effect strengths scale, which is what makes the

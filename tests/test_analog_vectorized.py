@@ -157,13 +157,6 @@ class TestAnalogDispatch:
         b = ev.evaluate(analog_lenet, composed_spec)
         assert a.accuracies == b.accuracies
 
-    def test_sweep_sigma_rides_analog_engines(self, mlp, blob_dataset):
-        model = analogize(mlp, tile_size=8)
-        ev = MonteCarloEvaluator(blob_dataset, n_samples=2, seed=0,
-                                 vectorized=True)
-        results = ev.sweep_sigma(model, LogNormalVariation(0.5), [0.2, 0.6])
-        assert [len(r.accuracies) for r in results] == [2, 2]
-
     def test_compensated_analogized_model(self, lenet, tiny_test):
         """Digital compensation wrappers stay digital; the analog children
         still ride the stacked engine, paired with the loop."""

@@ -56,7 +56,7 @@ def _batch(data, n=8):
 
 class TestNoCyclicGarbage:
     @pytest.mark.parametrize(
-        "name", ["lenet5", "mlp", "resnet8", "resnet8bn", "attnmlp", "vgg11"]
+        "name", ["lenet5", "mlp", "resnet8", "attnmlp", "vgg11"]
     )
     def test_training_step_of_every_family(self, name, tiny_train, tiny_cifar):
         data = tiny_train if name in ("lenet5", "mlp") else tiny_cifar

@@ -28,12 +28,6 @@ class TestConstruction:
         with pytest.raises(Exception):
             Tensor([1.0, 2.0]).item()
 
-    def test_detach_shares_data_drops_graph(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert not b.requires_grad
-        assert b._parents == ()
-
 
 class TestArithmetic:
     def test_add_values(self):

@@ -30,7 +30,7 @@ from repro.evaluation import (
 )
 from repro.hardware import analogize
 from repro.models import LeNet5, MLP
-from repro.variation import LogNormalVariation, NoVariation
+from repro.variation import LogNormalVariation, NoVariation, scale_to
 from repro.variation.injector import weighted_layers
 
 
@@ -240,8 +240,9 @@ class TestRaceOnGrids:
         raced = MonteCarloEvaluator(tiny_test, clock=time.perf_counter,
                                     **kwargs)
         spec = LogNormalVariation(0.5)
-        assert raced.sweep_sigma(lenet, spec, [0.2, 0.6]) \
-            == plain.sweep_sigma(lenet, spec, [0.2, 0.6])
+        for sigma in [0.2, 0.6]:
+            point = scale_to(spec, sigma)
+            assert raced.evaluate(lenet, point) == plain.evaluate(lenet, point)
 
 
 class TestClockNeverCalled:

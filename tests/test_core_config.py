@@ -1,9 +1,7 @@
-"""Pipeline configuration and result serialization."""
+"""Pipeline configuration serialization."""
 
 import dataclasses
 import json
-
-import pytest
 
 from repro.core.config import (
     CompensationConfig, EvalConfig, PipelineConfig, RLConfig, TrainConfig,
@@ -43,26 +41,3 @@ class TestConfigDataclasses:
         b = PipelineConfig()
         a.train.epochs = 999
         assert b.train.epochs != 999
-
-
-class TestResultSerialization:
-    def test_result_as_dict_roundtrips_json(self):
-        from repro.compensation import CompensationPlan
-        from repro.core.pipeline import CorrectNetResult
-        from repro.evaluation.montecarlo import MCResult
-
-        result = CorrectNetResult(
-            original_accuracy=0.95,
-            degraded=MCResult([0.3, 0.4]),
-            corrected=MCResult([0.85, 0.9]),
-            overhead=0.02,
-            compensated_layers=[0, 1],
-            candidates=[0, 1, 2],
-            plan=CompensationPlan({0: 1.0, 1: 0.5}),
-            model=None,
-        )
-        blob = json.dumps(result.as_dict())
-        restored = json.loads(blob)
-        assert restored["recovery"] == pytest.approx(0.875 / 0.95)
-        assert restored["plan"] == {"0": 1.0, "1": 0.5}
-        assert restored["compensated_layers"] == [0, 1]

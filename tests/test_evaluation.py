@@ -20,7 +20,7 @@ from repro.evaluation import (
 from repro.models import LeNet5, MLP
 from repro.variation import (
     GaussianVariation, LogNormalVariation, NoVariation, VariationInjector,
-    from_string, to_string, weighted_layers,
+    from_string, scale_to, to_string, weighted_layers,
 )
 
 
@@ -103,16 +103,6 @@ class TestMonteCarlo:
         r = MCResult([0.5, 0.7, 0.9])
         assert r.mean == pytest.approx(0.7)
         assert r.min == 0.5 and r.max == 0.9
-
-    def test_sweep_sigma_grid(self, mlp, blob_dataset):
-        ev = MonteCarloEvaluator(blob_dataset, n_samples=3, seed=0)
-        results = ev.sweep_sigma(mlp, LogNormalVariation(0.5), [0.1, 0.3])
-        assert len(results) == 2
-
-    def test_sweep_requires_positive_magnitude(self, mlp, blob_dataset):
-        ev = MonteCarloEvaluator(blob_dataset, n_samples=2, seed=0)
-        with pytest.raises(ValueError):
-            ev.sweep_sigma(mlp, NoVariation(), [0.1])
 
     def test_invalid_n_samples(self, blob_dataset):
         with pytest.raises(ValueError):
@@ -379,64 +369,10 @@ class TestVectorizedEngine:
         r_vec = vec.evaluate(model, LogNormalVariation(0.3))
         assert r_vec.accuracies == r_loop.accuracies
 
-    def test_batchnorm_model_rides_vectorized_in_eval(self, blob_dataset):
-        """Eval-mode batch norm is an affine fold with sample-aware
-        broadcasting, so BN models now qualify for the vectorized engine —
-        and stay bitwise-paired with the reference loop. In training mode
-        the batch statistics are not stacked-safe, so support is off."""
-        from repro.evaluation import supports_sample_axis
-        model = nn.Sequential(nn.Conv2d(1, 8, 1, seed=0), nn.BatchNorm2d(8),
-                              nn.ReLU(), nn.Flatten(),
-                              nn.Linear(32, 3, seed=1))
-        # Non-trivial running stats so the fold actually does something.
-        bn = model[1]
-        rng = np.random.default_rng(0)
-        bn.set_buffer("running_mean", rng.normal(size=8))
-        bn.set_buffer("running_var", 0.5 + rng.random(8))
-        model.train()
-        assert not supports_sample_axis(model)
-        model.eval()
-        assert supports_sample_axis(model)
-        loop = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=2,
-                                   vectorized=False)
-        vec = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=2,
-                                  vectorized=True)
-        r_loop = loop.evaluate(model, LogNormalVariation(0.4))
-        r_vec = vec.evaluate(model, LogNormalVariation(0.4))
-        assert r_vec.accuracies == r_loop.accuracies
-
     def test_supports_sample_axis_whitelist(self, mlp, lenet):
         from repro.evaluation import supports_sample_axis
         assert supports_sample_axis(mlp)
         assert supports_sample_axis(lenet)
-
-    def test_vgg_batchnorm_rides_vectorized(self, tiny_test):
-        """The VGG batch_norm path (BatchNorm2d, channel-major stacked
-        (S, C, N, H, W) activations) is vectorized-eligible in eval mode
-        and stays bitwise-paired with the reference loop."""
-        from repro.evaluation import supports_sample_axis
-        from repro.models import VGG
-        model = VGG(config=[4, "M", 8], num_classes=10, in_channels=1,
-                    input_size=16, width=1.0, classifier_width=16,
-                    batch_norm=True, seed=0)
-        from repro.nn.batchnorm import BatchNorm2d
-        bns = [m for m in model.modules() if isinstance(m, BatchNorm2d)]
-        assert bns, "batch_norm=True must insert BatchNorm2d layers"
-        rng = np.random.default_rng(3)
-        for bn in bns:
-            bn.set_buffer("running_mean", rng.normal(size=bn.num_features))
-            bn.set_buffer("running_var", 0.5 + rng.random(bn.num_features))
-        model.eval()
-        assert supports_sample_axis(model)
-        loop = MonteCarloEvaluator(tiny_test, n_samples=3, seed=6,
-                                   vectorized=False)
-        vec = MonteCarloEvaluator(tiny_test, n_samples=3, seed=6,
-                                  vectorized=True, chunk_samples=2)
-        from repro.variation import LevelQuantization
-        spec = LogNormalVariation(0.5) | LevelQuantization(4)
-        r_loop = loop.evaluate(model, spec)
-        r_vec = vec.evaluate(model, spec)
-        assert r_vec.accuracies == r_loop.accuracies
 
 
 class TestProcessPoolEngine:
@@ -538,16 +474,16 @@ class _KilledOnForward(MLP):
 
 class TestSweepSigmaThreading:
     def test_sweep_keeps_the_tail_subset(self, lenet, tiny_test):
-        """sweep_sigma over a tail spec must produce the same results as
-        evaluating the same tail subset at each sigma."""
+        """A magnitude sweep over a tail spec (``scale_to`` per point)
+        keeps the tail subset: each point evaluates like the same tail
+        written at that sigma."""
         ev = MonteCarloEvaluator(tiny_test, n_samples=3, seed=4)
-        swept = ev.sweep_sigma(lenet,
-                               tail_spec(lenet, LogNormalVariation(0.5), 1),
-                               [0.2, 0.4])
-        for sigma, result in zip([0.2, 0.4], swept):
+        tail = tail_spec(lenet, LogNormalVariation(0.5), 1)
+        for sigma in [0.2, 0.4]:
+            swept = ev.evaluate(lenet, scale_to(tail, sigma))
             direct = ev.evaluate(
                 lenet, tail_spec(lenet, LogNormalVariation(sigma), 1))
-            assert result.accuracies == direct.accuracies
+            assert swept.accuracies == direct.accuracies
 
     def test_prefix_layer_subset_matches_loop(self, lenet, tiny_test):
         """Stacked activations flowing into later *unstacked* layers (a

@@ -22,6 +22,7 @@ from repro.evaluation.vectorized import sample_axis_blockers
 from repro.hardware import analog_layers, analogize
 from repro.hardware.cost import CrossbarCostModel
 from repro.models import AttnMLP, build_model, available_models, ResNet8
+from repro.utils.rng import spawn_rngs
 from repro.variation import LogNormalVariation, VariationInjector, weighted_layers
 
 COMPOSED_SPEC = "lognormal:0.4+quant:4"
@@ -67,24 +68,10 @@ class TestResNet8:
             "net.6",
         ]
 
-    def test_batch_norm_variant(self, cifar):
-        model = _resnet(cifar, "resnet8bn")
-        assert model(Tensor(np.zeros((2, 3, 16, 16)))).shape == (2, 10)
-        # BN affine/stats are peripheral: same crossbar-mapped layer count.
-        assert len(weighted_layers(model)) == 10
-
-    def test_sample_aware_in_eval_mode(self, cifar):
-        model = _resnet(cifar, "resnet8bn")
-        model.train()
-        assert not supports_sample_axis(model)  # batch stats block stacking
-        model.eval()
-        assert supports_sample_axis(model)
-        assert sample_axis_blockers(model) == []
-
     def test_stacked_forward_shape(self, cifar):
         model = _resnet(cifar).eval()
         inj = VariationInjector(model, LogNormalVariation(0.3))
-        with inj.applied_stack(inj.sample_batch(3, seed=0)):
+        with inj.applied_stack(inj.stack_for(spawn_rngs(0, 3))):
             logits = model(Tensor(np.zeros((2, 3, 16, 16))))
         assert logits.shape == (3, 2, 10)
 
@@ -115,7 +102,7 @@ class TestAttnMLP:
     def test_stacked_forward_shape(self, cifar):
         model = _attnmlp(cifar).eval()
         inj = VariationInjector(model, LogNormalVariation(0.3))
-        with inj.applied_stack(inj.sample_batch(4, seed=2)):
+        with inj.applied_stack(inj.stack_for(spawn_rngs(2, 4))):
             logits = model(Tensor(np.zeros((3, 3, 16, 16))))
         assert logits.shape == (4, 3, 10)
 
@@ -124,10 +111,9 @@ class TestRegistry:
     def test_new_families_listed(self):
         names = available_models()
         assert "resnet8" in names
-        assert "resnet8bn" in names
         assert "attnmlp" in names
 
-    @pytest.mark.parametrize("name", ["resnet8", "resnet8bn", "attnmlp"])
+    @pytest.mark.parametrize("name", ["resnet8", "attnmlp"])
     def test_build_and_forward(self, cifar, name):
         model = build_model(name, cifar[0], width=0.25, seed=0)
         assert model(Tensor(np.zeros((2, 3, 16, 16)))).shape == (2, 10)
@@ -143,7 +129,7 @@ class TestRegistry:
 class TestStackedParity:
     """Stacked weight-domain logits vs the per-draw reference loop.
 
-    The stacked weights themselves are bitwise paired (``sample_batch``
+    The stacked weights themselves are bitwise paired (``stack_for``
     slice i == the loop's draw i); logits follow to the float ulp — exactly
     for the batched-matmul attention path, and within GEMM-lowering ulp
     noise for the conv path (the tolerance the stacked conv kernels are
@@ -153,7 +139,7 @@ class TestStackedParity:
     def _pairs(self, model, n=3, seed=7):
         inj = VariationInjector(model, LogNormalVariation(0.4))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 16, 16)))
-        stacks = inj.sample_batch(n, seed=seed)
+        stacks = inj.stack_for(spawn_rngs(seed, n))
         with inj.applied_stack(stacks):
             stacked = model(x).data.copy()
         loop = []
@@ -188,7 +174,7 @@ class TestEnginePairing:
                            dict(vectorized=True, n_workers=2))
         ]
 
-    @pytest.mark.parametrize("name", ["resnet8", "resnet8bn", "attnmlp"])
+    @pytest.mark.parametrize("name", ["resnet8", "attnmlp"])
     def test_all_engines_agree(self, cifar, cifar_test, name):
         model = build_model(name, cifar[0], width=0.25, seed=0)
         loop, vec, pool, vec_pool = self._results(model, cifar_test)

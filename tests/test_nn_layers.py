@@ -89,32 +89,6 @@ class TestContainers:
         assert [type(m) for m in seq] == [nn.Linear, nn.ReLU]
 
 
-class TestBatchNorm:
-    def test_normalizes_in_training(self):
-        bn = nn.BatchNorm2d(3)
-        x = Tensor(np.random.default_rng(0).normal(5.0, 3.0, size=(16, 3, 4, 4)))
-        out = bn(x).data
-        assert abs(out.mean()) < 1e-6
-        assert out.std() == pytest.approx(1.0, abs=0.01)
-
-    def test_eval_uses_running_stats(self):
-        bn = nn.BatchNorm2d(2)
-        x = np.random.default_rng(0).normal(3.0, 2.0, size=(64, 2, 3, 3))
-        for _ in range(50):
-            bn(Tensor(x))
-        bn.eval()
-        out = bn(Tensor(x)).data
-        assert abs(out.mean()) < 0.2
-
-    def test_wrong_rank_raises(self):
-        with pytest.raises(ValueError):
-            nn.BatchNorm2d(2)(Tensor(np.zeros((2, 2))))
-        bn = nn.BatchNorm2d(2)
-        bn.eval()
-        with pytest.raises(ValueError):
-            bn(Tensor(np.zeros((2, 2, 2))))
-
-
 class TestLosses:
     def test_cross_entropy_module(self):
         loss = nn.CrossEntropyLoss()(

@@ -22,12 +22,6 @@ class TestRegistration:
         layer = nn.Linear(3, 2, seed=0)
         assert layer.num_parameters() == 3 * 2 + 2
 
-    def test_buffers_in_state_dict(self):
-        bn = nn.BatchNorm2d(4)
-        state = bn.state_dict()
-        assert "running_mean" in state
-        assert "running_var" in state
-
 
 class TestModes:
     def test_train_eval_propagates(self, lenet):
@@ -86,14 +80,6 @@ class TestStateDict:
         other.load(path)
         for (_, a), (_, b) in zip(mlp.named_parameters(), other.named_parameters()):
             np.testing.assert_allclose(a.data, b.data)
-
-    def test_batchnorm_buffers_roundtrip(self):
-        bn = nn.BatchNorm2d(3)
-        bn.set_buffer("running_mean", np.array([1.0, 2.0, 3.0]))
-        state = bn.state_dict()
-        bn2 = nn.BatchNorm2d(3)
-        bn2.load_state_dict(state)
-        np.testing.assert_allclose(bn2.running_mean, [1.0, 2.0, 3.0])
 
 
 class TestForwardProtocol:

@@ -261,12 +261,13 @@ class TestSelfAttention:
     def test_stacked_weights_bitwise_paired(self):
         """Stacked (S, out, in) projection weights — the vectorized
         Monte-Carlo path — reproduce each per-sample forward bitwise."""
+        from repro.utils.rng import spawn_rngs
         from repro.variation import VariationInjector, LogNormalVariation
 
         attn = SelfAttention(8, num_heads=2, seed=0)
         inj = VariationInjector(attn, LogNormalVariation(0.4))
         x = Tensor(np.random.default_rng(5).normal(size=(2, 6, 8)))
-        stacks = inj.sample_batch(3, seed=11)
+        stacks = inj.stack_for(spawn_rngs(11, 3))
         with inj.applied_stack(stacks):
             stacked_out = attn(x).data.copy()
         for s in range(3):

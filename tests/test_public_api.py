@@ -1,5 +1,6 @@
 """Public API surface: every documented name imports, __all__ is honest,
-and every exported name has a caller outside the tests."""
+and every exported name, public function and public method has a caller
+outside the tests."""
 
 import ast
 import importlib
@@ -92,14 +93,25 @@ class TestPublicAPI:
         assert out.stdout.strip() == "[]"
 
 
-#: Exported names that nothing outside the tests calls, each with the
-#: reason it stays exported. A name here that gains a caller fails the
-#: guard too, so the map cannot go stale.
+#: Public names that nothing outside the tests calls, each with the
+#: reason it stays. A name here that gains a caller fails the guard too,
+#: so the map cannot go stale.
 KEPT = {
     "gradcheck": "test tooling: checks an op's backward against central "
                  "differences (tests/test_autograd_gradcheck.py)",
     "ErrorPropagationTracer": "Fig. 4's per-layer error instrument, which "
                               "tests/test_integration_suppression.py asserts",
+    "amplification_profile": "Fig. 4's instrument: the tracer's per-layer "
+                             "error amplification",
+    "calibrate_input_scale": "the DAC-range calibration that ROADMAP item 5 "
+                             "wires into the analog paths",
+    "multiplier_stats": "closed-form reference that property tests check "
+                        "sampled multipliers against",
+    "mean_attenuation": "closed-form reference that property tests check "
+                        "sampled drift against",
+    "scale_to": "the magnitude-grid sweep surface (Figs. 2 and 7 are "
+                "scale_to plus evaluate per point), which "
+                "tests/test_variation_spec.py checks",
 }
 
 
@@ -112,25 +124,51 @@ def _caller_files():
     yield from sorted((REPO_ROOT / "perfbench").glob("*.py"))
 
 
-def _exports_and_uses():
-    """``({exported name: where it is exported}, {used names})``.
+def _public_defs(tree):
+    """Public top-level functions and public methods of every class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}"
 
-    A use is a loaded name, an attribute, an imported name or a component
-    of an import's module path. An ``__init__.py`` import is a re-export,
-    not a use, and neither an ``__all__`` entry nor a definition counts.
+
+def _public_names_and_uses():
+    """``({public name: where it is declared}, {used names})``.
+
+    A public name is an ``__all__`` entry anywhere, or a function or
+    method under ``src/repro`` (:func:`_public_defs`) whose name does not
+    start with ``_``. A use is a loaded name, an attribute, an imported
+    name or a component of an import's module path. An ``__init__.py``
+    import is a re-export, not a use, and neither an ``__all__`` entry
+    nor a definition counts.
+
+    The match is by name: a method stays unflagged when any function,
+    attribute or variable of the same name is used anywhere, so an
+    unrelated ``report.violations`` hides a caller-less ``violations``
+    method. Such a method has to be found by hand.
     """
-    exports, uses = {}, set()
+    src = REPO_ROOT / "src" / "repro"
+    names, uses = {}, set()
     for path in _caller_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = str(path.relative_to(REPO_ROOT))
         reexports = path.name == "__init__.py"
+        if src in path.parents:
+            for qualified in _public_defs(tree):
+                name = qualified.rsplit(".", 1)[-1]
+                if not name.startswith("_"):
+                    names.setdefault(name, f"{qualified} in {where}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets
             ):
-                where = str(path.relative_to(REPO_ROOT))
                 for entry in node.value.elts:
-                    exports.setdefault(entry.value, where)
+                    names.setdefault(entry.value, where)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -140,23 +178,24 @@ def _exports_and_uses():
                     uses.update(node.module.split("."))
                 for alias in node.names:
                     uses.update(alias.name.split("."))
-    return exports, uses
+    return names, uses
 
 
 def test_every_export_has_a_caller():
-    """The library exports only what CorrectNet's flows call: every name
-    in an ``__all__`` is used by ``src/``, ``benchmarks/``, ``examples/``
-    or ``perfbench/``, or is in ``KEPT`` with a reason."""
-    exports, uses = _exports_and_uses()
-    uncalled = {name for name in exports if name not in uses}
+    """The library keeps only what CorrectNet's flows call: every name in
+    an ``__all__``, and every public function and method under
+    ``src/repro``, is used by ``src/``, ``benchmarks/``, ``examples/`` or
+    ``perfbench/``, or is in ``KEPT`` with a reason."""
+    names, uses = _public_names_and_uses()
+    uncalled = {name for name in names if name not in uses}
     dead = sorted(uncalled - set(KEPT))
     assert not dead, (
-        "exported, but nothing outside the tests uses it: "
-        + ", ".join(f"{name} ({exports[name]})" for name in dead)
+        "public, but nothing outside the tests uses it: "
+        + ", ".join(f"{name} ({names[name]})" for name in dead)
         + ". Delete it, or add it to KEPT with the reason it stays."
     )
     stale = sorted(set(KEPT) - uncalled)
     assert not stale, (
-        f"KEPT names that are no longer uncalled exports: {stale}. "
+        f"KEPT names that are no longer uncalled public names: {stale}. "
         "Drop them from KEPT."
     )

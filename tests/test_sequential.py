@@ -137,8 +137,8 @@ class TestStoppingRules:
 class TestAdaptiveEvaluator:
     def test_loose_tolerance_stops_early(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=40, seed=9, vectorized=True,
-                                 chunk_samples=4)
-        result = ev.evaluate(lenet, LogNormalVariation(0.3), tolerance=0.2)
+                                 chunk_samples=4, tolerance=0.2)
+        result = ev.evaluate(lenet, LogNormalVariation(0.3))
         assert result.stopped_early
         assert result.n_samples_used < 40
         assert result.ci_half_width <= 0.2
@@ -146,23 +146,22 @@ class TestAdaptiveEvaluator:
 
     def test_unreachable_tolerance_runs_to_cap(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=12, seed=9, vectorized=True,
-                                 chunk_samples=4)
-        result = ev.evaluate(lenet, LogNormalVariation(0.5), tolerance=1e-9)
+                                 chunk_samples=4, tolerance=1e-9)
+        result = ev.evaluate(lenet, LogNormalVariation(0.5))
         assert result.n_samples_used == 12  # max bound enforced
         assert not result.stopped_early
 
     def test_min_samples_floor(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=40, seed=9, vectorized=True,
-                                 chunk_samples=2)
-        floored = ev.evaluate(lenet, LogNormalVariation(0.3),
-                              tolerance=10.0, min_samples=10)
+                                 chunk_samples=2, tolerance=10.0, min_samples=10)
+        floored = ev.evaluate(lenet, LogNormalVariation(0.3))
         assert floored.n_samples_used >= 10
 
     def test_tolerance_monotone_in_draws(self, lenet, tiny_test):
-        ev = MonteCarloEvaluator(tiny_test, n_samples=64, seed=9, vectorized=True,
-                                 chunk_samples=4)
         used = [
-            ev.evaluate(lenet, LogNormalVariation(0.4), tolerance=t).n_samples_used
+            MonteCarloEvaluator(tiny_test, n_samples=64, seed=9, vectorized=True,
+                                chunk_samples=4, tolerance=t)
+            .evaluate(lenet, LogNormalVariation(0.4)).n_samples_used
             for t in (0.2, 0.05, 0.02)
         ]
         assert used == sorted(used)
@@ -181,36 +180,33 @@ class TestAdaptiveEvaluator:
 
     def test_grid_concentrates_draws_on_wide_points(self, lenet, tiny_test):
         ev = MonteCarloEvaluator(tiny_test, n_samples=48, seed=9, vectorized=True,
-                                 chunk_samples=4)
-        results = ev.sweep_sigma(lenet, LogNormalVariation(0.3),
-                                 [0.05, 0.8], tolerance=0.015)
+                                 chunk_samples=4, tolerance=0.015)
+        results = [ev.evaluate(lenet, scale_to(LogNormalVariation(0.3), s))
+                   for s in [0.05, 0.8]]
         # sigma=0.05 is near-saturated (tight interval at the first look);
         # sigma=0.8 is noisy and keeps drawing.
         assert results[0].stopped_early
         assert results[0].n_samples_used < results[1].n_samples_used
 
     def test_grid_results_are_paired_prefixes(self, lenet, tiny_test):
-        ev = MonteCarloEvaluator(tiny_test, n_samples=32, seed=9, vectorized=True,
-                                 chunk_samples=4)
-        sigmas = [0.1, 0.4, 0.7]
-        adaptive = ev.sweep_sigma(lenet, LogNormalVariation(0.3), sigmas,
-                                  tolerance=0.05)
-        fixed = ev.sweep_sigma(lenet, LogNormalVariation(0.3), sigmas)
-        for a, f in zip(adaptive, fixed):
+        kwargs = dict(n_samples=32, seed=9, vectorized=True, chunk_samples=4)
+        adaptive_ev = MonteCarloEvaluator(tiny_test, tolerance=0.05, **kwargs)
+        fixed_ev = MonteCarloEvaluator(tiny_test, **kwargs)
+        for sigma in [0.1, 0.4, 0.7]:
+            spec = scale_to(LogNormalVariation(0.3), sigma)
+            a = adaptive_ev.evaluate(lenet, spec)
+            f = fixed_ev.evaluate(lenet, spec)
             assert a.accuracies == f.accuracies[: a.n_samples_used]
 
     def test_cross_backend_stop_point_invariance(self, lenet, tiny_test):
-        kwargs = dict(n_samples=32, seed=9, chunk_samples=4)
+        kwargs = dict(n_samples=32, seed=9, chunk_samples=4, tolerance=0.06)
         results = [
             MonteCarloEvaluator(tiny_test, vectorized=True, **kwargs),
             MonteCarloEvaluator(tiny_test, vectorized=False, **kwargs),
             MonteCarloEvaluator(tiny_test, vectorized=False, n_workers=2, **kwargs),
             MonteCarloEvaluator(tiny_test, vectorized=True, n_workers=2, **kwargs),
         ]
-        outs = [
-            ev.evaluate(lenet, LogNormalVariation(0.35), tolerance=0.06)
-            for ev in results
-        ]
+        outs = [ev.evaluate(lenet, LogNormalVariation(0.35)) for ev in results]
         assert len({o.n_samples_used for o in outs}) == 1
         assert all(o.accuracies == outs[0].accuracies for o in outs)
 
@@ -258,8 +254,8 @@ def synth_mlp():
 class TestSweepsAreLoopsOfEvaluate:
     def test_adaptive_sweep_runs_one_pool_per_point(self, synth_mlp,
                                                    monkeypatch):
-        """A pooled evaluator pools every point of an adaptive sweep and
-        returns the in-process sweep's results."""
+        """A pooled adaptive evaluator pools every point of a layer sweep
+        and returns the in-process sweep's results."""
         model, test = synth_mlp
         pools = []
         run_pool = executor._run_pool
@@ -269,22 +265,23 @@ class TestSweepsAreLoopsOfEvaluate:
             return run_pool(evaluation)
 
         monkeypatch.setattr(executor, "_run_pool", counted)
-        kwargs = dict(n_samples=48, seed=3, chunk_samples=8)
-        sigmas = [0.1, 0.8]
-        pooled = MonteCarloEvaluator(test, n_workers=2, **kwargs).sweep_sigma(
-            model, _SWEEP_SPEC, sigmas, tolerance=0.05, min_samples=2)
-        in_process = MonteCarloEvaluator(test, **kwargs).sweep_sigma(
-            model, _SWEEP_SPEC, sigmas, tolerance=0.05, min_samples=2)
-        assert pools == [scale_to(_SWEEP_SPEC, s) for s in sigmas]
+        kwargs = dict(n_samples=48, seed=3, chunk_samples=8, tolerance=0.05,
+                      min_samples=2)
+        pooled = layer_sweep(model, _SWEEP_SPEC,
+                             MonteCarloEvaluator(test, n_workers=2, **kwargs))
+        in_process = layer_sweep(model, _SWEEP_SPEC,
+                                 MonteCarloEvaluator(test, **kwargs))
+        assert pools == [tail_spec(model, _SWEEP_SPEC, first)
+                         for first in range(len(pooled))]
         assert pooled == in_process
-        assert pooled[0].stopped_early
+        assert all(result.stopped_early for _, result in pooled)
 
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_a_sweep_is_its_points_evaluations(self, synth_mlp, data):
-        """``sweep_sigma`` and ``layer_sweep`` return, point by point, what
-        one ``evaluate`` call per point returns: in every form, at every
-        chunk size and tolerance."""
+        """``layer_sweep`` returns, point by point, what one ``evaluate``
+        call per point returns: in every form, at every chunk size and
+        tolerance."""
         model, test = synth_mlp
         tolerance = data.draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]),
                               label="tolerance")
@@ -294,20 +291,11 @@ class TestSweepsAreLoopsOfEvaluate:
         clock = time.perf_counter if form == "raced" else None
         evaluator = MonteCarloEvaluator(
             test, n_samples=48, seed=9, vectorized=form != "loop",
-            chunk_samples=chunk, clock=clock,
+            chunk_samples=chunk, tolerance=tolerance, clock=clock,
         )
-        sigmas = [0.2, 1.0]
-        assert evaluator.sweep_sigma(
-            model, _SWEEP_SPEC, sigmas, tolerance=tolerance
-        ) == [
-            evaluator.evaluate(model, scale_to(_SWEEP_SPEC, s),
-                               tolerance=tolerance)
-            for s in sigmas
-        ]
-        swept = layer_sweep(model, _SWEEP_SPEC, evaluator, tolerance=tolerance)
+        swept = layer_sweep(model, _SWEEP_SPEC, evaluator)
         assert swept == [
             (first + 1, evaluator.evaluate(
-                model, tail_spec(model, _SWEEP_SPEC, first),
-                tolerance=tolerance))
+                model, tail_spec(model, _SWEEP_SPEC, first)))
             for first in range(len(swept))
         ]

@@ -300,8 +300,9 @@ class TestStoredBytes:
         )
 
     def test_adaptive_result_payload(self):
-        result = MonteCarloEvaluator(_blobs(), n_samples=48, seed=9).evaluate(
-            _model(), "lognormal:0.8", tolerance=0.1)
+        result = MonteCarloEvaluator(
+            _blobs(), n_samples=48, seed=9, tolerance=0.1
+        ).evaluate(_model(), "lognormal:0.8")
         assert result.to_dict() == {
             "accuracies": [
                 0.3, 0.13333333333333333, 0.03333333333333333, 0.0,

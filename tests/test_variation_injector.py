@@ -6,6 +6,7 @@ import pytest
 import repro.nn as nn
 from repro.autograd import Tensor
 from repro.compensation import CompensationPlan
+from repro.utils.rng import spawn_rngs
 from repro.variation import (
     LogNormalVariation, VariationInjector, weighted_layers,
 )
@@ -13,6 +14,25 @@ from repro.variation import (
 
 def _snapshot(model):
     return {n: p.data.copy() for n, p in model.named_parameters()}
+
+
+def _protected_weights(model, masks, n_samples, seed, data, monkeypatch):
+    """The weights ``ImportantWeightProtection.evaluate`` scores at each
+    sample, with ``masks`` as its protected entries."""
+    from repro.baselines import ImportantWeightProtection, protection
+
+    method = ImportantWeightProtection(model, 0.0)
+    method.masks = masks
+    seen = []
+
+    def record(model, dataset):
+        seen.append(_snapshot(model))
+        return 0.0
+
+    monkeypatch.setattr(protection, "accuracy", record)
+    method.evaluate(LogNormalVariation(0.9), data, n_samples=n_samples,
+                    seed=seed)
+    return seen
 
 
 class TestWeightedLayers:
@@ -86,19 +106,21 @@ class TestPerturbed:
 
 
 class TestProtectionMasks:
-    def test_protected_entries_stay_nominal(self, lenet):
+    def test_protected_entries_stay_nominal(self, lenet, tiny_test,
+                                            monkeypatch):
+        """Protection holds its masked entries at nominal on top of the
+        injector's draw; the rest of the layer stays perturbed."""
         name, layer = weighted_layers(lenet)[0]
         nominal = layer.weight.data.copy()
         mask = np.zeros_like(nominal, dtype=bool)
         mask[0] = True  # protect first filter
-        injector = VariationInjector(
-            lenet, LogNormalVariation(0.9),
-            protection_masks={f"{name}.weight": mask},
-        )
-        with injector.applied(seed=0):
-            perturbed_w = layer.weight.data
-            np.testing.assert_array_equal(perturbed_w[0], nominal[0])
-            assert not np.allclose(perturbed_w[1:], nominal[1:])
+        seen = _protected_weights(lenet, {f"{name}.weight": mask}, 1, 0,
+                                  tiny_test, monkeypatch)
+        perturbed_w = seen[0][f"{name}.weight"]
+        np.testing.assert_array_equal(perturbed_w[0], nominal[0])
+        assert not np.allclose(perturbed_w[1:], nominal[1:])
+        assert not np.any(perturbed_w[1:] == nominal[1:])
+        np.testing.assert_array_equal(layer.weight.data, nominal)
 
     def test_digital_compensation_not_perturbed(self, lenet):
         comp = CompensationPlan({0: 1.0}).apply(lenet, seed=0)
@@ -153,9 +175,8 @@ class TestSampleBatch:
     def test_paired_with_applied(self, lenet):
         """Stack slice i is bitwise what ``applied`` installs for the i-th
         spawned stream — the vectorized/loop equivalence contract."""
-        from repro.utils.rng import spawn_rngs
         injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        stacked = injector.sample_batch(4, seed=99)
+        stacked = injector.stack_for(spawn_rngs(99, 4))
         assert stacked  # non-empty
         for i, rng in enumerate(spawn_rngs(99, 4)):
             with injector.applied(rng):
@@ -167,37 +188,39 @@ class TestSampleBatch:
 
     def test_does_not_mutate_model(self, lenet):
         before = _snapshot(lenet)
-        VariationInjector(lenet, LogNormalVariation(0.5)).sample_batch(3, 0)
+        VariationInjector(lenet, LogNormalVariation(0.5)).stack_for(
+            spawn_rngs(0, 3))
         after = _snapshot(lenet)
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
 
-    def test_respects_protection_masks(self, lenet):
-        from repro.variation import weighted_layers
+    def test_respects_protection_masks(self, lenet, tiny_test, monkeypatch):
+        """Protected sample i is slice i of the stacked draw with the masked
+        entries at nominal: protection keeps the paired-seed contract."""
         name, layer = weighted_layers(lenet)[0]
+        key = f"{name}.weight"
         mask = np.zeros_like(layer.weight.data, dtype=bool)
         mask[0] = True
-        injector = VariationInjector(
-            lenet, LogNormalVariation(0.9),
-            protection_masks={f"{name}.weight": mask},
-        )
-        stacked = injector.sample_batch(3, seed=0)
-        for i in range(3):
-            np.testing.assert_array_equal(
-                stacked[f"{name}.weight"][i][0], layer.weight.data[0]
-            )
-
-    def test_invalid_count_raises(self, lenet):
-        injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        with pytest.raises(ValueError):
-            injector.sample_batch(0, seed=0)
+        nominal = _snapshot(lenet)
+        stacked = VariationInjector(lenet, LogNormalVariation(0.9)).stack_for(
+            spawn_rngs(0, 3))
+        seen = _protected_weights(lenet, {key: mask}, 3, 0, tiny_test,
+                                  monkeypatch)
+        assert len(seen) == 3
+        for i, weights in enumerate(seen):
+            np.testing.assert_array_equal(weights[key][0], nominal[key][0])
+            for pname, stack in stacked.items():
+                expected = stack[i]
+                if pname == key:
+                    expected = np.where(mask, nominal[key], expected)
+                np.testing.assert_array_equal(weights[pname], expected)
 
 
 class TestAppliedStack:
     def test_installs_and_restores(self, lenet):
         before = _snapshot(lenet)
         injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        stacked = injector.sample_batch(3, seed=5)
+        stacked = injector.stack_for(spawn_rngs(5, 3))
         with injector.applied_stack(stacked):
             for name, param in lenet.named_parameters():
                 if name in stacked:
@@ -209,7 +232,7 @@ class TestAppliedStack:
     def test_restores_on_exception(self, lenet):
         before = _snapshot(lenet)
         injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        stacked = injector.sample_batch(2, seed=5)
+        stacked = injector.stack_for(spawn_rngs(5, 2))
         with pytest.raises(RuntimeError):
             with injector.applied_stack(stacked):
                 raise RuntimeError("boom")
@@ -219,7 +242,7 @@ class TestAppliedStack:
 
     def test_shape_mismatch_raises(self, lenet):
         injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        stacked = injector.sample_batch(2, seed=5)
+        stacked = injector.stack_for(spawn_rngs(5, 2))
         bad = {name: arr[:, :1] for name, arr in stacked.items()}
         with pytest.raises(ValueError):
             with injector.applied_stack(bad):

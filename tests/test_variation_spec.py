@@ -388,8 +388,13 @@ class TestComposeSemantics:
             _KIND_OF.pop(KwOnly)
 
     def test_empty_compose_raises(self):
+        """A chain needs two models: a one-model ``Compose`` would be a
+        second spelling of its model, with another fingerprint."""
         with pytest.raises(ValueError):
             Compose([])
+        for leaf in ALL_LEAVES:
+            with pytest.raises(ValueError):
+                Compose([leaf])
 
 
 class TestLayerMapSemantics:
@@ -532,11 +537,15 @@ class TestEnginePairing:
             vec.evaluate(model, spec).accuracies
 
     def test_sweep_is_spec_scaling(self, mlp, blob_dataset):
-        spec = parse_spec("lognormal:0.5+drift:1e4")
+        """A sweep point is ``scale_to`` plus ``evaluate``: it evaluates
+        like the same chain written at that magnitude, with the
+        structural bit-width held."""
+        spec = parse_spec("lognormal:0.5+quant:4")
         ev = MonteCarloEvaluator(blob_dataset, n_samples=3, seed=9)
-        swept = ev.sweep_sigma(mlp, spec, [0.25, 0.5])
-        manual = [ev.evaluate(mlp, scale_to(spec, s)) for s in [0.25, 0.5]]
-        assert [r.accuracies for r in swept] == [r.accuracies for r in manual]
+        for sigma in [0.25, 0.5]:
+            swept = ev.evaluate(mlp, scale_to(spec, sigma))
+            written = ev.evaluate(mlp, f"lognormal:{sigma}+quant:4")
+            assert swept.accuracies == written.accuracies
 
 
 class TestPipelineConfigRoundTrip:
