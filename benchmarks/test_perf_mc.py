@@ -26,12 +26,6 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   point: its stacked conv path is im2col-gather-bound, which is
   dtype-insensitive, so float32 breaks even — that is a property of the
   conv lowering, not of the dtype policy.
-- ``compensation_samples`` — the ROADMAP's pending S>1 measurement:
-  compensation-training quality per wall-clock for
-  ``variation_samples`` in {1, 2, 4}. Because originals are frozen and
-  the wrappers are sample-aware, S draws run as one stacked
-  forward/backward, so the cost of S should stay well below S times the
-  S=1 cost.
 - ``adaptive`` — sequential stopping vs the paper's fixed S=250 on the
   Fig. 7 sigma sweep: draws used per grid point at ``tolerance`` vs the
   fixed protocol, with the adaptive mean agreeing with the fixed mean
@@ -48,9 +42,7 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
 Timing protocol: wall time is the minimum over several repetitions (the
 standard noise-robust estimator on shared machines), and measurement
 rounds are retried a few times so one bad scheduling window cannot fail an
-otherwise-healthy run; every recorded round is kept in the JSON. Training
-runs (the compensation scenario) are timed once — they are long enough to
-average out scheduler noise.
+otherwise-healthy run; every recorded round is kept in the JSON.
 """
 
 from __future__ import annotations
@@ -61,14 +53,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compensation.plan import CompensationPlan
-from repro.compensation.trainer import CompensationTrainer
 from repro.evaluation.executor import execute, IncrementalEvaluation
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.evaluation.plan import build_plan
 from repro.models import build_model
 from repro.variation import LogNormalVariation
-from repro.variation.injector import weighted_layers
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_mc.json"
 
@@ -92,8 +81,6 @@ POOL_CHUNK = 12
 TARGET_F32_SPEEDUP = 1.5
 F32_SAMPLES = 96
 F32_TEST_PER_CLASS = 96  # 960 eval images
-COMPENSATION_SAMPLES = (1, 2, 4)
-COMPENSATION_RATIO = 0.25  # generator width ratio at every weighted layer
 REPEATS = 5
 MAX_ROUNDS = 3
 # Adaptive-stopping scenario: the paper's fixed protocol vs sequential
@@ -445,77 +432,6 @@ def test_mc_adaptive_draw_reduction(workbench, pairs):
         f"only {hits}/{len(SIGMA_GRID)} grid points used <= "
         f"{ADAPTIVE_TARGET_FRACTION:.0%} of the fixed draws "
         f"(fractions: {[round(p['draw_fraction'], 2) for p in points]})"
-    )
-
-
-def test_mc_compensation_samples(workbench, pairs):
-    """Compensation quality per wall-clock for S draws per batch.
-
-    The ROADMAP's open measurement: the paper trains compensation against
-    one sampled error pattern per batch (S=1); the stacked kernels make
-    S>1 cheap, but nobody had measured whether the averaged gradient buys
-    accuracy worth the extra wall-clock. Trains the same plan at each S on
-    the Lipschitz-regularized LeNet5-MNIST model and Monte-Carlo evaluates
-    each result; the outcome is recorded here and summarized in ROADMAP.
-    """
-    spec = pairs["lenet5-mnist"]
-    key = "lenet5-mnist"
-    train, test = workbench.data(key)
-    base = workbench.lipschitz_model(key)
-    variation = LogNormalVariation(0.5)
-
-    evaluator = MonteCarloEvaluator(
-        test, n_samples=spec.mc_samples, seed=1234, vectorized=True
-    )
-    degraded = evaluator.evaluate(base, variation)
-
-    plan = CompensationPlan.from_sequence(
-        [COMPENSATION_RATIO] * len(weighted_layers(base))
-    )
-    points = []
-    for s in COMPENSATION_SAMPLES:
-        compensated = plan.apply(base, seed=0)
-        trainer = CompensationTrainer(
-            compensated, variation, lr=spec.lr, seed=0, variation_samples=s
-        )
-        start = time.perf_counter()
-        trainer.fit(train, epochs=spec.comp_epochs, batch_size=32)
-        train_s = time.perf_counter() - start
-        result = evaluator.evaluate(compensated, variation)
-        points.append({
-            "variation_samples": s,
-            "train_s": train_s,
-            "mean_accuracy": result.mean,
-            "std_accuracy": result.std,
-        })
-
-    base_point = points[0]
-    _merge_record("compensation_samples", {
-        "pair": spec.paper_name,
-        "epochs": spec.comp_epochs,
-        "ratio": COMPENSATION_RATIO,
-        "degraded_mean": degraded.mean,
-        "points": points,
-        "wall_vs_s1": {
-            str(p["variation_samples"]): p["train_s"] / base_point["train_s"]
-            for p in points
-        },
-    })
-
-    # Every S must actually compensate (beat the uncompensated model)...
-    for p in points:
-        assert p["mean_accuracy"] > degraded.mean, (
-            f"S={p['variation_samples']} compensation "
-            f"({p['mean_accuracy']:.3f}) does not beat the degraded "
-            f"baseline ({degraded.mean:.3f})"
-        )
-    # ...and the stacked pass must keep S draws sublinear in wall-clock:
-    # S=4 as one stacked forward/backward, not four sequential ones.
-    s4 = next(p for p in points if p["variation_samples"] == 4)
-    assert s4["train_s"] < 4.0 * base_point["train_s"], (
-        f"S=4 training took {s4['train_s']:.2f}s vs "
-        f"{base_point['train_s']:.2f}s at S=1 — the stacked pass should be "
-        "sublinear in S"
     )
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from repro.autograd.context import is_grad_enabled
 from repro.autograd.im2col import (
     col2im,
-    col2im_stacked_pixels,
     conv_output_size,
     im2col,
     im2col_stacked,
@@ -101,7 +100,7 @@ def conv2d(
     stacked activations from an upstream stacked layer, e.g. when only a
     prefix of the layers carries per-sample weights) dispatches there too,
     broadcasting a plain 4-D weight over the samples. See
-    :func:`_conv2d_stacked`.
+    :func:`_conv2d_stacked`; it is inference-only.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -217,6 +216,25 @@ def _gathers_pixels(kw: int, ow: int) -> bool:
     return ow >= kw
 
 
+def _stacked_output(
+    data: np.ndarray, operands: Tuple[Optional[Tensor], ...], op: str
+) -> Tensor:
+    """The untaped output of a sample-stacked kernel.
+
+    Stacked execution is inference-only: the Monte-Carlo engines run every
+    stacked pass under ``no_grad``, and training takes one variation draw
+    per batch through plain kernels. So the stacked kernels have no
+    backward, and a pass that would have to record one raises instead of
+    dropping the gradient silently.
+    """
+    if is_grad_enabled() and any(t is not None and t.requires_grad
+                                 for t in operands):
+        raise RuntimeError(
+            f"{op} has no backward: run sample-stacked passes under no_grad()"
+        )
+    return Tensor(data)
+
+
 def _conv2d_stacked(
     x: Tensor,
     weight: Tensor,
@@ -231,9 +249,9 @@ def _conv2d_stacked(
     ``x`` is either a shared batch (N, C, H, W) — every sample convolves
     the same activations — or an already sample-stacked *channel-major*
     map (S, C, N, H, W). The output is channel-major (S, F, N, OH, OW).
-    A shared input runs one GEMM ``(S*F, K) @ (K, N*P)``. A stacked input
-    runs the sample-batched GEMM in one of two layouts, picked from the
-    shapes (``_gathers_pixels``, for forward and backward alike):
+    A shared input runs one GEMM ``(S*F, K+1) @ (K+1, N*P)``, the bias
+    folded in. A stacked input runs the sample-batched GEMM in one of two
+    layouts, picked from the shapes (``_gathers_pixels``):
 
     - output pixels innermost, ``(S, F, K) @ (S, K, N*P)``, when an output
       row is at least as long as a kernel row (``OW >= KW``): the gather
@@ -245,7 +263,8 @@ def _conv2d_stacked(
       and the small ``(S, N*P, F)`` product is transposed.
 
     The sample axis only returns to batch-major (S, N, features) at the
-    Flatten boundary, where maps are small.
+    Flatten boundary, where maps are small. Inference-only (see
+    :func:`_stacked_output`).
     """
     shared_weight = weight.ndim == 4
     if shared_weight:
@@ -277,31 +296,25 @@ def _conv2d_stacked(
     p = oh * ow
     # (S, F, K); a shared weight broadcasts over the sample axis in the GEMM.
     w2 = weight.data.reshape(1 if shared_weight else s, f, k)
-    pixels = not shared_input and _gathers_pixels(kw, ow)
 
     if shared_input:
         # One GEMM for all samples: (S*F, K) @ (K, N*P).
         cols = im2col(x.data, (kh, kw), stride, padding)  # (N, K, P)
         colmat = cols.transpose(1, 0, 2).reshape(k, n * p)
-        if bias is not None and not is_grad_enabled():
-            # Inference: fold the bias into the GEMM as a ones-row of the
-            # column matrix, saving a full read+write pass over the (large)
-            # output tensor. No tape is being built, so no backward needed.
+        if bias is None:
+            out_data = w2.reshape(s * f, k) @ colmat
+        else:
+            # The bias folds into the GEMM as a ones-row of the column
+            # matrix, saving a full read+write pass over the (large) output.
             b = bias.data
             b_col = (b if b.ndim == 2 else np.broadcast_to(b, (s, f))).reshape(
                 s, f, 1
             )
             w_aug = np.concatenate([w2, b_col], axis=2).reshape(s * f, k + 1)
             cmat_aug = np.concatenate([colmat, np.ones((1, n * p))], axis=0)
-            return Tensor((w_aug @ cmat_aug).reshape(s, f, n, oh, ow))
-        out_data = (w2.reshape(s * f, k) @ colmat).reshape(s, f, n, oh, ow)
-        if bias is not None:
-            b = bias.data
-            if b.ndim == 2:  # stacked per-sample biases (S, F)
-                out_data = out_data + b.reshape(s, f, 1, 1, 1)
-            else:
-                out_data = out_data + b.reshape(1, f, 1, 1, 1)
-    elif pixels:
+            out_data = w_aug @ cmat_aug
+        out_data = out_data.reshape(s, f, n, oh, ow)
+    elif _gathers_pixels(kw, ow):
         # (S, F, K) @ (S, K, N*P) -> (S, F, N*P), the channel-major output.
         cols = im2col_stacked_pixels(x.data, (kh, kw), stride, padding)
         out_data = np.matmul(w2, cols)
@@ -322,61 +335,7 @@ def _conv2d_stacked(
         out_data = np.ascontiguousarray(prod.transpose(0, 2, 1)).reshape(
             s, f, n, oh, ow
         )
-
-    def _backward(gout: np.ndarray) -> None:
-        grad = gout.reshape(s, f, n, p)
-        if weight.requires_grad:
-            if shared_input:
-                gw = _einsum("sfnp,nkp->sfk", grad, cols)
-            elif pixels:
-                # (S, F, Q) @ (S, Q, K), the columns read transposed (transB).
-                gw = np.matmul(grad.reshape(s, f, n * p), cols.transpose(0, 2, 1))
-            else:
-                # cols is (S, Q, K) with Q = N*P.
-                gw = np.matmul(grad.reshape(s, f, n * p), cols)
-            if shared_weight:
-                gw = gw.sum(axis=0)
-            weight._accumulate(gw.reshape(weight.shape))
-        if x.requires_grad:
-            if shared_input:
-                gcols = _einsum("sfk,sfnp->nkp", w2, grad)
-                gx = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
-                x._accumulate(gx, fresh=True)
-            elif pixels:
-                # (S, K, F) @ (S, F, Q), scattered straight to channel-major.
-                gcols = np.matmul(w2.transpose(0, 2, 1), grad.reshape(s, f, n * p))
-                gx = col2im_stacked_pixels(
-                    gcols, (s, c, n, h, w), (kh, kw), stride, padding
-                )
-                x._accumulate(gx, fresh=True)
-            else:
-                # (S, Q, F) @ (S, F, K) -> per-window gradients (S, Q, K).
-                gq = np.matmul(
-                    np.ascontiguousarray(
-                        grad.reshape(s, f, n * p).transpose(0, 2, 1)
-                    ),
-                    w2,
-                ).reshape(s, n, p, k)
-                gx = col2im(
-                    np.ascontiguousarray(gq.transpose(0, 1, 3, 2)).reshape(
-                        s * n, k, p
-                    ),
-                    (s * n, c, h, w),
-                    (kh, kw),
-                    stride,
-                    padding,
-                )
-                x._accumulate(
-                    gx.reshape(s, n, c, h, w).transpose(0, 2, 1, 3, 4)
-                )
-        if bias is not None and bias.requires_grad:
-            if bias.ndim == 2:
-                bias._accumulate(gout.sum(axis=(2, 3, 4)))
-            else:
-                bias._accumulate(gout.sum(axis=(0, 2, 3, 4)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make_child(out_data, parents, "conv2d_stacked", _backward)
+    return _stacked_output(out_data, (x, weight, bias), "conv2d_stacked")
 
 
 def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
@@ -388,7 +347,8 @@ def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
     convention of the vectorized Monte-Carlo engine — is pooled on a
     reshape fast path when windows tile exactly, else by folding the two
     leading axes into the batch (pooling acts per spatial plane, so the
-    fold is layout-agnostic).
+    fold is layout-agnostic). The fast path is inference-only; the fold
+    stays differentiable.
     """
     x = as_tensor(x)
     if x.ndim == 5:
@@ -467,9 +427,8 @@ def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
     axes (sample and channel/batch, in either order) pass through. Reads
     each element once through kh*kw strided slices of a window view — no
     im2col gather copy — which matters because stacked activations are S
-    times larger than ordinary ones. ``mode`` is ``"avg"`` or ``"max"``;
-    max gradients split equally between tied window elements (matching
-    :meth:`Tensor.max`, not the argmax routing of :func:`max_pool2d`).
+    times larger than ordinary ones. ``mode`` is ``"avg"`` or ``"max"``.
+    Inference-only (see :func:`_stacked_output`).
     """
     s, a, b, h, w = x.shape
     oh, ow = h // kh, w // kw
@@ -494,38 +453,16 @@ def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
     out_data = reduce([cols_win[..., j] for j in range(kw)])
     if mode == "avg":
         out_data *= 1.0 / (kh * kw)
-
-    def _backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        gwin = gx.reshape(s, a, b, oh, kh, ow, kw)
-        if mode == "avg":
-            share = g * (1.0 / (kh * kw))
-            for i in range(kh):
-                for j in range(kw):
-                    gwin[:, :, :, :, i, :, j] = share
-        else:
-            win = x.data.reshape(s, a, b, oh, kh, ow, kw)
-            ties = np.zeros_like(out_data)
-            for i in range(kh):
-                for j in range(kw):
-                    ties += win[:, :, :, :, i, :, j] == out_data
-            share = g / ties
-            for i in range(kh):
-                for j in range(kw):
-                    gwin[:, :, :, :, i, :, j] = share * (
-                        win[:, :, :, :, i, :, j] == out_data
-                    )
-        x._accumulate(gx)
-
-    return Tensor._make_child(out_data, (x,), f"{mode}_pool2d_stacked", _backward)
+    return _stacked_output(out_data, (x,), f"{mode}_pool2d_stacked")
 
 
 def max_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
     """Max pooling; the gradient routes to the arg-max element per window.
 
     Like :func:`avg_pool2d`, a 5-D channel-major stacked input
-    (S, C, N, H, W) takes a reshape fast path for exactly-tiling windows
-    and otherwise folds the two leading axes into the batch.
+    (S, C, N, H, W) takes the inference-only reshape fast path for
+    exactly-tiling windows and otherwise folds the two leading axes into
+    the batch.
     """
     x = as_tensor(x)
     if x.ndim == 5:
@@ -643,23 +580,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     Combines log-softmax and negative log-likelihood in one op for both
     numerical stability and a cheap fused backward (``softmax - onehot``).
-
-    3-D logits (S, N, K) are a sample-stacked batch (the vectorized
-    Monte-Carlo convention, e.g. compensation training against several
-    variation draws at once): the loss is the mean over all S*N
-    (sample, image) pairs — exactly the average of the per-sample losses,
-    so gradients match a sequential multi-draw loop scaled by 1/S.
+    Training takes one variation draw per batch, so logits are never
+    sample-stacked here.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim == 3:
-        s, n, k = logits.shape
-        if labels.shape != (n,):
-            raise ValueError(
-                f"stacked logits {logits.shape} expect {n} labels, "
-                f"got shape {labels.shape}"
-            )
-        return cross_entropy(logits.reshape(s * n, k), np.tile(labels, s))
     n, k = logits.shape
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

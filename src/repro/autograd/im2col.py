@@ -79,7 +79,6 @@ def im2col_stacked_pixels(
     gather copies OW-long runs (contiguous at stride 1), one per tap and
     output row, and a stride-1 unpadded 1x1 kernel over a contiguous map
     copies nothing: the columns are a view of ``x``.
-    :func:`col2im_stacked_pixels` is the adjoint.
     """
     view = _stacked_windows(x, kernel, stride, padding)
     s, c, kh, kw, n, oh, ow = view.shape
@@ -141,50 +140,21 @@ def col2im(
     (N, C, KH, KW, OH, OW) — e.g. a transposed view of
     :func:`im2col_windows` gradients — since the scatter indexes per-tap
     slices and never needs contiguity.
-    """
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    taps = cols.reshape(n, c, kh, kw, oh, ow)
-    return _scatter_windows(taps, input_shape, stride, padding)
-
-
-def col2im_stacked_pixels(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col_stacked_pixels`: scatter-add
-    (S, C*KH*KW, N*OH*OW) columns straight back to channel-major
-    (S, C, N, H, W), reading OW-long runs per tap."""
-    s, c, n, h, w = input_shape
-    kh, kw = kernel
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    taps = cols.reshape(s, c, kh, kw, n, oh, ow).transpose(0, 1, 4, 2, 3, 5, 6)
-    return _scatter_windows(taps, input_shape, stride, padding)
-
-
-def _scatter_windows(
-    taps: np.ndarray, input_shape: Tuple[int, ...], stride: int, padding: int
-) -> np.ndarray:
-    """Scatter-add window taps (..., KH, KW, OH, OW) into zero maps
-    (..., H, W), the leading axes shared.
 
     The scatter takes whichever is fewer: one strided add per kernel tap,
-    or one (..., KH, KW) block add per output position. Both hand every
+    or one (N, C, KH, KW) block add per output position. Both hand every
     input pixel its contributions in the same order — taps in row-major
     order, which is output positions in reverse row-major order — so the
     two loops are byte-equal, and a map with fewer output positions than
     taps (a 5x5 kernel over a 6x6 map: 4 positions, 25 taps) takes the
     short one. The output is a sum into zeros, so it never holds -0.0.
     """
-    *lead, h, w = input_shape
-    kh, kw, oh, ow = taps.shape[-4:]
-    out = np.zeros((*lead, h + 2 * padding, w + 2 * padding), dtype=taps.dtype)
+    n, c, h, w = input_shape
+    kh, kw = kernel
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    taps = cols.reshape(n, c, kh, kw, oh, ow)
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=taps.dtype)
     if oh * ow < kh * kw:
         for y in reversed(range(oh)):
             top = y * stride

@@ -101,31 +101,39 @@ class ImportantWeightProtection:
     ) -> BaselineResult:
         """Monte-Carlo accuracy with protection (and optional per-sample
         adaptation). The model's nominal weights are restored after every
-        sample."""
+        sample, so each sample ("chip") adapts from nominal."""
         if online_retraining and train_data is None:
             raise ValueError("online retraining requires train_data")
         injector = VariationInjector(self.model, variation)
-        # Masked entries are held at nominal on top of each draw, on the
-        # injector's targets only, so its restore covers them.
-        targets = {id(param) for param in injector.target_parameters()}
-        protected = [
+        # Adaptation writes every masked weight, also the layers a
+        # ``LayerMap`` holds at nominal, which the injector's restore
+        # does not cover.
+        masked = [
             (param, param.data, self.masks[name])
             for name, param in self._weights().items()
-            if name in self.masks and id(param) in targets
+            if name in self.masks
         ]
+        # Masked entries are held at nominal on top of each draw, on the
+        # injector's targets only.
+        targets = {id(param) for param in injector.target_parameters()}
+        protected = [entry for entry in masked if id(entry[0]) in targets]
         accuracies = []
         was_training = self.model.training
         self.model.eval()
         try:
             for rng in spawn_rngs(seed, n_samples):
-                with injector.applied(rng):
-                    for param, nominal, mask in protected:
-                        param.data = np.where(mask, nominal, param.data)
-                    if online_retraining:
-                        self._adapt_protected(
-                            train_data, adapt_steps, adapt_lr, batch_size, rng
-                        )
-                    accuracies.append(accuracy(self.model, eval_data))
+                try:
+                    with injector.applied(rng):
+                        for param, nominal, mask in protected:
+                            param.data = np.where(mask, nominal, param.data)
+                        if online_retraining:
+                            self._adapt_protected(
+                                train_data, adapt_steps, adapt_lr, batch_size, rng
+                            )
+                        accuracies.append(accuracy(self.model, eval_data))
+                finally:
+                    for param, nominal, _ in masked:
+                        param.data = nominal
         finally:
             self.model.train(was_training)
         return BaselineResult(

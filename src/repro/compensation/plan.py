@@ -30,12 +30,6 @@ class CompensationPlan:
 
     ratios: Dict[int, float] = field(default_factory=dict)
 
-    @classmethod
-    def from_sequence(cls, values) -> "CompensationPlan":
-        """Build from a dense per-layer sequence (RL state vector); entries
-        <= 0 mean no compensation at that layer."""
-        return cls({i: float(s) for i, s in enumerate(values) if s > 0})
-
     def active_layers(self) -> List[int]:
         return sorted(self.ratios)
 

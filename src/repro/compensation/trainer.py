@@ -47,15 +47,8 @@ class CompensationTrainer:
         The variation spec (model, grammar string, or spec dict) sampled
         per batch onto the (frozen) original weights during training —
         compensation must learn to fix *sampled* errors, not one fixed
-        error.
-    variation_samples:
-        Independent variation draws per batch (default 1, the paper's
-        protocol). Because the originals are frozen and the compensation
-        wrappers are sample-aware, ``S > 1`` runs as a single stacked
-        forward/backward through the vectorized Monte-Carlo kernels
-        (see :class:`repro.core.training.Trainer`): the gradient averages
-        over ``S`` sampled error patterns per batch at far below ``S``
-        times the cost.
+        error. Each batch trains against one fresh draw, as the paper
+        does.
     """
 
     def __init__(
@@ -65,7 +58,6 @@ class CompensationTrainer:
         lr: float = 1e-3,
         grad_clip: Optional[float] = 5.0,
         seed: SeedLike = 0,
-        variation_samples: int = 1,
     ) -> None:
         self.model = model
         trainable = self._freeze_non_compensation(model)
@@ -78,7 +70,6 @@ class CompensationTrainer:
             model,
             Adam(trainable, lr=lr),
             variation=variation,
-            variation_samples=variation_samples,
             grad_clip=grad_clip,
             seed=seed,
         )
@@ -139,7 +130,6 @@ def _fit_key(
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "seed": config.seed,
-        "variation_samples": config.variation_samples,
         "data": dataset_digest(train_data),
     }
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
@@ -176,13 +166,9 @@ def fit_plan(
         CompensationTrainer._freeze_non_compensation(model)
         model.load_state_dict({name: value.copy() for name, value in entry.items()})
         return model.train()
-    CompensationTrainer(
-        model,
-        spec,
-        lr=config.lr,
-        seed=config.seed,
-        variation_samples=config.variation_samples,
-    ).fit(train_data, epochs=config.epochs, batch_size=config.batch_size)
+    CompensationTrainer(model, spec, lr=config.lr, seed=config.seed).fit(
+        train_data, epochs=config.epochs, batch_size=config.batch_size
+    )
     frozen = {name for name, p in model.named_parameters() if p.frozen}
     memo[key] = {
         name: value for name, value in model.state_dict().items() if name not in frozen

@@ -50,12 +50,8 @@ class CompensationConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-3
-    train_sigma_scale: float = 1.0  # variations sampled at sigma * scale
-    # Variation draws per training batch (paper: 1). More draws average
-    # the compensation gradient over several sampled error patterns; with
-    # frozen originals they run as one stacked pass through the
-    # vectorized Monte-Carlo kernels (repro.core.training.Trainer).
-    variation_samples: int = 1
+    # Variations sampled at sigma * scale, one draw per training batch.
+    train_sigma_scale: float = 1.0
     seed: int = 0
 
 

@@ -19,14 +19,12 @@ from repro.autograd import Tensor
 from repro.data.dataset import ArrayDataset
 from repro.data.loader import DataLoader
 from repro.evaluation.metrics import accuracy
-from repro.evaluation.vectorized import supports_sample_axis
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.optimizers import Optimizer, clip_grad_norm
 from repro.utils.logging import get_logger
 from repro.utils.rng import new_rng, SeedLike
 from repro.variation.injector import VariationInjector
-from repro.variation.models import VariationModel
 from repro.variation.spec import parse_spec, VariationLike
 
 logger = get_logger("core.training")
@@ -59,15 +57,6 @@ class Trainer:
         every batch runs with an independently sampled weight perturbation
         (noise-aware training / compensation training). ``LayerMap`` specs
         resolve per layer through the injector.
-    variation_samples:
-        Number of independent variation draws per batch (default 1, the
-        paper's protocol). With more draws the batch gradient averages
-        over ``S`` perturbations; when the model is sample-aware and the
-        varied weights are frozen (compensation training), all ``S``
-        draws run in one stacked forward/backward through the vectorized
-        Monte-Carlo kernels — the per-draw perturbations consume the
-        trainer rng exactly like a sequential loop would, so the stacked
-        and loop paths install bitwise-identical weights.
     grad_clip:
         Optional global L2 gradient-norm clip.
     """
@@ -76,21 +65,15 @@ class Trainer:
         self,
         model: Module,
         optimizer: Optimizer,
-        loss_fn: Optional[Module] = None,
         regularizer=None,
         variation: Optional["VariationLike"] = None,
-        variation_samples: int = 1,
         grad_clip: Optional[float] = None,
         seed: SeedLike = 0,
         regularizer_warmup_epochs: int = 0,
     ) -> None:
-        if variation_samples <= 0:
-            raise ValueError(
-                f"variation_samples must be positive, got {variation_samples}"
-            )
         self.model = model
         self.optimizer = optimizer
-        self.loss_fn = loss_fn or CrossEntropyLoss()
+        self.loss_fn = CrossEntropyLoss()
         self.regularizer = regularizer
         self.variation = None if variation is None else parse_spec(variation)
         # One injector for every batch: it binds to the module tree as
@@ -101,7 +84,6 @@ class Trainer:
             if self.variation is None
             else VariationInjector(model, self.variation)
         )
-        self.variation_samples = variation_samples
         self.grad_clip = grad_clip
         self._rng = new_rng(seed)
         # Deep networks cannot learn under the full orthogonality pull from
@@ -111,27 +93,12 @@ class Trainer:
         self.regularizer_warmup_epochs = regularizer_warmup_epochs
         self._reg_scale = 1.0
 
-    def _stacked_variation_ok(self, injector: VariationInjector) -> bool:
-        """Whether the multi-draw batch can run as one stacked pass.
-
-        Requires sample-aware kernels throughout the model, no
-        regularizer (its penalty reads nominal-shaped weights), and every
-        variation-target parameter frozen — a stacked parameter cannot
-        receive a per-sample gradient and then take an optimizer step.
-        Compensation training satisfies all three; anything else falls
-        back to the sequential multi-draw loop with averaged gradients.
-        """
-        if self.regularizer is not None:
-            return False
-        if not supports_sample_axis(self.model):
-            return False
-        return all(not p.requires_grad for p in injector.target_parameters())
-
     def _train_batch(self, images, labels) -> tuple:
-        """One optimization step; returns (task_loss, reg_loss)."""
+        """One optimization step; returns (task_loss, reg_loss). Under a
+        variation spec the step trains against one fresh draw."""
         self.optimizer.zero_grad()
 
-        def _forward_backward(scale: float = 1.0):
+        def _forward_backward():
             logits = self.model(Tensor(images))
             task_loss = self.loss_fn(logits, labels)
             reg_value = 0.0
@@ -140,33 +107,13 @@ class Trainer:
                 reg = self.regularizer.penalty(self.model) * self._reg_scale
                 loss = loss + reg
                 reg_value = reg.item()
-            (loss * scale if scale != 1.0 else loss).backward()
+            loss.backward()
             return task_loss.item(), reg_value
 
         injector = self._injector
         if injector is not None:
-            s = self.variation_samples
-            if s == 1:
-                with injector.applied(self._rng):
-                    values = _forward_backward()
-            elif self._stacked_variation_ok(injector):
-                # One stacked pass for all draws. Repeating the trainer
-                # rng advances it sequentially, so draw i is bitwise what
-                # the sequential loop below would have installed.
-                stacks = injector.stack_for([self._rng] * s)
-                with injector.applied_stack(stacks):
-                    # Stacked (S, N, K) logits: cross_entropy averages
-                    # over S*N, i.e. the mean of the per-draw losses.
-                    values = _forward_backward()
-            else:
-                task_total = 0.0
-                reg_total = 0.0
-                for _ in range(s):
-                    with injector.applied(self._rng):
-                        task, reg = _forward_backward(scale=1.0 / s)
-                    task_total += task
-                    reg_total += reg
-                values = (task_total / s, reg_total / s)
+            with injector.applied(self._rng):
+                values = _forward_backward()
         else:
             values = _forward_backward()
 

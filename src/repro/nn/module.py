@@ -96,13 +96,9 @@ class Module:
     def children(self) -> Iterator["Module"]:
         return iter(self._modules.values())
 
-    def num_parameters(self, trainable_only: bool = False) -> int:
+    def num_parameters(self) -> int:
         """Total scalar parameter count (the paper's overhead denominator)."""
-        return sum(
-            p.size
-            for p in self.parameters()
-            if not trainable_only or p.requires_grad
-        )
+        return sum(p.size for p in self.parameters())
 
     # ------------------------------------------------------------------
     # Mode and gradient management

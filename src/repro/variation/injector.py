@@ -15,8 +15,7 @@ paper's experiments:
 **The paired-seed contract.** Every consumer of variations — the
 Monte-Carlo reference loop (:meth:`VariationInjector.applied`), the
 vectorized engine (:meth:`VariationInjector.stack_for` +
-:meth:`applied_stack`), the process
-pool, and multi-draw compensation training — draws perturbations from
+:meth:`applied_stack`) and the process pool — draws perturbations from
 the *same* spawned rng streams in the *same* per-parameter order. Sample
 ``i`` of a stack is therefore bitwise equal to what the sequential loop
 would have installed for sample ``i``, which is what makes engine choice
@@ -149,9 +148,7 @@ class VariationInjector:
 
     def target_parameters(self) -> List[Parameter]:
         """The :class:`Parameter` objects subject to variation, in the
-        injection order shared by :meth:`sample`, :meth:`stack_for` and
-        :meth:`applied` (callers use this to check e.g. frozen-ness before
-        choosing a stacked execution path)."""
+        injection order shared by :meth:`stack_for` and :meth:`applied`."""
         return [param for _, param, _ in self._targets()]
 
     def _draw(
@@ -169,14 +166,6 @@ class VariationInjector:
             return variation.perturb(param.data, rng)
         base = param.data.astype(np.float32).astype(np.float64)
         return variation.perturb(base, rng).astype(np.float32)
-
-    def sample(self, seed: SeedLike = None) -> Dict[str, np.ndarray]:
-        """Return ``{param-name: perturbed array}`` without touching the model."""
-        rng = new_rng(seed)
-        out = {}
-        for name, param, variation in self._targets():
-            out[name] = self._draw(param, variation, rng)
-        return out
 
     def stack_for(
         self, rngs: Sequence[np.random.Generator]

@@ -127,7 +127,8 @@ class TestCrossEntropy:
 
 class TestStackedKernels:
     """Sample-stacked (vectorized Monte-Carlo) forward kernels match the
-    per-sample reference ops, in values and in gradients."""
+    per-sample reference ops. The stacked conv and tiled pools are
+    inference-only: they refuse to record a backward."""
 
     def _stacked_conv_reference(self, x, w, b, stride, padding):
         outs = []
@@ -187,33 +188,6 @@ class TestStackedKernels:
             fused.data, ref.transpose(0, 2, 1, 3, 4), atol=1e-10
         )
 
-    def test_stacked_conv_gradients_match_per_sample(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 6, 6))
-        w = rng.normal(size=(4, 2, 3, 3, 3))
-        b = rng.normal(size=2)
-        wt = Tensor(w, requires_grad=True)
-        bt = Tensor(b, requires_grad=True)
-        xt = Tensor(x, requires_grad=True)
-        out = F.conv2d(xt, wt, bt, 1, 0)
-        out.backward(np.ones(out.shape))
-        # reference: per-sample convs, summed upstream gradient of ones
-        gw = np.zeros_like(w)
-        gb = np.zeros_like(b)
-        gx = np.zeros_like(x)
-        for i in range(w.shape[0]):
-            wi = Tensor(w[i], requires_grad=True)
-            bi = Tensor(b, requires_grad=True)
-            xi = Tensor(x, requires_grad=True)
-            oi = F.conv2d(xi, wi, bi, 1, 0)
-            oi.backward(np.ones(oi.shape))
-            gw[i] = wi.grad
-            gb += bi.grad
-            gx += xi.grad
-        np.testing.assert_allclose(wt.grad, gw, atol=1e-10)
-        np.testing.assert_allclose(bt.grad, gb, atol=1e-10)
-        np.testing.assert_allclose(xt.grad, gx, atol=1e-10)
-
     def test_stacked_conv_stacked_input(self):
         rng = np.random.default_rng(4)
         s, n = 3, 2
@@ -229,25 +203,6 @@ class TestStackedKernels:
             ).data  # (N, F, OH, OW)
             np.testing.assert_allclose(
                 out.data[i], ref.transpose(1, 0, 2, 3), atol=1e-10
-            )
-
-    def test_stacked_input_conv_gradients(self):
-        rng = np.random.default_rng(6)
-        s, n = 2, 3
-        x = rng.normal(size=(s, 2, n, 5, 5))
-        w = rng.normal(size=(s, 3, 2, 3, 3))
-        xt = Tensor(x, requires_grad=True)
-        wt = Tensor(w, requires_grad=True)
-        out = F.conv2d(xt, wt, None, 1, 0)
-        out.backward(np.ones(out.shape))
-        for i in range(s):
-            xi = Tensor(x[i].transpose(1, 0, 2, 3), requires_grad=True)
-            wi = Tensor(w[i], requires_grad=True)
-            oi = F.conv2d(xi, wi, None, 1, 0)
-            oi.backward(np.ones(oi.shape))
-            np.testing.assert_allclose(wt.grad[i], wi.grad, atol=1e-10)
-            np.testing.assert_allclose(
-                xt.grad[i], xi.grad.transpose(1, 0, 2, 3), atol=1e-10
             )
 
     @settings(max_examples=40, deadline=None)
@@ -276,8 +231,9 @@ class TestStackedKernels:
         with_bias, dtype, seed,
     ):
         """A stacked (S, C, N, H, W) input convolves like S plain conv2d
-        calls, in the output and in all three gradients, whichever layout
-        the shapes pick (``OW >= KW`` or not)."""
+        calls, whichever layout the shapes pick (``OW >= KW`` or not)."""
+        from repro.autograd import no_grad
+
         h = max(1, kernel - 2 * padding) + extra
         oh = (h + 2 * padding - kernel) // stride + 1
         rng = np.random.default_rng(seed)
@@ -287,49 +243,28 @@ class TestStackedKernels:
         b = None
         if with_bias:
             b = rng.normal(size=((s,) if stacked_weight else ()) + (f,)).astype(dtype)
-        g = rng.normal(size=(s, f, n, oh, oh)).astype(dtype)
 
-        xt = Tensor(x, requires_grad=True)
-        wt = Tensor(w, requires_grad=True)
-        bt = None if b is None else Tensor(b, requires_grad=True)
-        out = F.conv2d(xt, wt, bt, stride, padding)
+        with no_grad():
+            out = F.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                           stride, padding)
         assert out.shape == (s, f, n, oh, oh)
         assert out.data.dtype == np.dtype(dtype)
-        out.backward(g)
 
-        want_out = np.empty(out.shape)
-        want_gx = np.empty(x.shape)
-        want_gw = np.zeros(w.shape)
-        want_gb = None if b is None else np.zeros(b.shape)
+        want = np.empty(out.shape)
         for i in range(s):
-            xi = Tensor(np.ascontiguousarray(x[i].transpose(1, 0, 2, 3)),
-                        requires_grad=True)
-            wi = Tensor(w[i] if stacked_weight else w, requires_grad=True)
             bi = None
             if b is not None:
-                bi = Tensor(b[i] if stacked_weight else b, requires_grad=True)
-            oi = F.conv2d(xi, wi, bi, stride, padding)
-            oi.backward(np.ascontiguousarray(g[i].transpose(1, 0, 2, 3)))
-            want_out[i] = oi.data.transpose(1, 0, 2, 3)
-            want_gx[i] = xi.grad.transpose(1, 0, 2, 3)
-            if stacked_weight:
-                want_gw[i] = wi.grad
-            else:
-                want_gw += wi.grad
-            if b is not None:
-                if stacked_weight:
-                    want_gb[i] = bi.grad
-                else:
-                    want_gb += bi.grad
+                bi = Tensor(b[i] if stacked_weight else b)
+            oi = F.conv2d(
+                Tensor(np.ascontiguousarray(x[i].transpose(1, 0, 2, 3))),
+                Tensor(w[i] if stacked_weight else w), bi, stride, padding,
+            )
+            want[i] = oi.data.transpose(1, 0, 2, 3)
 
         rtol = 1e-10 if dtype == "float64" else 1e-4
-        pairs = [(out.data, want_out), (xt.grad, want_gx), (wt.grad, want_gw)]
-        if b is not None:
-            pairs.append((bt.grad, want_gb))
-        for got, want in pairs:
-            np.testing.assert_allclose(
-                got, want, rtol=rtol, atol=rtol * np.abs(want).max()
-            )
+        np.testing.assert_allclose(
+            out.data, want, rtol=rtol, atol=rtol * np.abs(want).max()
+        )
 
     @pytest.mark.parametrize(
         "h,kernel,stride,padding",
@@ -433,23 +368,36 @@ class TestStackedKernels:
             out.data, ref.data.reshape(2, 3, 2, 4, 4), atol=1e-12
         )
 
-    def test_stacked_avg_pool_gradient(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 2, 2, 4, 4))
-        xt = Tensor(x, requires_grad=True)
-        out = F.avg_pool2d(xt, 2)
-        out.backward(np.ones(out.shape))
-        np.testing.assert_allclose(xt.grad, np.full(x.shape, 0.25), atol=1e-12)
+    def test_stacked_kernels_refuse_to_record(self):
+        """With grad enabled, an operand that requires grad makes a stacked
+        conv or tiled stacked pool raise instead of dropping its gradient.
+        Under ``no_grad``, or with constant operands, they run untaped, and
+        the pooling fold for windows that do not tile stays differentiable."""
+        from repro.autograd import no_grad
 
-    def test_stacked_max_pool_gradient_routes_to_max(self):
-        x = np.zeros((1, 1, 1, 2, 2))
-        x[0, 0, 0, 1, 1] = 5.0
-        xt = Tensor(x, requires_grad=True)
-        out = F.max_pool2d(xt, 2)
-        out.backward(np.ones(out.shape))
-        expected = np.zeros_like(x)
-        expected[0, 0, 0, 1, 1] = 1.0
-        np.testing.assert_allclose(xt.grad, expected)
+        rng = np.random.default_rng(11)
+        stacked_x = rng.normal(size=(2, 3, 4, 6, 6))  # (S, C, N, H, W)
+        shared_x = rng.normal(size=(4, 3, 6, 6))
+        w = rng.normal(size=(2, 5, 3, 3, 3))
+        b = rng.normal(size=5)
+        cases = {
+            "conv, stacked input": (F.conv2d, [stacked_x, w, b]),
+            "conv, shared input": (F.conv2d, [shared_x, w, b]),
+            "conv, shared weight": (F.conv2d, [stacked_x, w[0], b]),
+            "avg pool": (lambda x: F.avg_pool2d(x, 2), [stacked_x]),
+            "max pool": (lambda x: F.max_pool2d(x, 2), [stacked_x]),
+        }
+        for name, (op, arrays) in cases.items():
+            for i in range(len(arrays)):
+                operands = [Tensor(a, requires_grad=j == i)
+                            for j, a in enumerate(arrays)]
+                with pytest.raises(RuntimeError, match="no backward"):
+                    op(*operands)
+                with no_grad():
+                    assert not op(*operands).requires_grad, name
+            assert not op(*[Tensor(a) for a in arrays]).requires_grad, name
+        folded = F.max_pool2d(Tensor(stacked_x, requires_grad=True), 3, stride=1)
+        assert folded.requires_grad
 
 
 class TestConvGEMMLowering:
@@ -546,44 +494,15 @@ class TestAdaptivePoolStacked:
             F.adaptive_avg_pool2d(Tensor(np.zeros((2, 3, 4))), (2, 2))
 
 
-class TestCrossEntropyStacked:
-    def test_stacked_loss_is_mean_of_per_sample_losses(self):
-        rng = np.random.default_rng(5)
-        logits = rng.normal(size=(3, 6, 4))
-        labels = rng.integers(0, 4, size=6)
-        stacked = F.cross_entropy(Tensor(logits), labels)
-        per_sample = [
-            F.cross_entropy(Tensor(logits[s]), labels).item() for s in range(3)
-        ]
-        assert stacked.item() == pytest.approx(np.mean(per_sample), rel=1e-12)
-
-    def test_stacked_gradient_is_scaled_per_sample_gradient(self):
-        rng = np.random.default_rng(6)
-        logits = rng.normal(size=(2, 5, 3))
-        labels = rng.integers(0, 3, size=5)
-        lt = Tensor(logits, requires_grad=True)
-        F.cross_entropy(lt, labels).backward()
-        for s in range(2):
-            ref = Tensor(logits[s], requires_grad=True)
-            F.cross_entropy(ref, labels).backward()
-            np.testing.assert_allclose(lt.grad[s], ref.grad / 2, atol=1e-12)
-
-    def test_label_count_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            F.cross_entropy(Tensor(np.zeros((2, 4, 3))), np.zeros(3, dtype=int))
-
-
 class TestEinsumPathCache:
     """``_einsum`` searches a contraction path once per subscripts and
     shapes, and must then compute exactly what ``optimize=True`` does."""
 
-    #: The contractions the kernels run: adaptive pooling (forward and
-    #: backward, on plain and stacked maps) and the stacked conv backward.
+    #: The contractions the kernels run: adaptive pooling, forward and
+    #: backward, on plain and stacked maps.
     CASES = {
         "ih,...hw,jw->...ij": lambda d: [(d[0], d[2]), d[4:] + (d[2], d[3]), (d[1], d[3])],
         "ih,...ij,jw->...hw": lambda d: [(d[0], d[2]), d[4:] + (d[0], d[1]), (d[1], d[3])],
-        "sfnp,nkp->sfk": lambda d: [(d[0], d[1], d[2], d[3]), (d[2], d[4], d[3])],
-        "sfk,sfnp->nkp": lambda d: [(d[0], d[1], d[4]), (d[0], d[1], d[2], d[3])],
     }
 
     @settings(max_examples=60, deadline=None)

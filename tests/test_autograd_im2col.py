@@ -11,13 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F
-from repro.autograd.im2col import (
-    col2im,
-    col2im_stacked_pixels,
-    conv_output_size,
-    im2col,
-    im2col_stacked_pixels,
-)
+from repro.autograd.im2col import col2im, conv_output_size, im2col
 
 
 class TestOutputSize:
@@ -67,23 +61,16 @@ class TestAdjointness:
         k=st.integers(1, 3),
         stride=st.integers(1, 2),
         padding=st.integers(0, 1),
-        stacked=st.booleans(),
     )
-    def test_col2im_is_adjoint_of_im2col(self, n, c, h, k, stride, padding, stacked):
+    def test_col2im_is_adjoint_of_im2col(self, n, c, h, k, stride, padding):
         """<im2col(x), y> == <x, col2im(y)> for all x, y — the defining
-        property of the transpose map used in conv backward. ``stacked``
-        takes the pixel-innermost pair over (S, C, N, H, W) maps."""
+        property of the transpose map used in conv backward."""
         rng = np.random.default_rng(n * 1000 + c * 100 + h * 10 + k)
-        if stacked:
-            x = rng.normal(size=(2, c, n, h, h))
-            unfold, fold = im2col_stacked_pixels, col2im_stacked_pixels
-        else:
-            x = rng.normal(size=(n, c, h, h))
-            unfold, fold = im2col, col2im
-        cols = unfold(x, (k, k), stride, padding)
+        x = rng.normal(size=(n, c, h, h))
+        cols = im2col(x, (k, k), stride, padding)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        rhs = float((x * fold(y, x.shape, (k, k), stride, padding)).sum())
+        rhs = float((x * col2im(y, x.shape, (k, k), stride, padding)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_col2im_counts_window_overlaps(self):

@@ -77,16 +77,10 @@ class TestNoCyclicGarbage:
         images, labels = _batch(tiny_train)
         assert cyclic_garbage(lambda: trainer._train_batch(images, labels)) == 0
 
-    @pytest.mark.parametrize("samples", [1, 2])
-    def test_compensated_step(self, samples, tiny_train):
+    def test_compensated_step(self, tiny_train):
         base = build_model("lenet5", tiny_train, width=0.25, seed=0)
         comp = CompensationPlan({0: 1.0, 1: 0.5}).apply(base, seed=1)
-        trainer = CompensationTrainer(
-            comp, LogNormalVariation(0.5), seed=0, variation_samples=samples
-        ).trainer
-        if samples > 1:  # the stacked multi-draw path, not the loop
-            injector = VariationInjector(comp, trainer.variation)
-            assert trainer._stacked_variation_ok(injector)
+        trainer = CompensationTrainer(comp, LogNormalVariation(0.5), seed=0).trainer
         images, labels = _batch(tiny_train)
         assert cyclic_garbage(lambda: trainer._train_batch(images, labels)) == 0
 
@@ -140,8 +134,6 @@ def _ops(x, w):
         F.avg_pool2d(img, 2), F.max_pool2d(img, 2),
         F.adaptive_avg_pool2d(img, (3, 3)), F.softmax(x), F.log_softmax(x),
         F.cross_entropy(x, np.array([0, 1, 2, 3])),
-        F.conv2d(img, kernel.reshape(1, 1, 1, 2, 2)),
-        F.avg_pool2d(img.reshape(1, 1, 1, 4, 4), 2),
     ]
 
 

@@ -9,7 +9,7 @@ from repro.baselines import (
 from repro.baselines.common import magnitude_masks, masks_overhead, random_masks
 from repro.evaluation import MonteCarloEvaluator, accuracy
 from repro.models import MLP
-from repro.variation import LogNormalVariation
+from repro.variation import LayerMap, LogNormalVariation, NoVariation
 
 
 @pytest.fixture()
@@ -98,14 +98,26 @@ class TestProtection:
         assert adapted.accuracy_mean >= static.accuracy_mean - 0.05
         assert adapted.online_retraining
 
-    def test_nominal_weights_restored(self, trained_mlp, blob_dataset):
+    @pytest.mark.parametrize("spec", [
+        LogNormalVariation(0.5),
+        LayerMap(LogNormalVariation(0.5), {0: NoVariation()}),
+    ], ids=["plain", "layer-map"])
+    def test_nominal_weights_restored(self, trained_mlp, blob_dataset, spec):
+        """Adaptation writes every masked weight, also a layer the spec
+        holds at nominal: each sample adapts from nominal, and the model
+        leaves ``evaluate`` as it came in."""
         before = {n: p.data.copy() for n, p in trained_mlp.named_parameters()}
-        ImportantWeightProtection(trained_mlp, 0.3).evaluate(
-            LogNormalVariation(0.5), blob_dataset, n_samples=2, seed=0,
-            online_retraining=True, train_data=blob_dataset, adapt_steps=3,
-        )
+        method = ImportantWeightProtection(trained_mlp, 0.3)
+        results = [
+            method.evaluate(
+                spec, blob_dataset, n_samples=2, seed=0,
+                online_retraining=True, train_data=blob_dataset, adapt_steps=3,
+            )
+            for _ in range(2)
+        ]
         for name, param in trained_mlp.named_parameters():
             np.testing.assert_array_equal(param.data, before[name])
+        assert results[0] == results[1]
 
 
 class TestRSA:

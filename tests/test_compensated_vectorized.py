@@ -8,7 +8,6 @@ engine that computes it.
 """
 
 import numpy as np
-import pytest
 
 from repro.compensation import CompensationPlan, CompensationTrainer
 from repro.core.config import CompensationConfig, EvalConfig
@@ -159,34 +158,11 @@ class TestRewardEngineInvariance:
 
 
 class TestMultiDrawCompensationTraining:
-    """Trainer.variation_samples: stacked pass vs sequential fallback."""
-
-    @staticmethod
-    def _train(lenet, tiny_mnist, samples, force_loop=False):
-        train, _ = tiny_mnist
-        comp = CompensationPlan({0: 1.0, 1: 0.5}).apply(lenet, seed=1)
-        trainer = CompensationTrainer(
-            comp, LogNormalVariation(0.4), lr=1e-3, seed=0,
-            variation_samples=samples,
-        )
-        if force_loop:
-            trainer.trainer._stacked_variation_ok = lambda injector: False
-        history = trainer.trainer.fit(train, epochs=1, batch_size=16)
-        params = np.concatenate(
-            [p.data.ravel() for p in trainer.trainer.optimizer.parameters]
-        )
-        return history.loss, params
-
-    def test_stacked_matches_sequential_multi_draw(self, lenet, tiny_mnist):
-        loss_stacked, p_stacked = self._train(lenet, tiny_mnist, 3)
-        loss_loop, p_loop = self._train(lenet, tiny_mnist, 3,
-                                        force_loop=True)
-        np.testing.assert_allclose(loss_stacked, loss_loop, rtol=1e-9)
-        np.testing.assert_allclose(p_stacked, p_loop, rtol=1e-7, atol=1e-9)
+    """Compensation training takes one variation draw per batch."""
 
     def test_single_draw_default_unchanged(self, lenet, tiny_mnist):
-        """variation_samples=1 must keep the paper's one-draw-per-batch
-        protocol (and its exact rng consumption)."""
+        """The paper's one-draw-per-batch protocol consumes the trainer
+        rng the same way on every run."""
         train, _ = tiny_mnist
         losses = []
         for _ in range(2):
@@ -195,10 +171,3 @@ class TestMultiDrawCompensationTraining:
                                     seed=0)
             losses.append(t.fit(train, epochs=1, batch_size=16).loss)
         assert losses[0] == losses[1]
-
-    def test_invalid_variation_samples(self, lenet, tiny_mnist):
-        train, _ = tiny_mnist
-        comp = CompensationPlan({0: 0.5}).apply(lenet, seed=1)
-        with pytest.raises(ValueError):
-            CompensationTrainer(comp, LogNormalVariation(0.4),
-                                variation_samples=0)

@@ -76,12 +76,6 @@ class TestCompensatedLinear:
 
 
 class TestCompensationPlan:
-    def test_from_sequence_filters_nonpositive(self):
-        plan = CompensationPlan.from_sequence([0.5, 0.0, -1.0, 0.25])
-        assert plan.ratios == {0: 0.5, 3: 0.25}
-        assert plan.active_layers() == [0, 3]
-        assert plan.num_compensated == 2
-
     def test_apply_preserves_source_model(self, lenet):
         before = {n: p.data.copy() for n, p in lenet.named_parameters()}
         CompensationPlan({0: 0.5}).apply(lenet, seed=0)

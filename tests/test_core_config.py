@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from repro.core.config import (
     CompensationConfig, EvalConfig, PipelineConfig, RLConfig, TrainConfig,
     fast_pipeline_config,
@@ -41,3 +43,12 @@ class TestConfigDataclasses:
         b = PipelineConfig()
         a.train.epochs = 999
         assert b.train.epochs != 999
+
+    def test_stale_compensation_field_fails_loudly(self):
+        """A record that trained several variation draws per batch cannot
+        load as a one-draw config: the removed field raises."""
+        payload = fast_pipeline_config().to_dict()
+        assert PipelineConfig.from_dict(payload) == fast_pipeline_config()
+        payload["compensation"]["variation_samples"] = 2
+        with pytest.raises(TypeError, match="variation_samples"):
+            PipelineConfig.from_dict(payload)

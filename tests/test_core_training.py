@@ -181,34 +181,3 @@ class TestNoiseAwareTraining:
         )
         trainer.fit(blob_dataset, epochs=25, batch_size=16)
         assert accuracy(model, blob_dataset) > 0.8
-
-
-class TestMultiDrawVariationTraining:
-    """Trainer.variation_samples on a model with *trainable* varied
-    weights must use the sequential fallback (a stacked parameter cannot
-    take an optimizer step) and still converge sanely."""
-
-    def test_noise_aware_multi_draw_runs(self, blob_dataset):
-        model = _fresh_mlp(seed=3)
-        trainer = Trainer(
-            model,
-            Adam(list(model.parameters()), lr=5e-3),
-            variation=LogNormalVariation(0.2),
-            variation_samples=3,
-            seed=0,
-        )
-        injector_probe = trainer._stacked_variation_ok(
-            VariationInjector(model, LogNormalVariation(0.2))
-        )
-        assert not injector_probe  # trainable weights: stacked path illegal
-        history = trainer.fit(blob_dataset, epochs=2, batch_size=16)
-        assert len(history.loss) == 2
-        assert np.isfinite(history.loss).all()
-        for p in model.parameters():
-            assert p.data.ndim <= 2  # never left in stacked shape
-
-    def test_invalid_variation_samples_raise(self):
-        model = _fresh_mlp()
-        with pytest.raises(ValueError):
-            Trainer(model, Adam(list(model.parameters())),
-                    variation=LogNormalVariation(0.2), variation_samples=-1)

@@ -56,8 +56,8 @@ class TestPerDtypePairing:
         inj64 = VariationInjector(mlp, variation)
         inj32 = VariationInjector(mlp, variation, dtype="float32")
         for rng64, rng32 in zip(spawn_rngs(5, 3), spawn_rngs(5, 3)):
-            draws64 = inj64.sample(rng64)
-            draws32 = inj32.sample(rng32)
+            draws64 = inj64.stack_for([rng64])
+            draws32 = inj32.stack_for([rng32])
             assert set(draws64) == set(draws32)
             for name in draws64:
                 assert draws64[name].dtype == np.float64

@@ -7,6 +7,8 @@ The RL search (one env per overhead limit) and ``CorrectNet.finalize``
 share one memo, so a run trains each distinct plan once.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +24,9 @@ from repro.variation import LogNormalVariation
 def _fresh_fit(base, plan, spec, data, config):
     """The unmemoized recipe, spelled out: splice, then train."""
     model = plan.apply(base, seed=config.seed)
-    CompensationTrainer(
-        model, spec, lr=config.lr, seed=config.seed,
-        variation_samples=config.variation_samples,
-    ).fit(data, epochs=config.epochs, batch_size=config.batch_size)
+    CompensationTrainer(model, spec, lr=config.lr, seed=config.seed).fit(
+        data, epochs=config.epochs, batch_size=config.batch_size
+    )
     return model
 
 
@@ -110,7 +111,7 @@ class TestHitIsAFreshFit:
 # --- key sensitivity -------------------------------------------------------
 
 _BASE_CONFIG = dict(epochs=1, batch_size=8, lr=1e-2, seed=0,
-                    variation_samples=1, train_sigma_scale=1.0)
+                    train_sigma_scale=1.0)
 
 #: One replacement-value strategy per fit input; each value differs from
 #: the base input built by ``_inputs``.
@@ -122,7 +123,6 @@ _CHANGES = {
     "epochs": st.just(0),
     "batch_size": st.integers(1, 24).filter(lambda b: b != 8),
     "seed": st.integers(1, 2**31 - 1),
-    "variation_samples": st.integers(2, 3),
     "train_sigma_scale": st.floats(0.1, 2.0).filter(lambda s: s != 1.0),
     "label": st.tuples(st.integers(0, 23), st.integers(1, 2)),
 }
@@ -149,6 +149,14 @@ def _inputs(field=None, value=None):
 
 
 class TestKeyCoversEveryInput:
+    def test_every_config_field_is_varied(self):
+        """Ties the property below to the config: a field added to
+        ``CompensationConfig`` fails here until the property varies it,
+        and then fails the property until ``_fit_key`` reads it."""
+        fields = {f.name for f in dataclasses.fields(CompensationConfig)}
+        assert set(_BASE_CONFIG) == fields
+        assert fields <= set(_CHANGES)
+
     @pytest.mark.parametrize("field", sorted(_CHANGES))
     @settings(max_examples=4, deadline=None)
     @given(data=st.data())

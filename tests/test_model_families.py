@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.data import synth_cifar10
 from repro.evaluation import MonteCarloEvaluator, supports_sample_axis
 from repro.evaluation.vectorized import sample_axis_blockers
@@ -71,7 +71,7 @@ class TestResNet8:
     def test_stacked_forward_shape(self, cifar):
         model = _resnet(cifar).eval()
         inj = VariationInjector(model, LogNormalVariation(0.3))
-        with inj.applied_stack(inj.stack_for(spawn_rngs(0, 3))):
+        with no_grad(), inj.applied_stack(inj.stack_for(spawn_rngs(0, 3))):
             logits = model(Tensor(np.zeros((2, 3, 16, 16))))
         assert logits.shape == (3, 2, 10)
 
@@ -102,7 +102,7 @@ class TestAttnMLP:
     def test_stacked_forward_shape(self, cifar):
         model = _attnmlp(cifar).eval()
         inj = VariationInjector(model, LogNormalVariation(0.3))
-        with inj.applied_stack(inj.stack_for(spawn_rngs(2, 4))):
+        with no_grad(), inj.applied_stack(inj.stack_for(spawn_rngs(2, 4))):
             logits = model(Tensor(np.zeros((3, 3, 16, 16))))
         assert logits.shape == (4, 3, 10)
 
@@ -133,21 +133,23 @@ class TestStackedParity:
     slice i == the loop's draw i); logits follow to the float ulp — exactly
     for the batched-matmul attention path, and within GEMM-lowering ulp
     noise for the conv path (the tolerance the stacked conv kernels are
-    specified to, see ``tests/test_autograd_functional.py``).
+    specified to, see ``tests/test_autograd_functional.py``). Stacked
+    passes run under ``no_grad``, as the engine runs them.
     """
 
     def _pairs(self, model, n=3, seed=7):
         inj = VariationInjector(model, LogNormalVariation(0.4))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 16, 16)))
         stacks = inj.stack_for(spawn_rngs(seed, n))
-        with inj.applied_stack(stacks):
-            stacked = model(x).data.copy()
-        loop = []
-        for s in range(n):
-            with inj.applied_stack(
-                {name: arr[s][None] for name, arr in stacks.items()}
-            ):
-                loop.append(model(x).data[0])
+        with no_grad():
+            with inj.applied_stack(stacks):
+                stacked = model(x).data.copy()
+            loop = []
+            for s in range(n):
+                with inj.applied_stack(
+                    {name: arr[s][None] for name, arr in stacks.items()}
+                ):
+                    loop.append(model(x).data[0])
         return stacked, np.stack(loop)
 
     def test_resnet8_logits_paired_to_ulp(self, cifar):
@@ -272,7 +274,7 @@ class TestCanonicalWalkAgreement:
     def test_injector_order_matches_walk(self, cifar):
         model = _resnet(cifar)
         inj = VariationInjector(model, LogNormalVariation(0.3))
-        drawn = list(inj.sample(seed=0))
+        drawn = list(inj.stack_for(spawn_rngs(0, 1)))
         assert drawn == [
             f"{name}.weight" for name, _ in weighted_layers(model)
         ]

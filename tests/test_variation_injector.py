@@ -135,28 +135,6 @@ class TestProtectionMasks:
             np.testing.assert_array_equal(gen_module.weight.data, gen_before)
 
 
-class TestSample:
-    def test_sample_does_not_mutate(self, lenet):
-        before = _snapshot(lenet)
-        injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        sampled = injector.sample(seed=0)
-        after = _snapshot(lenet)
-        for name in before:
-            np.testing.assert_array_equal(before[name], after[name])
-        assert sampled  # non-empty
-
-    def test_sample_matches_applied(self, lenet):
-        injector = VariationInjector(lenet, LogNormalVariation(0.5))
-        sampled = injector.sample(seed=3)
-        with injector.applied(seed=3):
-            applied = {
-                n: p.data.copy() for n, p in lenet.named_parameters()
-                if n.endswith("weight") and "net" in n
-            }
-        for name, value in sampled.items():
-            np.testing.assert_allclose(value, applied[name])
-
-
 class TestAppliedRestoresOnException:
     def test_injector_applied_restores_on_exception(self, lenet):
         """Weights return to nominal even when the body of

@@ -429,8 +429,8 @@ class TestLayerMapSemantics:
         injector = VariationInjector(mlp, LayerMap(NoVariation(), {0: base}))
         assert [id(p) for p in injector.target_parameters()] == \
             [id(layer.weight)]
-        mapped = injector.sample(seed=3)
-        plain = VariationInjector(mlp, base).sample(seed=3)
+        mapped = injector.stack_for([np.random.default_rng(3)])
+        plain = VariationInjector(mlp, base).stack_for([np.random.default_rng(3)])
         assert list(mapped) == [f"{name}.weight"]
         np.testing.assert_array_equal(mapped[f"{name}.weight"],
                                       plain[f"{name}.weight"])
