@@ -22,10 +22,12 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   large eval split, where single-precision GEMMs (2.2-2.5x dgemm on this
   class of machine) dominate the per-draw float64 sampling cost that the
   bitwise contract fixes (draws are *generated* in float64 at every
-  dtype). Must buy >= 1.5x there. LeNet5 is deliberately not this scale
-  point: its stacked conv path is im2col-gather-bound, which is
-  dtype-insensitive, so float32 breaks even — that is a property of the
-  conv lowering, not of the dtype policy.
+  dtype). Must buy >= 1.5x there. LeNet5 gains as well: on a LeNet5
+  trained 4 epochs, 64 draws over 320 images at sigma 0.1/0.3/0.5 with
+  one BLAS thread, float32 stacked took 0.44-0.60x the float64 stacked
+  time (2-core box, two passes). It only broke even (0.99-1.07x) while
+  the shared-input conv's bias fold promoted the first stacked conv's
+  output, and every later layer, to float64.
 - ``adaptive`` — sequential stopping vs the paper's fixed S=250 on the
   Fig. 7 sigma sweep: draws used per grid point at ``tolerance`` vs the
   fixed protocol, with the adaptive mean agreeing with the fixed mean

@@ -311,7 +311,8 @@ def _conv2d_stacked(
                 s, f, 1
             )
             w_aug = np.concatenate([w2, b_col], axis=2).reshape(s * f, k + 1)
-            cmat_aug = np.concatenate([colmat, np.ones((1, n * p))], axis=0)
+            ones = np.ones((1, n * p), dtype=colmat.dtype)
+            cmat_aug = np.concatenate([colmat, ones], axis=0)
             out_data = w_aug @ cmat_aug
         out_data = out_data.reshape(s, f, n, oh, ow)
     elif _gathers_pixels(kw, ow):
@@ -605,18 +606,20 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     A 3-D ``weight`` of shape (S, out, in) is a stack of S per-sample weight
     matrices (the vectorized Monte-Carlo convention): ``x`` may be a shared
     (N, in) batch or sample-stacked (S, N, in), and the output is
-    (S, N, out) via one broadcasted batched matmul.
+    (S, N, out) via one broadcasted batched matmul. Like every stacked
+    kernel it is inference-only (see :func:`_stacked_output`).
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
     if weight.ndim == 3:
-        out = x.matmul(weight.transpose(0, 2, 1))
+        out_data = x.data @ weight.data.transpose(0, 2, 1)
         if bias is not None:
-            b = as_tensor(bias)
+            bias = as_tensor(bias)
+            b = bias.data
             if b.ndim == 2:  # stacked per-sample biases (S, out)
                 b = b.reshape(b.shape[0], 1, b.shape[1])
-            out = out + b
-        return out
+            out_data = out_data + b
+        return _stacked_output(out_data, (x, weight, bias), "linear_stacked")
     out = x.matmul(weight.T)
     if bias is not None:
         out = out + bias

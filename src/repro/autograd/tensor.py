@@ -136,10 +136,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, threshold=8)}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
 
@@ -380,15 +376,6 @@ class Tensor:
 
         return self._make_child(val, (self,), "exp", _backward)
 
-    def log(self) -> "Tensor":
-        def _backward(gout: np.ndarray) -> None:
-            self._accumulate(gout / self.data)
-
-        return self._make_child(np.log(self.data), (self,), "log", _backward)
-
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
     def tanh(self) -> "Tensor":
         val = np.tanh(self.data)
 
@@ -405,23 +392,6 @@ class Tensor:
             self._accumulate(gout * (self.data > 0))
 
         return self._make_child(np.maximum(self.data, 0.0), (self,), "relu", _backward)
-
-    def abs(self) -> "Tensor":
-        x = self.data
-
-        def _backward(gout: np.ndarray) -> None:
-            self._accumulate(gout * np.sign(x))
-
-        return self._make_child(np.abs(x), (self,), "abs", _backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values; gradient is passed only where not saturated."""
-        x = self.data
-
-        def _backward(gout: np.ndarray) -> None:
-            self._accumulate(gout * ((x > low) & (x < high)))
-
-        return self._make_child(np.clip(x, low, high), (self,), "clip", _backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -466,25 +436,6 @@ class Tensor:
         centered = self - mu
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
-    def max(
-        self, axis: Optional[int] = None, keepdims: bool = False
-    ) -> "Tensor":
-        """Maximum reduction; ties split gradient equally (numpy argmax-free)."""
-        data_max = self.data.max(axis=axis, keepdims=True)
-        out_data = data_max if keepdims or axis is None else np.squeeze(data_max, axis)
-        if axis is None and not keepdims:
-            out_data = np.asarray(self.data.max())
-
-        def _backward(gout: np.ndarray) -> None:
-            mask = (self.data == data_max).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            grad = gout
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis)
-            self._accumulate(mask * grad)
-
-        return self._make_child(out_data, (self,), "max", _backward)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -521,23 +472,6 @@ class Tensor:
             self._accumulate(grad)
 
         return self._make_child(self.data[index], (self,), "getitem", _backward)
-
-    def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
-        """Broadcast to ``shape`` (numpy rules); gradient sums the
-        broadcast axes back (the exact adjoint, via ``_unbroadcast``).
-
-        The forward holds a read-only stride-0 view — no copy — so e.g.
-        expanding a shared activation over the Monte-Carlo sample axis
-        before :func:`concatenate` costs only the concatenation itself.
-        """
-        shape = tuple(int(s) for s in shape)
-
-        def _backward(gout: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(gout, self.shape))
-
-        return self._make_child(
-            np.broadcast_to(self.data, shape), (self,), "broadcast", _backward
-        )
 
 
 def as_tensor(value: ArrayLike) -> Tensor:

@@ -18,7 +18,7 @@ from repro.core.training import Trainer, TrainHistory
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.nn.module import Module
-from repro.optim.optimizers import Adam
+from repro.optim.optimizers import Adam, GRAD_CLIP
 from repro.utils.rng import SeedLike
 from repro.variation.models import VariationModel
 
@@ -52,7 +52,7 @@ class StatisticalTraining:
             self.model,
             Adam(list(self.model.parameters()), lr=self.lr),
             variation=self.variation,
-            grad_clip=5.0,
+            grad_clip=GRAD_CLIP,
             seed=self.seed,
         )
         return trainer.fit(train_data, epochs=epochs, batch_size=batch_size)

@@ -41,7 +41,7 @@ from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.lipschitz.bounds import lambda_bound
 from repro.lipschitz.regularizer import OrthogonalityRegularizer
 from repro.models.registry import available_models, build_model
-from repro.optim.optimizers import Adam
+from repro.optim.optimizers import Adam, GRAD_CLIP
 from repro.utils.logging import set_verbosity
 from repro.utils.tables import format_table
 from repro.variation.models import LogNormalVariation, VariationModel
@@ -83,7 +83,18 @@ def _add_chunk_args(parser: argparse.ArgumentParser) -> None:
         help="Monte-Carlo draws evaluated per stacked pass; bounds the peak "
         "memory of stacked weights/conductance planes without changing "
         "results (chunking is bitwise-neutral, --tolerance runs included: "
-        "the stopping rule keeps its own look schedule)",
+        "the stopping rule keeps its own look schedule), so a store job "
+        "records it outside its fingerprint",
+    )
+
+
+def _add_dtype_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--dtype", choices=["float64", "float32"], default="float64",
+        help="Monte-Carlo evaluation arithmetic: float64 (the bit-exact "
+        "historical protocol) or float32 (half the memory traffic). "
+        "Results are seed-paired across engines per dtype, but a float32 "
+        "result is not float64's and fingerprints apart. Weight-domain only",
     )
 
 
@@ -191,7 +202,7 @@ def train_main(argv: Optional[List[str]] = None) -> int:
         model,
         Adam(list(model.parameters()), lr=args.lr),
         regularizer=regularizer,
-        grad_clip=5.0,
+        grad_clip=GRAD_CLIP,
         seed=args.seed,
     )
     history = trainer.fit(
@@ -227,13 +238,7 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
     )
     _add_chunk_args(parser)
     _add_adaptive_args(parser)
-    parser.add_argument(
-        "--dtype", choices=["float64", "float32"], default="float64",
-        help="evaluation arithmetic: float64 (bit-exact historical "
-        "protocol) or float32 (half the memory traffic, ~2x GEMM "
-        "throughput; results are seed-paired across engines per dtype "
-        "but differ from float64's). Weight-domain only",
-    )
+    _add_dtype_arg(parser)
     parser.add_argument(
         "--dump-accuracies", default=None, metavar="PATH",
         help="write the per-draw accuracies (seed-schedule order) to PATH "
@@ -326,11 +331,7 @@ def search_main(argv: Optional[List[str]] = None) -> int:
     _add_variation_arg(parser)
     _add_chunk_args(parser)
     _add_adaptive_args(parser)
-    parser.add_argument(
-        "--dtype", choices=["float64", "float32"], default="float64",
-        help="evaluation arithmetic for the pipeline's Monte-Carlo stages "
-        "(float32 halves memory traffic; weight-domain only)",
-    )
+    _add_dtype_arg(parser)
     args = parser.parse_args(argv)
     if args.verbose:
         set_verbosity()

@@ -25,7 +25,7 @@ from repro.compensation.plan import CompensationPlan
 from repro.compensation.wrappers import is_compensated
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module, Parameter
-from repro.optim.optimizers import Adam
+from repro.optim.optimizers import Adam, GRAD_CLIP
 from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 from repro.utils.rng import SeedLike
 from repro.variation.models import VariationModel
@@ -48,7 +48,8 @@ class CompensationTrainer:
         per batch onto the (frozen) original weights during training —
         compensation must learn to fix *sampled* errors, not one fixed
         error. Each batch trains against one fresh draw, as the paper
-        does.
+        does. The gradient is clipped to
+        :data:`~repro.optim.optimizers.GRAD_CLIP`.
     """
 
     def __init__(
@@ -56,7 +57,6 @@ class CompensationTrainer:
         model: Module,
         variation: "VariationLike",
         lr: float = 1e-3,
-        grad_clip: Optional[float] = 5.0,
         seed: SeedLike = 0,
     ) -> None:
         self.model = model
@@ -70,7 +70,7 @@ class CompensationTrainer:
             model,
             Adam(trainable, lr=lr),
             variation=variation,
-            grad_clip=grad_clip,
+            grad_clip=GRAD_CLIP,
             seed=seed,
         )
 
@@ -128,7 +128,6 @@ def _fit_key(
         "spec": spec_to_dict(spec),
         "lr": config.lr,
         "epochs": config.epochs,
-        "batch_size": config.batch_size,
         "seed": config.seed,
         "data": dataset_digest(train_data),
     }
@@ -145,8 +144,8 @@ def fit_plan(
 ) -> Module:
     """Splice ``plan`` into a copy of ``base_model`` and train it.
 
-    Compensation trains under ``variation`` scaled by
-    ``config.train_sigma_scale``. A fit whose inputs ``memo`` already
+    Compensation trains under ``variation`` itself, the deployment
+    scenario. A fit whose inputs ``memo`` already
     holds is a lookup: the copy gets the stored state, the same
     frozen/trainable split and train mode, which is bitwise what the fresh
     fit would have left (``docs/CONTRACTS.md``, the fit memo invariant).
@@ -157,8 +156,6 @@ def fit_plan(
     if plan.num_compensated == 0:
         return model
     spec = parse_spec(variation)
-    if config.train_sigma_scale != 1.0:
-        spec = spec.scaled(config.train_sigma_scale)
     memo = {} if memo is None else memo
     key = _fit_key(base_model, plan, spec, train_data, config)
     entry = memo.get(key)
@@ -167,7 +164,7 @@ def fit_plan(
         model.load_state_dict({name: value.copy() for name, value in entry.items()})
         return model.train()
     CompensationTrainer(model, spec, lr=config.lr, seed=config.seed).fit(
-        train_data, epochs=config.epochs, batch_size=config.batch_size
+        train_data, epochs=config.epochs
     )
     frozen = {name for name, p in model.named_parameters() if p.frozen}
     memo[key] = {

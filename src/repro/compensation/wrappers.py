@@ -51,6 +51,13 @@ def _mark_digital(module: Module) -> Module:
     return module
 
 
+def _over_samples(shared: np.ndarray, stacked: Tensor) -> Tensor:
+    """``shared`` as a read-only view repeated over ``stacked``'s sample
+    axis. Untaped: a stacked output means the original layer ran a
+    stacked kernel, which refuses to record, so no gradient flows here."""
+    return Tensor(np.broadcast_to(shared, (stacked.shape[0],) + shared.shape))
+
+
 class CompensatedConv2d(Module):
     """A convolutional layer wrapped with error compensation.
 
@@ -103,8 +110,7 @@ class CompensatedConv2d(Module):
             # the digital 1x1 convolutions for all S samples at once.
             pooled = F.adaptive_avg_pool2d(x, y.shape[3:])
             if pooled.ndim == 4:  # shared (N, l, OH, OW) input batch
-                pooled = pooled.transpose(1, 0, 2, 3)  # (l, N, OH, OW)
-                pooled = pooled.broadcast_to((y.shape[0],) + pooled.shape)
+                pooled = _over_samples(pooled.data.transpose(1, 0, 2, 3), y)
         else:
             pooled = F.adaptive_avg_pool2d(x, y.shape[2:])
         compensation = self.generator(concatenate([pooled, y], axis=1))
@@ -162,7 +168,7 @@ class CompensatedLinear(Module):
             # the input over the sample axis so the concatenation below is
             # uniform. Features live on the trailing axis either way, so
             # axis=-1 covers both the plain 2-D and stacked 3-D layouts.
-            x = x.broadcast_to((y.shape[0],) + x.shape)
+            x = _over_samples(x.data, y)
         compensation = self.generator(concatenate([x, y], axis=-1))
         return self.compensator(concatenate([y, compensation], axis=-1))
 

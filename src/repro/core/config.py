@@ -32,26 +32,24 @@ if TYPE_CHECKING:
 
 @dataclass
 class TrainConfig:
-    """Base (Lipschitz-regularized) training stage."""
+    """Base (Lipschitz-regularized) training stage: the paper's Lipschitz
+    target k = 1 (:func:`~repro.lipschitz.bounds.lambda_bound`) and a
+    gradient-norm clip of :data:`~repro.optim.optimizers.GRAD_CLIP`."""
 
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
     beta: float = 1e-3  # regularization weight of eq. (11)
-    k: float = 1.0  # Lipschitz target per layer (paper: 1)
-    grad_clip: Optional[float] = 5.0
     seed: int = 0
 
 
 @dataclass
 class CompensationConfig:
-    """Compensation training stage (Section III-B)."""
+    """Compensation training stage (Section III-B): batches of 32, each
+    against one fresh draw of the deployment variation."""
 
     epochs: int = 10
-    batch_size: int = 32
     lr: float = 1e-3
-    # Variations sampled at sigma * scale, one draw per training batch.
-    train_sigma_scale: float = 1.0
     seed: int = 0
 
 
@@ -61,11 +59,8 @@ class RLConfig:
 
     episodes: int = 30
     hidden_size: int = 32
-    lr: float = 5e-3
     ratio_choices: Tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
     overhead_limits: Tuple[float, ...] = (0.01, 0.02, 0.03)  # paper: 1%, 2%, 3%
-    entropy_coef: float = 0.01
-    baseline_momentum: float = 0.8
     seed: int = 0
 
 
@@ -76,7 +71,6 @@ class EvalConfig:
     n_samples: int = 250  # paper protocol
     search_samples: int = 10  # cheaper estimate inside the RL loop
     seed: int = 1234
-    candidate_threshold: float = 0.95
     max_candidates: Optional[int] = None
     # Stacked-chunk size: draws evaluated per stacked pass. Bitwise-neutral
     # (chunking never changes results), purely a peak-memory/locality knob.
@@ -86,9 +80,6 @@ class EvalConfig:
     # n_samples into a cap (see repro.evaluation.sequential). None keeps
     # the paper's fixed-S protocol.
     tolerance: Optional[float] = None
-    # Lower draw bound before the rule may fire; None uses the
-    # HalfWidthRule default.
-    min_samples: Optional[int] = None
     # Eval dtype policy ("float64" | "float32"): float32 halves memory
     # traffic and roughly doubles GEMM throughput for weight-domain
     # evaluation. Paired-seed bitwise equality holds per dtype in every
@@ -188,7 +179,6 @@ def make_evaluator(
         vectorized=True,
         chunk_samples=config.chunk_samples,
         tolerance=config.tolerance,
-        min_samples=config.min_samples,
         dtype=config.dtype,
         clock=time.perf_counter,
     )

@@ -33,7 +33,7 @@ from repro.evaluation.montecarlo import MCResult, MonteCarloEvaluator
 from repro.lipschitz.bounds import lambda_bound
 from repro.lipschitz.regularizer import OrthogonalityRegularizer
 from repro.nn.module import Module
-from repro.optim.optimizers import Adam
+from repro.optim.optimizers import Adam, GRAD_CLIP
 from repro.rl.env import CompensationEnv
 from repro.rl.search import RLSearch, SearchResult
 from repro.utils.logging import get_logger
@@ -109,7 +109,7 @@ class CorrectNet:
         self.variation = (
             config.resolved_variation() if variation is None else parse_spec(variation)
         )
-        self.lam = lambda_bound(self.variation.magnitude, k=config.train.k)
+        self.lam = lambda_bound(self.variation.magnitude)
         self.regularizer = OrthogonalityRegularizer(
             self.lam, beta=config.train.beta
         )
@@ -132,7 +132,7 @@ class CorrectNet:
             self.model,
             Adam(list(self.model.parameters()), lr=cfg.lr),
             regularizer=self.regularizer,
-            grad_clip=cfg.grad_clip,
+            grad_clip=GRAD_CLIP,
             seed=cfg.seed,
         )
         history = trainer.fit(
@@ -169,7 +169,6 @@ class CorrectNet:
             self.variation,
             evaluator,
             original_accuracy,
-            threshold=self.config.eval.candidate_threshold,
             max_candidates=self.config.eval.max_candidates,
         )
         logger.info("compensation candidates: %s", candidates)
@@ -219,9 +218,9 @@ class CorrectNet:
     def finalize(self, plan: CompensationPlan) -> Module:
         """The chosen plan's trained compensated model.
 
-        Trained exactly as the search trained it (same seed, data, epochs
-        and ``train_sigma_scale``), so a plan the search scored is a memo
-        lookup; an unscored plan trains here.
+        Trained exactly as the search trained it (same seed, data and
+        epochs), so a plan the search scored is a memo lookup; an unscored
+        plan trains here.
         """
         return fit_plan(
             self.model,

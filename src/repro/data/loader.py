@@ -23,7 +23,6 @@ class DataLoader:
         dataset: ArrayDataset,
         batch_size: int = 32,
         shuffle: bool = True,
-        drop_last: bool = False,
         seed: SeedLike = None,
     ) -> None:
         if batch_size <= 0:
@@ -31,20 +30,14 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self._rng = new_rng(seed)
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
-            if self.drop_last and len(idx) < self.batch_size:
-                return
             yield self.dataset.images[idx], self.dataset.labels[idx]

@@ -42,11 +42,12 @@ computation relies on.
 Eval dtype: a ``dtype="float32"`` plan evaluates a float32 *rounding* of
 the model — every parameter and image cast exactly once at run
 scope (:func:`_dtype_scope` in-process, permanently on the worker's
-private copy in the pool) — while draws keep being generated in float64
-from the float32-rounded nominal and cast once
-(:meth:`VariationInjector._draw`). Stream consumption depends only on
-shapes, so the seed schedule is dtype-invariant and the bitwise pairing
-contract holds *per dtype* across every form and worker count.
+private copy in the pool), before the first draw. The injector follows
+the parameters' dtype: draws keep being generated in float64 from the
+float32 nominal and cast back once (:meth:`VariationInjector._draw`).
+Stream consumption depends only on shapes, so the seed schedule is
+dtype-invariant and the bitwise pairing contract holds *per dtype*
+across every form and worker count.
 
 Chunk landing and sequential (adaptive) stopping: every backend
 evaluates chunk by chunk and lands each chunk through
@@ -134,11 +135,9 @@ RACE_FORMS = ("per-draw", "stacked")
 class WeightAdapter:
     """Apply draws by perturbing ``Parameter.data`` through the injector."""
 
-    def __init__(
-        self, model: Module, variation: VariationModel, dtype: str = "float64"
-    ) -> None:
+    def __init__(self, model: Module, variation: VariationModel) -> None:
         self.model = model
-        self.injector = VariationInjector(model, variation, dtype=dtype)
+        self.injector = VariationInjector(model, variation)
 
     @property
     def has_targets(self) -> bool:
@@ -215,7 +214,7 @@ def make_adapter(model: Module, plan: EvalPlan) -> ModelAdapter:
     """The adapter matching the plan's domain, bound to ``model``."""
     if plan.domain == "analog":
         return AnalogAdapter(model, plan.variation)
-    return WeightAdapter(model, plan.variation, plan.dtype)
+    return WeightAdapter(model, plan.variation)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ from repro.nn.module import Module
 from repro.variation.models import NoVariation, VariationModel
 from repro.variation.spec import LayerMap, parse_spec, VariationLike
 
+#: The paper's candidate rule: a tail injection must keep 95% of the
+#: original accuracy.
+CANDIDATE_THRESHOLD = 0.95
+
 
 def _layer_names(model: Module) -> List[str]:
     """The layers Fig. 9 sweeps, in the paper's order: the crossbar arrays
@@ -88,20 +92,19 @@ def select_candidates(
     variation: "VariationLike",
     evaluator: MonteCarloEvaluator,
     original_accuracy: float,
-    threshold: float = 0.95,
     max_candidates: Optional[int] = None,
 ) -> List[int]:
     """Compensation-candidate layer indices (0-based) per the paper's rule.
 
     Sweeping ``i`` from the last layer backwards, find the largest ``i``
-    whose tail-injection accuracy still reaches ``threshold *
-    original_accuracy``; all layers before it (the first ``i-1`` layers,
-    whose variations the suppression cannot absorb) are candidates. If even
-    the last layer alone violates the threshold, every layer is a
-    candidate.
+    whose tail-injection accuracy still reaches :data:`CANDIDATE_THRESHOLD`
+    times ``original_accuracy``; all layers before it (the first ``i-1``
+    layers, whose variations the suppression cannot absorb) are
+    candidates. If even the last layer alone violates the threshold, every
+    layer is a candidate.
     """
     n_layers = len(_layer_names(model))
-    target = threshold * original_accuracy
+    target = CANDIDATE_THRESHOLD * original_accuracy
     candidate_count = n_layers  # worst case: all layers
     for i in range(n_layers, 0, -1):
         result = evaluator.evaluate(model, tail_spec(model, variation, i - 1))

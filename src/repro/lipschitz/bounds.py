@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 
 
-def lognormal_bound(sigma: float, n_std: float = 3.0) -> float:
-    """Mean + ``n_std`` standard deviations of ``exp(theta)``,
+def lognormal_bound(sigma: float) -> float:
+    """Mean + 3 standard deviations of ``exp(theta)``,
     ``theta ~ N(0, sigma^2)``.
 
     The paper bounds the random multiplier ``e^theta`` in eq. (9) by
@@ -19,17 +19,15 @@ def lognormal_bound(sigma: float, n_std: float = 3.0) -> float:
     s2 = sigma * sigma
     mean = math.exp(s2 / 2.0)
     std = math.sqrt(max(math.exp(s2) - 1.0, 0.0) * math.exp(s2))
-    return mean + n_std * std
+    return mean + 3.0 * std
 
 
-def lambda_bound(sigma: float, k: float = 1.0, n_std: float = 3.0) -> float:
+def lambda_bound(sigma: float) -> float:
     """Spectral-norm budget per layer (eq. 10): ``lambda = k / bound``.
 
-    With ``k = 1`` (the paper's setting) a layer whose weight matrix
-    satisfies ``||W||_2 <= lambda`` is non-expansive even under the 3-sigma
-    worst-case log-normal multiplier, so errors entering the layer are
-    suppressed rather than amplified.
+    With the paper's Lipschitz target ``k = 1``, a layer whose weight
+    matrix satisfies ``||W||_2 <= lambda`` is non-expansive even under the
+    3-sigma worst-case log-normal multiplier, so errors entering the layer
+    are suppressed rather than amplified.
     """
-    if k <= 0:
-        raise ValueError(f"Lipschitz target k must be positive, got {k}")
-    return k / lognormal_bound(sigma, n_std)
+    return 1.0 / lognormal_bound(sigma)

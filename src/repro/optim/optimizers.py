@@ -13,6 +13,10 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
+#: The global gradient-norm bound of every trainer in the CorrectNet flow:
+#: base training, compensation training and the REINFORCE agent.
+GRAD_CLIP = 5.0
+
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is <= ``max_norm``.
@@ -56,20 +60,12 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015) with bias correction."""
+    """Adam (Kingma & Ba 2015) with bias correction, at that paper's
+    moment decays and epsilon."""
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
     def step(self) -> None:
         # The moments update in place and the update is built in one reused
@@ -78,10 +74,9 @@ class Adam(Optimizer):
         # dtype the first step's textbook expression would promote them to.
         # ``p.data`` is rebound, never written: an injector's saved nominal
         # or a caller's snapshot may still hold the old array.
+        beta1, beta2 = self.BETA1, self.BETA2
         for p in self._active_params():
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             state = self._state.get(id(p))
             if state is None:
                 dtype = np.result_type(p.data, grad)
@@ -94,18 +89,18 @@ class Adam(Optimizer):
             state["step"] += 1
             t = float(state["step"])
             m, v = state["m"], state["v"]
-            scratch = np.multiply(grad, 1 - self.beta1, out=np.empty_like(grad))
-            m *= self.beta1
+            scratch = np.multiply(grad, 1 - beta1, out=np.empty_like(grad))
+            m *= beta1
             m += scratch
             np.square(grad, out=scratch)
-            scratch *= 1 - self.beta2
-            v *= self.beta2
+            scratch *= 1 - beta2
+            v *= beta2
             v += scratch
-            update = np.divide(m, 1 - self.beta1**t, out=np.empty_like(m))
+            update = np.divide(m, 1 - beta1**t, out=np.empty_like(m))
             update *= self.lr
-            denom = np.divide(v, 1 - self.beta2**t, out=np.empty_like(v))
+            denom = np.divide(v, 1 - beta2**t, out=np.empty_like(v))
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += self.EPS
             update /= denom
             p.data = p.data - update
 

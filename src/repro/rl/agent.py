@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.optim.optimizers import Adam, clip_grad_norm
+from repro.optim.optimizers import Adam, clip_grad_norm, GRAD_CLIP
 from repro.rl.policy import Episode, RNNPolicy
 from repro.utils.logging import get_logger
 
@@ -17,22 +17,17 @@ class ReinforceAgent:
     The update for an episode with reward ``R`` is the REINFORCE gradient
     of ``-(R - b) log pi(actions)`` where ``b`` is an exponential moving
     average of past rewards (variance reduction), minus an entropy bonus
-    that keeps early exploration alive.
+    that keeps early exploration alive. The policy learns with Adam at
+    ``LR``, its gradient clipped to :data:`GRAD_CLIP`.
     """
 
-    def __init__(
-        self,
-        policy: RNNPolicy,
-        lr: float = 5e-3,
-        entropy_coef: float = 0.01,
-        baseline_momentum: float = 0.8,
-        grad_clip: Optional[float] = 5.0,
-    ) -> None:
+    LR = 5e-3
+    ENTROPY_COEF = 0.01
+    BASELINE_MOMENTUM = 0.8
+
+    def __init__(self, policy: RNNPolicy) -> None:
         self.policy = policy
-        self.optimizer = Adam(list(policy.parameters()), lr=lr)
-        self.entropy_coef = entropy_coef
-        self.baseline_momentum = baseline_momentum
-        self.grad_clip = grad_clip
+        self.optimizer = Adam(list(policy.parameters()), lr=self.LR)
         self.baseline: Optional[float] = None
         self.reward_history: List[float] = []
 
@@ -42,17 +37,16 @@ class ReinforceAgent:
             self.baseline = reward
         advantage = reward - self.baseline
         self.baseline = (
-            self.baseline_momentum * self.baseline
-            + (1.0 - self.baseline_momentum) * reward
+            self.BASELINE_MOMENTUM * self.baseline
+            + (1.0 - self.BASELINE_MOMENTUM) * reward
         )
         self.reward_history.append(reward)
 
         self.optimizer.zero_grad()
         loss = episode.total_log_prob * (-advantage)
-        loss = loss - episode.total_entropy * self.entropy_coef
+        loss = loss - episode.total_entropy * self.ENTROPY_COEF
         loss.backward()
-        if self.grad_clip is not None:
-            clip_grad_norm(self.optimizer.parameters, self.grad_clip)
+        clip_grad_norm(self.optimizer.parameters, GRAD_CLIP)
         self.optimizer.step()
         logger.debug("reward %.4f advantage %.4f", reward, advantage)
         return advantage

@@ -40,12 +40,7 @@ class RLSearch:
             hidden_size=config.hidden_size,
             seed=config.seed,
         )
-        self.agent = ReinforceAgent(
-            self.policy,
-            lr=config.lr,
-            entropy_coef=config.entropy_coef,
-            baseline_momentum=config.baseline_momentum,
-        )
+        self.agent = ReinforceAgent(self.policy)
 
     def run(self, episodes: Optional[int] = None) -> SearchResult:
         """Run ``episodes`` REINFORCE iterations; returns the best outcome

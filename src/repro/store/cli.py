@@ -31,6 +31,8 @@ from typing import Any, Dict, List, Optional
 from repro.cli import (
     _add_adaptive_args,
     _add_analog_args,
+    _add_chunk_args,
+    _add_dtype_arg,
     _add_variation_arg,
     _check_analog_args,
     _resolve_variation,
@@ -74,15 +76,8 @@ def _submit_parser(
     p.add_argument("--sigma", type=float, default=0.5)
     _add_variation_arg(p)
     _add_adaptive_args(p)
-    p.add_argument("--chunk-samples", type=int, default=None, metavar="S",
-                   help="draws per stacked pass (execution knob: recorded "
-                   "with the job, excluded from the fingerprint, never "
-                   "changes the result)")
-    p.add_argument("--dtype", choices=["float64", "float32"],
-                   default="float64",
-                   help="evaluation arithmetic; part of the fingerprint "
-                   "(a float32 result is a different cache row). "
-                   "Weight-domain only")
+    _add_chunk_args(p)
+    _add_dtype_arg(p)
     _add_analog_args(p)
     p.add_argument("--sweep-sigmas", default=None, metavar="S1,S2,...",
                    help="submit one log-normal job per sigma (overrides "

@@ -3,16 +3,15 @@
 A :class:`JobRequest` is everything a runner on *any* machine needs to
 reconstruct one Monte-Carlo evaluation: registry names for model and
 dataset, the build seed, an optional checkpoint, the variation spec as a
-``to_dict`` payload, the sample cap and eval seed, the stopping params
-(``tolerance`` and ``min_samples``; the interval is the rule's default
-95% CLT), and optional analog-deployment parameters. Execution knobs
-(``chunk_samples``, ``data_block``) travel with the request but never
-enter the fingerprint: they cannot change a result, adaptive ones
-included, because the stopping rule looks at its own draw counts
-whatever the chunking. A resumed job re-derives its chunks from the
-stored request (an unset chunk is the planner's constant default). A
-chunk or data block below one is rejected at materialization, so it
-never reaches the store.
+``to_dict`` payload, the sample cap and eval seed, the stopping
+tolerance (the rule's draw floor and 95% CLT interval are its
+defaults), and optional analog-deployment parameters. The execution
+knob ``chunk_samples`` travels with the request but never enters the
+fingerprint: it cannot change a result, adaptive ones included, because
+the stopping rule looks at its own draw counts whatever the chunking. A
+resumed job re-derives its chunks from the stored request (an unset
+chunk is the planner's constant default). A chunk below one is rejected
+at materialization, so it never reaches the store.
 
 Fingerprint integrity: the fingerprint is computed from the
 *materialized* evaluation (weights digest after loading the checkpoint,
@@ -20,9 +19,10 @@ dataset digest, resolved spec), not from the request text. The runner
 re-materializes and recomputes it before executing, so a checkpoint file
 that changed between submit and run fails the job loudly instead of
 poisoning the cache under the old fingerprint. The same check covers
-requests stored before the CI level and method left the request:
+requests stored before the CI level and method, the draw floor
+(``min_samples``) and the data block (``data_block``) left the request:
 :meth:`JobRequest.from_dict` ignores keys it does not read, so they
-load, and one whose interval settings were not the defaults fails at
+load, and one whose stopping settings were not the defaults fails at
 the re-check instead of running under another fingerprint.
 """
 
@@ -90,15 +90,13 @@ class JobRequest:
     model_seed: int = 0
     checkpoint: Optional[str] = None
     tolerance: Optional[float] = None
-    min_samples: Optional[int] = None
     # Eval dtype: part of the logical result (and so of the fingerprint)
     # — a float32 evaluation is a different cache row than a float64 one.
     dtype: str = "float64"
     analog: Optional[AnalogParams] = None
-    # Execution knobs: recorded for reproducible scheduling, excluded
+    # Execution knob: recorded for reproducible scheduling, excluded
     # from the fingerprint.
     chunk_samples: Optional[int] = None
-    data_block: int = 64
     # Sweep grouping metadata (what correctnet-query reconstructs curves
     # by); never fingerprinted.
     sweep_key: Optional[str] = None
@@ -114,11 +112,9 @@ class JobRequest:
             "model_seed": self.model_seed,
             "checkpoint": self.checkpoint,
             "tolerance": self.tolerance,
-            "min_samples": self.min_samples,
             "dtype": self.dtype,
             "analog": None if self.analog is None else self.analog.to_dict(),
             "chunk_samples": self.chunk_samples,
-            "data_block": self.data_block,
             "sweep_key": self.sweep_key,
             "sweep_param": self.sweep_param,
         }
@@ -139,11 +135,9 @@ class JobRequest:
             model_seed=int(payload.get("model_seed", 0)),
             checkpoint=payload.get("checkpoint"),
             tolerance=payload.get("tolerance"),
-            min_samples=payload.get("min_samples"),
             dtype=str(payload.get("dtype", "float64")),
             analog=None if analog is None else AnalogParams.from_dict(analog),
             chunk_samples=payload.get("chunk_samples"),
-            data_block=int(payload.get("data_block", 64)),
             sweep_key=payload.get("sweep_key"),
             sweep_param=payload.get("sweep_param"),
         )
@@ -230,10 +224,8 @@ def materialize(request: JobRequest) -> Materialized:
         seed=request.seed,
         dtype=request.dtype,
         vectorized=True,  # in-process stacked form; falls back to per-draw
-        data_block=request.data_block,
         chunk_samples=request.chunk_samples,
         tolerance=request.tolerance,
-        min_samples=request.min_samples,
     )
     payload = fingerprint_payload(
         plan, model_digest, test_digest, analog_payload

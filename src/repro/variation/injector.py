@@ -84,28 +84,21 @@ class VariationInjector:
         :class:`repro.variation.spec.LayerMap` resolves per weighted
         layer (name and paper layer index) before perturbing; layers that
         resolve to ``none`` are left at their nominal weights.
-    dtype:
-        Arithmetic dtype of the *installed* perturbations (``"float64"``,
-        the historical bit-exact protocol, or ``"float32"``). Under either
-        dtype the draw itself is generated in float64 — for float32 from
-        the float32-rounded nominal (``nominal.astype(f32).astype(f64)``,
-        idempotent whether the model already runs in float32 or not) and
-        cast exactly once afterwards. Stream consumption depends only on
-        parameter shapes, so the seed schedule is dtype-invariant and the
-        per-dtype pairing contract holds on every engine.
+
+    Perturbations take each parameter's own dtype at draw time: a draw is
+    generated in float64 from the parameter's values and cast back once
+    (:meth:`_draw`). A float32 evaluation casts the model before its first
+    draw (``repro.evaluation.executor``), so its draws perturb the
+    float32 nominal. Stream consumption depends only on parameter shapes,
+    so the seed schedule is dtype-invariant and the per-dtype pairing
+    contract holds on every engine.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        variation: "VariationLike",
-        dtype: str = "float64",
-    ) -> None:
+    def __init__(self, model: Module, variation: "VariationLike") -> None:
         from repro.variation.spec import parse_spec
 
         self.model = model
         self.variation = parse_spec(variation)
-        self.dtype = str(np.dtype(dtype))
         self._target_cache: Optional[
             List[Tuple[str, Parameter, VariationModel]]
         ] = None
@@ -158,14 +151,13 @@ class VariationInjector:
 
         Every consumer (loop, stacked, pool workers) goes through here,
         which is what makes the per-dtype pairing contract a
-        single-point invariant: float64 perturbs the nominal
-        directly (bit-identical to every historical run); float32 perturbs
-        the float32-rounded nominal in float64 and casts the result once.
+        single-point invariant: a float64 parameter is perturbed as it is
+        (bit-identical to every historical run); any other is perturbed
+        as a float64 copy and the result cast back to its dtype once.
         """
-        if self.dtype == "float64":
-            return variation.perturb(param.data, rng)
-        base = param.data.astype(np.float32).astype(np.float64)
-        return variation.perturb(base, rng).astype(np.float32)
+        nominal = param.data
+        drawn = variation.perturb(nominal.astype(np.float64, copy=False), rng)
+        return drawn.astype(nominal.dtype, copy=False)
 
     def stack_for(
         self, rngs: Sequence[np.random.Generator]
@@ -183,7 +175,7 @@ class VariationInjector:
         """
         targets = self._targets()
         stacks: Dict[str, np.ndarray] = {
-            name: np.empty((len(rngs),) + param.data.shape, dtype=self.dtype)
+            name: np.empty((len(rngs),) + param.data.shape, param.data.dtype)
             for name, param, _ in targets
         }
         for i, rng in enumerate(rngs):

@@ -127,7 +127,7 @@ class TestCrossEntropy:
 
 class TestStackedKernels:
     """Sample-stacked (vectorized Monte-Carlo) forward kernels match the
-    per-sample reference ops. The stacked conv and tiled pools are
+    per-sample reference ops. The stacked conv, linear and tiled pools are
     inference-only: they refuse to record a backward."""
 
     def _stacked_conv_reference(self, x, w, b, stride, padding):
@@ -216,28 +216,39 @@ class TestStackedKernels:
         padding=st.integers(0, 2),
         extra=st.integers(0, 4),
         stacked_weight=st.booleans(),
+        shared_input=st.booleans(),
         with_bias=st.booleans(),
         dtype=st.sampled_from(["float64", "float32"]),
         seed=st.integers(0, 2**16),
     )
     # Both layouts: a 5x5 kernel over a 6x6 map (OW=2 < KW, LeNet-5's
-    # conv2) and a stride-1 unpadded 1x1 conv (OW >= KW, no gather).
+    # conv2) and a stride-1 unpadded 1x1 conv (OW >= KW, no gather); and
+    # a float32 shared input whose bias folds into the GEMM.
     @example(s=2, c=3, n=2, f=4, kernel=5, stride=1, padding=0, extra=1,
-             stacked_weight=True, with_bias=True, dtype="float64", seed=0)
+             stacked_weight=True, shared_input=False, with_bias=True,
+             dtype="float64", seed=0)
     @example(s=2, c=3, n=2, f=4, kernel=1, stride=1, padding=0, extra=3,
-             stacked_weight=False, with_bias=True, dtype="float64", seed=0)
+             stacked_weight=False, shared_input=False, with_bias=True,
+             dtype="float64", seed=0)
+    @example(s=2, c=3, n=2, f=4, kernel=3, stride=1, padding=1, extra=2,
+             stacked_weight=True, shared_input=True, with_bias=True,
+             dtype="float32", seed=0)
     def test_stacked_input_conv_matches_per_sample(
         self, s, c, n, f, kernel, stride, padding, extra, stacked_weight,
-        with_bias, dtype, seed,
+        shared_input, with_bias, dtype, seed,
     ):
-        """A stacked (S, C, N, H, W) input convolves like S plain conv2d
-        calls, whichever layout the shapes pick (``OW >= KW`` or not)."""
+        """A stacked (S, C, N, H, W) input, or a shared (N, C, H, W) one
+        under a stacked weight, convolves like S plain conv2d calls in the
+        operands' dtype, whichever layout the shapes pick (``OW >= KW`` or
+        not)."""
         from repro.autograd import no_grad
 
+        stacked_weight = stacked_weight or shared_input
         h = max(1, kernel - 2 * padding) + extra
         oh = (h + 2 * padding - kernel) // stride + 1
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(s, c, n, h, h)).astype(dtype)
+        shape = (n, c, h, h) if shared_input else (s, c, n, h, h)
+        x = rng.normal(size=shape).astype(dtype)
         w = rng.normal(size=((s,) if stacked_weight else ()) + (f, c, kernel, kernel))
         w = w.astype(dtype)
         b = None
@@ -255,8 +266,9 @@ class TestStackedKernels:
             bi = None
             if b is not None:
                 bi = Tensor(b[i] if stacked_weight else b)
+            xi = x if shared_input else x[i].transpose(1, 0, 2, 3)
             oi = F.conv2d(
-                Tensor(np.ascontiguousarray(x[i].transpose(1, 0, 2, 3))),
+                Tensor(np.ascontiguousarray(xi)),
                 Tensor(w[i] if stacked_weight else w), bi, stride, padding,
             )
             want[i] = oi.data.transpose(1, 0, 2, 3)
@@ -370,9 +382,10 @@ class TestStackedKernels:
 
     def test_stacked_kernels_refuse_to_record(self):
         """With grad enabled, an operand that requires grad makes a stacked
-        conv or tiled stacked pool raise instead of dropping its gradient.
-        Under ``no_grad``, or with constant operands, they run untaped, and
-        the pooling fold for windows that do not tile stays differentiable."""
+        conv, linear or tiled stacked pool raise instead of dropping its
+        gradient. Under ``no_grad``, or with constant operands, they run
+        untaped, and the pooling fold for windows that do not tile stays
+        differentiable."""
         from repro.autograd import no_grad
 
         rng = np.random.default_rng(11)
@@ -380,12 +393,15 @@ class TestStackedKernels:
         shared_x = rng.normal(size=(4, 3, 6, 6))
         w = rng.normal(size=(2, 5, 3, 3, 3))
         b = rng.normal(size=5)
+        features = rng.normal(size=(4, 3))  # (N, in)
+        linear_w = rng.normal(size=(2, 5, 3))  # (S, out, in)
         cases = {
             "conv, stacked input": (F.conv2d, [stacked_x, w, b]),
             "conv, shared input": (F.conv2d, [shared_x, w, b]),
             "conv, shared weight": (F.conv2d, [stacked_x, w[0], b]),
             "avg pool": (lambda x: F.avg_pool2d(x, 2), [stacked_x]),
             "max pool": (lambda x: F.max_pool2d(x, 2), [stacked_x]),
+            "linear": (F.linear, [features, linear_w, b]),
         }
         for name, (op, arrays) in cases.items():
             for i in range(len(arrays)):

@@ -34,10 +34,6 @@ class TestElementwiseGrads:
     def test_exp(self):
         assert gradcheck(lambda x: x.exp(), [_t(5)])
 
-    def test_log(self):
-        x = Tensor(RNG.uniform(0.5, 3.0, size=5), requires_grad=True)
-        assert gradcheck(lambda x: x.log(), [x])
-
     def test_tanh(self):
         assert gradcheck(lambda x: x.tanh(), [_t(5)])
 
@@ -45,11 +41,6 @@ class TestElementwiseGrads:
         x = Tensor(RNG.uniform(0.1, 1.0, size=5) * RNG.choice([-1, 1], 5),
                    requires_grad=True)
         assert gradcheck(lambda x: x.relu(), [x])
-
-    def test_abs_away_from_zero(self):
-        x = Tensor(RNG.uniform(0.5, 1.0, size=5) * RNG.choice([-1, 1], 5),
-                   requires_grad=True)
-        assert gradcheck(lambda x: x.abs(), [x])
 
 
 class TestMatmulGrads:
@@ -81,11 +72,6 @@ class TestReductionGrads:
 
     def test_var(self):
         assert gradcheck(lambda x: x.var(axis=1), [_t(3, 4)], atol=1e-4)
-
-    def test_max_unique(self):
-        x = Tensor(np.array([[1.0, 5.0, 2.0], [7.0, 3.0, 4.0]]),
-                   requires_grad=True)
-        assert gradcheck(lambda x: x.max(axis=1), [x])
 
 
 class TestNNFunctionalGrads:

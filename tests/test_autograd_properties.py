@@ -49,20 +49,9 @@ class TestAlgebraicIdentities:
 
     @settings(max_examples=25, deadline=None)
     @given(_arrays(SMALL_SHAPES))
-    def test_exp_log_roundtrip_positive(self, a):
-        x = Tensor(np.abs(a) + 0.1)
-        np.testing.assert_allclose(x.log().exp().data, x.data, atol=1e-10)
-
-    @settings(max_examples=25, deadline=None)
-    @given(_arrays(SMALL_SHAPES))
     def test_relu_idempotent(self, a):
         x = Tensor(a)
         np.testing.assert_allclose(x.relu().relu().data, x.relu().data)
-
-    @settings(max_examples=25, deadline=None)
-    @given(_arrays(SMALL_SHAPES))
-    def test_abs_nonnegative(self, a):
-        assert (Tensor(a).abs().data >= 0).all()
 
 
 class TestGradientLinearity:

@@ -88,7 +88,7 @@ class TestNoCyclicGarbage:
         policy = RNNPolicy(
             n_steps=3, ratio_choices=(0.0, 0.5, 1.0), hidden_size=8, seed=1
         )
-        agent = ReinforceAgent(policy, lr=0.05)
+        agent = ReinforceAgent(policy)
         assert cyclic_garbage(lambda: agent.update(policy.sample(), 0.5)) == 0
 
     def test_no_grad_eval_forwards(self, tiny_train):
@@ -127,8 +127,7 @@ def _ops(x, w):
     kernel = w[:2, :2].reshape(1, 1, 2, 2)
     return [
         x + w, x - w, x * w, x / (w * w + 1.0), x**2, x @ w.T, x.exp(),
-        x.log(), x.tanh(), x.relu(), x.abs(), x.clip(-0.5, 0.5),
-        x.sum(axis=0), x.max(axis=1), x.transpose(), x[1:], x.broadcast_to((2, 4, 4)),
+        x.tanh(), x.relu(), x.sum(axis=0), x.transpose(), x[1:],
         concatenate([x, w]),
         F.conv2d(img, kernel), F.conv2d(img, w.reshape(1, 1, 4, 4), padding=1),
         F.avg_pool2d(img, 2), F.max_pool2d(img, 2),
@@ -356,13 +355,13 @@ class TestFirstGradientWrite:
                 assert a.grad is first
                 assert a.grad.tobytes() == b.grad.tobytes()
 
-    @pytest.mark.parametrize("op", ["relu", "mul", "clip"])
+    @pytest.mark.parametrize("op", ["relu", "mul"])
     def test_mask_products_keep_the_copy(self, op):
         """A product with a 0/1 mask can hold -0.0, which the first write
         turns into +0.0, so these producers never adopt."""
         x = Tensor(np.array([-2.0, -1.0, 0.5, 3.0]), requires_grad=True)
-        out = {"relu": x.relu, "mul": lambda: x * np.array([0.0, 1.0, 0.0, 1.0]),
-               "clip": lambda: x.clip(0.0, 1.0)}[op]()
+        out = {"relu": x.relu,
+               "mul": lambda: x * np.array([0.0, 1.0, 0.0, 1.0])}[op]()
         gout = np.array([-1.0, -2.0, -3.0, -4.0])
         out._backward(gout)
         assert not (np.signbit(x.grad) & (x.grad == 0)).any()

@@ -122,7 +122,7 @@ class TestRewardEngineInvariance:
             variation=LogNormalVariation(0.4),
             train_data=train,
             eval_data=test,
-            comp_config=CompensationConfig(epochs=1, batch_size=16, seed=0),
+            comp_config=CompensationConfig(epochs=1, seed=0),
             eval_config=EvalConfig(n_samples=4, search_samples=3, seed=7,
                                    **eval_kwargs),
             overhead_limit=2.0,  # never skip: always train + evaluate

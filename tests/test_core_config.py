@@ -9,16 +9,34 @@ from repro.core.config import (
     CompensationConfig, EvalConfig, PipelineConfig, RLConfig, TrainConfig,
     fast_pipeline_config,
 )
+from repro.evaluation.layer_sweep import CANDIDATE_THRESHOLD
+from repro.lipschitz import lambda_bound, lognormal_bound
+
+#: Every field a config once had and no longer has, with a value a stale
+#: record could carry: several variation draws per compensation batch,
+#: then the settings that became constants.
+STALE_FIELDS = [
+    ("compensation", "variation_samples", 2),
+    ("train", "k", 2.0),
+    ("train", "grad_clip", None),
+    ("compensation", "batch_size", 16),
+    ("compensation", "train_sigma_scale", 0.5),
+    ("rl", "lr", 0.05),
+    ("rl", "entropy_coef", 0.0),
+    ("rl", "baseline_momentum", 0.5),
+    ("eval", "candidate_threshold", 0.9),
+    ("eval", "min_samples", 10),
+]
 
 
 class TestConfigDataclasses:
     def test_defaults_match_paper_protocol(self):
         config = PipelineConfig()
         assert config.sigma == 0.5
-        assert config.train.k == 1.0
         assert config.eval.n_samples == 250
         assert config.rl.overhead_limits == (0.01, 0.02, 0.03)
-        assert config.eval.candidate_threshold == 0.95
+        assert CANDIDATE_THRESHOLD == 0.95
+        assert lambda_bound(0.5) == 1.0 / lognormal_bound(0.5)  # k = 1
 
     def test_fast_config_smaller(self):
         fast = fast_pipeline_config()
@@ -45,10 +63,12 @@ class TestConfigDataclasses:
         assert b.train.epochs != 999
 
     def test_stale_compensation_field_fails_loudly(self):
-        """A record that trained several variation draws per batch cannot
-        load as a one-draw config: the removed field raises."""
-        payload = fast_pipeline_config().to_dict()
-        assert PipelineConfig.from_dict(payload) == fast_pipeline_config()
-        payload["compensation"]["variation_samples"] = 2
-        with pytest.raises(TypeError, match="variation_samples"):
-            PipelineConfig.from_dict(payload)
+        """A record that carries a removed setting cannot load as a config
+        that would ignore it: each removed field raises."""
+        fresh = fast_pipeline_config().to_dict()
+        assert PipelineConfig.from_dict(fresh) == fast_pipeline_config()
+        for stage, name, value in STALE_FIELDS:
+            payload = fast_pipeline_config().to_dict()
+            payload[stage][name] = value
+            with pytest.raises(TypeError, match=f"argument '{name}'"):
+                PipelineConfig.from_dict(payload)

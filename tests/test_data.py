@@ -48,13 +48,10 @@ class TestDataLoader:
         seen = sum(len(labels) for _, labels in loader)
         assert seen == 10
 
-    def test_len_with_and_without_drop_last(self):
-        assert len(DataLoader(self._ds(), batch_size=3)) == 4
-        assert len(DataLoader(self._ds(), batch_size=3, drop_last=True)) == 3
-
-    def test_drop_last_batches_full(self):
-        loader = DataLoader(self._ds(), batch_size=3, drop_last=True, seed=0)
-        assert all(len(labels) == 3 for _, labels in loader)
+    def test_len_counts_the_partial_last_batch(self):
+        loader = DataLoader(self._ds(), batch_size=3, seed=0)
+        assert len(loader) == 4
+        assert [len(labels) for _, labels in loader] == [3, 3, 3, 1]
 
     def test_no_shuffle_preserves_order(self):
         loader = DataLoader(self._ds(), batch_size=4, shuffle=False)

@@ -48,20 +48,27 @@ class TestPerDtypePairing:
 
     def test_seed_schedule_is_dtype_invariant(self, mlp):
         """Both dtypes consume the streams identically: draws are generated
-        in float64 (rng consumption is shape-only) and cast once, so seed
-        schedules — and chunk boundaries — never depend on the dtype."""
+        in float64 (rng consumption is shape-only) and cast back to the
+        parameter's dtype once, so seed schedules — and chunk boundaries —
+        never depend on the dtype. Under the float32 run scope a draw
+        perturbs the float32-rounded nominal in float64 and casts once."""
+        from repro.evaluation.executor import _dtype_scope
         from repro.utils.rng import spawn_rngs
 
         variation = LogNormalVariation(0.5)
-        inj64 = VariationInjector(mlp, variation)
-        inj32 = VariationInjector(mlp, variation, dtype="float32")
-        for rng64, rng32 in zip(spawn_rngs(5, 3), spawn_rngs(5, 3)):
-            draws64 = inj64.stack_for([rng64])
-            draws32 = inj32.stack_for([rng32])
+        injector = VariationInjector(mlp, variation)
+        streams = zip(spawn_rngs(5, 3), spawn_rngs(5, 3), spawn_rngs(5, 3))
+        for rng64, rng32, rng_ref in streams:
+            draws64 = injector.stack_for([rng64])
+            with _dtype_scope(mlp, "float32"):
+                draws32 = injector.stack_for([rng32])
             assert set(draws64) == set(draws32)
-            for name in draws64:
+            for name, param, model in injector._targets():
                 assert draws64[name].dtype == np.float64
                 assert draws32[name].dtype == np.float32
+                base = param.data.astype(np.float32).astype(np.float64)
+                want = model.perturb(base, rng_ref).astype(np.float32)
+                assert draws32[name][0].tobytes() == want.tobytes()
             # Equal post-draw stream state == equal consumption.
             assert rng64.random() == rng32.random()
 

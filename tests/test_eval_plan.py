@@ -281,9 +281,14 @@ class TestPlanBuilding:
         assert build_plan(mlp, LogNormalVariation(0.3),
                           n_samples=3, seed=0).chunk_samples == 3
 
-    def test_invalid_evaluator_knobs(self, blob_dataset):
+    def test_invalid_evaluator_knobs(self, blob_dataset, mlp):
         with pytest.raises(ValueError):
             MonteCarloEvaluator(blob_dataset, chunk_samples=0)
+        with pytest.raises(ValueError, match="data_block must be positive"):
+            MonteCarloEvaluator(blob_dataset, data_block=0)
+        with pytest.raises(ValueError, match="data_block must be positive"):
+            build_plan(mlp, LogNormalVariation(0.3), n_samples=4, seed=0,
+                       data_block=0)
 
     def test_workers_clamped_to_pinned_chunk_count(self, mlp):
         """Regression: more workers than chunks used to spin up idle

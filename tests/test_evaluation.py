@@ -127,11 +127,11 @@ class TestLayerSweep:
         assert candidates == []
 
     def test_candidates_all_for_fragile_threshold(self, mlp, blob_dataset):
-        """Impossible threshold (>100% of original) marks every layer."""
+        """An unreachable target (95% of an original accuracy of 2) marks
+        every layer."""
         ev = MonteCarloEvaluator(blob_dataset, n_samples=2, seed=0)
         candidates = select_candidates(
-            mlp, LogNormalVariation(0.3), ev,
-            original_accuracy=1.0, threshold=2.0,
+            mlp, LogNormalVariation(0.3), ev, original_accuracy=2.0,
         )
         assert candidates == [0, 1]
 
@@ -139,7 +139,7 @@ class TestLayerSweep:
         ev = MonteCarloEvaluator(blob_dataset, n_samples=2, seed=0)
         candidates = select_candidates(
             mlp, LogNormalVariation(0.3), ev,
-            original_accuracy=1.0, threshold=2.0, max_candidates=1,
+            original_accuracy=2.0, max_candidates=1,
         )
         assert candidates == [0]
 

@@ -25,7 +25,7 @@ def _fresh_fit(base, plan, spec, data, config):
     """The unmemoized recipe, spelled out: splice, then train."""
     model = plan.apply(base, seed=config.seed)
     CompensationTrainer(model, spec, lr=config.lr, seed=config.seed).fit(
-        data, epochs=config.epochs, batch_size=config.batch_size
+        data, epochs=config.epochs
     )
     return model
 
@@ -63,7 +63,7 @@ class TestHitIsAFreshFit:
         base.train(base_mode == "train")
         plan = CompensationPlan({0: 0.5, 1: 1.0})
         spec = LogNormalVariation(0.3)
-        config = CompensationConfig(epochs=1, batch_size=8, lr=3e-3, seed=0)
+        config = CompensationConfig(epochs=1, lr=3e-3, seed=0)
         memo = {}
         fit_plan(base, plan, spec, data, config, memo=memo)
         assert len(fit_calls) == 1
@@ -76,7 +76,7 @@ class TestHitIsAFreshFit:
         """The entry is what a fit changed: the frozen network stays out."""
         base, data = _family("resnet8", tiny_train)
         plan = CompensationPlan({0: 0.5})
-        config = CompensationConfig(epochs=1, batch_size=8, seed=0)
+        config = CompensationConfig(epochs=1, seed=0)
         memo = {}
         fitted = fit_plan(base, plan, LogNormalVariation(0.3), data, config,
                           memo=memo)
@@ -87,7 +87,7 @@ class TestHitIsAFreshFit:
     def test_hit_does_not_alias_the_entry(self, tiny_train):
         base, data = _family("resnet8", tiny_train)
         plan = CompensationPlan({0: 0.5})
-        config = CompensationConfig(epochs=1, batch_size=8, seed=0)
+        config = CompensationConfig(epochs=1, seed=0)
         memo = {}
         fit_plan(base, plan, LogNormalVariation(0.3), data, config, memo=memo)
         (entry,) = memo.values()
@@ -110,8 +110,7 @@ class TestHitIsAFreshFit:
 
 # --- key sensitivity -------------------------------------------------------
 
-_BASE_CONFIG = dict(epochs=1, batch_size=8, lr=1e-2, seed=0,
-                    train_sigma_scale=1.0)
+_BASE_CONFIG = dict(epochs=1, lr=1e-2, seed=0)
 
 #: One replacement-value strategy per fit input; each value differs from
 #: the base input built by ``_inputs``.
@@ -121,9 +120,7 @@ _CHANGES = {
     "sigma": st.floats(0.0, 1.0).filter(lambda s: s != 0.3),
     "lr": st.floats(1e-4, 1e-1).filter(lambda v: v != 1e-2),
     "epochs": st.just(0),
-    "batch_size": st.integers(1, 24).filter(lambda b: b != 8),
     "seed": st.integers(1, 2**31 - 1),
-    "train_sigma_scale": st.floats(0.1, 2.0).filter(lambda s: s != 1.0),
     "label": st.tuples(st.integers(0, 23), st.integers(1, 2)),
 }
 
@@ -172,14 +169,13 @@ class TestKeyCoversEveryInput:
 
 # --- the pipeline ----------------------------------------------------------
 
-def _tiny_pipeline(tiny_mnist, **compensation):
+def _tiny_pipeline(tiny_mnist):
     train, test = tiny_mnist
     model = LeNet5(num_classes=10, in_channels=1, input_size=16,
                    width_multiplier=0.5, seed=0)
     config = PipelineConfig(
         sigma=0.5,
-        compensation=CompensationConfig(epochs=1, batch_size=16, lr=3e-3,
-                                        seed=0, **compensation),
+        compensation=CompensationConfig(epochs=1, lr=3e-3, seed=0),
         rl=RLConfig(episodes=3, hidden_size=8, ratio_choices=(0.0, 0.5, 1.0),
                     overhead_limits=(0.5, 1.0), seed=0),
         eval=EvalConfig(n_samples=2, search_samples=2, seed=7),
@@ -205,13 +201,13 @@ class TestPipelineTrainsEachPlanOnce:
         net.finalize(best.plan)
         assert len(fit_calls) == len(set.union(*trained))
 
-    def test_finalize_trains_at_the_scaled_spec(self, tiny_mnist):
+    def test_finalize_trains_at_the_deployment_spec(self, tiny_mnist):
         """``finalize`` delivers the model the search scores: trained at
-        ``variation.scaled(train_sigma_scale)``."""
-        net = _tiny_pipeline(tiny_mnist, train_sigma_scale=0.5)
+        the deployment variation itself."""
+        net = _tiny_pipeline(tiny_mnist)
         plan = CompensationPlan({0: 0.5})
         delivered = net.finalize(plan)
-        expected = _fresh_fit(net.model, plan, LogNormalVariation(0.25),
+        expected = _fresh_fit(net.model, plan, LogNormalVariation(0.5),
                               net.train_data, net.config.compensation)
         _assert_same_fit(delivered, expected)
 

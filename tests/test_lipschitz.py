@@ -39,16 +39,9 @@ class TestBounds:
     def test_lambda_inverse_of_bound(self, sigma):
         assert lambda_bound(sigma) == pytest.approx(1.0 / lognormal_bound(sigma))
 
-    def test_lambda_scales_with_k(self):
-        assert lambda_bound(0.5, k=2.0) == pytest.approx(2 * lambda_bound(0.5))
-
     def test_negative_sigma_raises(self):
         with pytest.raises(ValueError):
             lognormal_bound(-0.1)
-
-    def test_nonpositive_k_raises(self):
-        with pytest.raises(ValueError):
-            lambda_bound(0.5, k=0.0)
 
 
 class TestSpectral:

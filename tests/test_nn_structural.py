@@ -260,7 +260,9 @@ class TestSelfAttention:
 
     def test_stacked_weights_bitwise_paired(self):
         """Stacked (S, out, in) projection weights — the vectorized
-        Monte-Carlo path — reproduce each per-sample forward bitwise."""
+        Monte-Carlo path — reproduce each per-sample forward bitwise.
+        Stacked passes run under ``no_grad``, as the engine runs them."""
+        from repro.autograd import no_grad
         from repro.utils.rng import spawn_rngs
         from repro.variation import VariationInjector, LogNormalVariation
 
@@ -268,13 +270,13 @@ class TestSelfAttention:
         inj = VariationInjector(attn, LogNormalVariation(0.4))
         x = Tensor(np.random.default_rng(5).normal(size=(2, 6, 8)))
         stacks = inj.stack_for(spawn_rngs(11, 3))
-        with inj.applied_stack(stacks):
+        with inj.applied_stack(stacks), no_grad():
             stacked_out = attn(x).data.copy()
         for s in range(3):
             slice_s = {name: stack[s] for name, stack in stacks.items()}
             with inj.applied_stack(
                 {name: arr[None] for name, arr in slice_s.items()}
-            ):
+            ), no_grad():
                 per_sample = attn(x).data[0]
             np.testing.assert_array_equal(stacked_out[s], per_sample)
 

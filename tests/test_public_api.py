@@ -1,8 +1,9 @@
 """Public API surface: every documented name imports, __all__ is honest,
-and every exported name, public function and public method has a caller
-outside the tests."""
+every exported name, public function and public method has a caller
+outside the tests, and every config and request field is set by one."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -10,6 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.core.config import (
+    CompensationConfig, EvalConfig, PipelineConfig, RLConfig, TrainConfig,
+)
+from repro.store.jobs import AnalogParams, JobRequest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,7 +71,7 @@ class TestPublicAPI:
         from repro.variation import LogNormalVariation  # eq. 1-2
         from repro.rl import CompensationEnv  # eq. 12 reward
 
-        lam = lambda_bound(0.5, k=1.0)
+        lam = lambda_bound(0.5)
         assert 0 < lam < 1
         assert OrthogonalityRegularizer(lam).lam == lam
         assert LogNormalVariation(0.5).sigma == 0.5
@@ -198,4 +204,75 @@ def test_every_export_has_a_caller():
     assert not stale, (
         f"KEPT names that are no longer uncalled public names: {stale}. "
         "Drop them from KEPT."
+    )
+
+
+#: The settable surface: every field of these classes is a setting.
+SETTINGS = (TrainConfig, CompensationConfig, RLConfig, EvalConfig,
+            PipelineConfig, JobRequest, AnalogParams)
+
+#: Settings that nothing outside the tests sets, each with the reason it
+#: stays. A field here that gains a setter fails the guard too.
+KEPT_SETTINGS = {
+    "EvalConfig.store_path": "the pipeline's opt-in result-store cache, on "
+                             "which ROADMAP item 1 builds the persisted fit "
+                             "memo",
+}
+
+
+def _settings_set():
+    """``{"Class.field"}`` of the settings a caller file sets.
+
+    A field is set by a call to its class that passes it by keyword
+    (``EvalConfig(max_candidates=3)``), or by an assignment through a
+    ``PipelineConfig`` slot (``config.eval.tolerance = ...``). Other
+    attribute assignments do not count: ``self.optimizer.lr = ...`` sets
+    an optimizer's rate, not ``RLConfig.lr``.
+    """
+    classes = {cls.__name__ for cls in SETTINGS}
+    defaults = PipelineConfig()
+    slots = {
+        f.name: type(getattr(defaults, f.name)).__name__
+        for f in dataclasses.fields(PipelineConfig)
+        if dataclasses.is_dataclass(getattr(defaults, f.name))
+    }
+    found = set()
+    for path in _caller_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in classes:
+                    found.update(f"{name}.{kw.arg}" for kw in node.keywords
+                                 if kw.arg is not None)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    if (isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Attribute)
+                            and target.value.attr in slots):
+                        found.add(f"{slots[target.value.attr]}.{target.attr}")
+    return found
+
+
+def test_every_setting_is_set():
+    """A config or request field is a knob every test and benchmark must
+    cover, so each one is set by ``src/``, ``benchmarks/``, ``examples/``
+    or ``perfbench/`` (:func:`_settings_set`), or is in ``KEPT_SETTINGS``
+    with a reason. A value nothing sets belongs in a constant."""
+    declared = {f"{cls.__name__}.{f.name}"
+                for cls in SETTINGS for f in dataclasses.fields(cls)}
+    unset = declared - _settings_set()
+    never = sorted(unset - set(KEPT_SETTINGS))
+    assert not never, (
+        f"settings that nothing outside the tests sets: {never}. Fold each "
+        "into the constant it always takes, or add it to KEPT_SETTINGS with "
+        "the reason it stays."
+    )
+    stale = sorted(set(KEPT_SETTINGS) - unset)
+    assert not stale, (
+        f"KEPT_SETTINGS entries that are set or no longer declared: {stale}. "
+        "Drop them from KEPT_SETTINGS."
     )

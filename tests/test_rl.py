@@ -54,11 +54,14 @@ class TestPolicy:
 
 class TestAgentBandit:
     def test_reinforce_learns_rewarded_action(self):
-        """3-step bandit: reward 1 when every step picks action 1. After
-        enough updates the greedy rollout must select it everywhere."""
+        """3-step bandit: reward 1 when every step picks action 1. The
+        untrained greedy rollout picks action 0 everywhere; after enough
+        updates at the agent's own learning rate, entropy bonus and
+        baseline momentum it picks action 1 everywhere."""
         policy = RNNPolicy(n_steps=3, ratio_choices=(0.0, 1.0),
                            hidden_size=8, seed=1)
-        agent = ReinforceAgent(policy, lr=0.05, entropy_coef=0.0)
+        assert policy.sample(greedy=True).actions == [0, 0, 0]
+        agent = ReinforceAgent(policy)
         for _ in range(150):
             episode = policy.sample()
             reward = float(all(a == 1 for a in episode.actions))
@@ -67,11 +70,17 @@ class TestAgentBandit:
         assert greedy.actions == [1, 1, 1]
 
     def test_baseline_tracks_rewards(self):
+        """The baseline starts at the first reward, then is the moving
+        average of the rewards at the agent's momentum."""
         policy = RNNPolicy(n_steps=1, ratio_choices=(0.0, 1.0), seed=2)
-        agent = ReinforceAgent(policy, baseline_momentum=0.5)
-        for _ in range(10):
-            agent.update(policy.sample(), 1.0)
-        assert agent.baseline == pytest.approx(1.0, abs=0.01)
+        agent = ReinforceAgent(policy)
+        momentum = ReinforceAgent.BASELINE_MOMENTUM
+        rewards = [1.0, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.0, 1.0, 1.0]
+        expected = rewards[0]
+        for reward in rewards:
+            agent.update(policy.sample(), reward)
+            expected = momentum * expected + (1.0 - momentum) * reward
+        assert agent.baseline == pytest.approx(expected)
         assert len(agent.reward_history) == 10
 
 
@@ -87,7 +96,7 @@ def _tiny_env(overhead_limit=0.5, search_samples=2, memo=None):
         variation=LogNormalVariation(0.4),
         train_data=data,
         eval_data=data,
-        comp_config=CompensationConfig(epochs=1, batch_size=16),
+        comp_config=CompensationConfig(epochs=1),
         eval_config=EvalConfig(n_samples=2, search_samples=search_samples),
         overhead_limit=overhead_limit,
         memo=memo,

@@ -11,8 +11,10 @@ The acceptance properties of the evaluation service live here:
   work;
 - ``cached_evaluate`` returns the stored payload without re-executing,
   and on a miss races its chunks on the evaluator's clock;
-- a job whose chunk or data block is below one is refused at
-  materialization, before it can reach the store.
+- a job whose chunk is below one is refused at materialization, before
+  it can reach the store;
+- a job row stored while requests still carried ``data_block`` and
+  ``min_samples`` keeps its fingerprint and runs.
 
 Evaluations run on a miniature dataset (the factory registry is patched)
 so the whole file stays unit-test sized.
@@ -133,7 +135,7 @@ class TestDrain:
             store.put_chunk(row.fingerprint, "crasher", 1, 2, 4, [0.0, 0.0])
 
     def test_adaptive_job_resumes_to_the_same_stop_point(self, store):
-        request = _request(tolerance=0.06, min_samples=4, n_samples=24)
+        request = _request(tolerance=0.06, n_samples=24)
         m = materialize(request)
         direct = execute(m.plan, m.model, m.dataset)
         assert direct.stopped_early
@@ -153,8 +155,7 @@ class TestDrain:
         before finalize leaves exactly that prefix, and a fresh drain
         finalizes the default-chunk run's result without evaluating
         another chunk."""
-        request = _request(tolerance=0.06, min_samples=4, n_samples=32,
-                           chunk_samples=6)
+        request = _request(tolerance=0.06, n_samples=32, chunk_samples=6)
         m = materialize(request)
         default = materialize(replace(request, chunk_samples=None))
         assert default.fingerprint == m.fingerprint
@@ -198,6 +199,22 @@ class TestDrain:
         assert row.state == "failed"
         assert "fingerprint mismatch" in row.error
 
+    def test_a_row_with_the_removed_knobs_keeps_its_fingerprint(self, store):
+        """A row stored while requests carried ``data_block`` and
+        ``min_samples`` loads (``from_dict`` ignores both keys),
+        re-materializes to its stored fingerprint, the default stopping
+        floor included, and runs to the direct result."""
+        request = _request(tolerance=0.06, n_samples=24)
+        m = materialize(request)
+        stale = dict(m.request.to_dict(), data_block=64, min_samples=None)
+        assert materialize(JobRequest.from_dict(stale)).fingerprint == \
+            m.fingerprint
+        store.submit(m.fingerprint, stale)
+        stats = drain(store, owner="w1")
+        assert [o.status for o in stats.outcomes] == ["done"]
+        assert store.result(m.fingerprint)["accuracies"] == \
+            _direct_accuracies(request)
+
     def test_run_job_requires_positive_max_chunks(self, store):
         with pytest.raises(ValueError, match="at least 1"):
             drain(store, owner="w", max_chunks_per_job=0)
@@ -205,9 +222,8 @@ class TestDrain:
 
 class TestMaterializeValidation:
     @pytest.mark.parametrize("knob", [dict(chunk_samples=0),
-                                      dict(chunk_samples=-3),
-                                      dict(data_block=0)],
-                             ids=["chunk-0", "chunk-neg", "block-0"])
+                                      dict(chunk_samples=-3)],
+                             ids=["chunk-0", "chunk-neg"])
     def test_non_positive_chunk_or_block_is_refused(self, knob):
         (name,) = knob
         with pytest.raises(ValueError, match=f"{name} must be positive"):
