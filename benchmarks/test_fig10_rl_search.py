@@ -6,8 +6,6 @@ compensation of all candidate layers. Expected shape: the RL pick reaches
 accuracy comparable to exhaustive compensation at lower overhead.
 """
 
-import pytest
-
 from repro.core.config import RLConfig
 from repro.rl import CompensationEnv, RLSearch, exhaustive_search
 from repro.utils.tables import format_table
@@ -38,7 +36,7 @@ def test_fig10_rl_vs_exhaustive(benchmark, workbench):
             ratio_choices=(0.0, 0.25, 0.5, 1.0), seed=3,
         ))
         search_result = search.run()
-        exhaustive = exhaustive_search(env, ratio=0.5)
+        exhaustive = exhaustive_search(env)
         return search_result, exhaustive
 
     search_result, exhaustive = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -288,7 +288,7 @@ def test_mc_float32_speedup():
     train, test = synth_mnist(
         train_per_class=8, test_per_class=F32_TEST_PER_CLASS
     )
-    model = MLP(256, [256], 10, flatten_input=True, seed=0)
+    model = MLP(256, [256], 10, seed=0)
     model.eval()
     variation = LogNormalVariation(0.5)
 

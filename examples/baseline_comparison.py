@@ -61,16 +61,16 @@ def main() -> None:
                  100 * adapted.accuracy_mean, "yes"])
 
     # [9] random sparse adaptation
-    rsa = RandomSparseAdaptation(plain, 0.05, seed=0).evaluate(
+    rsa = RandomSparseAdaptation(plain, 0.05).evaluate(
         variation, test, n_samples=MC_SAMPLES, seed=5,
-        train_data=train, adapt_steps=ADAPT_STEPS,
+        online_retraining=True, train_data=train, adapt_steps=ADAPT_STEPS,
     )
     rows.append(["[9] RSA + online retrain", 100 * rsa.overhead,
                  100 * rsa.accuracy_mean, "yes"])
 
     # [11] statistical training
     print("running statistical (noise-aware) training ...")
-    stat = StatisticalTraining(plain, variation, lr=3e-3, seed=0)
+    stat = StatisticalTraining(plain, variation, lr=3e-3)
     stat.fit(train, epochs=STAT_EPOCHS, batch_size=32)
     stat_res = stat.evaluate(test, n_samples=MC_SAMPLES, seed=5)
     rows.append(["[11] statistical training", 0.0,

@@ -339,11 +339,12 @@ def _conv2d_stacked(
     return _stacked_output(out_data, (x, weight, bias), "conv2d_stacked")
 
 
-def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over non-overlapping (or strided) windows.
+def avg_pool2d(x: Tensor, kernel: KernelLike) -> Tensor:
+    """Average pooling over windows that step by the kernel height.
 
     A 4-D input whose windows tile the map takes the gather-free
-    :func:`_avg_pool2d_tiled`; other windows gather through ``im2col``.
+    :func:`_avg_pool2d_tiled`; other windows (a non-square kernel, or a
+    map the kernel does not divide) gather through ``im2col``.
     A 5-D input (S, C, N, H, W) — the channel-major stacked-activation
     convention of the vectorized Monte-Carlo engine — is pooled on a
     reshape fast path when windows tile exactly, else by folding the two
@@ -355,17 +356,16 @@ def avg_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
     if x.ndim == 5:
         s, n = x.shape[:2]
         kh, kw = _pair(kernel)
-        stride_ = stride or kh
-        if kh == kw == stride_ and x.shape[3] % kh == 0 and x.shape[4] % kw == 0:
+        if kh == kw and x.shape[3] % kh == 0 and x.shape[4] % kw == 0:
             return _pool2d_stacked_fast(x, kh, kw, "avg")
-        folded = avg_pool2d(x.reshape((s * n,) + x.shape[2:]), kernel, stride)
+        folded = avg_pool2d(x.reshape((s * n,) + x.shape[2:]), kernel)
         return folded.reshape((s, n) + folded.shape[1:])
     kh, kw = _pair(kernel)
-    stride = stride or kh
+    stride = kh
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, 0)
     ow = conv_output_size(w, kw, stride, 0)
-    tiles = kh == kw == stride and h % kh == 0 and w % kw == 0
+    tiles = kh == kw and h % kh == 0 and w % kw == 0
     if tiles and x.data.flags.c_contiguous:
         # The gather below copies a contiguous map's columns unless the map
         # is one window wide and has one channel or one window row; numpy
@@ -457,8 +457,9 @@ def _pool2d_stacked_fast(x: Tensor, kh: int, kw: int, mode: str) -> Tensor:
     return _stacked_output(out_data, (x,), f"{mode}_pool2d_stacked")
 
 
-def max_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> Tensor:
-    """Max pooling; the gradient routes to the arg-max element per window.
+def max_pool2d(x: Tensor, kernel: KernelLike) -> Tensor:
+    """Max pooling over windows that step by the kernel height; the
+    gradient routes to the arg-max element per window.
 
     Like :func:`avg_pool2d`, a 5-D channel-major stacked input
     (S, C, N, H, W) takes the inference-only reshape fast path for
@@ -469,13 +470,12 @@ def max_pool2d(x: Tensor, kernel: KernelLike, stride: Optional[int] = None) -> T
     if x.ndim == 5:
         s, n = x.shape[:2]
         kh, kw = _pair(kernel)
-        stride_ = stride or kh
-        if kh == kw == stride_ and x.shape[3] % kh == 0 and x.shape[4] % kw == 0:
+        if kh == kw and x.shape[3] % kh == 0 and x.shape[4] % kw == 0:
             return _pool2d_stacked_fast(x, kh, kw, "max")
-        folded = max_pool2d(x.reshape((s * n,) + x.shape[2:]), kernel, stride)
+        folded = max_pool2d(x.reshape((s * n,) + x.shape[2:]), kernel)
         return folded.reshape((s, n) + folded.shape[1:])
     kh, kw = _pair(kernel)
-    stride = stride or kh
+    stride = kh
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, 0)
     ow = conv_output_size(w, kw, stride, 0)
@@ -549,29 +549,29 @@ def adaptive_avg_pool2d(x: Tensor, output_size: Tuple[int, int]) -> Tensor:
     return Tensor._make_child(out_data, (x,), "adaptive_avg_pool", _backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis``."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically-stable softmax along the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    prob = exp / exp.sum(axis=axis, keepdims=True)
+    prob = exp / exp.sum(axis=-1, keepdims=True)
 
     def _backward(g: np.ndarray) -> None:
-        dot = (g * prob).sum(axis=axis, keepdims=True)
+        dot = (g * prob).sum(axis=-1, keepdims=True)
         x._accumulate(prob * (g - dot))
 
     return Tensor._make_child(prob, (x,), "softmax", _backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed stably via the log-sum-exp trick."""
+def log_softmax(x: Tensor) -> Tensor:
+    """log(softmax(x)) along the last axis, stably via log-sum-exp."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - lse
 
     def _backward(g: np.ndarray) -> None:
-        x._accumulate(g - np.exp(logp) * g.sum(axis=axis, keepdims=True))
+        x._accumulate(g - np.exp(logp) * g.sum(axis=-1, keepdims=True))
 
     return Tensor._make_child(logp, (x,), "log_softmax", _backward)
 

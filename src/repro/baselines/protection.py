@@ -41,6 +41,9 @@ class ImportantWeightProtection:
     """
 
     method_name = "important-weight-protection"
+    #: Online adaptation's SGD step and mini-batch size.
+    ADAPT_LR = 5e-3
+    ADAPT_BATCH = 32
 
     def __init__(self, model: Module, fraction: float) -> None:
         self.model = model
@@ -59,18 +62,13 @@ class ImportantWeightProtection:
         }
 
     def _adapt_protected(
-        self,
-        train_data: ArrayDataset,
-        steps: int,
-        lr: float,
-        batch_size: int,
-        rng: np.random.Generator,
+        self, train_data: ArrayDataset, steps: int, rng: np.random.Generator
     ) -> None:
         """Online adaptation: masked SGD on the protected entries only,
         against the *currently programmed* (perturbed) network."""
         loss_fn = CrossEntropyLoss()
         params = self._weights()
-        loader = DataLoader(train_data, batch_size=batch_size, seed=rng)
+        loader = DataLoader(train_data, batch_size=self.ADAPT_BATCH, seed=rng)
         done = 0
         while done < steps:
             for images, labels in loader:
@@ -84,7 +82,7 @@ class ImportantWeightProtection:
                     mask = self.masks.get(name)
                     if mask is None or p.grad is None:
                         continue
-                    p.data = p.data - lr * p.grad * mask
+                    p.data = p.data - self.ADAPT_LR * p.grad * mask
                 done += 1
 
     def evaluate(
@@ -96,8 +94,6 @@ class ImportantWeightProtection:
         online_retraining: bool = False,
         train_data: Optional[ArrayDataset] = None,
         adapt_steps: int = 20,
-        adapt_lr: float = 5e-3,
-        batch_size: int = 32,
     ) -> BaselineResult:
         """Monte-Carlo accuracy with protection (and optional per-sample
         adaptation). The model's nominal weights are restored after every
@@ -127,9 +123,7 @@ class ImportantWeightProtection:
                         for param, nominal, mask in protected:
                             param.data = np.where(mask, nominal, param.data)
                         if online_retraining:
-                            self._adapt_protected(
-                                train_data, adapt_steps, adapt_lr, batch_size, rng
-                            )
+                            self._adapt_protected(train_data, adapt_steps, rng)
                         accuracies.append(accuracy(self.model, eval_data))
                 finally:
                     for param, nominal, _ in masked:

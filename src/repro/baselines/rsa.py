@@ -9,52 +9,21 @@ non-adapted variant is its ablation).
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.baselines.common import BaselineResult, masks_overhead, random_masks
+from repro.baselines.common import random_masks
 from repro.baselines.protection import ImportantWeightProtection
-from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
-from repro.utils.rng import new_rng, SeedLike
-from repro.variation.models import VariationModel
+from repro.utils.rng import new_rng
 
 
 class RandomSparseAdaptation(ImportantWeightProtection):
     """Random-subset protection + retraining, sharing the protection
-    evaluation machinery."""
+    evaluation machinery. Adaptation of the sparse subset *is* the
+    method, so callers evaluate it with ``online_retraining=True``."""
 
     method_name = "random-sparse-adaptation"
 
-    def __init__(self, model: Module, fraction: float, seed: SeedLike = 0) -> None:
+    def __init__(self, model: Module, fraction: float) -> None:
         # Bypass the magnitude-mask constructor; build random masks instead.
         self.model = model
         self.fraction = fraction
-        self.masks = random_masks(model, fraction, new_rng(seed))
-
-    def evaluate(
-        self,
-        variation: VariationModel,
-        eval_data: ArrayDataset,
-        n_samples: int = 25,
-        seed: SeedLike = 1234,
-        online_retraining: bool = True,
-        train_data: Optional[ArrayDataset] = None,
-        adapt_steps: int = 20,
-        adapt_lr: float = 5e-3,
-        batch_size: int = 32,
-    ) -> BaselineResult:
-        # Identical protocol; RSA defaults to online retraining because
-        # adaptation of the sparse subset *is* the method.
-        return super().evaluate(
-            variation,
-            eval_data,
-            n_samples=n_samples,
-            seed=seed,
-            online_retraining=online_retraining,
-            train_data=train_data,
-            adapt_steps=adapt_steps,
-            adapt_lr=adapt_lr,
-            batch_size=batch_size,
-        )
+        self.masks = random_masks(model, fraction, new_rng(0))

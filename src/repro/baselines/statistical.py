@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
 from repro.baselines.common import BaselineResult
 from repro.core.training import Trainer, TrainHistory
 from repro.data.dataset import ArrayDataset
@@ -38,12 +36,10 @@ class StatisticalTraining:
         model: Module,
         variation: VariationModel,
         lr: float = 1e-3,
-        seed: SeedLike = 0,
     ) -> None:
         self.model = copy.deepcopy(model)
         self.variation = variation
         self.lr = lr
-        self.seed = seed
 
     def fit(
         self, train_data: ArrayDataset, epochs: int, batch_size: int = 32
@@ -53,7 +49,7 @@ class StatisticalTraining:
             Adam(list(self.model.parameters()), lr=self.lr),
             variation=self.variation,
             grad_clip=GRAD_CLIP,
-            seed=self.seed,
+            seed=0,
         )
         return trainer.fit(train_data, epochs=epochs, batch_size=batch_size)
 

@@ -37,7 +37,6 @@ from repro.optim.optimizers import Adam, GRAD_CLIP
 from repro.rl.env import CompensationEnv
 from repro.rl.search import RLSearch, SearchResult
 from repro.utils.logging import get_logger
-from repro.variation.spec import parse_spec, VariationLike
 
 logger = get_logger("core.pipeline")
 
@@ -86,12 +85,8 @@ class CorrectNet:
         ``test_data``.
     config:
         A :class:`PipelineConfig`; ``fast_pipeline_config()`` for CI scale.
-    variation:
-        Variation spec at the target magnitude — a
-        :class:`~repro.variation.models.VariationModel`, a grammar string
-        (``"lognormal:0.5+quant:4"``) or a spec dict. Defaults to
-        ``config.resolved_variation()`` (the config's spec, else the
-        paper's ``LogNormalVariation(config.sigma)``).
+        Its ``resolved_variation()`` is the target scenario: the config's
+        spec, else the paper's ``LogNormalVariation(config.sigma)``.
     """
 
     def __init__(
@@ -100,15 +95,12 @@ class CorrectNet:
         train_data: ArrayDataset,
         test_data: ArrayDataset,
         config: PipelineConfig,
-        variation: Optional["VariationLike"] = None,
     ) -> None:
         self.model = model
         self.train_data = train_data
         self.test_data = test_data
         self.config = config
-        self.variation = (
-            config.resolved_variation() if variation is None else parse_spec(variation)
-        )
+        self.variation = config.resolved_variation()
         self.lam = lambda_bound(self.variation.magnitude)
         self.regularizer = OrthogonalityRegularizer(
             self.lam, beta=config.train.beta

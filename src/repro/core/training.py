@@ -139,9 +139,7 @@ class Trainer:
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
         history = TrainHistory()
-        loader = DataLoader(
-            train_data, batch_size=batch_size, shuffle=True, seed=self._rng
-        )
+        loader = DataLoader(train_data, batch_size=batch_size, seed=self._rng)
         self.model.train()
         for epoch in range(epochs):
             if self.regularizer_warmup_epochs > 0:

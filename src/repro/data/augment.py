@@ -35,17 +35,16 @@ def add_noise(
     return image + rng.normal(0.0, scale, size=image.shape)
 
 
-def smooth2d(image: np.ndarray, passes: int = 1) -> np.ndarray:
-    """Cheap separable box blur; used to give prototypes spatial coherence
-    (natural images are dominated by low frequencies)."""
+def smooth2d(image: np.ndarray) -> np.ndarray:
+    """One pass of a cheap five-point box blur (edge-padded); used to give
+    prototypes spatial coherence (natural images are dominated by low
+    frequencies)."""
     out = image.astype(np.float64)
-    for _ in range(passes):
-        padded = np.pad(out, [(0, 0)] * (out.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
-        out = (
-            padded[..., :-2, 1:-1]
-            + padded[..., 2:, 1:-1]
-            + padded[..., 1:-1, :-2]
-            + padded[..., 1:-1, 2:]
-            + padded[..., 1:-1, 1:-1]
-        ) / 5.0
-    return out
+    padded = np.pad(out, [(0, 0)] * (out.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    return (
+        padded[..., :-2, 1:-1]
+        + padded[..., 2:, 1:-1]
+        + padded[..., 1:-1, :-2]
+        + padded[..., 1:-1, 2:]
+        + padded[..., 1:-1, 1:-1]
+    ) / 5.0

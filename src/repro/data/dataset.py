@@ -66,12 +66,10 @@ class ArrayDataset(Dataset):
     def image_shape(self) -> Tuple[int, int, int]:
         return tuple(self.images.shape[1:])
 
-    def normalized(self, mean=None, std=None) -> "ArrayDataset":
-        """Return a per-channel standardized copy (mean 0, std 1 by default
-        from this dataset's own statistics)."""
-        if mean is None:
-            mean = self.images.mean(axis=(0, 2, 3), keepdims=True)
-        if std is None:
-            std = self.images.std(axis=(0, 2, 3), keepdims=True) + 1e-8
+    def normalized(self) -> "ArrayDataset":
+        """Return a per-channel standardized copy (mean 0, std 1 from this
+        dataset's own statistics)."""
+        mean = self.images.mean(axis=(0, 2, 3), keepdims=True)
+        std = self.images.std(axis=(0, 2, 3), keepdims=True) + 1e-8
         return ArrayDataset((self.images - mean) / std, self.labels)
 

@@ -22,14 +22,12 @@ class DataLoader:
         self,
         dataset: ArrayDataset,
         batch_size: int = 32,
-        shuffle: bool = True,
         seed: SeedLike = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.shuffle = shuffle
         self._rng = new_rng(seed)
 
     def __len__(self) -> int:
@@ -37,7 +35,7 @@ class DataLoader:
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
-        order = self._rng.permutation(n) if self.shuffle else np.arange(n)
+        order = self._rng.permutation(n)
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
             yield self.dataset.images[idx], self.dataset.labels[idx]

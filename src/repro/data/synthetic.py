@@ -20,13 +20,13 @@ brightness jitter and additive Gaussian noise. Difficulty is controlled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.data.augment import add_noise, random_shift, smooth2d
 from repro.data.dataset import ArrayDataset
-from repro.utils.rng import new_rng, SeedLike
+from repro.utils.rng import new_rng
 
 # 5x7 bitmap glyphs for digits 0-9 (classic LED/terminal font).
 _DIGIT_GLYPHS = {
@@ -130,7 +130,7 @@ def _class_prototype(
     if texture.shape[1] != size:  # non-multiple-of-4 canvas: pad by edge
         pad = size - texture.shape[1]
         texture = np.pad(texture, ((0, 0), (0, pad), (0, pad)), mode="edge")
-    texture = smooth2d(texture, 1)
+    texture = smooth2d(texture)
     texture /= np.abs(texture).max() + 1e-9
     mask = _shape_mask(cls, size, rng)
     color = rng.uniform(0.2, 1.0, size=(spec.channels, 1, 1))
@@ -185,23 +185,21 @@ def make_synthetic(spec: SyntheticSpec) -> Tuple[ArrayDataset, ArrayDataset]:
 def synth_mnist(
     train_per_class: int = 64,
     test_per_class: int = 32,
-    size: int = 16,
-    noise: float = 0.15,
     seed: int = 11,
 ) -> Tuple[ArrayDataset, ArrayDataset]:
-    """MNIST stand-in: 10 digit-glyph classes, one channel.
+    """MNIST stand-in: 10 digit-glyph classes, one channel, 16x16.
 
-    Default noise/shift are tuned so LeNet-5 reaches ~96-99% test accuracy
+    Its noise and shift are tuned so LeNet-5 reaches ~96-99% test accuracy
     (the real-MNIST regime of the paper's Table I).
     """
     spec = SyntheticSpec(
         name="synth_mnist",
         num_classes=10,
         channels=1,
-        size=size,
+        size=16,
         train_per_class=train_per_class,
         test_per_class=test_per_class,
-        noise=noise,
+        noise=0.15,
         max_shift=1,
         seed=seed,
     )
@@ -211,15 +209,11 @@ def synth_mnist(
 def synth_cifar10(
     train_per_class: int = 64,
     test_per_class: int = 32,
-    size: int = 16,
-    noise: float = 0.5,
-    class_similarity: float = 0.55,
-    seed: int = 22,
 ) -> Tuple[ArrayDataset, ArrayDataset]:
-    """CIFAR-10 stand-in: 10 colour texture/shape classes.
+    """CIFAR-10 stand-in: 10 colour texture/shape classes, 16x16.
 
-    Defaults are tuned harder than ``synth_mnist``: CIFAR-10 is the paper's
-    difficult LeNet workload (80.89% clean accuracy), so the stand-in mixes
+    Tuned harder than ``synth_mnist``: CIFAR-10 is the paper's difficult
+    LeNet workload (80.89% clean accuracy), so the stand-in mixes
     prototypes toward a shared base (``class_similarity``) and adds strong
     pixel noise — models sit below saturation and degrade visibly under
     weight variations.
@@ -228,13 +222,13 @@ def synth_cifar10(
         name="synth_cifar10",
         num_classes=10,
         channels=3,
-        size=size,
+        size=16,
         train_per_class=train_per_class,
         test_per_class=test_per_class,
-        noise=noise,
+        noise=0.5,
         max_shift=2,
-        seed=seed,
-        class_similarity=class_similarity,
+        seed=22,
+        class_similarity=0.55,
     )
     return make_synthetic(spec)
 
@@ -243,11 +237,8 @@ def synth_cifar100(
     num_classes: int = 100,
     train_per_class: int = 12,
     test_per_class: int = 6,
-    size: int = 16,
-    noise: float = 0.3,
-    seed: int = 33,
 ) -> Tuple[ArrayDataset, ArrayDataset]:
-    """CIFAR-100 stand-in: many mutually-close colour classes.
+    """CIFAR-100 stand-in: many mutually-close colour classes, 16x16.
 
     ``num_classes`` is configurable so fast benchmark modes can use a
     smaller (but still many-class) variant; the default matches the paper's
@@ -257,12 +248,12 @@ def synth_cifar100(
         name="synth_cifar100",
         num_classes=num_classes,
         channels=3,
-        size=size,
+        size=16,
         train_per_class=train_per_class,
         test_per_class=test_per_class,
-        noise=noise,
+        noise=0.3,
         max_shift=1,
-        seed=seed,
+        seed=33,
     )
     return make_synthetic(spec)
 

@@ -589,11 +589,11 @@ def _run_pool(evaluation: IncrementalEvaluation) -> None:
     Up to two chunk tasks per worker are kept in flight, so no worker
     idles while the parent lands a result. Results are consumed strictly
     in schedule order through :meth:`IncrementalEvaluation.land_chunk`:
-    completion order never reaches the result, ``on_chunk`` streams in
-    order, and the stopping rule sees the same prefixes as in-process
-    runs. Once the evaluation is done (or anything raises — a killed
-    worker surfaces as ``BrokenProcessPool``), queued chunks are cancelled
-    and the pool is shut down; chunks already running are discarded.
+    completion order never reaches the result, and the stopping rule sees
+    the same prefixes as in-process runs. Once the evaluation is done (or
+    anything raises — a killed worker surfaces as ``BrokenProcessPool``),
+    queued chunks are cancelled and the pool is shut down; chunks already
+    running are discarded.
     """
     plan = evaluation.plan
     bounds = plan.chunks()
@@ -621,7 +621,6 @@ def execute(
     plan: EvalPlan,
     model: Module,
     dataset: ArrayDataset,
-    on_chunk: Optional[ChunkHook] = None,
     clock: Optional[Clock] = None,
 ) -> "MCResult":
     """Run ``plan`` against ``model``/``dataset``; returns an ``MCResult``.
@@ -633,16 +632,13 @@ def execute(
     chunk-by-chunk and may halt before the ``n_samples`` cap
     (``MCResult.stopped_early``).
 
-    ``on_chunk`` streams each chunk's draws to the caller as it lands, in
-    schedule order in every form and at every worker count (the result
-    store persists restart points through it). A plan with
-    ``n_workers > 1`` runs its chunks from a process pool. ``clock``
-    races the two forms on an in-process vectorized plan's own chunks
-    (module docstring); the result is the clockless run's, bitwise.
+    A plan with ``n_workers > 1`` runs its chunks from a process pool.
+    ``clock`` races the two forms on an in-process vectorized plan's own
+    chunks (module docstring); the result is the clockless run's, bitwise.
+    A caller that streams each chunk as it lands (the result store's
+    runner) drives :class:`IncrementalEvaluation` with ``on_chunk``.
     """
-    evaluation = IncrementalEvaluation(
-        plan, model, dataset, on_chunk=on_chunk, clock=clock
-    )
+    evaluation = IncrementalEvaluation(plan, model, dataset, clock=clock)
     if plan.n_workers > 1 and not plan.deterministic:
         _run_pool(evaluation)
         return evaluation.result()

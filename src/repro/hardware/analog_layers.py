@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd.im2col import conv_output_size, im2col_stacked, im2col_windows
-from repro.hardware.conductance import ConductanceMapper
 from repro.hardware.converters import ADC, DAC
 from repro.hardware.tiling import TiledCrossbarArray
 from repro.nn.layers import Conv2d, Linear
@@ -93,12 +92,10 @@ class AnalogLinear(_AnalogBase):
         self,
         linear: Linear,
         tile_size: int = 128,
-        mapper: Optional[ConductanceMapper] = None,
         dac: Optional[DAC] = None,
         adc: Optional[ADC] = None,
         read_noise_sigma: float = 0.0,
         wire_resistance: float = 0.0,
-        input_scale: Optional[float] = None,
     ) -> None:
         super().__init__()
         self.in_features = linear.in_features
@@ -108,12 +105,10 @@ class AnalogLinear(_AnalogBase):
             linear.weight.data,
             tile_rows=tile_size,
             tile_cols=tile_size,
-            mapper=mapper,
             dac=dac,
             adc=adc,
             read_noise_sigma=read_noise_sigma,
             wire_resistance=wire_resistance,
-            input_scale=input_scale,
         )
 
     def forward(self, x: Tensor) -> Tensor:
@@ -141,12 +136,10 @@ class AnalogConv2d(_AnalogBase):
         self,
         conv: Conv2d,
         tile_size: int = 128,
-        mapper: Optional[ConductanceMapper] = None,
         dac: Optional[DAC] = None,
         adc: Optional[ADC] = None,
         read_noise_sigma: float = 0.0,
         wire_resistance: float = 0.0,
-        input_scale: Optional[float] = None,
     ) -> None:
         super().__init__()
         self.in_channels = conv.in_channels
@@ -154,17 +147,15 @@ class AnalogConv2d(_AnalogBase):
         self.kernel_size = conv.kernel_size
         self.stride = conv.stride
         self.padding = conv.padding
-        self.bias = None if conv.bias is None else conv.bias.data.copy()
+        self.bias = conv.bias.data.copy()
         self.array = TiledCrossbarArray(
             conv.weight.data.reshape(conv.out_channels, -1),
             tile_rows=tile_size,
             tile_cols=tile_size,
-            mapper=mapper,
             dac=dac,
             adc=adc,
             read_noise_sigma=read_noise_sigma,
             wire_resistance=wire_resistance,
-            input_scale=input_scale,
         )
 
     def forward(self, x: Tensor) -> Tensor:
@@ -198,14 +189,12 @@ class AnalogConv2d(_AnalogBase):
             out = np.ascontiguousarray(
                 out.reshape(s, n, oh * ow, f).transpose(0, 3, 1, 2)
             ).reshape(s, f, n, oh, ow)
-            if self.bias is not None:
-                out = out + self.bias.reshape(1, -1, 1, 1, 1)
+            out = out + self.bias.reshape(1, -1, 1, 1, 1)
         else:
             out = np.ascontiguousarray(
                 out.reshape(n, oh * ow, f).transpose(0, 2, 1)
             ).reshape(n, f, oh, ow)
-            if self.bias is not None:
-                out = out + self.bias.reshape(1, -1, 1, 1)
+            out = out + self.bias.reshape(1, -1, 1, 1)
         return Tensor(out)
 
     def extra_repr(self) -> str:
@@ -271,12 +260,10 @@ def preserved_programming(model: Module) -> Iterator[Module]:
 def analogize(
     model: Module,
     tile_size: int = 128,
-    mapper: Optional[ConductanceMapper] = None,
     dac: Optional[DAC] = None,
     adc: Optional[ADC] = None,
     read_noise_sigma: float = 0.0,
     wire_resistance: float = 0.0,
-    input_scale: Optional[float] = None,
     variation: "VariationLike" = NoVariation(),
     seed: SeedLike = None,
 ) -> Module:
@@ -314,13 +301,11 @@ def analogize(
             replacement = None
             if isinstance(child, Linear):
                 replacement = AnalogLinear(
-                    child, tile_size, mapper, dac, adc, read_noise_sigma,
-                    wire_resistance, input_scale,
+                    child, tile_size, dac, adc, read_noise_sigma, wire_resistance
                 )
             elif isinstance(child, Conv2d):
                 replacement = AnalogConv2d(
-                    child, tile_size, mapper, dac, adc, read_noise_sigma,
-                    wire_resistance, input_scale,
+                    child, tile_size, dac, adc, read_noise_sigma, wire_resistance
                 )
             if replacement is not None:
                 layer_name, index = layer_info.get(id(child), (None, None))

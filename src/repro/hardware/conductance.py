@@ -24,25 +24,18 @@ class ConductanceMapper:
 
     Parameters
     ----------
-    g_min, g_max:
-        Conductance window in siemens. Defaults follow common HfO2 RRAM
-        reports (1 uS .. 100 uS).
     w_scale:
         Weight magnitude mapped to ``g_max``. ``None`` means auto-scale to
         ``max(|w|)`` of the encoded matrix (per-crossbar scaling, as done in
         practice to use the full conductance range).
     """
 
-    def __init__(
-        self,
-        g_min: float = 1e-6,
-        g_max: float = 100e-6,
-        w_scale: Optional[float] = None,
-    ) -> None:
-        if g_min < 0 or g_max <= g_min:
-            raise ValueError(f"need 0 <= g_min < g_max, got [{g_min}, {g_max}]")
-        self.g_min = float(g_min)
-        self.g_max = float(g_max)
+    #: The conductance window in siemens, after common HfO2 RRAM reports
+    #: (1 uS .. 100 uS).
+    g_min = 1e-6
+    g_max = 100e-6
+
+    def __init__(self, w_scale: Optional[float] = None) -> None:
         self.w_scale = w_scale
 
     def scale_for(self, weights: np.ndarray) -> float:

@@ -42,19 +42,12 @@ class CrossbarCostModel:
     analog-MAC energy plus ADC cost per crossbar read.
     """
 
-    def __init__(
-        self,
-        tile_size: int = 128,
-        energy_analog_mac_pj: float = 0.25,
-        energy_digital_mac_pj: float = 1.0,
-        energy_adc_read_pj: float = 2.0,
-        area_per_cell_um2: float = 0.05,
-    ) -> None:
-        self.tile_size = tile_size
-        self.energy_analog_mac_pj = energy_analog_mac_pj
-        self.energy_digital_mac_pj = energy_digital_mac_pj
-        self.energy_adc_read_pj = energy_adc_read_pj
-        self.area_per_cell_um2 = area_per_cell_um2
+    #: Energy per MAC on the crossbar and in digital logic, per ADC read
+    #: (pJ), and array area per RRAM cell (um^2).
+    ENERGY_ANALOG_MAC_PJ = 0.25
+    ENERGY_DIGITAL_MAC_PJ = 1.0
+    ENERGY_ADC_READ_PJ = 2.0
+    AREA_PER_CELL_UM2 = 0.05
 
     def _layer_macs(self, layer: Module, spatial: int) -> int:
         if isinstance(layer, Conv2d):
@@ -76,17 +69,18 @@ class CrossbarCostModel:
             macs = self._layer_macs(layer, spatial_sites)
             report.analog_macs += macs
             cells = layer.weight.size * 2  # differential pair
-            report.area_mm2 += cells * self.area_per_cell_um2 * 1e-6
+            report.area_mm2 += cells * self.AREA_PER_CELL_UM2 * 1e-6
             reads = spatial_sites if isinstance(layer, Conv2d) else 1
             report.crossbar_reads += reads
-            energy = macs * self.energy_analog_mac_pj + reads * self.energy_adc_read_pj
+            energy = (macs * self.ENERGY_ANALOG_MAC_PJ
+                      + reads * self.ENERGY_ADC_READ_PJ)
             report.energy_pj += energy
             report.per_layer[name] = energy
         for name, layer in digital_subtrees(model):
             for sub_name, sub in weighted_layers_digital(layer):
                 macs = self._layer_macs(sub, spatial_sites)
                 report.digital_macs += macs
-                energy = macs * self.energy_digital_mac_pj
+                energy = macs * self.ENERGY_DIGITAL_MAC_PJ
                 report.energy_pj += energy
                 report.per_layer[f"{name}.{sub_name}"] = energy
         return report

@@ -38,9 +38,8 @@ class InputScaleClipWarning(UserWarning):
     """Raised once per crossbar when the weight-scale full-scale proxy is
     about to let a *real* ADC clip in-range MAC results (ideal DAC path).
 
-    The no-clip guarantee of ``repro.hardware.converters`` only holds when
-    the caller provides a true input full-scale; see
-    :meth:`Crossbar.calibrate_input_scale`.
+    The no-clip guarantee of ``repro.hardware.converters`` only holds once
+    :meth:`Crossbar.calibrate_input_scale` has set a true input full-scale.
     """
 
 
@@ -68,18 +67,17 @@ class Crossbar:
         segments against the cell's own resistance — the standard IR-drop
         approximation for crossbar accuracy studies. Cells far from the
         drivers contribute systematically less current.
-    input_scale:
-        Fixed DAC full-scale (in input units). ``None`` defaults to the
-        scale the mapper calibrated for this crossbar's weight matrix. A
-        physical DAC has a fixed full-scale voltage, so quantization of one
-        input row must not depend on which other rows share the batch —
-        deriving the scale per call from ``|x|.max()`` (the old behavior)
-        made results change with ``batch_size``. The weight-scale default
-        is only a proxy: when the DAC actually quantizes (``bits`` set)
-        and the activation range differs from the weight range, set
-        ``input_scale`` explicitly or run :meth:`calibrate_input_scale`
-        on representative activations, as deployment flows calibrate ADC
-        ranges in practice.
+
+    The DAC full-scale (``input_scale``, in input units) starts as the
+    scale the mapper calibrated for this crossbar's weight matrix. A
+    physical DAC has a fixed full-scale voltage, so quantization of one
+    input row must not depend on which other rows share the batch —
+    deriving the scale per call from ``|x|.max()`` (the old behavior) made
+    results change with ``batch_size``. The weight-scale start is only a
+    proxy: when the DAC actually quantizes (``bits`` set) and the
+    activation range differs from the weight range, run
+    :meth:`calibrate_input_scale` on representative activations, as
+    deployment flows calibrate ADC ranges in practice.
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class Crossbar:
         read_noise_sigma: float = 0.0,
         clip_conductance: bool = True,
         wire_resistance: float = 0.0,
-        input_scale: Optional[float] = None,
     ) -> None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
@@ -104,12 +101,11 @@ class Crossbar:
             raise ValueError("read_noise_sigma must be non-negative")
         if wire_resistance < 0:
             raise ValueError("wire_resistance must be non-negative")
-        if input_scale is not None and input_scale <= 0:
-            raise ValueError(f"input_scale must be positive, got {input_scale}")
         self.read_noise_sigma = float(read_noise_sigma)
         self.clip_conductance = clip_conductance
         self.wire_resistance = float(wire_resistance)
-        self.input_scale = None if input_scale is None else float(input_scale)
+        # ``None``: the weight-scale proxy, until calibrate_input_scale.
+        self.input_scale: Optional[float] = None
 
         self._g_pos_nominal, self._g_neg_nominal, self._scale = self.mapper.encode(
             weights
@@ -330,9 +326,8 @@ class Crossbar:
                     f"bitline current reaches {peak:.4g} but the ADC full "
                     f"scale derived from the default (weight-scale) input "
                     f"full scale is {full_scale:.4g}; the {self.adc.bits}-"
-                    "bit ADC clips these in-range MACs. Pass input_scale= "
-                    "or run calibrate_input_scale() on representative "
-                    "activations.",
+                    "bit ADC clips these in-range MACs. Run "
+                    "calibrate_input_scale() on representative activations.",
                     InputScaleClipWarning,
                     stacklevel=2,
                 )

@@ -15,7 +15,7 @@ from repro.hardware.conductance import ConductanceMapper
 from repro.hardware.converters import ADC, DAC
 from repro.hardware.crossbar import Crossbar
 from repro.utils.rng import spawn_rngs, SeedLike
-from repro.variation.models import NoVariation, VariationModel
+from repro.variation.models import NoVariation
 from repro.variation.spec import parse_spec, VariationLike
 
 
@@ -39,13 +39,11 @@ class TiledCrossbarArray:
         weights: np.ndarray,
         tile_rows: int = 128,
         tile_cols: int = 128,
-        mapper: Optional[ConductanceMapper] = None,
         dac: Optional[DAC] = None,
         adc: Optional[ADC] = None,
         read_noise_sigma: float = 0.0,
         clip_conductance: bool = True,
         wire_resistance: float = 0.0,
-        input_scale: Optional[float] = None,
     ) -> None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
@@ -54,9 +52,7 @@ class TiledCrossbarArray:
         self.row_ranges = tile_ranges(weights.shape[0], tile_rows)
         self.col_ranges = tile_ranges(weights.shape[1], tile_cols)
         # Share one mapper scale across tiles so partial sums are consistent.
-        scale = float(np.abs(weights).max()) or 1.0
-        base = mapper or ConductanceMapper()
-        shared = ConductanceMapper(base.g_min, base.g_max, w_scale=scale)
+        shared = ConductanceMapper(w_scale=float(np.abs(weights).max()) or 1.0)
         self.tiles: List[List[Crossbar]] = [
             [
                 Crossbar(
@@ -67,7 +63,6 @@ class TiledCrossbarArray:
                     read_noise_sigma=read_noise_sigma,
                     clip_conductance=clip_conductance,
                     wire_resistance=wire_resistance,
-                    input_scale=input_scale,
                 )
                 for (c0, c1) in self.col_ranges
             ]

@@ -181,8 +181,8 @@ class LintContext:
                     changed = True
         return known - set(roots)
 
-    def declares_sample_aware(self, info: ClassInfo, stop: str = "Module") -> bool:
-        """True when ``info`` or a scanned ancestor (below ``stop``)
+    def declares_sample_aware(self, info: ClassInfo) -> bool:
+        """True when ``info`` or a scanned ancestor below ``Module``
         declares ``sample_aware``. Ancestry follows the name graph."""
         seen: Set[str] = set()
         frontier = [info]
@@ -191,7 +191,7 @@ class LintContext:
             if current.declares_sample_aware:
                 return True
             for base in current.bases:
-                if base == stop or base in seen:
+                if base == "Module" or base in seen:
                     continue
                 seen.add(base)
                 frontier.extend(self._by_name.get(base, []))

@@ -29,21 +29,24 @@ class AttnMLP(Module):
     #: The token reshapes below branch on ndim; children are sample-aware.
     sample_aware = True
 
+    #: Side of the square, non-overlapping patches the embedding cuts.
+    PATCH_SIZE = 4
+    #: Hidden width of the MLP block, as a multiple of ``dim``.
+    MLP_RATIO = 2.0
+
     def __init__(
         self,
         num_classes: int,
         in_channels: int = 3,
         input_size: int = 16,
-        patch_size: int = 4,
         dim: int = 32,
-        num_heads: int = 2,
-        mlp_ratio: float = 2.0,
         seed: SeedLike = 0,
     ) -> None:
         super().__init__()
-        if input_size % patch_size != 0:
+        patch = self.PATCH_SIZE
+        if input_size % patch != 0:
             raise ValueError(
-                f"input size {input_size} not divisible by patch size {patch_size}"
+                f"input size {input_size} not divisible by patch size {patch}"
             )
         rng = new_rng(seed)
 
@@ -52,15 +55,15 @@ class AttnMLP(Module):
 
         self.num_classes = num_classes
         self.dim = dim
-        self.grid = input_size // patch_size
-        hidden = int(dim * mlp_ratio)
+        self.grid = input_size // patch
+        hidden = int(dim * self.MLP_RATIO)
         self.patch_embed = nn.Conv2d(
-            in_channels, dim, patch_size, stride=patch_size, seed=_seed()
+            in_channels, dim, patch, stride=patch, seed=_seed()
         )
         self.attn_block = nn.Residual(
             nn.Sequential(
                 nn.LayerNorm(dim),
-                nn.SelfAttention(dim, num_heads=num_heads, seed=_seed()),
+                nn.SelfAttention(dim, seed=_seed()),
             )
         )
         self.mlp_block = nn.Residual(

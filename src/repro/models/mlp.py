@@ -14,7 +14,8 @@ from repro.utils.rng import new_rng, SeedLike
 
 
 class MLP(Module):
-    """Fully-connected ReLU network with a flat ``net`` Sequential."""
+    """Fully-connected ReLU network with a flat ``net`` Sequential that
+    flattens its input first."""
 
     #: forward purely delegates to ``net``, so a leading sample axis passes
     #: through untouched (vectorized Monte-Carlo eligibility).
@@ -25,7 +26,6 @@ class MLP(Module):
         in_features: int,
         hidden: Sequence[int],
         num_classes: int,
-        flatten_input: bool = True,
         seed: SeedLike = 0,
     ) -> None:
         super().__init__()
@@ -34,9 +34,7 @@ class MLP(Module):
         def _seed() -> int:
             return int(rng.integers(2**31))
 
-        layers = []
-        if flatten_input:
-            layers.append(nn.Flatten())
+        layers = [nn.Flatten()]
         width = in_features
         for h in hidden:
             layers.append(nn.Linear(width, h, seed=_seed()))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.data.dataset import ArrayDataset
 from repro.models.attention import AttnMLP
@@ -75,15 +75,13 @@ def build_model(
             seed=seed,
         )
     if name == "attnmlp":
-        # Patch-embed + self-attention + MLP head; patch size 4 keeps a
+        # Patch-embed + self-attention + MLP head; its patch size 4 keeps a
         # 4x4 token grid on the 16x16 synthetic inputs.
         return AttnMLP(
             num_classes=num_classes,
             in_channels=channels,
             input_size=height,
-            patch_size=4,
             dim=max(int(32 * width), 8),
-            num_heads=2,
             seed=seed,
         )
     if name == "mlp":

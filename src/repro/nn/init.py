@@ -1,10 +1,7 @@
-"""Weight initialisation schemes.
+"""Weight initialisation.
 
 Plain functions over numpy arrays; layers call them at construction with an
 explicit rng so that model initialisation is reproducible.
-``orthogonal`` matters here beyond convention: CorrectNet's regularizer
-(eq. 11) pulls weight Gram matrices toward ``lambda^2 I``, and starting near
-an orthogonal point speeds that convergence.
 """
 
 from __future__ import annotations
@@ -14,52 +11,18 @@ from typing import Tuple
 import numpy as np
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Fan-in/fan-out for linear (out,in) and conv (F,C,KH,KW) shapes."""
+def _fan_in(shape: Tuple[int, ...]) -> int:
+    """Fan-in of linear (out, in) and conv (F, C, KH, KW) weight shapes."""
     if len(shape) == 2:
-        fan_out, fan_in = shape
-    elif len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        raise ValueError(f"unsupported weight shape for init: {shape}")
-    return fan_in, fan_out
+        return shape[1]
+    if len(shape) == 4:
+        return shape[1] * shape[2] * shape[3]
+    raise ValueError(f"unsupported weight shape for init: {shape}")
 
 
-def kaiming_normal(
-    shape: Tuple[int, ...], rng: np.random.Generator, gain: float = np.sqrt(2.0)
-) -> np.ndarray:
-    """He initialisation for ReLU networks: std = gain / sqrt(fan_in)."""
-    fan_in, _ = _fan_in_out(shape)
-    return rng.normal(0.0, gain / np.sqrt(fan_in), size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def orthogonal(
-    shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    """(Semi-)orthogonal init via QR of a Gaussian matrix.
-
-    For conv shapes the kernel is flattened to (F, C*KH*KW), orthogonalised,
-    and reshaped back — the flattening that the Lipschitz regularizer also
-    uses, so the initial Gram matrix is exactly ``gain^2 I`` on the smaller
-    dimension.
-    """
-    flat_rows = shape[0]
-    flat_cols = int(np.prod(shape[1:]))
-    a = rng.normal(size=(max(flat_rows, flat_cols), min(flat_rows, flat_cols)))
-    q, r = np.linalg.qr(a)
-    q *= np.sign(np.diag(r))  # fix sign ambiguity -> uniform Haar measure
-    if flat_rows < flat_cols:
-        q = q.T
-    return gain * q[:flat_rows, :flat_cols].reshape(shape)
+def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """He initialisation for ReLU networks: std = sqrt(2 / fan_in)."""
+    return rng.normal(0.0, np.sqrt(2.0) / np.sqrt(_fan_in(shape)), size=shape)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from repro.autograd import Tensor, functional as F
 from repro.nn import init
@@ -27,22 +27,12 @@ class Linear(Module):
         out_features: int,
         bias: bool = True,
         seed: SeedLike = None,
-        weight_init: str = "kaiming",
     ) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        rng = new_rng(seed)
         shape = (out_features, in_features)
-        if weight_init == "kaiming":
-            w = init.kaiming_normal(shape, rng)
-        elif weight_init == "xavier":
-            w = init.xavier_uniform(shape, rng)
-        elif weight_init == "orthogonal":
-            w = init.orthogonal(shape, rng)
-        else:
-            raise ValueError(f"unknown weight_init {weight_init!r}")
-        self.weight = Parameter(w)
+        self.weight = Parameter(init.kaiming_normal(shape, new_rng(seed)))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -65,9 +55,7 @@ class Conv2d(Module):
         kernel_size: Union[int, tuple],
         stride: int = 1,
         padding: int = 0,
-        bias: bool = True,
         seed: SeedLike = None,
-        weight_init: str = "kaiming",
     ) -> None:
         super().__init__()
         kh, kw = F._pair(kernel_size)
@@ -76,18 +64,9 @@ class Conv2d(Module):
         self.kernel_size = (kh, kw)
         self.stride = stride
         self.padding = padding
-        rng = new_rng(seed)
         shape = (out_channels, in_channels, kh, kw)
-        if weight_init == "kaiming":
-            w = init.kaiming_normal(shape, rng)
-        elif weight_init == "xavier":
-            w = init.xavier_uniform(shape, rng)
-        elif weight_init == "orthogonal":
-            w = init.orthogonal(shape, rng)
-        else:
-            raise ValueError(f"unknown weight_init {weight_init!r}")
-        self.weight = Parameter(w)
-        self.bias = Parameter(init.zeros((out_channels,))) if bias else None
+        self.weight = Parameter(init.kaiming_normal(shape, new_rng(seed)))
+        self.bias = Parameter(init.zeros((out_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, self.stride, self.padding)
@@ -110,32 +89,34 @@ class ReLU(Module):
 
 
 class AvgPool2d(Module):
+    """Average pooling over windows that step by their own height."""
+
     #: ``F.avg_pool2d`` handles the folded stacked batch like ``conv2d``.
     sample_aware = True
 
-    def __init__(self, kernel_size: Union[int, tuple], stride: Optional[int] = None):
+    def __init__(self, kernel_size: Union[int, tuple]):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
+        return F.avg_pool2d(x, self.kernel_size)
 
     def extra_repr(self) -> str:
         return f"kernel={self.kernel_size}"
 
 
 class MaxPool2d(Module):
+    """Max pooling over windows that step by their own height."""
+
     #: ``F.max_pool2d`` handles the folded stacked batch like ``conv2d``.
     sample_aware = True
 
-    def __init__(self, kernel_size: Union[int, tuple], stride: Optional[int] = None):
+    def __init__(self, kernel_size: Union[int, tuple]):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
+        return F.max_pool2d(x, self.kernel_size)
 
     def extra_repr(self) -> str:
         return f"kernel={self.kernel_size}"

@@ -27,8 +27,8 @@ class Parameter(Tensor):
 
     __slots__ = ("frozen",)
 
-    def __init__(self, data, requires_grad: bool = True) -> None:
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+    def __init__(self, data) -> None:
+        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True)
         self.frozen = False
 
     def freeze(self) -> None:

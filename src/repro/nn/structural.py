@@ -90,10 +90,12 @@ class LayerNorm(Module):
 
     sample_aware = True  # trailing-axis math only: rank-agnostic
 
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
+    #: Added to the variance before the inverse square root.
+    EPS = 1e-5
+
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         self.num_features = num_features
-        self.eps = eps
         self.gamma = Parameter([1.0] * num_features)
         self.beta = Parameter([0.0] * num_features)
 
@@ -105,11 +107,11 @@ class LayerNorm(Module):
             )
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        inv_std = (var + self.eps) ** -0.5
+        inv_std = (var + self.EPS) ** -0.5
         return (x - mean) * inv_std * self.gamma + self.beta
 
     def extra_repr(self) -> str:
-        return f"features={self.num_features}, eps={self.eps}"
+        return f"features={self.num_features}"
 
 
 class SelfAttention(Module):
@@ -130,36 +132,31 @@ class SelfAttention(Module):
 
     sample_aware = True  # every reshape/transpose below is ndim-dispatched
 
-    def __init__(
-        self,
-        dim: int,
-        num_heads: int = 2,
-        bias: bool = True,
-        seed: SeedLike = None,
-        weight_init: str = "kaiming",
-    ) -> None:
+    #: Attention heads; ``dim`` must divide among them.
+    NUM_HEADS = 2
+
+    def __init__(self, dim: int, seed: SeedLike = None) -> None:
         super().__init__()
-        if dim % num_heads != 0:
+        if dim % self.NUM_HEADS != 0:
             raise ValueError(
-                f"embedding dim {dim} not divisible by num_heads {num_heads}"
+                f"embedding dim {dim} not divisible by num_heads {self.NUM_HEADS}"
             )
         self.dim = dim
-        self.num_heads = num_heads
-        self.head_dim = dim // num_heads
+        self.head_dim = dim // self.NUM_HEADS
         self.scale = 1.0 / math.sqrt(self.head_dim)
         rng = new_rng(seed)
 
         def _seed() -> int:
             return int(rng.integers(2**31))
 
-        self.q_proj = Linear(dim, dim, bias=bias, seed=_seed(), weight_init=weight_init)
-        self.k_proj = Linear(dim, dim, bias=bias, seed=_seed(), weight_init=weight_init)
-        self.v_proj = Linear(dim, dim, bias=bias, seed=_seed(), weight_init=weight_init)
-        self.out_proj = Linear(dim, dim, bias=bias, seed=_seed(), weight_init=weight_init)
+        self.q_proj = Linear(dim, dim, seed=_seed())
+        self.k_proj = Linear(dim, dim, seed=_seed())
+        self.v_proj = Linear(dim, dim, seed=_seed())
+        self.out_proj = Linear(dim, dim, seed=_seed())
 
     def _split_heads(self, y: Tensor, n: int, t: int) -> Tensor:
         """(N*T, D) -> (N, H, T, dh); stacked (S, N*T, D) -> (S, N, H, T, dh)."""
-        h, dh = self.num_heads, self.head_dim
+        h, dh = self.NUM_HEADS, self.head_dim
         if y.ndim == 3:
             return y.reshape(y.shape[0], n, t, h, dh).transpose(0, 1, 3, 2, 4)
         return y.reshape(n, t, h, dh).transpose(0, 2, 1, 3)
@@ -187,7 +184,7 @@ class SelfAttention(Module):
         v = self._split_heads(self.v_proj(flat), n, t)
         k_t = k.transpose(0, 1, 2, 4, 3) if k.ndim == 5 else k.transpose(0, 1, 3, 2)
         scores = q.matmul(k_t) * self.scale
-        attn = F.softmax(scores, axis=-1)
+        attn = F.softmax(scores)
         context = self._merge_heads(attn.matmul(v), n, t)
         out = self.out_proj(context)
         if out.ndim == 3:
@@ -195,4 +192,4 @@ class SelfAttention(Module):
         return out.reshape(n, t, self.dim)
 
     def extra_repr(self) -> str:
-        return f"dim={self.dim}, heads={self.num_heads}"
+        return f"dim={self.dim}, heads={self.NUM_HEADS}"

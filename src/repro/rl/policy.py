@@ -93,7 +93,7 @@ class RNNPolicy(Module):
         logits = self.action_head(hidden)
         from repro.autograd import functional as F
 
-        log_probs = F.log_softmax(logits, axis=-1)
+        log_probs = F.log_softmax(logits)
         return log_probs, hidden
 
     def sample(self, greedy: bool = False) -> Episode:

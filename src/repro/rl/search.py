@@ -73,13 +73,11 @@ class RLSearch:
         return SearchResult(best=best, explored=explored, rewards=rewards)
 
 
-def exhaustive_search(
-    env: CompensationEnv, ratio: float = 0.5
-) -> EnvOutcome:
-    """Fig. 10's reference: compensate *every* candidate layer at ``ratio``
+def exhaustive_search(env: CompensationEnv) -> EnvOutcome:
+    """Fig. 10's reference: compensate *every* candidate layer at ratio 0.5
     regardless of the overhead limit (the environment's limit is bypassed
     by evaluating through a copy with an infinite budget)."""
-    ratios = [ratio] * env.n_actions_steps
+    ratios = [0.5] * env.n_actions_steps
     saved_limit = env.overhead_limit
     env.overhead_limit = float("inf")
     try:

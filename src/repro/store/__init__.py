@@ -13,9 +13,9 @@ package is the serving tier on top of those two facts:
   explicitly excluded, so the same logical evaluation dedups across
   machines and backends.
 - :mod:`repro.store.schema` / :mod:`repro.store.db` — a sqlite results
-  store (stdlib ``sqlite3``, WAL mode, schema-versioned with a migration
-  hook) holding job rows, per-chunk accuracy arrays keyed by
-  ``(fingerprint, chunk_index)``, and finalized
+  store (stdlib ``sqlite3``, WAL mode, schema-versioned: a file newer than
+  the code is refused) holding job rows, per-chunk accuracy arrays keyed
+  by ``(fingerprint, chunk_index)``, and finalized
   :class:`~repro.evaluation.montecarlo.MCResult` payloads.
 - :mod:`repro.store.jobs` / :mod:`repro.store.runner` — serializable job
   requests and the lease-locked runner (``correctnet-jobs
@@ -29,7 +29,10 @@ package is the serving tier on top of those two facts:
 
 :func:`~repro.store.runner.cached_evaluate` is the in-process face of the
 same cache: the pipeline opts in via ``EvalConfig.store_path`` and its
-full-protocol evaluations become content-addressed store lookups.
+full-protocol evaluations become content-addressed store lookups. It takes
+weight-domain plans only; an analog evaluation goes through a job, whose
+``materialize`` digests the weights before ``analogize`` and hashes the
+analog parameters.
 """
 
 from repro.store.db import (

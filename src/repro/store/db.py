@@ -107,19 +107,17 @@ def _decode_job(row: sqlite3.Row) -> JobRow:
 
 
 class ResultStore:
-    """Open (creating/migrating as needed) the store at ``path``.
+    """Open (creating as needed) the store at ``path``.
 
     ``clock`` is the injected time source for lease bookkeeping and
     submitted/finished timestamps; tests pass a fake to step time
     deterministically. Use as a context manager or call :meth:`close`.
     """
 
-    def __init__(
-        self,
-        path: str,
-        clock: Clock = time.time,
-        busy_timeout_s: float = 30.0,
-    ) -> None:
+    #: How long a statement waits on another connection's write lock.
+    BUSY_TIMEOUT_S = 30.0
+
+    def __init__(self, path: str, clock: Clock = time.time) -> None:
         from repro.store.schema import ensure_schema
 
         self.path = path
@@ -127,11 +125,15 @@ class ResultStore:
         # Autocommit mode: transaction boundaries are explicit (BEGIN
         # IMMEDIATE) so the claim/ownership checks hold the write lock for
         # exactly the statements that need it.
-        self._conn = sqlite3.connect(path, isolation_level=None, timeout=busy_timeout_s)
+        self._conn = sqlite3.connect(
+            path, isolation_level=None, timeout=self.BUSY_TIMEOUT_S
+        )
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+        self._conn.execute(
+            f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}"
+        )
         ensure_schema(self._conn)
 
     # -- lifecycle -----------------------------------------------------
@@ -328,17 +330,7 @@ class ResultStore:
         """Record the finished ``MCResult`` payload and mark the job done."""
         with self._txn():
             self._require_owner(fingerprint, owner)
-            now = self._clock()
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (fingerprint, result, finished_at) "
-                "VALUES (?, ?, ?)",
-                (fingerprint, json.dumps(result, sort_keys=True), now),
-            )
-            self._conn.execute(
-                "UPDATE jobs SET state = 'done', owner = NULL, "
-                "lease_expires = NULL, finished_at = ? WHERE fingerprint = ?",
-                (now, fingerprint),
-            )
+            self._mark_done(fingerprint, result)
 
     def put_result(self, fingerprint: str, result: Dict[str, Any]) -> None:
         """Directly record a finished result for a done job row.
@@ -353,17 +345,22 @@ class ResultStore:
             ).fetchone()
             if row is None:
                 raise KeyError(f"no job row for fingerprint {fingerprint[:12]}")
-            now = self._clock()
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (fingerprint, result, finished_at) "
-                "VALUES (?, ?, ?)",
-                (fingerprint, json.dumps(result, sort_keys=True), now),
-            )
-            self._conn.execute(
-                "UPDATE jobs SET state = 'done', owner = NULL, "
-                "lease_expires = NULL, finished_at = ? WHERE fingerprint = ?",
-                (now, fingerprint),
-            )
+            self._mark_done(fingerprint, result)
+
+    def _mark_done(self, fingerprint: str, result: Dict[str, Any]) -> None:
+        """The one "done" transition, inside the caller's transaction:
+        store the result row, then mark the job done."""
+        now = self._clock()
+        self._conn.execute(
+            "INSERT OR REPLACE INTO results (fingerprint, result, finished_at) "
+            "VALUES (?, ?, ?)",
+            (fingerprint, json.dumps(result, sort_keys=True), now),
+        )
+        self._conn.execute(
+            "UPDATE jobs SET state = 'done', owner = NULL, "
+            "lease_expires = NULL, finished_at = ? WHERE fingerprint = ?",
+            (now, fingerprint),
+        )
 
     def fail(self, fingerprint: str, owner: str, error: str) -> None:
         """Mark a running job failed (kept for post-mortem; see ``gc``)."""
@@ -383,21 +380,12 @@ class ResultStore:
         ).fetchone()
         return None if row is None else _decode_job(row)
 
-    def jobs(
-        self,
-        state: Optional[str] = None,
-        sweep_key: Optional[str] = None,
-    ) -> List[JobRow]:
-        """Job rows, oldest first, optionally filtered."""
-        clauses: List[str] = []
-        params: List[Any] = []
-        if state is not None:
-            clauses.append("state = ?")
-            params.append(state)
+    def jobs(self, sweep_key: Optional[str] = None) -> List[JobRow]:
+        """Job rows, oldest first, optionally of one sweep."""
+        where = ""
+        params: List[str] = []
         if sweep_key is not None:
-            clauses.append("sweep_key = ?")
-            params.append(sweep_key)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+            where, params = "WHERE sweep_key = ?", [sweep_key]
         rows = self._conn.execute(
             f"SELECT * FROM jobs {where} ORDER BY submitted_at, fingerprint",
             params,

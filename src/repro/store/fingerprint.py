@@ -117,14 +117,13 @@ def fingerprint_payload(
     }
 
 
-def plan_fingerprint(
-    plan: EvalPlan,
-    model: Module,
-    dataset: ArrayDataset,
-    analog: Optional[Dict[str, Any]] = None,
-) -> str:
-    """SHA-256 hex fingerprint of the logical evaluation ``plan`` encodes."""
+def plan_fingerprint(plan: EvalPlan, model: Module, dataset: ArrayDataset) -> str:
+    """SHA-256 hex fingerprint of the weight-domain evaluation ``plan``
+    encodes. An analogized model has no weights left to digest: an analog
+    job fingerprints through :func:`repro.store.jobs.materialize`, which
+    digests the weights before ``analogize`` and hashes the analog
+    parameters."""
     payload = fingerprint_payload(
-        plan, weights_digest(model), dataset_digest(dataset), analog
+        plan, weights_digest(model), dataset_digest(dataset)
     )
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()

@@ -29,14 +29,13 @@ is recorded for next time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.evaluation.executor import execute, IncrementalEvaluation
 from repro.evaluation.montecarlo import MCResult, MonteCarloEvaluator
 from repro.nn.module import Module
-from repro.store.db import Clock, JobRow, ResultStore, StaleLeaseError
+from repro.store.db import JobRow, ResultStore, StaleLeaseError
 from repro.store.fingerprint import plan_fingerprint
 from repro.store.jobs import JobRequest, materialize
 from repro.variation.spec import to_dict as spec_to_dict, VariationLike
@@ -191,7 +190,6 @@ def cached_evaluate(
     evaluator: MonteCarloEvaluator,
     model: Module,
     variation: "VariationLike",
-    clock: Clock = time.time,
 ) -> MCResult:
     """Evaluate through the store: fingerprint lookup first, execute once.
 
@@ -201,14 +199,27 @@ def cached_evaluate(
     racing its chunks on the evaluator's clock, exactly as
     ``evaluator.evaluate`` would — and recorded under a ``done`` job row,
     so pipeline runs, CLI jobs and other machines all hit one cache.
-    ``clock`` only stamps the store's rows and leases.
+
+    Weight-domain plans only. An analogized model's ``state_dict`` is
+    empty, so every analog model would digest alike and share one cache
+    entry; analog evaluations go through the job store instead
+    (``correctnet-jobs submit --analog``), whose ``materialize`` digests
+    the weights before ``analogize`` and hashes the analog parameters.
     """
     was_training = model.training
     model.eval()
     try:
         plan = evaluator.plan(model, variation)
+        if plan.domain == "analog":
+            raise ValueError(
+                "cached_evaluate cannot fingerprint an analog plan: an "
+                "analogized model has no weights left to digest. Submit "
+                "it as a store job (correctnet-jobs submit --analog), whose "
+                "fingerprint digests the weights before analogize and "
+                "hashes the analog parameters."
+            )
         fingerprint = plan_fingerprint(plan, model, evaluator.dataset)
-        with ResultStore(store_path, clock=clock) as store:
+        with ResultStore(store_path) as store:
             cached = store.result(fingerprint)
             if cached is not None:
                 return MCResult.from_dict(cached)

@@ -1,4 +1,4 @@
-"""Result-store sqlite schema: versioned DDL plus a migration hook.
+"""Result-store sqlite schema: versioned DDL.
 
 The store is one sqlite file in WAL mode (many readers, one writer at a
 time — exactly the many-runners/one-store shape). Three tables:
@@ -14,25 +14,18 @@ time — exactly the many-runners/one-store shape). Three tables:
 - ``results`` — finalized :class:`~repro.evaluation.montecarlo.MCResult`
   payloads (``to_dict`` JSON), the unit queries and cache hits read.
 
-``schema_version`` lives in ``store_meta``. Opening a store with an older
-version walks :data:`MIGRATIONS` step by step inside one transaction per
-step; opening a *newer* store than this code understands fails loudly
-instead of corrupting it.
+``schema_version`` lives in ``store_meta``. Version 1 is the first and
+only layout; opening a *newer* store than this code understands fails
+loudly instead of corrupting it. The change that first alters the layout
+adds the step that walks version-1 files forward.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Callable, Dict
 
-#: Current schema version; bump together with a MIGRATIONS entry.
+#: Current schema version.
 SCHEMA_VERSION = 1
-
-#: ``MIGRATIONS[v]`` upgrades a version-``v`` store to ``v + 1``. Applied
-#: sequentially by :func:`ensure_schema` until ``SCHEMA_VERSION`` is
-#: reached — the hook future schema changes (new columns, new tables)
-#: register under, so existing store files keep working.
-MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {}
 
 _DDL = (
     """
@@ -102,13 +95,9 @@ def schema_version(conn: sqlite3.Connection) -> int:
 
 
 def ensure_schema(conn: sqlite3.Connection) -> None:
-    """Create or migrate the schema to :data:`SCHEMA_VERSION`.
-
-    A fresh file gets the current DDL directly; an old file is walked
-    through :data:`MIGRATIONS` one version per transaction; a newer file
-    than this code understands is refused (running old code against a
-    migrated store would silently drop whatever the new columns mean).
-    """
+    """Create the schema in a fresh file; refuse a file newer than
+    :data:`SCHEMA_VERSION` (running old code against it would silently
+    drop whatever its new columns mean)."""
     version = schema_version(conn)
     if version > SCHEMA_VERSION:
         raise RuntimeError(
@@ -123,20 +112,4 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
                 "INSERT OR REPLACE INTO store_meta (key, value) "
                 "VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
-            )
-        return
-    while version < SCHEMA_VERSION:
-        try:
-            migration = MIGRATIONS[version]
-        except KeyError:
-            raise RuntimeError(
-                f"no migration registered from store schema version "
-                f"{version} to {version + 1}"
-            ) from None
-        with conn:
-            migration(conn)
-            version += 1
-            conn.execute(
-                "UPDATE store_meta SET value = ? WHERE key = 'schema_version'",
-                (str(version),),
             )

@@ -18,13 +18,13 @@ def get_logger(name: str = "") -> logging.Logger:
     return logging.getLogger(name or _ROOT_NAME)
 
 
-def set_verbosity(level: int = logging.INFO) -> None:
-    """Attach a console handler to the ``repro`` logger at ``level``.
+def set_verbosity() -> None:
+    """Attach a console handler to the ``repro`` logger at ``INFO``.
 
     Idempotent: calling twice does not duplicate handlers.
     """
     logger = logging.getLogger(_ROOT_NAME)
-    logger.setLevel(level)
+    logger.setLevel(logging.INFO)
     if not logger.handlers:
         handler = logging.StreamHandler()
         handler.setFormatter(

@@ -31,6 +31,25 @@ def tiny_test(tiny_mnist):
     return tiny_mnist[1]
 
 
+@pytest.fixture(scope="session")
+def orthogonal():
+    """``orthogonal(shape, rng, gain=1.0)``: a ``gain``-scaled
+    (semi-)orthogonal weight from the QR factors of a Gaussian matrix.
+    A conv shape flattens to (F, C*KH*KW) first, as the Lipschitz
+    regularizer flattens it, so the Gram matrix on the smaller side is
+    exactly ``gain**2 I`` — the regularizer's fixed point."""
+
+    def build(shape, rng, gain=1.0):
+        rows, cols = shape[0], int(np.prod(shape[1:]))
+        q, r = np.linalg.qr(rng.normal(size=(max(rows, cols), min(rows, cols))))
+        q *= np.sign(np.diag(r))  # fix the sign ambiguity: Haar measure
+        if rows < cols:
+            q = q.T
+        return gain * q[:rows, :cols].reshape(shape)
+
+    return build
+
+
 @pytest.fixture()
 def lenet():
     """A small, fresh LeNet-5 (width 0.5) per test."""
@@ -41,7 +60,7 @@ def lenet():
 @pytest.fixture()
 def mlp():
     """A tiny fresh MLP consuming (N, 1, 2, 2) blob images (4 features)."""
-    return MLP(4, [8], 3, flatten_input=True, seed=0)
+    return MLP(4, [8], 3, seed=0)
 
 
 @pytest.fixture()

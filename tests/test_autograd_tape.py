@@ -235,11 +235,13 @@ def _conv_case(draw, rng, dtype, c, k, padding):
     return [x, w], lambda x, w: F.conv2d(x, w, padding=padding)
 
 
-def _pool_case(draw, rng, dtype, pool, kernel, stride=None):
+def _pool_case(draw, rng, dtype, pool, kernel, ragged=False):
+    """A map the kernel tiles, or (``ragged``) one whose last row the
+    windows skip, which takes the gather path."""
     n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    h = kernel * draw(st.integers(1, 3))
+    h = kernel * draw(st.integers(1, 3)) + ragged
     x = _signed(rng, (n, c, h, h + kernel), dtype)
-    return [x], lambda x: pool(x, kernel, stride)
+    return [x], lambda x: pool(x, kernel)
 
 
 def _matmul_case(draw, rng, dtype, a_shape, b_shape):
@@ -256,8 +258,8 @@ _PRODUCERS = {
     # Padding crops the scatter to a view, which the write copies.
     "conv2d-padded": (partial(_conv_case, c=2, k=3, padding=1), (1,)),
     "avg_pool2d-tiled": (partial(_pool_case, pool=F.avg_pool2d, kernel=2), (0,)),
-    "avg_pool2d-strided": (
-        partial(_pool_case, pool=F.avg_pool2d, kernel=3, stride=1), (0,)),
+    "avg_pool2d-gather": (
+        partial(_pool_case, pool=F.avg_pool2d, kernel=3, ragged=True), (0,)),
     "max_pool2d": (partial(_pool_case, pool=F.max_pool2d, kernel=2), (0,)),
     "matmul": (partial(_matmul_case, a_shape=(3, 4), b_shape=(4, 5)), (0, 1)),
     "matmul-broadcast": (partial(_matmul_case, a_shape=(2, 3, 4), b_shape=(4, 5)), (0, 1)),

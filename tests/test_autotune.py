@@ -95,14 +95,14 @@ def _lenet():
 def _family(name, tiny_test):
     """A fresh model of ``name`` in eval mode, and a split it accepts."""
     if name == "mlp":
-        model, data = MLP(4, [8], 3, flatten_input=True, seed=0), _blobs()
+        model, data = MLP(4, [8], 3, seed=0), _blobs()
     elif name == "lenet5":
         model, data = _lenet(), tiny_test
     elif name == "compensated-lenet5":
         plan = CompensationPlan({0: 1.0, 1: 0.5, 3: 0.5})
         model, data = plan.apply(_lenet(), seed=1), tiny_test
     else:  # analog-mlp: programming variation plus per-read noise
-        model = analogize(MLP(4, [8], 3, flatten_input=True, seed=0),
+        model = analogize(MLP(4, [8], 3, seed=0),
                           tile_size=8, read_noise_sigma=0.01)
         data = _blobs()
     model.eval()

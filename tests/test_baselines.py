@@ -17,7 +17,7 @@ def trained_mlp(blob_dataset):
     from repro.core import Trainer
     from repro.optim import Adam
 
-    model = MLP(4, [16], 3, flatten_input=True, seed=0)
+    model = MLP(4, [16], 3, seed=0)
     trainer = Trainer(model, Adam(list(model.parameters()), lr=0.01), seed=0)
     trainer.fit(blob_dataset, epochs=30, batch_size=16)
     assert accuracy(model, blob_dataset) > 0.9
@@ -92,8 +92,7 @@ class TestProtection:
         static = method.evaluate(var, blob_dataset, n_samples=5, seed=1)
         adapted = method.evaluate(
             var, blob_dataset, n_samples=5, seed=1,
-            online_retraining=True, train_data=blob_dataset,
-            adapt_steps=15, adapt_lr=0.02,
+            online_retraining=True, train_data=blob_dataset, adapt_steps=15,
         )
         assert adapted.accuracy_mean >= static.accuracy_mean - 0.05
         assert adapted.online_retraining
@@ -122,34 +121,37 @@ class TestProtection:
 
 class TestRSA:
     def test_random_masks_used(self, trained_mlp):
-        rsa = RandomSparseAdaptation(trained_mlp, 0.2, seed=0)
-        rsa2 = RandomSparseAdaptation(trained_mlp, 0.2, seed=1)
+        """The subset is random, not the magnitude protection's, at the
+        same budget."""
+        rsa = RandomSparseAdaptation(trained_mlp, 0.2)
+        magnitude = ImportantWeightProtection(trained_mlp, 0.2)
+        assert rsa.masks.keys() == magnitude.masks.keys()
         any_diff = any(
-            not np.array_equal(rsa.masks[k], rsa2.masks[k]) for k in rsa.masks
+            not np.array_equal(rsa.masks[k], magnitude.masks[k])
+            for k in rsa.masks
         )
         assert any_diff
 
     def test_evaluate_runs(self, trained_mlp, blob_dataset):
-        result = RandomSparseAdaptation(trained_mlp, 0.2, seed=0).evaluate(
+        result = RandomSparseAdaptation(trained_mlp, 0.2).evaluate(
             LogNormalVariation(0.5), blob_dataset, n_samples=3, seed=0,
-            train_data=blob_dataset, adapt_steps=5,
+            online_retraining=True, train_data=blob_dataset, adapt_steps=5,
         )
         assert result.method == "random-sparse-adaptation"
+        assert result.online_retraining
         assert 0 <= result.accuracy_mean <= 1
 
 
 class TestStatisticalTraining:
     def test_zero_overhead(self, trained_mlp, blob_dataset):
-        method = StatisticalTraining(trained_mlp, LogNormalVariation(0.4),
-                                     seed=0)
+        method = StatisticalTraining(trained_mlp, LogNormalVariation(0.4))
         method.fit(blob_dataset, epochs=3, batch_size=16)
         result = method.evaluate(blob_dataset, n_samples=5, seed=0)
         assert result.overhead == 0.0
 
     def test_source_model_untouched(self, trained_mlp, blob_dataset):
         before = {n: p.data.copy() for n, p in trained_mlp.named_parameters()}
-        method = StatisticalTraining(trained_mlp, LogNormalVariation(0.4),
-                                     seed=0)
+        method = StatisticalTraining(trained_mlp, LogNormalVariation(0.4))
         method.fit(blob_dataset, epochs=2, batch_size=16)
         for name, param in trained_mlp.named_parameters():
             np.testing.assert_array_equal(param.data, before[name])
@@ -160,7 +162,7 @@ class TestStatisticalTraining:
         var = LogNormalVariation(0.6)
         ev = MonteCarloEvaluator(blob_dataset, n_samples=10, seed=5)
         vanilla = ev.evaluate(trained_mlp, var)
-        method = StatisticalTraining(trained_mlp, var, lr=5e-3, seed=0)
+        method = StatisticalTraining(trained_mlp, var, lr=5e-3)
         method.fit(blob_dataset, epochs=15, batch_size=16)
         robust = ev.evaluate(method.model, var)
         assert robust.mean >= vanilla.mean - 0.02

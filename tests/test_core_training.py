@@ -13,7 +13,7 @@ from repro.variation import LogNormalVariation, VariationInjector
 
 
 def _fresh_mlp(seed=0):
-    return MLP(4, [16], 3, flatten_input=True, seed=seed)
+    return MLP(4, [16], 3, seed=seed)
 
 
 class TestBasicTraining:

@@ -118,7 +118,7 @@ class TestPerDtypePairing:
 
     def test_analog_rejects_float32(self):
         train, _ = synth_mnist(train_per_class=2, test_per_class=2)
-        model = MLP(4, [8], 3, flatten_input=True, seed=0)
+        model = MLP(4, [8], 3, seed=0)
         analogize(model)
         with pytest.raises(ValueError, match="float64"):
             build_plan(

@@ -38,14 +38,13 @@ from repro.variation import (
 
 
 class _ClassAxisSoftmax(nn.Module):
-    """Softmax over axis 1 of (N, K) logits. A stacked (S, N, K) input
-    would put the images on that axis, so the module is not sample-aware:
-    a model holding it runs the per-draw loop form."""
+    """Softmax of (N, K) logits that does not declare the sample axis, so a
+    model holding it runs the per-draw loop form."""
 
     sample_aware = False
 
     def forward(self, x):
-        return F.softmax(x, axis=1)
+        return F.softmax(x)
 
 
 def _families(lenet, seed=1):

@@ -25,14 +25,13 @@ from repro.variation import (
 
 
 class _ClassAxisSoftmax(nn.Module):
-    """Softmax over axis 1 of (N, K) logits. A stacked (S, N, K) input
-    would put the images on that axis, so the module is not sample-aware:
-    a model holding it runs the per-draw loop form."""
+    """Softmax of (N, K) logits that does not declare the sample axis, so a
+    model holding it runs the per-draw loop form."""
 
     sample_aware = False
 
     def forward(self, x):
-        return F.softmax(x, axis=1)
+        return F.softmax(x)
 
 
 class _ConstantModel(nn.Module):
@@ -118,7 +117,7 @@ class TestLayerSweep:
     def test_candidates_empty_for_robust_model(self, blob_dataset):
         """With essentially zero variation every tail injection passes the
         threshold, so no candidates are selected."""
-        model = MLP(4, [8], 3, flatten_input=True, seed=0)
+        model = MLP(4, [8], 3, seed=0)
         ev = MonteCarloEvaluator(blob_dataset, n_samples=2, seed=0)
         original = accuracy(model, blob_dataset)
         candidates = select_candidates(
@@ -162,7 +161,7 @@ class TestLayerSweep:
 def _family(name, tiny_test):
     """A fresh model of ``name`` and an evaluation split it accepts."""
     if name == "mlp":
-        return MLP(4, [8], 3, flatten_input=True, seed=0), _dataset(12, 3)
+        return MLP(4, [8], 3, seed=0), _dataset(12, 3)
     return LeNet5(num_classes=10, in_channels=1, input_size=16,
                   width_multiplier=0.5, seed=0), tiny_test
 
@@ -217,17 +216,16 @@ class TestTracer:
         devs = tracer.trace(x, LogNormalVariation(0.0), seed=0)
         assert all(d.relative_error == pytest.approx(0.0) for d in devs)
 
-    def test_amplification_in_expansive_network(self):
+    def test_amplification_in_expansive_network(self, orthogonal):
         """A deep net with norm >> 1 weights amplifies errors with depth;
         a contractive one attenuates relative error growth."""
         import repro.nn as nn
-        from repro.nn import init
 
         def build(gain):
             layers = []
             for i in range(4):
                 lin = nn.Linear(16, 16, bias=False, seed=i)
-                lin.weight.data = init.orthogonal(
+                lin.weight.data = orthogonal(
                     (16, 16), np.random.default_rng(i), gain=gain
                 )
                 layers += [lin, nn.ReLU()]
@@ -443,7 +441,7 @@ class TestProcessPoolEngine:
             assert forms == [form], (vectorized, spec)
 
     def test_killed_worker_raises_instead_of_hanging(self, blob_dataset):
-        model = _KilledOnForward(4, [8], 3, flatten_input=True, seed=0)
+        model = _KilledOnForward(4, [8], 3, seed=0)
         plan = build_plan(model, LogNormalVariation(0.5),
                           n_samples=6, seed=3, n_workers=2, chunk_samples=3)
         assert plan.n_workers == 2

@@ -127,7 +127,7 @@ _CHANGES = {
 
 def _inputs(field=None, value=None):
     """Every ``fit_plan`` input, built from scratch; ``field`` changed."""
-    base = MLP(4, [8], 3, flatten_input=True, seed=0)
+    base = MLP(4, [8], 3, seed=0)
     if field == "weight":  # one ulp on one element of the first layer
         weight = next(base.parameters()).data
         weight.flat[value] = np.nextafter(weight.flat[value], np.inf)

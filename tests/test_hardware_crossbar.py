@@ -162,19 +162,26 @@ class TestInputScale:
         np.testing.assert_allclose(xbar.mvm(x), x @ weights.T, atol=1e-10)
 
     def test_explicit_input_scale_clips_dac(self, weights):
-        small = Crossbar(weights, dac=DAC(8), input_scale=0.1)
+        small = Crossbar(weights, dac=DAC(8))
+        small.calibrate_input_scale(np.full(3, -0.1))
+        assert small.input_scale == 0.1
         x = np.full((1, 12), 10.0)  # far beyond full scale
         # every input clips to 0.1, so the result matches driving 0.1
-        expected = Crossbar(weights, dac=DAC(8), input_scale=0.1).mvm(
-            np.full((1, 12), 0.1)
-        )
+        expected = small.mvm(np.full((1, 12), 0.1))
         np.testing.assert_allclose(small.mvm(x), expected, atol=1e-12)
 
     def test_invalid_input_scale_raises(self, weights):
-        with pytest.raises(ValueError):
-            Crossbar(weights, input_scale=0.0)
-        with pytest.raises(ValueError):
-            Crossbar(weights, input_scale=-1.0)
+        """Calibration is the one way to set the DAC range, and it refuses
+        an all-zero range on a crossbar and on a tiled array alike,
+        leaving the weight-scale proxy in place."""
+        from repro.hardware import TiledCrossbarArray
+        xbar = Crossbar(weights)
+        arr = TiledCrossbarArray(weights, tile_rows=4, tile_cols=5)
+        for target in (xbar, arr):
+            with pytest.raises(ValueError, match="non-zero"):
+                target.calibrate_input_scale(np.zeros((2, 12)))
+        assert xbar.input_scale is None
+        assert all(t.input_scale is None for row in arr.tiles for t in row)
 
     def test_tiled_array_batch_invariant(self, weights):
         from repro.hardware import TiledCrossbarArray
@@ -229,7 +236,10 @@ class TestClipWarning:
             xbar.mvm(x)
 
     def test_explicit_input_scale_does_not_warn(self, weights):
-        xbar = Crossbar(weights, dac=DAC(None), adc=ADC(8), input_scale=100.0)
+        """A calibrated range wider than the activations does not warn
+        either."""
+        xbar = Crossbar(weights, dac=DAC(None), adc=ADC(8))
+        xbar.calibrate_input_scale(np.full(2, 100.0))
         with warnings_none():
             xbar.mvm(self._big_inputs(xbar))
 

@@ -94,18 +94,16 @@ class TestSuppressionMechanism:
 
 
 class TestLambdaBoundEndToEnd:
-    def test_bound_holds_under_sampled_variations(self):
+    def test_bound_holds_under_sampled_variations(self, orthogonal):
         """For a layer trained to ||W|| ~= lambda, the *sampled* perturbed
         spectral norm stays below k=1 in the vast majority of draws — the
         3-sigma construction of eq. (10)."""
-        import repro.nn as nn
-        from repro.nn import init
         from repro.lipschitz.spectral import spectral_norm
 
         sigma = 0.3
         lam = lambda_bound(sigma)
         rng = np.random.default_rng(0)
-        w = init.orthogonal((12, 12), rng, gain=lam)
+        w = orthogonal((12, 12), rng, gain=lam)
         var = LogNormalVariation(sigma)
         exceed = 0
         n = 200

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.nn as nn
-from repro.autograd import Tensor
 from repro.lipschitz import (
     OrthogonalityRegularizer, lambda_bound, layer_spectral_norms,
     lognormal_bound, spectral_norm, weight_as_matrix,
 )
-from repro.nn.module import Parameter
 from repro.optim import Adam
 
 
@@ -61,22 +59,20 @@ class TestSpectral:
         with pytest.raises(ValueError):
             weight_as_matrix(np.zeros((2, 2, 2)))
 
-    def test_orthogonal_matrix_norm_is_gain(self):
-        from repro.nn import init
-        w = init.orthogonal((6, 6), np.random.default_rng(0), gain=0.5)
+    def test_orthogonal_matrix_norm_is_gain(self, orthogonal):
+        w = orthogonal((6, 6), np.random.default_rng(0), gain=0.5)
         assert spectral_norm(w) == pytest.approx(0.5)
 
 
 class TestRegularizer:
-    def test_zero_penalty_at_scaled_orthogonal(self):
+    def test_zero_penalty_at_scaled_orthogonal(self, orthogonal):
         """A model whose every weight is lambda-scaled orthogonal has (near)
         zero penalty — the regularizer's fixed point."""
-        from repro.nn import init
         lam = 0.7
         model = nn.Sequential(nn.Linear(8, 8, seed=0), nn.ReLU(),
                               nn.Linear(8, 8, seed=1))
         for layer in (model[0], model[2]):
-            layer.weight.data = init.orthogonal(
+            layer.weight.data = orthogonal(
                 (8, 8), np.random.default_rng(0), gain=lam
             )
         reg = OrthogonalityRegularizer(lam, beta=1.0)

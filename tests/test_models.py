@@ -6,6 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.data import ArrayDataset
 from repro.models import LeNet5, MLP, VGG, available_models, build_model
+from repro.nn import Flatten
 from repro.variation import weighted_layers
 
 
@@ -70,10 +71,11 @@ class TestVGG:
 class TestMLP:
     def test_flatten_input(self):
         model = MLP(16, [8], 4, seed=0)
+        assert isinstance(model.net[0], Flatten)
         assert model(Tensor(np.zeros((2, 1, 4, 4)))).shape == (2, 4)
 
     def test_depth_matches_hidden(self):
-        model = MLP(4, [8, 8, 8], 2, flatten_input=False, seed=0)
+        model = MLP(4, [8, 8, 8], 2, seed=0)
         assert len(weighted_layers(model)) == 4
 
 

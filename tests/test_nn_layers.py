@@ -24,13 +24,18 @@ class TestLinear:
         np.testing.assert_allclose(a.weight.data, b.weight.data)
 
     def test_init_schemes(self):
-        for scheme in ("kaiming", "xavier", "orthogonal"):
-            layer = nn.Linear(8, 8, seed=0, weight_init=scheme)
-            assert np.isfinite(layer.weight.data).all()
+        """Linear and Conv2d share one scheme: He-normal weights drawn from
+        ``seed``, zero biases."""
+        from repro.nn import init
+        from repro.utils.rng import new_rng
 
-    def test_unknown_init_raises(self):
-        with pytest.raises(ValueError):
-            nn.Linear(2, 2, weight_init="bogus")
+        linear = nn.Linear(8, 6, seed=3)
+        conv = nn.Conv2d(2, 4, 3, seed=3)
+        np.testing.assert_array_equal(
+            linear.weight.data, init.kaiming_normal((6, 8), new_rng(3)))
+        np.testing.assert_array_equal(
+            conv.weight.data, init.kaiming_normal((4, 2, 3, 3), new_rng(3)))
+        assert not linear.bias.data.any() and not conv.bias.data.any()
 
 
 class TestConv2d:

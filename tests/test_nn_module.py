@@ -49,7 +49,7 @@ class TestFreezing:
 class TestStateDict:
     def test_roundtrip_exact(self, mlp):
         state = mlp.state_dict()
-        other = type(mlp)(4, [8], 3, flatten_input=True, seed=99)
+        other = type(mlp)(4, [8], 3, seed=99)
         before = next(other.parameters()).data.copy()
         other.load_state_dict(state)
         for (_, a), (_, b) in zip(mlp.named_parameters(), other.named_parameters()):
@@ -76,7 +76,7 @@ class TestStateDict:
     def test_save_load_file(self, mlp, tmp_path):
         path = str(tmp_path / "model.npz")
         mlp.save(path)
-        other = type(mlp)(4, [8], 3, flatten_input=True, seed=5)
+        other = type(mlp)(4, [8], 3, seed=5)
         other.load(path)
         for (_, a), (_, b) in zip(mlp.named_parameters(), other.named_parameters()):
             np.testing.assert_allclose(a.data, b.data)

@@ -232,7 +232,7 @@ class TestLayerNorm:
 
 class TestSelfAttention:
     def test_output_shape_and_determinism(self):
-        attn = SelfAttention(8, num_heads=2, seed=0)
+        attn = SelfAttention(8, seed=0)
         x = _t((2, 6, 8), 0)
         out = attn(x)
         assert out.shape == (2, 6, 8)
@@ -240,7 +240,7 @@ class TestSelfAttention:
 
     def test_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="num_heads"):
-            SelfAttention(7, num_heads=2)
+            SelfAttention(7)
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError, match="SelfAttention"):
@@ -249,7 +249,7 @@ class TestSelfAttention:
     def test_stacked_input_bitwise_paired(self):
         """Stacked activations with unstacked weights: every slice equals
         the unstacked forward bitwise (trailing-axis matmul/softmax only)."""
-        attn = SelfAttention(8, num_heads=2, seed=0)
+        attn = SelfAttention(8, seed=0)
         x = _t((3, 2, 6, 8), 0)
         out = attn(x)
         assert out.shape == (3, 2, 6, 8)
@@ -266,7 +266,7 @@ class TestSelfAttention:
         from repro.utils.rng import spawn_rngs
         from repro.variation import VariationInjector, LogNormalVariation
 
-        attn = SelfAttention(8, num_heads=2, seed=0)
+        attn = SelfAttention(8, seed=0)
         inj = VariationInjector(attn, LogNormalVariation(0.4))
         x = Tensor(np.random.default_rng(5).normal(size=(2, 6, 8)))
         stacks = inj.stack_for(spawn_rngs(11, 3))
@@ -281,12 +281,12 @@ class TestSelfAttention:
             np.testing.assert_array_equal(stacked_out[s], per_sample)
 
     def test_projections_are_weighted_layers(self):
-        attn = SelfAttention(8, num_heads=2, seed=0)
+        attn = SelfAttention(8, seed=0)
         names = [name for name, _ in weighted_layers(attn)]
         assert names == ["q_proj", "k_proj", "v_proj", "out_proj"]
 
     def test_gradient_flows(self):
-        attn = SelfAttention(4, num_heads=2, seed=0)
+        attn = SelfAttention(4, seed=0)
         x = _t((2, 3, 4), 0, requires_grad=True)
         attn(x).sum().backward()
         assert x.grad.shape == (2, 3, 4)

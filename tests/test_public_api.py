@@ -1,6 +1,7 @@
 """Public API surface: every documented name imports, __all__ is honest,
 every exported name, public function and public method has a caller
-outside the tests, and every config and request field is set by one."""
+outside the tests, every config and request field is set by one, and
+every defaulted parameter is passed by one."""
 
 import ast
 import dataclasses
@@ -275,4 +276,196 @@ def test_every_setting_is_set():
     assert not stale, (
         f"KEPT_SETTINGS entries that are set or no longer declared: {stale}. "
         "Drop them from KEPT_SETTINGS."
+    )
+
+
+_ARGV = ("the console-script seam: None reads sys.argv, and the CLI tests "
+         "drive the main with a list")
+_GRADCHECK = "test tooling, like gradcheck itself (KEPT)"
+_UNCLIPPED = ("the unclipped mode that the weight-domain equivalence tests "
+              "compare the conductance domain against")
+_RAW_DECODE = "the raw conductance decode that the round-trip tests check"
+_FIG4 = "Fig. 4's instrument, which is KEPT"
+
+#: Defaulted parameters that nothing outside the tests passes, each with
+#: the reason it stays. An entry that gains a caller fails the guard too.
+KEPT_PARAMETERS = {
+    **{f"{main}(argv)": _ARGV for main in (
+        "repro.cli.train_main", "repro.cli.eval_main",
+        "repro.cli.search_main", "repro.cli.jobs_main",
+        "repro.cli.query_main", "repro.cli.main",
+        "repro.store.cli.jobs_main", "repro.store.cli.query_main",
+        "repro.lint.cli.main",
+    )},
+    "repro.autograd.gradcheck.gradcheck(eps)": _GRADCHECK,
+    "repro.autograd.gradcheck.gradcheck(atol)": _GRADCHECK,
+    "repro.autograd.gradcheck.gradcheck(rtol)": _GRADCHECK,
+    "repro.autograd.gradcheck.numerical_gradient(eps)": _GRADCHECK,
+    "repro.hardware.crossbar.Crossbar(clip_conductance)": _UNCLIPPED,
+    "repro.hardware.tiling.TiledCrossbarArray(clip_conductance)": _UNCLIPPED,
+    "repro.hardware.crossbar.Crossbar.effective_weights(include_ir_drop)":
+        _RAW_DECODE,
+    "repro.hardware.tiling.TiledCrossbarArray.effective_weights"
+    "(include_ir_drop)": _RAW_DECODE,
+    "repro.evaluation.tracer.ErrorPropagationTracer.amplification_profile"
+    "(n_samples)": _FIG4,
+    "repro.evaluation.tracer.ErrorPropagationTracer.amplification_profile"
+    "(seed)": _FIG4,
+    "repro.store.db.ResultStore(clock)": "the injected clock (DET001) that "
+                                         "the lease tests fake",
+    "repro.rl.policy.RNNPolicy.sample(greedy)": "the deterministic decode "
+                                                "through which the bandit "
+                                                "test reads the learned "
+                                                "policy",
+}
+
+
+def _signature(node, method):
+    """``(names a positional argument fills, {defaulted name: default})``
+    of a function, lambda or method (``self``/``cls`` skipped)."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaults = dict(zip(positional[len(positional) - len(args.defaults):],
+                        args.defaults))
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                    if d is not None)
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in getattr(node, "decorator_list", ()))
+    return (positional[1:] if method and not static else positional), defaults
+
+
+def _literal(node):
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False, None
+
+
+def _callee(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _parameters():
+    """``({key: (definition, parameter)}, {passed (definition, parameter)})``.
+
+    The keys (``"repro.store.db.ResultStore(busy_timeout_s)"``) name the
+    defaulted parameters of public functions and public methods of public
+    classes under ``src/repro``; an ``__init__`` is keyed by its class.
+    Which parameters are passed is the least fixed point of the rule in
+    :func:`test_every_parameter_is_passed`, over every definition and call
+    in :func:`_caller_files`.
+    """
+    src = REPO_ROOT / "src" / "repro"
+    parents, signatures, defs, calls, public = {}, {}, {}, [], {}
+    for path in _caller_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = (".".join(path.relative_to(src.parent).with_suffix("").parts)
+                  if src in path.parents else None)
+        for node in ast.walk(tree):
+            parents.update((child, node) for child in ast.iter_child_nodes(node))
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = parents.get(node)
+            method = isinstance(owner, ast.ClassDef)
+            init = method and node.name == "__init__"
+            name = owner.name if init else node.name
+            signatures[node] = _signature(node, method)
+            defs.setdefault(name, []).append(node)
+            if module and not name.startswith("_") and (
+                    isinstance(owner, ast.Module)
+                    or method and not owner.name.startswith("_")):
+                shown = name if init or not method else f"{owner.name}.{name}"
+                public.update((f"{module}.{shown}({param})", (node, param))
+                              for param in signatures[node][1])
+    passed = set()
+
+    def own_parameter(call, name):
+        """The innermost function enclosing ``call`` with a parameter
+        ``name``, or None."""
+        scope = parents.get(call)
+        while scope is not None:
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                args = scope.args
+                if name in {a.arg for a in args.posonlyargs + args.args
+                            + args.kwonlyargs + [args.vararg, args.kwarg]
+                            if a is not None}:
+                    return scope
+            scope = parents.get(scope)
+        return None
+
+    def counts(value, callee, param, call):
+        """Whether ``value`` passes ``param`` (see the test's rule)."""
+        scope = own_parameter(call, value.id) if isinstance(
+            value, ast.Name) else None
+        if scope is not None:
+            # A lambda is the one enclosing scope that is not in ``defs``.
+            defaults = (signatures[scope] if scope in signatures
+                        else _signature(scope, False))[1]
+            return value.id not in defaults or (scope, value.id) in passed
+        is_literal, literal = _literal(value)
+        return not is_literal or any(
+            _literal(signatures[node][1][param]) != (True, literal)
+            for node in defs[callee] if param in signatures[node][1])
+
+    changed = True
+    while changed:
+        changed = False
+        for call in calls:
+            callee, args = _callee(call.func), call.args
+            if callee == "partial" and args:
+                callee, args = _callee(args[0]), args[1:]
+            star = (any(isinstance(arg, ast.Starred) for arg in args)
+                    or any(kw.arg is None for kw in call.keywords))
+            for node in defs.get(callee, ()):
+                positional, defaults = signatures[node]
+                bound = list(zip(positional, args)) + [
+                    (kw.arg, kw.value) for kw in call.keywords]
+                hits = defaults if star else [
+                    param for param, value in bound if param in defaults
+                    and counts(value, callee, param, call)]
+                new = {(node, param) for param in hits} - passed
+                passed |= new
+                changed = changed or bool(new)
+    return public, passed
+
+
+def test_every_parameter_is_passed():
+    """A defaulted parameter is a knob, so some call in ``src/``,
+    ``benchmarks/``, ``examples/`` or ``perfbench/`` passes it, or it is
+    in ``KEPT_PARAMETERS`` with a reason. A value nothing passes belongs
+    in a constant.
+
+    The rule, over the defaulted parameters of public functions and of
+    public methods of public classes under ``src/repro``: a call that
+    names the callee (by name, like the export guard; ``partial(f, ...)``
+    counts as a call of ``f``) passes a parameter by keyword or by
+    position, unless the argument is a literal equal to the default of
+    every same-named definition that declares it. A ``*``/``**`` call
+    passes every parameter. An argument that is the enclosing function's
+    own defaulted parameter counts only when that parameter is passed
+    itself (a required one always is), which is what catches a default
+    forwarded down a chain of calls.
+
+    Blind spots: a call matches every definition of its name, so a call of
+    an unrelated same-named function hides an unpassed parameter (that is
+    how ``RandomSparseAdaptation.evaluate`` and its flipped
+    ``online_retraining`` default went unseen: the protection baseline's
+    callers pass that name). ``super().__init__(...)`` passes nothing.
+    """
+    public, passed = _parameters()
+    unpassed = {key for key, entry in public.items() if entry not in passed}
+    never = sorted(unpassed - set(KEPT_PARAMETERS))
+    assert not never, (
+        f"defaulted parameters that nothing outside the tests passes: "
+        f"{never}. Fold each into the constant it always takes, or add it "
+        "to KEPT_PARAMETERS with the reason it stays."
+    )
+    stale = sorted(set(KEPT_PARAMETERS) - unpassed)
+    assert not stale, (
+        f"KEPT_PARAMETERS entries that are passed or no longer declared: "
+        f"{stale}. Drop them from KEPT_PARAMETERS."
     )

@@ -173,6 +173,6 @@ class TestSearch:
 
     def test_exhaustive_ignores_limit(self):
         env = _tiny_env(overhead_limit=1e-9)
-        outcome = exhaustive_search(env, ratio=0.5)
+        outcome = exhaustive_search(env)
         assert not outcome.skipped
         assert env.overhead_limit == 1e-9  # restored

@@ -71,42 +71,6 @@ class TestSchema:
         with pytest.raises(RuntimeError, match="newer than this code"):
             ResultStore(path, clock=clock)
 
-    def test_migration_hook_walks_old_stores_forward(
-        self, tmp_path, clock, monkeypatch
-    ):
-        path = str(tmp_path / "s.sqlite")
-        with ResultStore(path, clock=clock) as s:
-            s.submit(FP_A, REQUEST)
-
-        def add_note_column(conn: sqlite3.Connection) -> None:
-            conn.execute("ALTER TABLE jobs ADD COLUMN note TEXT")
-
-        monkeypatch.setattr(
-            store_schema, "SCHEMA_VERSION", store_schema.SCHEMA_VERSION + 1
-        )
-        monkeypatch.setitem(
-            store_schema.MIGRATIONS,
-            store_schema.SCHEMA_VERSION - 1,
-            add_note_column,
-        )
-        with ResultStore(path, clock=clock) as s:
-            assert schema_version(s._conn) == store_schema.SCHEMA_VERSION
-            # Migrated store keeps its rows and gains the new column.
-            assert s.job(FP_A) is not None
-            s._conn.execute("SELECT note FROM jobs").fetchall()
-
-    def test_missing_migration_step_fails_loudly(
-        self, tmp_path, clock, monkeypatch
-    ):
-        path = str(tmp_path / "s.sqlite")
-        with ResultStore(path, clock=clock):
-            pass
-        monkeypatch.setattr(
-            store_schema, "SCHEMA_VERSION", store_schema.SCHEMA_VERSION + 1
-        )
-        with pytest.raises(RuntimeError, match="no migration registered"):
-            ResultStore(path, clock=clock)
-
 
 class TestSubmitDedup:
     def test_first_submit_creates_pending(self, store):
@@ -254,9 +218,10 @@ class TestCompletion:
         store.submit(FP_A, REQUEST, sweep_key="k")
         store.submit(FP_B, REQUEST)
         store.claim("w", 10.0)
-        assert {r.fingerprint for r in store.jobs(state="pending")} == {FP_B}
+        assert [(r.fingerprint, r.state) for r in store.jobs()] == [
+            (FP_A, "running"), (FP_B, "pending")]
         assert {r.fingerprint for r in store.jobs(sweep_key="k")} == {FP_A}
-        assert len(store.jobs()) == 2
+        assert store.jobs(sweep_key="none") == []
 
 
 class TestGc:
@@ -264,7 +229,8 @@ class TestGc:
         store.submit(FP_A, REQUEST)
         store.submit(FP_B, REQUEST)
         store.claim("w1", 10.0)  # FP_A (older? same clock -> fingerprint order)
-        done_fp = store.jobs(state="running")[0].fingerprint
+        done_fp = next(r.fingerprint for r in store.jobs()
+                       if r.state == "running")
         store.put_chunk(done_fp, "w1", 0, 0, 2, [0.5, 0.6])
         store.finalize(done_fp, "w1", {"accuracies": [0.5, 0.6]})
         crashed = store.claim("w2", 10.0)

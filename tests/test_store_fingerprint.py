@@ -44,7 +44,7 @@ from repro.variation.spec import to_dict
 
 
 def _model():
-    return MLP(4, [8], 3, flatten_input=True, seed=0)
+    return MLP(4, [8], 3, seed=0)
 
 
 def _dataset():
@@ -237,12 +237,13 @@ class TestFingerprintInvariant:
         assert plan_fingerprint(plan, model, shifted) != reference
 
     def test_analog_params_enter_the_hash(self):
-        model, dataset = _model(), _dataset()
-        plan = _plan(model)
-        bare = plan_fingerprint(plan, model, dataset)
-        analog = plan_fingerprint(plan, model, dataset,
-                                  analog={"dac_bits": 6, "tile_size": 128})
-        assert bare != analog
+        """The job store hashes a request's analog parameters next to the
+        pre-``analogize`` weight digest (``materialize``)."""
+        plan = _plan(_model())
+        bare = fingerprint_payload(plan, "m", "d")
+        analog = fingerprint_payload(plan, "m", "d",
+                                     analog={"dac_bits": 6, "tile_size": 128})
+        assert canonical_json(bare) != canonical_json(analog)
 
     def test_tail_specs_fingerprint_by_first(self):
         """Fig. 9's layer subsets are specs: the all-layers point is the
@@ -324,7 +325,7 @@ from repro.evaluation.plan import build_plan
 from repro.models import MLP
 from repro.store.fingerprint import plan_fingerprint
 
-model = MLP(4, [8], 3, flatten_input=True, seed=0)
+model = MLP(4, [8], 3, seed=0)
 images = np.arange(2 * 1 * 2 * 2, dtype=np.float64).reshape(2, 1, 2, 2) / 7.0
 dataset = ArrayDataset(images, np.array([0, 1]))
 plan = build_plan(model, "lognormal:0.4",

@@ -6,11 +6,13 @@ The acceptance properties of the evaluation service live here:
   ``execute()`` of the same plan;
 - an interrupted-then-resumed job (cooperative preemption or crashed
   lease) is bitwise-identical to an uninterrupted run — including where
-  an adaptive rule stops it, inside a chunk or at its end;
+  an adaptive rule stops it, inside a chunk or at its end — which a
+  property checks over drawn chunk sizes, claim sizes, caps and rules;
 - resubmitting a finished evaluation is a cache hit and performs zero
   work;
 - ``cached_evaluate`` returns the stored payload without re-executing,
-  and on a miss races its chunks on the evaluator's clock;
+  on a miss races its chunks on the evaluator's clock, and refuses analog
+  plans, which it cannot tell apart;
 - a job whose chunk is below one is refused at materialization, before
   it can reach the store;
 - a job row stored while requests still carried ``data_block`` and
@@ -22,10 +24,13 @@ so the whole file stays unit-test sized.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, HealthCheck, settings, strategies as st
 
 from repro.data import DATASET_FACTORIES, synth_mnist
 from repro.evaluation.executor import execute, IncrementalEvaluation
@@ -106,6 +111,37 @@ class TestDrain:
         assert resumed.status == "done" and resumed.resumed_draws == 2
         assert store.result(m.fingerprint)["accuracies"] == \
             _direct_accuracies(request)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chunk=st.integers(1, 8), per_claim=st.integers(1, 3),
+           cap=st.integers(17, 32), tolerance=st.sampled_from([None, 0.06]))
+    def test_preempted_steps_drain_to_the_direct_result(
+        self, chunk, per_claim, cap, tolerance
+    ):
+        """Drained ``per_claim`` chunks per claim, each claim resuming the
+        last one's stored prefix, a job ends bitwise where a direct run
+        ends, at every chunk size, and where an adaptive rule stops it
+        (the cap is above the first look, at 16 draws)."""
+        request = _request(n_samples=cap, chunk_samples=chunk,
+                           tolerance=tolerance)
+        with tempfile.TemporaryDirectory() as tmp, \
+                ResultStore(os.path.join(tmp, "store.sqlite")) as store:
+            m = materialize(request)
+            store.submit(m.fingerprint, m.request.to_dict())
+            held = 0
+            for step in range(cap + 1):
+                (outcome,) = drain(store, owner=f"w{step}", max_jobs=1,
+                                   max_chunks_per_job=per_claim).outcomes
+                assert outcome.resumed_draws == held
+                assert outcome.draws > held or outcome.status == "done"
+                held = outcome.draws
+                if outcome.status == "done":
+                    break
+                assert outcome.status == "preempted"
+            assert store.job(m.fingerprint).state == "done"
+            assert store.result(m.fingerprint)["accuracies"] == \
+                _direct_accuracies(request)
 
     def test_crashed_lease_resume_is_bitwise(self, store):
         """A runner that dies mid-job (chunks persisted, lease held) is
@@ -350,6 +386,28 @@ class TestCachedEvaluate:
                         "lognormal:0.3")
         assert model.training
 
+    def test_analog_plans_are_refused(self, tmp_path):
+        """An analogized model's ``state_dict`` is empty, so two chips with
+        different weights and converters digest alike and would share one
+        cache entry. ``cached_evaluate`` refuses them and records nothing;
+        analog evaluations go through store jobs."""
+        from repro.hardware import ADC, analogize
+        from repro.utils.digest import weights_digest
+
+        train, test = _tiny_factory()
+        chips = [
+            analogize(build_model("mlp", train, seed=seed), adc=ADC(bits))
+            for seed, bits in ((0, 8), (1, 3))
+        ]
+        assert weights_digest(chips[0]) == weights_digest(chips[1])
+        evaluator = MonteCarloEvaluator(test, n_samples=4, seed=7)
+        path = str(tmp_path / "c.sqlite")
+        for chip in chips:
+            with pytest.raises(ValueError, match="store job"):
+                cached_evaluate(path, evaluator, chip, "lognormal:0.3")
+        with ResultStore(path) as store:
+            assert store.jobs() == []
+
 
 class TestIncrementalResume:
     """The executor-side resume contract the runner builds on."""
@@ -411,17 +469,22 @@ class TestIncrementalResume:
             ev.resume(prefix)
 
     def test_streamed_chunks_reassemble_the_full_run(self, mlp, blob_dataset):
-        plans = [
-            self._plan(mlp, vectorized=vectorized, n_workers=n_workers)
-            for vectorized in (True, False) for n_workers in (0, 2)
-        ]
-        for plan in plans:
-            cell = (plan.backend, plan.n_workers)
+        """The runner's loop streams each chunk through ``on_chunk`` in
+        schedule order, and the stream reassembles what ``execute``
+        returns in every form and at every worker count."""
+        for vectorized in (True, False):
             seen = []
-            result = execute(
-                plan, mlp, blob_dataset,
+            evaluation = IncrementalEvaluation(
+                self._plan(mlp, vectorized=vectorized), mlp, blob_dataset,
                 on_chunk=lambda i, s, t, a: seen.append((i, s, t, list(a))),
             )
-            assert [i for i, *_ in seen] == [0, 1, 2], cell
+            with evaluation:
+                while not evaluation.done:
+                    evaluation.run_chunk()
+            assert [i for i, *_ in seen] == [0, 1, 2], vectorized
             streamed = [a for *_, accs in seen for a in accs]
-            assert streamed == result.accuracies, cell
+            for n_workers in (0, 2):
+                plan = self._plan(mlp, vectorized=vectorized,
+                                  n_workers=n_workers)
+                result = execute(plan, mlp, blob_dataset)
+                assert streamed == result.accuracies, (vectorized, n_workers)

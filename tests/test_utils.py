@@ -53,6 +53,8 @@ class TestLogging:
         assert logger.name == "repro.sub"
 
     def test_set_verbosity_idempotent(self):
-        set_verbosity(logging.INFO)
-        set_verbosity(logging.INFO)
-        assert len(logging.getLogger("repro").handlers) == 1
+        set_verbosity()
+        set_verbosity()
+        logger = logging.getLogger("repro")
+        assert len(logger.handlers) == 1
+        assert logger.level == logging.INFO
