@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.compensation.wrappers import (
     CompensatedConv2d,
     CompensatedLinear,
     compensation_parameter_count,
 )
-from repro.nn.layers import Conv2d, Linear, Sequential
+from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.nn.graph import weighted_layers

@@ -24,7 +24,7 @@ from repro.core.training import Trainer, TrainHistory
 from repro.compensation.plan import CompensationPlan
 from repro.compensation.wrappers import is_compensated
 from repro.data.dataset import ArrayDataset
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 from repro.optim.optimizers import Adam, GRAD_CLIP
 from repro.utils.digest import canonical_json, dataset_digest, weights_digest
 from repro.utils.rng import SeedLike

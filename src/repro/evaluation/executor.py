@@ -279,7 +279,7 @@ def _loop_accuracies(
     accs: List[float] = []
     for rng in rngs:
         with adapter.apply_draw(rng):
-            accs.append(accuracy(model, dataset, plan.loop_batch))
+            accs.append(accuracy(model, dataset, plan.images_per_pass(1)))
     return accs
 
 
@@ -295,12 +295,16 @@ def _stacked_accuracies(
     Chunks are slices of the caller's stream list, so pairing — and the
     bitwise equality of chunked and unchunked runs — is structural: draw
     ``i`` consumes stream ``i`` no matter where chunk boundaries fall.
+    Each chunk, a short tail included, takes the plan's
+    :meth:`~repro.evaluation.plan.EvalPlan.images_per_pass` for its size.
     """
     accs: List[float] = []
     for start in range(0, len(rngs), plan.chunk_samples):
         chunk = rngs[start : start + plan.chunk_samples]
         with adapter.apply_chunk(chunk):
-            stacked = stacked_accuracies(model, dataset, len(chunk), plan.data_block)
+            stacked = stacked_accuracies(
+                model, dataset, len(chunk), plan.images_per_pass(len(chunk))
+            )
         accs.extend(float(a) for a in stacked)
     return accs
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd import Tensor, no_grad
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module

@@ -218,11 +218,11 @@ class MonteCarloEvaluator:
         :data:`~repro.evaluation.sequential.LOOK_EVERY` draws whatever
         the chunking.
     data_block:
-        Internal data-batch size for stacked passes and for every analog
-        sweep. Stacked intermediates are S times larger than ordinary
-        activations, so blocks stay cache-sized; analog sweeps use it for
-        speed. Results never depend on it, read noise included (see
-        :mod:`repro.evaluation.plan`).
+        Images per pass of an analog sweep, stacked or per-draw. Analog
+        sweeps alone use it: a weight-domain pass of S draws takes
+        ``LOOP_BATCH // S`` images (:mod:`repro.evaluation.plan`), so its
+        plans carry no data block. Results never depend on it, read noise
+        included.
     tolerance:
         CI half-width target for sequential stopping; ``None`` (the
         default) runs the paper's fixed-S protocol. ``n_samples`` becomes

@@ -40,13 +40,17 @@ Plan axes
   run (per-draw results never depend on chunk boundaries). The chunk size
   is the caller's ``chunk_samples``, else :data:`DEFAULT_CHUNK_SAMPLES`,
   capped at ``n_samples``.
-- **Data blocking.** Unstacked weight-domain sweeps use the throughput
-  batch :data:`LOOP_BATCH`; stacked sweeps and every analog sweep use
-  ``data_block`` (stacked intermediates are S times larger, so blocks stay
-  cache-sized). Blocking never changes a result, read noise included: each
-  tile's noise stream is consumed in row-major order, one
-  ``(batch, out)`` draw per call, so the draws an image sees do not depend
-  on where block boundaries fall.
+- **Data blocking.** One rule, :meth:`EvalPlan.images_per_pass`, sizes
+  every pass. A weight-domain pass of S draws takes ``LOOP_BATCH // S``
+  images (at least one): the per-draw loop takes :data:`LOOP_BATCH`, and
+  a stacked chunk of up to :data:`LOOP_BATCH` draws, whose activations
+  are S times larger, holds no more image-draws than the loop does. So
+  the chunk bounds only the weight stacks. Analog plans alone carry a
+  ``data_block``, and every analog pass, stacked or per-draw, takes it.
+  Blocking never changes a result, read noise included: each tile's
+  noise stream is consumed in row-major order, one ``(batch, out)`` draw
+  per call, so the draws an image sees do not depend on where block
+  boundaries fall.
 - **Stopping rule.** ``n_samples`` is a cap, not necessarily the count: a
   plan built with a ``tolerance`` carries a
   :class:`~repro.evaluation.sequential.HalfWidthRule` that looks at the
@@ -87,8 +91,9 @@ from repro.variation.spec import parse_spec, VariationLike
 #: default: a pool plan shrinks it so every worker gets a chunk.
 DEFAULT_CHUNK_SAMPLES = 16
 
-#: Data batch of an unstacked weight-domain sweep (and of every nominal,
-#: variation-free evaluation).
+#: Image-draws per weight-domain pass: the data batch of the per-draw
+#: loop (and of every nominal, variation-free evaluation), which a stacked
+#: chunk of S draws divides by S.
 LOOP_BATCH = 256
 
 #: Evaluation dtypes the plan may request. float64 is the historical
@@ -115,7 +120,9 @@ class EvalPlan:
     domain: str  # "weight" | "analog"
     backend: str  # "loop" | "vectorized": the form every chunk runs in
     deterministic: bool = False
-    data_block: int = 64
+    #: Images per pass of an analog plan, stacked or per-draw; ``None`` on
+    #: weight-domain plans, whose passes :meth:`images_per_pass` sizes.
+    data_block: Optional[int] = None
     chunk_samples: int = 16
     #: Above one, a process pool of this size runs the chunks, each
     #: worker in the plan's ``backend`` form; otherwise they run
@@ -138,13 +145,19 @@ class EvalPlan:
     #: hash only the logical evaluation).
     backend_reason: Optional[str] = None
 
-    @property
-    def loop_batch(self) -> int:
-        """Data batch for unstacked full sweeps: ``data_block`` for analog
-        models, :data:`LOOP_BATCH` in the weight domain. Either blocking
-        gives the same result (module docstring), so the split is a speed
-        choice, not a correctness one."""
-        return self.data_block if self.domain == "analog" else LOOP_BATCH
+    def images_per_pass(self, n_draws: int) -> int:
+        """Images per forward pass that ``n_draws`` draws share.
+
+        An analog plan's ``data_block``, whatever ``n_draws`` is. A
+        weight-domain pass takes ``LOOP_BATCH // n_draws`` images, at least
+        one, so a stacked pass of up to :data:`LOOP_BATCH` draws holds no
+        more image-draws than the per-draw loop. Any blocking gives the
+        same result (module docstring): this is a memory and speed
+        choice.
+        """
+        if self.data_block is not None:
+            return self.data_block
+        return max(1, LOOP_BATCH // n_draws)
 
     def draw_rngs(self) -> List[np.random.Generator]:
         """The seed schedule: stream ``i`` feeds draw ``i``, everywhere."""
@@ -189,7 +202,9 @@ def build_plan(
     ``n_workers`` is clamped to the number of chunks instead (extra
     workers would pay the start-up cost and then receive no chunk), with
     the clamp recorded in ``backend_reason``. ``dtype`` picks the
-    evaluation precision (see module docstring).
+    evaluation precision (see module docstring). ``data_block`` reaches
+    analog plans only: a weight-domain plan carries none, because its
+    passes follow :meth:`EvalPlan.images_per_pass`.
 
     Sequential stopping: a ``tolerance`` builds a
     :class:`~repro.evaluation.sequential.HalfWidthRule` (95% CLT
@@ -262,7 +277,7 @@ def build_plan(
         domain=domain,
         backend=backend,
         deterministic=deterministic,
-        data_block=data_block,
+        data_block=data_block if analog else None,
         chunk_samples=chunk,
         n_workers=n_workers,
         dtype=dtype,

@@ -10,7 +10,7 @@ integration tests assert exactly this contrast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

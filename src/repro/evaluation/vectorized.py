@@ -88,7 +88,7 @@ def stacked_accuracies(
     model: Module,
     dataset: ArrayDataset,
     n_stacked: int,
-    batch_size: int = 64,
+    batch_size: int,
 ) -> np.ndarray:
     """Per-sample top-1 accuracies with stacked weights already installed.
 
@@ -97,10 +97,10 @@ def stacked_accuracies(
     ``(n_stacked,)`` float array. Eval mode and the previous training mode
     are handled like :func:`repro.evaluation.metrics.accuracy`.
 
-    ``batch_size`` here is the engine's internal data blocking: per-image
-    results are independent of it, and stacked intermediates are S times
-    larger than ordinary ones, so a block that keeps ``S × block`` feature
-    maps cache-resident is much faster than a throughput-sized eval batch.
+    ``batch_size`` is the images per pass, which the executor takes from
+    :meth:`~repro.evaluation.plan.EvalPlan.images_per_pass`: a pass holds
+    ``n_stacked × batch_size`` image-draws of activations, and per-image
+    results are independent of it.
     """
     was_training = model.training
     model.eval()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.lint.engine import ClassInfo, LintContext, Rule, SourceFile, Violation
+from repro.lint.engine import LintContext, Rule, SourceFile, Violation
 
 #: Engine paths: code on the Monte-Carlo hot path, where results must be a
 #: pure function of (model, dataset, spec, seed schedule) — plus the

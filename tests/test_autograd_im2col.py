@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F
-from repro.autograd.im2col import col2im, conv_output_size, im2col
+from repro.autograd.im2col import (
+    _zero_padded,
+    col2im,
+    conv_output_size,
+    im2col,
+    im2col_stacked,
+    im2col_stacked_pixels,
+)
 
 
 class TestOutputSize:
@@ -234,3 +241,38 @@ class TestTiledAvgPool:
         out = F.avg_pool2d(x, 2)
         out.backward(np.ones(out.shape))
         assert x.grad.shape == shape
+
+
+class TestZeroPadding:
+    """The padded gathers pad with one zero buffer, not ``np.pad``: each
+    must gather byte for byte what ``np.pad`` followed by the unpadded
+    gather does, in the input's dtype, from contiguous and strided
+    inputs alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           padding=st.integers(1, 2), stride=st.integers(1, 2),
+           k=st.integers(1, 3), size=st.integers(1, 6),
+           strided=st.booleans())
+    def test_gathers_match_an_np_pad_reference(self, data, dtype, padding,
+                                               stride, k, size, strided):
+        assume(size + 2 * padding >= k)
+        s, c, n = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+        x = data.draw(hnp.arrays(dtype, (s, c, n, size, size),
+                                 elements=st.floats(-4, 4, width=32)))
+        if strided:
+            x = x.swapaxes(3, 4)
+        pad = ((0, 0),) * 3 + ((padding, padding),) * 2
+        reference = np.pad(x, pad)
+        padded = _zero_padded(x, padding)
+        assert padded.flags.c_contiguous and padded.dtype == x.dtype
+        assert padded.tobytes() == reference.tobytes()
+        for gather in (im2col_stacked, im2col_stacked_pixels):
+            got = gather(x, (k, k), stride, padding)
+            want = gather(reference, (k, k), stride, 0)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        got = im2col(x[0], (k, k), stride, padding)
+        want = im2col(reference[0], (k, k), stride, 0)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

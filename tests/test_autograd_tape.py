@@ -105,7 +105,7 @@ class TestNoCyclicGarbage:
         def stacked():
             stacks = injector.stack_for([new_rng(i) for i in range(2)])
             with injector.applied_stack(stacks):
-                stacked_accuracies(model, small, 2)
+                stacked_accuracies(model, small, 2, len(small))
 
         analog = analogize(
             build_model("lenet5", tiny_train, width=0.25, seed=0),

@@ -28,6 +28,7 @@ from repro.evaluation import (
     MonteCarloEvaluator,
     tail_spec,
 )
+from repro.evaluation.plan import LOOP_BATCH
 from repro.hardware import analogize
 from repro.models import LeNet5, MLP
 from repro.variation import LogNormalVariation, NoVariation, scale_to
@@ -320,19 +321,21 @@ class TestAutotunePlan:
         assert mlp.training
 
     def test_adaptive_knobs_survive_tuning(self, mlp, blob_dataset):
-        """The clock leaves an adaptive plan's chunk size, data block and
-        rule as the caller set them."""
+        """The clock leaves an adaptive plan's chunk size and rule as the
+        caller set them. A weight-domain plan carries no data block, so the
+        evaluator's ``data_block`` does not split it either: its passes
+        follow the chunk."""
         kwargs = dict(n_samples=32, seed=11, vectorized=True,
-                      chunk_samples=2, data_block=16, tolerance=0.02,
-                      min_samples=4)
+                      chunk_samples=2, tolerance=0.02, min_samples=4)
         mlp.eval()
         spec = LogNormalVariation(0.5)
         tuned = MonteCarloEvaluator(blob_dataset, clock=time.perf_counter,
-                                    **kwargs).plan(mlp, spec)
+                                    data_block=16, **kwargs).plan(mlp, spec)
         assert tuned == MonteCarloEvaluator(blob_dataset, **kwargs).plan(
             mlp, spec)
         assert tuned.stopping is not None
-        assert (tuned.chunk_samples, tuned.data_block) == (2, 16)
+        assert (tuned.chunk_samples, tuned.data_block) == (2, None)
+        assert tuned.images_per_pass(tuned.chunk_samples) == LOOP_BATCH // 2
 
 
 class TestAutotuneCLI:

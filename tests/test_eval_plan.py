@@ -6,9 +6,15 @@ identically, and the sample-chunking schedule (``chunk_samples``) is a
 pure peak-memory knob — a chunked run's ``MCResult`` equals the unchunked
 run's exactly, on every backend and for every model family (plain /
 compensated / analog), including chunk sizes that do not divide the
-sample count. Data blocking (``data_block``) is neutral the same way,
-analog read noise included.
+sample count. Data blocking is neutral the same way, analog read noise
+included, and a weight-domain stacked pass never holds more image-draws
+than the per-draw loop's ``LOOP_BATCH``.
 """
+
+import contextlib
+import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,15 +23,17 @@ from hypothesis import given, settings, strategies as st
 import repro.nn as nn
 from repro.autograd import functional as F
 from repro.compensation import CompensationPlan
+from repro.data import synth_cifar10
 from repro.evaluation import (
     accuracy,
     build_plan,
     execute,
+    executor,
     make_adapter,
     MonteCarloEvaluator,
     tail_spec,
 )
-from repro.evaluation.plan import DEFAULT_CHUNK_SAMPLES
+from repro.evaluation.plan import DEFAULT_CHUNK_SAMPLES, LOOP_BATCH
 from repro.hardware import ADC, analog_layers, analogize, DAC
 from repro.models import LeNet5
 from repro.models.registry import build_model
@@ -109,15 +117,16 @@ class TestChunkedEquivalence:
             assert all(result == results[0] for result in results), name
 
 
+def _small_lenet():
+    return LeNet5(num_classes=10, in_channels=1, input_size=16,
+                  width_multiplier=0.5, seed=0)
+
+
 @pytest.fixture(scope="module")
 def block_families(tiny_test):
-    """Eval-mode models shared across examples: analog ones with read
-    noise, and a weight-domain one. Every evaluation restores the
-    programmed state, so examples can share them."""
-    def lenet():
-        return LeNet5(num_classes=10, in_channels=1, input_size=16,
-                      width_multiplier=0.5, seed=0)
-
+    """Eval-mode analog models with read noise, shared across examples.
+    Every evaluation restores the programmed state, so examples can share
+    them."""
     def noisy(model):
         return analogize(model, tile_size=32, dac=DAC(6), adc=ADC(8),
                          read_noise_sigma=0.02)
@@ -125,22 +134,53 @@ def block_families(tiny_test):
     families = {
         "analog-mlp": noisy(build_model("mlp", tiny_test, width=0.25,
                                         seed=0)),
-        "analog-lenet5": noisy(lenet()),
-        "lenet5": lenet(),
+        "analog-lenet5": noisy(_small_lenet()),
     }
     for model in families.values():
         model.eval()
     return families
 
 
+@pytest.fixture(scope="module")
+def weight_families(tiny_test):
+    """Eval-mode weight-domain models shared across examples. Every
+    evaluation restores the nominal weights, so examples can share them."""
+    families = {
+        "mlp": build_model("mlp", tiny_test, width=0.25, seed=0),
+        "lenet5": _small_lenet(),
+        "compensated-lenet5": CompensationPlan({0: 0.5, 3: 0.5}).apply(
+            _small_lenet(), seed=1
+        ),
+    }
+    for model in families.values():
+        model.eval()
+    return families
+
+
+@contextlib.contextmanager
+def _spied_passes():
+    """Record ``(n_stacked, batch_size)`` for every stacked pass the
+    executor runs in this process."""
+    seen = []
+    real = executor.stacked_accuracies
+
+    def spy(model, dataset, n_stacked, batch_size):
+        seen.append((n_stacked, batch_size))
+        return real(model, dataset, n_stacked, batch_size)
+
+    with mock.patch.object(executor, "stacked_accuracies", spy):
+        yield seen
+
+
 class TestDataBlockingIsNeutral:
-    """``data_block`` never changes a draw, analog read noise included:
-    each tile's noise stream is consumed in row-major order, one
+    """An analog plan's ``data_block`` never changes a draw, read noise
+    included: each tile's noise stream is consumed in row-major order, one
     ``(batch, out)`` draw per MVM call, so block boundaries move no draw.
-    This is what lets the fingerprint leave ``data_block`` out."""
+    This is what lets the fingerprint leave ``data_block`` out. A
+    weight-domain plan carries no data block (:class:`TestPassFootprint`)."""
 
     @settings(max_examples=12, deadline=None)
-    @given(family=st.sampled_from(["analog-mlp", "analog-lenet5", "lenet5"]),
+    @given(family=st.sampled_from(["analog-mlp", "analog-lenet5"]),
            data_block=st.integers(1, 48), chunk=st.integers(1, 5),
            vectorized=st.booleans())
     def test_accuracies_equal_the_block_64_run(self, tiny_test,
@@ -156,6 +196,100 @@ class TestDataBlockingIsNeutral:
             ).evaluate(model, LogNormalVariation(0.3)).accuracies
 
         assert run(data_block) == run(64)
+
+
+class TestPassFootprint:
+    """A weight-domain pass of S draws takes ``LOOP_BATCH // S`` images,
+    so a stacked pass holds no more image-draws than the per-draw loop,
+    whatever the chunk size; an analog pass takes the plan's
+    ``data_block``. Neither moves a draw."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(family=st.sampled_from(["mlp", "lenet5", "compensated-lenet5"]),
+           n_samples=st.integers(1, 48), chunk=st.integers(1, 40),
+           raced=st.booleans())
+    def test_stacked_passes_hold_the_loop_footprint(
+        self, tiny_test, weight_families, family, n_samples, chunk, raced
+    ):
+        model = weight_families[family]
+        spec = LogNormalVariation(0.3)
+        # A counting clock times every raced chunk alike, deterministically.
+        clock = itertools.count().__next__ if raced else None
+        with _spied_passes() as seen:
+            stacked = MonteCarloEvaluator(
+                tiny_test, n_samples=n_samples, seed=5, vectorized=True,
+                chunk_samples=chunk, clock=clock,
+            ).evaluate(model, spec)
+        loop = MonteCarloEvaluator(tiny_test, n_samples=n_samples,
+                                   seed=5).evaluate(model, spec)
+        assert stacked.accuracies == loop.accuracies
+        assert seen
+        assert all(n * batch <= LOOP_BATCH for n, batch in seen), seen
+
+    def test_the_rule(self, mlp, lenet):
+        """Weight-domain plans carry no data block, so the evaluator's
+        ``data_block`` leaves them equal; analog plans keep it for every
+        draw count."""
+        mlp.eval()
+        spec = LogNormalVariation(0.3)
+        plans = [build_plan(mlp, spec, n_samples=4, seed=0, data_block=block)
+                 for block in (16, 64)]
+        assert plans[0] == plans[1] and plans[0].data_block is None
+        assert [plans[0].images_per_pass(n) for n in (1, 3, 16, 256, 300)] \
+            == [LOOP_BATCH, 85, 16, 1, 1]
+        analog = analogize(lenet, tile_size=32)
+        analog.eval()
+        plan = build_plan(analog, spec, n_samples=4, seed=0, data_block=16)
+        assert [plan.images_per_pass(n) for n in (1, 3, 300)] == [16] * 3
+
+    def test_analog_passes_take_the_data_block(self, tiny_test,
+                                               block_families):
+        with _spied_passes() as seen:
+            MonteCarloEvaluator(
+                tiny_test, n_samples=5, seed=3, vectorized=True,
+                chunk_samples=3, data_block=8,
+            ).evaluate(block_families["analog-mlp"], LogNormalVariation(0.3))
+        assert seen == [(3, 8), (2, 8)]
+
+    def test_pool_workers_follow_the_rule(self, tiny_test, weight_families):
+        """A stacked pool worker's chunks take the rule's images per
+        pass (run in-process here, so the spy sees them)."""
+        model = weight_families["lenet5"]
+        spec = LogNormalVariation(0.3)
+        plan = build_plan(model, spec, n_samples=7, seed=5, vectorized=True,
+                          n_workers=2, chunk_samples=4)
+        with _spied_passes() as seen:
+            executor._pool_init(model, tiny_test, plan)
+            try:
+                drawn = [acc for bounds in plan.chunks()
+                         for acc in executor._pool_chunk(*bounds)]
+            finally:
+                executor._POOL_STATE.clear()
+        assert seen == [(4, LOOP_BATCH // 4), (3, LOOP_BATCH // 3)]
+        assert drawn == MonteCarloEvaluator(
+            tiny_test, n_samples=7, seed=5).evaluate(model, spec).accuracies
+
+    def test_stacked_peak_stays_near_the_loop(self):
+        """One stacked chunk of 16 draws over 260 images peaks within
+        1.25x of the per-draw loop's evaluation (tracemalloc, attnmlp).
+        At 64 images per pass, 1,024 image-draws, it peaked at 3.7x."""
+        _, test = synth_cifar10(train_per_class=1, test_per_class=26)
+        model = build_model("attnmlp", test, seed=0).eval()
+
+        def peak(vectorized):
+            evaluator = MonteCarloEvaluator(
+                test, n_samples=16, seed=0, vectorized=vectorized,
+                chunk_samples=16,
+            )
+            tracemalloc.start()
+            try:
+                evaluator.evaluate(model, LogNormalVariation(0.5))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loop, stacked = peak(False), peak(True)
+        assert stacked <= 1.25 * loop, (stacked, loop)
 
 
 class TestPlanBuilding:

@@ -1,7 +1,7 @@
 """Public API surface: every documented name imports, __all__ is honest,
 every exported name, public function and public method has a caller
-outside the tests, every config and request field is set by one, and
-every defaulted parameter is passed by one."""
+outside the tests, every config and request field is set by one, every
+defaulted parameter is passed by one, and every import is used."""
 
 import ast
 import dataclasses
@@ -469,3 +469,56 @@ def test_every_parameter_is_passed():
         f"KEPT_PARAMETERS entries that are passed or no longer declared: "
         f"{stale}. Drop them from KEPT_PARAMETERS."
     )
+
+
+def _annotation_names(annotation):
+    """The names an annotation reads, those inside string (forward
+    reference) annotations included."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _annotation_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _unused_imports(path):
+    """The names ``path`` imports and never reads: not in its code, its
+    annotations (string ones included) or its ``__all__``. ``from
+    __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(entry.value for entry in node.value.elts)
+    return imported - used
+
+
+def test_every_import_is_used():
+    """A module under ``src/repro`` imports only what it uses. An
+    ``__init__.py`` import is a re-export, so packages are exempt."""
+    unused = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        names = set() if path.name == "__init__.py" else _unused_imports(path)
+        if names:
+            unused[str(path.relative_to(REPO_ROOT))] = sorted(names)
+    assert not unused, f"imported but never used: {unused}"
