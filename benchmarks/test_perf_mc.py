@@ -33,13 +33,6 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   fixed protocol, with the adaptive mean agreeing with the fixed mean
   within the adaptive run's reported CI. The acceptance bar: at least
   half the grid points finish within 40% of the fixed draw count.
-- ``race`` — the front ends' race (a clocked vectorized evaluation times
-  its first chunk per-draw and its second stacked, then runs the faster
-  form) vs each fixed form, on untrained ``resnet8`` (80 synth-CIFAR-10
-  images) and on the LeNet5-MNIST split. The raced wall-clock must stay
-  within 1.10x of the faster fixed form, and in every round where one
-  fixed form beat the other by more than 10%, every race must have run
-  that form.
 
 Timing protocol: wall time is the minimum over several repetitions (the
 standard noise-robust estimator on shared machines), and measurement
@@ -55,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.evaluation.executor import execute, IncrementalEvaluation
+from repro.evaluation.executor import execute
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.evaluation.plan import build_plan
 from repro.models import build_model
@@ -97,17 +90,6 @@ ADAPTIVE_TOLERANCE = 0.02
 ADAPTIVE_MIN_SAMPLES = 32
 ADAPTIVE_TARGET_FRACTION = 0.4  # draws used vs fixed, per grid point
 ADAPTIVE_TARGET_POINTS = 0.5  # fraction of grid points that must hit it
-# The race: 64 draws in 16 chunks of 4, so the one timed chunk that runs
-# in the slower form is a small share of the run.
-RACE_SAMPLES = 64
-RACE_CHUNK = 4
-RACE_CIFAR_PER_CLASS = 8  # 80 resnet8 eval images
-TARGET_RACE_RATIO = 1.10  # raced wall-clock vs the faster fixed form
-CLEAR_WIN = 1.10  # a fixed form this much faster must win every race
-
-
-def _tally(names: list) -> dict:
-    return {name: names.count(name) for name in sorted(set(names))}
 
 
 def _merge_record(key: str, value) -> None:
@@ -120,16 +102,6 @@ def _merge_record(key: str, value) -> None:
             record = {}
     record[key] = value
     BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-
-
-def _clear_winner(loop_s: float, stacked_s: float):
-    """The fixed form that ran more than ``CLEAR_WIN`` times faster than
-    the other, named as the race names it, or ``None``."""
-    if stacked_s > CLEAR_WIN * loop_s:
-        return "per-draw"
-    if loop_s > CLEAR_WIN * stacked_s:
-        return "stacked"
-    return None
 
 
 def _best_time(evaluate, repeats: int) -> float:
@@ -435,100 +407,3 @@ def test_mc_adaptive_draw_reduction(workbench, pairs):
         f"{ADAPTIVE_TARGET_FRACTION:.0%} of the fixed draws "
         f"(fractions: {[round(p['draw_fraction'], 2) for p in points]})"
     )
-
-
-def test_mc_race_tracks_faster_form(workbench, pairs):
-    """The race (the front ends' default) vs both fixed in-process forms.
-
-    Neither form is fastest everywhere, and which one wins depends on the
-    kernels and the box. A clocked evaluation races them on its own first
-    two chunks, so it may cost one chunk in the slower form and nothing
-    else; where one form is clearly faster, the race must find it.
-    Untrained models: timing does not depend on the weights.
-    """
-    from repro.data import synth_cifar10
-
-    spec = pairs["lenet5-mnist"]
-    lenet_train, lenet_test = workbench.data("lenet5-mnist")
-    cifar_train, cifar_test = synth_cifar10(
-        train_per_class=RACE_CIFAR_PER_CLASS,
-        test_per_class=RACE_CIFAR_PER_CLASS,
-    )
-    legs = {
-        "resnet8": (build_model("resnet8", cifar_train, seed=0), cifar_test),
-        "lenet5": (
-            build_model(spec.model_name, lenet_train, width=spec.width, seed=0),
-            lenet_test,
-        ),
-    }
-    variation = LogNormalVariation(0.5)
-    record = {
-        "n_samples": RACE_SAMPLES,
-        "chunk_samples": RACE_CHUNK,
-        "target_ratio": TARGET_RACE_RATIO,
-    }
-    for name, (model, test) in legs.items():
-        model.eval()  # plans are built against eval-mode models
-        loop_plan, stacked_plan = (
-            build_plan(
-                model, variation, n_samples=RACE_SAMPLES, seed=SEED,
-                vectorized=vectorized, chunk_samples=RACE_CHUNK,
-            )
-            for vectorized in (False, True)
-        )
-        winners = []
-
-        def race():
-            with IncrementalEvaluation(
-                stacked_plan, model, test, clock=time.perf_counter
-            ) as evaluation:
-                while not evaluation.done:
-                    evaluation.run_chunk()
-            winners.append(evaluation.winner)
-            return evaluation.result()
-
-        # Correctness gate first (it also warms both forms): the race
-        # returns the loop's accuracies.
-        assert race().accuracies == execute(loop_plan, model, test).accuracies, (
-            f"{name}: the raced run is not seed-paired with the loop"
-        )
-
-        rounds = []
-        ratio = float("inf")
-        for _ in range(MAX_ROUNDS):
-            t_loop = _best_time(lambda: execute(loop_plan, model, test), 3)
-            t_stacked = _best_time(
-                lambda: execute(stacked_plan, model, test), 3
-            )
-            winners.clear()
-            t_race = _best_time(race, 3)
-            rounds.append({"loop_s": t_loop, "stacked_s": t_stacked,
-                           "race_s": t_race,
-                           "ratio": t_race / min(t_loop, t_stacked),
-                           "winners": _tally(winners)})
-            ratio = min(ratio, rounds[-1]["ratio"])
-            if ratio <= TARGET_RACE_RATIO:
-                break
-        record[name] = {
-            "dataset_size": len(test),
-            "loop_s": min(r["loop_s"] for r in rounds),
-            "stacked_s": min(r["stacked_s"] for r in rounds),
-            "race_s": min(r["race_s"] for r in rounds),
-            "ratio": ratio,
-            "rounds": rounds,
-        }
-    _merge_record("race", record)
-
-    for name in legs:
-        assert record[name]["ratio"] <= TARGET_RACE_RATIO, (
-            f"{name}: the race ran at {record[name]['ratio']:.2f}x the faster "
-            f"fixed form, above the {TARGET_RACE_RATIO}x bar "
-            f"(rounds: {[round(r['ratio'], 2) for r in record[name]['rounds']]})"
-        )
-        for r in record[name]["rounds"]:
-            clear = _clear_winner(r["loop_s"], r["stacked_s"])
-            assert clear is None or list(r["winners"]) == [clear], (
-                f"{name}: {clear} ran more than {CLEAR_WIN}x faster "
-                f"(per-draw {r['loop_s']:.2f}s, stacked {r['stacked_s']:.2f}s), "
-                f"but the races ran {r['winners']}"
-            )

@@ -72,11 +72,12 @@ BATCHED_CONV_MAX_K = 160
 def conv2d(
     x: Tensor,
     weight: Tensor,
-    bias: Optional[Tensor] = None,
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D cross-correlation of ``x`` (N,C,H,W) with ``weight`` (F,C,KH,KW).
+    """2-D cross-correlation of ``x`` (N,C,H,W) with ``weight`` (F,C,KH,KW),
+    plus the per-filter ``bias`` (F,).
 
     Lowered to the same im2col+GEMM forms as the sample-stacked kernels:
     the batch unfolds once into receptive-field rows (:func:`im2col_windows`)
@@ -120,10 +121,9 @@ def conv2d(
     cols = im2col_windows(x.data, (kh, kw), stride, padding)  # (N*P, K)
     w2 = weight.data.reshape(f, k)
     prod = cols @ w2.T  # (N*P, F); the transposed operand is BLAS-native
-    if bias is not None:
-        # F is innermost, so the bias adds before the (small) transpose
-        # into NCHW layout.
-        prod += bias.data
+    # F is innermost, so the bias adds before the (small) transpose into
+    # NCHW layout.
+    prod += bias.data
     out_data = np.ascontiguousarray(
         prod.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     )
@@ -145,17 +145,16 @@ def conv2d(
             )
             gx = col2im(gview, (n, c, h, w), (kh, kw), stride, padding)
             x._accumulate(gx, fresh=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make_child(out_data, parents, "conv2d", _backward)
+    return Tensor._make_child(out_data, (x, weight, bias), "conv2d", _backward)
 
 
 def _conv2d_small_k(
     x: Tensor,
     weight: Tensor,
-    bias: Optional[Tensor],
+    bias: Tensor,
     stride: int,
     padding: int,
 ) -> Tensor:
@@ -181,8 +180,7 @@ def _conv2d_small_k(
     cols = im2col(x.data, (kh, kw), stride, padding)  # (N, K, P)
     w2 = weight.data.reshape(f, k)
     out_data = np.matmul(w2, cols).reshape(n, f, oh, ow)
-    if bias is not None:
-        out_data += bias.data.reshape(1, f, 1, 1)
+    out_data += bias.data.reshape(1, f, 1, 1)
 
     def _backward(gout: np.ndarray) -> None:
         grad = gout.reshape(n, f, oh * ow)  # contiguous: no transpose
@@ -195,11 +193,10 @@ def _conv2d_small_k(
             gcols = np.matmul(w2.T, grad)  # (N, K, P)
             gx = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
             x._accumulate(gx, fresh=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(gout.sum(axis=(0, 2, 3)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make_child(out_data, parents, "conv2d", _backward)
+    return Tensor._make_child(out_data, (x, weight, bias), "conv2d", _backward)
 
 
 def _gathers_pixels(kw: int, ow: int) -> bool:
@@ -238,7 +235,7 @@ def _stacked_output(
 def _conv2d_stacked(
     x: Tensor,
     weight: Tensor,
-    bias: Optional[Tensor],
+    bias: Tensor,
     stride: int,
     padding: int,
 ) -> Tensor:
@@ -296,43 +293,35 @@ def _conv2d_stacked(
     p = oh * ow
     # (S, F, K); a shared weight broadcasts over the sample axis in the GEMM.
     w2 = weight.data.reshape(1 if shared_weight else s, f, k)
+    b = bias.data  # (F,), or (S, F) stacked per-sample biases
 
     if shared_input:
-        # One GEMM for all samples: (S*F, K) @ (K, N*P).
+        # One GEMM for all samples: (S*F, K+1) @ (K+1, N*P). The bias folds
+        # into the GEMM as a ones-row of the column matrix, saving a full
+        # read+write pass over the (large) output.
         cols = im2col(x.data, (kh, kw), stride, padding)  # (N, K, P)
         colmat = cols.transpose(1, 0, 2).reshape(k, n * p)
-        if bias is None:
-            out_data = w2.reshape(s * f, k) @ colmat
-        else:
-            # The bias folds into the GEMM as a ones-row of the column
-            # matrix, saving a full read+write pass over the (large) output.
-            b = bias.data
-            b_col = (b if b.ndim == 2 else np.broadcast_to(b, (s, f))).reshape(
-                s, f, 1
-            )
-            w_aug = np.concatenate([w2, b_col], axis=2).reshape(s * f, k + 1)
-            ones = np.ones((1, n * p), dtype=colmat.dtype)
-            cmat_aug = np.concatenate([colmat, ones], axis=0)
-            out_data = w_aug @ cmat_aug
-        out_data = out_data.reshape(s, f, n, oh, ow)
+        b_col = (b if b.ndim == 2 else np.broadcast_to(b, (s, f))).reshape(
+            s, f, 1
+        )
+        w_aug = np.concatenate([w2, b_col], axis=2).reshape(s * f, k + 1)
+        ones = np.ones((1, n * p), dtype=colmat.dtype)
+        cmat_aug = np.concatenate([colmat, ones], axis=0)
+        out_data = (w_aug @ cmat_aug).reshape(s, f, n, oh, ow)
     elif _gathers_pixels(kw, ow):
         # (S, F, K) @ (S, K, N*P) -> (S, F, N*P), the channel-major output.
         cols = im2col_stacked_pixels(x.data, (kh, kw), stride, padding)
         out_data = np.matmul(w2, cols)
-        if bias is not None:
-            b = bias.data
-            out_data += b.reshape(s, f, 1) if b.ndim == 2 else b.reshape(f, 1)
+        out_data += b.reshape(s, f, 1) if b.ndim == 2 else b.reshape(f, 1)
         out_data = out_data.reshape(s, f, n, oh, ow)
     else:
         # Sample-batched GEMM: (S, N*P, K) @ (S, K, F) -> (S, N*P, F); the
         # strided weight operand is consumed natively by BLAS (transB).
         cols = im2col_stacked(x.data, (kh, kw), stride, padding)  # (S, N*P, K)
         prod = np.matmul(cols, w2.transpose(0, 2, 1))
-        if bias is not None:
-            b = bias.data
-            # F is innermost here, so the bias adds before the (small)
-            # transpose into channel-major layout.
-            prod = prod + (b.reshape(s, 1, f) if b.ndim == 2 else b)
+        # F is innermost here, so the bias adds before the (small)
+        # transpose into channel-major layout.
+        prod = prod + (b.reshape(s, 1, f) if b.ndim == 2 else b)
         out_data = np.ascontiguousarray(prod.transpose(0, 2, 1)).reshape(
             s, f, n, oh, ow
         )

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
 from repro.core.config import fast_pipeline_config
@@ -224,17 +223,16 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--samples", type=int, default=50)
     parser.add_argument(
         "--engine", choices=["vectorized", "loop"], default="vectorized",
-        help="MC form: vectorized (stacked-weight passes; an in-process "
-        "run of at least 3 chunks races them against per-draw passes on "
-        "its first two chunks and runs the rest in the faster form, which "
-        "--verbose logs) or the per-draw reference loop. Both are "
-        "seed-paired: identical results",
+        help="MC form every chunk runs in: vectorized (stacked-weight "
+        "passes; models without sample-aware kernels fall back to the "
+        "loop) or the per-draw reference loop. Both are seed-paired: "
+        "identical results",
     )
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="run the chosen --engine form in a pool of N worker "
-        "processes, one chunk per task (N <= 1: in-process; workers do "
-        "not race). Seed-paired with the in-process run",
+        "processes, one chunk per task (N <= 1: in-process). Seed-paired "
+        "with the in-process run",
     )
     _add_chunk_args(parser)
     _add_adaptive_args(parser)
@@ -282,9 +280,6 @@ def eval_main(argv: Optional[List[str]] = None) -> int:
         chunk_samples=args.chunk_samples,
         tolerance=args.tolerance,
         dtype=args.dtype,
-        # Wall-clock reads belong to the CLI layer; the engine only ever
-        # sees the injected callable.
-        clock=time.perf_counter,
     )
     variation = _resolve_variation(args)
     result = evaluator.evaluate(model, variation)

@@ -19,7 +19,6 @@ one place an :class:`EvalConfig` becomes a Monte-Carlo evaluator.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -163,12 +162,9 @@ def make_evaluator(
 
     ``n_samples`` is the draw cap of the stage asking (the full protocol,
     or the RL search's cheaper estimate). The evaluator is always the
-    in-process vectorized one (models without sample-aware kernels fall
-    back to the per-draw loop), and it gets the wall clock its race
-    times chunks with, so each later chunk runs in the faster of the
-    per-draw and stacked forms (``repro.evaluation.executor``;
-    bitwise-neutral). The clock is resolved here, outside the
-    deterministic engine dirs.
+    in-process vectorized one: every chunk runs stacked, and models
+    without sample-aware kernels fall back to the per-draw loop
+    (``repro.evaluation.executor``; bitwise-neutral).
     """
     from repro.evaluation.montecarlo import MonteCarloEvaluator
 
@@ -180,7 +176,6 @@ def make_evaluator(
         chunk_samples=config.chunk_samples,
         tolerance=config.tolerance,
         dtype=config.dtype,
-        clock=time.perf_counter,
     )
 
 

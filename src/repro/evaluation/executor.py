@@ -31,9 +31,8 @@ copied: workers share the parent's pages. The plan is pure data, so any
 start method can ship it. Task payloads carry only one chunk's
 ``(start, stop)`` span, because workers re-derive their rng streams
 from the plan's seed schedule (``spawn_rngs`` is deterministic). Every
-worker runs its chunks in the plan's form: the stacked kernels when the
-plan is vectorized and has targets to draw, the per-draw reference loop
-otherwise (workers do not race). The parent keeps a bounded window of
+worker runs its chunks by the same rule as an in-process run
+(:func:`_chunk_accuracies`). The parent keeps a bounded window of
 chunk tasks in flight and lands their results strictly in schedule
 order, so ``MCResult.accuracies[i]`` is stream ``i``'s draw in every
 form and at every worker count — the property downstream CI
@@ -63,20 +62,10 @@ chunk-invariant and an adaptive run's draws are a bitwise prefix of the
 fixed-S run on the same seed. A sweep is one :func:`execute` per point,
 so every point runs in its plan's form and workers.
 
-The race: neither in-process form is fastest on every model, and a
-chunk's accuracies are identical in either, so an in-process vectorized
-evaluation given an injected :data:`Clock` times its own chunks instead
-of a probe. The first chunk it runs goes per-draw, the second stacked;
-the form with the lower seconds per draw runs every later chunk. The
-per-draw form goes first, so it also pays the run's first-touch costs.
-The race starts only when at least three chunks remain, so the decision
-always has a chunk to pay for. It never touches the plan, the chunk
-bounds or the stopping rule, so a raced run returns the clockless run's
-draws bitwise, including where an adaptive rule stops it. The front
-ends (``correctnet-eval``, ``correctnet-search`` and
-``repro.core.config.make_evaluator``) always inject a clock; library
-callers opt in by passing ``clock=``. Without one nothing is timed: the
-engine never reads wall time itself (reprolint DET001).
+One form per plan: the per-draw loop is the abstract machine, and each
+plan runs every chunk in the one refinement its ``backend`` names, in
+process and in a pool alike. The engine reads no wall time (reprolint
+DET001).
 """
 
 from __future__ import annotations
@@ -111,22 +100,11 @@ from repro.hardware.analog_layers import (
     preserved_programming,
 )
 from repro.nn.module import Module, Parameter
-from repro.utils.logging import get_logger
 from repro.variation.injector import VariationInjector
 from repro.variation.models import VariationModel
 
 if TYPE_CHECKING:
     from repro.evaluation.montecarlo import MCResult
-
-logger = get_logger("evaluation.executor")
-
-#: Injected time source: a monotonic seconds counter (``time.perf_counter``
-#: in the front ends). The engine reads wall time only through one.
-Clock = Callable[[], float]
-
-#: The race's running order: the first timed chunk runs per-draw, the
-#: second stacked.
-RACE_FORMS = ("per-draw", "stacked")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +287,27 @@ def _stacked_accuracies(
     return accs
 
 
+def _chunk_accuracies(
+    model: Module,
+    dataset: ArrayDataset,
+    adapter: ModelAdapter,
+    plan: EvalPlan,
+    rngs: Sequence[np.random.Generator],
+) -> List[float]:
+    """The one rule for how a chunk runs, in-process and in a pool worker.
+
+    With no target parameters (every layer resolves to ``none``) each
+    draw sees the nominal weights, so the chunk gets the nominal accuracy
+    once: bitwise what the loop measures, because a draw without targets
+    changes nothing. Otherwise the chunk runs stacked when the plan is
+    vectorized and per-draw when it is not.
+    """
+    if not adapter.has_targets:
+        return [accuracy(model, dataset, LOOP_BATCH)] * len(rngs)
+    run = _stacked_accuracies if plan.backend == "vectorized" else _loop_accuracies
+    return run(model, dataset, adapter, plan, rngs)
+
+
 # ---------------------------------------------------------------------------
 # Results and incremental evaluation
 # ---------------------------------------------------------------------------
@@ -340,8 +339,8 @@ class IncrementalEvaluation:
 
     The unit of sequential evaluation: holds the plan's seed schedule and
     chunk bounds, evaluates one chunk per :meth:`run_chunk` call
-    in-process (stacked when the plan is vectorized, per-draw otherwise,
-    whatever its ``n_workers``), and lands every chunk through
+    in-process (by :func:`_chunk_accuracies`, whatever the plan's
+    ``n_workers``), and lands every chunk through
     :meth:`land_chunk`, which cuts it at the stopping rule's first
     satisfied look; a pool lands its workers' chunks through the same
     step. :meth:`run_chunk` returns the draws it kept, so a caller can
@@ -354,11 +353,6 @@ class IncrementalEvaluation:
     bitwise-identical to an uninterrupted one, including where an adaptive
     rule would have stopped it.
 
-    ``clock`` turns on the race (module docstring) for a vectorized plan
-    with targets to draw; :attr:`race` then holds each timed form's
-    seconds per draw and :attr:`winner` the form that runs from the third
-    chunk on. Other plans never call the clock.
-
     Use as a context manager: entry opens the adapter's run context
     (weight restoration / analog chip-state snapshot), exit restores it.
     """
@@ -369,15 +363,11 @@ class IncrementalEvaluation:
         model: Module,
         dataset: ArrayDataset,
         on_chunk: Optional[ChunkHook] = None,
-        clock: Optional[Clock] = None,
     ) -> None:
         self.plan = plan
         self.model = model
         self.dataset = _cast_dataset(dataset, plan.dtype)
         self.on_chunk = on_chunk
-        self.clock = clock
-        self.race: Dict[str, float] = {}
-        self.winner: Optional[str] = None
         self.accuracies: List[float] = []
         self.adapter: ModelAdapter = make_adapter(model, plan)
         if plan.deterministic:
@@ -389,7 +379,6 @@ class IncrementalEvaluation:
             self._rngs = list(plan.draw_rngs())
         self._next = 0
         self._stopped = False
-        self._nominal: Optional[float] = None
         self._ctx: Optional[ContextManager[object]] = None
 
     @property
@@ -453,57 +442,12 @@ class IncrementalEvaluation:
         start, stop = self._bounds[self._next]
         if self.plan.deterministic:
             accs = [accuracy(self.model, self.dataset, LOOP_BATCH)]
-        elif self.plan.backend == "vectorized" and not self.adapter.has_targets:
-            # No target parameters (every layer resolves to none): every
-            # sample sees nominal weights, matching what the loop measures.
-            if self._nominal is None:
-                self._nominal = accuracy(self.model, self.dataset, LOOP_BATCH)
-            accs = [self._nominal] * (stop - start)
         else:
-            form, clock = self._next_form()
-            run = _stacked_accuracies if form == "stacked" else _loop_accuracies
-            began = clock() if clock is not None else 0.0
-            accs = run(
+            accs = _chunk_accuracies(
                 self.model, self.dataset, self.adapter, self.plan,
                 self._rngs[start:stop],
             )
-            if clock is not None:
-                self._time(form, (clock() - began) / (stop - start))
         return self.land_chunk(accs)
-
-    def _next_form(self) -> Tuple[str, Optional[Clock]]:
-        """The next chunk's form, and the clock to time it with when it is
-        one of the race's two timed chunks (``None`` otherwise).
-
-        The race needs a clock and a vectorized plan (in-process, with
-        targets to draw); it starts only with at least three chunks left,
-        so the decision always has a chunk to pay for.
-        """
-        if self.plan.backend != "vectorized":
-            return "per-draw", None
-        if self.winner is not None:
-            return self.winner, None
-        if self.clock is None or (
-            not self.race and len(self._bounds) - self._next < 3
-        ):
-            return "stacked", None
-        return RACE_FORMS[len(self.race)], self.clock
-
-    def _time(self, form: str, seconds_per_draw: float) -> None:
-        """Record a timed chunk; the second one decides the race."""
-        self.race[form] = seconds_per_draw
-        if len(self.race) < len(RACE_FORMS):
-            return
-        self.winner = min(RACE_FORMS, key=lambda name: self.race[name])
-        logger.info(
-            "race: %s; later chunks run %s (%d left in the schedule)",
-            ", ".join(
-                f"{name} {1e3 * self.race[name]:.3g} ms/draw"
-                for name in RACE_FORMS
-            ),
-            self.winner,
-            len(self._bounds) - self._next - 1,
-        )
 
     def land_chunk(self, accs: Sequence[float], emit: bool = True) -> int:
         """Land the next chunk's draws; returns how many were kept.
@@ -571,9 +515,8 @@ def _pool_init(model: Module, dataset: ArrayDataset, plan: EvalPlan) -> None:
 def _pool_chunk(start: int, stop: int) -> List[float]:
     """Evaluate the draws of chunk ``[start, stop)`` in a worker.
 
-    The task payload is just the span. Runs the plan's form — the
-    stacked kernels when the plan is vectorized and has targets, else the
-    per-draw reference loop; either way draw ``i`` is stream ``i``'s,
+    The task payload is just the span. Runs :func:`_chunk_accuracies`,
+    the rule an in-process chunk follows, so draw ``i`` is stream ``i``'s,
     bitwise.
     """
     model = cast(Module, _POOL_STATE["model"])
@@ -581,10 +524,8 @@ def _pool_chunk(start: int, stop: int) -> List[float]:
     plan = cast(EvalPlan, _POOL_STATE["plan"])
     adapter = cast(ModelAdapter, _POOL_STATE["adapter"])
     rngs = cast(List[np.random.Generator], _POOL_STATE["rngs"])[start:stop]
-    stacked = plan.backend == "vectorized" and adapter.has_targets
-    run = _stacked_accuracies if stacked else _loop_accuracies
     with adapter.run_context():
-        return run(model, dataset, adapter, plan, rngs)
+        return _chunk_accuracies(model, dataset, adapter, plan, rngs)
 
 
 def _run_pool(evaluation: IncrementalEvaluation) -> None:
@@ -621,12 +562,7 @@ def _run_pool(evaluation: IncrementalEvaluation) -> None:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-def execute(
-    plan: EvalPlan,
-    model: Module,
-    dataset: ArrayDataset,
-    clock: Optional[Clock] = None,
-) -> "MCResult":
+def execute(plan: EvalPlan, model: Module, dataset: ArrayDataset) -> "MCResult":
     """Run ``plan`` against ``model``/``dataset``; returns an ``MCResult``.
 
     The model must be in the mode the plan was built against (the
@@ -637,12 +573,10 @@ def execute(
     (``MCResult.stopped_early``).
 
     A plan with ``n_workers > 1`` runs its chunks from a process pool.
-    ``clock`` races the two forms on an in-process vectorized plan's own
-    chunks (module docstring); the result is the clockless run's, bitwise.
     A caller that streams each chunk as it lands (the result store's
     runner) drives :class:`IncrementalEvaluation` with ``on_chunk``.
     """
-    evaluation = IncrementalEvaluation(plan, model, dataset, clock=clock)
+    evaluation = IncrementalEvaluation(plan, model, dataset)
     if plan.n_workers > 1 and not plan.deterministic:
         _run_pool(evaluation)
         return evaluation.result()

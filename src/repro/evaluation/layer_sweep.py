@@ -11,8 +11,8 @@ original accuracy").
 A tail subset is a variation spec, not a list of modules:
 :func:`tail_spec` holds every layer before ``i`` at ``none``. So a sweep
 point is pure data like any other evaluation — it fingerprints, caches,
-runs as a store job, races its own chunks when given a clock and runs
-on analog models. A sweep is one evaluation per point.
+runs as a store job, runs in its plan's form and runs on analog models.
+A sweep is one evaluation per point.
 """
 
 from __future__ import annotations

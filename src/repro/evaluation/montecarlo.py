@@ -60,7 +60,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.executor import Clock, execute
+from repro.evaluation.executor import execute
 from repro.evaluation.plan import build_plan
 from repro.evaluation.sequential import clt_interval, CONFIDENCE
 from repro.nn.module import Module
@@ -231,14 +231,6 @@ class MonteCarloEvaluator:
         Lower draw bound before a stopping rule may fire; ``None`` uses
         the :class:`~repro.evaluation.sequential.HalfWidthRule` default.
         The rule's interval is the 95% CLT interval results report.
-    clock:
-        An injected seconds counter (``time.perf_counter`` in the front
-        ends; ``None``, the default, reads no time). An in-process
-        vectorized evaluation then races the per-draw and stacked forms
-        on its own first two chunks and runs the rest in the faster one
-        (see :mod:`repro.evaluation.executor`); pool workers do not race.
-        Results are bitwise those of the clockless run, and plans never
-        see it.
     """
 
     def __init__(
@@ -253,7 +245,6 @@ class MonteCarloEvaluator:
         tolerance: Optional[float] = None,
         min_samples: Optional[int] = None,
         dtype: str = "float64",
-        clock: Optional[Clock] = None,
     ) -> None:
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -281,14 +272,13 @@ class MonteCarloEvaluator:
         self.tolerance = tolerance
         self.min_samples = min_samples
         self.dtype = dtype
-        self.clock = clock
 
     def plan(self, model: Module, variation: "VariationLike"):
         """The :class:`~repro.evaluation.plan.EvalPlan` this evaluator
         would execute for ``model``/``variation`` — the introspectable
         form of :meth:`evaluate`'s dispatch. The model must be in the mode
         it will be evaluated in (``evaluate`` forces eval mode). A pure
-        function of its inputs: the ``clock`` never enters a plan."""
+        function of its inputs."""
         return build_plan(
             model,
             variation,
@@ -326,6 +316,6 @@ class MonteCarloEvaluator:
         model.eval()
         try:
             plan = self.plan(model, variation)
-            return execute(plan, model, self.dataset, clock=self.clock)
+            return execute(plan, model, self.dataset)
         finally:
             model.train(was_training)

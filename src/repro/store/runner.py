@@ -195,10 +195,10 @@ def cached_evaluate(
 
     The in-process complement of the job runner — same fingerprints, same
     store file, no lease (the evaluation runs right here, synchronously).
-    On a miss the result is executed through the evaluator's own plan —
-    racing its chunks on the evaluator's clock, exactly as
-    ``evaluator.evaluate`` would — and recorded under a ``done`` job row,
-    so pipeline runs, CLI jobs and other machines all hit one cache.
+    On a miss the result is executed through the evaluator's own plan,
+    exactly as ``evaluator.evaluate`` would, and recorded under a ``done``
+    job row, so pipeline runs, CLI jobs and other machines all hit one
+    cache.
 
     Weight-domain plans only. An analogized model's ``state_dict`` is
     empty, so every analog model would digest alike and share one cache
@@ -223,9 +223,7 @@ def cached_evaluate(
             cached = store.result(fingerprint)
             if cached is not None:
                 return MCResult.from_dict(cached)
-            result = execute(
-                plan, model, evaluator.dataset, clock=evaluator.clock
-            )
+            result = execute(plan, model, evaluator.dataset)
             request = {
                 "origin": "inline",
                 "spec": spec_to_dict(plan.variation),

@@ -12,24 +12,24 @@ class TestConv2d:
     def test_output_shape_padding_same(self):
         x = Tensor(np.zeros((2, 3, 8, 8)))
         w = Tensor(np.zeros((5, 3, 3, 3)))
-        assert F.conv2d(x, w, None, 1, 1).shape == (2, 5, 8, 8)
+        assert F.conv2d(x, w, Tensor(np.zeros(5)), 1, 1).shape == (2, 5, 8, 8)
 
     def test_output_shape_valid_stride(self):
         x = Tensor(np.zeros((1, 1, 7, 7)))
         w = Tensor(np.zeros((2, 1, 3, 3)))
-        assert F.conv2d(x, w, None, 2, 0).shape == (1, 2, 3, 3)
+        assert F.conv2d(x, w, Tensor(np.zeros(2)), 2, 0).shape == (1, 2, 3, 3)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):
             F.conv2d(Tensor(np.zeros((1, 2, 4, 4))),
-                     Tensor(np.zeros((1, 3, 3, 3))))
+                     Tensor(np.zeros((1, 3, 3, 3))), Tensor(np.zeros(1)))
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 1, 4, 4))
         w = np.zeros((1, 1, 1, 1))
         w[0, 0, 0, 0] = 1.0
-        out = F.conv2d(Tensor(x), Tensor(w))
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         np.testing.assert_allclose(out.data, x)
 
     def test_bias_broadcast(self):
@@ -133,7 +133,7 @@ class TestStackedKernels:
     def _stacked_conv_reference(self, x, w, b, stride, padding):
         outs = []
         for i in range(w.shape[0]):
-            bias = None if b is None else Tensor(b[i] if b.ndim == 2 else b)
+            bias = Tensor(b[i] if b.ndim == 2 else b)
             outs.append(
                 F.conv2d(Tensor(x), Tensor(w[i]), bias, stride, padding).data
             )
@@ -217,7 +217,6 @@ class TestStackedKernels:
         extra=st.integers(0, 4),
         stacked_weight=st.booleans(),
         shared_input=st.booleans(),
-        with_bias=st.booleans(),
         dtype=st.sampled_from(["float64", "float32"]),
         seed=st.integers(0, 2**16),
     )
@@ -225,17 +224,14 @@ class TestStackedKernels:
     # conv2) and a stride-1 unpadded 1x1 conv (OW >= KW, no gather); and
     # a float32 shared input whose bias folds into the GEMM.
     @example(s=2, c=3, n=2, f=4, kernel=5, stride=1, padding=0, extra=1,
-             stacked_weight=True, shared_input=False, with_bias=True,
-             dtype="float64", seed=0)
+             stacked_weight=True, shared_input=False, dtype="float64", seed=0)
     @example(s=2, c=3, n=2, f=4, kernel=1, stride=1, padding=0, extra=3,
-             stacked_weight=False, shared_input=False, with_bias=True,
-             dtype="float64", seed=0)
+             stacked_weight=False, shared_input=False, dtype="float64", seed=0)
     @example(s=2, c=3, n=2, f=4, kernel=3, stride=1, padding=1, extra=2,
-             stacked_weight=True, shared_input=True, with_bias=True,
-             dtype="float32", seed=0)
+             stacked_weight=True, shared_input=True, dtype="float32", seed=0)
     def test_stacked_input_conv_matches_per_sample(
         self, s, c, n, f, kernel, stride, padding, extra, stacked_weight,
-        shared_input, with_bias, dtype, seed,
+        shared_input, dtype, seed,
     ):
         """A stacked (S, C, N, H, W) input, or a shared (N, C, H, W) one
         under a stacked weight, convolves like S plain conv2d calls in the
@@ -251,21 +247,16 @@ class TestStackedKernels:
         x = rng.normal(size=shape).astype(dtype)
         w = rng.normal(size=((s,) if stacked_weight else ()) + (f, c, kernel, kernel))
         w = w.astype(dtype)
-        b = None
-        if with_bias:
-            b = rng.normal(size=((s,) if stacked_weight else ()) + (f,)).astype(dtype)
+        b = rng.normal(size=((s,) if stacked_weight else ()) + (f,)).astype(dtype)
 
         with no_grad():
-            out = F.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
-                           stride, padding)
+            out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
         assert out.shape == (s, f, n, oh, oh)
         assert out.data.dtype == np.dtype(dtype)
 
         want = np.empty(out.shape)
         for i in range(s):
-            bi = None
-            if b is not None:
-                bi = Tensor(b[i] if stacked_weight else b)
+            bi = Tensor(b[i] if stacked_weight else b)
             xi = x if shared_input else x[i].transpose(1, 0, 2, 3)
             oi = F.conv2d(
                 Tensor(np.ascontiguousarray(xi)),
@@ -431,7 +422,7 @@ class TestConvGEMMLowering:
         cols = im2col(x, (kh, kw), stride, padding)
         out = np.einsum("fk,nkp->nfp", w.reshape(f, -1), cols)
         out = out.reshape(n, f, oh, ow)
-        return out if b is None else out + b.reshape(1, f, 1, 1)
+        return out + b.reshape(1, f, 1, 1)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 1), (2, 1)])
     def test_forward_matches_einsum_reference(self, stride, padding):

@@ -79,8 +79,8 @@ class TestNNFunctionalGrads:
         assert gradcheck(lambda x, w, b: F.conv2d(x, w, b, 1, 1), [x, w, b])
 
     def test_conv2d_stride2_nopad(self):
-        x, w = _t(1, 2, 6, 6), _t(3, 2, 2, 2)
-        assert gradcheck(lambda x, w: F.conv2d(x, w, None, 2, 0), [x, w])
+        x, w, b = _t(1, 2, 6, 6), _t(3, 2, 2, 2), _t(3)
+        assert gradcheck(lambda x, w, b: F.conv2d(x, w, b, 2, 0), [x, w, b])
 
     def test_avg_pool(self):
         assert gradcheck(lambda x: F.avg_pool2d(x, 2), [_t(2, 2, 4, 4)])

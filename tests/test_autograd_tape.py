@@ -129,7 +129,8 @@ def _ops(x, w):
         x + w, x - w, x * w, x / (w * w + 1.0), x**2, x @ w.T, x.exp(),
         x.tanh(), x.relu(), x.sum(axis=0), x.transpose(), x[1:],
         concatenate([x, w]),
-        F.conv2d(img, kernel), F.conv2d(img, w.reshape(1, 1, 4, 4), padding=1),
+        F.conv2d(img, kernel, w[0, :1]),
+        F.conv2d(img, w.reshape(1, 1, 4, 4), w[1, :1], padding=1),
         F.avg_pool2d(img, 2), F.max_pool2d(img, 2),
         F.adaptive_avg_pool2d(img, (3, 3)), F.softmax(x), F.log_softmax(x),
         F.cross_entropy(x, np.array([0, 1, 2, 3])),
@@ -232,7 +233,8 @@ def _conv_case(draw, rng, dtype, c, k, padding):
     h = draw(st.integers(max(1, k - 2 * padding), 6))
     x = _signed(rng, (n, c, h, h), dtype)
     w = _signed(rng, (f, c, k, k), dtype)
-    return [x, w], lambda x, w: F.conv2d(x, w, padding=padding)
+    b = _signed(rng, (f,), dtype)
+    return [x, w, b], lambda x, w, b: F.conv2d(x, w, b, padding=padding)
 
 
 def _pool_case(draw, rng, dtype, pool, kernel, ragged=False):

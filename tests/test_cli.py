@@ -86,6 +86,42 @@ class TestEvalCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'pool'" in capsys.readouterr().err
 
+    def test_adaptive_runs_agree_across_forms(self, tmp_path, monkeypatch,
+                                              capsys):
+        """With ``--tolerance``, the default engine returns the loop's
+        draws: neither the form, the chunk size nor a pool of either form
+        moves the stop point, which is the rule's first satisfied look."""
+        from repro.data import DATASET_FACTORIES, synth_mnist
+
+        monkeypatch.setitem(
+            DATASET_FACTORIES, "synth_mnist",
+            lambda: synth_mnist(train_per_class=20, test_per_class=1),
+        )
+        checkpoint = str(tmp_path / "mlp.npz")
+        cli.train_main(["--model", "mlp", "--dataset", "synth_mnist",
+                        "--epochs", "5", "--lr", "1e-2", "--save", checkpoint])
+        dumps = {}
+        for name, flags in (
+            ("vectorized", ["--chunk-samples", "2"]),
+            ("loop", ["--chunk-samples", "2", "--engine", "loop"]),
+            ("chunk16", ["--chunk-samples", "16", "--engine", "loop"]),
+            ("pool", ["--chunk-samples", "2", "--engine", "loop",
+                      "--workers", "2"]),
+            ("vectorized-pool", ["--chunk-samples", "2", "--workers", "2"]),
+        ):
+            dumps[name] = str(tmp_path / f"{name}.json")
+            assert cli.eval_main([
+                "--model", "mlp", "--dataset", "synth_mnist",
+                "--checkpoint", checkpoint, "--sigma", "0.7",
+                "--tolerance", "0.2", "--samples", "48",
+                "--dump-accuracies", dumps[name], *flags,
+            ]) == 0
+        capsys.readouterr()
+        loop = json.load(open(dumps["loop"]))
+        assert len(loop) == 16  # the first look stopped the run
+        for name, path in dumps.items():
+            assert json.load(open(path)) == loop, name
+
 
 class TestVariationSpecCLI:
     def test_eval_with_spec_string(self, tmp_path, capsys):

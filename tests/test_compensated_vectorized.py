@@ -151,11 +151,6 @@ class TestRewardEngineInvariance:
         assert evaluator.seed == 7
         assert (evaluator.chunk_samples, evaluator.tolerance) == (2, 0.1)
 
-    def test_env_evaluator_is_autotuned_like_the_pipeline(self, lenet,
-                                                           tiny_mnist):
-        env = self._env(lenet, tiny_mnist)
-        assert env._evaluator.clock is not None
-
 
 class TestMultiDrawCompensationTraining:
     """Compensation training takes one variation draw per batch."""

@@ -12,7 +12,6 @@ than the per-draw loop's ``LOOP_BATCH``.
 """
 
 import contextlib
-import itertools
 import tracemalloc
 from unittest import mock
 
@@ -206,19 +205,16 @@ class TestPassFootprint:
 
     @settings(max_examples=15, deadline=None)
     @given(family=st.sampled_from(["mlp", "lenet5", "compensated-lenet5"]),
-           n_samples=st.integers(1, 48), chunk=st.integers(1, 40),
-           raced=st.booleans())
+           n_samples=st.integers(1, 48), chunk=st.integers(1, 40))
     def test_stacked_passes_hold_the_loop_footprint(
-        self, tiny_test, weight_families, family, n_samples, chunk, raced
+        self, tiny_test, weight_families, family, n_samples, chunk
     ):
         model = weight_families[family]
         spec = LogNormalVariation(0.3)
-        # A counting clock times every raced chunk alike, deterministically.
-        clock = itertools.count().__next__ if raced else None
         with _spied_passes() as seen:
             stacked = MonteCarloEvaluator(
                 tiny_test, n_samples=n_samples, seed=5, vectorized=True,
-                chunk_samples=chunk, clock=clock,
+                chunk_samples=chunk,
             ).evaluate(model, spec)
         loop = MonteCarloEvaluator(tiny_test, n_samples=n_samples,
                                    seed=5).evaluate(model, spec)
@@ -241,6 +237,22 @@ class TestPassFootprint:
         analog.eval()
         plan = build_plan(analog, spec, n_samples=4, seed=0, data_block=16)
         assert [plan.images_per_pass(n) for n in (1, 3, 300)] == [16] * 3
+
+    def test_adaptive_plans_keep_their_knobs(self, mlp, blob_dataset):
+        """An adaptive weight-domain plan keeps the caller's chunk size and
+        rule. It carries no data block, so the evaluator's ``data_block``
+        does not split it either: its passes follow the chunk."""
+        kwargs = dict(n_samples=32, seed=11, vectorized=True,
+                      chunk_samples=2, tolerance=0.02, min_samples=4)
+        mlp.eval()
+        spec = LogNormalVariation(0.5)
+        plan = MonteCarloEvaluator(blob_dataset, data_block=16,
+                                   **kwargs).plan(mlp, spec)
+        assert plan == MonteCarloEvaluator(blob_dataset, **kwargs).plan(
+            mlp, spec)
+        assert plan.stopping is not None
+        assert (plan.chunk_samples, plan.data_block) == (2, None)
+        assert plan.images_per_pass(plan.chunk_samples) == LOOP_BATCH // 2
 
     def test_analog_passes_take_the_data_block(self, tiny_test,
                                                block_families):

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -15,8 +16,10 @@ from repro.autograd import functional as F
 from repro.data import ArrayDataset
 from repro.evaluation import (
     ErrorPropagationTracer, MonteCarloEvaluator, accuracy, build_plan, execute,
-    layer_sweep, recovery_ratio, select_candidates, tail_spec,
+    executor, layer_sweep, make_adapter, recovery_ratio, select_candidates,
+    tail_spec,
 )
+from repro.hardware import analogize
 from repro.models import LeNet5, MLP
 from repro.variation import (
     GaussianVariation, LogNormalVariation, NoVariation, VariationInjector,
@@ -106,6 +109,13 @@ class TestMonteCarlo:
     def test_invalid_n_samples(self, blob_dataset):
         with pytest.raises(ValueError):
             MonteCarloEvaluator(blob_dataset, n_samples=0)
+
+    def test_restores_training_mode(self, mlp, blob_dataset):
+        mlp.train()
+        MonteCarloEvaluator(blob_dataset, n_samples=8, seed=11,
+                            vectorized=True, chunk_samples=2).evaluate(
+            mlp, LogNormalVariation(0.5))
+        assert mlp.training
 
 
 class TestLayerSweep:
@@ -410,36 +420,6 @@ class TestProcessPoolEngine:
         assert r_loop.accuracies != loop.evaluate(
             lenet, LogNormalVariation(0.6)).accuracies
 
-    def test_workers_run_the_plans_form(self, mlp, blob_dataset,
-                                        monkeypatch):
-        """A worker stacks exactly when the plan is vectorized and has
-        targets to draw (the worker entry points, run in this process)."""
-        from repro.evaluation import executor
-
-        forms = []
-        for name, form in (("_loop_accuracies", "per-draw"),
-                           ("_stacked_accuracies", "stacked")):
-            def spy(*args, _run=getattr(executor, name), _form=form):
-                forms.append(_form)
-                return _run(*args)
-
-            monkeypatch.setattr(executor, name, spy)
-        mlp.eval()
-        varied = LogNormalVariation(0.5)
-        silent = tail_spec(mlp, varied, len(weighted_layers(mlp)))
-        for vectorized, spec, form in ((False, varied, "per-draw"),
-                                       (True, varied, "stacked"),
-                                       (True, silent, "per-draw")):
-            plan = build_plan(mlp, spec, n_samples=4, seed=1,
-                              vectorized=vectorized, n_workers=2)
-            forms.clear()
-            executor._pool_init(mlp, blob_dataset, plan)
-            try:
-                executor._pool_chunk(0, 2)
-            finally:
-                executor._POOL_STATE.clear()
-            assert forms == [form], (vectorized, spec)
-
     def test_killed_worker_raises_instead_of_hanging(self, blob_dataset):
         model = _KilledOnForward(4, [8], 3, seed=0)
         plan = build_plan(model, LogNormalVariation(0.5),
@@ -460,6 +440,85 @@ class TestProcessPoolEngine:
         result = ev.evaluate(mlp, LogNormalVariation(0.5))
         assert result.n_samples_used < 64
         assert multiprocessing.active_children() == []
+
+
+class TestChunkRule:
+    """One rule runs every chunk, in-process and in a pool worker."""
+
+    def test_each_chunk_runs_the_plans_form(self, mlp, blob_dataset,
+                                            monkeypatch):
+        """A vectorized plan runs its chunks stacked and a loop plan
+        per-draw. A spec that silences every layer runs neither form, in
+        either plan and in the pool, and returns the loop's accuracies
+        (the worker entry points run in this process)."""
+        loop_form = executor._loop_accuracies
+        forms = []
+        for name, form in (("_loop_accuracies", "per-draw"),
+                           ("_stacked_accuracies", "stacked")):
+            def spy(*args, _run=getattr(executor, name), _form=form):
+                forms.append((_form, len(args[-1])))
+                return _run(*args)
+
+            monkeypatch.setattr(executor, name, spy)
+        mlp.eval()
+        varied = LogNormalVariation(0.5)
+        silent = tail_spec(mlp, varied, len(weighted_layers(mlp)))
+        for vectorized, spec, form in ((False, varied, "per-draw"),
+                                       (True, varied, "stacked"),
+                                       (False, silent, None),
+                                       (True, silent, None)):
+            case = (vectorized, to_string(spec))
+            kwargs = dict(n_samples=5, seed=1, vectorized=vectorized,
+                          chunk_samples=2)
+            plan = build_plan(mlp, spec, **kwargs)
+            loop = build_plan(mlp, spec, **{**kwargs, "vectorized": False})
+            want = loop_form(mlp, blob_dataset, make_adapter(mlp, loop), loop,
+                             loop.draw_rngs())
+            chunks = [] if form is None else [(form, 2), (form, 2), (form, 1)]
+
+            forms.clear()
+            assert execute(plan, mlp, blob_dataset).accuracies == want, case
+            assert forms == chunks, case
+
+            pool = build_plan(mlp, spec, n_workers=2, **kwargs)
+            forms.clear()
+            executor._pool_init(mlp, blob_dataset, pool)
+            try:
+                drawn = [acc for bounds in pool.chunks()
+                         for acc in executor._pool_chunk(*bounds)]
+            finally:
+                executor._POOL_STATE.clear()
+            assert drawn == want, case
+            assert forms == chunks, case
+
+
+class TestNoWallTime:
+    def test_an_evaluation_reads_no_wall_time(self, monkeypatch, mlp,
+                                              blob_dataset):
+        """Loop, stacked, adaptive and analog plans run with every
+        ``time`` reader patched to raise: the engine takes no clock."""
+        def _never(*_):
+            raise AssertionError("an evaluation read the wall time")
+
+        analog = analogize(MLP(4, [8], 3, seed=0), tile_size=8,
+                           read_noise_sigma=0.01)
+        cases = [
+            (mlp, dict(vectorized=False)),
+            (mlp, dict(vectorized=True)),
+            (mlp, dict(vectorized=True, tolerance=0.2, min_samples=2)),
+            (analog, dict(vectorized=False)),
+            (analog, dict(vectorized=True)),
+        ]
+        spec = LogNormalVariation(0.5)
+        for model, kwargs in cases:
+            evaluator = MonteCarloEvaluator(blob_dataset, n_samples=20,
+                                            seed=1, chunk_samples=2, **kwargs)
+            with monkeypatch.context() as patched:
+                for name in ("perf_counter", "monotonic", "time",
+                             "process_time"):
+                    patched.setattr(time, name, _never)
+                result = evaluator.evaluate(model, spec)
+            assert result == evaluator.evaluate(model, spec), kwargs
 
 
 class _KilledOnForward(MLP):

@@ -10,7 +10,6 @@ enforcement — that hold for every stream; sweep tests check that a
 sweep is one evaluation per point.
 """
 
-import time
 from statistics import NormalDist
 
 import numpy as np
@@ -286,12 +285,10 @@ class TestSweepsAreLoopsOfEvaluate:
         tolerance = data.draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]),
                               label="tolerance")
         chunk = data.draw(st.integers(1, 20), label="chunk")
-        form = data.draw(st.sampled_from(["loop", "stacked", "raced"]),
-                         label="form")
-        clock = time.perf_counter if form == "raced" else None
+        vectorized = data.draw(st.booleans(), label="vectorized")
         evaluator = MonteCarloEvaluator(
-            test, n_samples=48, seed=9, vectorized=form != "loop",
-            chunk_samples=chunk, tolerance=tolerance, clock=clock,
+            test, n_samples=48, seed=9, vectorized=vectorized,
+            chunk_samples=chunk, tolerance=tolerance,
         )
         swept = layer_sweep(model, _SWEEP_SPEC, evaluator)
         assert swept == [

@@ -11,8 +11,8 @@ The acceptance properties of the evaluation service live here:
 - resubmitting a finished evaluation is a cache hit and performs zero
   work;
 - ``cached_evaluate`` returns the stored payload without re-executing,
-  on a miss races its chunks on the evaluator's clock, and refuses analog
-  plans, which it cannot tell apart;
+  on a miss stores what executing the evaluator's plan returns, and
+  refuses analog plans, which it cannot tell apart;
 - a job whose chunk is below one is refused at materialization, before
   it can reach the store;
 - a job row stored while requests still carried ``data_block`` and
@@ -311,38 +311,22 @@ class TestMaterializeSplit:
         assert test.images.flags.writeable and train.labels.flags.writeable
 
 
-class CountingClock:
-    """A seconds counter that counts its reads."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        return float(self.calls)
-
-
 class TestCachedEvaluate:
-    def test_miss_races_on_the_evaluator_clock(self, tmp_path):
-        """A miss times its chunks on ``evaluator.clock`` like
-        ``evaluate`` does, and stores the clockless result; a hit reads
-        no time at all."""
+    def test_a_hit_returns_what_the_miss_executed(self, tmp_path):
+        """A miss stores the result of executing the evaluator's plan, and
+        a hit returns it bitwise."""
         train, test = _tiny_factory()
         model = build_model("mlp", train, seed=0)
-        clock = CountingClock()
         evaluator = MonteCarloEvaluator(test, n_samples=8, seed=7,
-                                        vectorized=True, chunk_samples=2,
-                                        clock=clock)
+                                        vectorized=True, chunk_samples=2)
         path = str(tmp_path / "cache.sqlite")
         result = cached_evaluate(path, evaluator, model, "lognormal:0.3")
-        assert clock.calls == 4  # two timed chunks, two reads each
         model.eval()
-        clockless = execute(evaluator.plan(model, "lognormal:0.3"), model,
-                            test)
-        assert result == clockless
-        hit = cached_evaluate(path, evaluator, model, "lognormal:0.3")
-        assert clock.calls == 4
-        assert hit == clockless
+        executed = execute(evaluator.plan(model, "lognormal:0.3"), model,
+                           test)
+        assert result == executed
+        assert cached_evaluate(path, evaluator, model, "lognormal:0.3") \
+            == executed
 
     def test_miss_executes_and_matches_direct(self, tmp_path):
         train, test = _tiny_factory()
